@@ -1,16 +1,13 @@
 """Poisson image deconvolution by proximal splitting with sparsity priors."""
 
-from .operators import (AffineOperator, Image, LinearOperator, apply, adjoint,
-                        compose, diagonal_operator, estimate_spectral_norm,
-                        identity_operator, make_circular_convolution,
-                        matrix_operator)
+from .operators import (AffineOperator, Image, LinearOperator, compose,
+                        diagonal_operator, identity_operator,
+                        make_circular_convolution, matrix_operator)
 from .dictionary import (FrameDictionary, analysis_operator, frame_bounds,
                          make_dirac, make_haar_dwt, make_starlet, make_union,
                          parse_dictionary_spec, synthesis_operator)
-from .prox_core import (AbsValue, PoissonFidelity, ScalarPenalty,
-                        SparsityPenalty, eval_poisson, grad_poisson,
-                        project_positive, prox_penalty, prox_poisson,
-                        soft_threshold)
+from .prox_core import (eval_poisson, grad_poisson, project_positive,
+                        prox_poisson, soft_threshold)
 from .prox_compose import (ComposeProxConfig, FBDiagnostics, WarmStartedProx,
                            default_tau, prox_affine_fb, prox_affine_tight,
                            verify_tight_frame)
@@ -25,15 +22,14 @@ from .rasters import read_raster, write_raster
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineOperator", "Image", "LinearOperator", "apply", "adjoint",
-    "compose", "diagonal_operator", "estimate_spectral_norm",
-    "identity_operator", "make_circular_convolution", "matrix_operator",
+    "AffineOperator", "Image", "LinearOperator", "compose",
+    "diagonal_operator", "identity_operator", "make_circular_convolution",
+    "matrix_operator",
     "FrameDictionary", "analysis_operator", "frame_bounds", "make_dirac",
     "make_haar_dwt", "make_starlet", "make_union", "parse_dictionary_spec",
     "synthesis_operator",
-    "AbsValue", "PoissonFidelity", "ScalarPenalty", "SparsityPenalty",
-    "eval_poisson", "grad_poisson", "project_positive", "prox_penalty",
-    "prox_poisson", "soft_threshold",
+    "eval_poisson", "grad_poisson", "project_positive", "prox_poisson",
+    "soft_threshold",
     "ComposeProxConfig", "FBDiagnostics", "WarmStartedProx", "default_tau",
     "prox_affine_fb", "prox_affine_tight", "verify_tight_frame",
     "ProxTerm", "SplittingConfig", "SplittingState", "relative_change",

@@ -128,6 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_problem(args) -> DeconvProblem:
     counts = read_raster(args.counts)
     psf = read_raster(args.psf)
+    # A signed or zero-mass kernel leaves the Poisson model: the blurred
+    # intensity can turn negative and the objective infinite.
+    if not (np.all(psf.data >= 0.0) and float(np.sum(psf.data)) > 0.0):
+        raise UsageError(f"--psf {args.psf}: kernel samples must be >= 0 "
+                         "with a positive sum")
     blur = make_circular_convolution(psf, counts.width, counts.height)
     dictionary = parse_dictionary_spec(args.dict_spec, counts.width, counts.height)
     if not 0.0 < args.theta < 2.0:
@@ -143,7 +148,7 @@ def _load_problem(args) -> DeconvProblem:
 
 
 def _dump_json(document: dict, path: str | None) -> None:
-    text = json.dumps(document, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)

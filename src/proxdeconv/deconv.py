@@ -26,7 +26,7 @@ import numpy as np
 from .dictionary import FrameDictionary, analysis_operator, synthesis_operator
 from .errors import DimensionMismatchError
 from .operators import AffineOperator, Image, LinearOperator, compose
-from .prox_compose import ComposeProxConfig, WarmStartedProx, prox_affine_fb
+from .prox_compose import ComposeProxConfig, WarmStartedProx, prox_affine_tight
 from .prox_core import eval_poisson, project_positive, prox_poisson, soft_threshold
 from .splitting import ProxTerm, SplittingConfig, SplittingState, solve
 
@@ -94,26 +94,23 @@ def _project_family(v: Array, s: float) -> Array:
     return project_positive(v)
 
 
-def _is_parseval(d: FrameDictionary) -> bool:
-    return d.tight and abs(d.c1 - 1.0) <= 1e-12
-
-
 def _fidelity_term_synthesis(p: DeconvProblem) -> ProxTerm:
     """prox of s * fidelity(H Phi alpha): tight peel around a dual solve for H."""
     y = p.counts.data
     h = p.blur
     affine_h = AffineOperator(h, np.zeros(h.out_dim))
     c2_h = h.spectral_bound ** 2
+    phi = synthesis_operator(p.dictionary)
     if p.dictionary.tight:
         c = p.dictionary.c1
-        syn, ana = p.dictionary.synthesis, p.dictionary.analysis
         inner = WarmStartedProx(_poisson_family(y), affine_h, c2_h, p.compose)
+        zero = np.zeros(phi.out_dim)
 
         def prox(alpha: Array, s: float) -> Array:
-            v = syn(alpha)
-            return alpha + ana(inner(v, scale=c * s) - v) / c
+            return prox_affine_tight(inner, phi, zero, c, alpha, scale=s,
+                                     check=False)
     else:
-        through = compose(h, synthesis_operator(p.dictionary))
+        through = compose(h, phi)
         affine = AffineOperator(through, np.zeros(through.out_dim))
         inner = WarmStartedProx(_poisson_family(y), affine,
                                 through.spectral_bound ** 2, p.compose)
@@ -126,15 +123,15 @@ def _fidelity_term_synthesis(p: DeconvProblem) -> ProxTerm:
 
 def _positivity_term_synthesis(p: DeconvProblem) -> ProxTerm:
     """prox of the positivity indicator of Phi alpha (scale-free)."""
+    phi = synthesis_operator(p.dictionary)
     if p.dictionary.tight:
         c = p.dictionary.c1
-        syn, ana = p.dictionary.synthesis, p.dictionary.analysis
+        zero = np.zeros(phi.out_dim)
 
         def prox(alpha: Array, s: float) -> Array:
-            v = syn(alpha)
-            return alpha + ana(project_positive(v) - v) / c
+            return prox_affine_tight(_project_family, phi, zero, c, alpha,
+                                     check=False)
     else:
-        phi = synthesis_operator(p.dictionary)
         affine = AffineOperator(phi, np.zeros(phi.out_dim))
         inner = WarmStartedProx(_project_family, affine, p.dictionary.c2,
                                 p.compose, c1=p.dictionary.c1)
@@ -378,13 +375,19 @@ def scale_to_peak(truth: Image, peak: float) -> Image:
 
 def result_metrics(result: DeconvResult, truth: Image | None = None,
                    include_timing: bool = True) -> dict:
-    """JSON-ready metrics document for one deconvolution result."""
+    """JSON-ready metrics document for one deconvolution result.
+
+    The objective is +inf at iterates outside the Poisson domain (a pixel
+    slightly below zero is enough); strict JSON has no infinity, so those
+    trace entries are null.
+    """
     metrics = {
         "gamma": float(result.gamma_used),
         "iterations": int(result.state.iterations),
         "converged": bool(result.state.converged),
         "relative_change_trace": [float(r) for r in result.state.relative_changes],
-        "objective_trace": [float(v) for v in (result.state.objectives or [])],
+        "objective_trace": [float(v) if np.isfinite(v) else None
+                            for v in (result.state.objectives or [])],
         "wall_time_s": float(result.wall_time_s) if include_timing else 0.0,
         "clip_mass": float(result.clip_mass),
     }

@@ -24,28 +24,8 @@ class DomainError(ProxDeconvError, ValueError):
         super().__init__(f"{message} (component {index})")
 
 
-class PowerIterationError(ProxDeconvError, RuntimeError):
-    """Power iteration failed to settle; carries the last estimate."""
-
-    def __init__(self, last_estimate, iterations):
-        self.last_estimate = last_estimate
-        self.iterations = iterations
-        super().__init__(
-            f"power iteration did not converge after {iterations} steps "
-            f"(last estimate {last_estimate!r})"
-        )
-
-
 class TightFrameError(ProxDeconvError, ValueError):
     """The supplied operator is not a tight frame with the claimed constant."""
-
-
-class RootFindingError(ProxDeconvError, RuntimeError):
-    """Scalar root finding exhausted its iteration budget."""
-
-    def __init__(self, message, **diagnostics):
-        self.diagnostics = diagnostics
-        super().__init__(message)
 
 
 class WeightError(ProxDeconvError, ValueError):

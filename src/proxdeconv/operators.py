@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PowerIterationError
+from .errors import DimensionMismatchError
 
 Array = np.ndarray
 
@@ -104,14 +104,6 @@ class LinearOperator:
     def adjoint(self, u) -> Array:
         u = _flat64(u, self.out_dim, "LinearOperator.adjoint")
         return np.asarray(self._adjoint(u), dtype=np.float64).ravel()
-
-
-def apply(op: LinearOperator, x) -> Array:
-    return op.apply(x)
-
-
-def adjoint(op: LinearOperator, u) -> Array:
-    return op.adjoint(u)
 
 
 def identity_operator(n: int) -> LinearOperator:
@@ -214,32 +206,3 @@ def make_circular_convolution(psf: Image, width: int, height: int,
         return np.fft.irfft2(spec * otf_conj, s=(height, width)).ravel()
 
     return LinearOperator(n, n, fwd, adj, bound)
-
-
-def estimate_spectral_norm(op: LinearOperator, tol: float = 1e-6,
-                           max_iter: int = 1000, seed: int = 0) -> float:
-    """Estimate ||op|| by power iteration on adjoint(apply(.)).
-
-    Deterministic for a given seed. Raises PowerIterationError (carrying the
-    last estimate) when successive estimates still differ by more than
-    ``tol`` relative after ``max_iter`` steps.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.in_dim)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:  # cannot happen with standard_normal, kept for safety
-        v = np.ones(op.in_dim)
-        nv = np.linalg.norm(v)
-    v /= nv
-    last = None
-    for _ in range(max_iter):
-        w = op.adjoint(op.apply(v))
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        sigma = float(np.sqrt(lam))
-        if last is not None and abs(sigma - last) <= tol * sigma:
-            return sigma
-        last = sigma
-        v = w / lam
-    raise PowerIterationError(last_estimate=last, iterations=max_iter)

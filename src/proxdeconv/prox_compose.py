@@ -20,7 +20,7 @@ same callable serves every scale the solvers need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,13 +38,10 @@ class ComposeProxConfig:
 
     inner_iters: forward-backward steps per call (truncated, warm-startable).
     tau: dual step; None picks 2/(c1+c2) when c1 is known, else 1.8/c2.
-    dual_init: starting dual point; None means zeros (or a warm start from a
-        previous call's diagnostics).
     """
 
     inner_iters: int = 10
     tau: float | None = None
-    dual_init: Array | None = None
 
     def __post_init__(self):
         if self.inner_iters < 1:
@@ -105,12 +102,14 @@ def prox_affine_tight(prox_f: ProxFamily, frame: LinearOperator, shift,
 def prox_affine_fb(prox_f: ProxFamily, affine: AffineOperator, c2: float,
                    x, cfg: ComposeProxConfig | None = None,
                    scale: float = 1.0,
-                   c1: float | None = None) -> tuple[Array, FBDiagnostics]:
+                   c1: float | None = None,
+                   dual: Array | None = None) -> tuple[Array, FBDiagnostics]:
     """Truncated dual forward-backward estimate of prox_{scale * f o affine}(x).
 
-    Returns the primal point after ``cfg.inner_iters`` steps together with
-    diagnostics; feed ``diagnostics.dual`` back through ``cfg.dual_init`` to
-    warm-start the next call at a nearby prox target.
+    Starts from the dual point ``dual`` (zeros when None) and returns the
+    primal point after ``cfg.inner_iters`` steps together with diagnostics;
+    pass ``diagnostics.dual`` back as ``dual`` to warm-start the next call
+    at a nearby prox target.
     """
     if not scale > 0.0:
         raise ValueError(f"scale must be > 0, got {scale}")
@@ -120,10 +119,10 @@ def prox_affine_fb(prox_f: ProxFamily, affine: AffineOperator, c2: float,
     tau = cfg.tau if cfg.tau is not None else default_tau(c2, c1)
     if not tau < 2.0 / c2 + 1e-12:
         raise ValueError(f"tau={tau} violates the step bound 2/c2={2.0 / c2}")
-    if cfg.dual_init is None:
+    if dual is None:
         u = np.zeros(lin.out_dim)
     else:
-        u = _flat64(cfg.dual_init, lin.out_dim, "prox_affine_fb dual_init").copy()
+        u = _flat64(dual, lin.out_dim, "prox_affine_fb dual").copy()
     p = x - lin.adjoint(u)
     residuals: list[float] = []
     for _ in range(cfg.inner_iters):
@@ -139,7 +138,7 @@ class WarmStartedProx:
     """Wrap prox_affine_fb with a dual cache carried across calls.
 
     Owned by one enclosing solver; not safe to share between concurrent
-    solves. The cached dual is reused via ComposeProxConfig.dual_init, which
+    solves. Each call starts from the previous call's final dual, which
     keeps truncated inner solves accurate once outer iterates settle.
     """
 
@@ -150,13 +149,11 @@ class WarmStartedProx:
         self._c2 = c2
         self._c1 = c1
         self._cfg = cfg
-        self._dual = cfg.dual_init
-        self.last_diagnostics: FBDiagnostics | None = None
+        self._dual = None
 
     def __call__(self, x, scale: float = 1.0) -> Array:
-        cfg = replace(self._cfg, dual_init=self._dual)
         p, diag = prox_affine_fb(self._prox_f, self._affine, self._c2, x,
-                                 cfg, scale=scale, c1=self._c1)
+                                 self._cfg, scale=scale, c1=self._c1,
+                                 dual=self._dual)
         self._dual = diag.dual
-        self.last_diagnostics = diag
         return p

@@ -7,23 +7,21 @@ The Poisson anti-log-likelihood of intensities eta against counts y is
 
 and +inf as soon as any component leaves its domain (0 log 0 = 0 by the
 0! = 1 convention). Its scaled prox has the closed form of a per-pixel
-quadratic root. Sparsity penalties are even convex scalar functions psi with
-psi(0) = 0 and a positive right derivative at zero; their prox thresholds at
-gamma * psi'(0+) and otherwise solves p + gamma psi'(p) = alpha, which for
-psi = |.| collapses to plain soft-thresholding.
+quadratic root. The l1 penalty's prox is soft-thresholding and the
+positivity indicator's is the projection onto the non-negative orthant.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, RootFindingError
+from .errors import DimensionMismatchError, DomainError
 
 Array = np.ndarray
+
+_TINY = np.finfo(np.float64).tiny
 
 
 def _pair64(a, b, context: str) -> tuple[Array, Array]:
@@ -73,161 +71,38 @@ def grad_poisson(eta, counts) -> Array:
 def prox_poisson(x, beta: float, counts) -> Array:
     """prox of beta * (Poisson fidelity) at x, elementwise.
 
-    prox(x)_i = (x_i - beta + sqrt((x_i - beta)^2 + 4 beta y_i)) / 2,
-    which reduces to max(x_i - beta, 0) on zero-count pixels. Output is
-    always inside the domain (non-negative, positive where y_i > 0).
+    prox(x)_i = (d_i + sqrt(d_i^2 + 4 beta y_i)) / 2 with d_i = x_i - beta,
+    which reduces to max(d_i, 0) on zero-count pixels. Output is always
+    inside the domain (non-negative, positive where y_i > 0).
     """
     if not beta > 0.0:
         raise ValueError(f"prox scale beta must be > 0, got {beta}")
     x, y = _pair64(x, counts, "prox_poisson")
     _validate_counts(y, "prox_poisson")
     d = x - beta
-    return 0.5 * (d + np.sqrt(d * d + 4.0 * beta * y))
-
-
-class ScalarPenalty(ABC):
-    """Even convex scalar penalty, smooth on (0, inf), psi(0) = 0."""
-
-    @abstractmethod
-    def value(self, t: float) -> float: ...
-
-    @abstractmethod
-    def deriv(self, t: float) -> float:
-        """psi'(t) for t > 0 (extended by odd symmetry to t < 0)."""
-
-    @abstractmethod
-    def deriv2(self, t: float) -> float:
-        """psi''(t) for t > 0; used by the Newton step."""
-
-    @property
-    @abstractmethod
-    def right_deriv_at_zero(self) -> float:
-        """psi'(0+) > 0; sets the dead zone of the prox."""
-
-    def total(self, coeffs) -> float:
-        c = np.asarray(coeffs, dtype=np.float64).ravel()
-        return float(sum(self.value(abs(t)) for t in c))
-
-
-class AbsValue(ScalarPenalty):
-    """psi(t) = |t|; prox is soft-thresholding."""
-
-    def value(self, t: float) -> float:
-        return abs(t)
-
-    def deriv(self, t: float) -> float:
-        return math.copysign(1.0, t)
-
-    def deriv2(self, t: float) -> float:
-        return 0.0
-
-    @property
-    def right_deriv_at_zero(self) -> float:
-        return 1.0
-
-    def total(self, coeffs) -> float:
-        return float(np.sum(np.abs(coeffs)))
+    # The same root as max(d, 0) + 2 beta y / (|d| + sqrt(d^2 + 4 beta y)):
+    # a sum of non-negative terms, so nothing cancels for d << 0, where the
+    # textbook form rounds toward 0. The denominator vanishes only where
+    # d = y = 0; flooring it makes that quotient 0.
+    s = d * d
+    s += 4.0 * beta * y
+    np.sqrt(s, out=s)
+    s += np.abs(d)
+    np.maximum(s, _TINY, out=s)
+    p = 2.0 * beta * y
+    p /= s
+    p += np.maximum(d, 0.0)
+    return p
 
 
 def soft_threshold(values, threshold: float) -> Array:
+    """prox of threshold * ||.||_1: shrink each component toward zero."""
     if threshold < 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     v = np.asarray(values, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
 
 
-def _penalty_root(magnitude: float, gamma: float, psi: ScalarPenalty,
-                  tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Solve p + gamma psi'(p) = magnitude on (0, magnitude].
-
-    Newton from the upper end, safeguarded by bisection on the bracket
-    [0, magnitude]; the root exists and is unique because the left side is
-    strictly increasing with limit gamma psi'(0+) < magnitude at 0+.
-    """
-    lo, hi = 0.0, magnitude
-    p = magnitude
-    for _ in range(max_iter):
-        g = p + gamma * psi.deriv(p) - magnitude
-        if abs(g) <= tol * max(1.0, magnitude):
-            return p
-        if g > 0.0:
-            hi = p
-        else:
-            lo = p
-        slope = 1.0 + gamma * psi.deriv2(p)
-        step_to = p - g / slope if slope > 0.0 else math.nan
-        if not (lo < step_to < hi):
-            step_to = 0.5 * (lo + hi)
-        p = step_to
-    raise RootFindingError(
-        "penalty prox root finding stalled",
-        magnitude=magnitude, gamma=gamma, bracket=(lo, hi), last=p,
-    )
-
-
-def prox_penalty(values, threshold: float, psi: ScalarPenalty) -> Array:
-    """prox of threshold * sum_i psi(.) applied elementwise.
-
-    Components with |v| <= threshold * psi'(0+) map to zero; the rest solve
-    the scalar stationarity equation, exactly soft-thresholding for psi=|.|.
-    threshold == 0 returns the input unchanged.
-    """
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    v = np.asarray(values, dtype=np.float64)
-    if threshold == 0.0:
-        return v.copy()
-    if isinstance(psi, AbsValue):
-        return soft_threshold(v, threshold)
-    flat = v.ravel()
-    out = np.zeros_like(flat)
-    dead = threshold * psi.right_deriv_at_zero
-    for i, t in enumerate(flat):
-        m = abs(t)
-        if m > dead:
-            out[i] = math.copysign(_penalty_root(m, threshold, psi), t)
-    return out.reshape(v.shape)
-
-
 def project_positive(x) -> Array:
     """Euclidean projection onto the non-negative orthant."""
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-@dataclass(frozen=True)
-class PoissonFidelity:
-    """Poisson anti-log-likelihood bound to a fixed count image."""
-
-    counts: Array
-
-    def __post_init__(self):
-        y = np.asarray(self.counts, dtype=np.float64).ravel()
-        _validate_counts(y, "PoissonFidelity")
-        object.__setattr__(self, "counts", y)
-
-    def value(self, eta) -> float:
-        return eval_poisson(eta, self.counts)
-
-    def grad(self, eta) -> Array:
-        return grad_poisson(eta, self.counts)
-
-    def prox(self, x, beta: float) -> Array:
-        return prox_poisson(x, beta, self.counts)
-
-
-@dataclass(frozen=True)
-class SparsityPenalty:
-    """Separable penalty gamma * sum_i psi(coeff_i)."""
-
-    gamma: float
-    psi: ScalarPenalty = field(default_factory=AbsValue)
-
-    def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-
-    def value(self, coeffs) -> float:
-        return self.gamma * self.psi.total(coeffs)
-
-    def prox(self, coeffs, scale: float = 1.0) -> Array:
-        return prox_penalty(coeffs, scale * self.gamma, self.psi)

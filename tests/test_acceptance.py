@@ -1,8 +1,8 @@
 """Acceptance gate: one test per shipping criterion, one PASS/FAIL line each.
 
-Run with ``pytest -s tests/test_acceptance.py`` to see the report lines; the
-end-to-end criteria reuse one pipeline fixture so the whole file stays under
-a couple of minutes.
+Run with ``pytest -s tests/test_acceptance.py`` to see the report lines. The
+end-to-end criteria reuse one pipeline fixture; the whole file takes about
+three minutes on a 2-core machine.
 """
 
 import json

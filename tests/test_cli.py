@@ -1,10 +1,12 @@
 import json
+import math
+import os
 
 import numpy as np
 import pytest
 
 from proxdeconv import Image
-from proxdeconv.cli import main
+from proxdeconv.cli import _dump_json, main
 from proxdeconv.rasters import read_raster, write_raster
 
 
@@ -240,6 +242,26 @@ class TestGcvScan:
             lines = fh.read().strip().split("\n")
         assert lines[0] == "gamma,gcv,mae"
         assert float(lines[1].split(",")[2]) <= 1e-5
+
+
+class TestPsfValidation:
+    @pytest.mark.parametrize("command", ["deconvolve", "gcv-scan"])
+    @pytest.mark.parametrize("kernel", [[[-1.0, 3.0, -1.0]], [[0.0, 0.0]]])
+    def test_bad_kernel_is_a_usage_error(self, workspace, capsys, command,
+                                         kernel):
+        write_raster(workspace["psf"], Image.from_2d(kernel))
+        out = str(workspace["dir"] / "x.out")
+        gamma = ["--gamma", "0.5"] if command == "deconvolve" \
+            else ["--gamma-grid", "0.5"]
+        code = main([command, "--counts", workspace["counts"], "--psf",
+                     workspace["psf"], "--dict", "dirac", "--out", out] + gamma)
+        assert code == 1
+        assert "--psf" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_metrics_reject_non_finite_values(self, tmp_path):
+        with pytest.raises(ValueError):
+            _dump_json({"objective": math.inf}, str(tmp_path / "m.json"))
 
 
 class TestParsing:

@@ -14,6 +14,7 @@ from proxdeconv import (ComposeProxConfig, DeconvProblem, DeconvResult, Image,
 from proxdeconv.errors import DimensionMismatchError
 
 from oracles import grid_minimize, scene32
+from test_dictionary import _diag_pseudo_dictionary
 
 MA3 = Image.from_2d(np.full((3, 3), 1.0 / 9.0))
 
@@ -384,11 +385,53 @@ class TestResultMetrics:
         assert doc["objective_trace"] == []
 
 
+class TestNonTightFrame:
+    """Frame diag(1, 3) on a 2x1 ring: every composed prox runs dual FB.
+
+    Counts [5, 1] under the blur [0.75, 0.25] fit x = [7, -1] unconstrained,
+    so the positivity constraint is active at the optimum.
+    """
+
+    COUNTS = np.array([5.0, 1.0])
+    SCALE = np.array([1.0, 3.0])
+
+    def _objective_batch(self, pts, gamma, prior):
+        if prior == "synthesis":
+            x, coeffs = pts * self.SCALE, pts
+        else:
+            x, coeffs = pts, pts * self.SCALE
+        eta = 0.75 * x + 0.25 * x[:, ::-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fit = np.where(eta > 0.0, eta - self.COUNTS * np.log(eta), np.inf)
+        return np.sum(fit, axis=1) + gamma * np.sum(np.abs(coeffs), axis=1)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5])
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_reaches_the_grid_oracle(self, prior, gamma):
+        blur = make_circular_convolution(Image.from_2d([[0.75, 0.25]]), 2, 1,
+                                         origin=(0, 0))
+        prob = DeconvProblem(
+            counts=Image.from_2d([self.COUNTS]), blur=blur,
+            dictionary=_diag_pseudo_dictionary(), gamma=gamma, prior=prior,
+            splitting=SplittingConfig(mu=1.0, max_outer=5000, tol=1e-13))
+        res = deconvolve(prob)
+        if prior == "synthesis":
+            value = objective_synthesis(prob, res.coefficients,
+                                        feasibility_tol=1e-8)
+        else:
+            value = objective_analysis(prob, res.restored.data)
+        _, oracle = grid_minimize(
+            lambda pts: self._objective_batch(pts, gamma, prior),
+            [0.0, 0.0], [10.0, 10.0])
+        assert value <= oracle + 1e-8
+
+
 class TestComposeConfigThreading:
     def test_inner_iteration_budget_is_respected(self):
-        # A non-tight path is not exercised here; with a Parseval dictionary
-        # the fidelity prox peels exactly, so the compose config only alters
-        # the blur dual solve. The run must still converge to the optimum.
+        # With a Parseval dictionary the fidelity prox peels exactly, so the
+        # compose config only alters the blur dual solve (TestNonTightFrame
+        # runs the non-tight branches). The run must still converge to the
+        # optimum.
         prob = replace(ring_problem("synthesis"),
                        compose=ComposeProxConfig(inner_iters=25))
         res = deconvolve(prob)

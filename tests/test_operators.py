@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from proxdeconv import (AffineOperator, Image, adjoint, apply, compose,
-                        diagonal_operator, estimate_spectral_norm,
+from proxdeconv import (AffineOperator, Image, compose, diagonal_operator,
                         identity_operator, make_circular_convolution,
                         matrix_operator)
-from proxdeconv.errors import DimensionMismatchError, PowerIterationError
+from proxdeconv.errors import DimensionMismatchError
 
 from oracles import circ_conv_direct
 
@@ -97,18 +96,18 @@ class TestCircularConvolution:
 class TestApplyAdjoint:
     def test_identity(self):
         op = identity_operator(2)
-        assert np.array_equal(apply(op, [3.0, -1.0]), [3.0, -1.0])
+        assert np.array_equal(op.apply([3.0, -1.0]), [3.0, -1.0])
 
     def test_zero_operator(self):
         op = diagonal_operator([0.0, 0.0, 0.0])
-        assert np.array_equal(apply(op, [1.0, -2.0, 5.0]), np.zeros(3))
+        assert np.array_equal(op.apply([1.0, -2.0, 5.0]), np.zeros(3))
 
     def test_dimension_mismatch(self):
         op = identity_operator(3)
         with pytest.raises(DimensionMismatchError):
-            apply(op, [1.0, 2.0])
+            op.apply([1.0, 2.0])
         with pytest.raises(DimensionMismatchError):
-            adjoint(op, [1.0, 2.0])
+            op.adjoint([1.0, 2.0])
 
     def test_symmetric_kernel_is_self_adjoint(self):
         op = make_circular_convolution(_ma_psf(3), 8, 8)
@@ -183,28 +182,3 @@ class TestCompose:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             compose(identity_operator(3), identity_operator(2))
-
-
-class TestEstimateSpectralNorm:
-    def test_identity(self):
-        assert estimate_spectral_norm(identity_operator(5)) == pytest.approx(1.0, abs=1e-6)
-
-    def test_known_diagonal_spectrum(self):
-        op = diagonal_operator([1.0, 2.0, 5.0])
-        assert estimate_spectral_norm(op, tol=1e-10) == pytest.approx(5.0, rel=1e-8)
-
-    def test_moving_average_norm_matches_fourier_oracle(self):
-        op = make_circular_convolution(_ma_psf(7), 32, 32)
-        padded = np.zeros((32, 32))
-        padded[:7, :7] = 1.0 / 49.0
-        oracle = float(np.max(np.abs(np.fft.fft2(np.roll(padded, (-3, -3), axis=(0, 1))))))
-        assert oracle == pytest.approx(1.0, abs=1e-12)
-        est = estimate_spectral_norm(op, tol=1e-8, max_iter=5000)
-        assert est == pytest.approx(oracle, rel=1e-4)
-
-    def test_non_convergence_carries_last_estimate(self):
-        op = matrix_operator(np.random.default_rng(29).standard_normal((6, 6)))
-        with pytest.raises(PowerIterationError) as err:
-            estimate_spectral_norm(op, tol=1e-15, max_iter=1)
-        assert err.value.iterations == 1
-        assert err.value.last_estimate is not None

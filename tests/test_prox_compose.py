@@ -35,7 +35,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = ComposeProxConfig()
         assert cfg.inner_iters == 10
-        assert cfg.tau is None and cfg.dual_init is None
+        assert cfg.tau is None
 
     def test_validation(self):
         with pytest.raises(ValueError):

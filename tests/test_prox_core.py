@@ -3,35 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from proxdeconv import (AbsValue, PoissonFidelity, ScalarPenalty,
-                        SparsityPenalty, eval_poisson, grad_poisson,
-                        project_positive, prox_penalty, prox_poisson,
-                        soft_threshold)
+from proxdeconv import (eval_poisson, grad_poisson, project_positive,
+                        prox_poisson, soft_threshold)
 from proxdeconv.errors import DimensionMismatchError, DomainError
 
 from oracles import (fd_gradient, golden_section, max_vi_violation,
                      poisson_scalar, prox_objective_scalar)
-
-
-class QuadAbs(ScalarPenalty):
-    """psi(t) = |t| + t^2 / 2: smooth off zero with a known closed-form prox.
-
-    For |a| > gamma the stationarity equation p + gamma (sign(p) + p) = a
-    gives p = (a - gamma sign(a)) / (1 + gamma).
-    """
-
-    def value(self, t):
-        return abs(t) + 0.5 * t * t
-
-    def deriv(self, t):
-        return math.copysign(1.0, t) + t
-
-    def deriv2(self, t):
-        return 1.0
-
-    @property
-    def right_deriv_at_zero(self):
-        return 1.0
 
 
 class TestEvalPoisson:
@@ -121,53 +98,47 @@ class TestProxPoisson:
         with pytest.raises(ValueError):
             prox_poisson([1.0], 0.0, [1.0])
 
+    @pytest.mark.parametrize("x", [-1e8, -1e9])
+    def test_large_negative_input_keeps_the_domain(self, x):
+        # d = x - beta << 0: the textbook root (d + sqrt(d^2 + 4 beta y)) / 2
+        # cancels, while its conjugate 2 beta y / (sqrt(d^2 + 4 beta y) - d)
+        # is accurate to rounding.
+        beta, y = 1.0, 1.0
+        d = x - beta
+        expected = 2.0 * beta * y / (math.sqrt(d * d + 4.0 * beta * y) - d)
+        got = prox_poisson([x], beta, [y])[0]
+        assert got > 0.0
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert eval_poisson([got], [y]) < math.inf
+
 
 class TestProxPenalty:
+    """The prox of the l1 penalty, soft-thresholding."""
+
     def test_soft_threshold_catalog(self):
-        psi = AbsValue()
-        assert prox_penalty([2.5], 1.0, psi)[0] == pytest.approx(1.5, abs=1e-15)
-        assert prox_penalty([0.5], 1.0, psi)[0] == 0.0
-        assert prox_penalty([-3.0], 1.0, psi)[0] == pytest.approx(-2.0, abs=1e-15)
+        assert soft_threshold([2.5], 1.0)[0] == pytest.approx(1.5, abs=1e-15)
+        assert soft_threshold([0.5], 1.0)[0] == 0.0
+        assert soft_threshold([-3.0], 1.0)[0] == pytest.approx(-2.0, abs=1e-15)
 
     def test_soft_threshold_against_grid_refine_oracle(self):
         objective = prox_objective_scalar(lambda t: abs(t), 2.5)
         oracle = golden_section(objective, -5.0, 5.0)
-        got = prox_penalty([2.5], 1.0, AbsValue())[0]
+        got = soft_threshold([2.5], 1.0)[0]
         assert abs(objective(got) - objective(oracle)) <= 1e-8
 
     def test_matches_closed_form_soft_threshold_exactly(self):
+        # v - clip(v, -t, t) is the same map written without signs.
         rng = np.random.default_rng(2)
         v = rng.uniform(-5.0, 5.0, size=300)
-        assert np.array_equal(prox_penalty(v, 0.8, AbsValue()),
-                              soft_threshold(v, 0.8))
+        assert np.array_equal(soft_threshold(v, 0.8), v - np.clip(v, -0.8, 0.8))
 
     def test_zero_threshold_is_identity(self):
         v = np.array([1.0, -2.0])
-        assert np.array_equal(prox_penalty(v, 0.0, AbsValue()), v)
-
-    def test_smooth_penalty_matches_its_closed_form(self):
-        psi = QuadAbs()
-        gamma = 0.7
-        rng = np.random.default_rng(3)
-        a = rng.uniform(-6.0, 6.0, size=100)
-        got = prox_penalty(a, gamma, psi)
-        dead = np.abs(a) <= gamma
-        expected = np.where(dead, 0.0,
-                            (a - gamma * np.sign(a)) / (1.0 + gamma))
-        assert np.max(np.abs(got - expected)) <= 1e-11
-
-    def test_smooth_penalty_matches_scalar_minimizer(self):
-        psi = QuadAbs()
-        for a in (-4.2, -0.9, 0.3, 1.1, 5.7):
-            objective = prox_objective_scalar(lambda t: 0.7 * psi.value(t), a)
-            got = prox_penalty([a], 0.7, psi)[0]
-            oracle = golden_section(objective, -8.0, 8.0)
-            assert abs(objective(got) - objective(oracle)) <= 1e-8
+        assert np.array_equal(soft_threshold(v, 0.0), v)
 
     def test_shape_preserved(self):
         v = np.arange(6.0).reshape(2, 3)
-        out = prox_penalty(v, 1.0, QuadAbs())
-        assert out.shape == (2, 3)
+        assert soft_threshold(v, 1.0).shape == (2, 3)
 
 
 class TestProjectPositive:
@@ -202,10 +173,6 @@ class TestProxProperties:
         yield (lambda x: soft_threshold(x, gamma),
                lambda v: gamma * float(np.sum(np.abs(v))),
                rng.uniform(-4.0, 4.0, size=10))
-        psi = QuadAbs()
-        yield (lambda x: prox_penalty(x, gamma, psi),
-               lambda v: gamma * sum(psi.value(t) for t in v),
-               rng.uniform(-4.0, 4.0, size=10))
         yield (project_positive,
                lambda v: 0.0 if np.min(v) >= 0.0 else math.inf,
                rng.uniform(-3.0, 3.0, size=10))
@@ -224,25 +191,3 @@ class TestProxProperties:
                 b = x + rng.standard_normal(x.size)
                 assert np.linalg.norm(prox(a) - prox(b)) <= \
                     np.linalg.norm(a - b) + 1e-12
-
-
-class TestBoundObjects:
-    def test_poisson_fidelity_bundle(self):
-        f = PoissonFidelity(counts=np.array([2.0, 0.0]))
-        assert f.value([1.0, 3.0]) == pytest.approx(
-            -2.0 * math.log(1.0) + 1.0 + 3.0)
-        assert np.allclose(f.grad([2.0, 3.0]), [0.0, 1.0])
-        assert np.allclose(f.prox([5.0, 0.2], 1.0),
-                           prox_poisson([5.0, 0.2], 1.0, [2.0, 0.0]))
-
-    def test_poisson_fidelity_validates_counts(self):
-        with pytest.raises(ValueError):
-            PoissonFidelity(counts=np.array([0.5]))
-
-    def test_sparsity_penalty_bundle(self):
-        pen = SparsityPenalty(gamma=2.0)
-        assert pen.value([1.0, -3.0]) == pytest.approx(8.0)
-        assert np.allclose(pen.prox([5.0, -1.0], scale=0.5),
-                           soft_threshold([5.0, -1.0], 1.0))
-        with pytest.raises(ValueError):
-            SparsityPenalty(gamma=0.0)
