@@ -22,7 +22,6 @@ from .deconv import (DeconvProblem, deconvolve, mae, relative_mae,
 from .dictionary import parse_dictionary_spec
 from .errors import ProxDeconvError
 from .operators import make_circular_convolution
-from .prox_compose import ComposeProxConfig
 from .rasters import read_raster, write_raster
 from .splitting import SplittingConfig
 
@@ -135,15 +134,13 @@ def _load_problem(args) -> DeconvProblem:
                          "with a positive sum")
     blur = make_circular_convolution(psf, counts.width, counts.height)
     dictionary = parse_dictionary_spec(args.dict_spec, counts.width, counts.height)
-    if not 0.0 < args.theta < 2.0:
-        raise UsageError(f"--theta must lie in (0, 2), got {args.theta}")
     return DeconvProblem(
         counts=counts, blur=blur, dictionary=dictionary,
         gamma=getattr(args, "gamma", None) or 1.0,
         prior=args.prior,
         splitting=SplittingConfig(mu=args.mu, theta=args.theta,
                                   max_outer=args.iters, tol=args.tol),
-        compose=ComposeProxConfig(inner_iters=args.inner_iters),
+        inner_iters=args.inner_iters,
     )
 
 

@@ -10,8 +10,9 @@ product-space solver:
       fidelity o H  +  gamma ||Phi^T x||_1  +  positivity
 
 Compositions through tight dictionaries use the closed-form peel; every
-other composition runs the truncated dual forward-backward prox with its
-dual warm-started across outer iterations. Also here: the Richardson-Lucy
+other composition runs the truncated dual forward-backward prox
+(``DeconvProblem.inner_iters`` steps per call) with its dual warm-started
+across outer iterations. Also here: the Richardson-Lucy
 baseline, a GCV score for picking gamma, Poisson count simulation, and MAE
 metrics.
 """
@@ -25,8 +26,8 @@ import numpy as np
 
 from .dictionary import FrameDictionary, analysis_operator, synthesis_operator
 from .errors import DimensionMismatchError
-from .operators import AffineOperator, Image, LinearOperator, compose
-from .prox_compose import ComposeProxConfig, WarmStartedProx, prox_affine_tight
+from .operators import Image, LinearOperator, compose
+from .prox_compose import ProxFamily, WarmStartedProx, prox_affine_tight
 from .prox_core import eval_poisson, project_positive, prox_poisson, soft_threshold
 from .splitting import ProxTerm, SplittingConfig, SplittingState, solve
 
@@ -43,8 +44,10 @@ class DeconvProblem:
     terms are proxed at scale mu/3 each (so the sparsity step thresholds at
     mu * gamma / 3). ``splitting.init`` is ignored; the solver starts at the
     analysis coefficients of y (synthesis prior) or at y itself (analysis
-    prior). ``trace_objective`` records fidelity + penalty per iteration at
-    the cost of one extra objective evaluation.
+    prior). ``inner_iters`` is the number of dual forward-backward steps per
+    call of every composed prox that has no closed form.
+    ``trace_objective`` records fidelity + penalty per iteration at the cost
+    of one extra objective evaluation.
     """
 
     counts: Image
@@ -53,7 +56,7 @@ class DeconvProblem:
     gamma: float
     prior: str = "synthesis"
     splitting: SplittingConfig = field(default_factory=SplittingConfig)
-    compose: ComposeProxConfig = field(default_factory=ComposeProxConfig)
+    inner_iters: int = 10
     trace_objective: bool = True
 
     def __post_init__(self):
@@ -61,8 +64,10 @@ class DeconvProblem:
             raise ValueError(f"prior must be one of {PRIORS}, got {self.prior!r}")
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if self.inner_iters < 1:
+            raise ValueError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if not self.counts.is_counts():
-            raise ValueError("counts image must hold non-negative integers")
+            raise ValueError("counts image must hold finite non-negative integers")
         n = self.counts.n
         if self.blur.in_dim != n or self.blur.out_dim != n:
             raise DimensionMismatchError(expected=n, actual=self.blur.in_dim,
@@ -86,89 +91,45 @@ class DeconvResult:
         return self.state.converged
 
 
-def _poisson_family(y: Array):
-    return lambda v, s: prox_poisson(v, s, y)
+def _peel(prox_f: ProxFamily, phi: LinearOperator, c: float) -> ProxFamily:
+    """prox of f o phi in closed form, for a tight phi phi^T = c I."""
+    return lambda v, s: prox_affine_tight(prox_f, phi, c, v, scale=s,
+                                          check=False)
 
 
-def _project_family(v: Array, s: float) -> Array:
-    return project_positive(v)
+def _fb(prox_f: ProxFamily, op: LinearOperator, p: DeconvProblem,
+        c1: float | None = None, c2: float | None = None) -> ProxFamily:
+    """prox of f o op by warm-started dual FB; c2 defaults to ||op||^2."""
+    if c2 is None:
+        c2 = op.spectral_bound ** 2
+    return WarmStartedProx(prox_f, op, c2, p.inner_iters, c1=c1)
 
 
-def _fidelity_term_synthesis(p: DeconvProblem) -> ProxTerm:
-    """prox of s * fidelity(H Phi alpha): tight peel around a dual solve for H."""
-    y = p.counts.data
-    h = p.blur
-    affine_h = AffineOperator(h, np.zeros(h.out_dim))
-    c2_h = h.spectral_bound ** 2
-    phi = synthesis_operator(p.dictionary)
-    if p.dictionary.tight:
-        c = p.dictionary.c1
-        inner = WarmStartedProx(_poisson_family(y), affine_h, c2_h, p.compose)
-        zero = np.zeros(phi.out_dim)
+def _terms(p: DeconvProblem) -> list[ProxTerm]:
+    """Data fidelity, sparsity and positivity, each proxed at its scale.
 
-        def prox(alpha: Array, s: float) -> Array:
-            return prox_affine_tight(inner, phi, zero, c, alpha, scale=s,
-                                     check=False)
+    A term composed with the tight synthesis operator peels off in closed
+    form; every other composed term runs a dual FB solve. The prox families
+    look the elementwise proxes up by name on each call.
+    """
+    y, gamma, h, d = p.counts.data, p.gamma, p.blur, p.dictionary
+    poisson = lambda v, s: prox_poisson(v, s, y)
+    sparsity = lambda v, s: soft_threshold(v, s * gamma)
+    positive = lambda v, s: project_positive(v)
+    if p.prior == "analysis":
+        proxes = (_fb(poisson, h, p),
+                  _fb(sparsity, analysis_operator(d), p, d.c1, d.c2), positive)
+    elif d.tight:
+        phi = synthesis_operator(d)
+        proxes = (_peel(_fb(poisson, h, p), phi, d.c1), sparsity,
+                  _peel(positive, phi, d.c1))
     else:
-        through = compose(h, phi)
-        affine = AffineOperator(through, np.zeros(through.out_dim))
-        inner = WarmStartedProx(_poisson_family(y), affine,
-                                through.spectral_bound ** 2, p.compose)
-
-        def prox(alpha: Array, s: float) -> Array:
-            return inner(alpha, scale=s)
-
-    return ProxTerm(prox=prox, weight=1.0 / 3.0, label="data-fidelity")
-
-
-def _positivity_term_synthesis(p: DeconvProblem) -> ProxTerm:
-    """prox of the positivity indicator of Phi alpha (scale-free)."""
-    phi = synthesis_operator(p.dictionary)
-    if p.dictionary.tight:
-        c = p.dictionary.c1
-        zero = np.zeros(phi.out_dim)
-
-        def prox(alpha: Array, s: float) -> Array:
-            return prox_affine_tight(_project_family, phi, zero, c, alpha,
-                                     check=False)
-    else:
-        affine = AffineOperator(phi, np.zeros(phi.out_dim))
-        inner = WarmStartedProx(_project_family, affine, p.dictionary.c2,
-                                p.compose, c1=p.dictionary.c1)
-
-        def prox(alpha: Array, s: float) -> Array:
-            return inner(alpha)
-
-    return ProxTerm(prox=prox, weight=1.0 / 3.0, label="positivity")
-
-
-def _terms_synthesis(p: DeconvProblem) -> list[ProxTerm]:
-    gamma = p.gamma
-    sparsity = ProxTerm(prox=lambda a, s: soft_threshold(a, s * gamma),
-                        weight=1.0 / 3.0, label="sparsity")
-    return [_fidelity_term_synthesis(p), sparsity, _positivity_term_synthesis(p)]
-
-
-def _terms_analysis(p: DeconvProblem) -> list[ProxTerm]:
-    y = p.counts.data
-    h = p.blur
-    affine_h = AffineOperator(h, np.zeros(h.out_dim))
-    fid_inner = WarmStartedProx(_poisson_family(y), affine_h,
-                                h.spectral_bound ** 2, p.compose)
-    gamma = p.gamma
-    ana_op = analysis_operator(p.dictionary)
-    affine_ana = AffineOperator(ana_op, np.zeros(ana_op.out_dim))
-    spars_inner = WarmStartedProx(
-        lambda w, s: soft_threshold(w, s * gamma), affine_ana,
-        p.dictionary.c2, p.compose, c1=p.dictionary.c1)
-    return [
-        ProxTerm(prox=lambda x, s: fid_inner(x, scale=s),
-                 weight=1.0 / 3.0, label="data-fidelity"),
-        ProxTerm(prox=lambda x, s: spars_inner(x, scale=s),
-                 weight=1.0 / 3.0, label="sparsity"),
-        ProxTerm(prox=lambda x, s: project_positive(x),
-                 weight=1.0 / 3.0, label="positivity"),
-    ]
+        phi = synthesis_operator(d)
+        proxes = (_fb(poisson, compose(h, phi), p), sparsity,
+                  _fb(positive, phi, p, d.c1, d.c2))
+    labels = ("data-fidelity", "sparsity", "positivity")
+    return [ProxTerm(prox=f, weight=1.0 / 3.0, label=label)
+            for f, label in zip(proxes, labels)]
 
 
 def fidelity_penalty_synthesis(p: DeconvProblem, alpha) -> float:
@@ -207,8 +168,8 @@ def deconvolve(problem: DeconvProblem) -> DeconvResult:
     # uniform rescaling of the terms' prox scale).
     k = 3
     cfg = replace(problem.splitting, mu=problem.splitting.mu / (k * k))
+    terms = _terms(problem)
     if problem.prior == "synthesis":
-        terms = _terms_synthesis(problem)
         init = problem.dictionary.analysis(problem.counts.data)
         objective = (lambda a: fidelity_penalty_synthesis(problem, a)) \
             if problem.trace_objective else None
@@ -216,7 +177,6 @@ def deconvolve(problem: DeconvProblem) -> DeconvResult:
         raw = problem.dictionary.synthesis(alpha)
         coefficients = alpha
     else:
-        terms = _terms_analysis(problem)
         init = problem.counts.data
         objective = (lambda x: fidelity_penalty_analysis(problem, x)) \
             if problem.trace_objective else None

@@ -25,6 +25,12 @@ def _flat64(values, length: int, context: str) -> Array:
     return arr
 
 
+def all_counts(y: Array) -> bool:
+    """True when every entry of ``y`` is a finite non-negative integer."""
+    return bool(y.size == 0 or (np.min(y) >= 0.0 and np.max(y) < np.inf
+                                and np.all(y == np.rint(y))))
+
+
 @dataclass(frozen=True)
 class Image:
     """Row-major raster of float64 samples.
@@ -68,9 +74,8 @@ class Image:
         return self.width * self.height
 
     def is_counts(self) -> bool:
-        """True when every sample is a non-negative integer value."""
-        d = self.data
-        return bool(np.all(d >= 0.0) and np.all(d == np.rint(d)))
+        """True when every sample is a finite non-negative integer value."""
+        return all_counts(self.data)
 
 
 class LinearOperator:
@@ -137,21 +142,6 @@ def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
         lambda u: inner.adjoint(outer.adjoint(u)),
         outer.spectral_bound * inner.spectral_bound,
     )
-
-
-@dataclass(frozen=True)
-class AffineOperator:
-    """Affine map x -> linear(x) - shift, paired with the linear adjoint."""
-
-    linear: LinearOperator
-    shift: Array
-
-    def __post_init__(self):
-        s = _flat64(self.shift, self.linear.out_dim, "AffineOperator shift")
-        object.__setattr__(self, "shift", s)
-
-    def __call__(self, x) -> Array:
-        return self.linear.apply(x) - self.shift
 
 
 def make_circular_convolution(psf: Image, width: int, height: int,

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
+from .operators import all_counts
 
 Array = np.ndarray
 
@@ -33,8 +34,8 @@ def _pair64(a, b, context: str) -> tuple[Array, Array]:
 
 
 def _validate_counts(y: Array, context: str) -> None:
-    if y.size and (np.min(y) < 0.0 or np.any(y != np.rint(y))):
-        raise ValueError(f"{context}: counts must be non-negative integers")
+    if not all_counts(y):
+        raise ValueError(f"{context}: counts must be finite non-negative integers")
 
 
 def eval_poisson(eta, counts) -> float:

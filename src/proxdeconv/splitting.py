@@ -7,12 +7,11 @@ and the copies are averaged and reflected,
 
     xi_{t,i} = prox_{(mu / omega_i) f_i}(p_{t,i})
     xi_t     = sum_i omega_i xi_{t,i}
-    p_{t+1,i} = p_{t,i} + theta_t (2 xi_t - x_t - xi_{t,i})
-    x_{t+1}   = x_t + theta_t (xi_t - x_t)
+    p_{t+1,i} = p_{t,i} + theta (2 xi_t - x_t - xi_{t,i})
+    x_{t+1}   = x_t + theta (xi_t - x_t)
 
-with weights omega_i in (0, 1] summing to one and relaxation
-theta_t in (0, 2) with sum_t theta_t (2 - theta_t) = +inf (any constant
-schedule qualifies). Under a standard relative-interior qualification on the
+with weights omega_i in (0, 1] summing to one and a constant relaxation
+theta in (0, 2). Under a standard relative-interior qualification on the
 domains, x_t converges to a minimizer for every mu > 0; truncated inner
 proxes are tolerated as summable errors. Iteration stops when the relative
 change ||x_{t+1} - x_t|| / ||x_t|| drops to ``tol``.
@@ -20,7 +19,7 @@ change ||x_{t+1} - x_t|| / ||x_t|| drops to ``tol``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +42,7 @@ class ProxTerm:
 @dataclass(frozen=True)
 class SplittingConfig:
     mu: float = 1.0
-    theta: float | Callable[[int], float] = 1.0
+    theta: float = 1.0
     max_outer: int = 300
     tol: float = 1e-5
     init: Array | None = None
@@ -51,6 +50,9 @@ class SplittingConfig:
     def __post_init__(self):
         if not self.mu > 0.0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
+        if not 0.0 < self.theta < 2.0:
+            raise ValueError(f"theta must lie in the open interval (0, 2), "
+                             f"got {self.theta}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
         if not self.tol >= 0.0:
@@ -68,11 +70,6 @@ class SplittingState:
     relative_changes: list[float]
     objectives: list[float] | None
 
-    def trace_rows(self) -> list[tuple[int, float, float | None]]:
-        objs = self.objectives or [None] * len(self.relative_changes)
-        return [(t + 1, rel, obj)
-                for t, (rel, obj) in enumerate(zip(self.relative_changes, objs))]
-
 
 def relative_change(new, old) -> float:
     """||new - old|| / ||old||; 0 when both are zero, +inf when only old is."""
@@ -85,13 +82,6 @@ def relative_change(new, old) -> float:
     if denom == 0.0:
         return 0.0 if diff == 0.0 else float("inf")
     return diff / denom
-
-
-def _theta_at(theta, t: int) -> float:
-    value = float(theta(t)) if callable(theta) else float(theta)
-    if not 0.0 < value < 2.0:
-        raise ValueError(f"theta_{t}={value} outside the open interval (0, 2)")
-    return value
 
 
 def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig,
@@ -123,7 +113,6 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig,
     iterations = 0
 
     for t in range(cfg.max_outer):
-        theta = _theta_at(cfg.theta, t)
         proxed = []
         for term, p in zip(terms, copies):
             xi = _flat64(term.prox(p, cfg.mu / term.weight), dim,
@@ -135,8 +124,8 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig,
         for term, xi in zip(terms, proxed):
             xi_bar += term.weight * xi
         for p, xi in zip(copies, proxed):
-            p += theta * (2.0 * xi_bar - x - xi)
-        x_next = x + theta * (xi_bar - x)
+            p += cfg.theta * (2.0 * xi_bar - x - xi)
+        x_next = x + cfg.theta * (xi_bar - x)
         if not np.all(np.isfinite(x_next)):
             raise NonFiniteIterateError(iteration=t, label="<average>")
         rel = relative_change(x_next, x)

@@ -12,13 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from proxdeconv import (AffineOperator, ComposeProxConfig, DeconvProblem,
-                        Image, SplittingConfig, deconvolve, diagonal_operator,
-                        eval_poisson, frame_bounds, grad_poisson, mae,
-                        make_circular_convolution, make_dirac, make_haar_dwt,
-                        make_starlet, make_union, prox_affine_fb,
-                        prox_affine_tight, prox_poisson, ProxTerm,
-                        richardson_lucy, scale_to_peak, simulate,
+from proxdeconv import (DeconvProblem, Image, SplittingConfig, deconvolve,
+                        diagonal_operator, eval_poisson, frame_bounds,
+                        grad_poisson, mae, make_circular_convolution,
+                        make_dirac, make_haar_dwt, make_starlet, make_union,
+                        prox_affine_fb, prox_affine_tight, prox_poisson,
+                        ProxTerm, richardson_lucy, scale_to_peak, simulate,
                         soft_threshold, solve, synthesis_operator)
 from proxdeconv.cli import main
 from proxdeconv.rasters import read_raster, write_raster
@@ -150,18 +149,15 @@ def test_criterion_04_composed_prox_cross_check():
     y = rng.integers(0, 9, size=frame.out_dim).astype(np.float64)
     prox_family = lambda v, s: prox_poisson(v, s, y)
     x = rng.uniform(0.5, 6.0, size=frame.in_dim)
-    direct = prox_affine_tight(prox_family, frame, np.zeros(frame.out_dim),
-                               1.0, x, scale=0.7)
-    iterative, _ = prox_affine_fb(
-        prox_family, AffineOperator(frame, np.zeros(frame.out_dim)), 1.0, x,
-        ComposeProxConfig(inner_iters=60, tau=1.0), scale=0.7)
+    direct = prox_affine_tight(prox_family, frame, 1.0, x, scale=0.7)
+    iterative, _ = prox_affine_fb(prox_family, frame, 1.0, x, inner_iters=60,
+                                  scale=0.7, c1=1.0)
     agreement = float(np.max(np.abs(direct - iterative)))
 
     # General frame diag(1, 2): f = ||. - b||^2 / 2 composed with F. The
     # fixed point solves (I + F^T F) p = x + F^T b; iterate error ratios at
     # tau = 2/(c1+c2) must stay within the predicted contraction factor.
     fop = diagonal_operator([1.0, 2.0])
-    affine = AffineOperator(fop, np.zeros(2))
     b = np.array([1.5, -2.0])
     quad = lambda v, s: (v + s * b) / (1.0 + s)
     x2 = np.array([3.0, -1.0])
@@ -169,9 +165,7 @@ def test_criterion_04_composed_prox_cross_check():
                              x2 + np.array([1.0, 2.0]) * b)
     errors = []
     for iters in range(1, 14):
-        p, _ = prox_affine_fb(quad, affine, 4.0, x2,
-                              ComposeProxConfig(inner_iters=iters, tau=0.4),
-                              c1=1.0)
+        p, _ = prox_affine_fb(quad, fop, 4.0, x2, inner_iters=iters, c1=1.0)
         errors.append(float(np.linalg.norm(p - target)))
     ratios = [b_ / a_ for a_, b_ in zip(errors, errors[1:]) if a_ > 1e-14]
     rate = max(ratios[2:])

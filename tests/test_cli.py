@@ -163,6 +163,21 @@ class TestDeconvolve:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_counts_fail_before_any_solve(self, workspace, capsys,
+                                                    monkeypatch):
+        counts = np.zeros((6, 6))
+        counts[2, 3] = math.inf
+        path = str(workspace["dir"] / "inf.f64")
+        write_raster(path, Image.from_2d(counts))
+        solves = []
+        monkeypatch.setattr("proxdeconv.cli.deconvolve", solves.append)
+        code = main(["deconvolve", "--counts", path, "--psf", workspace["psf"],
+                     "--dict", "dirac", "--gamma", "0.5",
+                     "--out", str(workspace["dir"] / "x.f64")])
+        assert code == 1
+        assert solves == []
+        assert "error" in capsys.readouterr().err
+
     def test_theta_outside_range_fails_cleanly(self, workspace, capsys):
         code, _ = self._run(workspace, "x.f64",
                             ["--gamma", "0.5", "--theta", "2.0"])

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import proxdeconv.deconv as deconv_module
-from proxdeconv import (ComposeProxConfig, DeconvProblem, DeconvResult, Image,
-                        SplittingConfig, SplittingState, deconvolve, gcv_score,
+import proxdeconv.prox_compose as prox_compose_module
+from proxdeconv import (DeconvProblem, DeconvResult, Image, SplittingConfig,
+                        SplittingState, deconvolve, gcv_score,
                         make_circular_convolution, make_dirac, make_haar_dwt,
-                        mae, objective_analysis, objective_synthesis,
-                        relative_mae, result_metrics, richardson_lucy,
-                        scale_to_peak, select_gamma_gcv, simulate)
+                        make_starlet, mae, objective_analysis,
+                        objective_synthesis, relative_mae, result_metrics,
+                        richardson_lucy, scale_to_peak, select_gamma_gcv,
+                        simulate)
 from proxdeconv.errors import DimensionMismatchError
 
 from oracles import grid_minimize, scene32
@@ -122,6 +124,13 @@ class TestProblemValidation:
     def test_counts_must_be_counts(self):
         with pytest.raises(ValueError):
             DeconvProblem(counts=Image.from_2d([[1.5, 2.0]]),
+                          blur=identity_blur(2, 1),
+                          dictionary=make_dirac(2, 1), gamma=0.1)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_counts_must_be_finite(self, bad):
+        with pytest.raises(ValueError):
+            DeconvProblem(counts=Image.from_2d([[bad, 2.0]]),
                           blur=identity_blur(2, 1),
                           dictionary=make_dirac(2, 1), gamma=0.1)
 
@@ -429,10 +438,52 @@ class TestNonTightFrame:
 class TestComposeConfigThreading:
     def test_inner_iteration_budget_is_respected(self):
         # With a Parseval dictionary the fidelity prox peels exactly, so the
-        # compose config only alters the blur dual solve (TestNonTightFrame
+        # inner budget only alters the blur dual solve (TestNonTightFrame
         # runs the non-tight branches). The run must still converge to the
         # optimum.
-        prob = replace(ring_problem("synthesis"),
-                       compose=ComposeProxConfig(inner_iters=25))
+        prob = replace(ring_problem("synthesis"), inner_iters=25)
         res = deconvolve(prob)
         assert np.max(np.abs(res.restored.data - RING_XSTAR)) <= 1e-6
+
+    def test_inner_iteration_budget_is_validated(self):
+        with pytest.raises(ValueError):
+            replace(ring_problem("synthesis"), inner_iters=0)
+
+
+class TestNameLookup:
+    """The solver looks its elementwise proxes and the dual FB solve up by
+    module name on every call, so a function rebound there (as a tracing
+    wrapper is) sees every call. Calls per outer iteration, 10 inner steps:
+    """
+
+    PER_ITERATION = {
+        "synthesis": {"project_positive": 1, "prox_affine_fb": 1,
+                      "prox_poisson": 10, "soft_threshold": 1},
+        "analysis": {"project_positive": 1, "prox_affine_fb": 2,
+                     "prox_poisson": 10, "soft_threshold": 10},
+    }
+
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_rebound_names_see_every_call(self, prior, monkeypatch):
+        calls = {}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("project_positive", "prox_poisson", "soft_threshold"):
+            counting(deconv_module, name)
+        counting(prox_compose_module, "prox_affine_fb")
+        rng = np.random.default_rng(0)
+        counts = Image(16, 16, rng.poisson(20.0, 256).astype(np.float64))
+        prob = DeconvProblem(
+            counts=counts, blur=make_circular_convolution(MA3, 16, 16),
+            dictionary=make_starlet(16, 16, levels=2), gamma=0.2, prior=prior,
+            splitting=SplittingConfig(mu=20.0, max_outer=3, tol=0.0))
+        assert deconvolve(prob).state.iterations == 3
+        assert calls == {name: 3 * n
+                         for name, n in self.PER_ITERATION[prior].items()}

@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from proxdeconv import (AffineOperator, Image, compose, diagonal_operator,
-                        identity_operator, make_circular_convolution,
-                        matrix_operator)
+from proxdeconv import (Image, compose, diagonal_operator, identity_operator,
+                        make_circular_convolution, matrix_operator)
 from proxdeconv.errors import DimensionMismatchError
 
 from oracles import circ_conv_direct
@@ -33,6 +34,8 @@ class TestImage:
         assert Image(width=3, height=1, data=[0.0, 2.0, 5.0]).is_counts()
         assert not Image(width=2, height=1, data=[1.5, 2.0]).is_counts()
         assert not Image(width=2, height=1, data=[-1.0, 2.0]).is_counts()
+        for bad in (math.inf, -math.inf, math.nan):
+            assert not Image(width=2, height=1, data=[bad, 2.0]).is_counts()
 
 
 class TestCircularConvolution:
@@ -156,17 +159,6 @@ class TestApplyAdjoint:
             x = rng.standard_normal(op.in_dim)
             assert np.linalg.norm(op.apply(x)) <= \
                 op.spectral_bound * np.linalg.norm(x) + 1e-8
-
-
-class TestAffineOperator:
-    def test_evaluation_is_linear_minus_shift(self):
-        lin = diagonal_operator([2.0, -1.0])
-        aff = AffineOperator(lin, shift=np.array([1.0, 1.0]))
-        assert np.array_equal(aff([3.0, 4.0]), [5.0, -5.0])
-
-    def test_shift_length_checked(self):
-        with pytest.raises(DimensionMismatchError):
-            AffineOperator(identity_operator(3), shift=np.zeros(2))
 
 
 class TestCompose:

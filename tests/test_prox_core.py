@@ -98,6 +98,12 @@ class TestProxPoisson:
         with pytest.raises(ValueError):
             prox_poisson([1.0], 0.0, [1.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_counts_rejected(self, bad):
+        # An infinite count would make the root inf - inf = nan.
+        with pytest.raises(ValueError):
+            prox_poisson([1.0], 1.0, [bad])
+
     @pytest.mark.parametrize("x", [-1e8, -1e9])
     def test_large_negative_input_keeps_the_domain(self, x):
         # d = x - beta << 0: the textbook root (d + sqrt(d^2 + 4 beta y)) / 2
