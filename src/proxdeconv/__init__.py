@@ -1,8 +1,8 @@
 """Poisson image deconvolution by proximal splitting with sparsity priors."""
 
-from .operators import (Image, LinearOperator, compose, diagonal_operator,
-                        identity_operator, make_circular_convolution,
-                        matrix_operator)
+from .operators import (FourierMultiplier, Image, LinearOperator, compose,
+                        diagonal_operator, fourier_form, identity_operator,
+                        make_circular_convolution, matrix_operator)
 from .dictionary import (FrameDictionary, analysis_operator, frame_bounds,
                          make_dirac, make_haar_dwt, make_starlet, make_union,
                          parse_dictionary_spec, synthesis_operator)
@@ -22,9 +22,9 @@ from .rasters import read_raster, write_raster
 __version__ = "0.1.0"
 
 __all__ = [
-    "Image", "LinearOperator", "compose",
-    "diagonal_operator", "identity_operator", "make_circular_convolution",
-    "matrix_operator",
+    "FourierMultiplier", "Image", "LinearOperator", "compose",
+    "diagonal_operator", "fourier_form", "identity_operator",
+    "make_circular_convolution", "matrix_operator",
     "FrameDictionary", "analysis_operator", "frame_bounds", "make_dirac",
     "make_haar_dwt", "make_starlet", "make_union", "parse_dictionary_spec",
     "synthesis_operator",

@@ -13,6 +13,7 @@ import argparse
 import glob as globmod
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -40,8 +41,9 @@ class _Parser(argparse.ArgumentParser):
 def _positive(kind, name):
     def parse(text):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"{name} must be > 0, got {text}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be finite and > 0, got {text}")
         return value
     return parse
 
@@ -53,6 +55,8 @@ def _gamma_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad gamma grid {text!r}") from None
     if not grid:
         raise argparse.ArgumentTypeError("gamma grid is empty")
+    if not all(math.isfinite(g) for g in grid):
+        raise argparse.ArgumentTypeError(f"gamma grid must be finite, got {text!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise argparse.ArgumentTypeError("gamma grid must be strictly increasing")
     return grid

@@ -9,10 +9,17 @@ product-space solver:
 * analysis prior (solve over pixels x):
       fidelity o H  +  gamma ||Phi^T x||_1  +  positivity
 
-Compositions through tight dictionaries use the closed-form peel; every
-other composition runs the truncated dual forward-backward prox
+Each solve first probes the blur and the dictionary for their Fourier form
+(``fourier_form``): the circular blur, Dirac, the starlet and their unions
+are diagonal in the 2-D DFT and run as ``FourierMultiplier`` objects, while
+Haar and other operators that are not shift-invariant run through their
+own transforms. A composition through a tight dictionary peels off in
+closed form; every other one runs the truncated dual forward-backward prox
 (``DeconvProblem.inner_iters`` steps per call) with its dual warm-started
-across outer iterations. Also here: the Richardson-Lucy
+across outer iterations. The one exception: the synthesis fidelity runs
+FB through H o Phi (in the spectrum when Phi has a Fourier form), except
+that a tight Phi without one (Haar) peels off around FB through H, which
+keeps its transforms out of the inner loop. Also here: the Richardson-Lucy
 baseline, a GCV score for picking gamma, Poisson count simulation, and MAE
 metrics.
 """
@@ -21,12 +28,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .dictionary import FrameDictionary, analysis_operator, synthesis_operator
 from .errors import DimensionMismatchError
-from .operators import Image, LinearOperator, compose
+from .operators import (FourierMultiplier, Image, LinearOperator, compose,
+                        fourier_form)
 from .prox_compose import ProxFamily, WarmStartedProx, prox_affine_tight
 from .prox_core import eval_poisson, project_positive, prox_poisson, soft_threshold
 from .splitting import ProxTerm, SplittingConfig, SplittingState, solve
@@ -105,44 +114,61 @@ def _fb(prox_f: ProxFamily, op: LinearOperator, p: DeconvProblem,
     return WarmStartedProx(prox_f, op, c2, p.inner_iters, c1=c1)
 
 
-def _terms(p: DeconvProblem) -> list[ProxTerm]:
-    """Data fidelity, sparsity and positivity, each proxed at its scale.
+def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], Callable[[Array], float]]:
+    """The three prox terms, and fidelity plus penalty at the solver's variable.
 
-    A term composed with the tight synthesis operator peels off in closed
-    form; every other composed term runs a dual FB solve. The prox families
-    look the elementwise proxes up by name on each call.
+    Data fidelity, sparsity and positivity are each proxed at their scale.
+    The blur and the dictionary's synthesis or analysis are probed for
+    their Fourier form (the module docstring gives the rule for peel versus
+    FB), so wrapped or user-built operators take the same path as shipped
+    ones. The positivity peel keeps the dictionary's own synthesis: it
+    costs the same FFTs either way, and the Fourier form is only needed
+    long enough to build blur o synthesis. The prox families look the
+    elementwise proxes up by name on each call.
     """
-    y, gamma, h, d = p.counts.data, p.gamma, p.blur, p.dictionary
-    poisson = lambda v, s: prox_poisson(v, s, y)
+    def fourier(op: LinearOperator) -> LinearOperator:
+        form = fourier_form(op, p.counts.height, p.counts.width)
+        return op if form is None else form
+
+    y, gamma, d = p.counts.data, p.gamma, p.dictionary
+    # DeconvProblem validated the counts once.
+    poisson = lambda v, s: prox_poisson(v, s, y, check=False)
     sparsity = lambda v, s: soft_threshold(v, s * gamma)
     positive = lambda v, s: project_positive(v)
+    h = fourier(p.blur)
     if p.prior == "analysis":
-        proxes = (_fb(poisson, h, p),
-                  _fb(sparsity, analysis_operator(d), p, d.c1, d.c2), positive)
-    elif d.tight:
-        phi = synthesis_operator(d)
-        proxes = (_peel(_fb(poisson, h, p), phi, d.c1), sparsity,
-                  _peel(positive, phi, d.c1))
+        w = fourier(analysis_operator(d))
+        proxes = (_fb(poisson, h, p), _fb(sparsity, w, p, d.c1, d.c2), positive)
+        value = lambda x: _fidelity_penalty(p, h.apply(x), w.apply(x))
     else:
         phi = synthesis_operator(d)
-        proxes = (_fb(poisson, compose(h, phi), p), sparsity,
-                  _fb(positive, phi, p, d.c1, d.c2))
+        h_phi = compose(h, fourier(phi))
+        if d.tight and not isinstance(h_phi, FourierMultiplier):
+            fidelity = _peel(_fb(poisson, h, p), phi, d.c1)
+        else:
+            fidelity = _fb(poisson, h_phi, p)
+        positivity = _peel(positive, phi, d.c1) if d.tight \
+            else _fb(positive, phi, p, d.c1, d.c2)
+        proxes = (fidelity, sparsity, positivity)
+        value = lambda alpha: _fidelity_penalty(p, h_phi.apply(alpha), alpha)
     labels = ("data-fidelity", "sparsity", "positivity")
     return [ProxTerm(prox=f, weight=1.0 / 3.0, label=label)
-            for f, label in zip(proxes, labels)]
+            for f, label in zip(proxes, labels)], value
+
+
+def _fidelity_penalty(p: DeconvProblem, intensity: Array, coeffs: Array) -> float:
+    return eval_poisson(intensity, p.counts.data, check=False) + p.gamma * float(
+        np.sum(np.abs(coeffs)))
 
 
 def fidelity_penalty_synthesis(p: DeconvProblem, alpha) -> float:
     """Fidelity plus penalty at coefficients alpha (no positivity indicator)."""
     x = p.dictionary.synthesis(alpha)
-    return eval_poisson(p.blur.apply(x), p.counts.data) + p.gamma * float(
-        np.sum(np.abs(alpha)))
+    return _fidelity_penalty(p, p.blur.apply(x), alpha)
 
 
 def fidelity_penalty_analysis(p: DeconvProblem, x) -> float:
-    eta = p.blur.apply(x)
-    coeffs = p.dictionary.analysis(x)
-    return eval_poisson(eta, p.counts.data) + p.gamma * float(np.sum(np.abs(coeffs)))
+    return _fidelity_penalty(p, p.blur.apply(x), p.dictionary.analysis(x))
 
 
 def objective_synthesis(p: DeconvProblem, alpha, feasibility_tol: float = 0.0) -> float:
@@ -168,18 +194,15 @@ def deconvolve(problem: DeconvProblem) -> DeconvResult:
     # uniform rescaling of the terms' prox scale).
     k = 3
     cfg = replace(problem.splitting, mu=problem.splitting.mu / (k * k))
-    terms = _terms(problem)
+    terms, value = _terms(problem)
+    objective = value if problem.trace_objective else None
     if problem.prior == "synthesis":
         init = problem.dictionary.analysis(problem.counts.data)
-        objective = (lambda a: fidelity_penalty_synthesis(problem, a)) \
-            if problem.trace_objective else None
         alpha, state = solve(terms, replace(cfg, init=init), objective)
         raw = problem.dictionary.synthesis(alpha)
         coefficients = alpha
     else:
         init = problem.counts.data
-        objective = (lambda x: fidelity_penalty_analysis(problem, x)) \
-            if problem.trace_objective else None
         raw, state = solve(terms, replace(cfg, init=init), objective)
         coefficients = None
     clip_mass = float(np.sum(np.maximum(-raw, 0.0)))

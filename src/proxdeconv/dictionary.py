@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .operators import Image, LinearOperator, _flat64
+from .operators import FourierMultiplier, LinearOperator, _flat64
 
 Array = np.ndarray
 
@@ -181,40 +181,23 @@ def make_starlet(width: int, height: int, levels: int) -> FrameDictionary:
         raise ValueError(
             f"raster {height}x{width} too small for {levels} starlet levels"
         )
-    n = width * height
     row_f = np.arange(height, dtype=np.float64)
     col_f = np.arange(width // 2 + 1, dtype=np.float64)
 
+    gains = np.empty((levels + 1, height, width // 2 + 1), dtype=np.float64)
     smooth = np.ones((height, width // 2 + 1), dtype=np.float64)
-    raw_gains = []
     for j in range(levels):
         gain_j = np.outer(_b3_axis_gain(height, row_f, 1 << j),
                           _b3_axis_gain(width, col_f, 1 << j))
         smoother = smooth * gain_j
-        raw_gains.append(smooth - smoother)
+        np.subtract(smooth, smoother, out=gains[j])
         smooth = smoother
-    raw_gains.append(smooth)
+    gains[levels] = smooth
 
-    scale = np.sqrt(sum(g * g for g in raw_gains))
-    gains = [g / scale for g in raw_gains]
-    bands = len(gains)
-
-    def fwd(x: Array) -> Array:
-        spec = np.fft.rfft2(x.reshape(height, width))
-        out = np.empty(bands * n, dtype=np.float64)
-        for j, g in enumerate(gains):
-            out[j * n:(j + 1) * n] = np.fft.irfft2(g * spec, s=(height, width)).ravel()
-        return out
-
-    def inv(c: Array) -> Array:
-        acc = None
-        for j, g in enumerate(gains):
-            spec = np.fft.rfft2(c[j * n:(j + 1) * n].reshape(height, width))
-            acc = g * spec if acc is None else acc + g * spec
-        return np.fft.irfft2(acc, s=(height, width)).ravel()
-
-    return FrameDictionary(width, height, bands * n, inv, fwd,
-                           c1=1.0, c2=1.0, tight=True)
+    gains /= np.sqrt(sum(g * g for g in gains))
+    bands = FourierMultiplier(gains, height, width, spectral_bound=1.0)
+    return FrameDictionary(width, height, bands.out_dim, bands.adjoint,
+                           bands.apply, c1=1.0, c2=1.0, tight=True)
 
 
 def make_union(members: Sequence[FrameDictionary]) -> FrameDictionary:

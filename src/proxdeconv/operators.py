@@ -1,9 +1,13 @@
-"""Linear operators on flat rasters, with FFT-based circular convolution.
+"""Linear operators on flat rasters, and Fourier multipliers.
 
 Images are stored row-major as flat float64 arrays; operators declare their
 dimensions and a spectral bound so downstream solvers can pick step sizes
-without probing. Circular convolution is diagonal in Fourier space, so one
-apply (or adjoint) costs exactly two real FFTs.
+without probing. Shift-invariant operators (circular convolution, the
+starlet bands, their products) are ``FourierMultiplier`` objects: diagonal
+in the 2-D real DFT, with one transfer function per band, so an apply or
+adjoint costs bands + 1 real FFTs (two for a convolution).
+``fourier_form`` recovers that form from any operator that has one, and
+``fft2_count`` counts the 2-D FFTs this module computes.
 """
 
 from __future__ import annotations
@@ -132,20 +136,201 @@ def matrix_operator(mat) -> LinearOperator:
 
 
 def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
-    """Operator for ``outer(inner(x))``; bounds multiply."""
+    """Operator for ``outer(inner(x))``; bounds multiply.
+
+    Two Fourier multipliers on one grid, one of them single-band, compose
+    into a multiplier whose gains are the products of theirs.
+    """
     if outer.in_dim != inner.out_dim:
         raise DimensionMismatchError(expected=outer.in_dim, actual=inner.out_dim,
                                      context="compose")
+    bound = outer.spectral_bound * inner.spectral_bound
+    if (isinstance(outer, FourierMultiplier) and isinstance(inner, FourierMultiplier)
+            and (outer.height, outer.width) == (inner.height, inner.width)
+            and 1 in (len(outer.gains), len(inner.gains))):
+        merge = inner.merge if len(outer.gains) == 1 else outer.merge
+        return FourierMultiplier(outer.gains * inner.gains, outer.height,
+                                 outer.width, bound, merge)
     return LinearOperator(
         inner.in_dim, outer.out_dim,
         lambda x: outer.apply(inner.apply(x)),
         lambda u: inner.adjoint(outer.adjoint(u)),
-        outer.spectral_bound * inner.spectral_bound,
+        bound,
     )
 
 
+fft2_count = 0
+"""Real 2-D FFTs, forward and inverse, computed by this module so far."""
+
+
+def _rfft2(image: Array) -> Array:
+    global fft2_count
+    fft2_count += 1
+    return np.fft.rfft2(image)
+
+
+def _irfft2(spectrum: Array, shape: tuple[int, int]) -> Array:
+    global fft2_count
+    fft2_count += 1
+    return np.fft.irfft2(spectrum, s=shape).ravel()
+
+
+class FourierMultiplier(LinearOperator):
+    """Shift-invariant map between one image and a stack of bands.
+
+    ``gains[j]`` is the transfer function of band j, a half spectrum of
+    shape ``(height, width // 2 + 1)`` as ``np.fft.rfft2`` lays it out:
+    band j of the stack is the image filtered by ``gains[j]``. By default
+    ``apply`` splits an image into the stack and ``adjoint`` merges a stack
+    back through the conjugate gains; ``merge=True`` swaps the two, so that
+    ``apply`` sums the filtered bands into one image. One band is a circular
+    convolution either way. Apply and adjoint loop over the bands, holding
+    one band's spectrum at a time, and cost bands + 1 real FFTs.
+
+    The spectral helpers below let a solver stay in the spectrum between
+    calls; ``op op^T`` (merging) or ``op^T op`` (splitting) is the
+    multiplication by ``power = sum_j |gains[j]|^2``.
+    """
+
+    __slots__ = ("height", "width", "gains", "merge")
+
+    def __init__(self, gains, height: int, width: int, spectral_bound: float,
+                 merge: bool = False):
+        g = np.asarray(gains)
+        if g.ndim == 2:
+            g = g[None]
+        if g.ndim != 3 or g.shape[1:] != (height, width // 2 + 1):
+            raise DimensionMismatchError(
+                expected=f"(bands, {height}, {width // 2 + 1})",
+                actual=str(g.shape), context="FourierMultiplier gains")
+        n = height * width
+        stack = g.shape[0] * n
+        # apply and adjoint are overridden below. Handing bound methods to
+        # the base class would make each operator a reference cycle that
+        # keeps its gains alive until the cyclic collector runs.
+        super().__init__(stack if merge else n, n if merge else stack,
+                         None, None, spectral_bound)
+        self.height = int(height)
+        self.width = int(width)
+        self.gains = g
+        self.merge = bool(merge)
+
+    def spectrum(self, image: Array) -> Array:
+        """Half spectrum of one flat image (one FFT)."""
+        return _rfft2(image.reshape(self.height, self.width))
+
+    def image(self, spectrum: Array) -> Array:
+        """Flat image of one half spectrum (one FFT)."""
+        return _irfft2(spectrum, (self.height, self.width))
+
+    def combine(self, spectra, conj: bool = False) -> Array:
+        """``sum_j gains[j] * spectra[j]``, with conjugate gains if ``conj``."""
+        acc = None
+        for g, spec in zip(self.gains, spectra):
+            term = (g.conj() if conj else g) * spec
+            if acc is None:
+                acc = term
+            else:
+                acc += term
+        return acc
+
+    def split(self, spectrum: Array, conj: bool = False) -> Array:
+        """The flat stack of band images ``gains[j] * spectrum`` (one FFT each)."""
+        n = self.height * self.width
+        out = np.empty(len(self.gains) * n)
+        for j, g in enumerate(self.gains):
+            out[j * n:(j + 1) * n] = self.image((g.conj() if conj else g) * spectrum)
+        return out
+
+    def band_spectra(self, stack: Array):
+        """Half spectra of a flat stack's bands, lazily (one FFT each)."""
+        return map(self.spectrum, stack.reshape(len(self.gains), -1))
+
+    @property
+    def power(self) -> Array:
+        """``sum_j |gains[j]|^2``, computed on each access."""
+        power = np.zeros(self.gains.shape[1:])
+        for g in self.gains:
+            power += g.real ** 2
+            if np.iscomplexobj(g):
+                power += g.imag ** 2
+        return power
+
+    def image_norm(self, spectrum: Array, weight: Array | None = None) -> float:
+        """``||image(spectrum)||`` by Parseval, without an FFT.
+
+        With ``weight``, the norm of ``image(sqrt(weight) * spectrum)``.
+        """
+        # Interior columns of the half spectrum stand for two columns of the
+        # full one; column 0 and an even width's last column for one.
+        w = np.full(self.width // 2 + 1, 2.0 / (self.height * self.width))
+        w[0] /= 2.0
+        if self.width % 2 == 0:
+            w[-1] /= 2.0
+        if weight is not None:
+            w = weight * w
+        return float(np.sqrt(np.vdot(spectrum, w * spectrum).real))
+
+    def apply(self, x) -> Array:
+        x = _flat64(x, self.in_dim, "FourierMultiplier.apply")
+        if self.merge:
+            return self.image(self.combine(self.band_spectra(x)))
+        return self.split(self.spectrum(x))
+
+    def adjoint(self, u) -> Array:
+        u = _flat64(u, self.out_dim, "FourierMultiplier.adjoint")
+        if self.merge:
+            return self.split(self.spectrum(u), conj=True)
+        return self.image(self.combine(self.band_spectra(u), conj=True))
+
+
+def fourier_form(op: LinearOperator, height: int,
+                 width: int) -> FourierMultiplier | None:
+    """``op`` as a Fourier multiplier on a ``height x width`` grid, or None.
+
+    The gains are read off the impulse response at pixel 0: through
+    ``apply`` when op maps one image to a stack of bands, through
+    ``adjoint`` when it maps a stack to one image. They are kept only if
+    the multiplier reproduces ``op.apply`` and ``op.adjoint`` on a seeded
+    random probe each, to 1e-10 relative, so an operator that is not
+    shift-invariant (Haar, a general matrix, a varying diagonal) gives None.
+    The multiplier keeps op's declared spectral bound.
+    """
+    n = height * width
+    delta = np.zeros(n)
+    delta[0] = 1.0
+    if op.in_dim == n and op.out_dim % n == 0:
+        merge, response = False, op.apply(delta)
+    elif op.out_dim == n and op.in_dim % n == 0:
+        merge, response = True, op.adjoint(delta)
+    else:
+        return None
+    gains = np.empty((response.size // n, height, width // 2 + 1),
+                     dtype=np.complex128)
+    for j, band in enumerate(response.reshape(-1, n)):
+        gains[j] = _rfft2(band.reshape(height, width))
+    del response  # the probes below need its memory
+    if merge:
+        np.conjugate(gains, out=gains)
+    if np.max(np.abs(gains.imag)) <= 1e-13 * np.max(np.abs(gains.real)):
+        # Even impulse responses (a centred symmetric kernel, the starlet)
+        # have real gains; storing them real halves their memory.
+        gains = gains.real.copy()
+    form = FourierMultiplier(gains, height, width, op.spectral_bound, merge)
+    rng = np.random.default_rng(0)
+    for mine, theirs, dim in ((form.apply, op.apply, op.in_dim),
+                              (form.adjoint, op.adjoint, op.out_dim)):
+        probe = rng.standard_normal(dim)
+        want = theirs(probe)
+        error = mine(probe)
+        error -= want
+        if not np.linalg.norm(error) <= 1e-10 * np.linalg.norm(want):
+            return None
+    return form
+
+
 def make_circular_convolution(psf: Image, width: int, height: int,
-                              origin: tuple[int, int] | None = None) -> LinearOperator:
+                              origin: tuple[int, int] | None = None) -> FourierMultiplier:
     """Periodic 2-D convolution with ``psf`` on a ``height x width`` grid.
 
     Parameters
@@ -160,10 +345,10 @@ def make_circular_convolution(psf: Image, width: int, height: int,
 
     Returns
     -------
-    LinearOperator
-        ``apply`` blurs, ``adjoint`` convolves with the spatially reversed
-        kernel (conjugate transfer function). ``spectral_bound`` is the exact
-        operator norm ``max |DFT(psf)|``.
+    FourierMultiplier
+        One band: ``apply`` blurs, ``adjoint`` convolves with the spatially
+        reversed kernel (conjugate transfer function). ``spectral_bound`` is
+        the exact operator norm ``max |DFT(psf)|``.
     """
     if psf.width > width or psf.height > height:
         raise DimensionMismatchError(
@@ -181,18 +366,6 @@ def make_circular_convolution(psf: Image, width: int, height: int,
     padded = np.zeros((height, width), dtype=np.float64)
     padded[: psf.height, : psf.width] = psf.to_2d()
     padded = np.roll(padded, shift=(-oy, -ox), axis=(0, 1))
-    otf = np.fft.rfft2(padded)
-    otf_conj = np.conj(otf)
+    otf = _rfft2(padded)
     # Half-spectrum max equals the full-spectrum max by conjugate symmetry.
-    bound = float(np.max(np.abs(otf)))
-    n = width * height
-
-    def fwd(x: Array) -> Array:
-        spec = np.fft.rfft2(x.reshape(height, width))
-        return np.fft.irfft2(spec * otf, s=(height, width)).ravel()
-
-    def adj(u: Array) -> Array:
-        spec = np.fft.rfft2(u.reshape(height, width))
-        return np.fft.irfft2(spec * otf_conj, s=(height, width)).ravel()
-
-    return LinearOperator(n, n, fwd, adj, bound)
+    return FourierMultiplier(otf, height, width, float(np.max(np.abs(otf))))

@@ -13,6 +13,9 @@ Two routes:
   c1 <= ||F x||^2/||x||^2 <= c2 are available the step is tau = 2/(c1 + c2)
   and the error contracts linearly with factor (c2 - c1)/(c2 + c1);
   otherwise tau = 1.8/c2 < 2/c2 and the primal gap decays like O(1/t).
+  When F is a ``FourierMultiplier`` the same iterates are computed in the
+  spectrum, F p_t = F x - (F F^T) u_t, at one FFT per dual band each way
+  per step.
 
 Both routes accept a prox family ``prox_f(v, s) -> prox_{s f}(v)`` so the
 same callable serves every scale the solvers need. A shifted f(. - b) needs
@@ -27,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TightFrameError
-from .operators import LinearOperator, _flat64
+from .operators import FourierMultiplier, LinearOperator, _flat64
 
 Array = np.ndarray
 ProxFamily = Callable[[Array, float], Array]
@@ -35,10 +38,15 @@ ProxFamily = Callable[[Array, float], Array]
 
 @dataclass(frozen=True)
 class FBDiagnostics:
-    """Per-call record: primal residuals and the final dual point."""
+    """Per-call record: primal residuals and the final dual point.
+
+    ``dual_spectra`` holds the half spectra of the dual's bands when the
+    operator is a ``FourierMultiplier`` (None otherwise).
+    """
 
     residuals: list[float]
     dual: Array
+    dual_spectra: list[Array] | None = None
 
 
 def default_tau(c2: float, c1: float | None = None) -> float:
@@ -81,14 +89,16 @@ def prox_affine_tight(prox_f: ProxFamily, frame: LinearOperator, c: float,
 
 def prox_affine_fb(prox_f: ProxFamily, op: LinearOperator, c2: float,
                    x, inner_iters: int = 10, scale: float = 1.0,
-                   c1: float | None = None,
-                   dual: Array | None = None) -> tuple[Array, FBDiagnostics]:
+                   c1: float | None = None, dual: Array | None = None,
+                   dual_spectra: list[Array] | None = None
+                   ) -> tuple[Array, FBDiagnostics]:
     """Truncated dual forward-backward estimate of prox_{scale * f o op}(x).
 
     Starts from the dual point ``dual`` (zeros when None) and returns the
     primal point after ``inner_iters`` steps at ``default_tau(c2, c1)``
     together with diagnostics; pass ``diagnostics.dual`` back as ``dual``
-    to warm-start the next call at a nearby prox target.
+    (and ``diagnostics.dual_spectra`` as ``dual_spectra``, which spares
+    their FFTs) to warm-start the next call at a nearby prox target.
     """
     if not scale > 0.0:
         raise ValueError(f"scale must be > 0, got {scale}")
@@ -100,6 +110,9 @@ def prox_affine_fb(prox_f: ProxFamily, op: LinearOperator, c2: float,
         u = np.zeros(op.out_dim)
     else:
         u = _flat64(dual, op.out_dim, "prox_affine_fb dual").copy()
+    if isinstance(op, FourierMultiplier):
+        return _fb_spectral(prox_f, op, tau, x, u, dual_spectra, inner_iters,
+                            scale)
     p = x - op.adjoint(u)
     residuals: list[float] = []
     for _ in range(inner_iters):
@@ -109,6 +122,52 @@ def prox_affine_fb(prox_f: ProxFamily, op: LinearOperator, c2: float,
         residuals.append(float(np.linalg.norm(p_next - p)))
         p = p_next
     return p, FBDiagnostics(residuals=residuals, dual=u)
+
+
+def _fb_spectral(prox_f: ProxFamily, op: FourierMultiplier, tau: float,
+                 x: Array, u: Array, spectra: list[Array] | None,
+                 inner_iters: int, scale: float) -> tuple[Array, FBDiagnostics]:
+    """The loop of prox_affine_fb with F F^T applied in the spectrum.
+
+    The iteration lives in the spectrum of op's one-image side: the dual's
+    when op merges bands into one image (or has one band), the primal's when
+    it splits one image into bands. The residual ||p_next - p|| =
+    ||op^T (u_next - u)|| is read off by Parseval.
+    """
+    residuals: list[float] = []
+    if op.merge or len(op.gains) == 1:
+        # op p = op x - (op op^T) u, and op op^T multiplies by op.power, so
+        # u / tau + op p has the spectrum drive + (1 / tau - power) U.
+        power = op.power
+        step = 1.0 / tau - power
+        drive = op.combine(op.band_spectra(x))
+        spec = op.spectrum(u) if spectra is None else spectra[0]
+        for _ in range(inner_iters):
+            w = step * spec
+            w += drive
+            w = op.image(w)
+            u = tau * (w - prox_f(w, scale / tau))
+            spec_next = op.spectrum(u)
+            residuals.append(op.image_norm(spec_next - spec, power))
+            spec = spec_next
+        spectra = [spec]
+        p = op.split(spec, conj=True)
+        np.subtract(x, p, out=p)
+    else:
+        # p = x - op^T u is one image, carried as its spectrum.
+        if spectra is None:
+            spectra = list(op.band_spectra(u))
+        x_spec = op.spectrum(x)
+        p_spec = x_spec - op.combine(spectra, conj=True)
+        for _ in range(inner_iters):
+            w = u / tau + op.split(p_spec)
+            u = tau * (w - prox_f(w, scale / tau))
+            spectra = list(op.band_spectra(u))
+            p_next = x_spec - op.combine(spectra, conj=True)
+            residuals.append(op.image_norm(p_next - p_spec))
+            p_spec = p_next
+        p = op.image(p_spec)
+    return p, FBDiagnostics(residuals=residuals, dual=u, dual_spectra=spectra)
 
 
 class WarmStartedProx:
@@ -127,10 +186,12 @@ class WarmStartedProx:
         self._c1 = c1
         self._inner_iters = inner_iters
         self._dual = None
+        self._dual_spectra = None
 
     def __call__(self, x, scale: float = 1.0) -> Array:
         p, diag = prox_affine_fb(self._prox_f, self._op, self._c2, x,
                                  self._inner_iters, scale=scale, c1=self._c1,
-                                 dual=self._dual)
+                                 dual=self._dual, dual_spectra=self._dual_spectra)
         self._dual = diag.dual
+        self._dual_spectra = diag.dual_spectra
         return p

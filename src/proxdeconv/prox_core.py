@@ -38,10 +38,15 @@ def _validate_counts(y: Array, context: str) -> None:
         raise ValueError(f"{context}: counts must be finite non-negative integers")
 
 
-def eval_poisson(eta, counts) -> float:
-    """Poisson anti-log-likelihood; +inf outside the domain, never NaN."""
+def eval_poisson(eta, counts, check: bool = True) -> float:
+    """Poisson anti-log-likelihood; +inf outside the domain, never NaN.
+
+    ``check=False`` skips the scan of ``counts``, for callers that have
+    validated them once already.
+    """
     eta, y = _pair64(eta, counts, "eval_poisson")
-    _validate_counts(y, "eval_poisson")
+    if check:
+        _validate_counts(y, "eval_poisson")
     pos = y > 0.0
     if np.any(eta[pos] <= 0.0) or np.any(eta[~pos] < 0.0):
         return math.inf
@@ -69,17 +74,20 @@ def grad_poisson(eta, counts) -> Array:
     return g
 
 
-def prox_poisson(x, beta: float, counts) -> Array:
+def prox_poisson(x, beta: float, counts, check: bool = True) -> Array:
     """prox of beta * (Poisson fidelity) at x, elementwise.
 
     prox(x)_i = (d_i + sqrt(d_i^2 + 4 beta y_i)) / 2 with d_i = x_i - beta,
     which reduces to max(d_i, 0) on zero-count pixels. Output is always
     inside the domain (non-negative, positive where y_i > 0).
+    ``check=False`` skips the scan of ``counts``, for callers that have
+    validated them once already.
     """
     if not beta > 0.0:
         raise ValueError(f"prox scale beta must be > 0, got {beta}")
     x, y = _pair64(x, counts, "prox_poisson")
-    _validate_counts(y, "prox_poisson")
+    if check:
+        _validate_counts(y, "prox_poisson")
     d = x - beta
     # The same root as max(d, 0) + 2 beta y / (|d| + sqrt(d^2 + 4 beta y)):
     # a sum of non-negative terms, so nothing cancels for d << 0, where the

@@ -279,6 +279,33 @@ class TestPsfValidation:
             _dump_json({"objective": math.inf}, str(tmp_path / "m.json"))
 
 
+class TestNonFiniteFlags:
+    """Numeric flags reject inf and nan while parsing: exit 1, the flag
+    named in the error, and no output written."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mu", "inf"), ("--tol", "inf"), ("--gamma", "inf"),
+        ("--gamma-grid", "0.1,inf"), ("--gamma-grid", "0.1,nan"),
+    ])
+    def test_deconvolve(self, workspace, capsys, flag, value):
+        out = str(workspace["dir"] / "x.f64")
+        gamma = [] if flag.startswith("--gamma") else ["--gamma", "0.5"]
+        code = main(["deconvolve", "--counts", workspace["counts"], "--psf",
+                     workspace["psf"], "--dict", "dirac", "--out", out,
+                     flag, value] + gamma)
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_simulate_peak(self, workspace, capsys):
+        out = str(workspace["dir"] / "c.pgm")
+        code = main(["simulate", "--input", workspace["truth"], "--psf",
+                     workspace["psf"], "--peak", "inf", "--out", out])
+        assert code == 1
+        assert "--peak" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestParsing:
     def test_unknown_command_is_a_usage_error(self, capsys):
         assert main(["restore"]) == 1

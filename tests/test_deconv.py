@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 import proxdeconv.deconv as deconv_module
+import proxdeconv.operators as operators_module
 import proxdeconv.prox_compose as prox_compose_module
-from proxdeconv import (DeconvProblem, DeconvResult, Image, SplittingConfig,
-                        SplittingState, deconvolve, gcv_score,
-                        make_circular_convolution, make_dirac, make_haar_dwt,
-                        make_starlet, mae, objective_analysis,
-                        objective_synthesis, relative_mae, result_metrics,
+import proxdeconv.prox_core as prox_core_module
+from proxdeconv import (DeconvProblem, DeconvResult, FrameDictionary, Image,
+                        LinearOperator, SplittingConfig, SplittingState,
+                        deconvolve, gcv_score, make_circular_convolution,
+                        make_dirac, make_haar_dwt, make_starlet, mae,
+                        objective_analysis, objective_synthesis,
+                        parse_dictionary_spec, relative_mae, result_metrics,
                         richardson_lucy, scale_to_peak, select_gamma_gcv,
                         simulate)
 from proxdeconv.errors import DimensionMismatchError
@@ -437,10 +440,9 @@ class TestNonTightFrame:
 
 class TestComposeConfigThreading:
     def test_inner_iteration_budget_is_respected(self):
-        # With a Parseval dictionary the fidelity prox peels exactly, so the
-        # inner budget only alters the blur dual solve (TestNonTightFrame
-        # runs the non-tight branches). The run must still converge to the
-        # optimum.
+        # The inner budget alters the fidelity's dual solve through blur o
+        # Dirac (TestNonTightFrame runs the non-tight branches). The run must
+        # still converge to the optimum.
         prob = replace(ring_problem("synthesis"), inner_iters=25)
         res = deconvolve(prob)
         assert np.max(np.abs(res.restored.data - RING_XSTAR)) <= 1e-6
@@ -487,3 +489,60 @@ class TestNameLookup:
         assert deconvolve(prob).state.iterations == 3
         assert calls == {name: 3 * n
                          for name, n in self.PER_ITERATION[prior].items()}
+
+
+def _counts_problem(prior, levels=2, max_outer=3, spec=None, wrap=False):
+    """16x16 Poisson counts under a 3x3 box blur, gamma 0.2, mu 20."""
+    rng = np.random.default_rng(0)
+    counts = Image(16, 16, rng.poisson(20.0, 256).astype(np.float64))
+    blur = make_circular_convolution(MA3, 16, 16)
+    d = parse_dictionary_spec(spec or f"starlet:levels={levels}", 16, 16)
+    if wrap:
+        # Rebuilt through the public constructors, as a tracing wrapper does.
+        blur = LinearOperator(blur.in_dim, blur.out_dim, blur.apply,
+                              blur.adjoint, blur.spectral_bound)
+        d = FrameDictionary(d.width, d.height, d.coeff_dim, d.synthesis,
+                            d.analysis, d.c1, d.c2, d.tight)
+    return DeconvProblem(
+        counts=counts, blur=blur, dictionary=d, gamma=0.2, prior=prior,
+        splitting=SplittingConfig(mu=20.0, max_outer=max_outer, tol=0.0))
+
+
+class TestFourierPath:
+    # 2-D FFTs per outer iteration, from the operators module's counter:
+    # synthesis: FB through blur o synthesis (2 per band + 20), positivity
+    # peel (2 bands + 2), objective (bands + 1); analysis: FB through the
+    # blur (22), FB through the analysis (2 + 20 per band), objective
+    # (bands + 3).
+    FFT2_PER_ITERATION = {("synthesis", 2): 38, ("analysis", 2): 90,
+                          ("synthesis", 3): 43, ("analysis", 3): 111}
+
+    @pytest.mark.parametrize("prior, levels", sorted(FFT2_PER_ITERATION))
+    def test_fft2_per_outer_iteration(self, prior, levels):
+        spent = []
+        for max_outer in (1, 3):
+            before = operators_module.fft2_count
+            deconvolve(_counts_problem(prior, levels, max_outer))
+            spent.append(operators_module.fft2_count - before)
+        assert (spent[1] - spent[0]) / 2 == \
+            self.FFT2_PER_ITERATION[(prior, levels)]
+
+    @pytest.mark.parametrize("spec", ["starlet:levels=2",
+                                      "union(starlet:levels=2,dirac)",
+                                      "haar:levels=2"])
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_wrapped_operators_give_identical_results(self, prior, spec):
+        plain = deconvolve(_counts_problem(prior, spec=spec))
+        wrapped = deconvolve(_counts_problem(prior, spec=spec, wrap=True))
+        assert plain.restored.data.tobytes() == wrapped.restored.data.tobytes()
+        assert result_metrics(plain, include_timing=False) == \
+            result_metrics(wrapped, include_timing=False)
+
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_solver_skips_the_per_call_count_scan(self, prior, monkeypatch):
+        # DeconvProblem validates the counts; the proxes must not rescan.
+        scans = []
+        monkeypatch.setattr(prox_core_module, "all_counts",
+                            lambda y: scans.append(y.size) or True)
+        deconvolve(_counts_problem(prior))
+        assert scans == []

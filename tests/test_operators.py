@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from proxdeconv import (Image, compose, diagonal_operator, identity_operator,
-                        make_circular_convolution, matrix_operator)
+from proxdeconv import (FourierMultiplier, Image, LinearOperator,
+                        analysis_operator, compose, diagonal_operator,
+                        fourier_form, identity_operator, make_circular_convolution,
+                        make_haar_dwt, make_starlet, make_union, make_dirac,
+                        matrix_operator, synthesis_operator)
 from proxdeconv.errors import DimensionMismatchError
 
-from oracles import circ_conv_direct
+from oracles import b3_band_gains, circ_conv_direct
+from test_dictionary import _diag_pseudo_dictionary
 
 
 def _conv_1d(taps, length, origin=(0, 0)):
@@ -174,3 +178,85 @@ class TestCompose:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             compose(identity_operator(3), identity_operator(2))
+
+
+class TestFourierForm:
+    def test_recovers_the_blur_otf(self):
+        rng = np.random.default_rng(5)
+        psf = rng.uniform(0.0, 1.0, (3, 4))
+        op = make_circular_convolution(Image.from_2d(psf), 16, 11, origin=(2, 1))
+        padded = np.zeros((11, 16))
+        padded[:3, :4] = psf
+        otf = np.fft.rfft2(np.roll(padded, (-2, -1), axis=(0, 1)))
+        form = fourier_form(op, 11, 16)
+        assert isinstance(form, FourierMultiplier) and not form.merge
+        assert np.max(np.abs(form.gains[0] - otf)) <= 1e-12
+        assert form.spectral_bound == op.spectral_bound
+
+    @pytest.mark.parametrize("union", [False, True])
+    def test_recovers_the_starlet_gains(self, union):
+        h, w = 8, 16
+        gains = [g[:, :w // 2 + 1] for g in b3_band_gains(h, w, 2)]
+        d = make_starlet(w, h, 2)
+        if union:
+            d = make_union([d, make_dirac(w, h)])
+            gains = [g / np.sqrt(2.0) for g in gains + [np.ones_like(gains[0])]]
+        for op, merge in ((analysis_operator(d), False),
+                          (synthesis_operator(d), True)):
+            form = fourier_form(op, h, w)
+            assert form.merge == merge and len(form.gains) == len(gains)
+            assert max(np.max(np.abs(f - g))
+                       for f, g in zip(form.gains, gains)) <= 1e-12
+
+    @pytest.mark.parametrize("make_op, grid", [
+        (lambda: analysis_operator(make_haar_dwt(8, 8, 2)), (8, 8)),
+        (lambda: synthesis_operator(make_haar_dwt(8, 8, 2)), (8, 8)),
+        (lambda: matrix_operator(
+            np.random.default_rng(2).standard_normal((12, 12))), (3, 4)),
+        (lambda: diagonal_operator(np.linspace(1.0, 2.0, 12)), (3, 4)),
+        (lambda: synthesis_operator(_diag_pseudo_dictionary()), (1, 2)),
+        (lambda: matrix_operator(np.ones((5, 12))), (3, 4)),
+    ])
+    def test_none_without_a_fourier_form(self, make_op, grid):
+        assert fourier_form(make_op(), *grid) is None
+
+    def test_a_constant_diagonal_is_a_multiplier(self):
+        form = fourier_form(diagonal_operator(np.full(12, 2.5)), 3, 4)
+        assert np.max(np.abs(form.gains - 2.5)) <= 1e-12
+
+
+class TestFourierMultiplier:
+    def test_compose_multiplies_the_gains(self):
+        blur = make_circular_convolution(_ma_psf(3), 8, 8)
+        phi = fourier_form(synthesis_operator(make_starlet(8, 8, 2)), 8, 8)
+        both = compose(blur, phi)
+        assert isinstance(both, FourierMultiplier) and both.merge
+        assert np.array_equal(both.gains, blur.gains * phi.gains)
+        assert both.spectral_bound == blur.spectral_bound * phi.spectral_bound
+        generic = compose(LinearOperator(64, 64, blur.apply, blur.adjoint, 1.0),
+                          phi)
+        rng = np.random.default_rng(4)
+        c, u = rng.standard_normal(both.in_dim), rng.standard_normal(64)
+        assert np.allclose(both.apply(c), generic.apply(c), atol=1e-12)
+        assert np.allclose(both.adjoint(u), generic.adjoint(u), atol=1e-12)
+
+    @pytest.mark.parametrize("merge", [False, True])
+    def test_adjoint_and_parseval_norm(self, merge):
+        rng = np.random.default_rng(9)
+        h, w = 5, 6
+        gains = (rng.standard_normal((3, h, w // 2 + 1))
+                 + 1j * rng.standard_normal((3, h, w // 2 + 1)))
+        # Gains read off a real impulse response are Hermitian-consistent.
+        gains = np.fft.rfft2(np.fft.irfft2(gains, s=(h, w)))
+        op = FourierMultiplier(gains, h, w, spectral_bound=10.0, merge=merge)
+        x, u = rng.standard_normal(op.in_dim), rng.standard_normal(op.out_dim)
+        assert abs(op.apply(x) @ u - x @ op.adjoint(u)) <= 1e-10
+        image = rng.standard_normal(h * w)
+        spec = op.spectrum(image)
+        assert op.image_norm(spec) == pytest.approx(np.linalg.norm(image),
+                                                    rel=1e-12)
+        assert np.allclose(op.image(spec), image, atol=1e-12)
+
+    def test_gain_shape_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            FourierMultiplier(np.ones((4, 4)), 4, 4, spectral_bound=1.0)
