@@ -188,15 +188,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_deconvolve(args) -> int:
     problem = _load_problem(args)
-    if args.gamma_grid is not None:
-        gamma_star, rows = select_gamma_gcv(args.gamma_grid, problem)
+    if args.gamma_grid is None:
+        result = deconvolve(problem)
+    else:
+        result, rows = select_gamma_gcv(args.gamma_grid, problem)
         print("gamma scan (gamma, gcv):")
         for gamma, score, _ in rows:
             print(f"  {gamma:g} {score:.6e}")
-        print(f"selected_gamma={gamma_star:g}")
-        from dataclasses import replace
-        problem = replace(problem, gamma=gamma_star)
-    result = deconvolve(problem)
+        print(f"selected_gamma={result.gamma_used:g}")
     write_raster(args.out, result.restored)
     metrics = result_metrics(result, include_timing=not args.no_timing)
     _dump_json(metrics, args.metrics or args.out + ".metrics.json")
@@ -231,7 +230,7 @@ def cmd_evaluate(args) -> int:
 def cmd_gcv_scan(args) -> int:
     problem = _load_problem(args)
     truth = read_raster(args.truth) if args.truth else None
-    gamma_star, rows = select_gamma_gcv(args.gamma_grid, problem, truth)
+    best, rows = select_gamma_gcv(args.gamma_grid, problem, truth)
     header = "gamma,gcv,mae" if truth is not None else "gamma,gcv"
     lines = [header]
     for gamma, score, err in rows:
@@ -241,7 +240,7 @@ def cmd_gcv_scan(args) -> int:
         lines.append(row)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"selected_gamma={gamma_star:g}")
+    print(f"selected_gamma={best.gamma_used:g}")
     return 0
 
 

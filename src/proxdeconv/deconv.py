@@ -71,8 +71,8 @@ class DeconvProblem:
     def __post_init__(self):
         if self.prior not in PRIORS:
             raise ValueError(f"prior must be one of {PRIORS}, got {self.prior!r}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if self.inner_iters < 1:
             raise ValueError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if not self.counts.is_counts():
@@ -293,11 +293,12 @@ def _score_coefficients(problem: DeconvProblem, result: DeconvResult) -> Array:
 
 
 def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
-                     ) -> tuple[float, list[tuple[float, float, float | None]]]:
-    """Solve the problem across a gamma grid and pick the GCV minimizer.
+                     ) -> tuple[DeconvResult, list[tuple[float, float, float | None]]]:
+    """Solve the problem across a gamma grid and keep the GCV minimizer.
 
-    Returns (gamma_star, rows) with one (gamma, gcv, mae-or-None) row per
-    grid point; ties go to the larger gamma. The grid must be strictly
+    Returns (best, rows): the winning solve, whose ``gamma_used`` is the
+    selected gamma (ties go to the larger gamma), and one
+    (gamma, gcv, mae-or-None) row per grid point. The grid must be strictly
     increasing.
     """
     grid = [float(g) for g in grid]
@@ -306,7 +307,7 @@ def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"gamma grid must be strictly increasing, got {grid}")
     rows: list[tuple[float, float, float | None]] = []
-    best_gamma, best_score = None, None
+    best, best_score = None, None
     for gamma in grid:
         inst = replace(problem, gamma=gamma)
         result = deconvolve(inst)
@@ -315,8 +316,8 @@ def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
         err = mae(result.restored, truth) if truth is not None else None
         rows.append((gamma, score, err))
         if best_score is None or score <= best_score:
-            best_gamma, best_score = gamma, score
-    return best_gamma, rows
+            best, best_score = result, score
+    return best, rows
 
 
 def simulate(truth: Image, blur: LinearOperator, peak: float, seed: int) -> Image:

@@ -35,12 +35,23 @@ def write_f64(path: str, image: Image) -> None:
         fh.write("\n")
 
 
+def _sidecar_size(path: str, meta: dict, key: str) -> int:
+    value = meta.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{path}: sidecar {key} must be an integer >= 1, "
+                         f"got {value!r}")
+    return value
+
+
 def read_f64(path: str) -> Image:
     with open(sidecar_path(path), "r", encoding="ascii") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: sidecar must hold a JSON object, "
+                         f"got {type(meta).__name__}")
     if meta.get("dtype") != F64_DTYPE:
         raise ValueError(f"{path}: unsupported dtype {meta.get('dtype')!r}")
-    width, height = int(meta["width"]), int(meta["height"])
+    width, height = (_sidecar_size(path, meta, k) for k in ("width", "height"))
     expected = 8 * width * height
     with open(path, "rb") as fh:
         payload = fh.read()

@@ -48,15 +48,15 @@ class SplittingConfig:
     init: Array | None = None
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
+        if not 0.0 < self.mu < np.inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
         if not 0.0 < self.theta < 2.0:
             raise ValueError(f"theta must lie in the open interval (0, 2), "
                              f"got {self.theta}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
-        if not self.tol >= 0.0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass

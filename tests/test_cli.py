@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+import proxdeconv.cli as cli_module
+import proxdeconv.deconv as deconv_module
 from proxdeconv import Image
 from proxdeconv.cli import _dump_json, main
 from proxdeconv.rasters import read_raster, write_raster
@@ -70,6 +72,17 @@ class TestSimulate:
             with open(path + ".prov.json") as fh:
                 seeds.append(json.load(fh)["seed"])
         assert seeds == [5, 6, 7]
+
+    def test_malformed_sidecar_is_a_usage_error(self, workspace, capsys):
+        with open(workspace["truth"] + ".json", "w") as fh:
+            json.dump({"dtype": "f64-le", "height": 6}, fh)
+        out = str(workspace["dir"] / "x.pgm")
+        code = main(["simulate", "--input", workspace["truth"], "--psf",
+                     workspace["psf"], "--peak", "30", "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and workspace["truth"] in err
+        assert not os.path.exists(out)
 
     def test_bad_peak_is_a_usage_error(self, workspace, capsys):
         code = main(["simulate", "--input", workspace["truth"], "--psf",
@@ -138,6 +151,18 @@ class TestDeconvolve:
         with open(out + ".metrics.json") as fh:
             assert json.load(fh)["gamma"] == 1e-6
 
+    def test_grid_writes_the_fixed_gamma_restoration(self, workspace, capsys):
+        flags = ["--iters", "300", "--no-timing"]
+        code, grid = self._run(workspace, "grid.f64",
+                               ["--gamma-grid", "0.1,0.5"] + flags)
+        stdout = capsys.readouterr().out
+        selected = stdout.split("selected_gamma=")[1].split()[0]
+        fixed_code, fixed = self._run(workspace, "fixed.f64",
+                                      ["--gamma", selected] + flags)
+        assert code == fixed_code
+        for suffix in ("", ".json", ".metrics.json"):
+            assert _read_bytes(grid + suffix) == _read_bytes(fixed + suffix)
+
     def test_no_timing_zeroes_the_wall_clock(self, workspace):
         code, out = self._run(workspace, "nt.f64",
                               ["--gamma", "0.5", "--iters", "500",
@@ -183,6 +208,27 @@ class TestDeconvolve:
                             ["--gamma", "0.5", "--theta", "2.0"])
         assert code == 1
         capsys.readouterr()
+
+
+class TestOneSolvePerGamma:
+    @pytest.mark.parametrize("command", ["deconvolve", "gcv-scan"])
+    def test_each_grid_point_is_solved_once(self, workspace, monkeypatch,
+                                            command):
+        solved = []
+        original = deconv_module.deconvolve
+
+        def counted(problem):
+            solved.append(problem.gamma)
+            return original(problem)
+
+        monkeypatch.setattr(deconv_module, "deconvolve", counted)
+        monkeypatch.setattr(cli_module, "deconvolve", counted)
+        code = main([command, "--counts", workspace["counts"], "--psf",
+                     workspace["psf"], "--dict", "dirac",
+                     "--gamma-grid", "0.1,0.5", "--iters", "300",
+                     "--out", str(workspace["dir"] / "x.out")])
+        assert code in (0, 2)
+        assert solved == [0.1, 0.5]
 
 
 class TestEvaluate:

@@ -124,6 +124,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             ring_problem("synthesis", gamma=0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_gamma_must_be_finite(self, bad):
+        with pytest.raises(ValueError):
+            ring_problem("synthesis", gamma=bad)
+
     def test_counts_must_be_counts(self):
         with pytest.raises(ValueError):
             DeconvProblem(counts=Image.from_2d([[1.5, 2.0]]),
@@ -263,15 +268,28 @@ class TestSelectGammaGcv:
             splitting=SplittingConfig(mu=1.0, max_outer=4000, tol=1e-12))
 
     def test_single_point_grid(self):
-        gamma, rows = select_gamma_gcv([0.3], self._noiseless_problem())
-        assert gamma == 0.3
+        best, rows = select_gamma_gcv([0.3], self._noiseless_problem())
+        assert best.gamma_used == 0.3
         assert len(rows) == 1
         assert rows[0][2] is None
 
     def test_noiseless_identity_prefers_the_smallest_gamma(self):
-        gamma, rows = select_gamma_gcv([1e-6, 2.0], self._noiseless_problem())
-        assert gamma == 1e-6
+        best, rows = select_gamma_gcv([1e-6, 2.0], self._noiseless_problem())
+        assert best.gamma_used == 1e-6
         assert rows[0][1] < rows[1][1]
+
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_winner_is_the_fixed_gamma_solve(self, prior):
+        prob = replace(self._noiseless_problem(), prior=prior,
+                       splitting=SplittingConfig(mu=1.0, max_outer=300))
+        best, _ = select_gamma_gcv([0.1, 0.5], prob)
+        again = deconvolve(replace(prob, gamma=best.gamma_used))
+        assert best.restored.data.tobytes() == again.restored.data.tobytes()
+        if prior == "synthesis":
+            assert best.coefficients.tobytes() == again.coefficients.tobytes()
+        else:
+            assert best.coefficients is again.coefficients is None
+        assert best.state.iterations == again.state.iterations
 
     def test_truth_column_reports_mae(self):
         prob = self._noiseless_problem()
@@ -286,9 +304,10 @@ class TestSelectGammaGcv:
                                  converged=True, relative_changes=[0.0],
                                  objectives=None),
             gamma_used=1.0, wall_time_s=0.0, clip_mass=0.0)
-        monkeypatch.setattr(deconv_module, "deconvolve", lambda p: canned)
-        gamma, rows = select_gamma_gcv([0.1, 0.2, 0.4], prob)
-        assert gamma == 0.4
+        monkeypatch.setattr(deconv_module, "deconvolve",
+                            lambda p: replace(canned, gamma_used=p.gamma))
+        best, rows = select_gamma_gcv([0.1, 0.2, 0.4], prob)
+        assert best.gamma_used == 0.4
         assert len({row[1] for row in rows}) == 1
 
     def test_grid_validation(self):

@@ -56,6 +56,23 @@ class TestF64:
             read_f64(path)
 
 
+    @pytest.mark.parametrize("meta", [
+        {"dtype": "f64-le", "height": 5},
+        ["f64-le", 5, 7],
+        {"dtype": "f64-le", "height": 5, "width": 2.5},
+        {"dtype": "f64-le", "height": 5, "width": "7"},
+        {"dtype": "f64-le", "height": True, "width": 7},
+        {"dtype": "f64-le", "height": 0, "width": 7},
+    ])
+    def test_malformed_sidecar_rejected(self, tmp_path, meta):
+        path = str(tmp_path / "field.f64")
+        write_f64(path, _float_image())
+        with open(sidecar_path(path), "w") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(ValueError, match="field.f64: sidecar"):
+            read_f64(path)
+
+
 class TestPgm:
     def test_binary_8bit_round_trip(self, tmp_path):
         img = _count_image(255)

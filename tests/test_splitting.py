@@ -209,6 +209,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             SplittingConfig(tol=-1.0)
 
+    @pytest.mark.parametrize("setting", [
+        {"mu": math.inf}, {"tol": math.inf}, {"tol": math.nan},
+    ])
+    def test_non_finite_settings_rejected(self, setting):
+        with pytest.raises(ValueError):
+            SplittingConfig(**setting)
+
     def test_non_finite_prox_output_identifies_the_term(self):
         nan_prox = lambda v, s: np.full_like(v, np.nan)
         terms = _terms(("good", _quad_prox([0.0])), ("bad", nan_prox))
