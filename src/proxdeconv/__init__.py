@@ -3,9 +3,9 @@
 from .operators import (FourierMultiplier, Image, LinearOperator, compose,
                         diagonal_operator, fourier_form, identity_operator,
                         make_circular_convolution, matrix_operator)
-from .dictionary import (FrameDictionary, analysis_operator, frame_bounds,
-                         make_dirac, make_haar_dwt, make_starlet, make_union,
-                         parse_dictionary_spec, synthesis_operator)
+from .dictionary import (FrameDictionary, frame_bounds, make_dirac,
+                         make_haar_dwt, make_starlet, make_union,
+                         parse_dictionary_spec)
 from .prox_core import (eval_poisson, grad_poisson, project_positive,
                         prox_poisson, soft_threshold)
 from .prox_compose import (FBDiagnostics, WarmStartedProx, default_tau,
@@ -25,9 +25,8 @@ __all__ = [
     "FourierMultiplier", "Image", "LinearOperator", "compose",
     "diagonal_operator", "fourier_form", "identity_operator",
     "make_circular_convolution", "matrix_operator",
-    "FrameDictionary", "analysis_operator", "frame_bounds", "make_dirac",
-    "make_haar_dwt", "make_starlet", "make_union", "parse_dictionary_spec",
-    "synthesis_operator",
+    "FrameDictionary", "frame_bounds", "make_dirac", "make_haar_dwt",
+    "make_starlet", "make_union", "parse_dictionary_spec",
     "eval_poisson", "grad_poisson", "project_positive", "prox_poisson",
     "soft_threshold",
     "FBDiagnostics", "WarmStartedProx", "default_tau",

@@ -9,15 +9,17 @@ product-space solver:
 * analysis prior (solve over pixels x):
       fidelity o H  +  gamma ||Phi^T x||_1  +  positivity
 
-Each solve first probes the blur and the dictionary for their Fourier form
-(``fourier_form``): the circular blur, Dirac, the starlet and their unions
-are diagonal in the 2-D DFT and run as ``FourierMultiplier`` objects, while
+The dictionary Phi is a ``LinearOperator`` whose adjoint is the analysis
+Phi^T; the two priors differ only in where it sits. Each solve first
+probes H, and H o Phi or Phi^T, for their Fourier form (``fourier_form``):
+the circular blur, Dirac, the starlet, their unions and products are
+diagonal in the 2-D DFT and run as ``FourierMultiplier`` objects, while
 Haar and other operators that are not shift-invariant run through their
 own transforms. A composition through a tight dictionary peels off in
 closed form; every other one runs the truncated dual forward-backward prox
 (``DeconvProblem.inner_iters`` steps per call) with its dual warm-started
 across outer iterations. The one exception: the synthesis fidelity runs
-FB through H o Phi (in the spectrum when Phi has a Fourier form), except
+FB through H o Phi (in the spectrum when it has a Fourier form), except
 that a tight Phi without one (Haar) peels off around FB through H, which
 keeps its transforms out of the inner loop. Also here: the Richardson-Lucy
 baseline, a GCV score for picking gamma, Poisson count simulation, and MAE
@@ -32,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dictionary import FrameDictionary, analysis_operator, synthesis_operator
+from .dictionary import FrameDictionary
 from .errors import DimensionMismatchError
 from .operators import (FourierMultiplier, Image, LinearOperator, compose,
                         fourier_form)
@@ -51,10 +53,12 @@ class DeconvProblem:
 
     ``splitting.mu`` is the user-facing step scale: the three equal-weight
     terms are proxed at scale mu/3 each (so the sparsity step thresholds at
-    mu * gamma / 3). ``splitting.init`` is ignored; the solver starts at the
-    analysis coefficients of y (synthesis prior) or at y itself (analysis
-    prior). ``inner_iters`` is the number of dual forward-backward steps per
-    call of every composed prox that has no closed form.
+    mu * gamma / 3). The solver starts at the analysis coefficients of y
+    (synthesis prior) or at y itself (analysis prior). The dictionary must
+    lie on the counts' grid, and so must a ``FourierMultiplier`` blur; any
+    other blur only needs the counts' pixel count. ``inner_iters`` is the
+    number of dual forward-backward steps per call of every composed prox
+    that has no closed form.
     ``trace_objective`` records fidelity + penalty per iteration at the cost
     of one extra objective evaluation.
     """
@@ -78,12 +82,16 @@ class DeconvProblem:
         if not self.counts.is_counts():
             raise ValueError("counts image must hold finite non-negative integers")
         n = self.counts.n
-        if self.blur.in_dim != n or self.blur.out_dim != n:
-            raise DimensionMismatchError(expected=n, actual=self.blur.in_dim,
-                                         context="DeconvProblem blur")
-        if self.dictionary.n != n:
-            raise DimensionMismatchError(expected=n, actual=self.dictionary.n,
-                                         context="DeconvProblem dictionary")
+        for dim in (self.blur.in_dim, self.blur.out_dim):
+            if dim != n:
+                raise DimensionMismatchError(expected=n, actual=dim,
+                                             context="DeconvProblem blur")
+        grid = (self.counts.height, self.counts.width)
+        for name, op in (("blur", self.blur), ("dictionary", self.dictionary)):
+            if isinstance(op, (FourierMultiplier, FrameDictionary)) \
+                    and (op.height, op.width) != grid:
+                raise DimensionMismatchError(expected=grid, actual=(op.height, op.width),
+                                             context=f"DeconvProblem {name} grid")
 
 
 @dataclass(frozen=True)
@@ -118,13 +126,12 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], Callable[[Array], float]]:
     """The three prox terms, and fidelity plus penalty at the solver's variable.
 
     Data fidelity, sparsity and positivity are each proxed at their scale.
-    The blur and the dictionary's synthesis or analysis are probed for
-    their Fourier form (the module docstring gives the rule for peel versus
-    FB), so wrapped or user-built operators take the same path as shipped
-    ones. The positivity peel keeps the dictionary's own synthesis: it
-    costs the same FFTs either way, and the Fourier form is only needed
-    long enough to build blur o synthesis. The prox families look the
-    elementwise proxes up by name on each call.
+    The blur, and blur o dictionary or the analysis, are probed for their
+    Fourier form (the module docstring gives the rule for peel versus FB),
+    so wrapped or user-built operators take the same path as shipped ones.
+    The positivity peel runs the dictionary itself: a Fourier form costs
+    the same FFTs. The prox families look the elementwise proxes up by name
+    on each call.
     """
     def fourier(op: LinearOperator) -> LinearOperator:
         form = fourier_form(op, p.counts.height, p.counts.width)
@@ -137,18 +144,17 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], Callable[[Array], float]]:
     positive = lambda v, s: project_positive(v)
     h = fourier(p.blur)
     if p.prior == "analysis":
-        w = fourier(analysis_operator(d))
+        w = fourier(d.T)
         proxes = (_fb(poisson, h, p), _fb(sparsity, w, p, d.c1, d.c2), positive)
         value = lambda x: _fidelity_penalty(p, h.apply(x), w.apply(x))
     else:
-        phi = synthesis_operator(d)
-        h_phi = compose(h, fourier(phi))
+        h_phi = fourier(compose(h, d))
         if d.tight and not isinstance(h_phi, FourierMultiplier):
-            fidelity = _peel(_fb(poisson, h, p), phi, d.c1)
+            fidelity = _peel(_fb(poisson, h, p), d, d.c1)
         else:
             fidelity = _fb(poisson, h_phi, p)
-        positivity = _peel(positive, phi, d.c1) if d.tight \
-            else _fb(positive, phi, p, d.c1, d.c2)
+        positivity = _peel(positive, d, d.c1) if d.tight \
+            else _fb(positive, d, p, d.c1, d.c2)
         proxes = (fidelity, sparsity, positivity)
         value = lambda alpha: _fidelity_penalty(p, h_phi.apply(alpha), alpha)
     labels = ("data-fidelity", "sparsity", "positivity")
@@ -161,29 +167,19 @@ def _fidelity_penalty(p: DeconvProblem, intensity: Array, coeffs: Array) -> floa
         np.sum(np.abs(coeffs)))
 
 
-def fidelity_penalty_synthesis(p: DeconvProblem, alpha) -> float:
-    """Fidelity plus penalty at coefficients alpha (no positivity indicator)."""
-    x = p.dictionary.synthesis(alpha)
-    return _fidelity_penalty(p, p.blur.apply(x), alpha)
-
-
-def fidelity_penalty_analysis(p: DeconvProblem, x) -> float:
-    return _fidelity_penalty(p, p.blur.apply(x), p.dictionary.analysis(x))
-
-
 def objective_synthesis(p: DeconvProblem, alpha, feasibility_tol: float = 0.0) -> float:
     """Full objective including the positivity indicator on Phi alpha."""
     x = p.dictionary.synthesis(alpha)
     if float(np.min(x)) < -feasibility_tol:
         return float("inf")
-    return fidelity_penalty_synthesis(p, alpha)
+    return _fidelity_penalty(p, p.blur.apply(x), alpha)
 
 
 def objective_analysis(p: DeconvProblem, x, feasibility_tol: float = 0.0) -> float:
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size and float(np.min(x)) < -feasibility_tol:
         return float("inf")
-    return fidelity_penalty_analysis(p, x)
+    return _fidelity_penalty(p, p.blur.apply(x), p.dictionary.analysis(x))
 
 
 def deconvolve(problem: DeconvProblem) -> DeconvResult:
@@ -198,12 +194,10 @@ def deconvolve(problem: DeconvProblem) -> DeconvResult:
     objective = value if problem.trace_objective else None
     if problem.prior == "synthesis":
         init = problem.dictionary.analysis(problem.counts.data)
-        alpha, state = solve(terms, replace(cfg, init=init), objective)
-        raw = problem.dictionary.synthesis(alpha)
-        coefficients = alpha
+        coefficients, state = solve(terms, cfg, init, objective)
+        raw = problem.dictionary.synthesis(coefficients)
     else:
-        init = problem.counts.data
-        raw, state = solve(terms, replace(cfg, init=init), objective)
+        raw, state = solve(terms, cfg, problem.counts.data, objective)
         coefficients = None
     clip_mass = float(np.sum(np.maximum(-raw, 0.0)))
     restored = Image(problem.counts.width, problem.counts.height,
@@ -329,14 +323,10 @@ def simulate(truth: Image, blur: LinearOperator, peak: float, seed: int) -> Imag
     below the round-off band -1e-9 * peak raise; tiny negatives from FFT
     round-off are clamped to zero.
     """
-    if not peak > 0.0:
-        raise ValueError(f"peak must be > 0, got {peak}")
-    x = truth.data
-    if np.any(x < 0.0):
+    scaled = scale_to_peak(truth, peak)
+    if np.any(truth.data < 0.0):
         raise ValueError("truth image must be non-negative")
-    top = float(np.max(x)) if x.size else 0.0
-    scaled = x * (peak / top) if top > 0.0 else x.copy()
-    lam = blur.apply(scaled)
+    lam = blur.apply(scaled.data)
     low = float(np.min(lam)) if lam.size else 0.0
     if low < -1e-9 * peak:
         raise ValueError(f"blurred intensity has negative values (min {low}); "

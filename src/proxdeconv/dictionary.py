@@ -1,7 +1,8 @@
-"""Frame dictionaries: synthesis/analysis pairs with certified frame bounds.
+"""Frame dictionaries: synthesis operators with certified frame bounds.
 
-A dictionary holds a synthesis map ``coeffs -> image`` and its exact adjoint
-``analysis = synthesis^T``, together with frame bounds ``c1, c2`` such that
+A dictionary is a ``LinearOperator``: its ``apply`` is the synthesis map
+``coeffs -> image`` and its ``adjoint`` the analysis ``synthesis^T``, and
+it carries frame bounds ``c1, c2`` such that
 
     c1 * ||x||^2 <= ||analysis(x)||^2 <= c2 * ||x||^2.
 
@@ -19,18 +20,22 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .operators import FourierMultiplier, LinearOperator, _flat64
+from .operators import FourierMultiplier, LinearOperator
 
 Array = np.ndarray
 
 _SQRT2 = np.sqrt(2.0)
 
 
-class FrameDictionary:
-    """Synthesis/analysis pair over a ``height x width`` raster."""
+class FrameDictionary(LinearOperator):
+    """Synthesis ``coeffs -> image`` over a ``height x width`` raster.
 
-    __slots__ = ("width", "height", "n", "coeff_dim", "c1", "c2", "tight",
-                 "_synthesis", "_analysis")
+    ``apply`` (alias ``synthesis``) maps ``coeff_dim`` coefficients to the
+    ``n`` pixels and ``adjoint`` (alias ``analysis``) maps back; the
+    spectral bound is sqrt(c2).
+    """
+
+    __slots__ = ("width", "height", "c1", "c2", "tight")
 
     def __init__(self, width: int, height: int, coeff_dim: int,
                  synthesis: Callable[[Array], Array],
@@ -43,33 +48,17 @@ class FrameDictionary:
             raise ValueError(f"coefficient dim {coeff_dim} smaller than raster size {n}")
         if not (0.0 < c1 <= c2):
             raise ValueError(f"frame bounds must satisfy 0 < c1 <= c2, got ({c1}, {c2})")
+        super().__init__(coeff_dim, n, synthesis, analysis, np.sqrt(c2))
         self.width = int(width)
         self.height = int(height)
-        self.n = n
-        self.coeff_dim = int(coeff_dim)
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.tight = bool(tight)
-        self._synthesis = synthesis
-        self._analysis = analysis
 
-    def synthesis(self, coeffs) -> Array:
-        coeffs = _flat64(coeffs, self.coeff_dim, "FrameDictionary.synthesis")
-        return np.asarray(self._synthesis(coeffs), dtype=np.float64).ravel()
-
-    def analysis(self, image) -> Array:
-        image = _flat64(image, self.n, "FrameDictionary.analysis")
-        return np.asarray(self._analysis(image), dtype=np.float64).ravel()
-
-
-def synthesis_operator(d: FrameDictionary) -> LinearOperator:
-    """The dictionary as a LinearOperator ``coeffs -> image``."""
-    return LinearOperator(d.coeff_dim, d.n, d.synthesis, d.analysis, np.sqrt(d.c2))
-
-
-def analysis_operator(d: FrameDictionary) -> LinearOperator:
-    """The adjoint direction, ``image -> coeffs``."""
-    return LinearOperator(d.n, d.coeff_dim, d.analysis, d.synthesis, np.sqrt(d.c2))
+    synthesis = LinearOperator.apply
+    analysis = LinearOperator.adjoint
+    n = property(lambda self: self.out_dim, doc="Pixels per image.")
+    coeff_dim = property(lambda self: self.in_dim, doc="Coefficients per image.")
 
 
 def make_dirac(width: int, height: int) -> FrameDictionary:

@@ -3,11 +3,13 @@
 Images are stored row-major as flat float64 arrays; operators declare their
 dimensions and a spectral bound so downstream solvers can pick step sizes
 without probing. Shift-invariant operators (circular convolution, the
-starlet bands, their products) are ``FourierMultiplier`` objects: diagonal
-in the 2-D real DFT, with one transfer function per band, so an apply or
-adjoint costs bands + 1 real FFTs (two for a convolution).
-``fourier_form`` recovers that form from any operator that has one, and
-``fft2_count`` counts the 2-D FFTs this module computes.
+starlet bands) are ``FourierMultiplier`` objects: diagonal in the 2-D
+real DFT, with one transfer function per band, so an apply or adjoint
+costs bands + 1 real FFTs (two for a convolution). ``compose`` and ``T``
+build plain operators; ``fourier_form`` is the one place that recovers a
+multiplier from any operator that has that form (a product of a blur and
+the starlet, say), and ``fft2_count`` counts the 2-D FFTs this module
+computes.
 """
 
 from __future__ import annotations
@@ -114,6 +116,12 @@ class LinearOperator:
         u = _flat64(u, self.out_dim, "LinearOperator.adjoint")
         return np.asarray(self._adjoint(u), dtype=np.float64).ravel()
 
+    @property
+    def T(self) -> LinearOperator:
+        """The adjoint map as an operator: apply and adjoint swapped."""
+        return LinearOperator(self.out_dim, self.in_dim, self.adjoint,
+                              self.apply, self.spectral_bound)
+
 
 def identity_operator(n: int) -> LinearOperator:
     return LinearOperator(n, n, lambda x: x.copy(), lambda u: u.copy(), 1.0)
@@ -136,26 +144,18 @@ def matrix_operator(mat) -> LinearOperator:
 
 
 def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
-    """Operator for ``outer(inner(x))``; bounds multiply.
+    """Plain operator for ``outer(inner(x))``; bounds multiply.
 
-    Two Fourier multipliers on one grid, one of them single-band, compose
-    into a multiplier whose gains are the products of theirs.
+    ``fourier_form`` recovers the gains of a product of multipliers.
     """
     if outer.in_dim != inner.out_dim:
         raise DimensionMismatchError(expected=outer.in_dim, actual=inner.out_dim,
                                      context="compose")
-    bound = outer.spectral_bound * inner.spectral_bound
-    if (isinstance(outer, FourierMultiplier) and isinstance(inner, FourierMultiplier)
-            and (outer.height, outer.width) == (inner.height, inner.width)
-            and 1 in (len(outer.gains), len(inner.gains))):
-        merge = inner.merge if len(outer.gains) == 1 else outer.merge
-        return FourierMultiplier(outer.gains * inner.gains, outer.height,
-                                 outer.width, bound, merge)
     return LinearOperator(
         inner.in_dim, outer.out_dim,
         lambda x: outer.apply(inner.apply(x)),
         lambda u: inner.adjoint(outer.adjoint(u)),
-        bound,
+        outer.spectral_bound * inner.spectral_bound,
     )
 
 

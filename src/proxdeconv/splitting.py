@@ -45,7 +45,6 @@ class SplittingConfig:
     theta: float = 1.0
     max_outer: int = 300
     tol: float = 1e-5
-    init: Array | None = None
 
     def __post_init__(self):
         if not 0.0 < self.mu < np.inf:
@@ -84,12 +83,12 @@ def relative_change(new, old) -> float:
     return diff / denom
 
 
-def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig,
+def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init,
           objective: Callable[[Array], float] | None = None
           ) -> tuple[Array, SplittingState]:
     """Run the averaged splitting iteration until tolerance or max_outer.
 
-    Every term copy starts at ``cfg.init``. When ``objective`` is given it is
+    Every term copy starts at ``init``. When ``objective`` is given it is
     evaluated at each new iterate and recorded in the trace. Term ordering
     does not affect the result beyond float round-off.
     """
@@ -101,10 +100,8 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig,
         raise WeightError(f"weights must lie in (0, 1], got {weights.tolist()}")
     if abs(float(np.sum(weights)) - 1.0) > 1e-12:
         raise WeightError(f"weights must sum to 1, got sum={float(np.sum(weights))!r}")
-    if cfg.init is None:
-        raise ValueError("SplittingConfig.init must be set before solving")
 
-    x = np.asarray(cfg.init, dtype=np.float64).ravel().copy()
+    x = np.asarray(init, dtype=np.float64).ravel().copy()
     dim = x.size
     copies = [x.copy() for _ in terms]
     rel_trace: list[float] = []
@@ -125,6 +122,9 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig,
             xi_bar += term.weight * xi
         for p, xi in zip(copies, proxed):
             p += cfg.theta * (2.0 * xi_bar - x - xi)
+        # Free spent outputs before relative_change allocates. Freeing xi (the
+        # last) too let glibc trim and refault the heap top every iteration.
+        del proxed
         x_next = x + cfg.theta * (xi_bar - x)
         if not np.all(np.isfinite(x_next)):
             raise NonFiniteIterateError(iteration=t, label="<average>")

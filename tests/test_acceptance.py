@@ -19,7 +19,7 @@ from proxdeconv import (DeconvProblem, Image, SplittingConfig, deconvolve,
                         make_dirac, make_haar_dwt, make_starlet, make_union,
                         prox_affine_fb, prox_affine_tight, prox_poisson,
                         ProxTerm, richardson_lucy, scale_to_peak, simulate,
-                        soft_threshold, solve, synthesis_operator)
+                        soft_threshold, solve)
 from proxdeconv.cli import main
 from proxdeconv.rasters import read_raster, write_raster
 
@@ -144,9 +144,8 @@ def test_criterion_03_frame_certification():
 def test_criterion_04_composed_prox_cross_check():
     rng = np.random.default_rng(3)
     # Parseval starlet: synthesis o analysis = I on images, so composing f
-    # with the synthesis map peels in closed form.
-    starlet = make_starlet(16, 16, 2)
-    frame = synthesis_operator(starlet)
+    # with the synthesis map (the dictionary itself) peels in closed form.
+    frame = make_starlet(16, 16, 2)
     y = rng.integers(0, 9, size=frame.out_dim).astype(np.float64)
     prox_family = lambda v, s: prox_poisson(v, s, y)
     x = rng.uniform(0.5, 6.0, size=frame.in_dim)
@@ -183,16 +182,15 @@ def test_criterion_05_splitting_vs_oracles():
     a = np.array([2.0, -1.0, 3.0])
     terms = [ProxTerm(prox=lambda v, s: (v + s * a) / (1.0 + s), weight=1.0,
                       label="quad")]
-    x, _ = solve(terms, SplittingConfig(max_outer=2000, tol=1e-12,
-                                        init=np.zeros(3)))
+    x, _ = solve(terms, SplittingConfig(max_outer=2000, tol=1e-12), np.zeros(3))
     gaps.append(0.5 * float(np.sum((x - a) ** 2)))
 
     positive = lambda v, s: np.maximum(v, 0.0)
     terms = [ProxTerm(prox=lambda v, s: (v - 3.0 * s) / (1.0 + s), weight=0.5,
                       label="quad"),
              ProxTerm(prox=positive, weight=0.5, label="cone")]
-    x, _ = solve(terms, SplittingConfig(max_outer=2000, tol=1e-13,
-                                        init=np.array([5.0])))
+    x, _ = solve(terms, SplittingConfig(max_outer=2000, tol=1e-13),
+                 np.array([5.0]))
     x = np.maximum(x, 0.0)
     gaps.append(0.5 * float((x[0] + 3.0) ** 2) - 4.5)
 
@@ -202,8 +200,7 @@ def test_criterion_05_splitting_vs_oracles():
              ProxTerm(prox=lambda v, s: soft_threshold(v, s), weight=1.0 / 3.0,
                       label="l1"),
              ProxTerm(prox=positive, weight=1.0 / 3.0, label="cone")]
-    x, _ = solve(terms, SplittingConfig(max_outer=2000, tol=1e-13,
-                                        init=np.zeros(2)))
+    x, _ = solve(terms, SplittingConfig(max_outer=2000, tol=1e-13), np.zeros(2))
     x = np.maximum(x, 0.0)
     value = (0.5 * float(np.sum((x - b) ** 2)) + float(np.sum(np.abs(x))))
     gaps.append(value - 2.0)

@@ -73,6 +73,17 @@ class TestSimulate:
                 seeds.append(json.load(fh)["seed"])
         assert seeds == [5, 6, 7]
 
+    def test_replicates_without_an_extension(self, workspace, capsys):
+        out = str(workspace["dir"] / "rep")
+        code = main(["simulate", "--input", workspace["truth"], "--psf",
+                     workspace["psf"], "--peak", "30", "--replicates", "2",
+                     "--out", out])
+        assert code == 0
+        for k in range(2):
+            assert read_raster(f"{out}_{k:03d}").n == 36
+            assert os.path.exists(f"{out}_{k:03d}.prov.json")
+        capsys.readouterr()
+
     def test_malformed_sidecar_is_a_usage_error(self, workspace, capsys):
         with open(workspace["truth"] + ".json", "w") as fh:
             json.dump({"dtype": "f64-le", "height": 6}, fh)
@@ -326,12 +337,13 @@ class TestPsfValidation:
 
 
 class TestNonFiniteFlags:
-    """Numeric flags reject inf and nan while parsing: exit 1, the flag
-    named in the error, and no output written."""
+    """Numeric flags reject inf, nan and unreadable grids while parsing:
+    exit 1, the flag named in the error, and no output written."""
 
     @pytest.mark.parametrize("flag, value", [
         ("--mu", "inf"), ("--tol", "inf"), ("--gamma", "inf"),
         ("--gamma-grid", "0.1,inf"), ("--gamma-grid", "0.1,nan"),
+        ("--gamma-grid", "0.1,abc"), ("--gamma-grid", ","),
     ])
     def test_deconvolve(self, workspace, capsys, flag, value):
         out = str(workspace["dir"] / "x.f64")

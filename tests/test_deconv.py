@@ -152,6 +152,42 @@ class TestProblemValidation:
             DeconvProblem(counts=RING_COUNTS, blur=ring_blur(),
                           dictionary=make_dirac(3, 1), gamma=0.1)
 
+    @pytest.mark.parametrize("in_dim, out_dim", [(64, 65), (65, 64)])
+    def test_blur_mismatch_reports_the_wrong_dimension(self, in_dim, out_dim):
+        blur = LinearOperator(in_dim, out_dim, None, None, 1.0)
+        with pytest.raises(DimensionMismatchError, match="expected 64, got 65"):
+            DeconvProblem(counts=Image(8, 8, np.ones(64)), blur=blur,
+                          dictionary=make_dirac(8, 8), gamma=0.1)
+
+    # 16 wide and 4 high: the pixel count of an 8x8 or a 4-wide grid.
+    @pytest.mark.parametrize("which", ["blur", "dictionary"])
+    def test_grid_must_match_the_counts(self, which):
+        blur = make_circular_convolution(MA3, 16, 4)
+        d = make_dirac(16, 4)
+        if which == "blur":
+            blur = make_circular_convolution(MA3, 4, 16)
+        else:
+            d = make_starlet(8, 8, levels=2)
+        with pytest.raises(DimensionMismatchError, match=which):
+            DeconvProblem(counts=Image(16, 4, np.ones(64)), blur=blur,
+                          dictionary=d, gamma=0.1)
+
+    def test_a_generic_blur_is_checked_by_pixel_count(self):
+        # A LinearOperator has no grid, so a transposed one passes.
+        blur = make_circular_convolution(MA3, 4, 16)
+        blur = LinearOperator(64, 64, blur.apply, blur.adjoint, 1.0)
+        DeconvProblem(counts=Image(16, 4, np.ones(64)), blur=blur,
+                      dictionary=make_dirac(16, 4), gamma=0.1)
+
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_objective_is_infinite_outside_the_orthant(self, prior):
+        prob = ring_problem(prior)
+        point = np.array([1.0, 1.0, 1.0, -0.1])
+        objective = objective_synthesis if prior == "synthesis" \
+            else objective_analysis
+        assert objective(prob, point) == math.inf
+        assert math.isfinite(objective(prob, point, feasibility_tol=1.0))
+
 
 class TestPriorEquivalenceOnAnOrthobasis:
     def test_synthesis_and_analysis_agree_for_haar(self):
@@ -325,6 +361,7 @@ class TestSimulate:
         truth = Image.from_2d(np.zeros((3, 3)))
         counts = simulate(truth, identity_blur(3, 3), 10.0, 0)
         assert np.array_equal(counts.data, np.zeros(9))
+        assert np.array_equal(scale_to_peak(truth, 10.0).data, np.zeros(9))
 
     def test_flat_field_statistics(self):
         truth = Image.from_2d(np.ones((100, 100)))

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from proxdeconv import (FourierMultiplier, Image, LinearOperator,
-                        analysis_operator, compose, diagonal_operator,
-                        fourier_form, identity_operator, make_circular_convolution,
-                        make_haar_dwt, make_starlet, make_union, make_dirac,
-                        matrix_operator, synthesis_operator)
+from proxdeconv import (FourierMultiplier, Image, LinearOperator, compose,
+                        diagonal_operator, fourier_form, identity_operator,
+                        make_circular_convolution, make_haar_dwt, make_starlet,
+                        make_union, make_dirac, matrix_operator)
 from proxdeconv.errors import DimensionMismatchError
 
 from oracles import b3_band_gains, circ_conv_direct
@@ -33,6 +32,16 @@ class TestImage:
     def test_data_length_must_match_dims(self):
         with pytest.raises(DimensionMismatchError):
             Image(width=2, height=2, data=np.zeros(3))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Image(width=0, height=2, data=[]),
+        lambda: Image(width=2, height=-1, data=[]),
+        lambda: Image.from_2d(np.zeros(4)),
+        lambda: Image.from_2d(np.zeros((2, 2, 2))),
+    ])
+    def test_invalid_shapes_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_is_counts(self):
         assert Image(width=3, height=1, data=[0.0, 2.0, 5.0]).is_counts()
@@ -115,6 +124,27 @@ class TestApplyAdjoint:
             op.apply([1.0, 2.0])
         with pytest.raises(DimensionMismatchError):
             op.adjoint([1.0, 2.0])
+
+    @pytest.mark.parametrize("make", [
+        lambda: LinearOperator(0, 2, None, None, 1.0),
+        lambda: LinearOperator(2, 0, None, None, 1.0),
+        lambda: LinearOperator(2, 2, None, None, -1.0),
+        lambda: LinearOperator(2, 2, None, None, math.nan),
+        lambda: matrix_operator(np.zeros(3)),
+        lambda: matrix_operator(np.zeros((2, 2, 2))),
+    ])
+    def test_constructor_validation(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_adjoint_view(self):
+        op = matrix_operator([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
+        view = op.T
+        assert (view.in_dim, view.out_dim) == (2, 3)
+        assert view.spectral_bound == op.spectral_bound
+        assert np.array_equal(view.apply([1.0, 2.0]), op.adjoint([1.0, 2.0]))
+        assert np.array_equal(view.adjoint([1.0, 0.0, 3.0]),
+                              op.apply([1.0, 0.0, 3.0]))
 
     def test_symmetric_kernel_is_self_adjoint(self):
         op = make_circular_convolution(_ma_psf(3), 8, 8)
@@ -201,20 +231,19 @@ class TestFourierForm:
         if union:
             d = make_union([d, make_dirac(w, h)])
             gains = [g / np.sqrt(2.0) for g in gains + [np.ones_like(gains[0])]]
-        for op, merge in ((analysis_operator(d), False),
-                          (synthesis_operator(d), True)):
+        for op, merge in ((d.T, False), (d, True)):
             form = fourier_form(op, h, w)
             assert form.merge == merge and len(form.gains) == len(gains)
             assert max(np.max(np.abs(f - g))
                        for f, g in zip(form.gains, gains)) <= 1e-12
 
     @pytest.mark.parametrize("make_op, grid", [
-        (lambda: analysis_operator(make_haar_dwt(8, 8, 2)), (8, 8)),
-        (lambda: synthesis_operator(make_haar_dwt(8, 8, 2)), (8, 8)),
+        (lambda: make_haar_dwt(8, 8, 2).T, (8, 8)),
+        (lambda: make_haar_dwt(8, 8, 2), (8, 8)),
         (lambda: matrix_operator(
             np.random.default_rng(2).standard_normal((12, 12))), (3, 4)),
         (lambda: diagonal_operator(np.linspace(1.0, 2.0, 12)), (3, 4)),
-        (lambda: synthesis_operator(_diag_pseudo_dictionary()), (1, 2)),
+        (lambda: _diag_pseudo_dictionary(), (1, 2)),
         (lambda: matrix_operator(np.ones((5, 12))), (3, 4)),
     ])
     def test_none_without_a_fourier_form(self, make_op, grid):
@@ -228,17 +257,18 @@ class TestFourierForm:
 class TestFourierMultiplier:
     def test_compose_multiplies_the_gains(self):
         blur = make_circular_convolution(_ma_psf(3), 8, 8)
-        phi = fourier_form(synthesis_operator(make_starlet(8, 8, 2)), 8, 8)
-        both = compose(blur, phi)
+        d = make_starlet(8, 8, 2)
+        plain = compose(blur, d)
+        assert not isinstance(plain, FourierMultiplier)
+        both = fourier_form(plain, 8, 8)
         assert isinstance(both, FourierMultiplier) and both.merge
-        assert np.array_equal(both.gains, blur.gains * phi.gains)
-        assert both.spectral_bound == blur.spectral_bound * phi.spectral_bound
-        generic = compose(LinearOperator(64, 64, blur.apply, blur.adjoint, 1.0),
-                          phi)
+        phi = fourier_form(d, 8, 8)
+        assert np.max(np.abs(both.gains - blur.gains * phi.gains)) <= 1e-12
+        assert both.spectral_bound == blur.spectral_bound * d.spectral_bound
         rng = np.random.default_rng(4)
         c, u = rng.standard_normal(both.in_dim), rng.standard_normal(64)
-        assert np.allclose(both.apply(c), generic.apply(c), atol=1e-12)
-        assert np.allclose(both.adjoint(u), generic.adjoint(u), atol=1e-12)
+        assert np.allclose(both.apply(c), plain.apply(c), atol=1e-12)
+        assert np.allclose(both.adjoint(u), plain.adjoint(u), atol=1e-12)
 
     @pytest.mark.parametrize("merge", [False, True])
     def test_adjoint_and_parseval_norm(self, merge):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from proxdeconv import (Image, LinearOperator, WarmStartedProx,
-                        analysis_operator, compose, default_tau,
-                        diagonal_operator, fourier_form, identity_operator,
-                        make_circular_convolution, make_starlet,
-                        matrix_operator, prox_affine_fb, prox_affine_tight,
-                        prox_poisson, soft_threshold, synthesis_operator,
+from proxdeconv import (Image, LinearOperator, WarmStartedProx, compose,
+                        default_tau, diagonal_operator, fourier_form,
+                        identity_operator, make_circular_convolution,
+                        make_starlet, matrix_operator, prox_affine_fb,
+                        prox_affine_tight, prox_poisson, soft_threshold,
                         verify_tight_frame)
 from proxdeconv.errors import TightFrameError
 
@@ -59,11 +58,21 @@ class TestConfig:
 
 class TestVerifyTightFrame:
     def test_accepts_parseval_frames(self):
-        verify_tight_frame(synthesis_operator(make_starlet(8, 8, levels=2)), 1.0)
+        verify_tight_frame(make_starlet(8, 8, levels=2), 1.0)
 
     def test_rejects_general_operators(self):
         with pytest.raises(TightFrameError):
             verify_tight_frame(diagonal_operator([1.0, 2.0]), 1.0)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_rejects_a_non_positive_constant(self, c):
+        with pytest.raises(ValueError):
+            verify_tight_frame(identity_operator(3), c)
+
+    def test_tight_prox_rejects_a_non_positive_scale(self):
+        with pytest.raises(ValueError):
+            prox_affine_tight(_positive_prox, identity_operator(2), 1.0,
+                              np.zeros(2), scale=0.0)
 
     def test_rejects_wrong_constant(self):
         with pytest.raises(TightFrameError):
@@ -129,13 +138,12 @@ class TestProxAffineFB:
 
     def test_parseval_frame_matches_the_closed_form(self):
         d = make_starlet(8, 8, levels=2)
-        frame = synthesis_operator(d)
         rng = np.random.default_rng(1)
         y = rng.integers(0, 9, size=64).astype(float)
         x = rng.standard_normal(d.coeff_dim)
         fam = lambda v, s: prox_poisson(v, s, y)
-        tight = prox_affine_tight(fam, frame, 1.0, x)
-        fb, _ = prox_affine_fb(fam, frame, 2.0, x, inner_iters=30)  # step 0.9
+        tight = prox_affine_tight(fam, d, 1.0, x)
+        fb, _ = prox_affine_fb(fam, d, 2.0, x, inner_iters=30)  # step 0.9
         assert np.max(np.abs(fb - tight)) <= 1e-6
 
     def test_projection_through_a_diagonal_frame(self):
@@ -211,8 +219,8 @@ def _spectral_cases():
     return [
         ("blur", blur, poisson),
         ("blur o synthesis",
-         compose(blur, fourier_form(synthesis_operator(d), h, w)), poisson),
-        ("analysis", fourier_form(analysis_operator(d), h, w),
+         fourier_form(compose(blur, d), h, w), poisson),
+        ("analysis", fourier_form(d.T, h, w),
          lambda v, s: soft_threshold(v, 0.3 * s)),
     ]
 

@@ -138,6 +138,10 @@ class TestProxPenalty:
         v = rng.uniform(-5.0, 5.0, size=300)
         assert np.array_equal(soft_threshold(v, 0.8), v - np.clip(v, -0.8, 0.8))
 
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold"):
+            soft_threshold([1.0], -0.1)
+
     def test_zero_threshold_is_identity(self):
         v = np.array([1.0, -2.0])
         assert np.array_equal(soft_threshold(v, 0.0), v)

@@ -146,6 +146,19 @@ class TestPgm:
         with pytest.raises(ValueError, match="truncated"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("blob, match", [
+        (b"P2\n2 1\n", "truncated PGM header"),
+        (b"P5\n1 1\n0\n\x00", "outside"),
+        (b"P2\n1 1\n65536\n0\n", "outside"),
+        (b"P2\n2 1\n5\n3\n", "1 samples, expected 2"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, blob, match):
+        path = str(tmp_path / "bad.pgm")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(ValueError, match=match):
+            read_pgm(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "not.pgm")
         with open(path, "wb") as fh:

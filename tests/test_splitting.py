@@ -49,8 +49,8 @@ class TestSingleTerm:
     def test_quadratic_reaches_its_minimizer(self):
         a = np.array([2.0, -1.0, 3.0])
         terms = [ProxTerm(prox=_quad_prox(a), weight=1.0, label="quad")]
-        x, state = solve(terms, SplittingConfig(max_outer=500, tol=1e-12,
-                                                init=np.zeros(3)))
+        x, state = solve(terms, SplittingConfig(max_outer=500, tol=1e-12),
+                         np.zeros(3))
         assert np.max(np.abs(x - a)) <= 1e-6
         assert state.converged
 
@@ -60,8 +60,8 @@ class TestTwoTerms:
         # ||x + 3||^2 / 2 over x >= 0 has its minimum at 0.
         terms = _terms(("quad", _quad_prox([-3.0])),
                        ("positive", _positive_prox))
-        x, state = solve(terms, SplittingConfig(max_outer=2000, tol=1e-12,
-                                                init=np.array([5.0])))
+        x, state = solve(terms, SplittingConfig(max_outer=2000, tol=1e-12),
+                         np.array([5.0]))
         assert abs(x[0]) <= 1e-6
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5])
@@ -69,7 +69,7 @@ class TestTwoTerms:
         terms = _terms(("quad", _quad_prox([-3.0])),
                        ("positive", _positive_prox))
         x, _ = solve(terms, SplittingConfig(theta=theta, max_outer=4000,
-                                            tol=1e-12, init=np.array([5.0])))
+                                            tol=1e-12), np.array([5.0]))
         assert abs(x[0]) <= 1e-6
 
 
@@ -89,15 +89,15 @@ class TestThreeTerms:
 
     def test_reaches_the_separable_optimum(self):
         terms, objective = self._instance()
-        x, _ = solve(terms, SplittingConfig(max_outer=2000, tol=1e-12,
-                                            init=np.zeros(2)), objective)
+        x, _ = solve(terms, SplittingConfig(max_outer=2000, tol=1e-12),
+                     np.zeros(2), objective)
         # Soft-threshold then project: (max(2-1, 0), 0).
         assert np.max(np.abs(x - np.array([1.0, 0.0]))) <= 1e-6
 
     def test_objective_matches_the_grid_oracle(self):
         terms, objective = self._instance()
-        x, state = solve(terms, SplittingConfig(max_outer=2000, tol=1e-12,
-                                                init=np.zeros(2)), objective)
+        x, state = solve(terms, SplittingConfig(max_outer=2000, tol=1e-12),
+                         np.zeros(2), objective)
         # The averaged iterate can sit a hair outside the constraint set;
         # score its projection, as the pipeline does before reporting.
         x = project_positive(x)
@@ -137,8 +137,7 @@ class TestAlgorithmMechanics:
             x = x + theta * (xi_bar - x)
 
         got, state = solve(terms, SplittingConfig(
-            mu=mu, theta=theta, max_outer=iters, tol=0.0,
-            init=init))
+            mu=mu, theta=theta, max_outer=iters, tol=0.0), init)
         assert np.allclose(got, x, atol=1e-12)
         for ours, theirs in zip(state.aux, copies):
             assert np.allclose(ours, theirs, atol=1e-12)
@@ -149,9 +148,9 @@ class TestAlgorithmMechanics:
                          ("l1", lambda v, s: soft_threshold(v, s)),
                          ("positive", _positive_prox))
         backward = list(reversed(forward))
-        cfg = SplittingConfig(max_outer=150, tol=0.0, init=np.zeros(2))
-        x_fwd, _ = solve(forward, cfg)
-        x_bwd, _ = solve(backward, cfg)
+        cfg = SplittingConfig(max_outer=150, tol=0.0)
+        x_fwd, _ = solve(forward, cfg, np.zeros(2))
+        x_bwd, _ = solve(backward, cfg, np.zeros(2))
         assert np.max(np.abs(x_fwd - x_bwd)) <= 1e-12
 
 
@@ -159,8 +158,8 @@ class TestStoppingAndTrace:
     def test_stops_once_relative_change_is_small(self):
         a = np.array([1.0])
         terms = [ProxTerm(prox=_quad_prox(a), weight=1.0, label="quad")]
-        x, state = solve(terms, SplittingConfig(max_outer=10000, tol=1e-6,
-                                                init=np.array([100.0])))
+        x, state = solve(terms, SplittingConfig(max_outer=10000, tol=1e-6),
+                         np.array([100.0]))
         assert state.converged
         assert state.relative_changes[-1] <= 1e-6
         assert state.iterations == len(state.relative_changes)
@@ -168,8 +167,8 @@ class TestStoppingAndTrace:
 
     def test_iteration_cap_reported(self):
         terms = [ProxTerm(prox=_quad_prox([1.0]), weight=1.0, label="quad")]
-        _, state = solve(terms, SplittingConfig(max_outer=3, tol=0.0,
-                                                init=np.array([100.0])))
+        _, state = solve(terms, SplittingConfig(max_outer=3, tol=0.0),
+                         np.array([100.0]))
         assert not state.converged
         assert state.iterations == 3
 
@@ -179,21 +178,21 @@ class TestValidation:
         terms = [ProxTerm(prox=_quad_prox([0.0]), weight=0.6, label="a"),
                  ProxTerm(prox=_quad_prox([0.0]), weight=0.6, label="b")]
         with pytest.raises(WeightError):
-            solve(terms, SplittingConfig(init=np.zeros(1)))
+            solve(terms, SplittingConfig(), np.zeros(1))
 
     def test_weights_must_be_positive(self):
         terms = [ProxTerm(prox=_quad_prox([0.0]), weight=0.0, label="a"),
                  ProxTerm(prox=_quad_prox([0.0]), weight=1.0, label="b")]
         with pytest.raises(WeightError):
-            solve(terms, SplittingConfig(init=np.zeros(1)))
+            solve(terms, SplittingConfig(), np.zeros(1))
 
     def test_empty_term_list_rejected(self):
         with pytest.raises(WeightError):
-            solve([], SplittingConfig(init=np.zeros(1)))
+            solve([], SplittingConfig(), np.zeros(1))
 
     def test_init_required(self):
         terms = [ProxTerm(prox=_quad_prox([0.0]), weight=1.0, label="a")]
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             solve(terms, SplittingConfig())
 
     def test_theta_outside_the_open_interval_rejected(self):
@@ -220,6 +219,6 @@ class TestValidation:
         nan_prox = lambda v, s: np.full_like(v, np.nan)
         terms = _terms(("good", _quad_prox([0.0])), ("bad", nan_prox))
         with pytest.raises(NonFiniteIterateError) as err:
-            solve(terms, SplittingConfig(init=np.zeros(2)))
+            solve(terms, SplittingConfig(), np.zeros(2))
         assert err.value.label == "bad"
         assert err.value.iteration == 0
