@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from proxdeconv import (FrameDictionary, frame_bounds, make_dirac,
-                        make_haar_dwt, make_starlet, make_union,
+from proxdeconv import (FrameDictionary, LinearOperator, frame_bounds,
+                        make_dirac, make_haar_dwt, make_starlet, make_union,
                         parse_dictionary_spec)
 from proxdeconv.errors import DimensionMismatchError
 
@@ -196,6 +196,19 @@ class TestSharedInvariants:
             c = rng.standard_normal(d.coeff_dim)
             lhs, rhs = d.analysis(x) @ c, x @ d.synthesis(c)
             assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(c)
+
+    @pytest.mark.parametrize("name,maker", ALL_DICTS + [
+        ("non-tight", _diag_pseudo_dictionary)])
+    def test_is_its_synthesis_operator(self, name, maker):
+        d = maker()
+        assert isinstance(d, LinearOperator)
+        assert (d.in_dim, d.out_dim) == (d.coeff_dim, d.n)
+        assert d.spectral_bound == np.sqrt(d.c2)
+        rng = np.random.default_rng(11)
+        c, x = rng.standard_normal(d.coeff_dim), rng.standard_normal(d.n)
+        assert np.array_equal(d.apply(c), d.synthesis(c))
+        assert np.array_equal(d.adjoint(x), d.analysis(x))
+        assert np.array_equal(d.T.apply(x), d.analysis(x))
 
     @pytest.mark.parametrize("name,maker", ALL_DICTS)
     def test_tight_reconstruction(self, name, maker):

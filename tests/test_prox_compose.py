@@ -69,11 +69,6 @@ class TestVerifyTightFrame:
         with pytest.raises(ValueError):
             verify_tight_frame(identity_operator(3), c)
 
-    def test_tight_prox_rejects_a_non_positive_scale(self):
-        with pytest.raises(ValueError):
-            prox_affine_tight(_positive_prox, identity_operator(2), 1.0,
-                              np.zeros(2), scale=0.0)
-
     def test_rejects_wrong_constant(self):
         with pytest.raises(TightFrameError):
             verify_tight_frame(identity_operator(3), 2.0)
@@ -105,6 +100,11 @@ class TestProxAffineTight:
         got = prox_affine_tight(_quad_prox(b), frame, 2.0, x)
         expected = _quad_compose_solution(f_mat, b, x)
         assert np.max(np.abs(got - expected)) <= 1e-8
+
+    def test_non_positive_scale_rejected(self):
+        with pytest.raises(ValueError):
+            prox_affine_tight(_positive_prox, identity_operator(2), 1.0,
+                              np.zeros(2), scale=0.0)
 
     def test_non_tight_operator_raises(self):
         with pytest.raises(TightFrameError):
