@@ -243,7 +243,7 @@ class TestFourierForm:
         (lambda: matrix_operator(
             np.random.default_rng(2).standard_normal((12, 12))), (3, 4)),
         (lambda: diagonal_operator(np.linspace(1.0, 2.0, 12)), (3, 4)),
-        (_diag_pseudo_dictionary, (1, 2)),
+        (lambda: _diag_pseudo_dictionary(), (1, 2)),
         (lambda: matrix_operator(np.ones((5, 12))), (3, 4)),
     ])
     def test_none_without_a_fourier_form(self, make_op, grid):
