@@ -8,9 +8,8 @@ from .dictionary import (FrameDictionary, frame_bounds, make_dirac,
                          parse_dictionary_spec)
 from .prox_core import (eval_poisson, grad_poisson, project_positive,
                         prox_poisson, soft_threshold)
-from .prox_compose import (FBDiagnostics, WarmStartedProx, default_tau,
-                           prox_affine_fb, prox_affine_tight,
-                           verify_tight_frame)
+from .prox_compose import (FBDiagnostics, default_tau, prox_affine_fb,
+                           prox_affine_tight, verify_tight_frame)
 from .splitting import (ProxTerm, SplittingConfig, SplittingState,
                         relative_change, solve)
 from .deconv import (DeconvProblem, DeconvResult, deconvolve, gcv_score, mae,
@@ -29,8 +28,8 @@ __all__ = [
     "make_starlet", "make_union", "parse_dictionary_spec",
     "eval_poisson", "grad_poisson", "project_positive", "prox_poisson",
     "soft_threshold",
-    "FBDiagnostics", "WarmStartedProx", "default_tau",
-    "prox_affine_fb", "prox_affine_tight", "verify_tight_frame",
+    "FBDiagnostics", "default_tau", "prox_affine_fb", "prox_affine_tight",
+    "verify_tight_frame",
     "ProxTerm", "SplittingConfig", "SplittingState", "relative_change",
     "solve",
     "DeconvProblem", "DeconvResult", "deconvolve", "gcv_score", "mae",

@@ -14,6 +14,7 @@ import glob as globmod
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -158,10 +159,8 @@ def _dump_json(document: dict, path: str | None) -> None:
 
 
 def _replicate_path(path: str, index: int) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}_{index:03d}"
-    return f"{stem}_{index:03d}.{ext}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_{index:03d}{ext}"
 
 
 def cmd_simulate(args) -> int:

@@ -38,7 +38,8 @@ from .dictionary import FrameDictionary
 from .errors import DimensionMismatchError
 from .operators import (FourierMultiplier, Image, LinearOperator, compose,
                         fourier_form)
-from .prox_compose import ProxFamily, WarmStartedProx, prox_affine_tight
+from . import prox_compose
+from .prox_compose import ProxFamily, prox_affine_tight
 from .prox_core import eval_poisson, project_positive, prox_poisson, soft_threshold
 from .splitting import ProxTerm, SplittingConfig, SplittingState, solve
 
@@ -116,10 +117,18 @@ def _peel(prox_f: ProxFamily, phi: LinearOperator, c: float) -> ProxFamily:
 
 def _fb(prox_f: ProxFamily, op: LinearOperator, p: DeconvProblem,
         c1: float | None = None, c2: float | None = None) -> ProxFamily:
-    """prox of f o op by warm-started dual FB; c2 defaults to ||op||^2."""
+    """prox of f o op by dual FB, each call warm-started from the last one's
+    diagnostics and looked up in prox_compose; c2 defaults to ||op||^2."""
     if c2 is None:
         c2 = op.spectral_bound ** 2
-    return WarmStartedProx(prox_f, op, c2, p.inner_iters, c1=c1)
+    warm = None
+
+    def prox(v: Array, s: float) -> Array:
+        nonlocal warm
+        x, warm = prox_compose.prox_affine_fb(prox_f, op, c2, v, p.inner_iters,
+                                              scale=s, c1=c1, warm=warm)
+        return x
+    return prox
 
 
 def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], Callable[[Array], float]]:
@@ -292,12 +301,14 @@ def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
 
     Returns (best, rows): the winning solve, whose ``gamma_used`` is the
     selected gamma (ties go to the larger gamma), and one
-    (gamma, gcv, mae-or-None) row per grid point. The grid must be strictly
-    increasing.
+    (gamma, gcv, mae-or-None) row per grid point. The grid must be finite
+    and strictly increasing.
     """
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("gamma grid must be non-empty")
+    if not all(np.isfinite(grid)):
+        raise ValueError(f"gamma grid must be finite, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"gamma grid must be strictly increasing, got {grid}")
     rows: list[tuple[float, float, float | None]] = []
@@ -339,8 +350,8 @@ def simulate(truth: Image, blur: LinearOperator, peak: float, seed: int) -> Imag
 
 def scale_to_peak(truth: Image, peak: float) -> Image:
     """The rescaled ground truth that ``simulate`` blurs, for error metrics."""
-    if not peak > 0.0:
-        raise ValueError(f"peak must be > 0, got {peak}")
+    if not 0.0 < peak < np.inf:
+        raise ValueError(f"peak must be finite and > 0, got {peak}")
     top = float(np.max(truth.data)) if truth.data.size else 0.0
     if top <= 0.0:
         return truth

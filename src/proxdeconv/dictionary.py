@@ -48,6 +48,8 @@ class FrameDictionary(LinearOperator):
             raise ValueError(f"coefficient dim {coeff_dim} smaller than raster size {n}")
         if not (0.0 < c1 <= c2):
             raise ValueError(f"frame bounds must satisfy 0 < c1 <= c2, got ({c1}, {c2})")
+        if tight and c1 != c2:
+            raise ValueError(f"a tight frame needs c1 == c2, got ({c1}, {c2})")
         super().__init__(coeff_dim, n, synthesis, analysis, np.sqrt(c2))
         self.width = int(width)
         self.height = int(height)

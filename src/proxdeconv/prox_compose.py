@@ -89,16 +89,15 @@ def prox_affine_tight(prox_f: ProxFamily, frame: LinearOperator, c: float,
 
 def prox_affine_fb(prox_f: ProxFamily, op: LinearOperator, c2: float,
                    x, inner_iters: int = 10, scale: float = 1.0,
-                   c1: float | None = None, dual: Array | None = None,
-                   dual_spectra: list[Array] | None = None
+                   c1: float | None = None, warm: FBDiagnostics | None = None
                    ) -> tuple[Array, FBDiagnostics]:
     """Truncated dual forward-backward estimate of prox_{scale * f o op}(x).
 
-    Starts from the dual point ``dual`` (zeros when None) and returns the
+    Starts from the dual point of ``warm`` (zeros when None) and returns the
     primal point after ``inner_iters`` steps at ``default_tau(c2, c1)``
-    together with diagnostics; pass ``diagnostics.dual`` back as ``dual``
-    (and ``diagnostics.dual_spectra`` as ``dual_spectra``, which spares
-    their FFTs) to warm-start the next call at a nearby prox target.
+    together with diagnostics; pass them back as ``warm`` to warm-start the
+    next call at a nearby prox target (their ``dual_spectra`` spare the
+    dual's FFTs).
     """
     if not scale > 0.0:
         raise ValueError(f"scale must be > 0, got {scale}")
@@ -106,13 +105,13 @@ def prox_affine_fb(prox_f: ProxFamily, op: LinearOperator, c2: float,
         raise ValueError(f"inner_iters must be >= 1, got {inner_iters}")
     x = _flat64(x, op.in_dim, "prox_affine_fb")
     tau = default_tau(c2, c1)
-    if dual is None:
+    if warm is None:
         u = np.zeros(op.out_dim)
     else:
-        u = _flat64(dual, op.out_dim, "prox_affine_fb dual").copy()
+        u = _flat64(warm.dual, op.out_dim, "prox_affine_fb warm dual")
     if isinstance(op, FourierMultiplier):
-        return _fb_spectral(prox_f, op, tau, x, u, dual_spectra, inner_iters,
-                            scale)
+        spectra = None if warm is None else warm.dual_spectra
+        return _fb_spectral(prox_f, op, tau, x, u, spectra, inner_iters, scale)
     p = x - op.adjoint(u)
     residuals: list[float] = []
     for _ in range(inner_iters):
@@ -168,30 +167,3 @@ def _fb_spectral(prox_f: ProxFamily, op: FourierMultiplier, tau: float,
             p_spec = p_next
         p = op.image(p_spec)
     return p, FBDiagnostics(residuals=residuals, dual=u, dual_spectra=spectra)
-
-
-class WarmStartedProx:
-    """Wrap prox_affine_fb with a dual cache carried across calls.
-
-    Owned by one enclosing solver; not safe to share between concurrent
-    solves. Each call starts from the previous call's final dual, which
-    keeps truncated inner solves accurate once outer iterates settle.
-    """
-
-    def __init__(self, prox_f: ProxFamily, op: LinearOperator, c2: float,
-                 inner_iters: int = 10, c1: float | None = None):
-        self._prox_f = prox_f
-        self._op = op
-        self._c2 = c2
-        self._c1 = c1
-        self._inner_iters = inner_iters
-        self._dual = None
-        self._dual_spectra = None
-
-    def __call__(self, x, scale: float = 1.0) -> Array:
-        p, diag = prox_affine_fb(self._prox_f, self._op, self._c2, x,
-                                 self._inner_iters, scale=scale, c1=self._c1,
-                                 dual=self._dual, dual_spectra=self._dual_spectra)
-        self._dual = diag.dual
-        self._dual_spectra = diag.dual_spectra
-        return p

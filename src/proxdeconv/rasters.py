@@ -89,13 +89,22 @@ def write_pgm(path: str, image: Image, binary: bool = True,
             fh.write(b"\n")
 
 
-def _tokenize_pgm_header(blob: bytes, count: int) -> tuple[list[int], int]:
-    """Read `count` whitespace-separated integers, skipping # comments."""
+def _pgm_int(path: str, field: str, token: bytes) -> int:
+    """A PGM integer: ASCII decimal digits only, unlike int()."""
+    if not token.isdigit():
+        raise ValueError(f"{path}: PGM {field} must be a decimal integer, "
+                         f"got {token!r}")
+    return int(token)
+
+
+def _tokenize_pgm_header(path: str, blob: bytes) -> tuple[list[int], int]:
+    """Read width, height and maxval, skipping # comments."""
+    fields = ("width", "height", "maxval")
     tokens: list[int] = []
     i = 0
-    while len(tokens) < count:
+    while len(tokens) < len(fields):
         if i >= len(blob):
-            raise ValueError("truncated PGM header")
+            raise ValueError(f"{path}: truncated PGM header")
         ch = blob[i:i + 1]
         if ch.isspace():
             i += 1
@@ -106,7 +115,7 @@ def _tokenize_pgm_header(blob: bytes, count: int) -> tuple[list[int], int]:
             j = i
             while j < len(blob) and not blob[j:j + 1].isspace():
                 j += 1
-            tokens.append(int(blob[i:j]))
+            tokens.append(_pgm_int(path, fields[len(tokens)], blob[i:j]))
             i = j
     return tokens, i
 
@@ -117,8 +126,11 @@ def read_pgm(path: str) -> Image:
     magic = blob[:2]
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"{path}: not a PGM file (magic {magic!r})")
-    (width, height, maxval), offset = _tokenize_pgm_header(blob[2:], 3)
+    (width, height, maxval), offset = _tokenize_pgm_header(path, blob[2:])
     offset += 2
+    for field, size in (("width", width), ("height", height)):
+        if size < 1:
+            raise ValueError(f"{path}: PGM {field} must be >= 1, got {size}")
     if not 0 < maxval <= PGM_MAXVAL_LIMIT:
         raise ValueError(f"{path}: maxval {maxval} outside (0, {PGM_MAXVAL_LIMIT}]")
     n = width * height
@@ -134,7 +146,8 @@ def read_pgm(path: str) -> Image:
         values = blob[offset:].split()
         if len(values) != n:
             raise ValueError(f"{path}: P2 has {len(values)} samples, expected {n}")
-        data = np.array([int(v) for v in values], dtype=np.float64)
+        data = np.array([_pgm_int(path, "sample", v) for v in values],
+                        dtype=np.float64)
     if np.any(data > maxval):
         raise ValueError(f"{path}: sample exceeds declared maxval {maxval}")
     return Image(width=width, height=height, data=data)

@@ -84,6 +84,33 @@ class TestSimulate:
             assert os.path.exists(f"{out}_{k:03d}.prov.json")
         capsys.readouterr()
 
+    @pytest.mark.parametrize("out, stem, ext", [
+        ("runs.v2/counts", "runs.v2/counts", ""),
+        ("runs.v2/counts.pgm", "runs.v2/counts", ".pgm"),
+        ("out/.hidden", "out/.hidden", ""),
+    ])
+    def test_replicates_split_the_file_name(self, workspace, capsys, out,
+                                            stem, ext):
+        # The extension is the file name's own, never a dot in a directory
+        # name, and a leading dot marks a hidden file, not an extension.
+        base, folder = workspace["dir"], os.path.dirname(out)
+        before = set(os.listdir(base))
+        os.makedirs(base / folder)
+        code = main(["simulate", "--input", workspace["truth"], "--psf",
+                     workspace["psf"], "--peak", "30", "--replicates", "2",
+                     "--out", str(base / out)])
+        assert code == 0
+        names = [f"{stem}_{k:03d}{ext}" for k in range(2)]
+        for name in names:
+            assert read_raster(str(base / name)).n == 36
+            assert os.path.exists(base / (name + ".prov.json"))
+        # Nothing lands elsewhere: no stray directory or file name.
+        prefixes = tuple(os.path.basename(name) for name in names)
+        assert all(entry.startswith(prefixes)
+                   for entry in os.listdir(base / folder))
+        assert set(os.listdir(base)) == before | {folder}
+        capsys.readouterr()
+
     def test_malformed_sidecar_is_a_usage_error(self, workspace, capsys):
         with open(workspace["truth"] + ".json", "w") as fh:
             json.dump({"dtype": "f64-le", "height": 6}, fh)

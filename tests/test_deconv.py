@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -355,6 +356,14 @@ class TestSelectGammaGcv:
         with pytest.raises(ValueError):
             select_gamma_gcv([0.1, 0.1], prob)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_grid_fails_before_any_solve(self, bad, monkeypatch):
+        solves = []
+        monkeypatch.setattr(deconv_module, "deconvolve", solves.append)
+        with pytest.raises(ValueError, match="finite"):
+            select_gamma_gcv([0.1, bad], self._noiseless_problem())
+        assert solves == []
+
 
 class TestSimulate:
     def test_zero_truth_yields_zero_counts(self):
@@ -399,11 +408,12 @@ class TestSimulate:
         truth = Image.from_2d([[1.0]])
         blur = identity_blur(1, 1)
         with pytest.raises(ValueError):
-            simulate(truth, blur, 0.0, 0)
-        with pytest.raises(ValueError):
             simulate(Image.from_2d([[-1.0]]), blur, 10.0, 0)
-        with pytest.raises(ValueError):
-            scale_to_peak(truth, 0.0)
+        for peak in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="peak"):
+                simulate(truth, blur, peak, 0)
+            with pytest.raises(ValueError, match="peak"):
+                scale_to_peak(truth, peak)
 
 
 class TestErrorMetrics:
@@ -536,15 +546,34 @@ class TestNameLookup:
         for name in ("project_positive", "prox_poisson", "soft_threshold"):
             counting(deconv_module, name)
         counting(prox_compose_module, "prox_affine_fb")
-        rng = np.random.default_rng(0)
-        counts = Image(16, 16, rng.poisson(20.0, 256).astype(np.float64))
-        prob = DeconvProblem(
-            counts=counts, blur=make_circular_convolution(MA3, 16, 16),
-            dictionary=make_starlet(16, 16, levels=2), gamma=0.2, prior=prior,
-            splitting=SplittingConfig(mu=20.0, max_outer=3, tol=0.0))
-        assert deconvolve(prob).state.iterations == 3
+        assert deconvolve(_counts_problem(prior)).state.iterations == 3
         assert calls == {name: 3 * n
                          for name, n in self.PER_ITERATION[prior].items()}
+
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_each_fb_call_resumes_from_the_last(self, prior, monkeypatch):
+        # Per FB term (one operator each): the first call starts cold, and
+        # every later one gets, as warm, the diagnostics its previous call
+        # returned.
+        original = prox_compose_module.prox_affine_fb
+        signature = inspect.signature(original)
+        history = {}
+
+        def recorded(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            result = original(*args, **kwargs)
+            history.setdefault(id(bound["op"]), []).append(
+                (bound.get("warm"), result[1]))
+            return result
+        monkeypatch.setattr(prox_compose_module, "prox_affine_fb", recorded)
+        deconvolve(_counts_problem(prior))
+        assert sorted(len(calls) for calls in history.values()) \
+            == [3] * self.PER_ITERATION[prior]["prox_affine_fb"]
+        for calls in history.values():
+            warms = [warm for warm, _ in calls]
+            returned = [diag for _, diag in calls]
+            assert warms[0] is None
+            assert all(warm is diag for warm, diag in zip(warms[1:], returned))
 
 
 def _counts_problem(prior, levels=2, max_outer=3, spec=None, wrap=False):

@@ -180,6 +180,14 @@ class TestFrameBounds:
         assert abs(lo - 1.0) <= 0.01
         assert abs(hi - 1.0) <= 0.01
 
+    def test_tight_flag_needs_equal_bounds(self):
+        # A tight frame has Phi Phi^T = c I, so c1 == c2; the solver's
+        # closed-form peel trusts the flag.
+        with pytest.raises(ValueError, match="tight"):
+            FrameDictionary(width=2, height=1, coeff_dim=2,
+                            synthesis=lambda c: c, analysis=lambda x: x,
+                            c1=1.0, c2=2.0, tight=True)
+
     def test_known_diagonal_gram(self):
         lo, hi = frame_bounds(_diag_pseudo_dictionary(), probes=500, seed=3)
         assert lo == pytest.approx(1.0, rel=0.01)

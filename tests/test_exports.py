@@ -14,7 +14,6 @@ EXPORTS = [
     "ProxTerm",
     "SplittingConfig",
     "SplittingState",
-    "WarmStartedProx",
     "__version__",
     "compose",
     "deconvolve",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proxdeconv import (Image, LinearOperator, WarmStartedProx, compose,
+from proxdeconv import (FBDiagnostics, Image, LinearOperator, compose,
                         default_tau, diagonal_operator, fourier_form,
                         identity_operator, make_circular_convolution,
                         make_starlet, matrix_operator, prox_affine_fb,
@@ -35,10 +35,10 @@ class TestConfig:
         op = diagonal_operator([1.0, 2.0])
         _, diag = prox_affine_fb(_positive_prox, op, 4.0, np.ones(2))
         assert len(diag.residuals) == 10
-        warm = WarmStartedProx(_positive_prox, op, 4.0)
+        default, _ = prox_affine_fb(_positive_prox, op, 4.0, np.ones(2))
         cold, _ = prox_affine_fb(_positive_prox, op, 4.0, np.ones(2),
-                                 inner_iters=10)
-        assert np.array_equal(warm(np.ones(2)), cold)
+                                 inner_iters=10, warm=None)
+        assert np.array_equal(default, cold)
 
     def test_validation(self):
         op = identity_operator(2)
@@ -238,11 +238,11 @@ class TestSpectralFB:
         x = rng.uniform(0.5, 4.0, op.in_dim)
         dual = rng.standard_normal(op.out_dim)
         c2 = op.spectral_bound ** 2
-        for start in (None, dual):
+        for start in (None, FBDiagnostics(residuals=[], dual=dual)):
             p, diag = prox_affine_fb(fam, op, c2, x, inner_iters=7, scale=0.6,
-                                     dual=start)
+                                     warm=start)
             q, ref = prox_affine_fb(fam, generic, c2, x, inner_iters=7,
-                                    scale=0.6, dual=start)
+                                    scale=0.6, warm=start)
             assert np.max(np.abs(p - q)) <= 1e-12 * max(1.0, np.max(np.abs(q)))
             assert np.max(np.abs(diag.dual - ref.dual)) <= 1e-12 * max(
                 1.0, np.max(np.abs(ref.dual)))
@@ -257,32 +257,39 @@ class TestSpectralFB:
         c2 = op.spectral_bound ** 2
         _, first = prox_affine_fb(fam, op, c2, x, inner_iters=3)
         with_spectra = prox_affine_fb(fam, op, c2, x, inner_iters=3,
-                                      dual=first.dual,
-                                      dual_spectra=first.dual_spectra)
-        without = prox_affine_fb(fam, op, c2, x, inner_iters=3, dual=first.dual)
+                                      warm=first)
+        without = prox_affine_fb(fam, op, c2, x, inner_iters=3,
+                                 warm=FBDiagnostics(residuals=[],
+                                                    dual=first.dual))
         assert np.array_equal(with_spectra[0], without[0])
         assert with_spectra[1].residuals == without[1].residuals
 
 
 class TestWarmStartedProx:
+    """Each call's diagnostics, passed back as ``warm``, resume the next."""
+
     def test_dual_cache_carries_across_calls(self):
         f_mat = np.diag([1.0, 2.0])
         b = np.array([1.0, -1.0])
         x = np.array([0.7, 0.9])
         target = _quad_compose_solution(f_mat, b, x)
-        warm = WarmStartedProx(_quad_prox(b), diagonal_operator([1.0, 2.0]),
-                               4.0, inner_iters=8, c1=1.0)
-        first = warm(x)
+        op = diagonal_operator([1.0, 2.0])
+        first, diag = prox_affine_fb(_quad_prox(b), op, 4.0, x, inner_iters=8,
+                                     c1=1.0)
         err_first = np.linalg.norm(first - target)
         for _ in range(6):
-            latest = warm(x)
+            latest, diag = prox_affine_fb(_quad_prox(b), op, 4.0, x,
+                                          inner_iters=8, c1=1.0, warm=diag)
         assert np.linalg.norm(latest - target) < err_first * 1e-3
 
     def test_matches_cold_fb_on_the_first_call(self):
+        # A zero dual is the cold start.
         op = diagonal_operator([1.0, 2.0])
-        warm = WarmStartedProx(_quad_prox([0.0, 0.0]), op, 4.0,
-                               inner_iters=10, c1=1.0)
         x = np.array([1.0, 2.0])
         cold, _ = prox_affine_fb(_quad_prox([0.0, 0.0]), op, 4.0, x,
                                  inner_iters=10, c1=1.0)
-        assert np.array_equal(warm(x), cold)
+        warm, _ = prox_affine_fb(_quad_prox([0.0, 0.0]), op, 4.0, x,
+                                 inner_iters=10, c1=1.0,
+                                 warm=FBDiagnostics(residuals=[],
+                                                    dual=np.zeros(2)))
+        assert np.array_equal(warm, cold)

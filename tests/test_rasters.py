@@ -151,6 +151,19 @@ class TestPgm:
         (b"P5\n1 1\n0\n\x00", "outside"),
         (b"P2\n1 1\n65536\n0\n", "outside"),
         (b"P2\n2 1\n5\n3\n", "1 samples, expected 2"),
+        # Header fields and P2 samples are ASCII decimal digits: no sign, no
+        # underscore, nothing int() would also take. Errors name the file
+        # and the field.
+        (b"P2\nab 1\n5\n3\n", r"bad\.pgm: .*width"),
+        (b"P2\n+2 1\n5\n3 4\n", r"bad\.pgm: .*width"),
+        (b"P2\n0_1 1\n5\n3\n", r"bad\.pgm: .*width"),
+        (b"P2\n-2 1\n5\n3\n", r"bad\.pgm: .*width"),
+        (b"P2\n0 1\n5\n", r"bad\.pgm: .*width"),
+        (b"P5\n1 0\n5\n", r"bad\.pgm: .*height"),
+        (b"P2\n1 1\n5x\n3\n", r"bad\.pgm: .*maxval"),
+        (b"P2\n2 1\n5\n3 +4\n", r"bad\.pgm: .*sample"),
+        (b"P2\n2 1\n5\n3 -1\n", r"bad\.pgm: .*sample"),
+        (b"P2\n2 1\n5\n3 x\n", r"bad\.pgm: .*sample"),
     ])
     def test_malformed_file_rejected(self, tmp_path, blob, match):
         path = str(tmp_path / "bad.pgm")
