@@ -23,7 +23,7 @@ from .deconv import (DeconvProblem, deconvolve, mae, relative_mae,
                      result_metrics, select_gamma_gcv, simulate)
 from .dictionary import parse_dictionary_spec
 from .errors import ProxDeconvError
-from .operators import make_circular_convolution
+from .operators import Image, make_circular_convolution
 from .rasters import read_raster, write_raster
 from .splitting import SplittingConfig
 
@@ -129,14 +129,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_problem(args) -> DeconvProblem:
-    counts = read_raster(args.counts)
-    psf = read_raster(args.psf)
+def _read_psf(path: str) -> Image:
+    psf = read_raster(path)
     # A signed or zero-mass kernel leaves the Poisson model: the blurred
     # intensity can turn negative and the objective infinite.
     if not (np.all(psf.data >= 0.0) and float(np.sum(psf.data)) > 0.0):
-        raise UsageError(f"--psf {args.psf}: kernel samples must be >= 0 "
+        raise UsageError(f"--psf {path}: kernel samples must be >= 0 "
                          "with a positive sum")
+    return psf
+
+
+def _load_problem(args) -> DeconvProblem:
+    counts = read_raster(args.counts)
+    psf = _read_psf(args.psf)
     blur = make_circular_convolution(psf, counts.width, counts.height)
     dictionary = parse_dictionary_spec(args.dict_spec, counts.width, counts.height)
     return DeconvProblem(
@@ -165,7 +170,7 @@ def _replicate_path(path: str, index: int) -> str:
 
 def cmd_simulate(args) -> int:
     truth = read_raster(args.input)
-    psf = read_raster(args.psf)
+    psf = _read_psf(args.psf)
     blur = make_circular_convolution(psf, truth.width, truth.height)
     psf_digest = hashlib.sha256(psf.data.astype("<f8").tobytes()).hexdigest()
     for k in range(args.replicates):

@@ -36,8 +36,8 @@ import numpy as np
 
 from .dictionary import FrameDictionary
 from .errors import DimensionMismatchError
-from .operators import (FourierMultiplier, Image, LinearOperator, compose,
-                        fourier_form)
+from .operators import (FourierMultiplier, Image, LinearOperator,
+                        _check_count, compose, fourier_form)
 from . import prox_compose
 from .prox_compose import ProxFamily, prox_affine_tight
 from .prox_core import eval_poisson, project_positive, prox_poisson, soft_threshold
@@ -78,8 +78,7 @@ class DeconvProblem:
             raise ValueError(f"prior must be one of {PRIORS}, got {self.prior!r}")
         if not 0.0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
-        if self.inner_iters < 1:
-            raise ValueError(f"inner_iters must be >= 1, got {self.inner_iters}")
+        _check_count(self.inner_iters, "inner_iters")
         if not self.counts.is_counts():
             raise ValueError("counts image must hold finite non-negative integers")
         n = self.counts.n
@@ -225,8 +224,7 @@ def richardson_lucy(counts: Image, blur: LinearOperator, iters: int,
     normalizer floored at 1e-12 before division. The default start is the
     flat image at the mean count level (floored at 1).
     """
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
+    _check_count(iters, "iters", least=0)
     if not counts.is_counts():
         raise ValueError("Richardson-Lucy expects a count image")
     y = counts.data

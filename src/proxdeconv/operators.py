@@ -5,15 +5,17 @@ dimensions and a spectral bound so downstream solvers can pick step sizes
 without probing. Shift-invariant operators (circular convolution, the
 starlet bands) are ``FourierMultiplier`` objects: diagonal in the 2-D
 real DFT, with one transfer function per band, so an apply or adjoint
-costs bands + 1 real FFTs (two for a convolution). ``compose`` and ``T``
-build plain operators; ``fourier_form`` is the one place that recovers a
+costs bands + 1 real FFTs (two for a convolution), taken in two numpy
+calls because the bands are one array axis. ``compose`` and ``T`` build
+plain operators; ``fourier_form`` is the one place that recovers a
 multiplier from any operator that has that form (a product of a blur and
 the starlet, say), and ``fft2_count`` counts the 2-D FFTs this module
-computes.
+computes, one per image.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +31,12 @@ def _flat64(values, length: int, context: str) -> Array:
     if arr.size != length:
         raise DimensionMismatchError(expected=length, actual=arr.size, context=context)
     return arr
+
+
+def _check_count(value, name: str, least: int = 1) -> None:
+    """Reject an iteration count that is not an integer >= ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def all_counts(y: Array) -> bool:
@@ -160,19 +168,20 @@ def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
 
 
 fft2_count = 0
-"""Real 2-D FFTs, forward and inverse, computed by this module so far."""
+"""Real 2-D FFTs, forward and inverse, computed by this module so far: one
+per image, also when one call transforms a stack."""
 
 
-def _rfft2(image: Array) -> Array:
+def _rfft2(images: Array) -> Array:
     global fft2_count
-    fft2_count += 1
-    return np.fft.rfft2(image)
+    fft2_count += images.size // (images.shape[-2] * images.shape[-1])
+    return np.fft.rfft2(images)
 
 
-def _irfft2(spectrum: Array, shape: tuple[int, int]) -> Array:
+def _irfft2(spectra: Array, shape: tuple[int, int]) -> Array:
     global fft2_count
-    fft2_count += 1
-    return np.fft.irfft2(spectrum, s=shape).ravel()
+    fft2_count += spectra.size // (spectra.shape[-2] * spectra.shape[-1])
+    return np.fft.irfft2(spectra, s=shape).ravel()
 
 
 class FourierMultiplier(LinearOperator):
@@ -184,8 +193,10 @@ class FourierMultiplier(LinearOperator):
     ``apply`` splits an image into the stack and ``adjoint`` merges a stack
     back through the conjugate gains; ``merge=True`` swaps the two, so that
     ``apply`` sums the filtered bands into one image. One band is a circular
-    convolution either way. Apply and adjoint loop over the bands, holding
-    one band's spectrum at a time, and cost bands + 1 real FFTs.
+    convolution either way. Apply and adjoint cost bands + 1 real FFTs, in
+    two numpy calls: the band axis is an array axis, so all of a stack's
+    half spectra are held at once, a complex array about as large as the
+    stack itself.
 
     The spectral helpers below let a solver stay in the spectrum between
     calls; ``op op^T`` (merging) or ``op^T op`` (splitting) is the
@@ -215,51 +226,27 @@ class FourierMultiplier(LinearOperator):
         self.gains = g
         self.merge = bool(merge)
 
-    def spectrum(self, image: Array) -> Array:
-        """Half spectrum of one flat image (one FFT)."""
-        return _rfft2(image.reshape(self.height, self.width))
+    def spectra(self, flat: Array) -> Array:
+        """Half spectra of a flat image or stack, one per image (one FFT each)."""
+        return _rfft2(flat.reshape(-1, self.height, self.width))
 
-    def image(self, spectrum: Array) -> Array:
-        """Flat image of one half spectrum (one FFT)."""
-        return _irfft2(spectrum, (self.height, self.width))
+    def images(self, spectra: Array) -> Array:
+        """The flat image or stack whose half spectra are ``spectra``."""
+        return _irfft2(spectra, (self.height, self.width))
 
-    def combine(self, spectra, conj: bool = False) -> Array:
+    def combine(self, spectra: Array, conj: bool = False) -> Array:
         """``sum_j gains[j] * spectra[j]``, with conjugate gains if ``conj``."""
-        acc = None
-        for g, spec in zip(self.gains, spectra):
-            term = (g.conj() if conj else g) * spec
-            if acc is None:
-                acc = term
-            else:
-                acc += term
-        return acc
-
-    def split(self, spectrum: Array, conj: bool = False) -> Array:
-        """The flat stack of band images ``gains[j] * spectrum`` (one FFT each)."""
-        n = self.height * self.width
-        out = np.empty(len(self.gains) * n)
-        for j, g in enumerate(self.gains):
-            out[j * n:(j + 1) * n] = self.image((g.conj() if conj else g) * spectrum)
-        return out
-
-    def band_spectra(self, stack: Array):
-        """Half spectra of a flat stack's bands, lazily (one FFT each)."""
-        return map(self.spectrum, stack.reshape(len(self.gains), -1))
+        return np.sum((self.gains.conj() if conj else self.gains) * spectra, axis=0)
 
     @property
     def power(self) -> Array:
         """``sum_j |gains[j]|^2``, computed on each access."""
-        power = np.zeros(self.gains.shape[1:])
-        for g in self.gains:
-            power += g.real ** 2
-            if np.iscomplexobj(g):
-                power += g.imag ** 2
-        return power
+        return np.sum(self.gains.real ** 2 + self.gains.imag ** 2, axis=0)
 
     def image_norm(self, spectrum: Array, weight: Array | None = None) -> float:
-        """``||image(spectrum)||`` by Parseval, without an FFT.
+        """``||images(spectrum)||`` by Parseval, without an FFT.
 
-        With ``weight``, the norm of ``image(sqrt(weight) * spectrum)``.
+        With ``weight``, the norm of ``images(sqrt(weight) * spectrum)``.
         """
         # Interior columns of the half spectrum stand for two columns of the
         # full one; column 0 and an even width's last column for one.
@@ -274,14 +261,14 @@ class FourierMultiplier(LinearOperator):
     def apply(self, x) -> Array:
         x = _flat64(x, self.in_dim, "FourierMultiplier.apply")
         if self.merge:
-            return self.image(self.combine(self.band_spectra(x)))
-        return self.split(self.spectrum(x))
+            return self.images(self.combine(self.spectra(x)))
+        return self.images(self.gains * self.spectra(x))
 
     def adjoint(self, u) -> Array:
         u = _flat64(u, self.out_dim, "FourierMultiplier.adjoint")
         if self.merge:
-            return self.split(self.spectrum(u), conj=True)
-        return self.image(self.combine(self.band_spectra(u), conj=True))
+            return self.images(self.gains.conj() * self.spectra(u))
+        return self.images(self.combine(self.spectra(u), conj=True))
 
 
 def fourier_form(op: LinearOperator, height: int,
@@ -305,10 +292,7 @@ def fourier_form(op: LinearOperator, height: int,
         merge, response = True, op.adjoint(delta)
     else:
         return None
-    gains = np.empty((response.size // n, height, width // 2 + 1),
-                     dtype=np.complex128)
-    for j, band in enumerate(response.reshape(-1, n)):
-        gains[j] = _rfft2(band.reshape(height, width))
+    gains = _rfft2(response.reshape(-1, height, width))
     del response  # the probes below need its memory
     if merge:
         np.conjugate(gains, out=gains)

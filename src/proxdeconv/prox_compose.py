@@ -15,7 +15,7 @@ Two routes:
   otherwise tau = 1.8/c2 < 2/c2 and the primal gap decays like O(1/t).
   When F is a ``FourierMultiplier`` the same iterates are computed in the
   spectrum, F p_t = F x - (F F^T) u_t, at one FFT per dual band each way
-  per step.
+  per step, all bands in one numpy call.
 
 Both routes accept a prox family ``prox_f(v, s) -> prox_{s f}(v)`` so the
 same callable serves every scale the solvers need. A shifted f(. - b) needs
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TightFrameError
-from .operators import FourierMultiplier, LinearOperator, _flat64
+from .operators import FourierMultiplier, LinearOperator, _check_count, _flat64
 
 Array = np.ndarray
 ProxFamily = Callable[[Array, float], Array]
@@ -40,13 +40,14 @@ ProxFamily = Callable[[Array, float], Array]
 class FBDiagnostics:
     """Per-call record: primal residuals and the final dual point.
 
-    ``dual_spectra`` holds the half spectra of the dual's bands when the
-    operator is a ``FourierMultiplier`` (None otherwise).
+    ``dual_spectra`` holds the half spectra of the dual's bands, one array
+    of shape ``(bands, height, width // 2 + 1)``, when the operator is a
+    ``FourierMultiplier`` (None otherwise).
     """
 
     residuals: list[float]
     dual: Array
-    dual_spectra: list[Array] | None = None
+    dual_spectra: Array | None = None
 
 
 def default_tau(c2: float, c1: float | None = None) -> float:
@@ -78,8 +79,8 @@ def verify_tight_frame(frame: LinearOperator, c: float, probes: int = 4,
 def prox_affine_tight(prox_f: ProxFamily, frame: LinearOperator, c: float,
                       x, scale: float = 1.0, check: bool = True) -> Array:
     """Closed-form prox of scale * f(F .) for a tight frame F F^T = c I."""
-    if not scale > 0.0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     if check:
         verify_tight_frame(frame, c)
     x = _flat64(x, frame.in_dim, "prox_affine_tight")
@@ -97,12 +98,13 @@ def prox_affine_fb(prox_f: ProxFamily, op: LinearOperator, c2: float,
     primal point after ``inner_iters`` steps at ``default_tau(c2, c1)``
     together with diagnostics; pass them back as ``warm`` to warm-start the
     next call at a nearby prox target (their ``dual_spectra`` spare the
-    dual's FFTs).
+    dual's FFTs). On a ``FourierMultiplier`` each step transforms a whole
+    band stack in one numpy call, so all of its half spectra are live at
+    once: a complex array about the size of the stack.
     """
-    if not scale > 0.0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    if inner_iters < 1:
-        raise ValueError(f"inner_iters must be >= 1, got {inner_iters}")
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
+    _check_count(inner_iters, "inner_iters")
     x = _flat64(x, op.in_dim, "prox_affine_fb")
     tau = default_tau(c2, c1)
     if warm is None:
@@ -124,7 +126,7 @@ def prox_affine_fb(prox_f: ProxFamily, op: LinearOperator, c2: float,
 
 
 def _fb_spectral(prox_f: ProxFamily, op: FourierMultiplier, tau: float,
-                 x: Array, u: Array, spectra: list[Array] | None,
+                 x: Array, u: Array, spectra: Array | None,
                  inner_iters: int, scale: float) -> tuple[Array, FBDiagnostics]:
     """The loop of prox_affine_fb with F F^T applied in the spectrum.
 
@@ -134,36 +136,34 @@ def _fb_spectral(prox_f: ProxFamily, op: FourierMultiplier, tau: float,
     ||op^T (u_next - u)|| is read off by Parseval.
     """
     residuals: list[float] = []
+    if spectra is None:
+        spectra = op.spectra(u)
     if op.merge or len(op.gains) == 1:
         # op p = op x - (op op^T) u, and op op^T multiplies by op.power, so
         # u / tau + op p has the spectrum drive + (1 / tau - power) U.
         power = op.power
         step = 1.0 / tau - power
-        drive = op.combine(op.band_spectra(x))
-        spec = op.spectrum(u) if spectra is None else spectra[0]
+        drive = op.combine(op.spectra(x))
         for _ in range(inner_iters):
-            w = step * spec
+            w = step * spectra
             w += drive
-            w = op.image(w)
+            w = op.images(w)
             u = tau * (w - prox_f(w, scale / tau))
-            spec_next = op.spectrum(u)
-            residuals.append(op.image_norm(spec_next - spec, power))
-            spec = spec_next
-        spectra = [spec]
-        p = op.split(spec, conj=True)
+            spec_next = op.spectra(u)
+            residuals.append(op.image_norm(spec_next - spectra, power))
+            spectra = spec_next
+        p = op.images(op.gains.conj() * spectra)
         np.subtract(x, p, out=p)
     else:
         # p = x - op^T u is one image, carried as its spectrum.
-        if spectra is None:
-            spectra = list(op.band_spectra(u))
-        x_spec = op.spectrum(x)
+        x_spec = op.spectra(x)
         p_spec = x_spec - op.combine(spectra, conj=True)
         for _ in range(inner_iters):
-            w = u / tau + op.split(p_spec)
+            w = u / tau + op.images(op.gains * p_spec)
             u = tau * (w - prox_f(w, scale / tau))
-            spectra = list(op.band_spectra(u))
+            spectra = op.spectra(u)
             p_next = x_spec - op.combine(spectra, conj=True)
             residuals.append(op.image_norm(p_next - p_spec))
             p_spec = p_next
-        p = op.image(p_spec)
+        p = op.images(p_spec)
     return p, FBDiagnostics(residuals=residuals, dual=u, dual_spectra=spectra)

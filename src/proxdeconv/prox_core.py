@@ -83,8 +83,8 @@ def prox_poisson(x, beta: float, counts, check: bool = True) -> Array:
     ``check=False`` skips the scan of ``counts``, for callers that have
     validated them once already.
     """
-    if not beta > 0.0:
-        raise ValueError(f"prox scale beta must be > 0, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"prox scale beta must be finite and > 0, got {beta}")
     x, y = _pair64(x, counts, "prox_poisson")
     if check:
         _validate_counts(y, "prox_poisson")
@@ -106,7 +106,7 @@ def prox_poisson(x, beta: float, counts, check: bool = True) -> Array:
 
 def soft_threshold(values, threshold: float) -> Array:
     """prox of threshold * ||.||_1: shrink each component toward zero."""
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     v = np.asarray(values, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)

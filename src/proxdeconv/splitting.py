@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonFiniteIterateError, WeightError
-from .operators import _flat64
+from .operators import _check_count, _flat64
 
 Array = np.ndarray
 
@@ -52,8 +52,7 @@ class SplittingConfig:
         if not 0.0 < self.theta < 2.0:
             raise ValueError(f"theta must lie in the open interval (0, 2), "
                              f"got {self.theta}")
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
+        _check_count(self.max_outer, "max_outer")
         if not 0.0 <= self.tol < np.inf:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 

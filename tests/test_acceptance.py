@@ -2,7 +2,7 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the report lines. The
 end-to-end criteria reuse one pipeline fixture (two 4-point GCV restores,
-one solve per grid point, 48 s); the whole file took 159 s on a 2-core
+one solve per grid point, 40 s); the whole file took 140 s on a 2-core
 machine.
 """
 

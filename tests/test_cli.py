@@ -344,16 +344,20 @@ class TestGcvScan:
 
 
 class TestPsfValidation:
-    @pytest.mark.parametrize("command", ["deconvolve", "gcv-scan"])
-    @pytest.mark.parametrize("kernel", [[[-1.0, 3.0, -1.0]], [[0.0, 0.0]]])
+    @pytest.mark.parametrize("command", ["deconvolve", "gcv-scan", "simulate"])
+    @pytest.mark.parametrize("kernel", [[[-1.0, 3.0, -1.0]], [[0.0, 0.0]],
+                                        [[0.5, -0.2, 0.7]]])
     def test_bad_kernel_is_a_usage_error(self, workspace, capsys, command,
                                          kernel):
         write_raster(workspace["psf"], Image.from_2d(kernel))
         out = str(workspace["dir"] / "x.out")
-        gamma = ["--gamma", "0.5"] if command == "deconvolve" \
-            else ["--gamma-grid", "0.5"]
-        code = main([command, "--counts", workspace["counts"], "--psf",
-                     workspace["psf"], "--dict", "dirac", "--out", out] + gamma)
+        rest = {"deconvolve": ["--counts", workspace["counts"], "--dict",
+                               "dirac", "--gamma", "0.5"],
+                "gcv-scan": ["--counts", workspace["counts"], "--dict",
+                             "dirac", "--gamma-grid", "0.5"],
+                "simulate": ["--input", workspace["truth"], "--peak", "30"]}
+        code = main([command, "--psf", workspace["psf"], "--out", out]
+                    + rest[command])
         assert code == 1
         assert "--psf" in capsys.readouterr().err
         assert not os.path.exists(out)

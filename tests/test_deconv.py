@@ -244,8 +244,11 @@ class TestRichardsonLucy:
     def test_input_validation(self):
         counts = Image.from_2d([[4.0, 0.0], [1.0, 3.0]])
         blur = identity_blur(2, 2)
-        with pytest.raises(ValueError):
-            richardson_lucy(counts, blur, -1)
+        for bad in (-1, 2.5, 2.0):
+            with pytest.raises(ValueError, match="iters"):
+                richardson_lucy(counts, blur, bad)
+        assert np.array_equal(richardson_lucy(counts, blur, np.int64(2)).data,
+                              richardson_lucy(counts, blur, 2).data)
         with pytest.raises(ValueError):
             richardson_lucy(Image.from_2d([[0.5, 1.0], [1.0, 1.0]]), blur, 1)
         with pytest.raises(DimensionMismatchError):
@@ -514,8 +517,11 @@ class TestComposeConfigThreading:
         assert np.max(np.abs(res.restored.data - RING_XSTAR)) <= 1e-6
 
     def test_inner_iteration_budget_is_validated(self):
-        with pytest.raises(ValueError):
-            replace(ring_problem("synthesis"), inner_iters=0)
+        for bad in (0, 2.5, 3.0):
+            with pytest.raises(ValueError, match="inner_iters"):
+                replace(ring_problem("synthesis"), inner_iters=bad)
+        assert replace(ring_problem("synthesis"),
+                       inner_iters=np.int32(3)).inner_iters == 3
 
 
 class TestNameLookup:
@@ -598,19 +604,30 @@ class TestFourierPath:
     # synthesis: FB through blur o synthesis (2 per band + 20), positivity
     # peel (2 bands + 2), objective (bands + 1); analysis: FB through the
     # blur (22), FB through the analysis (2 + 20 per band), objective
-    # (bands + 3).
+    # (bands + 3). A multiplier transforms all bands of a stack in one numpy
+    # call, so the calls per iteration do not grow with the levels.
     FFT2_PER_ITERATION = {("synthesis", 2): 38, ("analysis", 2): 90,
                           ("synthesis", 3): 43, ("analysis", 3): 111}
+    NUMPY_FFT_CALLS_PER_ITERATION = {"synthesis": 28, "analysis": 48}
 
     @pytest.mark.parametrize("prior, levels", sorted(FFT2_PER_ITERATION))
-    def test_fft2_per_outer_iteration(self, prior, levels):
-        spent = []
+    def test_fft2_per_outer_iteration(self, prior, levels, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            return lambda *args, **kw: calls.append(fn) or fn(*args, **kw)
+        for name in ("rfft2", "irfft2"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        spent, called = [], []
         for max_outer in (1, 3):
-            before = operators_module.fft2_count
+            before, calls_before = operators_module.fft2_count, len(calls)
             deconvolve(_counts_problem(prior, levels, max_outer))
             spent.append(operators_module.fft2_count - before)
+            called.append(len(calls) - calls_before)
         assert (spent[1] - spent[0]) / 2 == \
             self.FFT2_PER_ITERATION[(prior, levels)]
+        assert (called[1] - called[0]) / 2 == \
+            self.NUMPY_FFT_CALLS_PER_ITERATION[prior]
 
     @pytest.mark.parametrize("spec", ["starlet:levels=2",
                                       "union(starlet:levels=2,dirac)",

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import proxdeconv.operators as operators_module
+
 from proxdeconv import (FourierMultiplier, Image, LinearOperator, compose,
                         diagonal_operator, fourier_form, identity_operator,
                         make_circular_convolution, make_haar_dwt, make_starlet,
@@ -282,10 +284,39 @@ class TestFourierMultiplier:
         x, u = rng.standard_normal(op.in_dim), rng.standard_normal(op.out_dim)
         assert abs(op.apply(x) @ u - x @ op.adjoint(u)) <= 1e-10
         image = rng.standard_normal(h * w)
-        spec = op.spectrum(image)
+        spec = op.spectra(image)
         assert op.image_norm(spec) == pytest.approx(np.linalg.norm(image),
                                                     rel=1e-12)
-        assert np.allclose(op.image(spec), image, atol=1e-12)
+        assert np.allclose(op.images(spec), image, atol=1e-12)
+
+    def test_spectra_transform_a_stack_in_one_call(self):
+        op = FourierMultiplier(np.ones((3, 5, 4)), 5, 6, spectral_bound=1.0)
+        stack = np.random.default_rng(3).standard_normal(op.out_dim)
+        before = operators_module.fft2_count
+        spectra = op.spectra(stack)
+        assert operators_module.fft2_count - before == 3
+        bands = [np.fft.rfft2(band) for band in stack.reshape(3, 5, 6)]
+        assert spectra.tobytes() == np.stack(bands).tobytes()
+        assert np.allclose(op.images(spectra), stack, atol=1e-12)
+        assert operators_module.fft2_count - before == 6
+
+    @pytest.mark.parametrize("complex_gains", [False, True])
+    def test_power_and_combine_match_a_band_loop(self, complex_gains):
+        rng = np.random.default_rng(5)
+        gains = rng.standard_normal((3, 5, 4))
+        if complex_gains:
+            gains = gains + 1j * rng.standard_normal((3, 5, 4))
+        op = FourierMultiplier(gains, 5, 6, spectral_bound=1.0)
+        spectra = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
+        power, combined = np.zeros((5, 4)), np.zeros((5, 4), dtype=complex)
+        for g, spec in zip(gains, spectra):
+            power += g.real ** 2
+            power += g.imag ** 2
+            combined += g.conj() * spec
+        assert op.combine(spectra, conj=True).tobytes() == combined.tobytes()
+        # Summing each band's |g|^2 first reorders the complex additions.
+        tol = 0.0 if not complex_gains else 4 * np.finfo(float).eps * np.max(power)
+        assert np.max(np.abs(op.power - power)) <= tol
 
     def test_gain_shape_checked(self):
         with pytest.raises(DimensionMismatchError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,10 +44,16 @@ class TestConfig:
 
     def test_validation(self):
         op = identity_operator(2)
-        with pytest.raises(ValueError):
-            prox_affine_fb(_positive_prox, op, 1.0, np.zeros(2), inner_iters=0)
-        with pytest.raises(ValueError):
-            prox_affine_fb(_positive_prox, op, 1.0, np.zeros(2), scale=0.0)
+        for bad in (0, 2.5, 3.0):
+            with pytest.raises(ValueError, match="inner_iters"):
+                prox_affine_fb(_positive_prox, op, 1.0, np.zeros(2),
+                               inner_iters=bad)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="scale"):
+                prox_affine_fb(_positive_prox, op, 1.0, np.zeros(2), scale=bad)
+        _, diag = prox_affine_fb(_positive_prox, op, 1.0, np.zeros(2),
+                                 inner_iters=np.int64(3))
+        assert len(diag.residuals) == 3
 
     def test_default_tau(self):
         assert default_tau(4.0, 1.0) == pytest.approx(0.4)
@@ -102,9 +110,10 @@ class TestProxAffineTight:
         assert np.max(np.abs(got - expected)) <= 1e-8
 
     def test_non_positive_scale_rejected(self):
-        with pytest.raises(ValueError):
-            prox_affine_tight(_positive_prox, identity_operator(2), 1.0,
-                              np.zeros(2), scale=0.0)
+        for scale in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="scale"):
+                prox_affine_tight(_positive_prox, identity_operator(2), 1.0,
+                                  np.zeros(2), scale=scale)
 
     def test_non_tight_operator_raises(self):
         with pytest.raises(TightFrameError):

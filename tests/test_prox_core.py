@@ -95,8 +95,9 @@ class TestProxPoisson:
         assert np.allclose(p[y == 0], np.maximum(x[y == 0] - beta, 0.0), atol=1e-12)
 
     def test_beta_validated(self):
-        with pytest.raises(ValueError):
-            prox_poisson([1.0], 0.0, [1.0])
+        for beta in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="beta"):
+                prox_poisson([1.0], beta, [1.0])
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_counts_rejected(self, bad):
@@ -139,8 +140,12 @@ class TestProxPenalty:
         assert np.array_equal(soft_threshold(v, 0.8), v - np.clip(v, -0.8, 0.8))
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError, match="threshold"):
-            soft_threshold([1.0], -0.1)
+        for threshold in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="threshold"):
+                soft_threshold([1.0], threshold)
+
+    def test_infinite_threshold_gives_zero(self):
+        assert np.array_equal(soft_threshold([1.0, -2.0], math.inf), [0.0, 0.0])
 
     def test_zero_threshold_is_identity(self):
         v = np.array([1.0, -2.0])
