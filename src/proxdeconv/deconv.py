@@ -86,6 +86,9 @@ class DeconvProblem:
             if dim != n:
                 raise DimensionMismatchError(expected=n, actual=dim,
                                              context="DeconvProblem blur")
+        if self.blur.spectral_bound == 0.0:
+            raise ValueError("DeconvProblem blur has spectral bound 0 (an "
+                             "all-zero kernel?); it must be > 0")
         grid = (self.counts.height, self.counts.width)
         for name, op in (("blur", self.blur), ("dictionary", self.dictionary)):
             if isinstance(op, (FourierMultiplier, FrameDictionary)) \
@@ -216,27 +219,18 @@ def deconvolve(problem: DeconvProblem) -> DeconvResult:
                         wall_time_s=wall, clip_mass=clip_mass)
 
 
-def richardson_lucy(counts: Image, blur: LinearOperator, iters: int,
-                    x0: Image | None = None) -> Image:
+def richardson_lucy(counts: Image, blur: LinearOperator, iters: int) -> Image:
     """Multiplicative Richardson-Lucy iterate, flux-preserving baseline.
 
     x <- x * H^T(y / (H x)) / H^T(1), with the blurred estimate and the
-    normalizer floored at 1e-12 before division. The default start is the
-    flat image at the mean count level (floored at 1).
+    normalizer floored at 1e-12 before division, starting from the flat
+    image at the mean count level (floored at 1).
     """
     _check_count(iters, "iters", least=0)
     if not counts.is_counts():
         raise ValueError("Richardson-Lucy expects a count image")
     y = counts.data
-    if x0 is None:
-        x = np.full_like(y, max(float(np.mean(y)), 1.0))
-    else:
-        x = np.asarray(x0.data, dtype=np.float64).copy()
-        if x.size != y.size:
-            raise DimensionMismatchError(expected=y.size, actual=x.size,
-                                         context="richardson_lucy x0")
-        if np.any(x <= 0.0):
-            raise ValueError("richardson_lucy start must be strictly positive")
+    x = np.full_like(y, max(float(np.mean(y)), 1.0))
     floor = 1e-12
     normalizer = np.maximum(blur.adjoint(np.ones_like(y)), floor)
     for _ in range(iters):
@@ -309,6 +303,9 @@ def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
         raise ValueError(f"gamma grid must be finite, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"gamma grid must be strictly increasing, got {grid}")
+    if truth is not None and truth.n != problem.counts.n:
+        raise DimensionMismatchError(expected=problem.counts.n, actual=truth.n,
+                                     context="select_gamma_gcv truth")
     rows: list[tuple[float, float, float | None]] = []
     best, best_score = None, None
     for gamma in grid:
@@ -356,15 +353,14 @@ def scale_to_peak(truth: Image, peak: float) -> Image:
     return Image(truth.width, truth.height, truth.data * (peak / top))
 
 
-def result_metrics(result: DeconvResult, truth: Image | None = None,
-                   include_timing: bool = True) -> dict:
+def result_metrics(result: DeconvResult, include_timing: bool = True) -> dict:
     """JSON-ready metrics document for one deconvolution result.
 
-    The objective is +inf at iterates outside the Poisson domain (a pixel
-    slightly below zero is enough); strict JSON has no infinity, so those
-    trace entries are null.
+    ``wall_time_s`` is 0.0 unless ``include_timing``. The objective is +inf
+    at iterates outside the Poisson domain (a pixel slightly below zero is
+    enough); strict JSON has no infinity, so those trace entries are null.
     """
-    metrics = {
+    return {
         "gamma": float(result.gamma_used),
         "iterations": int(result.state.iterations),
         "converged": bool(result.state.converged),
@@ -374,7 +370,3 @@ def result_metrics(result: DeconvResult, truth: Image | None = None,
         "wall_time_s": float(result.wall_time_s) if include_timing else 0.0,
         "clip_mass": float(result.clip_mass),
     }
-    if truth is not None:
-        metrics["mae"] = mae(result.restored, truth)
-        metrics["relative_mae"] = relative_mae(result.restored, truth)
-    return metrics

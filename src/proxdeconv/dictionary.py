@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .operators import FourierMultiplier, LinearOperator
+from .operators import FourierMultiplier, LinearOperator, _check_count
 
 Array = np.ndarray
 
@@ -41,13 +41,14 @@ class FrameDictionary(LinearOperator):
                  synthesis: Callable[[Array], Array],
                  analysis: Callable[[Array], Array],
                  c1: float, c2: float, tight: bool):
-        if width < 1 or height < 1:
-            raise ValueError(f"raster dims must be >= 1, got {width}x{height}")
+        _check_count(width, "width")
+        _check_count(height, "height")
         n = width * height
         if coeff_dim < n:
             raise ValueError(f"coefficient dim {coeff_dim} smaller than raster size {n}")
-        if not (0.0 < c1 <= c2):
-            raise ValueError(f"frame bounds must satisfy 0 < c1 <= c2, got ({c1}, {c2})")
+        if not 0.0 < c1 <= c2 < np.inf:
+            raise ValueError("frame bounds must satisfy 0 < c1 <= c2 < inf, "
+                             f"got ({c1}, {c2})")
         if tight and c1 != c2:
             raise ValueError(f"a tight frame needs c1 == c2, got ({c1}, {c2})")
         super().__init__(coeff_dim, n, synthesis, analysis, np.sqrt(c2))

@@ -15,7 +15,6 @@ computes, one per image.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,8 +33,12 @@ def _flat64(values, length: int, context: str) -> Array:
 
 
 def _check_count(value, name: str, least: int = 1) -> None:
-    """Reject an iteration count that is not an integer >= ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    """Reject a count or size that is not an integer >= ``least``.
+
+    Python and numpy integers pass; bools do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -63,8 +66,8 @@ class Image:
     data: Array
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"raster dims must be >= 1, got {self.width}x{self.height}")
+        _check_count(self.width, "width")
+        _check_count(self.height, "height")
         arr = np.asarray(self.data, dtype=np.float64).ravel()
         if arr.size != self.width * self.height:
             raise DimensionMismatchError(
@@ -106,10 +109,11 @@ class LinearOperator:
                  apply: Callable[[Array], Array],
                  adjoint: Callable[[Array], Array],
                  spectral_bound: float):
-        if in_dim < 1 or out_dim < 1:
-            raise ValueError(f"operator dims must be >= 1, got {in_dim}->{out_dim}")
-        if not (spectral_bound >= 0.0):
-            raise ValueError(f"spectral_bound must be >= 0, got {spectral_bound}")
+        _check_count(in_dim, "in_dim")
+        _check_count(out_dim, "out_dim")
+        if not 0.0 <= spectral_bound < np.inf:
+            raise ValueError(f"spectral_bound must be finite and >= 0, "
+                             f"got {spectral_bound}")
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.spectral_bound = float(spectral_bound)

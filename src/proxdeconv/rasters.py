@@ -1,7 +1,8 @@
-"""Raster file I/O: PGM (P2/P5) and raw float64 with a JSON sidecar.
+"""Raster file I/O: PGM and raw float64 with a JSON sidecar.
 
 PGM stores integer samples up to maxval 65535 (two-byte big-endian samples
 above 255, per the format); it round-trips integer-valued images exactly.
+Images are written as binary PGM (P5); both P2 (ascii) and P5 are read.
 The f64 format is the lossless route for real-valued rasters: little-endian
 row-major float64 payload in ``path`` plus ``path + ".json"`` holding
 ``{"width": W, "height": H, "dtype": "f64-le"}``. Format dispatch goes by
@@ -62,31 +63,18 @@ def read_f64(path: str) -> Image:
     return Image(width=width, height=height, data=data)
 
 
-def write_pgm(path: str, image: Image, binary: bool = True,
-              maxval: int | None = None) -> None:
-    """Write an integer-valued image as P5 (binary) or P2 (ascii)."""
+def write_pgm(path: str, image: Image) -> None:
+    """Write an integer-valued image as binary PGM (P5), with maxval the
+    largest sample (at least 1)."""
     data = image.data
     if np.any(data < 0.0) or np.any(data != np.rint(data)):
         raise ValueError("PGM requires non-negative integer-valued samples")
-    top = int(np.max(data)) if data.size else 0
-    if maxval is None:
-        maxval = max(top, 1)
-    if top > maxval:
-        raise ValueError(f"sample {top} exceeds maxval {maxval}")
+    maxval = max(int(np.max(data)), 1)
     if maxval > PGM_MAXVAL_LIMIT:
         raise ValueError(f"maxval {maxval} exceeds the PGM limit {PGM_MAXVAL_LIMIT}")
-    samples = data.astype(np.uint16 if maxval > 255 else np.uint8)
-    header = f"{'P5' if binary else 'P2'}\n{image.width} {image.height}\n{maxval}\n"
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(samples.astype(">u2").tobytes() if maxval > 255
-                     else samples.tobytes())
-        else:
-            rows = samples.reshape(image.height, image.width)
-            body = "\n".join(" ".join(str(int(v)) for v in row) for row in rows)
-            fh.write(body.encode("ascii"))
-            fh.write(b"\n")
+        fh.write(f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii"))
+        fh.write(data.astype(">u2" if maxval > 255 else np.uint8).tobytes())
 
 
 def _pgm_int(path: str, field: str, token: bytes) -> int:

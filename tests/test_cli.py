@@ -342,6 +342,20 @@ class TestGcvScan:
         assert lines[0] == "gamma,gcv,mae"
         assert float(lines[1].split(",")[2]) <= 1e-5
 
+    def test_wrong_size_truth_fails_before_any_solve(self, workspace, capsys,
+                                                     monkeypatch):
+        truth = str(workspace["dir"] / "small.f64")
+        write_raster(truth, Image.from_2d(np.ones((5, 6))))
+        solves = []
+        monkeypatch.setattr(deconv_module, "deconvolve", solves.append)
+        code = main(["gcv-scan", "--counts", workspace["counts"], "--psf",
+                     workspace["psf"], "--dict", "dirac",
+                     "--gamma-grid", "0.1,0.5", "--truth", truth,
+                     "--out", str(workspace["dir"] / "scan.csv")])
+        assert code == 1
+        assert solves == []
+        assert "truth" in capsys.readouterr().err
+
 
 class TestPsfValidation:
     @pytest.mark.parametrize("command", ["deconvolve", "gcv-scan", "simulate"])

@@ -173,6 +173,14 @@ class TestProblemValidation:
             DeconvProblem(counts=Image(16, 4, np.ones(64)), blur=blur,
                           dictionary=d, gamma=0.1)
 
+    def test_blur_with_zero_bound_rejected(self):
+        # An all-zero kernel: the dual FB step 1.8 / ||H||^2 is undefined.
+        blur = make_circular_convolution(Image.from_2d([[0.0]]), 4, 1,
+                                         origin=(0, 0))
+        with pytest.raises(ValueError, match="blur"):
+            DeconvProblem(counts=RING_COUNTS, blur=blur,
+                          dictionary=make_dirac(4, 1), gamma=0.1)
+
     def test_a_generic_blur_is_checked_by_pixel_count(self):
         # A LinearOperator has no grid, so a transposed one passes.
         blur = make_circular_convolution(MA3, 4, 16)
@@ -220,10 +228,13 @@ class TestRichardsonLucy:
         assert np.max(np.abs(out.data - counts.data)) <= 1e-12
 
     def test_zero_iterations_return_the_start(self):
+        # The start is the flat image at the mean count, floored at 1.
         counts = Image.from_2d([[4.0, 0.0], [1.0, 3.0]])
-        x0 = Image.from_2d([[1.0, 2.0], [3.0, 4.0]])
-        out = richardson_lucy(counts, identity_blur(2, 2), 0, x0=x0)
-        assert np.array_equal(out.data, x0.data)
+        out = richardson_lucy(counts, identity_blur(2, 2), 0)
+        assert np.array_equal(out.data, np.full(4, 2.0))
+        dim = Image.from_2d([[1.0, 0.0], [0.0, 0.0]])
+        out = richardson_lucy(dim, identity_blur(2, 2), 0)
+        assert np.array_equal(out.data, np.ones(4))
 
     def test_flux_is_conserved(self):
         truth = Image.from_2d(scene32())
@@ -244,18 +255,13 @@ class TestRichardsonLucy:
     def test_input_validation(self):
         counts = Image.from_2d([[4.0, 0.0], [1.0, 3.0]])
         blur = identity_blur(2, 2)
-        for bad in (-1, 2.5, 2.0):
+        for bad in (-1, 2.5, 2.0, True):
             with pytest.raises(ValueError, match="iters"):
                 richardson_lucy(counts, blur, bad)
         assert np.array_equal(richardson_lucy(counts, blur, np.int64(2)).data,
                               richardson_lucy(counts, blur, 2).data)
         with pytest.raises(ValueError):
             richardson_lucy(Image.from_2d([[0.5, 1.0], [1.0, 1.0]]), blur, 1)
-        with pytest.raises(DimensionMismatchError):
-            richardson_lucy(counts, blur, 1, x0=Image.from_2d([[1.0, 1.0]]))
-        with pytest.raises(ValueError):
-            richardson_lucy(counts, blur, 1,
-                            x0=Image.from_2d([[0.0, 1.0], [1.0, 1.0]]))
 
 
 class TestGcvScore:
@@ -367,6 +373,14 @@ class TestSelectGammaGcv:
             select_gamma_gcv([0.1, bad], self._noiseless_problem())
         assert solves == []
 
+    def test_wrong_size_truth_fails_before_any_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(deconv_module, "deconvolve", solves.append)
+        with pytest.raises(DimensionMismatchError, match="truth"):
+            select_gamma_gcv([0.1, 0.2], self._noiseless_problem(),
+                             truth=Image.from_2d(np.ones((5, 6))))
+        assert solves == []
+
 
 class TestSimulate:
     def test_zero_truth_yields_zero_counts(self):
@@ -443,14 +457,13 @@ class TestErrorMetrics:
 class TestResultMetrics:
     def test_document_shape(self):
         res = deconvolve(ring_problem("synthesis"))
-        doc = result_metrics(res, truth=Image.from_2d([RING_XSTAR]))
+        doc = result_metrics(res)
         expected_keys = {"gamma", "iterations", "converged",
                          "relative_change_trace", "objective_trace",
-                         "wall_time_s", "clip_mass", "mae", "relative_mae"}
+                         "wall_time_s", "clip_mass"}
         assert set(doc) == expected_keys
         assert doc["gamma"] == 0.1
         assert doc["converged"] is True
-        assert doc["mae"] <= 1e-6
         assert len(doc["relative_change_trace"]) == doc["iterations"]
         assert doc["wall_time_s"] > 0.0
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,20 @@ class TestFrameBounds:
             FrameDictionary(width=2, height=1, coeff_dim=2,
                             synthesis=lambda c: c, analysis=lambda x: x,
                             c1=1.0, c2=2.0, tight=True)
+
+    @pytest.mark.parametrize("width, height, coeff_dim, c1, c2", [
+        (2, 1, 2, 1.0, math.inf),
+        (2, 1, 2, math.inf, math.inf),
+        (2, 1, 2, 0.0, 1.0),
+        (2.5, 1, 3, 1.0, 1.0),
+        (2, True, 2, 1.0, 1.0),
+        (2, 1, 2.5, 1.0, 1.0),
+    ])
+    def test_constructor_validation(self, width, height, coeff_dim, c1, c2):
+        with pytest.raises(ValueError):
+            FrameDictionary(width=width, height=height, coeff_dim=coeff_dim,
+                            synthesis=lambda c: c, analysis=lambda x: x,
+                            c1=c1, c2=c2, tight=False)
 
     def test_known_diagonal_gram(self):
         lo, hi = frame_bounds(_diag_pseudo_dictionary(), probes=500, seed=3)

@@ -40,10 +40,16 @@ class TestImage:
         lambda: Image(width=2, height=-1, data=[]),
         lambda: Image.from_2d(np.zeros(4)),
         lambda: Image.from_2d(np.zeros((2, 2, 2))),
+        lambda: Image(width=2.5, height=2, data=np.zeros(5)),
+        lambda: Image(width=True, height=4, data=np.zeros(4)),
     ])
     def test_invalid_shapes_rejected(self, make):
         with pytest.raises(ValueError):
             make()
+
+    def test_numpy_integer_dims_accepted(self):
+        img = Image(width=np.int64(2), height=np.int32(3), data=np.zeros(6))
+        assert img.n == 6
 
     def test_is_counts(self):
         assert Image(width=3, height=1, data=[0.0, 2.0, 5.0]).is_counts()
@@ -134,10 +140,17 @@ class TestApplyAdjoint:
         lambda: LinearOperator(2, 2, None, None, math.nan),
         lambda: matrix_operator(np.zeros(3)),
         lambda: matrix_operator(np.zeros((2, 2, 2))),
+        lambda: LinearOperator(2, 2, None, None, math.inf),
+        lambda: LinearOperator(2.5, 2, None, None, 1.0),
+        lambda: LinearOperator(2, True, None, None, 1.0),
     ])
     def test_constructor_validation(self, make):
         with pytest.raises(ValueError):
             make()
+
+    def test_numpy_integer_dims_accepted(self):
+        op = LinearOperator(np.int64(2), np.int32(3), None, None, 1.0)
+        assert (op.in_dim, op.out_dim) == (2, 3)
 
     def test_adjoint_view(self):
         op = matrix_operator([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])

@@ -62,6 +62,11 @@ class TestConfig:
             default_tau(0.0)
         with pytest.raises(ValueError):
             default_tau(1.0, 2.0)
+        for c2 in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="c2"):
+                default_tau(c2)
+            with pytest.raises(ValueError, match="c2"):
+                default_tau(c2, 1.0)
 
 
 class TestVerifyTightFrame:
@@ -74,6 +79,11 @@ class TestVerifyTightFrame:
 
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_rejects_a_non_positive_constant(self, c):
+        with pytest.raises(ValueError):
+            verify_tight_frame(identity_operator(3), c)
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_rejects_a_non_finite_constant(self, c):
         with pytest.raises(ValueError):
             verify_tight_frame(identity_operator(3), c)
 
@@ -114,6 +124,13 @@ class TestProxAffineTight:
             with pytest.raises(ValueError, match="scale"):
                 prox_affine_tight(_positive_prox, identity_operator(2), 1.0,
                                   np.zeros(2), scale=scale)
+
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("c", [-1.0, 0.0, math.inf, math.nan])
+    def test_constant_must_be_finite_and_positive(self, c, check):
+        with pytest.raises(ValueError, match="constant"):
+            prox_affine_tight(_positive_prox, identity_operator(2), c,
+                              np.array([1.0, -1.0]), check=check)
 
     def test_non_tight_operator_raises(self):
         with pytest.raises(TightFrameError):

@@ -205,7 +205,7 @@ class TestValidation:
             SplittingConfig(mu=0.0)
         with pytest.raises(ValueError):
             SplittingConfig(max_outer=0)
-        for bad in (2.5, 3.0, "3"):
+        for bad in (2.5, 3.0, "3", True):
             with pytest.raises(ValueError, match="max_outer"):
                 SplittingConfig(max_outer=bad)
         assert SplittingConfig(max_outer=np.int64(3)).max_outer == 3
