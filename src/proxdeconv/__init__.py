@@ -13,9 +13,8 @@ from .prox_compose import (FBDiagnostics, default_tau, prox_affine_fb,
 from .splitting import (ProxTerm, SplittingConfig, SplittingState,
                         relative_change, solve)
 from .deconv import (DeconvProblem, DeconvResult, deconvolve, gcv_score, mae,
-                     objective_analysis, objective_synthesis, relative_mae,
-                     result_metrics, richardson_lucy, scale_to_peak,
-                     select_gamma_gcv, simulate)
+                     objective, relative_mae, result_metrics, richardson_lucy,
+                     scale_to_peak, select_gamma_gcv, simulate)
 from .rasters import read_raster, write_raster
 
 __version__ = "0.1.0"
@@ -33,9 +32,8 @@ __all__ = [
     "ProxTerm", "SplittingConfig", "SplittingState", "relative_change",
     "solve",
     "DeconvProblem", "DeconvResult", "deconvolve", "gcv_score", "mae",
-    "objective_analysis", "objective_synthesis", "relative_mae",
-    "result_metrics", "richardson_lucy", "scale_to_peak", "select_gamma_gcv",
-    "simulate",
+    "objective", "relative_mae", "result_metrics", "richardson_lucy",
+    "scale_to_peak", "select_gamma_gcv", "simulate",
     "read_raster", "write_raster",
     "__version__",
 ]

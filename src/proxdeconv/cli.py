@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .deconv import (DeconvProblem, deconvolve, mae, relative_mae,
+from .deconv import (PRIORS, DeconvProblem, deconvolve, mae, relative_mae,
                      result_metrics, select_gamma_gcv, simulate)
 from .dictionary import parse_dictionary_spec
 from .errors import ProxDeconvError
@@ -81,7 +81,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--psf", required=True, help="kernel raster, centre pixel at lag 0")
     p.add_argument("--dict", dest="dict_spec", required=True,
                    help="dirac | haar:levels=J | starlet:levels=J | union(a,b)")
-    p.add_argument("--prior", choices=("synthesis", "analysis"), default="synthesis")
+    p.add_argument("--prior", choices=PRIORS, default="synthesis")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -100,7 +100,7 @@ class DeconvProblem:
 @dataclass(frozen=True)
 class DeconvResult:
     restored: Image
-    coefficients: Array | None
+    coefficients: Array
     state: SplittingState
     gamma_used: float
     wall_time_s: float
@@ -178,19 +178,17 @@ def _fidelity_penalty(p: DeconvProblem, intensity: Array, coeffs: Array) -> floa
         np.sum(np.abs(coeffs)))
 
 
-def objective_synthesis(p: DeconvProblem, alpha, feasibility_tol: float = 0.0) -> float:
-    """Full objective including the positivity indicator on Phi alpha."""
-    x = p.dictionary.synthesis(alpha)
-    if float(np.min(x)) < -feasibility_tol:
-        return float("inf")
-    return _fidelity_penalty(p, p.blur.apply(x), alpha)
-
-
-def objective_analysis(p: DeconvProblem, x, feasibility_tol: float = 0.0) -> float:
-    x = np.asarray(x, dtype=np.float64).ravel()
+def objective(p: DeconvProblem, v, feasibility_tol: float = 0.0) -> float:
+    """Fidelity plus penalty at the solver's variable v (the coefficients for
+    the synthesis prior, the pixels for the analysis prior); +inf when the
+    image has a pixel below -feasibility_tol."""
+    v = np.asarray(v, dtype=np.float64).ravel()
+    synthesis = p.prior == "synthesis"
+    x = p.dictionary.synthesis(v) if synthesis else v
     if x.size and float(np.min(x)) < -feasibility_tol:
         return float("inf")
-    return _fidelity_penalty(p, p.blur.apply(x), p.dictionary.analysis(x))
+    coeffs = v if synthesis else p.dictionary.analysis(x)
+    return _fidelity_penalty(p, p.blur.apply(x), coeffs)
 
 
 def deconvolve(problem: DeconvProblem) -> DeconvResult:
@@ -202,17 +200,15 @@ def deconvolve(problem: DeconvProblem) -> DeconvResult:
     k = 3
     cfg = replace(problem.splitting, mu=problem.splitting.mu / (k * k))
     terms, value = _terms(problem)
-    objective = value if problem.trace_objective else None
-    if problem.prior == "synthesis":
-        init = problem.dictionary.analysis(problem.counts.data)
-        coefficients, state = solve(terms, cfg, init, objective)
-        raw = problem.dictionary.synthesis(coefficients)
-    else:
-        raw, state = solve(terms, cfg, problem.counts.data, objective)
-        coefficients = None
+    trace = value if problem.trace_objective else None
+    d, synthesis = problem.dictionary, problem.prior == "synthesis"
+    y = problem.counts.data
+    v, state = solve(terms, cfg, d.analysis(y) if synthesis else y, trace)
+    raw = d.synthesis(v) if synthesis else v
     clip_mass = float(np.sum(np.maximum(-raw, 0.0)))
     restored = Image(problem.counts.width, problem.counts.height,
                      np.maximum(raw, 0.0))
+    coefficients = v if synthesis else d.analysis(restored.data)
     wall = time.perf_counter() - start
     return DeconvResult(restored=restored, coefficients=coefficients,
                         state=state, gamma_used=problem.gamma,
@@ -281,12 +277,6 @@ def gcv_score(gamma: float, counts: Image, blur: LinearOperator,
     return float(np.sum(resid * resid)) / float(n - df) ** 2
 
 
-def _score_coefficients(problem: DeconvProblem, result: DeconvResult) -> Array:
-    if problem.prior == "synthesis":
-        return result.coefficients
-    return problem.dictionary.analysis(result.restored.data)
-
-
 def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
                      ) -> tuple[DeconvResult, list[tuple[float, float, float | None]]]:
     """Solve the problem across a gamma grid and keep the GCV minimizer.
@@ -294,7 +284,9 @@ def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
     Returns (best, rows): the winning solve, whose ``gamma_used`` is the
     selected gamma (ties go to the larger gamma), and one
     (gamma, gcv, mae-or-None) row per grid point. The grid must be finite
-    and strictly increasing.
+    and strictly increasing. Under the analysis prior the dictionary must
+    have no more coefficients than pixels: the active count of a redundant
+    analysis is no estimate of the degrees of freedom.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -303,16 +295,20 @@ def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
         raise ValueError(f"gamma grid must be finite, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"gamma grid must be strictly increasing, got {grid}")
-    if truth is not None and truth.n != problem.counts.n:
-        raise DimensionMismatchError(expected=problem.counts.n, actual=truth.n,
+    d, n = problem.dictionary, problem.counts.n
+    if problem.prior == "analysis" and d.coeff_dim > n:
+        raise ValueError(f"analysis-prior GCV needs a dictionary with at most "
+                         f"as many coefficients as pixels, got {d.coeff_dim} "
+                         f"coefficients for {n} pixels")
+    if truth is not None and truth.n != n:
+        raise DimensionMismatchError(expected=n, actual=truth.n,
                                      context="select_gamma_gcv truth")
     rows: list[tuple[float, float, float | None]] = []
     best, best_score = None, None
     for gamma in grid:
-        inst = replace(problem, gamma=gamma)
-        result = deconvolve(inst)
+        result = deconvolve(replace(problem, gamma=gamma))
         score = gcv_score(gamma, problem.counts, problem.blur,
-                          result.restored, _score_coefficients(inst, result))
+                          result.restored, result.coefficients)
         err = mae(result.restored, truth) if truth is not None else None
         rows.append((gamma, score, err))
         if best_score is None or score <= best_score:

@@ -68,6 +68,8 @@ class Image:
     def __post_init__(self):
         _check_count(self.width, "width")
         _check_count(self.height, "height")
+        object.__setattr__(self, "width", int(self.width))
+        object.__setattr__(self, "height", int(self.height))
         arr = np.asarray(self.data, dtype=np.float64).ravel()
         if arr.size != self.width * self.height:
             raise DimensionMismatchError(

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .operators import Image
+from .operators import Image, all_counts
 
 PGM_MAXVAL_LIMIT = 65535
 F64_DTYPE = "f64-le"
@@ -67,8 +67,8 @@ def write_pgm(path: str, image: Image) -> None:
     """Write an integer-valued image as binary PGM (P5), with maxval the
     largest sample (at least 1)."""
     data = image.data
-    if np.any(data < 0.0) or np.any(data != np.rint(data)):
-        raise ValueError("PGM requires non-negative integer-valued samples")
+    if not all_counts(data):
+        raise ValueError("PGM requires finite non-negative integer-valued samples")
     maxval = max(int(np.max(data)), 1)
     if maxval > PGM_MAXVAL_LIMIT:
         raise ValueError(f"maxval {maxval} exceeds the PGM limit {PGM_MAXVAL_LIMIT}")

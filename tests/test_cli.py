@@ -356,6 +356,20 @@ class TestGcvScan:
         assert solves == []
         assert "truth" in capsys.readouterr().err
 
+    def test_redundant_analysis_fails_before_any_solve(self, workspace, capsys,
+                                                        monkeypatch):
+        solves = []
+        monkeypatch.setattr(deconv_module, "deconvolve", solves.append)
+        out = workspace["dir"] / "scan.csv"
+        code = main(["gcv-scan", "--counts", workspace["counts"], "--psf",
+                     workspace["psf"], "--dict", "starlet:levels=2",
+                     "--prior", "analysis", "--gamma-grid", "0.1,0.5",
+                     "--out", str(out)])
+        assert code == 1
+        assert solves == []
+        assert not out.exists()
+        assert "108 coefficients for 36 pixels" in capsys.readouterr().err
+
 
 class TestPsfValidation:
     @pytest.mark.parametrize("command", ["deconvolve", "gcv-scan", "simulate"])

@@ -13,10 +13,9 @@ from proxdeconv import (DeconvProblem, DeconvResult, FrameDictionary, Image,
                         LinearOperator, SplittingConfig, SplittingState,
                         deconvolve, gcv_score, make_circular_convolution,
                         make_dirac, make_haar_dwt, make_starlet, mae,
-                        objective_analysis, objective_synthesis,
-                        parse_dictionary_spec, relative_mae, result_metrics,
-                        richardson_lucy, scale_to_peak, select_gamma_gcv,
-                        simulate)
+                        objective, parse_dictionary_spec, relative_mae,
+                        result_metrics, richardson_lucy, scale_to_peak,
+                        select_gamma_gcv, simulate)
 from proxdeconv.errors import DimensionMismatchError
 
 from oracles import grid_minimize, scene32
@@ -65,18 +64,17 @@ class TestRingInstance:
         res = deconvolve(prob)
         assert res.converged
         assert np.max(np.abs(res.restored.data - RING_XSTAR)) <= 1e-6
-        value = objective_synthesis(prob, res.coefficients,
-                                    feasibility_tol=1e-8)
+        value = objective(prob, res.coefficients, feasibility_tol=1e-8)
         assert value <= RING_JSTAR + 1e-8
 
     def test_analysis_matches_the_closed_form(self):
         prob = ring_problem("analysis")
         res = deconvolve(prob)
         assert res.converged
-        assert res.coefficients is None
+        assert np.array_equal(res.coefficients,
+                              prob.dictionary.analysis(res.restored.data))
         assert np.max(np.abs(res.restored.data - RING_XSTAR)) <= 1e-6
-        value = objective_analysis(prob, res.restored.data,
-                                   feasibility_tol=1e-8)
+        value = objective(prob, res.restored.data, feasibility_tol=1e-8)
         assert value <= RING_JSTAR + 1e-8
 
     def test_grid_search_oracle_agrees(self):
@@ -192,8 +190,6 @@ class TestProblemValidation:
     def test_objective_is_infinite_outside_the_orthant(self, prior):
         prob = ring_problem(prior)
         point = np.array([1.0, 1.0, 1.0, -0.1])
-        objective = objective_synthesis if prior == "synthesis" \
-            else objective_analysis
         assert objective(prob, point) == math.inf
         assert math.isfinite(objective(prob, point, feasibility_tol=1.0))
 
@@ -331,10 +327,7 @@ class TestSelectGammaGcv:
         best, _ = select_gamma_gcv([0.1, 0.5], prob)
         again = deconvolve(replace(prob, gamma=best.gamma_used))
         assert best.restored.data.tobytes() == again.restored.data.tobytes()
-        if prior == "synthesis":
-            assert best.coefficients.tobytes() == again.coefficients.tobytes()
-        else:
-            assert best.coefficients is again.coefficients is None
+        assert best.coefficients.tobytes() == again.coefficients.tobytes()
         assert best.state.iterations == again.state.iterations
 
     def test_truth_column_reports_mae(self):
@@ -371,6 +364,17 @@ class TestSelectGammaGcv:
         monkeypatch.setattr(deconv_module, "deconvolve", solves.append)
         with pytest.raises(ValueError, match="finite"):
             select_gamma_gcv([0.1, bad], self._noiseless_problem())
+        assert solves == []
+
+    def test_redundant_analysis_fails_before_any_solve(self, monkeypatch):
+        # A redundant analysis has more active coefficients than degrees of
+        # freedom; GCV would divide by n - df <= 0 after a full solve.
+        solves = []
+        monkeypatch.setattr(deconv_module, "deconvolve", solves.append)
+        prob = replace(self._noiseless_problem(), prior="analysis",
+                       dictionary=make_starlet(6, 6, 1))
+        with pytest.raises(ValueError, match="72 coefficients for 36 pixels"):
+            select_gamma_gcv([0.1, 0.2], prob)
         assert solves == []
 
     def test_wrong_size_truth_fails_before_any_solve(self, monkeypatch):
@@ -510,10 +514,9 @@ class TestNonTightFrame:
             splitting=SplittingConfig(mu=1.0, max_outer=5000, tol=1e-13))
         res = deconvolve(prob)
         if prior == "synthesis":
-            value = objective_synthesis(prob, res.coefficients,
-                                        feasibility_tol=1e-8)
+            value = objective(prob, res.coefficients, feasibility_tol=1e-8)
         else:
-            value = objective_analysis(prob, res.restored.data)
+            value = objective(prob, res.restored.data)
         _, oracle = grid_minimize(
             lambda pts: self._objective_batch(pts, gamma, prior),
             [0.0, 0.0], [10.0, 10.0])
@@ -652,6 +655,20 @@ class TestFourierPath:
         assert plain.restored.data.tobytes() == wrapped.restored.data.tobytes()
         assert result_metrics(plain, include_timing=False) == \
             result_metrics(wrapped, include_timing=False)
+
+    @pytest.mark.parametrize("spec", ["starlet:levels=2", "haar:levels=2",
+                                      "union(starlet:levels=2,dirac)",
+                                      "dirac"])
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_objective_trace_is_the_objective(self, prior, spec):
+        # The trace runs through the probed Fourier forms, objective through
+        # the blur and dictionary themselves.
+        prob = _counts_problem(prior, max_outer=50, spec=spec)
+        res = deconvolve(prob)
+        traced = res.state.objectives[-1]
+        assert math.isfinite(traced)
+        assert objective(prob, res.state.x, feasibility_tol=math.inf) == \
+            pytest.approx(traced, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
     def test_solver_skips_the_per_call_count_scan(self, prior, monkeypatch):

@@ -9,6 +9,7 @@ import re
 import proxdeconv
 from proxdeconv import rasters
 from proxdeconv.cli import build_parser
+from proxdeconv.deconv import PRIORS
 
 EXPORTS = [
     "DeconvProblem",
@@ -39,8 +40,7 @@ EXPORTS = [
     "make_starlet",
     "make_union",
     "matrix_operator",
-    "objective_analysis",
-    "objective_synthesis",
+    "objective",
     "parse_dictionary_spec",
     "project_positive",
     "prox_affine_fb",
@@ -106,8 +106,7 @@ SIGNATURES = [
     "make_starlet(width, height, levels)",
     "make_union(members)",
     "matrix_operator(mat)",
-    "objective_analysis(p, x, feasibility_tol=0.0)",
-    "objective_synthesis(p, alpha, feasibility_tol=0.0)",
+    "objective(p, v, feasibility_tol=0.0)",
     "parse_dictionary_spec(spec, width, height)",
     "project_positive(x)",
     "prox_affine_fb(prox_f, op, c2, x, inner_iters=10, scale=1.0, c1=None, "
@@ -132,7 +131,7 @@ SIGNATURES = [
     "rasters.write_pgm(path, image)",
 ]
 
-# "command --flag" or "command --flag=default".
+# "command --flag", "command --flag=default", then " {choice,...}" if any.
 FLAGS = [
     "simulate --input",
     "simulate --psf",
@@ -143,7 +142,7 @@ FLAGS = [
     "deconvolve --counts",
     "deconvolve --psf",
     "deconvolve --dict",
-    "deconvolve --prior=synthesis",
+    "deconvolve --prior=synthesis {synthesis,analysis}",
     "deconvolve --gamma",
     "deconvolve --gamma-grid",
     "deconvolve --iters=300",
@@ -161,7 +160,7 @@ FLAGS = [
     "gcv-scan --counts",
     "gcv-scan --psf",
     "gcv-scan --dict",
-    "gcv-scan --prior=synthesis",
+    "gcv-scan --prior=synthesis {synthesis,analysis}",
     "gcv-scan --gamma-grid",
     "gcv-scan --iters=300",
     "gcv-scan --inner-iters=10",
@@ -198,8 +197,14 @@ def test_cli_flags_are_pinned():
                 default = action.default
                 shown = "" if default is None or default is False \
                     else f"={default}"
+                if action.choices is not None:
+                    shown += " {" + ",".join(action.choices) + "}"
                 flags.append(f"{command} {action.option_strings[-1]}{shown}")
     assert flags == FLAGS
+    for command in ("deconvolve", "gcv-scan"):
+        prior, = (action for action in commands[command]._actions
+                  if action.dest == "prior")
+        assert tuple(prior.choices) == PRIORS
 
 
 def test_no_environment_variable_is_read():

@@ -29,6 +29,14 @@ class TestF64:
         assert back.width == img.width and back.height == img.height
         assert np.array_equal(back.data, img.data)
 
+    def test_numpy_integer_sizes_round_trip(self, tmp_path):
+        img = Image(np.int64(2), np.int64(1), [1.0, 2.0])
+        path = str(tmp_path / "sizes.f64")
+        write_f64(path, img)
+        back = read_f64(path)
+        assert (back.width, back.height) == (2, 1)
+        assert np.array_equal(back.data, img.data)
+
     def test_sidecar_contents(self, tmp_path):
         img = _float_image()
         path = str(tmp_path / "field.f64")
@@ -103,6 +111,8 @@ class TestPgm:
             write_pgm(path, Image.from_2d([[1.5]]))
         with pytest.raises(ValueError, match="integer"):
             write_pgm(path, Image.from_2d([[-2.0]]))
+        with pytest.raises(ValueError, match="integer"):
+            write_pgm(path, Image.from_2d([[np.inf, 1.0]]))
 
     def test_maxval_limits(self, tmp_path):
         path = str(tmp_path / "bad.pgm")
