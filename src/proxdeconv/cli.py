@@ -131,12 +131,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_psf(path: str) -> Image:
     psf = read_raster(path)
-    # A signed or zero-mass kernel leaves the Poisson model: the blurred
-    # intensity can turn negative and the objective infinite.
-    if not (np.all(psf.data >= 0.0) and float(np.sum(psf.data)) > 0.0):
-        raise UsageError(f"--psf {path}: kernel samples must be >= 0 "
-                         "with a positive sum")
+    # A signed, infinite or zero-mass kernel leaves the Poisson model: the
+    # blurred intensity can turn negative or infinite.
+    if not (np.all(psf.data >= 0.0) and 0.0 < float(np.sum(psf.data)) < np.inf):
+        raise UsageError(f"--psf {path}: kernel samples must be finite and "
+                         ">= 0 with a positive sum")
     return psf
+
+
+def _read_finite(path: str) -> Image:
+    image = read_raster(path)
+    if not np.all(np.isfinite(image.data)):
+        raise ValueError(f"{path}: raster has non-finite samples")
+    return image
 
 
 def _load_problem(args) -> DeconvProblem:
@@ -210,7 +217,7 @@ def cmd_deconvolve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    truth = read_raster(args.truth)
+    truth = _read_finite(args.truth)
     if args.restored:
         paths = [args.restored]
     else:
@@ -219,7 +226,7 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"no files match {args.pattern!r}")
     per_file = []
     for path in paths:
-        restored = read_raster(path)
+        restored = _read_finite(path)
         per_file.append({"mae": mae(restored, truth), "path": path,
                          "relative_mae": relative_mae(restored, truth)})
     document = {

@@ -37,7 +37,7 @@ import numpy as np
 from .dictionary import FrameDictionary
 from .errors import DimensionMismatchError
 from .operators import (FourierMultiplier, Image, LinearOperator,
-                        _check_count, compose, fourier_form)
+                        _check_count, compose, fourier_form, identity_operator)
 from . import prox_compose
 from .prox_compose import ProxFamily, prox_affine_tight
 from .prox_core import eval_poisson, project_positive, prox_poisson, soft_threshold
@@ -59,9 +59,7 @@ class DeconvProblem:
     lie on the counts' grid, and so must a ``FourierMultiplier`` blur; any
     other blur only needs the counts' pixel count. ``inner_iters`` is the
     number of dual forward-backward steps per call of every composed prox
-    that has no closed form.
-    ``trace_objective`` records fidelity + penalty per iteration at the cost
-    of one extra objective evaluation.
+    that has no closed form. Every solve traces the objective per iteration.
     """
 
     counts: Image
@@ -71,7 +69,6 @@ class DeconvProblem:
     prior: str = "synthesis"
     splitting: SplittingConfig = field(default_factory=SplittingConfig)
     inner_iters: int = 10
-    trace_objective: bool = True
 
     def __post_init__(self):
         if self.prior not in PRIORS:
@@ -133,16 +130,18 @@ def _fb(prox_f: ProxFamily, op: LinearOperator, p: DeconvProblem,
     return prox
 
 
-def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], Callable[[Array], float]]:
-    """The three prox terms, and fidelity plus penalty at the solver's variable.
+def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], Callable, LinearOperator, Callable]:
+    """The problem as the solver sees it; the only code that reads the prior.
 
-    Data fidelity, sparsity and positivity are each proxed at their scale.
-    The blur, and blur o dictionary or the analysis, are probed for their
-    Fourier form (the module docstring gives the rule for peel versus FB),
-    so wrapped or user-built operators take the same path as shipped ones.
-    The positivity peel runs the dictionary itself: a Fourier form costs
-    the same FFTs. The prox families look the elementwise proxes up by name
-    on each call.
+    Returns the three prox terms, fidelity plus penalty at the solver's
+    variable v, the map from v to the image (the dictionary, or the identity
+    under the analysis prior; its adjoint takes the counts to the start
+    point), and the coefficients from v and the clipped image. The blur, and
+    blur o dictionary or the analysis, are probed for their Fourier form (the
+    module docstring gives the rule for peel versus FB), so wrapped or
+    user-built operators take the same path as shipped ones. The positivity
+    peel runs the dictionary itself: a Fourier form costs the same FFTs. The
+    prox families look the elementwise proxes up by name on each call.
     """
     def fourier(op: LinearOperator) -> LinearOperator:
         form = fourier_form(op, p.counts.height, p.counts.width)
@@ -157,7 +156,8 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], Callable[[Array], float]]:
     if p.prior == "analysis":
         w = fourier(d.T)
         proxes = (_fb(poisson, h, p), _fb(sparsity, w, p, d.c1, d.c2), positive)
-        value = lambda x: _fidelity_penalty(p, h.apply(x), w.apply(x))
+        intensity, penalized = h, w.apply
+        image, coefficients = identity_operator(y.size), lambda v, x: d.analysis(x)
     else:
         h_phi = fourier(compose(h, d))
         if d.tight and not isinstance(h_phi, FourierMultiplier):
@@ -167,48 +167,41 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], Callable[[Array], float]]:
         positivity = _peel(positive, d, d.c1) if d.tight \
             else _fb(positive, d, p, d.c1, d.c2)
         proxes = (fidelity, sparsity, positivity)
-        value = lambda alpha: _fidelity_penalty(p, h_phi.apply(alpha), alpha)
+        intensity, penalized = h_phi, lambda alpha: alpha
+        image, coefficients = d, lambda v, x: v
+    value = lambda v: eval_poisson(intensity.apply(v), y, check=False) \
+        + gamma * float(np.sum(np.abs(penalized(v))))
     labels = ("data-fidelity", "sparsity", "positivity")
     return [ProxTerm(prox=f, weight=1.0 / 3.0, label=label)
-            for f, label in zip(proxes, labels)], value
-
-
-def _fidelity_penalty(p: DeconvProblem, intensity: Array, coeffs: Array) -> float:
-    return eval_poisson(intensity, p.counts.data, check=False) + p.gamma * float(
-        np.sum(np.abs(coeffs)))
+            for f, label in zip(proxes, labels)], value, image, coefficients
 
 
 def objective(p: DeconvProblem, v, feasibility_tol: float = 0.0) -> float:
     """Fidelity plus penalty at the solver's variable v (the coefficients for
-    the synthesis prior, the pixels for the analysis prior); +inf when the
-    image has a pixel below -feasibility_tol."""
+    the synthesis prior, the pixels for the analysis prior), as the solver
+    traces it; +inf when the image has a pixel below -feasibility_tol."""
+    _, value, image, _ = _terms(p)
     v = np.asarray(v, dtype=np.float64).ravel()
-    synthesis = p.prior == "synthesis"
-    x = p.dictionary.synthesis(v) if synthesis else v
+    x = image.apply(v)
     if x.size and float(np.min(x)) < -feasibility_tol:
         return float("inf")
-    coeffs = v if synthesis else p.dictionary.analysis(x)
-    return _fidelity_penalty(p, p.blur.apply(x), coeffs)
+    return value(v)
 
 
 def deconvolve(problem: DeconvProblem) -> DeconvResult:
     """Solve one instance with the prior selected in the problem."""
     start = time.perf_counter()
-    # Per-term prox scale mu/omega with the user mu mapped so each of the
-    # three equal-weight terms is proxed at scale mu/3 (DR converges for any
-    # uniform rescaling of the terms' prox scale).
-    k = 3
-    cfg = replace(problem.splitting, mu=problem.splitting.mu / (k * k))
-    terms, value = _terms(problem)
-    trace = value if problem.trace_objective else None
-    d, synthesis = problem.dictionary, problem.prior == "synthesis"
-    y = problem.counts.data
-    v, state = solve(terms, cfg, d.analysis(y) if synthesis else y, trace)
-    raw = d.synthesis(v) if synthesis else v
+    # The solver proxes each term at mu/omega = 3 mu with omega = 1/3; the
+    # user's mu is divided by 9 so that each term is proxed at mu/3 (DR
+    # converges for any uniform rescaling of the terms' prox scale).
+    cfg = replace(problem.splitting, mu=problem.splitting.mu / 9)
+    terms, value, image, coefficients_of = _terms(problem)
+    v, state = solve(terms, cfg, image.adjoint(problem.counts.data), value)
+    raw = image.apply(v)
     clip_mass = float(np.sum(np.maximum(-raw, 0.0)))
     restored = Image(problem.counts.width, problem.counts.height,
                      np.maximum(raw, 0.0))
-    coefficients = v if synthesis else d.analysis(restored.data)
+    coefficients = coefficients_of(v, restored.data)
     wall = time.perf_counter() - start
     return DeconvResult(restored=restored, coefficients=coefficients,
                         state=state, gamma_used=problem.gamma,
@@ -325,9 +318,9 @@ def simulate(truth: Image, blur: LinearOperator, peak: float, seed: int) -> Imag
     below the round-off band -1e-9 * peak raise; tiny negatives from FFT
     round-off are clamped to zero.
     """
+    if not np.all((truth.data >= 0.0) & (truth.data < np.inf)):
+        raise ValueError("truth image must be finite and non-negative")
     scaled = scale_to_peak(truth, peak)
-    if np.any(truth.data < 0.0):
-        raise ValueError("truth image must be non-negative")
     lam = blur.apply(scaled.data)
     low = float(np.min(lam)) if lam.size else 0.0
     if low < -1e-9 * peak:

@@ -99,8 +99,7 @@ def make_haar_dwt(width: int, height: int, levels: int) -> FrameDictionary:
     passed through, which covers 1-D rasters; every other axis length must be
     divisible by 2**levels.
     """
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
+    _check_count(levels, "levels")
     for name, size in (("width", width), ("height", height)):
         if size > 1 and size % (1 << levels) != 0:
             raise ValueError(
@@ -167,8 +166,7 @@ def make_starlet(width: int, height: int, levels: int) -> FrameDictionary:
     Coefficients are laid out as levels+1 full-size rasters: detail scales
     fine to coarse, then the smooth residual.
     """
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
+    _check_count(levels, "levels")
     if width < (1 << levels) or height < (1 << levels):
         raise ValueError(
             f"raster {height}x{width} too small for {levels} starlet levels"

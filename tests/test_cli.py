@@ -73,6 +73,18 @@ class TestSimulate:
                 seeds.append(json.load(fh)["seed"])
         assert seeds == [5, 6, 7]
 
+    @pytest.mark.parametrize("sample", [math.nan, math.inf])
+    def test_non_finite_truth_is_named(self, workspace, capsys, sample):
+        truth = np.ones((6, 6))
+        truth[2, 3] = sample
+        write_raster(workspace["truth"], Image.from_2d(truth))
+        out = str(workspace["dir"] / "sim.pgm")
+        code = main(["simulate", "--input", workspace["truth"], "--psf",
+                     workspace["psf"], "--peak", "30", "--out", out])
+        assert code == 1
+        assert "truth image must be finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_replicates_without_an_extension(self, workspace, capsys):
         out = str(workspace["dir"] / "rep")
         code = main(["simulate", "--input", workspace["truth"], "--psf",
@@ -312,6 +324,21 @@ class TestEvaluate:
         assert code == 1
         assert "no files match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["restored", "truth"])
+    def test_non_finite_raster_is_named(self, workspace, capsys, bad):
+        paths = {"restored": str(workspace["dir"] / "restored.f64"),
+                 "truth": workspace["truth"]}
+        write_raster(paths["restored"], Image.from_2d(np.ones((6, 6))))
+        image = np.ones((6, 6))
+        image[0, 1] = math.nan
+        write_raster(paths[bad], Image.from_2d(image))
+        out = str(workspace["dir"] / "eval.json")
+        code = main(["evaluate", "--restored", paths["restored"],
+                     "--truth", paths["truth"], "--out", out])
+        assert code == 1
+        assert f"{paths[bad]}: raster has non-finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestGcvScan:
     def test_csv_table_and_selection(self, workspace, capsys):
@@ -374,7 +401,8 @@ class TestGcvScan:
 class TestPsfValidation:
     @pytest.mark.parametrize("command", ["deconvolve", "gcv-scan", "simulate"])
     @pytest.mark.parametrize("kernel", [[[-1.0, 3.0, -1.0]], [[0.0, 0.0]],
-                                        [[0.5, -0.2, 0.7]]])
+                                        [[0.5, -0.2, 0.7]],
+                                        [[0.0, math.inf, 0.0]]])
     def test_bad_kernel_is_a_usage_error(self, workspace, capsys, command,
                                          kernel):
         write_raster(workspace["psf"], Image.from_2d(kernel))

@@ -430,6 +430,12 @@ class TestSimulate:
         blur = identity_blur(1, 1)
         with pytest.raises(ValueError):
             simulate(Image.from_2d([[-1.0]]), blur, 10.0, 0)
+        for sample in (np.nan, np.inf):
+            # Checked before scaling, where inf meets inf * 0, and before
+            # NaN reaches the Poisson sampler.
+            with pytest.raises(ValueError, match="truth image"):
+                simulate(Image.from_2d([[1.0, sample]]), identity_blur(2, 1),
+                         10.0, 0)
         for peak in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="peak"):
                 simulate(truth, blur, peak, 0)
@@ -478,8 +484,10 @@ class TestResultMetrics:
         assert "mae" not in doc
 
     def test_objective_trace_optional(self):
-        prob = replace(ring_problem("synthesis"), trace_objective=False)
-        doc = result_metrics(deconvolve(prob))
+        # deconvolve always traces; a state built without a trace reports [].
+        res = deconvolve(ring_problem("synthesis"))
+        res = replace(res, state=replace(res.state, objectives=None))
+        doc = result_metrics(res)
         assert doc["objective_trace"] == []
 
 
@@ -661,14 +669,12 @@ class TestFourierPath:
                                       "dirac"])
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
     def test_objective_trace_is_the_objective(self, prior, spec):
-        # The trace runs through the probed Fourier forms, objective through
-        # the blur and dictionary themselves.
+        # objective is the traced value itself, bit for bit.
         prob = _counts_problem(prior, max_outer=50, spec=spec)
         res = deconvolve(prob)
         traced = res.state.objectives[-1]
         assert math.isfinite(traced)
-        assert objective(prob, res.state.x, feasibility_tol=math.inf) == \
-            pytest.approx(traced, rel=1e-12, abs=0.0)
+        assert objective(prob, res.state.x, feasibility_tol=math.inf) == traced
 
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
     def test_solver_skips_the_per_call_count_scan(self, prior, monkeypatch):

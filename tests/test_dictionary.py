@@ -132,6 +132,15 @@ class TestStarlet:
             make_starlet(4, 4, levels=3)
 
 
+@pytest.mark.parametrize("maker", [make_haar_dwt, make_starlet])
+@pytest.mark.parametrize("levels", [True, 0, 2.5, "2"])
+def test_levels_must_be_a_count(maker, levels):
+    # bool is an int subclass: True would pass a plain `levels < 1` check
+    # and build a one-level Haar basis or an all-NaN starlet.
+    with pytest.raises(ValueError, match="levels"):
+        maker(8, 8, levels)
+
+
 class TestUnion:
     def test_single_member_passthrough(self):
         base = make_haar_dwt(4, 4, levels=1)

@@ -76,7 +76,7 @@ def test_every_export_resolves():
 # Parameter names and defaults, without annotations.
 SIGNATURES = [
     "DeconvProblem(counts, blur, dictionary, gamma, prior='synthesis', "
-    "splitting=<factory>, inner_iters=10, trace_objective=True)",
+    "splitting=<factory>, inner_iters=10)",
     "DeconvResult(restored, coefficients, state, gamma_used, wall_time_s, "
     "clip_mass)",
     "FBDiagnostics(residuals, dual, dual_spectra=None)",
