@@ -227,6 +227,10 @@ def cmd_evaluate(args) -> int:
     per_file = []
     for path in paths:
         restored = _read_finite(path)
+        if (restored.width, restored.height) != (truth.width, truth.height):
+            raise ValueError(f"{path} is {restored.width}x{restored.height} "
+                             f"but truth {args.truth} is "
+                             f"{truth.width}x{truth.height}")
         per_file.append({"mae": mae(restored, truth), "path": path,
                          "relative_mae": relative_mae(restored, truth)})
     document = {
@@ -240,7 +244,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_gcv_scan(args) -> int:
     problem = _load_problem(args)
-    truth = read_raster(args.truth) if args.truth else None
+    truth = _read_finite(args.truth) if args.truth else None
     best, rows = select_gamma_gcv(args.gamma_grid, problem, truth)
     header = "gamma,gcv,mae" if truth is not None else "gamma,gcv"
     lines = [header]

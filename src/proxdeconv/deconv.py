@@ -172,8 +172,8 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], Callable, LinearOperator, 
     value = lambda v: eval_poisson(intensity.apply(v), y, check=False) \
         + gamma * float(np.sum(np.abs(penalized(v))))
     labels = ("data-fidelity", "sparsity", "positivity")
-    return [ProxTerm(prox=f, weight=1.0 / 3.0, label=label)
-            for f, label in zip(proxes, labels)], value, image, coefficients
+    terms = [ProxTerm(prox=f, label=label) for f, label in zip(proxes, labels)]
+    return terms, value, image, coefficients
 
 
 def objective(p: DeconvProblem, v, feasibility_tol: float = 0.0) -> float:
@@ -191,9 +191,9 @@ def objective(p: DeconvProblem, v, feasibility_tol: float = 0.0) -> float:
 def deconvolve(problem: DeconvProblem) -> DeconvResult:
     """Solve one instance with the prior selected in the problem."""
     start = time.perf_counter()
-    # The solver proxes each term at mu/omega = 3 mu with omega = 1/3; the
-    # user's mu is divided by 9 so that each term is proxed at mu/3 (DR
-    # converges for any uniform rescaling of the terms' prox scale).
+    # The solver proxes each of its K = 3 terms at K mu, so the user's mu is
+    # divided by 9 to prox each at mu/3 (DR converges for any uniform
+    # rescaling of the terms' prox scale).
     cfg = replace(problem.splitting, mu=problem.splitting.mu / 9)
     terms, value, image, coefficients_of = _terms(problem)
     v, state = solve(terms, cfg, image.adjoint(problem.counts.data), value)
@@ -229,7 +229,12 @@ def richardson_lucy(counts: Image, blur: LinearOperator, iters: int) -> Image:
 
 
 def mae(a, b) -> float:
-    """Mean absolute error between two rasters (or flat arrays)."""
+    """Mean absolute error between two rasters on one grid (or flat arrays
+    of one size)."""
+    if isinstance(a, Image) and isinstance(b, Image) \
+            and (a.height, a.width) != (b.height, b.width):
+        raise DimensionMismatchError(expected=(a.height, a.width),
+                                     actual=(b.height, b.width), context="mae")
     av = a.data if isinstance(a, Image) else np.asarray(a, dtype=np.float64).ravel()
     bv = b.data if isinstance(b, Image) else np.asarray(b, dtype=np.float64).ravel()
     if av.size != bv.size:
@@ -246,6 +251,12 @@ def relative_mae(estimate, truth) -> float:
     return mae(estimate, truth) / denom
 
 
+def _active_count(gamma: float, coefficients) -> int:
+    """#{ |coeff_i| >= gamma }, GCV's proxy for the degrees of freedom."""
+    coeffs = np.asarray(coefficients, dtype=np.float64).ravel()
+    return int(np.count_nonzero(np.abs(coeffs) >= gamma))
+
+
 def gcv_score(gamma: float, counts: Image, blur: LinearOperator,
               restored: Image, coefficients) -> float:
     """Generalized cross-validation score on variance-stabilized residuals.
@@ -260,8 +271,7 @@ def gcv_score(gamma: float, counts: Image, blur: LinearOperator,
         raise ValueError(f"gamma must be > 0, got {gamma}")
     y = counts.data
     n = y.size
-    coeffs = np.asarray(coefficients, dtype=np.float64).ravel()
-    df = int(np.count_nonzero(np.abs(coeffs) >= gamma))
+    df = _active_count(gamma, coefficients)
     if df >= n:
         raise ValueError(f"degrees of freedom {df} >= pixel count {n}; "
                          "GCV denominator vanishes")
@@ -276,10 +286,13 @@ def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
 
     Returns (best, rows): the winning solve, whose ``gamma_used`` is the
     selected gamma (ties go to the larger gamma), and one
-    (gamma, gcv, mae-or-None) row per grid point. The grid must be finite
-    and strictly increasing. Under the analysis prior the dictionary must
-    have no more coefficients than pixels: the active count of a redundant
-    analysis is no estimate of the degrees of freedom.
+    (gamma, gcv, mae-or-None) row per grid point. A point whose active
+    count reaches the pixel count scores +inf, the limit of the GCV score as
+    df -> n, and is never selected; a grid where every point does raises.
+    The grid must be finite and strictly increasing, and a truth must lie on
+    the counts' grid. Under the analysis prior the dictionary must have no
+    more coefficients than pixels: the active count of a redundant analysis
+    is no estimate of the degrees of freedom.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -293,19 +306,27 @@ def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
         raise ValueError(f"analysis-prior GCV needs a dictionary with at most "
                          f"as many coefficients as pixels, got {d.coeff_dim} "
                          f"coefficients for {n} pixels")
-    if truth is not None and truth.n != n:
-        raise DimensionMismatchError(expected=n, actual=truth.n,
+    shape = (problem.counts.height, problem.counts.width)
+    if truth is not None and (truth.height, truth.width) != shape:
+        raise DimensionMismatchError(expected=shape,
+                                     actual=(truth.height, truth.width),
                                      context="select_gamma_gcv truth")
     rows: list[tuple[float, float, float | None]] = []
     best, best_score = None, None
     for gamma in grid:
         result = deconvolve(replace(problem, gamma=gamma))
-        score = gcv_score(gamma, problem.counts, problem.blur,
-                          result.restored, result.coefficients)
+        if _active_count(gamma, result.coefficients) >= n:
+            score = float("inf")
+        else:
+            score = gcv_score(gamma, problem.counts, problem.blur,
+                              result.restored, result.coefficients)
         err = mae(result.restored, truth) if truth is not None else None
         rows.append((gamma, score, err))
         if best_score is None or score <= best_score:
             best, best_score = result, score
+    if best_score == float("inf"):
+        raise ValueError(f"no gamma in {grid} can be scored: every solve has "
+                         f"at least {n} active coefficients, the pixel count")
     return best, rows
 
 
@@ -355,7 +376,7 @@ def result_metrics(result: DeconvResult, include_timing: bool = True) -> dict:
         "converged": bool(result.state.converged),
         "relative_change_trace": [float(r) for r in result.state.relative_changes],
         "objective_trace": [float(v) if np.isfinite(v) else None
-                            for v in (result.state.objectives or [])],
+                            for v in result.state.objectives],
         "wall_time_s": float(result.wall_time_s) if include_timing else 0.0,
         "clip_mass": float(result.clip_mass),
     }

@@ -28,10 +28,6 @@ class TightFrameError(ProxDeconvError, ValueError):
     """The supplied operator is not a tight frame with the claimed constant."""
 
 
-class WeightError(ProxDeconvError, ValueError):
-    """Splitting weights are invalid (non-positive or do not sum to one)."""
-
-
 class NonFiniteIterateError(ProxDeconvError, RuntimeError):
     """A solver iterate became NaN or infinite."""
 

@@ -1,16 +1,16 @@
 """Product-space averaging solver for sums of proximable terms.
 
 Minimizes f_1(x) + ... + f_K(x) given only the prox of each term, by
-Douglas-Rachford splitting on the weighted product space: every term keeps
-its own copy p_i of the variable, proxes are taken at scale mu / omega_i,
-and the copies are averaged and reflected,
+Douglas-Rachford splitting on the product space: every term keeps its own
+copy p_i of the variable, proxes are taken at scale mu / omega_i, and the
+copies are averaged and reflected,
 
     xi_{t,i} = prox_{(mu / omega_i) f_i}(p_{t,i})
     xi_t     = sum_i omega_i xi_{t,i}
     p_{t+1,i} = p_{t,i} + theta (2 xi_t - x_t - xi_{t,i})
     x_{t+1}   = x_t + theta (xi_t - x_t)
 
-with weights omega_i in (0, 1] summing to one and a constant relaxation
+with equal weights omega_i = 1/K over the K terms and a constant relaxation
 theta in (0, 2). Under a standard relative-interior qualification on the
 domains, x_t converges to a minimizer for every mu > 0; truncated inner
 proxes are tolerated as summable errors. Iteration stops when the relative
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteIterateError, WeightError
+from .errors import NonFiniteIterateError
 from .operators import _check_count, _flat64
 
 Array = np.ndarray
@@ -35,7 +35,6 @@ class ProxTerm:
     """One summand: ``prox(point, scale)`` must return prox_{scale * f}(point)."""
 
     prox: Callable[[Array, float], Array]
-    weight: float
     label: str = ""
 
 
@@ -66,7 +65,7 @@ class SplittingState:
     iterations: int
     converged: bool
     relative_changes: list[float]
-    objectives: list[float] | None
+    objectives: list[float]
 
 
 def relative_change(new, old) -> float:
@@ -88,37 +87,34 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init,
     """Run the averaged splitting iteration until tolerance or max_outer.
 
     Every term copy starts at ``init``. When ``objective`` is given it is
-    evaluated at each new iterate and recorded in the trace. Term ordering
-    does not affect the result beyond float round-off.
+    evaluated at each new iterate and recorded in the trace, which is
+    otherwise empty. Term ordering does not affect the result beyond float
+    round-off.
     """
     terms = list(terms)
     if not terms:
-        raise WeightError("need at least one prox term")
-    weights = np.array([t.weight for t in terms], dtype=np.float64)
-    if np.any(weights <= 0.0) or np.any(weights > 1.0):
-        raise WeightError(f"weights must lie in (0, 1], got {weights.tolist()}")
-    if abs(float(np.sum(weights)) - 1.0) > 1e-12:
-        raise WeightError(f"weights must sum to 1, got sum={float(np.sum(weights))!r}")
+        raise ValueError("need at least one prox term")
+    w = 1.0 / len(terms)
 
     x = np.asarray(init, dtype=np.float64).ravel().copy()
     dim = x.size
     copies = [x.copy() for _ in terms]
     rel_trace: list[float] = []
-    obj_trace: list[float] | None = [] if objective is not None else None
+    obj_trace: list[float] = []
     converged = False
     iterations = 0
 
     for t in range(cfg.max_outer):
         proxed = []
         for term, p in zip(terms, copies):
-            xi = _flat64(term.prox(p, cfg.mu / term.weight), dim,
+            xi = _flat64(term.prox(p, cfg.mu / w), dim,
                          f"prox output of term {term.label!r}")
             if not np.all(np.isfinite(xi)):
                 raise NonFiniteIterateError(iteration=t, label=term.label)
             proxed.append(xi)
         xi_bar = np.zeros(dim)
-        for term, xi in zip(terms, proxed):
-            xi_bar += term.weight * xi
+        for xi in proxed:
+            xi_bar += w * xi
         for p, xi in zip(copies, proxed):
             p += cfg.theta * (2.0 * xi_bar - x - xi)
         # Free spent outputs before relative_change allocates. Freeing xi (the
@@ -129,7 +125,7 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init,
             raise NonFiniteIterateError(iteration=t, label="<average>")
         rel = relative_change(x_next, x)
         rel_trace.append(rel)
-        if obj_trace is not None:
+        if objective is not None:
             obj_trace.append(float(objective(x_next)))
         x = x_next
         iterations = t + 1

@@ -180,26 +180,22 @@ def test_criterion_05_splitting_vs_oracles():
     gaps = []
 
     a = np.array([2.0, -1.0, 3.0])
-    terms = [ProxTerm(prox=lambda v, s: (v + s * a) / (1.0 + s), weight=1.0,
-                      label="quad")]
+    terms = [ProxTerm(prox=lambda v, s: (v + s * a) / (1.0 + s), label="quad")]
     x, _ = solve(terms, SplittingConfig(max_outer=2000, tol=1e-12), np.zeros(3))
     gaps.append(0.5 * float(np.sum((x - a) ** 2)))
 
     positive = lambda v, s: np.maximum(v, 0.0)
-    terms = [ProxTerm(prox=lambda v, s: (v - 3.0 * s) / (1.0 + s), weight=0.5,
-                      label="quad"),
-             ProxTerm(prox=positive, weight=0.5, label="cone")]
+    terms = [ProxTerm(prox=lambda v, s: (v - 3.0 * s) / (1.0 + s), label="quad"),
+             ProxTerm(prox=positive, label="cone")]
     x, _ = solve(terms, SplittingConfig(max_outer=2000, tol=1e-13),
                  np.array([5.0]))
     x = np.maximum(x, 0.0)
     gaps.append(0.5 * float((x[0] + 3.0) ** 2) - 4.5)
 
     b = np.array([2.0, -1.0])
-    terms = [ProxTerm(prox=lambda v, s: (v + s * b) / (1.0 + s),
-                      weight=1.0 / 3.0, label="quad"),
-             ProxTerm(prox=lambda v, s: soft_threshold(v, s), weight=1.0 / 3.0,
-                      label="l1"),
-             ProxTerm(prox=positive, weight=1.0 / 3.0, label="cone")]
+    terms = [ProxTerm(prox=lambda v, s: (v + s * b) / (1.0 + s), label="quad"),
+             ProxTerm(prox=lambda v, s: soft_threshold(v, s), label="l1"),
+             ProxTerm(prox=positive, label="cone")]
     x, _ = solve(terms, SplittingConfig(max_outer=2000, tol=1e-13), np.zeros(2))
     x = np.maximum(x, 0.0)
     value = (0.5 * float(np.sum((x - b) ** 2)) + float(np.sum(np.abs(x))))

@@ -339,6 +339,17 @@ class TestEvaluate:
         assert f"{paths[bad]}: raster has non-finite" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("shape", [(4, 9), (2, 3)],
+                             ids=["same-pixel-count", "other-pixel-count"])
+    def test_grid_mismatch_names_both_files(self, workspace, capsys, shape):
+        restored = str(workspace["dir"] / "restored.f64")
+        write_raster(restored, Image.from_2d(np.ones(shape)))
+        code = main(["evaluate", "--restored", restored,
+                     "--truth", workspace["truth"]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert restored in err and workspace["truth"] in err
+
 
 class TestGcvScan:
     def test_csv_table_and_selection(self, workspace, capsys):
@@ -372,16 +383,34 @@ class TestGcvScan:
     def test_wrong_size_truth_fails_before_any_solve(self, workspace, capsys,
                                                      monkeypatch):
         truth = str(workspace["dir"] / "small.f64")
-        write_raster(truth, Image.from_2d(np.ones((5, 6))))
         solves = []
         monkeypatch.setattr(deconv_module, "deconvolve", solves.append)
+        # 4x9 holds the counts' 36 pixels on another grid.
+        for shape in ((5, 6), (4, 9)):
+            write_raster(truth, Image.from_2d(np.ones(shape)))
+            code = main(["gcv-scan", "--counts", workspace["counts"], "--psf",
+                         workspace["psf"], "--dict", "dirac",
+                         "--gamma-grid", "0.1,0.5", "--truth", truth,
+                         "--out", str(workspace["dir"] / "scan.csv")])
+            assert code == 1
+            assert solves == []
+            assert "truth" in capsys.readouterr().err
+
+    def test_non_finite_truth_is_named(self, workspace, capsys, monkeypatch):
+        truth = np.ones((6, 6))
+        truth[2, 3] = math.nan
+        path = str(workspace["dir"] / "nan_truth.f64")
+        write_raster(path, Image.from_2d(truth))
+        solves = []
+        monkeypatch.setattr(deconv_module, "deconvolve", solves.append)
+        out = workspace["dir"] / "scan.csv"
         code = main(["gcv-scan", "--counts", workspace["counts"], "--psf",
                      workspace["psf"], "--dict", "dirac",
-                     "--gamma-grid", "0.1,0.5", "--truth", truth,
-                     "--out", str(workspace["dir"] / "scan.csv")])
+                     "--gamma-grid", "0.5", "--truth", path, "--out", str(out)])
         assert code == 1
         assert solves == []
-        assert "truth" in capsys.readouterr().err
+        assert not out.exists()
+        assert f"{path}: raster has non-finite" in capsys.readouterr().err
 
     def test_redundant_analysis_fails_before_any_solve(self, workspace, capsys,
                                                         monkeypatch):

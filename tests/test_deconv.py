@@ -10,12 +10,13 @@ import proxdeconv.operators as operators_module
 import proxdeconv.prox_compose as prox_compose_module
 import proxdeconv.prox_core as prox_core_module
 from proxdeconv import (DeconvProblem, DeconvResult, FrameDictionary, Image,
-                        LinearOperator, SplittingConfig, SplittingState,
-                        deconvolve, gcv_score, make_circular_convolution,
-                        make_dirac, make_haar_dwt, make_starlet, mae,
-                        objective, parse_dictionary_spec, relative_mae,
-                        result_metrics, richardson_lucy, scale_to_peak,
-                        select_gamma_gcv, simulate)
+                        LinearOperator, ProxTerm, SplittingConfig,
+                        SplittingState, deconvolve, gcv_score,
+                        make_circular_convolution, make_dirac, make_haar_dwt,
+                        make_starlet, make_union, mae, objective,
+                        parse_dictionary_spec,
+                        relative_mae, result_metrics, richardson_lucy,
+                        scale_to_peak, select_gamma_gcv, simulate, solve)
 from proxdeconv.errors import DimensionMismatchError
 
 from oracles import grid_minimize, scene32
@@ -88,7 +89,7 @@ class TestRingInstance:
     def test_objective_trace_improves_on_the_start(self):
         res = deconvolve(ring_problem("synthesis"))
         trace = res.state.objectives
-        assert trace is not None
+        assert len(trace) == res.state.iterations
         assert trace[-1] <= trace[0]
 
     def test_vanishing_penalty_returns_the_counts_under_identity_blur(self):
@@ -341,7 +342,7 @@ class TestSelectGammaGcv:
             restored=Image(6, 6, np.zeros(36)), coefficients=np.zeros(36),
             state=SplittingState(x=np.zeros(36), aux=[], iterations=1,
                                  converged=True, relative_changes=[0.0],
-                                 objectives=None),
+                                 objectives=[]),
             gamma_used=1.0, wall_time_s=0.0, clip_mass=0.0)
         monkeypatch.setattr(deconv_module, "deconvolve",
                             lambda p: replace(canned, gamma_used=p.gamma))
@@ -380,10 +381,31 @@ class TestSelectGammaGcv:
     def test_wrong_size_truth_fails_before_any_solve(self, monkeypatch):
         solves = []
         monkeypatch.setattr(deconv_module, "deconvolve", solves.append)
-        with pytest.raises(DimensionMismatchError, match="truth"):
-            select_gamma_gcv([0.1, 0.2], self._noiseless_problem(),
-                             truth=Image.from_2d(np.ones((5, 6))))
+        # 4x9 holds the counts' 36 pixels on another grid.
+        for shape in ((5, 6), (4, 9)):
+            with pytest.raises(DimensionMismatchError, match="truth"):
+                select_gamma_gcv([0.1, 0.2], self._noiseless_problem(),
+                                 truth=Image.from_2d(np.ones(shape)))
         assert solves == []
+
+    def _redundant_problem(self):
+        # Two stacked Diracs give 72 coefficients for 36 positive pixels, so
+        # a small gamma leaves more active coefficients than pixels.
+        y = np.arange(36, dtype=np.float64).reshape(6, 6) % 7 + 1
+        return DeconvProblem(
+            counts=Image.from_2d(y), blur=identity_blur(6, 6),
+            dictionary=make_union([make_dirac(6, 6), make_dirac(6, 6)]),
+            gamma=1.0, splitting=SplittingConfig(mu=1.0, max_outer=200))
+
+    def test_saturated_point_scores_inf_and_is_never_selected(self):
+        best, rows = select_gamma_gcv([1e-3, 100.0], self._redundant_problem())
+        assert rows[0][1] == math.inf
+        assert math.isfinite(rows[1][1])
+        assert best.gamma_used == 100.0
+
+    def test_grid_with_no_scorable_point_rejected(self):
+        with pytest.raises(ValueError, match="can be scored"):
+            select_gamma_gcv([1e-3, 2e-3], self._redundant_problem())
 
 
 class TestSimulate:
@@ -455,6 +477,11 @@ class TestErrorMetrics:
     def test_mae_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             mae(np.ones(3), np.ones(4))
+        # Rasters compare by grid: 4x9 and 6x6 hold the same pixel count.
+        with pytest.raises(DimensionMismatchError, match=r"\(6, 6\)"):
+            mae(Image.from_2d(np.ones((4, 9))), Image.from_2d(np.ones((6, 6))))
+        # A flat array still compares by size.
+        assert mae(np.ones(36), Image.from_2d(np.ones((6, 6)))) == 0.0
 
     def test_relative_mae(self):
         truth = Image.from_2d([[2.0, 2.0], [2.0, 2.0]])
@@ -484,10 +511,12 @@ class TestResultMetrics:
         assert "mae" not in doc
 
     def test_objective_trace_optional(self):
-        # deconvolve always traces; a state built without a trace reports [].
+        # deconvolve always traces; a solve given no objective traces [].
         res = deconvolve(ring_problem("synthesis"))
-        res = replace(res, state=replace(res.state, objectives=None))
-        doc = result_metrics(res)
+        _, state = solve([ProxTerm(prox=lambda v, s: v)],
+                         SplittingConfig(max_outer=2), res.state.x)
+        assert state.objectives == []
+        doc = result_metrics(replace(res, state=state))
         assert doc["objective_trace"] == []
 
 
@@ -684,3 +713,29 @@ class TestFourierPath:
                             lambda y: scans.append(y.size) or True)
         deconvolve(_counts_problem(prior))
         assert scans == []
+
+
+def _same_result(a, b):
+    assert a.restored.data.tobytes() == b.restored.data.tobytes()
+    assert a.coefficients.tobytes() == b.coefficients.tobytes()
+    assert a.state.relative_changes == b.state.relative_changes
+    assert a.state.objectives == b.state.objectives
+    assert a.state.iterations == b.state.iterations
+
+
+class TestRerunsInOneProcess:
+    """One problem object, run twice: no warm start, probed Fourier form or
+    other state may outlive a solve."""
+
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_one_problem_solved_twice(self, prior):
+        p = _counts_problem(prior, max_outer=8)
+        _same_result(deconvolve(p), deconvolve(p))
+
+    def test_one_problem_scanned_twice(self):
+        # gamma 1 leaves 263 active coefficients for 256 pixels: an inf row.
+        p = _counts_problem("synthesis", max_outer=8)
+        best_a, rows_a = select_gamma_gcv([1.0, 5.0], p)
+        best_b, rows_b = select_gamma_gcv([1.0, 5.0], p)
+        assert rows_a == rows_b
+        _same_result(best_a, best_b)

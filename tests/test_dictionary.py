@@ -158,7 +158,7 @@ class TestUnion:
 
     def test_dirac_plus_starlet_is_parseval(self):
         u = make_union([make_dirac(8, 8), make_starlet(8, 8, levels=2)])
-        lo, hi = frame_bounds(u, probes=300, seed=1)
+        lo, hi = frame_bounds(u)
         assert abs(lo - 1.0) <= 1e-10
         assert abs(hi - 1.0) <= 1e-10
 
@@ -187,7 +187,7 @@ class TestFrameBounds:
         assert hi == pytest.approx(1.0, abs=1e-10)
 
     def test_starlet_within_one_percent(self):
-        lo, hi = frame_bounds(make_starlet(16, 16, levels=3), probes=300)
+        lo, hi = frame_bounds(make_starlet(16, 16, levels=3))
         assert abs(lo - 1.0) <= 0.01
         assert abs(hi - 1.0) <= 0.01
 
@@ -214,7 +214,7 @@ class TestFrameBounds:
                             c1=c1, c2=c2, tight=False)
 
     def test_known_diagonal_gram(self):
-        lo, hi = frame_bounds(_diag_pseudo_dictionary(), probes=500, seed=3)
+        lo, hi = frame_bounds(_diag_pseudo_dictionary())
         assert lo == pytest.approx(1.0, rel=0.01)
         assert hi == pytest.approx(9.0, rel=0.01)
 

@@ -1,13 +1,13 @@
-"""The package's public names, signatures and CLI flags, pinned one per
-line, so that adding or removing an export, an option or a flag shows up as
-a one-line change here."""
+"""The package's public names, signatures, error types and CLI flags,
+pinned one per line, so that adding or removing an export, an option, an
+error type or a flag shows up as a one-line change here."""
 
 import inspect
 import pathlib
 import re
 
 import proxdeconv
-from proxdeconv import rasters
+from proxdeconv import errors, rasters
 from proxdeconv.cli import build_parser
 from proxdeconv.deconv import PRIORS
 
@@ -85,7 +85,7 @@ SIGNATURES = [
     "tight)",
     "Image(width, height, data)",
     "LinearOperator(in_dim, out_dim, apply, adjoint, spectral_bound)",
-    "ProxTerm(prox, weight, label='')",
+    "ProxTerm(prox, label='')",
     "SplittingConfig(mu=1.0, theta=1.0, max_outer=300, tol=1e-05)",
     "SplittingState(x, aux, iterations, converged, relative_changes, "
     "objectives)",
@@ -95,7 +95,7 @@ SIGNATURES = [
     "diagonal_operator(diag)",
     "eval_poisson(eta, counts, check=True)",
     "fourier_form(op, height, width)",
-    "frame_bounds(d, probes=200, seed=0)",
+    "frame_bounds(d)",
     "gcv_score(gamma, counts, blur, restored, coefficients)",
     "grad_poisson(eta, counts)",
     "identity_operator(n)",
@@ -130,6 +130,23 @@ SIGNATURES = [
     "rasters.write_f64(path, image)",
     "rasters.write_pgm(path, image)",
 ]
+
+# Exception classes of proxdeconv.errors with their bases.
+ERRORS = [
+    "DimensionMismatchError(ProxDeconvError, ValueError)",
+    "DomainError(ProxDeconvError, ValueError)",
+    "NonFiniteIterateError(ProxDeconvError, RuntimeError)",
+    "ProxDeconvError(Exception)",
+    "TightFrameError(ProxDeconvError, ValueError)",
+]
+
+
+def test_error_types_are_pinned():
+    classes = [f"{name}({', '.join(b.__name__ for b in cls.__bases__)})"
+               for name, cls in sorted(vars(errors).items())
+               if isinstance(cls, type) and issubclass(cls, BaseException)]
+    assert classes == ERRORS
+
 
 # "command --flag", "command --flag=default", then " {choice,...}" if any.
 FLAGS = [

@@ -5,7 +5,7 @@ import pytest
 
 from proxdeconv import (ProxTerm, SplittingConfig, project_positive,
                         relative_change, soft_threshold, solve)
-from proxdeconv.errors import NonFiniteIterateError, WeightError
+from proxdeconv.errors import NonFiniteIterateError
 
 from oracles import grid_minimize
 
@@ -21,8 +21,7 @@ def _positive_prox(v, s):
 
 
 def _terms(*pairs):
-    k = len(pairs)
-    return [ProxTerm(prox=p, weight=1.0 / k, label=label) for label, p in pairs]
+    return [ProxTerm(prox=p, label=label) for label, p in pairs]
 
 
 class TestRelativeChange:
@@ -48,7 +47,7 @@ class TestRelativeChange:
 class TestSingleTerm:
     def test_quadratic_reaches_its_minimizer(self):
         a = np.array([2.0, -1.0, 3.0])
-        terms = [ProxTerm(prox=_quad_prox(a), weight=1.0, label="quad")]
+        terms = [ProxTerm(prox=_quad_prox(a), label="quad")]
         x, state = solve(terms, SplittingConfig(max_outer=500, tol=1e-12),
                          np.zeros(3))
         assert np.max(np.abs(x - a)) <= 1e-6
@@ -119,19 +118,19 @@ class TestAlgorithmMechanics:
         # tracked copy by copy. Guards the reflection and averaging lines.
         prox1 = lambda v, s: v / (1.0 + s)
         prox2 = lambda v, s: v - s
-        terms = [ProxTerm(prox=prox1, weight=0.25, label="a"),
-                 ProxTerm(prox=prox2, weight=0.75, label="b")]
+        terms = [ProxTerm(prox=prox1, label="a"),
+                 ProxTerm(prox=prox2, label="b")]
         theta, iters = 1.3, 7
         mu = 0.8
         init = np.array([2.0, -1.0, 0.5])
 
         x = init.copy()
         copies = [init.copy(), init.copy()]
-        weights = [0.25, 0.75]
         proxes = [prox1, prox2]
         for _ in range(iters):
-            xi = [p(c, mu / w) for p, c, w in zip(proxes, copies, weights)]
-            xi_bar = weights[0] * xi[0] + weights[1] * xi[1]
+            # Equal weights 1/2: each term is proxed at mu / (1/2).
+            xi = [p(c, 2.0 * mu) for p, c in zip(proxes, copies)]
+            xi_bar = 0.5 * xi[0] + 0.5 * xi[1]
             copies = [c + theta * (2.0 * xi_bar - x - z)
                       for c, z in zip(copies, xi)]
             x = x + theta * (xi_bar - x)
@@ -157,7 +156,7 @@ class TestAlgorithmMechanics:
 class TestStoppingAndTrace:
     def test_stops_once_relative_change_is_small(self):
         a = np.array([1.0])
-        terms = [ProxTerm(prox=_quad_prox(a), weight=1.0, label="quad")]
+        terms = [ProxTerm(prox=_quad_prox(a), label="quad")]
         x, state = solve(terms, SplittingConfig(max_outer=10000, tol=1e-6),
                          np.array([100.0]))
         assert state.converged
@@ -166,7 +165,7 @@ class TestStoppingAndTrace:
         assert state.iterations < 10000
 
     def test_iteration_cap_reported(self):
-        terms = [ProxTerm(prox=_quad_prox([1.0]), weight=1.0, label="quad")]
+        terms = [ProxTerm(prox=_quad_prox([1.0]), label="quad")]
         _, state = solve(terms, SplittingConfig(max_outer=3, tol=0.0),
                          np.array([100.0]))
         assert not state.converged
@@ -174,24 +173,12 @@ class TestStoppingAndTrace:
 
 
 class TestValidation:
-    def test_weights_must_sum_to_one(self):
-        terms = [ProxTerm(prox=_quad_prox([0.0]), weight=0.6, label="a"),
-                 ProxTerm(prox=_quad_prox([0.0]), weight=0.6, label="b")]
-        with pytest.raises(WeightError):
-            solve(terms, SplittingConfig(), np.zeros(1))
-
-    def test_weights_must_be_positive(self):
-        terms = [ProxTerm(prox=_quad_prox([0.0]), weight=0.0, label="a"),
-                 ProxTerm(prox=_quad_prox([0.0]), weight=1.0, label="b")]
-        with pytest.raises(WeightError):
-            solve(terms, SplittingConfig(), np.zeros(1))
-
     def test_empty_term_list_rejected(self):
-        with pytest.raises(WeightError):
+        with pytest.raises(ValueError, match="at least one prox term"):
             solve([], SplittingConfig(), np.zeros(1))
 
     def test_init_required(self):
-        terms = [ProxTerm(prox=_quad_prox([0.0]), weight=1.0, label="a")]
+        terms = [ProxTerm(prox=_quad_prox([0.0]), label="a")]
         with pytest.raises(TypeError):
             solve(terms, SplittingConfig())
 
