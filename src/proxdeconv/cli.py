@@ -67,13 +67,18 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=_positive(int, "--iters"), default=300,
                    help="outer iteration cap (default 300)")
     p.add_argument("--inner-iters", type=_positive(int, "--inner-iters"), default=10,
-                   help="truncated inner prox iterations (default 10)")
+                   help="analysis prior: dual FB steps per composed prox call; "
+                        "the synthesis prior has no inner loop (default 10)")
     p.add_argument("--theta", type=float, default=1.0,
-                   help="relaxation in (0,2) (default 1.0)")
+                   help="relaxation in (0,2): of the DR average (analysis) or "
+                        "of the primal-dual step (synthesis) (default 1.0)")
     p.add_argument("--mu", type=_positive(float, "--mu"), default=1.0,
-                   help="prox step scale (default 1.0)")
+                   help="analysis prior: DR prox step scale; the synthesis "
+                        "prior steps by 2 x the mean count instead (default 1.0)")
     p.add_argument("--tol", type=_positive(float, "--tol"), default=1e-5,
-                   help="relative-change stopping tolerance (default 1e-5)")
+                   help="stopping tolerance on the relative change of the "
+                        "iterate (analysis), and also on the duals' change "
+                        "(synthesis) (default 1e-5)")
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:

@@ -1,8 +1,7 @@
 """Poisson deconvolution: solver assembly, baselines, and diagnostics.
 
 Restores x >= 0 from counts y ~ Poisson(H x) with H a known blur, by
-splitting the objective into three proximable terms and running the
-product-space solver:
+splitting the objective into three proximable terms:
 
 * synthesis prior (solve over coefficients alpha, x = Phi alpha):
       fidelity o H o Phi  +  gamma ||alpha||_1  +  positivity o Phi
@@ -15,15 +14,18 @@ probes H, and H o Phi or Phi^T, for their Fourier form (``fourier_form``):
 the circular blur, Dirac, the starlet, their unions and products are
 diagonal in the 2-D DFT and run as ``FourierMultiplier`` objects, while
 Haar and other operators that are not shift-invariant run through their
-own transforms. A composition through a tight dictionary peels off in
-closed form; every other one runs the truncated dual forward-backward prox
-(``DeconvProblem.inner_iters`` steps per call) with its dual warm-started
-across outer iterations. The one exception: the synthesis fidelity runs
-FB through H o Phi (in the spectrum when it has a Fourier form), except
-that a tight Phi without one (Haar) peels off around FB through H, which
-keeps its transforms out of the inner loop. Also here: the Richardson-Lucy
-baseline, a GCV score for picking gamma, Poisson count simulation, and MAE
-metrics.
+own transforms.
+
+The synthesis prior runs the primal-dual iteration: the fidelity and the
+positivity carry their maps H o Phi and Phi, the l1 term is the primal
+prox, and every prox is elementwise, so an iteration has no inner loop.
+Its primal step is tau = 2 mean(y), a rule measured on the criterion-8
+problems. The analysis prior runs Douglas-Rachford: the composition
+through the analysis and through H have no closed form, so each runs the
+truncated dual forward-backward prox (``DeconvProblem.inner_iters`` steps
+per call) with its dual warm-started across outer iterations. Also here:
+the Richardson-Lucy baseline, a GCV score for picking gamma, Poisson count
+simulation, and MAE metrics.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import DimensionMismatchError
 from .operators import (FourierMultiplier, Image, LinearOperator,
                         _check_count, compose, fourier_form, identity_operator)
 from . import prox_compose
-from .prox_compose import ProxFamily, prox_affine_tight
+from .prox_compose import ProxFamily
 from .prox_core import eval_poisson, project_positive, prox_poisson, soft_threshold
 from .splitting import ProxTerm, SplittingConfig, SplittingState, solve
 
@@ -52,14 +54,17 @@ PRIORS = ("synthesis", "analysis")
 class DeconvProblem:
     """One restoration instance.
 
-    ``splitting.mu`` is the user-facing step scale: the three equal-weight
-    terms are proxed at scale mu/3 each (so the sparsity step thresholds at
-    mu * gamma / 3). The solver starts at the analysis coefficients of y
-    (synthesis prior) or at y itself (analysis prior). The dictionary must
-    lie on the counts' grid, and so must a ``FourierMultiplier`` blur; any
-    other blur only needs the counts' pixel count. ``inner_iters`` is the
-    number of dual forward-backward steps per call of every composed prox
-    that has no closed form. Every solve traces the objective per iteration.
+    The solver starts at the analysis coefficients of y (synthesis prior)
+    or at y itself (analysis prior). Under the analysis prior,
+    ``splitting.mu`` is the step scale: the three equal-weight terms are
+    proxed at scale mu/3 each (so the sparsity step thresholds at
+    mu * gamma / 3), and ``inner_iters`` is the number of dual
+    forward-backward steps per call of each composed prox. The synthesis
+    prior's primal-dual iteration reads neither: its step comes from the
+    counts. ``splitting.theta``, ``max_outer`` and ``tol`` hold for both.
+    The dictionary must lie on the counts' grid, and so must a
+    ``FourierMultiplier`` blur; any other blur only needs the counts' pixel
+    count. Every solve traces the objective per iteration.
     """
 
     counts: Image
@@ -108,12 +113,6 @@ class DeconvResult:
         return self.state.converged
 
 
-def _peel(prox_f: ProxFamily, phi: LinearOperator, c: float) -> ProxFamily:
-    """prox of f o phi in closed form, for a tight phi phi^T = c I."""
-    return lambda v, s: prox_affine_tight(prox_f, phi, c, v, scale=s,
-                                          check=False)
-
-
 def _fb(prox_f: ProxFamily, op: LinearOperator, p: DeconvProblem,
         c1: float | None = None, c2: float | None = None) -> ProxFamily:
     """prox of f o op by dual FB, each call warm-started from the last one's
@@ -130,18 +129,18 @@ def _fb(prox_f: ProxFamily, op: LinearOperator, p: DeconvProblem,
     return prox
 
 
-def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], Callable, LinearOperator, Callable]:
+def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
+                                     Callable, LinearOperator, Callable]:
     """The problem as the solver sees it; the only code that reads the prior.
 
-    Returns the three prox terms, fidelity plus penalty at the solver's
-    variable v, the map from v to the image (the dictionary, or the identity
-    under the analysis prior; its adjoint takes the counts to the start
-    point), and the coefficients from v and the clipped image. The blur, and
-    blur o dictionary or the analysis, are probed for their Fourier form (the
-    module docstring gives the rule for peel versus FB), so wrapped or
-    user-built operators take the same path as shipped ones. The positivity
-    peel runs the dictionary itself: a Fourier form costs the same FFTs. The
-    prox families look the elementwise proxes up by name on each call.
+    Returns the three prox terms, the solver's settings, fidelity plus
+    penalty at the solver's variable v, the map from v to the image (the
+    dictionary, or the identity under the analysis prior; its adjoint takes
+    the counts to the start point), and the coefficients from v and the
+    clipped image. The blur, and blur o dictionary or the analysis, are
+    probed for their Fourier form, so wrapped or user-built operators take
+    the same path as shipped ones. The prox families look the elementwise
+    proxes up by name on each call.
     """
     def fourier(op: LinearOperator) -> LinearOperator:
         form = fourier_form(op, p.counts.height, p.counts.width)
@@ -153,34 +152,38 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], Callable, LinearOperator, 
     sparsity = lambda v, s: soft_threshold(v, s * gamma)
     positive = lambda v, s: project_positive(v)
     h = fourier(p.blur)
+    labels = ("data-fidelity", "sparsity", "positivity")
     if p.prior == "analysis":
         w = fourier(d.T)
         proxes = (_fb(poisson, h, p), _fb(sparsity, w, p, d.c1, d.c2), positive)
+        terms = [ProxTerm(prox=f, label=label) for f, label in zip(proxes, labels)]
+        # DR proxes each of its K = 3 terms at K mu, so the user's mu is
+        # divided by 9 to prox each at mu/3 (DR converges for any uniform
+        # rescaling of the terms' prox scale).
+        cfg = replace(p.splitting, mu=p.splitting.mu / 9)
         intensity, penalized = h, w.apply
         image, coefficients = identity_operator(y.size), lambda v, x: d.analysis(x)
     else:
         h_phi = fourier(compose(h, d))
-        if d.tight and not isinstance(h_phi, FourierMultiplier):
-            fidelity = _peel(_fb(poisson, h, p), d, d.c1)
-        else:
-            fidelity = _fb(poisson, h_phi, p)
-        positivity = _peel(positive, d, d.c1) if d.tight \
-            else _fb(positive, d, p, d.c1, d.c2)
-        proxes = (fidelity, sparsity, positivity)
+        terms = [ProxTerm(prox=poisson, label=labels[0], op=h_phi),
+                 ProxTerm(prox=sparsity, label=labels[1]),
+                 ProxTerm(prox=positive, label=labels[2], op=fourier(d))]
+        # The primal step grows with the counts: 2 mean(y), or 1 when every
+        # count is 0 (the minimizer is then 0 at any step).
+        mean = float(np.mean(y))
+        cfg = replace(p.splitting, mu=2.0 * mean if mean > 0.0 else 1.0)
         intensity, penalized = h_phi, lambda alpha: alpha
         image, coefficients = d, lambda v, x: v
     value = lambda v: eval_poisson(intensity.apply(v), y, check=False) \
         + gamma * float(np.sum(np.abs(penalized(v))))
-    labels = ("data-fidelity", "sparsity", "positivity")
-    terms = [ProxTerm(prox=f, label=label) for f, label in zip(proxes, labels)]
-    return terms, value, image, coefficients
+    return terms, cfg, value, image, coefficients
 
 
 def objective(p: DeconvProblem, v, feasibility_tol: float = 0.0) -> float:
     """Fidelity plus penalty at the solver's variable v (the coefficients for
     the synthesis prior, the pixels for the analysis prior), as the solver
     traces it; +inf when the image has a pixel below -feasibility_tol."""
-    _, value, image, _ = _terms(p)
+    _, _, value, image, _ = _terms(p)
     v = np.asarray(v, dtype=np.float64).ravel()
     x = image.apply(v)
     if x.size and float(np.min(x)) < -feasibility_tol:
@@ -191,11 +194,7 @@ def objective(p: DeconvProblem, v, feasibility_tol: float = 0.0) -> float:
 def deconvolve(problem: DeconvProblem) -> DeconvResult:
     """Solve one instance with the prior selected in the problem."""
     start = time.perf_counter()
-    # The solver proxes each of its K = 3 terms at K mu, so the user's mu is
-    # divided by 9 to prox each at mu/3 (DR converges for any uniform
-    # rescaling of the terms' prox scale).
-    cfg = replace(problem.splitting, mu=problem.splitting.mu / 9)
-    terms, value, image, coefficients_of = _terms(problem)
+    terms, cfg, value, image, coefficients_of = _terms(problem)
     v, state = solve(terms, cfg, image.adjoint(problem.counts.data), value)
     raw = image.apply(v)
     clip_mass = float(np.sum(np.maximum(-raw, 0.0)))
@@ -368,15 +367,16 @@ def result_metrics(result: DeconvResult, include_timing: bool = True) -> dict:
 
     ``wall_time_s`` is 0.0 unless ``include_timing``. The objective is +inf
     at iterates outside the Poisson domain (a pixel slightly below zero is
-    enough); strict JSON has no infinity, so those trace entries are null.
+    enough), and the relative change is +inf for a step away from a zero
+    iterate; strict JSON has no infinity, so those trace entries are null.
     """
+    strict = lambda trace: [float(v) if np.isfinite(v) else None for v in trace]
     return {
         "gamma": float(result.gamma_used),
         "iterations": int(result.state.iterations),
         "converged": bool(result.state.converged),
-        "relative_change_trace": [float(r) for r in result.state.relative_changes],
-        "objective_trace": [float(v) if np.isfinite(v) else None
-                            for v in result.state.objectives],
+        "relative_change_trace": strict(result.state.relative_changes),
+        "objective_trace": strict(result.state.objectives),
         "wall_time_s": float(result.wall_time_s) if include_timing else 0.0,
         "clip_mass": float(result.clip_mass),
     }

@@ -9,8 +9,9 @@ costs bands + 1 real FFTs (two for a convolution), taken in two numpy
 calls because the bands are one array axis. ``compose`` and ``T`` build
 plain operators; ``fourier_form`` is the one place that recovers a
 multiplier from any operator that has that form (a product of a blur and
-the starlet, say), and ``fft2_count`` counts the 2-D FFTs this module
-computes, one per image.
+the starlet, say). ``apply_each`` and ``adjoint_sum`` run several maps of
+one variable, sharing its spectra when they merge one band stack, and
+``fft2_count`` counts the 2-D FFTs this module computes, one per image.
 """
 
 from __future__ import annotations
@@ -275,6 +276,36 @@ class FourierMultiplier(LinearOperator):
         if self.merge:
             return self.images(self.gains.conj() * self.spectra(u))
         return self.images(self.combine(self.spectra(u), conj=True))
+
+
+def _one_stack(ops: list[LinearOperator]) -> bool:
+    """True when every op is a multiplier merging one band stack on one grid."""
+    first = ops[0]
+    return all(isinstance(op, FourierMultiplier) and op.merge
+               and (op.height, op.width, op.in_dim)
+               == (first.height, first.width, first.in_dim) for op in ops)
+
+
+def apply_each(ops: list[LinearOperator], x) -> list[Array]:
+    """``[op.apply(x) for op in ops]``, bit for bit; multipliers that merge
+    one band stack share its spectra, one FFT per band for all of them."""
+    if not _one_stack(ops):
+        return [op.apply(x) for op in ops]
+    spectra = ops[0].spectra(_flat64(x, ops[0].in_dim, "apply_each"))
+    return [op.images(op.combine(spectra)) for op in ops]
+
+
+def adjoint_sum(ops: list[LinearOperator], images: list[Array]) -> Array:
+    """``sum_i ops[i].adjoint(images[i])``; multipliers that merge one band
+    stack sum in the spectrum, with one inverse FFT per band for all of them."""
+    if not _one_stack(ops):
+        return sum(op.adjoint(u) for op, u in zip(ops, images))
+    first = ops[0]
+    stack = np.concatenate([_flat64(u, op.out_dim, "adjoint_sum")
+                            for op, u in zip(ops, images)])
+    spectra = first.spectra(stack)
+    return first.images(sum(op.gains.conj() * spectrum
+                            for op, spectrum in zip(ops, spectra)))
 
 
 def fourier_form(op: LinearOperator, height: int,

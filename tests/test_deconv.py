@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 from dataclasses import replace
 
@@ -519,6 +520,44 @@ class TestResultMetrics:
         doc = result_metrics(replace(res, state=state))
         assert doc["objective_trace"] == []
 
+    def test_non_finite_trace_entries_are_null(self):
+        # A step away from a zero iterate has relative change +inf; strict
+        # JSON has no infinity.
+        state = SplittingState(x=np.ones(4), aux=[], iterations=2,
+                               converged=False,
+                               relative_changes=[math.inf, 0.5],
+                               objectives=[math.inf, 1.5])
+        res = DeconvResult(restored=Image(2, 2, np.ones(4)),
+                           coefficients=np.ones(4), state=state,
+                           gamma_used=0.1, wall_time_s=0.0, clip_mass=0.0)
+        doc = result_metrics(res)
+        assert doc["relative_change_trace"] == [None, 0.5]
+        assert doc["objective_trace"] == [None, 1.5]
+        json.dumps(doc, allow_nan=False)
+
+
+class TestStoppingWhileTheDualsMove:
+    def test_a_zero_iterate_does_not_stop_the_run(self):
+        # The synthesis step tau = 2 mean(y) = 9 times gamma = 1 exceeds every
+        # count, so the first two primal-dual iterates threshold to 0, where
+        # the Poisson objective is +inf. The second has primal change 0; only
+        # the duals move. The minimizer is y / (1 + gamma) = y / 2.
+        counts = Image.from_2d([[3.0, 5.0], [4.0, 6.0]])
+        prob = DeconvProblem(
+            counts=counts, blur=identity_blur(2, 2),
+            dictionary=make_dirac(2, 2), gamma=1.0,
+            splitting=SplittingConfig(max_outer=2, tol=1e-10))
+        early = deconvolve(prob)
+        assert not np.any(early.state.x)
+        assert early.state.objectives == [math.inf, math.inf]
+        assert not early.converged
+        assert early.state.relative_changes[-1] == math.inf
+        res = deconvolve(replace(prob, splitting=SplittingConfig(
+            max_outer=2000, tol=1e-10)))
+        assert res.converged
+        assert math.isfinite(res.state.objectives[-1])
+        assert np.max(np.abs(res.restored.data - counts.data / 2.0)) <= 1e-6
+
 
 class TestNonTightFrame:
     """Frame diag(1, 3) on a 2x1 ring: every composed prox runs dual FB.
@@ -562,30 +601,32 @@ class TestNonTightFrame:
 
 class TestComposeConfigThreading:
     def test_inner_iteration_budget_is_respected(self):
-        # The inner budget alters the fidelity's dual solve through blur o
-        # Dirac (TestNonTightFrame runs the non-tight branches). The run must
-        # still converge to the optimum.
-        prob = replace(ring_problem("synthesis"), inner_iters=25)
+        # The inner budget alters the analysis prior's dual solves through
+        # the blur and the analysis (TestNonTightFrame runs the non-tight
+        # branches). The run must still converge to the optimum.
+        prob = replace(ring_problem("analysis"), inner_iters=25)
         res = deconvolve(prob)
         assert np.max(np.abs(res.restored.data - RING_XSTAR)) <= 1e-6
 
     def test_inner_iteration_budget_is_validated(self):
         for bad in (0, 2.5, 3.0):
             with pytest.raises(ValueError, match="inner_iters"):
-                replace(ring_problem("synthesis"), inner_iters=bad)
-        assert replace(ring_problem("synthesis"),
+                replace(ring_problem("analysis"), inner_iters=bad)
+        assert replace(ring_problem("analysis"),
                        inner_iters=np.int32(3)).inner_iters == 3
 
 
 class TestNameLookup:
     """The solver looks its elementwise proxes and the dual FB solve up by
     module name on every call, so a function rebound there (as a tracing
-    wrapper is) sees every call. Calls per outer iteration, 10 inner steps:
+    wrapper is) sees every call. Calls per outer iteration: one of each
+    prox in the synthesis prior's primal-dual iteration; DR's composed
+    proxes (analysis prior) run 10 inner steps each.
     """
 
     PER_ITERATION = {
-        "synthesis": {"project_positive": 1, "prox_affine_fb": 1,
-                      "prox_poisson": 10, "soft_threshold": 1},
+        "synthesis": {"project_positive": 1, "prox_affine_fb": 0,
+                      "prox_poisson": 1, "soft_threshold": 1},
         "analysis": {"project_positive": 1, "prox_affine_fb": 2,
                      "prox_poisson": 10, "soft_threshold": 10},
     }
@@ -607,9 +648,34 @@ class TestNameLookup:
         counting(prox_compose_module, "prox_affine_fb")
         assert deconvolve(_counts_problem(prior)).state.iterations == 3
         assert calls == {name: 3 * n
-                         for name, n in self.PER_ITERATION[prior].items()}
+                         for name, n in self.PER_ITERATION[prior].items() if n}
 
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_one_solve_with_one_positivity_call_per_iteration(self, prior,
+                                                              monkeypatch):
+        # A tracer sums outer iterations from what deconv.solve returns and
+        # ticks its clock on deconv.project_positive.
+        solves, positives = [], []
+        original_solve = deconv_module.solve
+        original_positive = deconv_module.project_positive
+
+        def solve(*args, **kwargs):
+            before = len(positives)
+            result = original_solve(*args, **kwargs)
+            solves.append((result[1].iterations, len(positives) - before))
+            return result
+
+        def positive(*args, **kwargs):
+            positives.append(None)
+            return original_positive(*args, **kwargs)
+        monkeypatch.setattr(deconv_module, "solve", solve)
+        monkeypatch.setattr(deconv_module, "project_positive", positive)
+        res = deconvolve(_counts_problem(prior, max_outer=5))
+        assert res.state.iterations == 5
+        assert solves == [(5, 5)]
+
+    # Only the analysis prior's DR runs dual FB solves.
+    @pytest.mark.parametrize("prior", ["analysis"])
     def test_each_fb_call_resumes_from_the_last(self, prior, monkeypatch):
         # Per FB term (one operator each): the first call starts cold, and
         # every later one gets, as warm, the diagnostics its previous call
@@ -654,14 +720,15 @@ def _counts_problem(prior, levels=2, max_outer=3, spec=None, wrap=False):
 
 class TestFourierPath:
     # 2-D FFTs per outer iteration, from the operators module's counter:
-    # synthesis: FB through blur o synthesis (2 per band + 20), positivity
-    # peel (2 bands + 2), objective (bands + 1); analysis: FB through the
-    # blur (22), FB through the analysis (2 + 20 per band), objective
-    # (bands + 3). A multiplier transforms all bands of a stack in one numpy
-    # call, so the calls per iteration do not grow with the levels.
-    FFT2_PER_ITERATION = {("synthesis", 2): 38, ("analysis", 2): 90,
-                          ("synthesis", 3): 43, ("analysis", 3): 111}
-    NUMPY_FFT_CALLS_PER_ITERATION = {"synthesis": 28, "analysis": 48}
+    # synthesis: blur o synthesis and the synthesis applied to one band
+    # stack (bands + 2) and their adjoints summed in the spectrum (2 +
+    # bands), objective (bands + 1); analysis: FB through the blur (22), FB
+    # through the analysis (2 + 20 per band), objective (bands + 3). A
+    # multiplier transforms all bands of a stack in one numpy call, so the
+    # calls per iteration do not grow with the levels.
+    FFT2_PER_ITERATION = {("synthesis", 2): 14, ("analysis", 2): 90,
+                          ("synthesis", 3): 17, ("analysis", 3): 111}
+    NUMPY_FFT_CALLS_PER_ITERATION = {"synthesis": 7, "analysis": 48}
 
     @pytest.mark.parametrize("prior, levels", sorted(FFT2_PER_ITERATION))
     def test_fft2_per_outer_iteration(self, prior, levels, monkeypatch):
@@ -733,7 +800,7 @@ class TestRerunsInOneProcess:
         _same_result(deconvolve(p), deconvolve(p))
 
     def test_one_problem_scanned_twice(self):
-        # gamma 1 leaves 263 active coefficients for 256 pixels: an inf row.
+        # gamma 1 leaves 256 active coefficients for 256 pixels: an inf row.
         p = _counts_problem("synthesis", max_outer=8)
         best_a, rows_a = select_gamma_gcv([1.0, 5.0], p)
         best_b, rows_b = select_gamma_gcv([1.0, 5.0], p)

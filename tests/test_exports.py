@@ -85,7 +85,7 @@ SIGNATURES = [
     "tight)",
     "Image(width, height, data)",
     "LinearOperator(in_dim, out_dim, apply, adjoint, spectral_bound)",
-    "ProxTerm(prox, label='')",
+    "ProxTerm(prox, label='', op=None)",
     "SplittingConfig(mu=1.0, theta=1.0, max_outer=300, tol=1e-05)",
     "SplittingState(x, aux, iterations, converged, relative_changes, "
     "objectives)",

@@ -334,3 +334,34 @@ class TestFourierMultiplier:
     def test_gain_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
             FourierMultiplier(np.ones((4, 4)), 4, 4, spectral_bound=1.0)
+
+
+class TestSharedStack:
+    """apply_each and adjoint_sum, which the primal-dual solver runs on its
+    maps: multipliers merging one band stack share its spectra."""
+
+    def _maps(self, fourier):
+        blur = make_circular_convolution(_ma_psf(3), 8, 8)
+        d = make_starlet(8, 8, 2)
+        maps = [compose(blur, d), d]
+        if fourier:
+            maps = [fourier_form(op, 8, 8) for op in maps]
+        return maps
+
+    @pytest.mark.parametrize("fourier", [False, True])
+    def test_match_the_ops_one_by_one(self, fourier):
+        maps = self._maps(fourier)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(maps[0].in_dim)
+        us = [rng.standard_normal(64), rng.standard_normal(64)]
+        before = operators_module.fft2_count
+        each = operators_module.apply_each(maps, x)
+        back = operators_module.adjoint_sum(maps, us)
+        spent = operators_module.fft2_count - before
+        for got, op in zip(each, maps):
+            assert got.tobytes() == op.apply(x).tobytes()
+        want = maps[0].adjoint(us[0]) + maps[1].adjoint(us[1])
+        assert np.allclose(back, want, atol=1e-12)
+        # Shared: 3 bands + 2 images forward, 2 images + 3 bands back; one
+        # by one, 4 + 2 and 4 each way.
+        assert spent == (10 if fourier else 20)

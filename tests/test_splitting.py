@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from proxdeconv import (ProxTerm, SplittingConfig, project_positive,
-                        relative_change, soft_threshold, solve)
-from proxdeconv.errors import NonFiniteIterateError
+from proxdeconv import (ProxTerm, SplittingConfig, diagonal_operator,
+                        identity_operator, project_positive, relative_change,
+                        soft_threshold, solve)
+from proxdeconv.errors import DimensionMismatchError, NonFiniteIterateError
 
 from oracles import grid_minimize
 
@@ -209,6 +210,85 @@ class TestValidation:
     def test_non_finite_prox_output_identifies_the_term(self):
         nan_prox = lambda v, s: np.full_like(v, np.nan)
         terms = _terms(("good", _quad_prox([0.0])), ("bad", nan_prox))
+        with pytest.raises(NonFiniteIterateError) as err:
+            solve(terms, SplittingConfig(), np.zeros(2))
+        assert err.value.label == "bad"
+        assert err.value.iteration == 0
+
+
+class TestPrimalDual:
+    """Terms with maps run the primal-dual iteration; exactly one has none."""
+
+    def _terms(self, b, gamma=1.0):
+        eye = identity_operator(len(b))
+        return [ProxTerm(prox=_quad_prox(b), label="quad", op=eye),
+                ProxTerm(prox=lambda v, s: soft_threshold(v, s * gamma),
+                         label="l1"),
+                ProxTerm(prox=_positive_prox, label="positive", op=eye)]
+
+    def test_reaches_the_separable_optimum(self):
+        terms = self._terms(np.array([2.0, -1.0]))
+        x, state = solve(terms, SplittingConfig(max_outer=2000, tol=1e-12),
+                         np.zeros(2), lambda v: float(np.sum(v)))
+        # Soft-threshold then project: (max(2-1, 0), 0).
+        assert np.max(np.abs(x - np.array([1.0, 0.0]))) <= 1e-6
+        assert state.converged
+        assert len(state.aux) == 2
+        assert len(state.objectives) == state.iterations
+
+    def test_a_map_reaches_the_scaled_optimum(self):
+        # ||2 x - 4||^2 / 2 + |x|: x = (8 - 1) / 4.
+        terms = [ProxTerm(prox=_quad_prox([4.0]), label="quad",
+                          op=diagonal_operator([2.0])),
+                 ProxTerm(prox=lambda v, s: soft_threshold(v, s), label="l1")]
+        x, state = solve(terms, SplittingConfig(mu=0.5, theta=1.5,
+                                                max_outer=2000, tol=1e-13),
+                         np.zeros(1))
+        assert state.converged
+        assert abs(x[0] - 1.75) <= 1e-9
+
+    def test_update_recurrence_matches_a_hand_rollout(self):
+        # Condat's iteration written out for one map a = diag(1, 2).
+        a = np.array([1.0, 2.0])
+        f_prox = lambda v, s: v / (1.0 + s)  # f = ||.||^2 / 2
+        g_prox = lambda v, s: soft_threshold(v, 0.3 * s)
+        terms = [ProxTerm(prox=f_prox, label="f", op=diagonal_operator(a)),
+                 ProxTerm(prox=g_prox, label="g")]
+        tau, theta, iters = 0.7, 1.4, 6
+        sigma = 0.99 / (tau * 4.0)
+        x, u = np.array([2.0, -1.0]), np.zeros(2)
+        for _ in range(iters):
+            x_new = g_prox(x - tau * a * u, tau)
+            v = u + sigma * a * (2.0 * x_new - x)
+            u_new = v - sigma * f_prox(v / sigma, 1.0 / sigma)
+            x, u = x + theta * (x_new - x), u + theta * (u_new - u)
+        got, state = solve(terms, SplittingConfig(
+            mu=tau, theta=theta, max_outer=iters, tol=0.0),
+            np.array([2.0, -1.0]))
+        assert np.allclose(got, x, atol=1e-12)
+        assert np.allclose(state.aux[0], u, atol=1e-12)
+
+    @pytest.mark.parametrize("free", [0, 2])
+    def test_needs_exactly_one_term_without_a_map(self, free):
+        terms = self._terms(np.array([2.0, -1.0]))
+        terms[1] = ProxTerm(prox=terms[1].prox, label="l1",
+                            op=identity_operator(2) if free == 0 else None)
+        if free == 2:
+            terms[2] = ProxTerm(prox=_positive_prox, label="positive")
+        with pytest.raises(ValueError, match="exactly one term without"):
+            solve(terms, SplittingConfig(), np.zeros(2))
+
+    def test_map_must_take_the_variable(self):
+        terms = self._terms(np.array([2.0, -1.0]))
+        terms[0] = ProxTerm(prox=terms[0].prox, label="quad",
+                            op=identity_operator(3))
+        with pytest.raises(DimensionMismatchError):
+            solve(terms, SplittingConfig(), np.zeros(2))
+
+    def test_non_finite_prox_output_identifies_the_term(self):
+        terms = self._terms(np.array([2.0, -1.0]))
+        terms[2] = ProxTerm(prox=lambda v, s: np.full_like(v, np.nan),
+                            label="bad", op=identity_operator(2))
         with pytest.raises(NonFiniteIterateError) as err:
             solve(terms, SplittingConfig(), np.zeros(2))
         assert err.value.label == "bad"
