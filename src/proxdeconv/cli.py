@@ -66,19 +66,15 @@ def _gamma_grid(text: str) -> list[float]:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=_positive(int, "--iters"), default=300,
                    help="outer iteration cap (default 300)")
-    p.add_argument("--inner-iters", type=_positive(int, "--inner-iters"), default=10,
-                   help="analysis prior: dual FB steps per composed prox call; "
-                        "the synthesis prior has no inner loop (default 10)")
     p.add_argument("--theta", type=float, default=1.0,
-                   help="relaxation in (0,2): of the DR average (analysis) or "
-                        "of the primal-dual step (synthesis) (default 1.0)")
+                   help="relaxation in (0,2) of the primal-dual step "
+                        "(default 1.0)")
     p.add_argument("--mu", type=_positive(float, "--mu"), default=1.0,
-                   help="analysis prior: DR prox step scale; the synthesis "
-                        "prior steps by 2 x the mean count instead (default 1.0)")
+                   help="accepted and ignored: both priors take their step "
+                        "from the mean count (default 1.0)")
     p.add_argument("--tol", type=_positive(float, "--tol"), default=1e-5,
                    help="stopping tolerance on the relative change of the "
-                        "iterate (analysis), and also on the duals' change "
-                        "(synthesis) (default 1e-5)")
+                        "iterate and on the duals' change (default 1e-5)")
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -162,7 +158,6 @@ def _load_problem(args) -> DeconvProblem:
         prior=args.prior,
         splitting=SplittingConfig(mu=args.mu, theta=args.theta,
                                   max_outer=args.iters, tol=args.tol),
-        inner_iters=args.inner_iters,
     )
 
 

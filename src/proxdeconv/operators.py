@@ -9,9 +9,10 @@ costs bands + 1 real FFTs (two for a convolution), taken in two numpy
 calls because the bands are one array axis. ``compose`` and ``T`` build
 plain operators; ``fourier_form`` is the one place that recovers a
 multiplier from any operator that has that form (a product of a blur and
-the starlet, say). ``apply_each`` and ``adjoint_sum`` run several maps of
-one variable, sharing its spectra when they merge one band stack, and
-``fft2_count`` counts the 2-D FFTs this module computes, one per image.
+the starlet, say). ``apply_each`` and ``adjoint_sum`` run the maps of the
+primal-dual solver, sharing the spectra of one variable when they merge one
+band stack, and ``fft2_count`` counts the 2-D FFTs this module computes,
+one per image.
 """
 
 from __future__ import annotations
@@ -203,11 +204,9 @@ class FourierMultiplier(LinearOperator):
     convolution either way. Apply and adjoint cost bands + 1 real FFTs, in
     two numpy calls: the band axis is an array axis, so all of a stack's
     half spectra are held at once, a complex array about as large as the
-    stack itself.
-
-    The spectral helpers below let a solver stay in the spectrum between
-    calls; ``op op^T`` (merging) or ``op^T op`` (splitting) is the
-    multiplication by ``power = sum_j |gains[j]|^2``.
+    stack itself. ``spectra``, ``images`` and ``combine`` expose the
+    three steps, so that several maps of one variable can share its
+    spectra.
     """
 
     __slots__ = ("height", "width", "gains", "merge")
@@ -244,26 +243,6 @@ class FourierMultiplier(LinearOperator):
     def combine(self, spectra: Array, conj: bool = False) -> Array:
         """``sum_j gains[j] * spectra[j]``, with conjugate gains if ``conj``."""
         return np.sum((self.gains.conj() if conj else self.gains) * spectra, axis=0)
-
-    @property
-    def power(self) -> Array:
-        """``sum_j |gains[j]|^2``, computed on each access."""
-        return np.sum(self.gains.real ** 2 + self.gains.imag ** 2, axis=0)
-
-    def image_norm(self, spectrum: Array, weight: Array | None = None) -> float:
-        """``||images(spectrum)||`` by Parseval, without an FFT.
-
-        With ``weight``, the norm of ``images(sqrt(weight) * spectrum)``.
-        """
-        # Interior columns of the half spectrum stand for two columns of the
-        # full one; column 0 and an even width's last column for one.
-        w = np.full(self.width // 2 + 1, 2.0 / (self.height * self.width))
-        w[0] /= 2.0
-        if self.width % 2 == 0:
-            w[-1] /= 2.0
-        if weight is not None:
-            w = weight * w
-        return float(np.sqrt(np.vdot(spectrum, w * spectrum).real))
 
     def apply(self, x) -> Array:
         x = _flat64(x, self.in_dim, "FourierMultiplier.apply")

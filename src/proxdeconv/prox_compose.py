@@ -15,9 +15,10 @@ Two routes:
   A redundant analysis F = Phi^T has F F^T = Phi^T Phi singular, so there
   its lower frame bound buys no rate, though the step stays valid. Without
   c1, tau = 1.8/c2 and the primal gap decays like O(1/t).
-  When F is a ``FourierMultiplier`` the same iterates are computed in the
-  spectrum, F p_t = F x - (F F^T) u_t, at one FFT per dual band each way
-  per step, all bands in one numpy call.
+
+Neither route is on the path of ``deconvolve``, whose primal-dual
+iteration needs only the elementwise proxes; both remain for compositions
+whose prox a caller needs on its own.
 
 Both routes accept a prox family ``prox_f(v, s) -> prox_{s f}(v)`` so the
 same callable serves every scale the solvers need. A shifted f(. - b) needs
@@ -32,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TightFrameError
-from .operators import FourierMultiplier, LinearOperator, _check_count, _flat64
+from .operators import LinearOperator, _check_count, _flat64
 
 Array = np.ndarray
 ProxFamily = Callable[[Array, float], Array]
@@ -40,16 +41,10 @@ ProxFamily = Callable[[Array, float], Array]
 
 @dataclass(frozen=True)
 class FBDiagnostics:
-    """Per-call record: primal residuals and the final dual point.
-
-    ``dual_spectra`` holds the half spectra of the dual's bands, one array
-    of shape ``(bands, height, width // 2 + 1)``, when the operator is a
-    ``FourierMultiplier`` (None otherwise).
-    """
+    """Per-call record: primal residuals and the final dual point."""
 
     residuals: list[float]
     dual: Array
-    dual_spectra: Array | None = None
 
 
 def default_tau(c2: float, c1: float | None = None) -> float:
@@ -101,10 +96,7 @@ def prox_affine_fb(prox_f: ProxFamily, op: LinearOperator, c2: float,
     Starts from the dual point of ``warm`` (zeros when None) and returns the
     primal point after ``inner_iters`` steps at ``default_tau(c2, c1)``
     together with diagnostics; pass them back as ``warm`` to warm-start the
-    next call at a nearby prox target (their ``dual_spectra`` spare the
-    dual's FFTs). On a ``FourierMultiplier`` each step transforms a whole
-    band stack in one numpy call, so all of its half spectra are live at
-    once: a complex array about the size of the stack.
+    next call at a nearby prox target.
     """
     if not 0.0 < scale < np.inf:
         raise ValueError(f"scale must be finite and > 0, got {scale}")
@@ -115,9 +107,6 @@ def prox_affine_fb(prox_f: ProxFamily, op: LinearOperator, c2: float,
         u = np.zeros(op.out_dim)
     else:
         u = _flat64(warm.dual, op.out_dim, "prox_affine_fb warm dual")
-    if isinstance(op, FourierMultiplier):
-        spectra = None if warm is None else warm.dual_spectra
-        return _fb_spectral(prox_f, op, tau, x, u, spectra, inner_iters, scale)
     p = x - op.adjoint(u)
     residuals: list[float] = []
     for _ in range(inner_iters):
@@ -127,47 +116,3 @@ def prox_affine_fb(prox_f: ProxFamily, op: LinearOperator, c2: float,
         residuals.append(float(np.linalg.norm(p_next - p)))
         p = p_next
     return p, FBDiagnostics(residuals=residuals, dual=u)
-
-
-def _fb_spectral(prox_f: ProxFamily, op: FourierMultiplier, tau: float,
-                 x: Array, u: Array, spectra: Array | None,
-                 inner_iters: int, scale: float) -> tuple[Array, FBDiagnostics]:
-    """The loop of prox_affine_fb with F F^T applied in the spectrum.
-
-    The iteration lives in the spectrum of op's one-image side: the dual's
-    when op merges bands into one image (or has one band), the primal's when
-    it splits one image into bands. The residual ||p_next - p|| =
-    ||op^T (u_next - u)|| is read off by Parseval.
-    """
-    residuals: list[float] = []
-    if spectra is None:
-        spectra = op.spectra(u)
-    if op.merge or len(op.gains) == 1:
-        # op p = op x - (op op^T) u, and op op^T multiplies by op.power, so
-        # u / tau + op p has the spectrum drive + (1 / tau - power) U.
-        power = op.power
-        step = 1.0 / tau - power
-        drive = op.combine(op.spectra(x))
-        for _ in range(inner_iters):
-            w = step * spectra
-            w += drive
-            w = op.images(w)
-            u = tau * (w - prox_f(w, scale / tau))
-            spec_next = op.spectra(u)
-            residuals.append(op.image_norm(spec_next - spectra, power))
-            spectra = spec_next
-        p = op.images(op.gains.conj() * spectra)
-        np.subtract(x, p, out=p)
-    else:
-        # p = x - op^T u is one image, carried as its spectrum.
-        x_spec = op.spectra(x)
-        p_spec = x_spec - op.combine(spectra, conj=True)
-        for _ in range(inner_iters):
-            w = u / tau + op.images(op.gains * p_spec)
-            u = tau * (w - prox_f(w, scale / tau))
-            spectra = op.spectra(u)
-            p_next = x_spec - op.combine(spectra, conj=True)
-            residuals.append(op.image_norm(p_next - p_spec))
-            p_spec = p_next
-        p = op.images(p_spec)
-    return p, FBDiagnostics(residuals=residuals, dual=u, dual_spectra=spectra)

@@ -39,7 +39,8 @@ def _validate_counts(y: Array, context: str) -> None:
 
 
 def eval_poisson(eta, counts, check: bool = True) -> float:
-    """Poisson anti-log-likelihood; +inf outside the domain, never NaN.
+    """Poisson anti-log-likelihood; +inf outside the domain or at an
+    infinite intensity, never NaN: a NaN intensity raises ValueError.
 
     ``check=False`` skips the scan of ``counts``, for callers that have
     validated them once already.
@@ -49,11 +50,18 @@ def eval_poisson(eta, counts, check: bool = True) -> float:
         _validate_counts(y, "eval_poisson")
     pos = y > 0.0
     if np.any(eta[pos] <= 0.0) or np.any(eta[~pos] < 0.0):
+        total = math.inf
+    else:
+        total = float(np.sum(eta))
+        ep = eta[pos]
+        if ep.size:
+            total -= float(np.sum(y[pos] * np.log(ep)))
+    # An infinite intensity gives inf - inf = NaN; only this rare branch
+    # pays for the scan that tells it from a NaN intensity.
+    if not total < math.inf:
+        if np.any(np.isnan(eta)):
+            raise ValueError("eval_poisson: intensity holds NaN")
         return math.inf
-    total = float(np.sum(eta))
-    ep = eta[pos]
-    if ep.size:
-        total -= float(np.sum(y[pos] * np.log(ep)))
     return total
 
 def grad_poisson(eta, counts) -> Array:

@@ -3,6 +3,9 @@
 Minimizes f_1(K_1 x) + ... + f_K(K_K x), where each term gives the prox of
 its f_i and, optionally, a linear map K_i (the identity when absent).
 
+``deconvolve`` runs the primal-dual iteration below for both priors; the
+Douglas-Rachford path serves callers whose terms carry no maps.
+
 Without maps, Douglas-Rachford splitting on the product space: every term
 keeps its own copy p_i of the variable, proxes are taken at scale
 mu / omega_i, and the copies are averaged and reflected,

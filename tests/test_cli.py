@@ -172,6 +172,17 @@ class TestDeconvolve:
         assert metrics["gamma"] == 0.5
         assert read_raster(out).n == 36
 
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_objective_trace_is_finite(self, workspace, prior):
+        # The blur through the FFT leaves intensities of about -3e-16 at
+        # the zero-count pixels; that round-off is not outside the domain.
+        code, out = self._run(workspace, "trace.f64",
+                              ["--gamma", "0.5", "--prior", prior])
+        assert code == 0
+        with open(out + ".metrics.json") as fh:
+            trace = json.load(fh)["objective_trace"]
+        assert trace and None not in trace
+
     def test_iteration_cap_exits_two(self, workspace):
         code, out = self._run(workspace, "capped.f64",
                               ["--gamma", "0.5", "--iters", "2",

@@ -76,10 +76,10 @@ def test_every_export_resolves():
 # Parameter names and defaults, without annotations.
 SIGNATURES = [
     "DeconvProblem(counts, blur, dictionary, gamma, prior='synthesis', "
-    "splitting=<factory>, inner_iters=10)",
+    "splitting=<factory>)",
     "DeconvResult(restored, coefficients, state, gamma_used, wall_time_s, "
     "clip_mass)",
-    "FBDiagnostics(residuals, dual, dual_spectra=None)",
+    "FBDiagnostics(residuals, dual)",
     "FourierMultiplier(gains, height, width, spectral_bound, merge=False)",
     "FrameDictionary(width, height, coeff_dim, synthesis, analysis, c1, c2, "
     "tight)",
@@ -163,7 +163,6 @@ FLAGS = [
     "deconvolve --gamma",
     "deconvolve --gamma-grid",
     "deconvolve --iters=300",
-    "deconvolve --inner-iters=10",
     "deconvolve --theta=1.0",
     "deconvolve --mu=1.0",
     "deconvolve --tol=1e-05",
@@ -180,7 +179,6 @@ FLAGS = [
     "gcv-scan --prior=synthesis {synthesis,analysis}",
     "gcv-scan --gamma-grid",
     "gcv-scan --iters=300",
-    "gcv-scan --inner-iters=10",
     "gcv-scan --theta=1.0",
     "gcv-scan --mu=1.0",
     "gcv-scan --tol=1e-05",

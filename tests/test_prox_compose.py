@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from proxdeconv import (FBDiagnostics, Image, LinearOperator, compose,
-                        default_tau, diagonal_operator, fourier_form,
-                        identity_operator, make_circular_convolution,
-                        make_starlet, matrix_operator, prox_affine_fb,
-                        prox_affine_tight, prox_poisson, soft_threshold,
+from proxdeconv import (FBDiagnostics, default_tau, diagonal_operator,
+                        identity_operator, make_starlet, matrix_operator,
+                        prox_affine_fb, prox_affine_tight, prox_poisson,
                         verify_tight_frame)
 from proxdeconv.errors import TightFrameError
 
@@ -230,65 +228,6 @@ class TestProxAffineFB:
                                  np.array([5.0, -5.0]), inner_iters=5, c1=1.0)
         assert len(diag.residuals) == 5
         assert diag.residuals[-1] < diag.residuals[0]
-
-
-def _spectral_cases():
-    """(name, multiplier, prox family) on an 8x6 grid: a blur, a blur o
-    starlet synthesis (merging bands) and a starlet analysis (splitting)."""
-    h, w = 6, 8
-    rng = np.random.default_rng(12)
-    psf = Image.from_2d(rng.uniform(0.1, 1.0, (3, 3)))
-    blur = make_circular_convolution(psf, w, h)
-    d = make_starlet(w, h, 2)
-    y = rng.integers(0, 9, size=h * w).astype(float)
-    poisson = lambda v, s: prox_poisson(v, s, y)
-    return [
-        ("blur", blur, poisson),
-        ("blur o synthesis",
-         fourier_form(compose(blur, d), h, w), poisson),
-        ("analysis", fourier_form(d.T, h, w),
-         lambda v, s: soft_threshold(v, 0.3 * s)),
-    ]
-
-
-class TestSpectralFB:
-    """On a FourierMultiplier the FB loop runs in the spectrum; it must
-    match the generic loop run through the same maps."""
-
-    @pytest.mark.parametrize("case", range(3))
-    def test_matches_the_generic_loop(self, case):
-        _, op, fam = _spectral_cases()[case]
-        generic = LinearOperator(op.in_dim, op.out_dim, op.apply, op.adjoint,
-                                 op.spectral_bound)
-        rng = np.random.default_rng(case)
-        x = rng.uniform(0.5, 4.0, op.in_dim)
-        dual = rng.standard_normal(op.out_dim)
-        c2 = op.spectral_bound ** 2
-        for start in (None, FBDiagnostics(residuals=[], dual=dual)):
-            p, diag = prox_affine_fb(fam, op, c2, x, inner_iters=7, scale=0.6,
-                                     warm=start)
-            q, ref = prox_affine_fb(fam, generic, c2, x, inner_iters=7,
-                                    scale=0.6, warm=start)
-            assert np.max(np.abs(p - q)) <= 1e-12 * max(1.0, np.max(np.abs(q)))
-            assert np.max(np.abs(diag.dual - ref.dual)) <= 1e-12 * max(
-                1.0, np.max(np.abs(ref.dual)))
-            assert np.allclose(diag.residuals, ref.residuals, rtol=1e-12,
-                               atol=1e-12)
-            assert ref.dual_spectra is None
-
-    @pytest.mark.parametrize("case", range(3))
-    def test_returned_spectra_warm_start_exactly(self, case):
-        _, op, fam = _spectral_cases()[case]
-        x = np.random.default_rng(3).uniform(0.5, 4.0, op.in_dim)
-        c2 = op.spectral_bound ** 2
-        _, first = prox_affine_fb(fam, op, c2, x, inner_iters=3)
-        with_spectra = prox_affine_fb(fam, op, c2, x, inner_iters=3,
-                                      warm=first)
-        without = prox_affine_fb(fam, op, c2, x, inner_iters=3,
-                                 warm=FBDiagnostics(residuals=[],
-                                                    dual=first.dual))
-        assert np.array_equal(with_spectra[0], without[0])
-        assert with_spectra[1].residuals == without[1].residuals
 
 
 class TestWarmStartedProx:

@@ -29,6 +29,16 @@ class TestEvalPoisson:
     def test_negative_intensity_on_zero_count_is_infinite(self):
         assert eval_poisson([-0.1], [0.0]) == math.inf
 
+    def test_infinite_intensity_is_infinite(self):
+        assert eval_poisson([math.inf], [1.0]) == math.inf
+        assert eval_poisson([math.inf, 1.0], [0.0, 2.0]) == math.inf
+
+    def test_nan_intensity_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            eval_poisson([math.nan], [1.0])
+        with pytest.raises(ValueError, match="NaN"):
+            eval_poisson([1.0, math.nan], [0.0, 0.0])
+
     def test_counts_validated(self):
         with pytest.raises(ValueError):
             eval_poisson([1.0], [1.5])
