@@ -39,12 +39,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive(kind, name):
+def _finite(kind, name, low=0):
     def parse(text):
         value = kind(text)
-        if not 0 < value < math.inf:
+        if not low < value < math.inf:
             raise argparse.ArgumentTypeError(
-                f"{name} must be finite and > 0, got {text}")
+                f"{name} must be finite and > {low}, got {text}")
         return value
     return parse
 
@@ -64,15 +64,15 @@ def _gamma_grid(text: str) -> list[float]:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iters", type=_positive(int, "--iters"), default=300,
+    p.add_argument("--iters", type=_finite(int, "--iters"), default=300,
                    help="outer iteration cap (default 300)")
     p.add_argument("--theta", type=float, default=1.0,
                    help="relaxation in (0,2) of the primal-dual step "
                         "(default 1.0)")
-    p.add_argument("--mu", type=_positive(float, "--mu"), default=1.0,
-                   help="accepted and ignored: both priors take their step "
-                        "from the mean count (default 1.0)")
-    p.add_argument("--tol", type=_positive(float, "--tol"), default=1e-5,
+    p.add_argument("--mu", type=_finite(float, "--mu", -math.inf), default=1.0,
+                   help="any finite number, accepted and ignored: both priors "
+                        "take their step from the mean count (default 1.0)")
+    p.add_argument("--tol", type=_finite(float, "--tol"), default=1e-5,
                    help="stopping tolerance on the relative change of the "
                         "iterate and on the duals' change (default 1e-5)")
 
@@ -93,17 +93,17 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="blur a truth raster and draw Poisson counts")
     sim.add_argument("--input", required=True, help="ground-truth raster")
     sim.add_argument("--psf", required=True)
-    sim.add_argument("--peak", type=_positive(float, "--peak"), required=True,
+    sim.add_argument("--peak", type=_finite(float, "--peak"), required=True,
                      help="rescale truth to this peak intensity")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--replicates", type=_positive(int, "--replicates"), default=1,
+    sim.add_argument("--replicates", type=_finite(int, "--replicates"), default=1,
                      help="write N replicates, seeds seed..seed+N-1")
     sim.add_argument("--out", required=True, help="output counts raster")
 
     dec = sub.add_parser("deconvolve", help="restore a count raster")
     _add_problem_flags(dec)
     group = dec.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gamma", type=_positive(float, "--gamma"))
+    group.add_argument("--gamma", type=_finite(float, "--gamma"))
     group.add_argument("--gamma-grid", type=_gamma_grid,
                        help="comma-separated increasing grid; gamma picked by GCV")
     _add_solver_flags(dec)
@@ -156,8 +156,8 @@ def _load_problem(args) -> DeconvProblem:
         counts=counts, blur=blur, dictionary=dictionary,
         gamma=getattr(args, "gamma", None) or 1.0,
         prior=args.prior,
-        splitting=SplittingConfig(mu=args.mu, theta=args.theta,
-                                  max_outer=args.iters, tol=args.tol),
+        splitting=SplittingConfig(theta=args.theta, max_outer=args.iters,
+                                  tol=args.tol),
     )
 
 

@@ -19,10 +19,11 @@ through their own transforms.
 Both priors run the primal-dual iteration: the l1 term (synthesis) or the
 positivity (analysis) is the primal prox, the other two terms carry their
 maps (H o Phi and Phi, or H and Phi^T), and every prox is elementwise, so
-an iteration has no inner loop. The primal step grows with the counts:
-tau = 2 mean(y) for the synthesis prior and mean(y) / 2 for the analysis
-prior, rules measured on the benchmark problems. Also here: the
-Richardson-Lucy baseline, a GCV score for picking gamma, Poisson count
+an iteration has no inner loop. The solver traces the objective from the
+terms' values, as ``objective`` evaluates it. The primal step grows with
+the counts: tau = 2 mean(y) for the synthesis prior and mean(y) / 2 for
+the analysis prior, rules measured on the benchmark problems. Also here:
+the Richardson-Lucy baseline, a GCV score for picking gamma, Poisson count
 simulation, and MAE metrics.
 """
 
@@ -39,7 +40,8 @@ from .errors import DimensionMismatchError
 from .operators import (FourierMultiplier, Image, LinearOperator,
                         _check_count, compose, fourier_form, identity_operator)
 from .prox_core import eval_poisson, project_positive, prox_poisson, soft_threshold
-from .splitting import ProxTerm, SplittingConfig, SplittingState, solve
+from .splitting import (ProxTerm, SplittingConfig, SplittingState,
+                        objective_value, solve)
 
 Array = np.ndarray
 
@@ -104,26 +106,35 @@ class DeconvResult:
 
 
 def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
-                                     Callable, LinearOperator, Callable]:
+                                     LinearOperator, Callable]:
     """The problem as the solver sees it; the only code that reads the prior.
 
-    Returns the three prox terms, the solver's settings, fidelity plus
-    penalty at the solver's variable v, the map from v to the image (the
-    dictionary, or the identity under the analysis prior; its adjoint takes
-    the counts to the start point), and the coefficients from v and the
-    clipped image. The maps are probed for their Fourier form, so wrapped
-    or user-built operators take the same path as shipped ones. The prox
-    families look the elementwise proxes up by name on each call.
+    Returns the three prox terms with their values (the positivity counts
+    0), the solver's settings, the map from the solver's variable v to the
+    image (the dictionary, or the identity under the analysis prior; its
+    adjoint takes the counts to the start point), and the coefficients from
+    v and the clipped image. The maps are probed for their Fourier form, so
+    wrapped or user-built operators take the same path as shipped ones. The
+    prox families look the elementwise proxes up by name on each call.
     """
     def fourier(op: LinearOperator) -> LinearOperator:
         form = fourier_form(op, p.counts.height, p.counts.width)
         return op if form is None else form
+
+    def fit(eta: Array) -> float:
+        if eta.min() < 0.0:
+            # FFT round-off leaves about -1e-16 of the peak where the image
+            # is 0: the round-off band that simulate clamps reads as 0.
+            eta = np.where((eta < 0.0) & (eta >= -1e-9 * np.max(np.abs(eta))),
+                           0.0, eta)
+        return eval_poisson(eta, y, check=False)
 
     y, gamma, d = p.counts.data, p.gamma, p.dictionary
     # DeconvProblem validated the counts once.
     poisson = lambda v, s: prox_poisson(v, s, y, check=False)
     sparsity = lambda v, s: soft_threshold(v, s * gamma)
     positive = lambda v, s: project_positive(v)
+    l1 = lambda c: gamma * float(np.sum(np.abs(c)))
     h = fourier(p.blur)
     if p.prior == "analysis":
         maps, factor = (h, fourier(d.T), None), 0.5
@@ -131,45 +142,33 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
     else:
         maps, factor = (fourier(compose(h, d)), None, fourier(d)), 2.0
         image, coefficients = d, lambda v, x: v
-    terms = [ProxTerm(prox=f, label=label, op=op) for f, label, op in zip(
-        (poisson, sparsity, positive),
-        ("data-fidelity", "sparsity", "positivity"), maps)]
+    terms = [ProxTerm(poisson, "data-fidelity", maps[0], fit),
+             ProxTerm(sparsity, "sparsity", maps[1], l1),
+             ProxTerm(positive, "positivity", maps[2])]
     # The primal step grows with the counts, or is 1 when every count is 0
     # (the minimizer is then 0 at any step).
     mean = float(np.mean(y))
     cfg = replace(p.splitting, mu=factor * mean if mean > 0.0 else 1.0)
-    intensity, penalty, _ = maps
-
-    def value(v: Array) -> float:
-        eta = intensity.apply(v)
-        if eta.min() < 0.0:
-            # FFT round-off leaves about -1e-16 of the peak where the image
-            # is 0: the round-off band that simulate clamps reads as 0.
-            eta = np.where((eta < 0.0) & (eta >= -1e-9 * np.max(np.abs(eta))),
-                           0.0, eta)
-        sparse = v if penalty is None else penalty.apply(v)
-        return eval_poisson(eta, y, check=False) \
-            + gamma * float(np.sum(np.abs(sparse)))
-    return terms, cfg, value, image, coefficients
+    return terms, cfg, image, coefficients
 
 
 def objective(p: DeconvProblem, v, feasibility_tol: float = 0.0) -> float:
     """Fidelity plus penalty at the solver's variable v (the coefficients for
     the synthesis prior, the pixels for the analysis prior), as the solver
     traces it; +inf when the image has a pixel below -feasibility_tol."""
-    _, _, value, image, _ = _terms(p)
+    terms, _, image, _ = _terms(p)
     v = np.asarray(v, dtype=np.float64).ravel()
     x = image.apply(v)
     if x.size and float(np.min(x)) < -feasibility_tol:
         return float("inf")
-    return value(v)
+    return objective_value(terms, v)
 
 
 def deconvolve(problem: DeconvProblem) -> DeconvResult:
     """Solve one instance with the prior selected in the problem."""
     start = time.perf_counter()
-    terms, cfg, value, image, coefficients_of = _terms(problem)
-    v, state = solve(terms, cfg, image.adjoint(problem.counts.data), value)
+    terms, cfg, image, coefficients_of = _terms(problem)
+    v, state = solve(terms, cfg, image.adjoint(problem.counts.data))
     raw = image.apply(v)
     clip_mass = float(np.sum(np.maximum(-raw, 0.0)))
     restored = Image(problem.counts.width, problem.counts.height,

@@ -10,9 +10,10 @@ calls because the bands are one array axis. ``compose`` and ``T`` build
 plain operators; ``fourier_form`` is the one place that recovers a
 multiplier from any operator that has that form (a product of a blur and
 the starlet, say). ``apply_each`` and ``adjoint_sum`` run the maps of the
-primal-dual solver, sharing the spectra of one variable when they merge one
-band stack, and ``fft2_count`` counts the 2-D FFTs this module computes,
-one per image.
+primal-dual solver: multipliers on one grid share the forward spectra of
+their input and sum their adjoints in the spectrum, whether they merge a
+band stack (H Phi and Phi) or split an image into one (H and Phi^T).
+``fft2_count`` counts the 2-D FFTs this module computes, one per image.
 """
 
 from __future__ import annotations
@@ -257,34 +258,36 @@ class FourierMultiplier(LinearOperator):
         return self.images(self.combine(self.spectra(u), conj=True))
 
 
-def _one_stack(ops: list[LinearOperator]) -> bool:
-    """True when every op is a multiplier merging one band stack on one grid."""
-    first = ops[0]
-    return all(isinstance(op, FourierMultiplier) and op.merge
-               and (op.height, op.width, op.in_dim)
-               == (first.height, first.width, first.in_dim) for op in ops)
+def _one_grid(ops: list[LinearOperator]) -> bool:
+    """True when every op is a multiplier on one grid with one input size."""
+    return bool(ops) and all(
+        isinstance(op, FourierMultiplier)
+        and (op.height, op.width, op.in_dim)
+        == (ops[0].height, ops[0].width, ops[0].in_dim) for op in ops)
 
 
 def apply_each(ops: list[LinearOperator], x) -> list[Array]:
-    """``[op.apply(x) for op in ops]``, bit for bit; multipliers that merge
-    one band stack share its spectra, one FFT per band for all of them."""
-    if not _one_stack(ops):
+    """``[op.apply(x) for op in ops]``, bit for bit; multipliers on one grid
+    share the input's spectra, one FFT per input image for all of them."""
+    if not _one_grid(ops):
         return [op.apply(x) for op in ops]
     spectra = ops[0].spectra(_flat64(x, ops[0].in_dim, "apply_each"))
-    return [op.images(op.combine(spectra)) for op in ops]
+    return [op.images(op.combine(spectra) if op.merge else op.gains * spectra)
+            for op in ops]
 
 
 def adjoint_sum(ops: list[LinearOperator], images: list[Array]) -> Array:
-    """``sum_i ops[i].adjoint(images[i])``; multipliers that merge one band
-    stack sum in the spectrum, with one inverse FFT per band for all of them."""
-    if not _one_stack(ops):
+    """``sum_i ops[i].adjoint(images[i])``; multipliers on one grid sum in the
+    spectrum, with one inverse FFT per output image for all of them."""
+    if not _one_grid(ops):
         return sum(op.adjoint(u) for op, u in zip(ops, images))
     first = ops[0]
-    stack = np.concatenate([_flat64(u, op.out_dim, "adjoint_sum")
-                            for op, u in zip(ops, images)])
-    spectra = first.spectra(stack)
-    return first.images(sum(op.gains.conj() * spectrum
-                            for op, spectrum in zip(ops, spectra)))
+    spectra = first.spectra(np.concatenate(
+        [_flat64(u, op.out_dim, "adjoint_sum") for op, u in zip(ops, images)]))
+    ends = np.cumsum([op.out_dim // (first.height * first.width) for op in ops])
+    return first.images(sum(
+        op.gains.conj() * part if op.merge else op.combine(part, conj=True)
+        for op, part in zip(ops, np.split(spectra, ends[:-1]))))
 
 
 def fourier_form(op: LinearOperator, height: int,

@@ -1,7 +1,8 @@
 """Splitting solvers for sums of proximable terms.
 
 Minimizes f_1(K_1 x) + ... + f_K(K_K x), where each term gives the prox of
-its f_i and, optionally, a linear map K_i (the identity when absent).
+its f_i and, optionally, a linear map K_i (the identity when absent) and
+the value of f_i for the objective trace.
 
 ``deconvolve`` runs the primal-dual iteration below for both priors; the
 Douglas-Rachford path serves callers whose terms carry no maps.
@@ -37,6 +38,10 @@ duals' change drop to ``tol``. The duals' change is the shift they make in
 the primal step, tau ||sum_i K_i^T (u_{t+1,i} - u_{t,i})||, relative to
 max(||x_t||, ||x_{t+1}||): finite from zero duals, and +inf while the duals
 move an iterate that sits at zero, so such an iterate never stops the run.
+
+The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
+with x_bar = 2 x~ - x_t, so the loop carries K_i x by linearity from the
+K_i x_bar the duals need. The last entry is recomputed from x exactly.
 """
 
 from __future__ import annotations
@@ -56,11 +61,14 @@ Array = np.ndarray
 @dataclass(frozen=True)
 class ProxTerm:
     """One summand f(op v), or f(v) without ``op``: ``prox(point, scale)``
-    must return prox_{scale * f}(point), the prox of f itself."""
+    must return prox_{scale * f}(point), the prox of f itself, and
+    ``value(point)`` f(point). An indicator leaves ``value`` None and counts
+    0 in the objective trace."""
 
     prox: Callable[[Array, float], Array]
     label: str = ""
     op: LinearOperator | None = None
+    value: Callable[[Array], float] | None = None
 
 
 @dataclass(frozen=True)
@@ -115,14 +123,24 @@ def _checked(term: ProxTerm, out, dim: int, iteration: int) -> Array:
     return out
 
 
-def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init,
-          objective: Callable[[Array], float] | None = None
+def objective_value(terms: Sequence[ProxTerm], x: Array,
+                    images: Sequence[Array] | None = None) -> float:
+    """f_1(K_1 x) + ... + f_K(K_K x) over the terms with a value, in term
+    order; ``images``, when given, holds the K_i x of those with a map."""
+    valued = [term for term in terms if term.value is not None]
+    images = iter(images if images is not None else apply_each(
+        [term.op for term in valued if term.op is not None], x))
+    return sum(float(term.value(x if term.op is None else next(images)))
+               for term in valued)
+
+
+def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
           ) -> tuple[Array, SplittingState]:
     """Run the splitting iteration until tolerance or max_outer.
 
     Douglas-Rachford when no term has a map, with every term copy starting
     at ``init``; primal-dual otherwise, from ``init`` and zero duals. When
-    ``objective`` is given it is evaluated at each new iterate and recorded
+    a term has a value, ``objective_value`` at each new iterate is recorded
     in the trace, which is otherwise empty. Term ordering does not affect
     the result beyond float round-off.
     """
@@ -130,16 +148,31 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init,
     if not terms:
         raise ValueError("need at least one prox term")
     x = np.asarray(init, dtype=np.float64).ravel().copy()
-    if any(term.op is not None for term in terms):
-        return _primal_dual(terms, cfg, x, objective)
+    run = _primal_dual if any(term.op is not None for term in terms) \
+        else _douglas_rachford
+    traced = any(term.value is not None for term in terms)
+    rel_trace: list[float] = []
+    obj_trace: list[float] = []
+    for x, aux, rel, images in run(terms, cfg, x):
+        rel_trace.append(rel)
+        if traced:
+            obj_trace.append(objective_value(terms, x, images))
+        if rel <= cfg.tol:
+            break
+    if traced:
+        # Carried images drift from K_i x by round-off; the last entry is exact.
+        obj_trace[-1] = objective_value(terms, x)
+    return x, SplittingState(x=x, aux=aux, iterations=len(rel_trace),
+                             converged=rel <= cfg.tol,
+                             relative_changes=rel_trace, objectives=obj_trace)
+
+
+def _douglas_rachford(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
+    """The product-space loop of the module docstring; yields each iterate
+    with the term copies, its relative change and no carried images."""
     w = 1.0 / len(terms)
     dim = x.size
     copies = [x.copy() for _ in terms]
-    rel_trace: list[float] = []
-    obj_trace: list[float] = []
-    converged = False
-    iterations = 0
-
     for t in range(cfg.max_outer):
         proxed = [_checked(term, term.prox(p, cfg.mu / w), dim, t)
                   for term, p in zip(terms, copies)]
@@ -155,25 +188,13 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init,
         if not np.all(np.isfinite(x_next)):
             raise NonFiniteIterateError(iteration=t, label="<average>")
         rel = relative_change(x_next, x)
-        rel_trace.append(rel)
-        if objective is not None:
-            obj_trace.append(float(objective(x_next)))
         x = x_next
-        iterations = t + 1
-        if rel <= cfg.tol:
-            converged = True
-            break
-
-    state = SplittingState(x=x, aux=copies, iterations=iterations,
-                           converged=converged, relative_changes=rel_trace,
-                           objectives=obj_trace)
-    return x, state
+        yield x, copies, rel, None
 
 
-def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array,
-                 objective: Callable[[Array], float] | None
-                 ) -> tuple[Array, SplittingState]:
-    """The relaxed primal-dual loop of the module docstring."""
+def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
+    """The relaxed primal-dual loop of the module docstring; yields each
+    iterate with the duals, its change and the carried K_i x."""
     free = [term for term in terms if term.op is None]
     mapped = [term for term in terms if term.op is not None]
     if len(free) != 1:
@@ -187,14 +208,13 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array,
     sigma = 0.99 / (tau * norm2)
     duals = [np.zeros(term.op.out_dim) for term in mapped]
     back = np.zeros(x.size)  # sum_i K_i^T u_i, carried between iterations
-    rel_trace: list[float] = []
-    obj_trace: list[float] = []
-    converged = False
-    iterations = 0
 
     # Maps and proxes may hand back their input, so their outputs are never
-    # updated in place.
+    # updated in place: the trace carries copies of K_i x, by map index.
     maps = [term.op for term in mapped]
+    carried = [i for i, term in enumerate(mapped) if term.value is not None]
+    kx = dict(zip(carried, [k.copy() for k in apply_each(
+        [maps[i] for i in carried], x)]))
     for t in range(cfg.max_outer):
         x_new = _checked(g, g.prox(x - tau * back, tau), x.size, t)
         x_bar = 2.0 * x_new
@@ -206,7 +226,12 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array,
             v -= sigma * _checked(term, term.prox(v / sigma, 1.0 / sigma),
                                   v.size, t)
             duals[i] = u + theta * (v - u)
-        del x_bar, v, k_bar
+            if i in kx:
+                # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
+                # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t).
+                kx[i] += (0.5 * theta) * (k_bar - kx[i])
+        # Free the spent duals and map outputs before adjoint_sum allocates.
+        del x_bar, v, k_bar, u
         back_next = adjoint_sum(maps, duals)
         x_next = x + theta * (x_new - x)
         # The duals' change as the shift tau K^T (u_next - u) it makes in the
@@ -215,16 +240,5 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array,
         reach = max(float(np.linalg.norm(x)), float(np.linalg.norm(x_next)))
         dual_change = shift / reach if reach else (float("inf") if shift else 0.0)
         rel = max(relative_change(x_next, x), dual_change)
-        rel_trace.append(rel)
-        if objective is not None:
-            obj_trace.append(float(objective(x_next)))
         x, back = x_next, back_next
-        iterations = t + 1
-        if rel <= cfg.tol:
-            converged = True
-            break
-
-    state = SplittingState(x=x, aux=duals, iterations=iterations,
-                           converged=converged, relative_changes=rel_trace,
-                           objectives=obj_trace)
-    return x, state
+        yield x, duals, rel, kx.values()

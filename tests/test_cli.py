@@ -183,6 +183,17 @@ class TestDeconvolve:
             trace = json.load(fh)["objective_trace"]
         assert trace and None not in trace
 
+    @pytest.mark.parametrize("mu", ["0", "-3"])
+    def test_mu_is_accepted_and_ignored(self, workspace, mu):
+        # Both priors take their step from the mean count, so --mu changes
+        # nothing, and a value no step could take does not fail the run.
+        flags = ["--gamma", "0.5", "--iters", "20", "--no-timing"]
+        code, out = self._run(workspace, "mu.f64", flags + ["--mu", mu])
+        plain_code, plain = self._run(workspace, "plain.f64", flags)
+        assert code == plain_code
+        for suffix in ("", ".metrics.json"):
+            assert _read_bytes(out + suffix) == _read_bytes(plain + suffix)
+
     def test_iteration_cap_exits_two(self, workspace):
         code, out = self._run(workspace, "capped.f64",
                               ["--gamma", "0.5", "--iters", "2",

@@ -9,6 +9,7 @@ import proxdeconv.deconv as deconv_module
 import proxdeconv.operators as operators_module
 import proxdeconv.prox_compose as prox_compose_module
 import proxdeconv.prox_core as prox_core_module
+import proxdeconv.splitting as splitting_module
 from proxdeconv import (DeconvProblem, DeconvResult, FrameDictionary, Image,
                         LinearOperator, ProxTerm, SplittingConfig,
                         SplittingState, deconvolve, gcv_score,
@@ -511,7 +512,8 @@ class TestResultMetrics:
         assert "mae" not in doc
 
     def test_objective_trace_optional(self):
-        # deconvolve always traces; a solve given no objective traces [].
+        # deconvolve always traces; a solve whose terms have no value
+        # traces [].
         res = deconvolve(ring_problem("synthesis"))
         _, state = solve([ProxTerm(prox=lambda v, s: v)],
                          SplittingConfig(max_outer=2), res.state.x)
@@ -695,14 +697,14 @@ class TestFourierPath:
     # 2-D FFTs per outer iteration, from the operators module's counter:
     # synthesis: blur o synthesis and the synthesis applied to one band
     # stack (bands + 2) and their adjoints summed in the spectrum (2 +
-    # bands), objective (bands + 1); analysis: the blur and the analysis
-    # applied (2 + bands + 1) and their adjoints (2 + bands + 1), objective
-    # (the same 2 + bands + 1). A multiplier transforms all bands of a
-    # stack in one numpy call, so the calls per iteration do not grow with
-    # the levels.
-    FFT2_PER_ITERATION = {("synthesis", 2): 14, ("analysis", 2): 18,
-                          ("synthesis", 3): 17, ("analysis", 3): 21}
-    NUMPY_FFT_CALLS_PER_ITERATION = {"synthesis": 7, "analysis": 12}
+    # bands); analysis: the blur and the analysis applied to one image (1 +
+    # 1 + bands) and their adjoints summed in the spectrum (1 + bands + 1).
+    # The objective trace is carried from the maps' outputs and costs none.
+    # A multiplier transforms all bands of a stack in one numpy call, so
+    # the calls per iteration do not grow with the levels.
+    FFT2_PER_ITERATION = {("synthesis", 2): 10, ("analysis", 2): 10,
+                          ("synthesis", 3): 12, ("analysis", 3): 12}
+    NUMPY_FFT_CALLS_PER_ITERATION = {"synthesis": 5, "analysis": 5}
 
     @pytest.mark.parametrize("prior, levels", sorted(FFT2_PER_ITERATION))
     def test_fft2_per_outer_iteration(self, prior, levels, monkeypatch):
@@ -745,6 +747,34 @@ class TestFourierPath:
         traced = res.state.objectives[-1]
         assert math.isfinite(traced)
         assert objective(prob, res.state.x, feasibility_tol=math.inf) == traced
+
+    @pytest.mark.parametrize("spec", ["starlet:levels=2", "haar:levels=2",
+                                      "union(starlet:levels=2,dirac)",
+                                      "dirac"])
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_carried_trace_is_the_exact_objective(self, prior, spec,
+                                                  monkeypatch):
+        # The solver carries K x by linearity from the K x_bar it computes
+        # for the duals; every entry is scored against the exact value at
+        # the same iterate, recomputed from x through the maps.
+        pairs = []
+        exact = splitting_module.objective_value
+
+        def scored(terms, x, images=None):
+            value = exact(terms, x, images)
+            if images is not None:
+                pairs.append((value, exact(terms, x)))
+            return value
+        monkeypatch.setattr(splitting_module, "objective_value", scored)
+        res = deconvolve(_counts_problem(prior, max_outer=200, spec=spec))
+        carried, want = np.array(pairs).T
+        assert carried.size == res.state.iterations == 200
+        assert np.array_equal(np.isfinite(carried), np.isfinite(want))
+        finite = np.isfinite(want)
+        assert np.all(np.abs(carried[finite] - want[finite])
+                      <= 1e-14 * np.abs(want[finite]))
+        assert res.state.objectives[:-1] == list(carried[:-1])
+        assert res.state.objectives[-1] == want[-1]
 
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
     def test_solver_skips_the_per_call_count_scan(self, prior, monkeypatch):

@@ -331,7 +331,8 @@ class TestFourierMultiplier:
 
 class TestSharedStack:
     """apply_each and adjoint_sum, which the primal-dual solver runs on its
-    maps: multipliers merging one band stack share its spectra."""
+    maps: multipliers on one grid share their input's spectra and sum their
+    adjoints in the spectrum."""
 
     def _maps(self, fourier):
         blur = make_circular_convolution(_ma_psf(3), 8, 8)
@@ -358,3 +359,24 @@ class TestSharedStack:
         # Shared: 3 bands + 2 images forward, 2 images + 3 bands back; one
         # by one, 4 + 2 and 4 each way.
         assert spent == (10 if fourier else 20)
+
+    @pytest.mark.parametrize("fourier", [False, True])
+    def test_analysis_pair_shares_the_image_spectrum(self, fourier):
+        # H and Phi^T split one image, into one band and into a stack.
+        blur = make_circular_convolution(_ma_psf(3), 8, 8)
+        analysis = make_starlet(8, 8, 2).T
+        maps = [blur, fourier_form(analysis, 8, 8) if fourier else analysis]
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(64)
+        us = [rng.standard_normal(64), rng.standard_normal(192)]
+        before = operators_module.fft2_count
+        each = operators_module.apply_each(maps, x)
+        back = operators_module.adjoint_sum(maps, us)
+        spent = operators_module.fft2_count - before
+        for got, op in zip(each, maps):
+            assert got.tobytes() == op.apply(x).tobytes()
+        want = maps[0].adjoint(us[0]) + maps[1].adjoint(us[1])
+        assert np.allclose(back, want, atol=1e-12)
+        # Shared: 1 image forward and 1 + 3 back, then 1 + 3 forward and 1
+        # image back; one by one, 2 + 4 each way.
+        assert spent == (10 if fourier else 12)

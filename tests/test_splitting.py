@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from proxdeconv import (ProxTerm, SplittingConfig, diagonal_operator,
                         identity_operator, project_positive, relative_change,
                         soft_threshold, solve)
 from proxdeconv.errors import DimensionMismatchError, NonFiniteIterateError
+from proxdeconv.splitting import objective_value
 
 from oracles import grid_minimize
 
@@ -77,27 +79,29 @@ class TestThreeTerms:
     def _instance(self):
         b = np.array([2.0, -1.0])
         gamma = 1.0
-        terms = _terms(
-            ("quad", _quad_prox(b)),
-            ("l1", lambda v, s: soft_threshold(v, s * gamma)),
-            ("positive", _positive_prox),
-        )
-        objective = lambda x: (0.5 * float(np.sum((x - b) ** 2))
-                               + gamma * float(np.sum(np.abs(x)))
-                               + (0.0 if np.min(x) >= 0.0 else math.inf))
-        return terms, objective
+        terms = [
+            ProxTerm(prox=_quad_prox(b), label="quad",
+                     value=lambda x: 0.5 * float(np.sum((x - b) ** 2))),
+            ProxTerm(prox=lambda v, s: soft_threshold(v, s * gamma),
+                     label="l1",
+                     value=lambda x: gamma * float(np.sum(np.abs(x)))),
+            ProxTerm(prox=_positive_prox, label="positive",
+                     value=lambda x: 0.0 if np.min(x) >= 0.0 else math.inf),
+        ]
+        return terms, lambda x: objective_value(terms, x)
 
     def test_reaches_the_separable_optimum(self):
         terms, objective = self._instance()
         x, _ = solve(terms, SplittingConfig(max_outer=2000, tol=1e-12),
-                     np.zeros(2), objective)
+                     np.zeros(2))
         # Soft-threshold then project: (max(2-1, 0), 0).
         assert np.max(np.abs(x - np.array([1.0, 0.0]))) <= 1e-6
 
     def test_objective_matches_the_grid_oracle(self):
         terms, objective = self._instance()
         x, state = solve(terms, SplittingConfig(max_outer=2000, tol=1e-12),
-                         np.zeros(2), objective)
+                         np.zeros(2))
+        assert state.objectives[-1] == objective(x)
         # The averaged iterate can sit a hair outside the constraint set;
         # score its projection, as the pipeline does before reporting.
         x = project_positive(x)
@@ -228,8 +232,9 @@ class TestPrimalDual:
 
     def test_reaches_the_separable_optimum(self):
         terms = self._terms(np.array([2.0, -1.0]))
+        terms[1] = replace(terms[1], value=lambda v: float(np.sum(np.abs(v))))
         x, state = solve(terms, SplittingConfig(max_outer=2000, tol=1e-12),
-                         np.zeros(2), lambda v: float(np.sum(v)))
+                         np.zeros(2))
         # Soft-threshold then project: (max(2-1, 0), 0).
         assert np.max(np.abs(x - np.array([1.0, 0.0]))) <= 1e-6
         assert state.converged
