@@ -37,8 +37,9 @@ import numpy as np
 
 from .dictionary import FrameDictionary
 from .errors import DimensionMismatchError
-from .operators import (FourierMultiplier, Image, LinearOperator,
-                        _check_count, compose, fourier_form, identity_operator)
+from .operators import (FourierMultiplier, Image, LinearOperator, _check_count,
+                        _check_positive, _flat64, compose, fourier_form,
+                        identity_operator)
 from .prox_core import eval_poisson, project_positive, prox_poisson, soft_threshold
 from .splitting import (ProxTerm, SplittingConfig, SplittingState,
                         objective_value, solve)
@@ -71,8 +72,7 @@ class DeconvProblem:
     def __post_init__(self):
         if self.prior not in PRIORS:
             raise ValueError(f"prior must be one of {PRIORS}, got {self.prior!r}")
-        if not 0.0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        _check_positive(self.gamma, "gamma")
         if not self.counts.is_counts():
             raise ValueError("counts image must hold finite non-negative integers")
         n = self.counts.n
@@ -208,9 +208,7 @@ def mae(a, b) -> float:
         raise DimensionMismatchError(expected=(a.height, a.width),
                                      actual=(b.height, b.width), context="mae")
     av = a.data if isinstance(a, Image) else np.asarray(a, dtype=np.float64).ravel()
-    bv = b.data if isinstance(b, Image) else np.asarray(b, dtype=np.float64).ravel()
-    if av.size != bv.size:
-        raise DimensionMismatchError(expected=av.size, actual=bv.size, context="mae")
+    bv = _flat64(b.data if isinstance(b, Image) else b, av.size, "mae")
     return float(np.mean(np.abs(av - bv)))
 
 
@@ -223,30 +221,24 @@ def relative_mae(estimate, truth) -> float:
     return mae(estimate, truth) / denom
 
 
-def _active_count(gamma: float, coefficients) -> int:
-    """#{ |coeff_i| >= gamma }, GCV's proxy for the degrees of freedom."""
-    coeffs = np.asarray(coefficients, dtype=np.float64).ravel()
-    return int(np.count_nonzero(np.abs(coeffs) >= gamma))
-
-
 def gcv_score(gamma: float, counts: Image, blur: LinearOperator,
               restored: Image, coefficients) -> float:
     """Generalized cross-validation score on variance-stabilized residuals.
 
     score = || 2 sqrt(y + 3/8) - 2 sqrt(H x + 3/8) ||^2 / (n - df)^2 with
     df = #{ |coeff_i| >= gamma } as the active-coefficient proxy for the
-    degrees of freedom. Requires df < n. Scans break ties toward larger
-    gamma; in practice the score is biased toward over-smoothing, which is
-    the safe direction for count data.
+    degrees of freedom; +inf when df >= n, the limit of the score as df -> n.
+    Scans break ties toward larger gamma; in practice the score is biased
+    toward over-smoothing, which is the safe direction for count data.
     """
     if not gamma > 0.0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     y = counts.data
     n = y.size
-    df = _active_count(gamma, coefficients)
+    coeffs = np.asarray(coefficients, dtype=np.float64).ravel()
+    df = int(np.count_nonzero(np.abs(coeffs) >= gamma))
     if df >= n:
-        raise ValueError(f"degrees of freedom {df} >= pixel count {n}; "
-                         "GCV denominator vanishes")
+        return float("inf")
     eta = blur.apply(restored.data)
     resid = 2.0 * np.sqrt(y + 0.375) - 2.0 * np.sqrt(np.maximum(eta, 0.0) + 0.375)
     return float(np.sum(resid * resid)) / float(n - df) ** 2
@@ -259,8 +251,8 @@ def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
     Returns (best, rows): the winning solve, whose ``gamma_used`` is the
     selected gamma (ties go to the larger gamma), and one
     (gamma, gcv, mae-or-None) row per grid point. A point whose active
-    count reaches the pixel count scores +inf, the limit of the GCV score as
-    df -> n, and is never selected; a grid where every point does raises.
+    count reaches the pixel count scores +inf (``gcv_score``) and is never
+    selected; a grid where every point does raises.
     The grid must be finite and strictly increasing, and a truth must lie on
     the counts' grid. Under the analysis prior the dictionary must have no
     more coefficients than pixels: the active count of a redundant analysis
@@ -287,11 +279,8 @@ def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
     best, best_score = None, None
     for gamma in grid:
         result = deconvolve(replace(problem, gamma=gamma))
-        if _active_count(gamma, result.coefficients) >= n:
-            score = float("inf")
-        else:
-            score = gcv_score(gamma, problem.counts, problem.blur,
-                              result.restored, result.coefficients)
+        score = gcv_score(gamma, problem.counts, problem.blur,
+                          result.restored, result.coefficients)
         err = mae(result.restored, truth) if truth is not None else None
         rows.append((gamma, score, err))
         if best_score is None or score <= best_score:
@@ -327,8 +316,7 @@ def simulate(truth: Image, blur: LinearOperator, peak: float, seed: int) -> Imag
 
 def scale_to_peak(truth: Image, peak: float) -> Image:
     """The rescaled ground truth that ``simulate`` blurs, for error metrics."""
-    if not 0.0 < peak < np.inf:
-        raise ValueError(f"peak must be finite and > 0, got {peak}")
+    _check_positive(peak, "peak")
     top = float(np.max(truth.data)) if truth.data.size else 0.0
     if top <= 0.0:
         return truth

@@ -18,6 +18,7 @@ band stack (H Phi and Phi) or split an image into one (H and Phi^T).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +44,12 @@ def _check_count(value, name: str, least: int = 1) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_positive(value, name: str) -> None:
+    """Reject a scalar that is not finite and > 0 (NaN included)."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def all_counts(y: Array) -> bool:
@@ -73,12 +80,7 @@ class Image:
         _check_count(self.height, "height")
         object.__setattr__(self, "width", int(self.width))
         object.__setattr__(self, "height", int(self.height))
-        arr = np.asarray(self.data, dtype=np.float64).ravel()
-        if arr.size != self.width * self.height:
-            raise DimensionMismatchError(
-                expected=self.width * self.height, actual=arr.size, context="Image data"
-            )
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _flat64(self.data, self.n, "Image data"))
 
     @classmethod
     def from_2d(cls, arr) -> "Image":
@@ -207,7 +209,8 @@ class FourierMultiplier(LinearOperator):
     half spectra are held at once, a complex array about as large as the
     stack itself. ``spectra``, ``images`` and ``combine`` expose the
     three steps, so that several maps of one variable can share its
-    spectra.
+    spectra; ``apply`` and ``adjoint`` are the one-map case of
+    ``apply_each`` and ``adjoint_sum``, which hold the orientation rule.
     """
 
     __slots__ = ("height", "width", "gains", "merge")
@@ -246,16 +249,10 @@ class FourierMultiplier(LinearOperator):
         return np.sum((self.gains.conj() if conj else self.gains) * spectra, axis=0)
 
     def apply(self, x) -> Array:
-        x = _flat64(x, self.in_dim, "FourierMultiplier.apply")
-        if self.merge:
-            return self.images(self.combine(self.spectra(x)))
-        return self.images(self.gains * self.spectra(x))
+        return apply_each([self], x)[0]
 
     def adjoint(self, u) -> Array:
-        u = _flat64(u, self.out_dim, "FourierMultiplier.adjoint")
-        if self.merge:
-            return self.images(self.gains.conj() * self.spectra(u))
-        return self.images(self.combine(self.spectra(u), conj=True))
+        return adjoint_sum([self], [u])
 
 
 def _one_grid(ops: list[LinearOperator]) -> bool:
@@ -285,9 +282,10 @@ def adjoint_sum(ops: list[LinearOperator], images: list[Array]) -> Array:
     spectra = first.spectra(np.concatenate(
         [_flat64(u, op.out_dim, "adjoint_sum") for op, u in zip(ops, images)]))
     ends = np.cumsum([op.out_dim // (first.height * first.width) for op in ops])
-    return first.images(sum(
+    # Summed from the first part, not from 0: 0 + (-0.0) would flip a sign.
+    return first.images(functools.reduce(np.add, (
         op.gains.conj() * part if op.merge else op.combine(part, conj=True)
-        for op, part in zip(ops, np.split(spectra, ends[:-1]))))
+        for op, part in zip(ops, np.split(spectra, ends[:-1])))))
 
 
 def fourier_form(op: LinearOperator, height: int,

@@ -3,10 +3,11 @@
 Two routes:
 
 * ``prox_affine_tight``: when F F^T = c I the prox has the closed form
-      prox_{f o F}(x) = x + c^{-1} F^T ( prox_{c f}(F x) - F x ).
+      prox_{f o F}(x) = x + c^{-1} F^T ( prox_{c f}(F x) - F x ),
+  and every call first certifies F F^T = c I (``verify_tight_frame``).
 
 * ``prox_affine_fb``: for general bounded F, forward-backward iteration on
-  the dual of    min_p  f(F p) + ||p - x||^2 / 2,
+  the dual of    min_p  f(F p) + ||p - x||^2 / 2, from u_0 = 0 and p_0 = x,
       u_{t+1} = tau (I - prox_{f / tau}) (u_t / tau + F p_t),
       p_{t+1} = x - F^T u_{t+1},
   with c2 an upper bound on ||F||^2. Given a c1 too, the step is
@@ -33,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TightFrameError
-from .operators import LinearOperator, _check_count, _flat64
+from .operators import LinearOperator, _check_count, _check_positive, _flat64
 
 Array = np.ndarray
 ProxFamily = Callable[[Array, float], Array]
@@ -48,8 +49,7 @@ class FBDiagnostics:
 
 
 def default_tau(c2: float, c1: float | None = None) -> float:
-    if not 0.0 < c2 < np.inf:
-        raise ValueError(f"c2 must be finite and > 0, got {c2}")
+    _check_positive(c2, "c2")
     if c1 is not None:
         if not 0.0 < c1 <= c2:
             raise ValueError(f"need 0 < c1 <= c2, got ({c1}, {c2})")
@@ -60,8 +60,7 @@ def default_tau(c2: float, c1: float | None = None) -> float:
 def verify_tight_frame(frame: LinearOperator, c: float) -> None:
     """Check F F^T = c I on 4 seeded random probes, to 1e-8 relative;
     raises TightFrameError if it fails."""
-    if not 0.0 < c < np.inf:
-        raise ValueError(f"tight frame constant must be finite and > 0, got {c}")
+    _check_positive(c, "tight frame constant")
     rng = np.random.default_rng(0)
     for _ in range(4):
         u = rng.standard_normal(frame.out_dim)
@@ -74,14 +73,10 @@ def verify_tight_frame(frame: LinearOperator, c: float) -> None:
 
 
 def prox_affine_tight(prox_f: ProxFamily, frame: LinearOperator, c: float,
-                      x, scale: float = 1.0, check: bool = True) -> Array:
-    """Closed-form prox of scale * f(F .) for a tight frame F F^T = c I."""
-    if not 0.0 < scale < np.inf:
-        raise ValueError(f"scale must be finite and > 0, got {scale}")
-    if not 0.0 < c < np.inf:
-        raise ValueError(f"tight frame constant must be finite and > 0, got {c}")
-    if check:
-        verify_tight_frame(frame, c)
+                      x, scale: float = 1.0) -> Array:
+    """Closed-form prox of scale * f(F .) for a tight frame, certified first."""
+    _check_positive(scale, "scale")
+    verify_tight_frame(frame, c)
     x = _flat64(x, frame.in_dim, "prox_affine_tight")
     v = frame.apply(x)
     return x + frame.adjoint(prox_f(v, c * scale) - v) / c
@@ -89,25 +84,19 @@ def prox_affine_tight(prox_f: ProxFamily, frame: LinearOperator, c: float,
 
 def prox_affine_fb(prox_f: ProxFamily, op: LinearOperator, c2: float,
                    x, inner_iters: int = 10, scale: float = 1.0,
-                   c1: float | None = None, warm: FBDiagnostics | None = None
-                   ) -> tuple[Array, FBDiagnostics]:
+                   c1: float | None = None) -> tuple[Array, FBDiagnostics]:
     """Truncated dual forward-backward estimate of prox_{scale * f o op}(x).
 
-    Starts from the dual point of ``warm`` (zeros when None) and returns the
+    Starts from the zero dual, where the primal point is x, and returns the
     primal point after ``inner_iters`` steps at ``default_tau(c2, c1)``
-    together with diagnostics; pass them back as ``warm`` to warm-start the
-    next call at a nearby prox target.
+    together with diagnostics.
     """
-    if not 0.0 < scale < np.inf:
-        raise ValueError(f"scale must be finite and > 0, got {scale}")
+    _check_positive(scale, "scale")
     _check_count(inner_iters, "inner_iters")
     x = _flat64(x, op.in_dim, "prox_affine_fb")
     tau = default_tau(c2, c1)
-    if warm is None:
-        u = np.zeros(op.out_dim)
-    else:
-        u = _flat64(warm.dual, op.out_dim, "prox_affine_fb warm dual")
-    p = x - op.adjoint(u)
+    u = np.zeros(op.out_dim)
+    p = x
     residuals: list[float] = []
     for _ in range(inner_iters):
         w = u / tau + op.apply(p)

@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
-from .operators import all_counts
+from .errors import DomainError
+from .operators import _check_positive, _flat64, all_counts
 
 Array = np.ndarray
 
@@ -27,10 +27,7 @@ _TINY = np.finfo(np.float64).tiny
 
 def _pair64(a, b, context: str) -> tuple[Array, Array]:
     a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.size != b.size:
-        raise DimensionMismatchError(expected=a.size, actual=b.size, context=context)
-    return a, b
+    return a, _flat64(b, a.size, context)
 
 
 def _validate_counts(y: Array, context: str) -> None:
@@ -91,8 +88,7 @@ def prox_poisson(x, beta: float, counts, check: bool = True) -> Array:
     ``check=False`` skips the scan of ``counts``, for callers that have
     validated them once already.
     """
-    if not 0.0 < beta < math.inf:
-        raise ValueError(f"prox scale beta must be finite and > 0, got {beta}")
+    _check_positive(beta, "prox scale beta")
     x, y = _pair64(x, counts, "prox_poisson")
     if check:
         _validate_counts(y, "prox_poisson")
@@ -117,7 +113,12 @@ def soft_threshold(values, threshold: float) -> Array:
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     v = np.asarray(values, dtype=np.float64)
-    return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+    # sign(v) * max(|v| - t, 0) bit for bit, in place in one array for |v|.
+    out = np.abs(v, out=np.empty_like(v))
+    out -= threshold
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(v)
+    return out
 
 
 def project_positive(x) -> Array:

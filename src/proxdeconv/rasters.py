@@ -12,7 +12,6 @@ extension: ``.pgm`` is PGM, everything else is f64-raw.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 

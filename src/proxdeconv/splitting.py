@@ -52,8 +52,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonFiniteIterateError
-from .operators import (LinearOperator, _check_count, _flat64,
-                        adjoint_sum, apply_each)
+from .operators import (LinearOperator, _check_count, _check_positive,
+                        _flat64, adjoint_sum, apply_each)
 
 Array = np.ndarray
 
@@ -79,8 +79,7 @@ class SplittingConfig:
     tol: float = 1e-5
 
     def __post_init__(self):
-        if not 0.0 < self.mu < np.inf:
-            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
+        _check_positive(self.mu, "mu")
         if not 0.0 < self.theta < 2.0:
             raise ValueError(f"theta must lie in the open interval (0, 2), "
                              f"got {self.theta}")
@@ -102,17 +101,18 @@ class SplittingState:
     objectives: list[float]
 
 
+def _ratio(num: float, denom: float) -> float:
+    """num / denom, where 0 / 0 is 0 and any other x / 0 is +inf."""
+    if denom == 0.0:
+        return 0.0 if num == 0.0 else float("inf")
+    return num / denom
+
+
 def relative_change(new, old) -> float:
     """||new - old|| / ||old||; 0 when both are zero, +inf when only old is."""
     new = np.asarray(new, dtype=np.float64).ravel()
-    old = np.asarray(old, dtype=np.float64).ravel()
-    if new.size != old.size:
-        raise ValueError(f"size mismatch: {new.size} vs {old.size}")
-    denom = float(np.linalg.norm(old))
-    diff = float(np.linalg.norm(new - old))
-    if denom == 0.0:
-        return 0.0 if diff == 0.0 else float("inf")
-    return diff / denom
+    old = _flat64(old, new.size, "relative_change")
+    return _ratio(float(np.linalg.norm(new - old)), float(np.linalg.norm(old)))
 
 
 def _checked(term: ProxTerm, out, dim: int, iteration: int) -> Array:
@@ -238,7 +238,6 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
         # primal step, relative to the larger of the two iterates.
         shift = tau * float(np.linalg.norm(back_next - back))
         reach = max(float(np.linalg.norm(x)), float(np.linalg.norm(x_next)))
-        dual_change = shift / reach if reach else (float("inf") if shift else 0.0)
-        rel = max(relative_change(x_next, x), dual_change)
+        rel = max(relative_change(x_next, x), _ratio(shift, reach))
         x, back = x_next, back_next
         yield x, duals, rel, kx.values()

@@ -291,10 +291,12 @@ class TestGcvScore:
                            np.array([10.0, 10.0, 0.0, 0.0]))
         assert halved == pytest.approx(4.0 * base, rel=1e-12)
 
-    def test_saturated_degrees_of_freedom_rejected(self):
+    def test_saturated_degrees_of_freedom_score_inf(self):
+        # df >= n = 4 scores +inf, the limit of the score as df -> n.
         counts, blur, restored = self._flat_instance()
-        with pytest.raises(ValueError):
-            gcv_score(0.5, counts, blur, restored, np.full(5, 10.0))
+        for active in (4, 5):
+            coefficients = np.r_[np.full(active, 10.0), 0.0]
+            assert gcv_score(0.5, counts, blur, restored, coefficients) == math.inf
 
     def test_gamma_validation(self):
         counts, blur, restored = self._flat_instance()

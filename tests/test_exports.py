@@ -109,9 +109,8 @@ SIGNATURES = [
     "objective(p, v, feasibility_tol=0.0)",
     "parse_dictionary_spec(spec, width, height)",
     "project_positive(x)",
-    "prox_affine_fb(prox_f, op, c2, x, inner_iters=10, scale=1.0, c1=None, "
-    "warm=None)",
-    "prox_affine_tight(prox_f, frame, c, x, scale=1.0, check=True)",
+    "prox_affine_fb(prox_f, op, c2, x, inner_iters=10, scale=1.0, c1=None)",
+    "prox_affine_tight(prox_f, frame, c, x, scale=1.0)",
     "prox_poisson(x, beta, counts, check=True)",
     "read_raster(path)",
     "relative_change(new, old)",

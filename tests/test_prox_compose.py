@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from proxdeconv import (FBDiagnostics, default_tau, diagonal_operator,
-                        identity_operator, make_starlet, matrix_operator,
-                        prox_affine_fb, prox_affine_tight, prox_poisson,
-                        verify_tight_frame)
+from proxdeconv import (default_tau, diagonal_operator, identity_operator,
+                        make_starlet, matrix_operator, prox_affine_fb,
+                        prox_affine_tight, prox_poisson, verify_tight_frame)
 from proxdeconv.errors import TightFrameError
 
 from oracles import max_vi_violation
@@ -36,9 +35,9 @@ class TestConfig:
         _, diag = prox_affine_fb(_positive_prox, op, 4.0, np.ones(2))
         assert len(diag.residuals) == 10
         default, _ = prox_affine_fb(_positive_prox, op, 4.0, np.ones(2))
-        cold, _ = prox_affine_fb(_positive_prox, op, 4.0, np.ones(2),
-                                 inner_iters=10, warm=None)
-        assert np.array_equal(default, cold)
+        explicit, _ = prox_affine_fb(_positive_prox, op, 4.0, np.ones(2),
+                                     inner_iters=10)
+        assert np.array_equal(default, explicit)
 
     def test_validation(self):
         op = identity_operator(2)
@@ -123,17 +122,22 @@ class TestProxAffineTight:
                 prox_affine_tight(_positive_prox, identity_operator(2), 1.0,
                                   np.zeros(2), scale=scale)
 
-    @pytest.mark.parametrize("check", [True, False])
     @pytest.mark.parametrize("c", [-1.0, 0.0, math.inf, math.nan])
-    def test_constant_must_be_finite_and_positive(self, c, check):
+    def test_constant_must_be_finite_and_positive(self, c):
         with pytest.raises(ValueError, match="constant"):
             prox_affine_tight(_positive_prox, identity_operator(2), c,
-                              np.array([1.0, -1.0]), check=check)
+                              np.array([1.0, -1.0]))
 
     def test_non_tight_operator_raises(self):
-        with pytest.raises(TightFrameError):
-            prox_affine_tight(_quad_prox([0.0, 0.0]), diagonal_operator([1.0, 2.0]),
-                              1.0, np.zeros(2))
+        # Every call certifies the frame; [I I] is tight with c = 2, not 1,
+        # and no argument skips the check.
+        for frame in (diagonal_operator([1.0, 2.0]),
+                      matrix_operator(np.hstack([np.eye(2), np.eye(2)]))):
+            with pytest.raises(TightFrameError):
+                prox_affine_tight(_quad_prox([0.0, 0.0]), frame, 1.0,
+                                  np.zeros(frame.in_dim))
+        with pytest.raises(TypeError):
+            prox_affine_tight(_positive_prox, frame, 1.0, np.zeros(4), check=False)
 
     def test_scale_multiplies_the_function(self):
         # prox of 3 * f(F x) via the scale argument equals the closed form
@@ -228,33 +232,3 @@ class TestProxAffineFB:
                                  np.array([5.0, -5.0]), inner_iters=5, c1=1.0)
         assert len(diag.residuals) == 5
         assert diag.residuals[-1] < diag.residuals[0]
-
-
-class TestWarmStartedProx:
-    """Each call's diagnostics, passed back as ``warm``, resume the next."""
-
-    def test_dual_cache_carries_across_calls(self):
-        f_mat = np.diag([1.0, 2.0])
-        b = np.array([1.0, -1.0])
-        x = np.array([0.7, 0.9])
-        target = _quad_compose_solution(f_mat, b, x)
-        op = diagonal_operator([1.0, 2.0])
-        first, diag = prox_affine_fb(_quad_prox(b), op, 4.0, x, inner_iters=8,
-                                     c1=1.0)
-        err_first = np.linalg.norm(first - target)
-        for _ in range(6):
-            latest, diag = prox_affine_fb(_quad_prox(b), op, 4.0, x,
-                                          inner_iters=8, c1=1.0, warm=diag)
-        assert np.linalg.norm(latest - target) < err_first * 1e-3
-
-    def test_matches_cold_fb_on_the_first_call(self):
-        # A zero dual is the cold start.
-        op = diagonal_operator([1.0, 2.0])
-        x = np.array([1.0, 2.0])
-        cold, _ = prox_affine_fb(_quad_prox([0.0, 0.0]), op, 4.0, x,
-                                 inner_iters=10, c1=1.0)
-        warm, _ = prox_affine_fb(_quad_prox([0.0, 0.0]), op, 4.0, x,
-                                 inner_iters=10, c1=1.0,
-                                 warm=FBDiagnostics(residuals=[],
-                                                    dual=np.zeros(2)))
-        assert np.array_equal(warm, cold)

@@ -149,6 +149,17 @@ class TestProxPenalty:
         v = rng.uniform(-5.0, 5.0, size=300)
         assert np.array_equal(soft_threshold(v, 0.8), v - np.clip(v, -0.8, 0.8))
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.7, math.inf])
+    def test_bits_match_the_sign_times_shrink_form(self, threshold):
+        # Normal samples with both zeros and ties at the threshold.
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(20_000)
+        v[::5], v[1::5], v[2::7], v[3::7] = 0.7, -0.7, 0.0, -0.0
+        before = v.copy()
+        want = np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+        assert soft_threshold(v, threshold).tobytes() == want.tobytes()
+        assert v.tobytes() == before.tobytes()
+
     def test_negative_threshold_rejected(self):
         for threshold in (-0.1, math.nan):
             with pytest.raises(ValueError, match="threshold"):
