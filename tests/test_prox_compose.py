@@ -122,11 +122,14 @@ class TestProxAffineTight:
                 prox_affine_tight(_positive_prox, identity_operator(2), 1.0,
                                   np.zeros(2), scale=scale)
 
+    @pytest.mark.parametrize("tight", [True, False])
     @pytest.mark.parametrize("c", [-1.0, 0.0, math.inf, math.nan])
-    def test_constant_must_be_finite_and_positive(self, c):
+    def test_constant_must_be_finite_and_positive(self, c, tight):
+        # A bad constant is reported as such before the frame is probed, so
+        # a frame that is not tight at any c gives the same error.
+        frame = identity_operator(2) if tight else diagonal_operator([1.0, 2.0])
         with pytest.raises(ValueError, match="constant"):
-            prox_affine_tight(_positive_prox, identity_operator(2), c,
-                              np.array([1.0, -1.0]))
+            prox_affine_tight(_positive_prox, frame, c, np.array([1.0, -1.0]))
 
     def test_non_tight_operator_raises(self):
         # Every call certifies the frame; [I I] is tight with c = 2, not 1,
