@@ -19,11 +19,11 @@ import sys
 
 import numpy as np
 
-from .deconv import (PRIORS, DeconvProblem, deconvolve, mae, relative_mae,
-                     result_metrics, select_gamma_gcv, simulate)
+from .deconv import (PRIORS, DeconvProblem, _check_gamma_grid, deconvolve, mae,
+                     relative_mae, result_metrics, select_gamma_gcv, simulate)
 from .dictionary import parse_dictionary_spec
 from .errors import ProxDeconvError
-from .operators import Image, make_circular_convolution
+from .operators import Image, _check_grid, make_circular_convolution
 from .rasters import read_raster, write_raster
 from .splitting import SplittingConfig
 
@@ -54,13 +54,10 @@ def _gamma_grid(text: str) -> list[float]:
         grid = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad gamma grid {text!r}") from None
-    if not grid:
-        raise argparse.ArgumentTypeError("gamma grid is empty")
-    if not all(math.isfinite(g) for g in grid):
-        raise argparse.ArgumentTypeError(f"gamma grid must be finite, got {text!r}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise argparse.ArgumentTypeError("gamma grid must be strictly increasing")
-    return grid
+    try:
+        return _check_gamma_grid(grid)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -227,10 +224,7 @@ def cmd_evaluate(args) -> int:
     per_file = []
     for path in paths:
         restored = _read_finite(path)
-        if (restored.width, restored.height) != (truth.width, truth.height):
-            raise ValueError(f"{path} is {restored.width}x{restored.height} "
-                             f"but truth {args.truth} is "
-                             f"{truth.width}x{truth.height}")
+        _check_grid(truth, restored, f"evaluate: {path} against truth {args.truth}")
         per_file.append({"mae": mae(restored, truth), "path": path,
                          "relative_mae": relative_mae(restored, truth)})
     document = {

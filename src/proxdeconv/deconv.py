@@ -38,8 +38,8 @@ import numpy as np
 from .dictionary import FrameDictionary
 from .errors import DimensionMismatchError
 from .operators import (FourierMultiplier, Image, LinearOperator, _check_count,
-                        _check_positive, _flat64, compose, fourier_form,
-                        identity_operator)
+                        _check_grid, _check_positive, _flat64, compose,
+                        fourier_form, identity_operator)
 from .prox_core import eval_poisson, project_positive, prox_poisson, soft_threshold
 from .splitting import (ProxTerm, SplittingConfig, SplittingState,
                         objective_value, solve)
@@ -47,6 +47,7 @@ from .splitting import (ProxTerm, SplittingConfig, SplittingState,
 Array = np.ndarray
 
 PRIORS = ("synthesis", "analysis")
+_ROUNDOFF = 1e-9  # FFT round-off band, relative to the peak, that reads as 0
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,9 @@ class DeconvProblem:
         if self.blur.spectral_bound == 0.0:
             raise ValueError("DeconvProblem blur has spectral bound 0 (an "
                              "all-zero kernel?); it must be > 0")
-        grid = (self.counts.height, self.counts.width)
         for name, op in (("blur", self.blur), ("dictionary", self.dictionary)):
-            if isinstance(op, (FourierMultiplier, FrameDictionary)) \
-                    and (op.height, op.width) != grid:
-                raise DimensionMismatchError(expected=grid, actual=(op.height, op.width),
-                                             context=f"DeconvProblem {name} grid")
+            if isinstance(op, (FourierMultiplier, FrameDictionary)):
+                _check_grid(self.counts, op, f"DeconvProblem {name} grid")
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,8 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
         if eta.min() < 0.0:
             # FFT round-off leaves about -1e-16 of the peak where the image
             # is 0: the round-off band that simulate clamps reads as 0.
-            eta = np.where((eta < 0.0) & (eta >= -1e-9 * np.max(np.abs(eta))),
-                           0.0, eta)
+            eta = np.where((eta < 0.0)
+                           & (eta >= -_ROUNDOFF * np.max(np.abs(eta))), 0.0, eta)
         return eval_poisson(eta, y, check=False)
 
     y, gamma, d = p.counts.data, p.gamma, p.dictionary
@@ -203,10 +201,8 @@ def richardson_lucy(counts: Image, blur: LinearOperator, iters: int) -> Image:
 def mae(a, b) -> float:
     """Mean absolute error between two rasters on one grid (or flat arrays
     of one size)."""
-    if isinstance(a, Image) and isinstance(b, Image) \
-            and (a.height, a.width) != (b.height, b.width):
-        raise DimensionMismatchError(expected=(a.height, a.width),
-                                     actual=(b.height, b.width), context="mae")
+    if isinstance(a, Image) and isinstance(b, Image):
+        _check_grid(a, b, "mae")
     av = a.data if isinstance(a, Image) else np.asarray(a, dtype=np.float64).ravel()
     bv = _flat64(b.data if isinstance(b, Image) else b, av.size, "mae")
     return float(np.mean(np.abs(av - bv)))
@@ -228,11 +224,10 @@ def gcv_score(gamma: float, counts: Image, blur: LinearOperator,
     score = || 2 sqrt(y + 3/8) - 2 sqrt(H x + 3/8) ||^2 / (n - df)^2 with
     df = #{ |coeff_i| >= gamma } as the active-coefficient proxy for the
     degrees of freedom; +inf when df >= n, the limit of the score as df -> n.
-    Scans break ties toward larger gamma; in practice the score is biased
-    toward over-smoothing, which is the safe direction for count data.
+    gamma must be finite and > 0. Scans break ties toward larger gamma; the
+    score is biased toward over-smoothing, the safe direction for count data.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    _check_positive(gamma, "gamma")
     y = counts.data
     n = y.size
     coeffs = np.asarray(coefficients, dtype=np.float64).ravel()
@@ -244,6 +239,18 @@ def gcv_score(gamma: float, counts: Image, blur: LinearOperator,
     return float(np.sum(resid * resid)) / float(n - df) ** 2
 
 
+def _check_gamma_grid(grid) -> list[float]:
+    """The grid as floats, if it is non-empty, finite and strictly increasing."""
+    grid = [float(g) for g in grid]
+    if not grid:
+        raise ValueError("gamma grid must be non-empty")
+    if not all(np.isfinite(grid)):
+        raise ValueError(f"gamma grid must be finite, got {grid}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"gamma grid must be strictly increasing, got {grid}")
+    return grid
+
+
 def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
                      ) -> tuple[DeconvResult, list[tuple[float, float, float | None]]]:
     """Solve the problem across a gamma grid and keep the GCV minimizer.
@@ -253,28 +260,19 @@ def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
     (gamma, gcv, mae-or-None) row per grid point. A point whose active
     count reaches the pixel count scores +inf (``gcv_score``) and is never
     selected; a grid where every point does raises.
-    The grid must be finite and strictly increasing, and a truth must lie on
-    the counts' grid. Under the analysis prior the dictionary must have no
-    more coefficients than pixels: the active count of a redundant analysis
-    is no estimate of the degrees of freedom.
+    The grid must be non-empty, finite and strictly increasing, and a truth
+    must lie on the counts' grid. Under the analysis prior the dictionary
+    must have no more coefficients than pixels: the active count of a
+    redundant analysis is no estimate of the degrees of freedom.
     """
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ValueError("gamma grid must be non-empty")
-    if not all(np.isfinite(grid)):
-        raise ValueError(f"gamma grid must be finite, got {grid}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"gamma grid must be strictly increasing, got {grid}")
+    grid = _check_gamma_grid(grid)
     d, n = problem.dictionary, problem.counts.n
     if problem.prior == "analysis" and d.coeff_dim > n:
         raise ValueError(f"analysis-prior GCV needs a dictionary with at most "
                          f"as many coefficients as pixels, got {d.coeff_dim} "
                          f"coefficients for {n} pixels")
-    shape = (problem.counts.height, problem.counts.width)
-    if truth is not None and (truth.height, truth.width) != shape:
-        raise DimensionMismatchError(expected=shape,
-                                     actual=(truth.height, truth.width),
-                                     context="select_gamma_gcv truth")
+    if truth is not None:
+        _check_grid(problem.counts, truth, "select_gamma_gcv truth")
     rows: list[tuple[float, float, float | None]] = []
     best, best_score = None, None
     for gamma in grid:
@@ -297,15 +295,15 @@ def simulate(truth: Image, blur: LinearOperator, peak: float, seed: int) -> Imag
     The truth is scaled so its maximum equals ``peak`` (an all-zero truth is
     left as is), blurred, and sampled with the counter-based Philox
     generator so runs are reproducible for a given seed. Blurred intensities
-    below the round-off band -1e-9 * peak raise; tiny negatives from FFT
-    round-off are clamped to zero.
+    below the round-off band ``-_ROUNDOFF * peak`` raise; the tiny negatives
+    of FFT round-off within it are clamped to zero.
     """
     if not np.all((truth.data >= 0.0) & (truth.data < np.inf)):
         raise ValueError("truth image must be finite and non-negative")
     scaled = scale_to_peak(truth, peak)
     lam = blur.apply(scaled.data)
     low = float(np.min(lam)) if lam.size else 0.0
-    if low < -1e-9 * peak:
+    if low < -_ROUNDOFF * peak:
         raise ValueError(f"blurred intensity has negative values (min {low}); "
                          "is the kernel non-negative?")
     lam = np.maximum(lam, 0.0)

@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .operators import FourierMultiplier, LinearOperator, _check_count
+from .operators import FourierMultiplier, LinearOperator, _check_count, _check_grid
 
 Array = np.ndarray
 
@@ -108,29 +107,21 @@ def make_haar_dwt(width: int, height: int, levels: int) -> FrameDictionary:
     if width == 1 and height == 1:
         raise ValueError("Haar transform needs at least one non-trivial axis")
     n = width * height
+    sizes = [(max(height >> j, 1), max(width >> j, 1)) for j in range(levels)]
 
     def fwd(x: Array) -> Array:
         arr = x.reshape(height, width).copy()
-        ch, cw = height, width
-        for _ in range(levels):
+        for ch, cw in sizes:
             block = arr[:ch, :cw]
             if cw > 1:
                 block = _haar_forward_axis(block, 1)
             if ch > 1:
                 block = _haar_forward_axis(block, 0)
             arr[:ch, :cw] = block
-            ch = max(ch // 2, 1)
-            cw = max(cw // 2, 1)
         return arr.ravel()
 
     def inv(c: Array) -> Array:
         arr = c.reshape(height, width).copy()
-        sizes = []
-        ch, cw = height, width
-        for _ in range(levels):
-            sizes.append((ch, cw))
-            ch = max(ch // 2, 1)
-            cw = max(cw // 2, 1)
         for ch, cw in reversed(sizes):
             block = arr[:ch, :cw]
             if ch > 1:
@@ -191,7 +182,7 @@ def make_starlet(width: int, height: int, levels: int) -> FrameDictionary:
 
 
 def make_union(members: Sequence[FrameDictionary]) -> FrameDictionary:
-    """Union of dictionaries sharing one raster grid.
+    """Union of dictionaries on one raster grid (else DimensionMismatchError).
 
     When every member is tight with c == 1, sub-analyses are scaled by
     1/sqrt(K) so the union is again Parseval. Otherwise members are stacked
@@ -203,12 +194,7 @@ def make_union(members: Sequence[FrameDictionary]) -> FrameDictionary:
         raise ValueError("union needs at least one member dictionary")
     width, height = members[0].width, members[0].height
     for d in members[1:]:
-        if (d.width, d.height) != (width, height):
-            raise DimensionMismatchError(
-                expected=f"{height}x{width}",
-                actual=f"{d.height}x{d.width}",
-                context="make_union",
-            )
+        _check_grid(members[0], d, "make_union")
     k = len(members)
     parseval = all(d.tight and abs(d.c1 - 1.0) <= 1e-12 for d in members)
     weight = 1.0 / np.sqrt(k) if parseval else 1.0

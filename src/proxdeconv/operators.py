@@ -52,6 +52,13 @@ def _check_positive(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def _check_grid(expected, actual, context: str) -> None:
+    """Reject a raster or operator whose (height, width) is not ``expected``'s."""
+    want, got = (expected.height, expected.width), (actual.height, actual.width)
+    if want != got:
+        raise DimensionMismatchError(expected=want, actual=got, context=context)
+
+
 def all_counts(y: Array) -> bool:
     """True when every entry of ``y`` is a finite non-negative integer."""
     return bool(y.size == 0 or (np.min(y) >= 0.0 and np.max(y) < np.inf
@@ -278,14 +285,12 @@ def adjoint_sum(ops: list[LinearOperator], images: list[Array]) -> Array:
     spectrum, with one inverse FFT per output image for all of them."""
     if not _one_grid(ops):
         return sum(op.adjoint(u) for op, u in zip(ops, images))
-    first = ops[0]
-    spectra = first.spectra(np.concatenate(
-        [_flat64(u, op.out_dim, "adjoint_sum") for op, u in zip(ops, images)]))
-    ends = np.cumsum([op.out_dim // (first.height * first.width) for op in ops])
+    parts = ((op, op.spectra(_flat64(u, op.out_dim, "adjoint_sum")))
+             for op, u in zip(ops, images))
     # Summed from the first part, not from 0: 0 + (-0.0) would flip a sign.
-    return first.images(functools.reduce(np.add, (
-        op.gains.conj() * part if op.merge else op.combine(part, conj=True)
-        for op, part in zip(ops, np.split(spectra, ends[:-1])))))
+    return ops[0].images(functools.reduce(np.add, (
+        op.gains.conj() * s if op.merge else op.combine(s, conj=True)
+        for op, s in parts)))
 
 
 def fourier_form(op: LinearOperator, height: int,

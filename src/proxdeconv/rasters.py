@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .operators import Image, all_counts
+from .operators import Image, _check_count, all_counts
 
 PGM_MAXVAL_LIMIT = 65535
 F64_DTYPE = "f64-le"
@@ -35,14 +35,6 @@ def write_f64(path: str, image: Image) -> None:
         fh.write("\n")
 
 
-def _sidecar_size(path: str, meta: dict, key: str) -> int:
-    value = meta.get(key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{path}: sidecar {key} must be an integer >= 1, "
-                         f"got {value!r}")
-    return value
-
-
 def read_f64(path: str) -> Image:
     with open(sidecar_path(path), "r", encoding="ascii") as fh:
         meta = json.load(fh)
@@ -51,7 +43,9 @@ def read_f64(path: str) -> Image:
                          f"got {type(meta).__name__}")
     if meta.get("dtype") != F64_DTYPE:
         raise ValueError(f"{path}: unsupported dtype {meta.get('dtype')!r}")
-    width, height = (_sidecar_size(path, meta, k) for k in ("width", "height"))
+    for key in ("width", "height"):
+        _check_count(meta.get(key), f"{path}: sidecar {key}")
+    width, height = meta["width"], meta["height"]
     expected = 8 * width * height
     with open(path, "rb") as fh:
         payload = fh.read()
@@ -116,8 +110,7 @@ def read_pgm(path: str) -> Image:
     (width, height, maxval), offset = _tokenize_pgm_header(path, blob[2:])
     offset += 2
     for field, size in (("width", width), ("height", height)):
-        if size < 1:
-            raise ValueError(f"{path}: PGM {field} must be >= 1, got {size}")
+        _check_count(size, f"{path}: PGM {field}")
     if not 0 < maxval <= PGM_MAXVAL_LIMIT:
         raise ValueError(f"{path}: maxval {maxval} outside (0, {PGM_MAXVAL_LIMIT}]")
     n = width * height

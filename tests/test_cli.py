@@ -7,7 +7,8 @@ import pytest
 
 import proxdeconv.cli as cli_module
 import proxdeconv.deconv as deconv_module
-from proxdeconv import Image
+from proxdeconv import (DeconvProblem, Image, make_circular_convolution,
+                        make_dirac, select_gamma_gcv)
 from proxdeconv.cli import _dump_json, main
 from proxdeconv.rasters import read_raster, write_raster
 
@@ -499,6 +500,32 @@ class TestNonFiniteFlags:
                      workspace["psf"], "--peak", "inf", "--out", out])
         assert code == 1
         assert "--peak" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestGammaGridRule:
+    """The library states the gamma-grid rule; the CLI applies it while
+    parsing and reports the library's message under the flag's name."""
+
+    @pytest.mark.parametrize("grid", [[], [0.1, math.inf], [0.1, math.nan],
+                                      [0.5, 0.1], [0.2, 0.2]],
+                             ids=["empty", "inf", "nan", "decreasing",
+                                  "repeated"])
+    def test_cli_reports_the_library_message(self, workspace, capsys, grid):
+        counts = read_raster(workspace["counts"])
+        problem = DeconvProblem(
+            counts=counts, blur=make_circular_convolution(
+                read_raster(workspace["psf"]), counts.width, counts.height),
+            dictionary=make_dirac(counts.width, counts.height), gamma=1.0)
+        with pytest.raises(ValueError) as library:
+            select_gamma_gcv(grid, problem)
+        out = str(workspace["dir"] / "x.f64")
+        code = main(["deconvolve", "--counts", workspace["counts"], "--psf",
+                     workspace["psf"], "--dict", "dirac", "--out", out,
+                     "--gamma-grid", ",".join(map(str, grid))])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(library.value) in err and "--gamma-grid" in err
         assert not os.path.exists(out)
 
 

@@ -303,6 +303,13 @@ class TestGcvScore:
         with pytest.raises(ValueError):
             gcv_score(0.0, counts, blur, restored, np.zeros(4))
 
+    def test_infinite_gamma_rejected(self):
+        # Every coefficient lies below an infinite gamma, so df = 0 would
+        # score a gamma that no solve can use.
+        counts, blur, restored = self._flat_instance()
+        with pytest.raises(ValueError, match="gamma"):
+            gcv_score(math.inf, counts, blur, restored, np.zeros(4))
+
 
 class TestSelectGammaGcv:
     def _noiseless_problem(self):
@@ -703,10 +710,12 @@ class TestFourierPath:
     # 1 + bands) and their adjoints summed in the spectrum (1 + bands + 1).
     # The objective trace is carried from the maps' outputs and costs none.
     # A multiplier transforms all bands of a stack in one numpy call, so
-    # the calls per iteration do not grow with the levels.
+    # the calls per iteration do not grow with the levels: one rfft2 of the
+    # primal point, one irfft2 per map, one rfft2 per map's dual (each
+    # transforms its own input, uncopied) and one irfft2 of their sum.
     FFT2_PER_ITERATION = {("synthesis", 2): 10, ("analysis", 2): 10,
                           ("synthesis", 3): 12, ("analysis", 3): 12}
-    NUMPY_FFT_CALLS_PER_ITERATION = {"synthesis": 5, "analysis": 5}
+    NUMPY_FFT_CALLS_PER_ITERATION = {"synthesis": 6, "analysis": 6}
 
     @pytest.mark.parametrize("prior, levels", sorted(FFT2_PER_ITERATION))
     def test_fft2_per_outer_iteration(self, prior, levels, monkeypatch):
