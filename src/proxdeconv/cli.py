@@ -4,7 +4,10 @@ Commands: ``simulate`` (blur + Poisson counts), ``deconvolve`` (splitting
 solver, fixed gamma or GCV over a grid), ``evaluate`` (MAE against a truth
 raster), ``gcv-scan`` (score table over a gamma grid). Exit codes: 0 on
 success (deconvolve: stopping rule met), 2 when the iteration cap stopped
-the solver first, 1 on usage or runtime errors.
+the solver first, 1 on usage or runtime errors. Numeric flags are checked
+while parsing by the library's rule for the value they set, so a bad one
+exits 1 with ``argument --flag: <the library's message>`` before any file
+is read; ``--mu``, which reaches no solve, only has to be finite.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import argparse
 import glob as globmod
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -23,7 +25,8 @@ from .deconv import (PRIORS, DeconvProblem, _check_gamma_grid, deconvolve, mae,
                      relative_mae, result_metrics, select_gamma_gcv, simulate)
 from .dictionary import parse_dictionary_spec
 from .errors import ProxDeconvError
-from .operators import Image, _check_grid, make_circular_convolution
+from .operators import (Image, _check_count, _check_grid, _check_positive,
+                        make_circular_convolution)
 from .rasters import read_raster, write_raster
 from .splitting import SplittingConfig
 
@@ -39,39 +42,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _finite(kind, name, low=0):
+def _flag(convert, rule):
+    """An argparse ``type``: ``convert`` the text, then check the value with
+    the library's ``rule``; the ValueError of either becomes the usage error."""
     def parse(text):
-        value = kind(text)
-        if not low < value < math.inf:
-            raise argparse.ArgumentTypeError(
-                f"{name} must be finite and > {low}, got {text}")
+        try:
+            value = convert(text)
+            rule(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     return parse
 
 
-def _gamma_grid(text: str) -> list[float]:
-    try:
-        grid = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad gamma grid {text!r}") from None
-    try:
-        return _check_gamma_grid(grid)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _floats(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part.strip()]
+
+
+def _any_finite(value: float) -> None:
+    """--mu's own rule: the flag reaches no solve."""
+    if not np.isfinite(value):
+        raise ValueError(f"mu must be finite, got {value}")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iters", type=_finite(int, "--iters"), default=300,
-                   help="outer iteration cap (default 300)")
-    p.add_argument("--theta", type=float, default=1.0,
-                   help="relaxation in (0,2) of the primal-dual step "
-                        "(default 1.0)")
-    p.add_argument("--mu", type=_finite(float, "--mu", -math.inf), default=1.0,
+    p.add_argument("--iters", type=_flag(int, lambda v: SplittingConfig(max_outer=v)),
+                   default=300, help="outer iteration cap (default 300)")
+    p.add_argument("--theta", type=_flag(float, lambda v: SplittingConfig(theta=v)),
+                   default=1.0,
+                   help="relaxation in (0,2) of the primal-dual step (default 1.0)")
+    p.add_argument("--mu", type=_flag(float, _any_finite), default=1.0,
                    help="any finite number, accepted and ignored: both priors "
                         "take their step from the mean count (default 1.0)")
-    p.add_argument("--tol", type=_finite(float, "--tol"), default=1e-5,
+    p.add_argument("--tol", type=_flag(float, lambda v: SplittingConfig(tol=v)),
+                   default=1e-5,
                    help="stopping tolerance on the relative change of the "
-                        "iterate and on the duals' change (default 1e-5)")
+                        "iterate and on the duals' change; 0 runs to the cap "
+                        "(default 1e-5)")
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -90,18 +97,21 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="blur a truth raster and draw Poisson counts")
     sim.add_argument("--input", required=True, help="ground-truth raster")
     sim.add_argument("--psf", required=True)
-    sim.add_argument("--peak", type=_finite(float, "--peak"), required=True,
-                     help="rescale truth to this peak intensity")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--replicates", type=_finite(int, "--replicates"), default=1,
+    sim.add_argument("--peak", type=_flag(float, lambda v: _check_positive(v, "peak")),
+                     required=True, help="rescale truth to this peak intensity")
+    sim.add_argument("--seed", type=_flag(int, lambda v: _check_count(v, "seed", 0)),
+                     default=0)
+    sim.add_argument("--replicates", default=1,
+                     type=_flag(int, lambda v: _check_count(v, "replicates")),
                      help="write N replicates, seeds seed..seed+N-1")
     sim.add_argument("--out", required=True, help="output counts raster")
 
     dec = sub.add_parser("deconvolve", help="restore a count raster")
     _add_problem_flags(dec)
     group = dec.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gamma", type=_finite(float, "--gamma"))
-    group.add_argument("--gamma-grid", type=_gamma_grid,
+    group.add_argument("--gamma",
+                       type=_flag(float, lambda v: _check_positive(v, "gamma")))
+    group.add_argument("--gamma-grid", type=_flag(_floats, _check_gamma_grid),
                        help="comma-separated increasing grid; gamma picked by GCV")
     _add_solver_flags(dec)
     dec.add_argument("--out", required=True, help="restored raster")
@@ -119,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("gcv-scan", help="GCV score table over a gamma grid")
     _add_problem_flags(scan)
-    scan.add_argument("--gamma-grid", type=_gamma_grid, required=True)
+    scan.add_argument("--gamma-grid", type=_flag(_floats, _check_gamma_grid),
+                      required=True)
     _add_solver_flags(scan)
     scan.add_argument("--truth", help="optional truth raster for an MAE column")
     scan.add_argument("--out", required=True, help="CSV output path")
@@ -167,20 +178,16 @@ def _dump_json(document: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _replicate_path(path: str, index: int) -> str:
-    stem, ext = os.path.splitext(path)
-    return f"{stem}_{index:03d}{ext}"
-
-
 def cmd_simulate(args) -> int:
     truth = read_raster(args.input)
     psf = _read_psf(args.psf)
     blur = make_circular_convolution(psf, truth.width, truth.height)
     psf_digest = hashlib.sha256(psf.data.astype("<f8").tobytes()).hexdigest()
+    stem, ext = os.path.splitext(args.out)
     for k in range(args.replicates):
         seed = args.seed + k
         counts = simulate(truth, blur, args.peak, seed)
-        out = args.out if args.replicates == 1 else _replicate_path(args.out, k)
+        out = args.out if args.replicates == 1 else f"{stem}_{k:03d}{ext}"
         write_raster(out, counts)
         provenance = {
             "height": counts.height,
@@ -240,13 +247,8 @@ def cmd_gcv_scan(args) -> int:
     problem = _load_problem(args)
     truth = _read_finite(args.truth) if args.truth else None
     best, rows = select_gamma_gcv(args.gamma_grid, problem, truth)
-    header = "gamma,gcv,mae" if truth is not None else "gamma,gcv"
-    lines = [header]
-    for gamma, score, err in rows:
-        row = f"{gamma:.17g},{score:.17g}"
-        if truth is not None:
-            row += f",{err:.17g}"
-        lines.append(row)
+    lines = ["gamma,gcv,mae" if truth is not None else "gamma,gcv"]
+    lines += [",".join(f"{v:.17g}" for v in row if v is not None) for row in rows]
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"selected_gamma={best.gamma_used:g}")

@@ -38,8 +38,8 @@ import numpy as np
 from .dictionary import FrameDictionary
 from .errors import DimensionMismatchError
 from .operators import (FourierMultiplier, Image, LinearOperator, _check_count,
-                        _check_grid, _check_positive, _flat64, compose,
-                        fourier_form, identity_operator)
+                        _check_counts, _check_grid, _check_positive, _flat64,
+                        compose, fourier_form, identity_operator)
 from .prox_core import eval_poisson, project_positive, prox_poisson, soft_threshold
 from .splitting import (ProxTerm, SplittingConfig, SplittingState,
                         objective_value, solve)
@@ -74,16 +74,13 @@ class DeconvProblem:
         if self.prior not in PRIORS:
             raise ValueError(f"prior must be one of {PRIORS}, got {self.prior!r}")
         _check_positive(self.gamma, "gamma")
-        if not self.counts.is_counts():
-            raise ValueError("counts image must hold finite non-negative integers")
+        _check_counts(self.counts.data, "DeconvProblem")
         n = self.counts.n
         for dim in (self.blur.in_dim, self.blur.out_dim):
             if dim != n:
                 raise DimensionMismatchError(expected=n, actual=dim,
                                              context="DeconvProblem blur")
-        if self.blur.spectral_bound == 0.0:
-            raise ValueError("DeconvProblem blur has spectral bound 0 (an "
-                             "all-zero kernel?); it must be > 0")
+        _check_positive(self.blur.spectral_bound, "DeconvProblem blur spectral bound")
         for name, op in (("blur", self.blur), ("dictionary", self.dictionary)):
             if isinstance(op, (FourierMultiplier, FrameDictionary)):
                 _check_grid(self.counts, op, f"DeconvProblem {name} grid")
@@ -186,8 +183,7 @@ def richardson_lucy(counts: Image, blur: LinearOperator, iters: int) -> Image:
     image at the mean count level (floored at 1).
     """
     _check_count(iters, "iters", least=0)
-    if not counts.is_counts():
-        raise ValueError("Richardson-Lucy expects a count image")
+    _check_counts(counts.data, "richardson_lucy")
     y = counts.data
     x = np.full_like(y, max(float(np.mean(y)), 1.0))
     floor = 1e-12
@@ -294,10 +290,11 @@ def simulate(truth: Image, blur: LinearOperator, peak: float, seed: int) -> Imag
 
     The truth is scaled so its maximum equals ``peak`` (an all-zero truth is
     left as is), blurred, and sampled with the counter-based Philox
-    generator so runs are reproducible for a given seed. Blurred intensities
-    below the round-off band ``-_ROUNDOFF * peak`` raise; the tiny negatives
-    of FFT round-off within it are clamped to zero.
+    generator so runs are reproducible for a given seed, an integer >= 0.
+    Blurred intensities below the round-off band ``-_ROUNDOFF * peak``
+    raise; the tiny negatives of FFT round-off within it are clamped to zero.
     """
+    _check_count(seed, "seed", least=0)
     if not np.all((truth.data >= 0.0) & (truth.data < np.inf)):
         raise ValueError("truth image must be finite and non-negative")
     scaled = scale_to_peak(truth, peak)

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import FourierMultiplier, LinearOperator, _check_count, _check_grid
+from .operators import (FourierMultiplier, LinearOperator, _check_count,
+                        _check_frame_bounds, _check_grid)
 
 Array = np.ndarray
 
@@ -43,11 +44,8 @@ class FrameDictionary(LinearOperator):
         _check_count(width, "width")
         _check_count(height, "height")
         n = width * height
-        if coeff_dim < n:
-            raise ValueError(f"coefficient dim {coeff_dim} smaller than raster size {n}")
-        if not 0.0 < c1 <= c2 < np.inf:
-            raise ValueError("frame bounds must satisfy 0 < c1 <= c2 < inf, "
-                             f"got ({c1}, {c2})")
+        _check_count(coeff_dim, "coeff_dim", least=n)
+        _check_frame_bounds(c1, c2)
         if tight and c1 != c2:
             raise ValueError(f"a tight frame needs c1 == c2, got ({c1}, {c2})")
         super().__init__(coeff_dim, n, synthesis, analysis, np.sqrt(c2))
@@ -214,14 +212,9 @@ def make_union(members: Sequence[FrameDictionary]) -> FrameDictionary:
             out += weight * d.synthesis(c[lo:hi])
         return out
 
-    if parseval:
-        c1 = c2 = 1.0
-        tight = True
-    else:
-        c1 = sum(d.c1 for d in members)
-        c2 = sum(d.c2 for d in members)
-        tight = False
-    return FrameDictionary(width, height, total, inv, fwd, c1, c2, tight)
+    c1, c2 = ((1.0, 1.0) if parseval else
+              (sum(d.c1 for d in members), sum(d.c2 for d in members)))
+    return FrameDictionary(width, height, total, inv, fwd, c1, c2, parseval)
 
 
 def frame_bounds(d: FrameDictionary) -> tuple[float, float]:
@@ -262,13 +255,10 @@ def frame_bounds(d: FrameDictionary) -> tuple[float, float]:
 def _split_top_level(text: str) -> list[str]:
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-        elif ch == "," and depth == 0:
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+        if ch == "," and depth == 0:
             parts.append(text[start:i])
             start = i + 1
     if depth != 0:

@@ -52,6 +52,19 @@ def _check_positive(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def _check_nonnegative(value, name: str) -> None:
+    """Reject a scalar that is not finite and >= 0 (NaN included)."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_frame_bounds(c1, c2) -> None:
+    """Reject frame bounds unless 0 < c1 <= c2 < inf (NaN included)."""
+    if not 0.0 < c1 <= c2 < np.inf:
+        raise ValueError("frame bounds must satisfy 0 < c1 <= c2 < inf, "
+                         f"got ({c1}, {c2})")
+
+
 def _check_grid(expected, actual, context: str) -> None:
     """Reject a raster or operator whose (height, width) is not ``expected``'s."""
     want, got = (expected.height, expected.width), (actual.height, actual.width)
@@ -63,6 +76,12 @@ def all_counts(y: Array) -> bool:
     """True when every entry of ``y`` is a finite non-negative integer."""
     return bool(y.size == 0 or (np.min(y) >= 0.0 and np.max(y) < np.inf
                                 and np.all(y == np.rint(y))))
+
+
+def _check_counts(y: Array, context: str) -> None:
+    """Reject ``y`` unless every entry is a finite non-negative integer."""
+    if not all_counts(y):
+        raise ValueError(f"{context}: counts must be finite non-negative integers")
 
 
 @dataclass(frozen=True)
@@ -125,9 +144,7 @@ class LinearOperator:
                  spectral_bound: float):
         _check_count(in_dim, "in_dim")
         _check_count(out_dim, "out_dim")
-        if not 0.0 <= spectral_bound < np.inf:
-            raise ValueError(f"spectral_bound must be finite and >= 0, "
-                             f"got {spectral_bound}")
+        _check_nonnegative(spectral_bound, "spectral_bound")
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.spectral_bound = float(spectral_bound)

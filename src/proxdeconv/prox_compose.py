@@ -34,7 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import TightFrameError
-from .operators import LinearOperator, _check_count, _check_positive, _flat64
+from .operators import (LinearOperator, _check_count, _check_frame_bounds,
+                        _check_positive, _flat64)
 
 Array = np.ndarray
 ProxFamily = Callable[[Array, float], Array]
@@ -49,11 +50,10 @@ class FBDiagnostics:
 
 
 def default_tau(c2: float, c1: float | None = None) -> float:
-    _check_positive(c2, "c2")
     if c1 is not None:
-        if not 0.0 < c1 <= c2:
-            raise ValueError(f"need 0 < c1 <= c2, got ({c1}, {c2})")
+        _check_frame_bounds(c1, c2)
         return 2.0 / (c1 + c2)
+    _check_positive(c2, "c2")
     return 1.8 / c2
 
 

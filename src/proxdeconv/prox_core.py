@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .operators import _check_positive, _flat64, all_counts
+from .operators import _check_counts, _check_positive, _flat64
 
 Array = np.ndarray
 
@@ -30,11 +30,6 @@ def _pair64(a, b, context: str) -> tuple[Array, Array]:
     return a, _flat64(b, a.size, context)
 
 
-def _validate_counts(y: Array, context: str) -> None:
-    if not all_counts(y):
-        raise ValueError(f"{context}: counts must be finite non-negative integers")
-
-
 def eval_poisson(eta, counts, check: bool = True) -> float:
     """Poisson anti-log-likelihood; +inf outside the domain or at an
     infinite intensity, never NaN: a NaN intensity raises ValueError.
@@ -44,7 +39,7 @@ def eval_poisson(eta, counts, check: bool = True) -> float:
     """
     eta, y = _pair64(eta, counts, "eval_poisson")
     if check:
-        _validate_counts(y, "eval_poisson")
+        _check_counts(y, "eval_poisson")
     pos = y > 0.0
     if np.any(eta[pos] <= 0.0) or np.any(eta[~pos] < 0.0):
         total = math.inf
@@ -68,7 +63,7 @@ def grad_poisson(eta, counts) -> Array:
     violations raise DomainError carrying the first offending index.
     """
     eta, y = _pair64(eta, counts, "grad_poisson")
-    _validate_counts(y, "grad_poisson")
+    _check_counts(y, "grad_poisson")
     pos = y > 0.0
     bad = (pos & (eta <= 0.0)) | (~pos & (eta < 0.0))
     if np.any(bad):
@@ -91,7 +86,7 @@ def prox_poisson(x, beta: float, counts, check: bool = True) -> Array:
     _check_positive(beta, "prox scale beta")
     x, y = _pair64(x, counts, "prox_poisson")
     if check:
-        _validate_counts(y, "prox_poisson")
+        _check_counts(y, "prox_poisson")
     d = x - beta
     # The same root as max(d, 0) + 2 beta y / (|d| + sqrt(d^2 + 4 beta y)):
     # a sum of non-negative terms, so nothing cancels for d << 0, where the

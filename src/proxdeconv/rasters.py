@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .operators import Image, _check_count, all_counts
+from .operators import Image, _check_count, _check_counts
 
 PGM_MAXVAL_LIMIT = 65535
 F64_DTYPE = "f64-le"
@@ -60,8 +60,7 @@ def write_pgm(path: str, image: Image) -> None:
     """Write an integer-valued image as binary PGM (P5), with maxval the
     largest sample (at least 1)."""
     data = image.data
-    if not all_counts(data):
-        raise ValueError("PGM requires finite non-negative integer-valued samples")
+    _check_counts(data, f"{path}: PGM samples")
     maxval = max(int(np.max(data)), 1)
     if maxval > PGM_MAXVAL_LIMIT:
         raise ValueError(f"maxval {maxval} exceeds the PGM limit {PGM_MAXVAL_LIMIT}")
@@ -116,10 +115,9 @@ def read_pgm(path: str) -> Image:
     n = width * height
     if magic == b"P5":
         offset += 1  # single whitespace byte after maxval
-        dtype = ">u2" if maxval > 255 else np.uint8
-        itemsize = 2 if maxval > 255 else 1
-        payload = blob[offset:offset + n * itemsize]
-        if len(payload) != n * itemsize:
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        payload = blob[offset:offset + n * dtype.itemsize]
+        if len(payload) != n * dtype.itemsize:
             raise ValueError(f"{path}: truncated P5 payload")
         data = np.frombuffer(payload, dtype=dtype).astype(np.float64)
     else:

@@ -52,8 +52,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonFiniteIterateError
-from .operators import (LinearOperator, _check_count, _check_positive,
-                        _flat64, adjoint_sum, apply_each)
+from .operators import (LinearOperator, _check_count, _check_nonnegative,
+                        _check_positive, _flat64, adjoint_sum, apply_each)
 
 Array = np.ndarray
 
@@ -84,8 +84,7 @@ class SplittingConfig:
             raise ValueError(f"theta must lie in the open interval (0, 2), "
                              f"got {self.theta}")
         _check_count(self.max_outer, "max_outer")
-        if not 0.0 <= self.tol < np.inf:
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+        _check_nonnegative(self.tol, "tol")
 
 
 @dataclass

@@ -7,9 +7,11 @@ import pytest
 
 import proxdeconv.cli as cli_module
 import proxdeconv.deconv as deconv_module
-from proxdeconv import (DeconvProblem, Image, make_circular_convolution,
-                        make_dirac, select_gamma_gcv)
+from proxdeconv import (DeconvProblem, Image, SplittingConfig, deconvolve,
+                        make_circular_convolution, make_dirac, result_metrics,
+                        select_gamma_gcv, simulate)
 from proxdeconv.cli import _dump_json, main
+from proxdeconv.operators import _check_count
 from proxdeconv.rasters import read_raster, write_raster
 
 
@@ -34,6 +36,44 @@ def workspace(tmp_path):
 def _read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _problem(workspace, gamma=1.0, **splitting):
+    """The workspace's counts, identity PSF and Dirac dictionary, as the
+    ``deconvolve`` command builds them."""
+    counts = read_raster(workspace["counts"])
+    return DeconvProblem(
+        counts=counts, blur=make_circular_convolution(
+            read_raster(workspace["psf"]), counts.width, counts.height),
+        dictionary=make_dirac(counts.width, counts.height), gamma=gamma,
+        splitting=SplittingConfig(**splitting))
+
+
+_SIMULATE_FLAGS = ("--peak", "--seed", "--replicates")
+
+
+def _run_flag(workspace, flag, value):
+    """Run the command that takes ``flag`` with ``flag value`` and valid
+    other flags; returns the exit code and the output path."""
+    if flag in _SIMULATE_FLAGS:
+        out = str(workspace["dir"] / "c.pgm")
+        argv = ["simulate", "--input", workspace["truth"], "--psf",
+                workspace["psf"], "--out", out]
+        argv += [] if flag == "--peak" else ["--peak", "30"]
+    else:
+        out = str(workspace["dir"] / "x.f64")
+        argv = ["deconvolve", "--counts", workspace["counts"], "--psf",
+                workspace["psf"], "--dict", "dirac", "--out", out]
+        argv += [] if flag.startswith("--gamma") else ["--gamma", "0.5"]
+    return main(argv + [flag, value]), out
+
+
+@pytest.fixture
+def no_reads(monkeypatch):
+    """Fail the test if the command reads a raster."""
+    def refuse(path):
+        raise AssertionError(f"read {path} before the flags were checked")
+    monkeypatch.setattr(cli_module, "read_raster", refuse)
 
 
 class TestSimulate:
@@ -194,6 +234,22 @@ class TestDeconvolve:
         assert code == plain_code
         for suffix in ("", ".metrics.json"):
             assert _read_bytes(out + suffix) == _read_bytes(plain + suffix)
+
+    def test_zero_tol_runs_to_the_cap(self, workspace):
+        # tol 0 turns early stopping off, as SplittingConfig(tol=0.0) does.
+        code, out = self._run(workspace, "zero.f64",
+                              ["--gamma", "0.5", "--iters", "20", "--tol", "0",
+                               "--no-timing"])
+        assert code == 2
+        result = deconvolve(_problem(workspace, gamma=0.5, max_outer=20,
+                                     tol=0.0))
+        assert result.state.iterations == 20
+        library = str(workspace["dir"] / "library.f64")
+        write_raster(library, result.restored)
+        _dump_json(result_metrics(result, include_timing=False),
+                   library + ".metrics.json")
+        for suffix in ("", ".json", ".metrics.json"):
+            assert _read_bytes(out + suffix) == _read_bytes(library + suffix)
 
     def test_iteration_cap_exits_two(self, workspace):
         code, out = self._run(workspace, "capped.f64",
@@ -476,47 +532,59 @@ class TestPsfValidation:
 
 
 class TestNonFiniteFlags:
-    """Numeric flags reject inf, nan and unreadable grids while parsing:
-    exit 1, the flag named in the error, and no output written."""
+    """Numeric flags reject inf, nan, out-of-range and unreadable values
+    while parsing, before any raster is read: exit 1, the flag named in the
+    error, and no output written."""
 
     @pytest.mark.parametrize("flag, value", [
         ("--mu", "inf"), ("--tol", "inf"), ("--gamma", "inf"),
         ("--gamma-grid", "0.1,inf"), ("--gamma-grid", "0.1,nan"),
         ("--gamma-grid", "0.1,abc"), ("--gamma-grid", ","),
+        ("--theta", "2.0"), ("--theta", "nan"),
     ])
-    def test_deconvolve(self, workspace, capsys, flag, value):
-        out = str(workspace["dir"] / "x.f64")
-        gamma = [] if flag.startswith("--gamma") else ["--gamma", "0.5"]
-        code = main(["deconvolve", "--counts", workspace["counts"], "--psf",
-                     workspace["psf"], "--dict", "dirac", "--out", out,
-                     flag, value] + gamma)
+    def test_deconvolve(self, workspace, capsys, no_reads, flag, value):
+        code, out = _run_flag(workspace, flag, value)
         assert code == 1
         assert flag in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_simulate_peak(self, workspace, capsys):
-        out = str(workspace["dir"] / "c.pgm")
-        code = main(["simulate", "--input", workspace["truth"], "--psf",
-                     workspace["psf"], "--peak", "inf", "--out", out])
+    @pytest.mark.parametrize("flag, value, convert", [
+        ("--iters", "2.5", int), ("--replicates", "2.0", int),
+        ("--seed", "2.5", int), ("--tol", "abc", float),
+    ], ids=["--iters-2.5", "--replicates-2.0", "--seed-2.5", "--tol-abc"])
+    def test_conversion_message_is_reported(self, workspace, capsys, no_reads,
+                                            flag, value, convert):
+        with pytest.raises(ValueError) as conversion:
+            convert(value)
+        code, out = _run_flag(workspace, flag, value)
+        assert code == 1
+        assert f"argument {flag}: {conversion.value}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_simulate_seed(self, workspace, capsys, no_reads):
+        code, out = _run_flag(workspace, "--seed", "-1")
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_simulate_peak(self, workspace, capsys, no_reads):
+        code, out = _run_flag(workspace, "--peak", "inf")
         assert code == 1
         assert "--peak" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 
 class TestGammaGridRule:
-    """The library states the gamma-grid rule; the CLI applies it while
-    parsing and reports the library's message under the flag's name."""
+    """The library states the gamma-grid rule and every other numeric rule;
+    the CLI applies each while parsing and reports the library's message
+    under the flag's name."""
 
     @pytest.mark.parametrize("grid", [[], [0.1, math.inf], [0.1, math.nan],
                                       [0.5, 0.1], [0.2, 0.2]],
                              ids=["empty", "inf", "nan", "decreasing",
                                   "repeated"])
     def test_cli_reports_the_library_message(self, workspace, capsys, grid):
-        counts = read_raster(workspace["counts"])
-        problem = DeconvProblem(
-            counts=counts, blur=make_circular_convolution(
-                read_raster(workspace["psf"]), counts.width, counts.height),
-            dictionary=make_dirac(counts.width, counts.height), gamma=1.0)
+        problem = _problem(workspace)
         with pytest.raises(ValueError) as library:
             select_gamma_gcv(grid, problem)
         out = str(workspace["dir"] / "x.f64")
@@ -526,6 +594,32 @@ class TestGammaGridRule:
         assert code == 1
         err = capsys.readouterr().err
         assert str(library.value) in err and "--gamma-grid" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--iters", "0"), ("--theta", "0"), ("--theta", "nan"),
+        ("--tol", "-0.5"), ("--tol", "inf"), ("--gamma", "0"),
+        ("--gamma", "nan"), ("--peak", "-1"), ("--peak", "inf"),
+        ("--seed", "-1"), ("--replicates", "0"),
+    ])
+    def test_every_numeric_flag_reports_the_library_message(
+            self, workspace, capsys, flag, value):
+        truth = read_raster(workspace["truth"])
+        blur = _problem(workspace).blur
+        library_rules = {
+            "--iters": lambda v: SplittingConfig(max_outer=int(v)),
+            "--theta": lambda v: SplittingConfig(theta=float(v)),
+            "--tol": lambda v: SplittingConfig(tol=float(v)),
+            "--gamma": lambda v: _problem(workspace, gamma=float(v)),
+            "--peak": lambda v: simulate(truth, blur, float(v), 0),
+            "--seed": lambda v: simulate(truth, blur, 30.0, int(v)),
+            "--replicates": lambda v: _check_count(int(v), "replicates"),
+        }
+        with pytest.raises(ValueError) as library:
+            library_rules[flag](value)
+        code, out = _run_flag(workspace, flag, value)
+        assert code == 1
+        assert f"argument {flag}: {library.value}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 

@@ -8,7 +8,6 @@ import pytest
 import proxdeconv.deconv as deconv_module
 import proxdeconv.operators as operators_module
 import proxdeconv.prox_compose as prox_compose_module
-import proxdeconv.prox_core as prox_core_module
 import proxdeconv.splitting as splitting_module
 from proxdeconv import (DeconvProblem, DeconvResult, FrameDictionary, Image,
                         LinearOperator, ProxTerm, SplittingConfig,
@@ -473,6 +472,11 @@ class TestSimulate:
                 simulate(truth, blur, peak, 0)
             with pytest.raises(ValueError, match="peak"):
                 scale_to_peak(truth, peak)
+        for seed in (-1, 2.5, "3", True):
+            with pytest.raises(ValueError, match="seed"):
+                simulate(truth, blur, 10.0, seed)
+        assert np.array_equal(simulate(truth, blur, 10.0, np.int64(3)).data,
+                              simulate(truth, blur, 10.0, 3).data)
 
 
 class TestErrorMetrics:
@@ -790,10 +794,13 @@ class TestFourierPath:
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
     def test_solver_skips_the_per_call_count_scan(self, prior, monkeypatch):
         # DeconvProblem validates the counts; the proxes must not rescan.
+        # Every count check runs operators.all_counts, so the problem is
+        # built before the predicate is patched.
+        problem = _counts_problem(prior)
         scans = []
-        monkeypatch.setattr(prox_core_module, "all_counts",
+        monkeypatch.setattr(operators_module, "all_counts",
                             lambda y: scans.append(y.size) or True)
-        deconvolve(_counts_problem(prior))
+        deconvolve(problem)
         assert scans == []
 
 
