@@ -7,7 +7,10 @@ success (deconvolve: stopping rule met), 2 when the iteration cap stopped
 the solver first, 1 on usage or runtime errors. Numeric flags are checked
 while parsing by the library's rule for the value they set, so a bad one
 exits 1 with ``argument --flag: <the library's message>`` before any file
-is read; ``--mu``, which reaches no solve, only has to be finite.
+is read; ``--mu``, which reaches no solve, only has to be finite. A value
+that starts with ``-`` in exponent notation must be written
+``--flag=value`` (``--tol=-1e-5``): after a space, argparse reads it as an
+option and reports "expected one argument".
 """
 
 from __future__ import annotations

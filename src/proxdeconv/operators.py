@@ -5,20 +5,21 @@ dimensions and a spectral bound so downstream solvers can pick step sizes
 without probing. Shift-invariant operators (circular convolution, the
 starlet bands) are ``FourierMultiplier`` objects: diagonal in the 2-D
 real DFT, with one transfer function per band, so an apply or adjoint
-costs bands + 1 real FFTs (two for a convolution), taken in two numpy
-calls because the bands are one array axis. ``compose`` and ``T`` build
-plain operators; ``fourier_form`` is the one place that recovers a
-multiplier from any operator that has that form (a product of a blur and
-the starlet, say). ``apply_each`` and ``adjoint_sum`` run the maps of the
-primal-dual solver: multipliers on one grid share the forward spectra of
-their input and sum their adjoints in the spectrum, whether they merge a
-band stack (H Phi and Phi) or split an image into one (H and Phi^T).
+costs bands + 1 real FFTs (two for a convolution), taken as one forward
+and one inverse transform of a whole stack: the bands are one array axis.
+``compose`` and ``T`` build plain operators; ``fourier_form`` is the one
+place that recovers a multiplier from any operator that has that form (a
+product of a blur and the starlet, say). A ``MapStack`` runs the maps of
+the primal-dual solver into one flat stack of their outputs: multipliers
+on one grid share the forward spectra of their input and sum their
+adjoints in the spectrum, whether they merge a band stack (H Phi and Phi)
+or split an image into one (H and Phi^T), in spectra it allocates once.
 ``fft2_count`` counts the 2-D FFTs this module computes, one per image.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -207,16 +208,39 @@ fft2_count = 0
 per image, also when one call transforms a stack."""
 
 
-def _rfft2(images: Array) -> Array:
+def _rfft2(images: Array, out: Array | None = None) -> Array:
+    """Half spectra of a stack of images, into ``out`` when given."""
     global fft2_count
     fft2_count += images.size // (images.shape[-2] * images.shape[-1])
-    return np.fft.rfft2(images)
+    return np.fft.rfft2(images, out=out)
 
 
-def _irfft2(spectra: Array, shape: tuple[int, int]) -> Array:
+def _irfft2(spectra: Array, out: Array) -> Array:
+    """The images whose half spectra are ``spectra``, written into ``out``;
+    ``spectra`` is overwritten. These are the two 1-D passes ``irfft2``
+    makes, bit for bit: numpy 2.4's ``irfft2`` ignores its ``out``."""
     global fft2_count
     fft2_count += spectra.size // (spectra.shape[-2] * spectra.shape[-1])
-    return np.fft.irfft2(spectra, s=shape).ravel()
+    np.fft.ifft(spectra, axis=-2, out=spectra)
+    return np.fft.irfft(spectra, n=out.shape[-1], axis=-1, out=out)
+
+
+def _product(gain: Array, spectrum: Array, out: Array,
+             conj: bool = False) -> Array:
+    """``gain * spectrum`` into ``out``, with the conjugate gain if ``conj``."""
+    if conj and np.iscomplexobj(gain):
+        gain = np.conjugate(gain, out=out)
+    return np.multiply(gain, spectrum, out=out)
+
+
+def _band_sum(gains: Array, spectra: Array, out: Array, tmp: Array,
+              conj: bool = False) -> Array:
+    """``sum_j gains[j] * spectra[j]`` into ``out``, added in band order as
+    ``np.sum(..., axis=0)`` adds them; ``tmp`` holds one band's product."""
+    _product(gains[0], spectra[0], out, conj)
+    for gain, spectrum in zip(gains[1:], spectra[1:]):
+        out += _product(gain, spectrum, tmp, conj)
+    return out
 
 
 class FourierMultiplier(LinearOperator):
@@ -229,12 +253,10 @@ class FourierMultiplier(LinearOperator):
     back through the conjugate gains; ``merge=True`` swaps the two, so that
     ``apply`` sums the filtered bands into one image. One band is a circular
     convolution either way. Apply and adjoint cost bands + 1 real FFTs, in
-    two numpy calls: the band axis is an array axis, so all of a stack's
-    half spectra are held at once, a complex array about as large as the
-    stack itself. ``spectra``, ``images`` and ``combine`` expose the
-    three steps, so that several maps of one variable can share its
-    spectra; ``apply`` and ``adjoint`` are the one-map case of
-    ``apply_each`` and ``adjoint_sum``, which hold the orientation rule.
+    one forward and one inverse transform: the band axis is an array axis,
+    so all of a stack's half spectra are held at once, a complex array
+    about as large as the stack itself. ``apply`` and ``adjoint`` are the one-map case of
+    ``MapStack``, which holds the orientation rule.
     """
 
     __slots__ = ("height", "width", "gains", "merge")
@@ -260,54 +282,109 @@ class FourierMultiplier(LinearOperator):
         self.gains = g
         self.merge = bool(merge)
 
-    def spectra(self, flat: Array) -> Array:
-        """Half spectra of a flat image or stack, one per image (one FFT each)."""
-        return _rfft2(flat.reshape(-1, self.height, self.width))
-
-    def images(self, spectra: Array) -> Array:
-        """The flat image or stack whose half spectra are ``spectra``."""
-        return _irfft2(spectra, (self.height, self.width))
-
-    def combine(self, spectra: Array, conj: bool = False) -> Array:
-        """``sum_j gains[j] * spectra[j]``, with conjugate gains if ``conj``."""
-        return np.sum((self.gains.conj() if conj else self.gains) * spectra, axis=0)
-
     def apply(self, x) -> Array:
-        return apply_each([self], x)[0]
+        return MapStack([self]).apply(x)
 
     def adjoint(self, u) -> Array:
-        return adjoint_sum([self], [u])
+        return MapStack([self]).adjoint(u)
 
 
 def _one_grid(ops: list[LinearOperator]) -> bool:
     """True when every op is a multiplier on one grid with one input size."""
-    return bool(ops) and all(
-        isinstance(op, FourierMultiplier)
-        and (op.height, op.width, op.in_dim)
-        == (ops[0].height, ops[0].width, ops[0].in_dim) for op in ops)
+    return all(isinstance(op, FourierMultiplier)
+               and (op.height, op.width, op.in_dim)
+               == (ops[0].height, ops[0].width, ops[0].in_dim) for op in ops)
 
 
-def apply_each(ops: list[LinearOperator], x) -> list[Array]:
-    """``[op.apply(x) for op in ops]``, bit for bit; multipliers on one grid
-    share the input's spectra, one FFT per input image for all of them."""
-    if not _one_grid(ops):
-        return [op.apply(x) for op in ops]
-    spectra = ops[0].spectra(_flat64(x, ops[0].in_dim, "apply_each"))
-    return [op.images(op.combine(spectra) if op.merge else op.gains * spectra)
-            for op in ops]
+class MapStack:
+    """Maps K_1, ..., K_m of one variable, their outputs one flat stack.
 
+    ``apply`` writes each K_i x into its slice (``slices[i]``) of a stack and
+    ``adjoint`` writes sum_i K_i^T u_i, into a given array or a new one and
+    never into their input. Multipliers on one grid share their input's
+    spectra: one forward and one inverse transform per apply or adjoint,
+    for all maps and bands, in half spectra allocated once per stack. A merging map sums its bands in the spectrum, a splitting one
+    multiplies by each gain, and adjoints reverse this through the
+    conjugate gains, summed in ``np.sum``'s band order and from the first
+    map's part, so one map gives the same bits alone as in a stack. Other
+    maps apply one by one.
+    """
 
-def adjoint_sum(ops: list[LinearOperator], images: list[Array]) -> Array:
-    """``sum_i ops[i].adjoint(images[i])``; multipliers on one grid sum in the
-    spectrum, with one inverse FFT per output image for all of them."""
-    if not _one_grid(ops):
-        return sum(op.adjoint(u) for op, u in zip(ops, images))
-    parts = ((op, op.spectra(_flat64(u, op.out_dim, "adjoint_sum")))
-             for op, u in zip(ops, images))
-    # Summed from the first part, not from 0: 0 + (-0.0) would flip a sign.
-    return ops[0].images(functools.reduce(np.add, (
-        op.gains.conj() * s if op.merge else op.combine(s, conj=True)
-        for op, s in parts)))
+    __slots__ = ("ops", "slices", "in_dim", "out_dim", "_spectra")
+
+    def __init__(self, ops: list[LinearOperator]):
+        self.ops = list(ops)
+        ends = list(itertools.accumulate(op.out_dim for op in self.ops))
+        self.slices = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
+        self.in_dim = self.ops[0].in_dim
+        self.out_dim = ends[-1]
+        self._spectra = None
+        if _one_grid(self.ops):
+            op = self.ops[0]
+            n, half = op.height * op.width, (op.height, op.width // 2 + 1)
+            # The input's bands, the stack's bands and two band temporaries;
+            # untouched pages cost no memory.
+            self._spectra = tuple(np.empty((bands, *half), dtype=complex)
+                                  for bands in (self.in_dim // n,
+                                                self.out_dim // n, 2))
+
+    def split(self, stack: Array) -> list[Array]:
+        """The maps' parts of a stack, as views."""
+        return [stack[s] for s in self.slices]
+
+    def apply(self, x, out: Array | None = None) -> Array:
+        x = _flat64(x, self.in_dim, "MapStack.apply")
+        out = np.empty(self.out_dim) if out is None else out
+        if self._spectra is None:
+            for op, s in zip(self.ops, self.slices):
+                out[s] = op.apply(x)
+            return out
+        inner, outer, tmp = self._spectra
+        h, w = self.ops[0].height, self.ops[0].width
+        _rfft2(x.reshape(-1, h, w), out=inner)
+        k = 0
+        for op in self.ops:
+            if op.merge:  # the input's bands, merged into one output band
+                _band_sum(op.gains, inner, outer[k], tmp[0])
+                k += 1
+            else:  # the one input band, split into the output's bands
+                bands = len(op.gains)
+                np.multiply(op.gains, inner, out=outer[k:k + bands])
+                k += bands
+        _irfft2(outer, out.reshape(-1, h, w))
+        return out
+
+    def adjoint(self, u, out: Array | None = None) -> Array:
+        u = _flat64(u, self.out_dim, "MapStack.adjoint")
+        out = np.empty(self.in_dim) if out is None else out
+        if self._spectra is None:
+            # Summed from 0, as sum() does, so -0.0 parts read +0.0.
+            out[...] = sum(op.adjoint(u[s])
+                           for op, s in zip(self.ops, self.slices))
+            return out
+        inner, outer, tmp = self._spectra
+        h, w = self.ops[0].height, self.ops[0].width
+        _rfft2(u.reshape(-1, h, w), out=outer)
+        # Each map's part is added to the first map's, never to 0: 0 + (-0.0)
+        # would flip a sign.
+        k = 0
+        for i, op in enumerate(self.ops):
+            if op.merge:  # one dual band, split into the input's bands
+                for band, gain in zip(inner, op.gains):
+                    if i == 0:
+                        _product(gain, outer[k], band, conj=True)
+                    else:
+                        band += _product(gain, outer[k], tmp[0], conj=True)
+                k += 1
+            else:  # the dual's bands, merged into the one input band
+                bands = len(op.gains)
+                part = _band_sum(op.gains, outer[k:k + bands],
+                                 tmp[1] if i else inner[0], tmp[0], conj=True)
+                if i:
+                    inner[0] += part
+                k += bands
+        _irfft2(inner, out.reshape(-1, h, w))
+        return out
 
 
 def fourier_form(op: LinearOperator, height: int,

@@ -39,6 +39,11 @@ the primal step, tau ||sum_i K_i^T (u_{t+1,i} - u_{t,i})||, relative to
 max(||x_t||, ||x_{t+1}||): finite from zero duals, and +inf while the duals
 move an iterate that sits at zero, so such an iterate never stops the run.
 
+The duals are one flat stack, u_i a slice of it, as are the K_i x_bar
+(``MapStack``): each linear step on them is one numpy call over the whole
+stack, and only the proxes run term by term. The loop allocates its arrays
+once per solve and then only writes into them.
+
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
 with x_bar = 2 x~ - x_t, so the loop carries K_i x by linearity from the
 K_i x_bar the duals need. The last entry is recomputed from x exactly.
@@ -52,8 +57,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonFiniteIterateError
-from .operators import (LinearOperator, _check_count, _check_nonnegative,
-                        _check_positive, _flat64, adjoint_sum, apply_each)
+from .operators import (LinearOperator, MapStack, _check_count,
+                        _check_nonnegative, _check_positive, _flat64)
 
 Array = np.ndarray
 
@@ -122,12 +127,20 @@ def _checked(term: ProxTerm, out, dim: int, iteration: int) -> Array:
     return out
 
 
+def _images(ops: list[LinearOperator], x: Array) -> list[Array]:
+    """The op(x), as views of one new stack."""
+    if not ops:
+        return []
+    maps = MapStack(ops)
+    return maps.split(maps.apply(x))
+
+
 def objective_value(terms: Sequence[ProxTerm], x: Array,
                     images: Sequence[Array] | None = None) -> float:
     """f_1(K_1 x) + ... + f_K(K_K x) over the terms with a value, in term
     order; ``images``, when given, holds the K_i x of those with a map."""
     valued = [term for term in terms if term.value is not None]
-    images = iter(images if images is not None else apply_each(
+    images = iter(images if images is not None else _images(
         [term.op for term in valued if term.op is not None], x))
     return sum(float(term.value(x if term.op is None else next(images)))
                for term in valued)
@@ -193,7 +206,13 @@ def _douglas_rachford(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
 
 def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
     """The relaxed primal-dual loop of the module docstring; yields each
-    iterate with the duals, its change and the carried K_i x."""
+    iterate with the duals, its change and the carried K_i x.
+
+    Every array it writes is allocated here, once per solve: x and x_next
+    take turns in two buffers, and x_bar's buffer takes turns with the
+    dual sum's. Maps and proxes may hand back their input or an array they
+    keep, so their outputs are read or copied, never updated.
+    """
     free = [term for term in terms if term.op is None]
     mapped = [term for term in terms if term.op is not None]
     if len(free) != 1:
@@ -205,38 +224,59 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
         raise ValueError("every map has spectral bound 0")
     tau, theta = cfg.mu, cfg.theta
     sigma = 0.99 / (tau * norm2)
-    duals = [np.zeros(term.op.out_dim) for term in mapped]
+    maps = MapStack([term.op for term in mapped])
+    parts = list(zip(mapped, maps.slices))
+    duals = np.zeros(maps.out_dim)
+    duals_each = maps.split(duals)
+    v = np.empty(maps.out_dim)       # K x_bar, then the dual step v
+    scaled = np.empty(maps.out_dim)  # v / sigma, then the proxes' outputs
     back = np.zeros(x.size)  # sum_i K_i^T u_i, carried between iterations
-
-    # Maps and proxes may hand back their input, so their outputs are never
-    # updated in place: the trace carries copies of K_i x, by map index.
-    maps = [term.op for term in mapped]
-    carried = [i for i, term in enumerate(mapped) if term.value is not None]
-    kx = dict(zip(carried, [k.copy() for k in apply_each(
-        [maps[i] for i in carried], x)]))
+    x_next, x_bar = np.empty(x.size), np.empty(x.size)
+    # The trace carries K_i x of the terms with a value, by linearity.
+    carried = [s for term, s in parts if term.value is not None]
+    kx = _images([term.op for term in mapped if term.value is not None], x)
+    norm = float(np.linalg.norm(x))
     for t in range(cfg.max_outer):
-        x_new = _checked(g, g.prox(x - tau * back, tau), x.size, t)
-        x_bar = 2.0 * x_new
+        np.multiply(back, tau, out=x_next)
+        np.subtract(x, x_next, out=x_next)
+        # x_new lives until the next prox has returned: freeing it sooner
+        # let the allocator trim and refault the heap top every iteration.
+        x_new = _checked(g, g.prox(x_next, tau), x.size, t)
+        np.multiply(x_new, 2.0, out=x_bar)
         x_bar -= x
-        for i, (term, u, k_bar) in enumerate(zip(mapped, duals,
-                                                 apply_each(maps, x_bar))):
-            v = u + sigma * k_bar
-            # Moreau: prox_{sigma f*}(v) = v - sigma prox_{f/sigma}(v/sigma).
-            v -= sigma * _checked(term, term.prox(v / sigma, 1.0 / sigma),
-                                  v.size, t)
-            duals[i] = u + theta * (v - u)
-            if i in kx:
-                # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
-                # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t).
-                kx[i] += (0.5 * theta) * (k_bar - kx[i])
-        # Free the spent duals and map outputs before adjoint_sum allocates.
-        del x_bar, v, k_bar, u
-        back_next = adjoint_sum(maps, duals)
-        x_next = x + theta * (x_new - x)
+        # x_next = x + theta (x_new - x), also when x_new is x_next.
+        np.subtract(x_new, x, out=x_next)
+        x_next *= theta
+        x_next += x
+        maps.apply(x_bar, out=v)
+        for s, k in zip(carried, kx):
+            # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
+            # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t).
+            step = np.subtract(v[s], k, out=scaled[s])
+            step *= 0.5 * theta
+            k += step
+        v *= sigma
+        v += duals
+        # Moreau: u~ = prox_{sigma f*}(v) = v - sigma prox_{f/sigma}(v/sigma).
+        np.divide(v, sigma, out=scaled)
+        for term, s in parts:
+            scaled[s] = _checked(term, term.prox(scaled[s], 1.0 / sigma),
+                                 s.stop - s.start, t)
+        scaled *= sigma
+        v -= scaled
+        # u_{t+1} = u_t + theta (u~ - u_t)
+        v -= duals
+        v *= theta
+        duals += v
         # The duals' change as the shift tau K^T (u_next - u) it makes in the
-        # primal step, relative to the larger of the two iterates.
-        shift = tau * float(np.linalg.norm(back_next - back))
-        reach = max(float(np.linalg.norm(x)), float(np.linalg.norm(x_next)))
-        rel = max(relative_change(x_next, x), _ratio(shift, reach))
-        x, back = x_next, back_next
-        yield x, duals, rel, kx.values()
+        # primal step, relative to the larger of the two iterates. x_bar is
+        # spent, so the new sum goes there and the two swap.
+        maps.adjoint(duals, out=x_bar)
+        np.subtract(x_bar, back, out=back)
+        shift = tau * float(np.linalg.norm(back))
+        back, x_bar = x_bar, back
+        change = float(np.linalg.norm(np.subtract(x_next, x, out=x_bar)))
+        norm_next = float(np.linalg.norm(x_next))
+        rel = max(_ratio(change, norm), _ratio(shift, max(norm, norm_next)))
+        x, x_next, norm = x_next, x, norm_next
+        yield x, duals_each, rel, kx

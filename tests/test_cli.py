@@ -622,6 +622,23 @@ class TestGammaGridRule:
         assert f"argument {flag}: {library.value}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_a_negative_exponent_value_is_joined_to_its_flag(
+            self, workspace, capsys):
+        # After a space, argparse takes "-1e-5" for an option.
+        code, out = _run_flag(workspace, "--tol", "-1e-5")
+        assert code == 1
+        assert "argument --tol: expected one argument" in \
+            capsys.readouterr().err
+        with pytest.raises(ValueError) as library:
+            SplittingConfig(tol=-1e-5)
+        assert "tol must be finite and >= 0" in str(library.value)
+        argv = ["deconvolve", "--counts", workspace["counts"], "--psf",
+                workspace["psf"], "--dict", "dirac", "--out", out,
+                "--gamma", "0.5", "--tol=-1e-5"]
+        assert main(argv) == 1
+        assert f"argument --tol: {library.value}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestParsing:
     def test_unknown_command_is_a_usage_error(self, capsys):

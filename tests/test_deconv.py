@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from dataclasses import replace
@@ -9,14 +10,15 @@ import proxdeconv.deconv as deconv_module
 import proxdeconv.operators as operators_module
 import proxdeconv.prox_compose as prox_compose_module
 import proxdeconv.splitting as splitting_module
-from proxdeconv import (DeconvProblem, DeconvResult, FrameDictionary, Image,
-                        LinearOperator, ProxTerm, SplittingConfig,
+from proxdeconv import (DeconvProblem, DeconvResult, FourierMultiplier,
+                        FrameDictionary, Image, LinearOperator, ProxTerm, SplittingConfig,
                         SplittingState, deconvolve, gcv_score,
                         make_circular_convolution, make_dirac, make_haar_dwt,
                         make_starlet, make_union, mae, objective,
                         parse_dictionary_spec,
-                        relative_mae, result_metrics, richardson_lucy,
-                        scale_to_peak, select_gamma_gcv, simulate, solve)
+                        relative_change, relative_mae, result_metrics,
+                        richardson_lucy, scale_to_peak, select_gamma_gcv,
+                        simulate, solve)
 from proxdeconv.errors import DimensionMismatchError
 
 from oracles import grid_minimize, scene32, scene64
@@ -689,11 +691,17 @@ class TestNameLookup:
         assert solves == [(5, 5)]
 
 
-def _counts_problem(prior, levels=2, max_outer=3, spec=None, wrap=False):
-    """16x16 Poisson counts under a 3x3 box blur, gamma 0.2, mu 20."""
+# A kernel that is not symmetric about its centre has complex gains.
+SKEWED = Image.from_2d([[0.1, 0.3, 0.05], [0.2, 0.1, 0.0], [0.15, 0.05, 0.05]])
+
+
+def _counts_problem(prior, levels=2, max_outer=3, spec=None, wrap=False,
+                    psf=MA3):
+    """16x16 Poisson counts under a 3x3 blur (a box by default), gamma 0.2,
+    mu 20."""
     rng = np.random.default_rng(0)
     counts = Image(16, 16, rng.poisson(20.0, 256).astype(np.float64))
-    blur = make_circular_convolution(MA3, 16, 16)
+    blur = make_circular_convolution(psf, 16, 16)
     d = parse_dictionary_spec(spec or f"starlet:levels={levels}", 16, 16)
     if wrap:
         # Rebuilt through the public constructors, as a tracing wrapper does.
@@ -706,6 +714,86 @@ def _counts_problem(prior, levels=2, max_outer=3, spec=None, wrap=False):
         splitting=SplittingConfig(mu=20.0, max_outer=max_outer, tol=0.0))
 
 
+def _unbuffered_rollout(problem):
+    """``deconvolve``'s primal-dual recurrence with every iterate, dual and
+    map output a new array: multipliers on one grid share their input's
+    half spectra, taken by plain numpy FFTs, and sum their adjoints in the
+    spectrum (``np.sum`` over bands, then over maps from the first); other
+    maps apply one by one. Returns the restored image, the objective and
+    relative-change traces and the duals."""
+    terms, cfg, image, _ = deconv_module._terms(problem)
+    g = next(term for term in terms if term.op is None)
+    mapped = [term for term in terms if term.op is not None]
+    ops = [term.op for term in mapped]
+
+    def spectral(ops):
+        return all(isinstance(op, FourierMultiplier)
+                   and (op.height, op.width, op.in_dim)
+                   == (ops[0].height, ops[0].width, ops[0].in_dim)
+                   for op in ops)
+
+    def apply_each(ops, x):
+        if not spectral(ops):
+            return [op.apply(x) for op in ops]
+        shape = (ops[0].height, ops[0].width)
+        spectra = np.fft.rfft2(x.reshape(-1, *shape))
+        return [np.fft.irfft2(np.sum(op.gains * spectra, axis=0) if op.merge
+                              else op.gains * spectra, s=shape).ravel()
+                for op in ops]
+
+    def adjoint_sum(ops, us):
+        if not spectral(ops):
+            return sum(op.adjoint(u) for op, u in zip(ops, us))
+        shape = (ops[0].height, ops[0].width)
+        parts = []
+        for op, u in zip(ops, us):
+            spectra = np.fft.rfft2(u.reshape(-1, *shape))
+            product = op.gains.conj() * spectra
+            parts.append(product if op.merge else np.sum(product, axis=0))
+        return np.fft.irfft2(functools.reduce(np.add, parts), s=shape).ravel()
+
+    def value(x, images=None):
+        valued = [term for term in terms if term.value is not None]
+        if images is None:
+            images = apply_each([t.op for t in valued if t.op is not None], x)
+        images = iter(images)
+        return sum(float(term.value(x if term.op is None else next(images)))
+                   for term in valued)
+
+    def ratio(num, denom):
+        return num / denom if denom else (0.0 if num == 0.0 else math.inf)
+
+    tau, theta = cfg.mu, cfg.theta
+    sigma = 0.99 / (tau * sum(op.spectral_bound ** 2 for op in ops))
+    x = np.array(image.adjoint(problem.counts.data), dtype=np.float64)
+    duals = [np.zeros(op.out_dim) for op in ops]
+    back = np.zeros(x.size)
+    carried = [i for i, term in enumerate(mapped) if term.value is not None]
+    kx = {i: k.copy() for i, k in
+          zip(carried, apply_each([ops[i] for i in carried], x))}
+    objectives, changes = [], []
+    for _ in range(cfg.max_outer):
+        x_new = g.prox(x - tau * back, tau)
+        x_bar = 2.0 * x_new
+        x_bar -= x
+        for i, (term, u, k_bar) in enumerate(zip(mapped, duals,
+                                                 apply_each(ops, x_bar))):
+            v = u + sigma * k_bar
+            v -= sigma * term.prox(v / sigma, 1.0 / sigma)
+            duals[i] = u + theta * (v - u)
+            if i in kx:
+                kx[i] += (0.5 * theta) * (k_bar - kx[i])
+        back_next = adjoint_sum(ops, duals)
+        x_next = x + theta * (x_new - x)
+        shift = tau * float(np.linalg.norm(back_next - back))
+        reach = max(float(np.linalg.norm(x)), float(np.linalg.norm(x_next)))
+        changes.append(max(relative_change(x_next, x), ratio(shift, reach)))
+        x, back = x_next, back_next
+        objectives.append(value(x, kx.values()))
+    objectives[-1] = value(x)
+    return np.maximum(image.apply(x), 0.0), objectives, changes, duals
+
+
 class TestFourierPath:
     # 2-D FFTs per outer iteration, from the operators module's counter:
     # synthesis: blur o synthesis and the synthesis applied to one band
@@ -713,10 +801,11 @@ class TestFourierPath:
     # bands); analysis: the blur and the analysis applied to one image (1 +
     # 1 + bands) and their adjoints summed in the spectrum (1 + bands + 1).
     # The objective trace is carried from the maps' outputs and costs none.
-    # A multiplier transforms all bands of a stack in one numpy call, so
-    # the calls per iteration do not grow with the levels: one rfft2 of the
-    # primal point, one irfft2 per map, one rfft2 per map's dual (each
-    # transforms its own input, uncopied) and one irfft2 of their sum.
+    # The maps' outputs and the duals are one stack, and a stack transforms
+    # all its bands in one numpy call, so the calls per iteration do not
+    # grow with the levels: one rfft2 of the primal point, one inverse
+    # (ifft, then irfft) into every map's output, one rfft2 of the duals
+    # and one inverse of their adjoint sum.
     FFT2_PER_ITERATION = {("synthesis", 2): 10, ("analysis", 2): 10,
                           ("synthesis", 3): 12, ("analysis", 3): 12}
     NUMPY_FFT_CALLS_PER_ITERATION = {"synthesis": 6, "analysis": 6}
@@ -727,8 +816,11 @@ class TestFourierPath:
 
         def counted(fn):
             return lambda *args, **kw: calls.append(fn) or fn(*args, **kw)
-        for name in ("rfft2", "irfft2"):
-            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        # Every transform numpy.fft offers, so no route to an FFT escapes.
+        for name in np.fft.__all__:
+            fn = getattr(np.fft, name)
+            if callable(fn):
+                monkeypatch.setattr(np.fft, name, counted(fn))
         spent, called = [], []
         for max_outer in (1, 3):
             before, calls_before = operators_module.fft2_count, len(calls)
@@ -790,6 +882,26 @@ class TestFourierPath:
                       <= 1e-14 * np.abs(want[finite]))
         assert res.state.objectives[:-1] == list(carried[:-1])
         assert res.state.objectives[-1] == want[-1]
+
+    @pytest.mark.parametrize("spec, psf", [
+        ("starlet:levels=2", MA3), ("starlet:levels=2", SKEWED),
+        ("union(starlet:levels=2,dirac)", MA3), ("haar:levels=2", MA3),
+        ("dirac", MA3)], ids=["starlet", "starlet-skewed", "union", "haar",
+                              "dirac"])
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_bits_match_the_unbuffered_recurrence(self, prior, spec, psf):
+        # The solver writes into arrays it allocates once per solve; the
+        # rollout allocates every array afresh, as the loop once did.
+        problem = _counts_problem(prior, max_outer=4, spec=spec, psf=psf)
+        res = deconvolve(problem)
+        restored, objectives, changes, duals = _unbuffered_rollout(problem)
+        assert res.restored.data.tobytes() == restored.tobytes()
+        assert np.array(res.state.objectives).tobytes() == \
+            np.array(objectives).tobytes()
+        assert np.array(res.state.relative_changes).tobytes() == \
+            np.array(changes).tobytes()
+        assert [u.tobytes() for u in res.state.aux] == \
+            [u.tobytes() for u in duals]
 
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
     def test_solver_skips_the_per_call_count_scan(self, prior, monkeypatch):

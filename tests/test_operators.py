@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import proxdeconv.operators as operators_module
+from proxdeconv.operators import MapStack
 
 from proxdeconv import (FourierMultiplier, Image, LinearOperator, compose,
                         diagonal_operator, fourier_form, identity_operator,
@@ -296,19 +297,24 @@ class TestFourierMultiplier:
         op = FourierMultiplier(gains, h, w, spectral_bound=10.0, merge=merge)
         x, u = rng.standard_normal(op.in_dim), rng.standard_normal(op.out_dim)
         assert abs(op.apply(x) @ u - x @ op.adjoint(u)) <= 1e-10
-        image = rng.standard_normal(h * w)
-        spec = op.spectra(image)
-        assert np.allclose(op.images(spec), image, atol=1e-12)
+        image = rng.standard_normal((1, h, w))
+        back = np.empty_like(image)
+        operators_module._irfft2(operators_module._rfft2(image), back)
+        assert np.allclose(back, image, atol=1e-12)
 
     def test_spectra_transform_a_stack_in_one_call(self):
-        op = FourierMultiplier(np.ones((3, 5, 4)), 5, 6, spectral_bound=1.0)
-        stack = np.random.default_rng(3).standard_normal(op.out_dim)
+        stack = np.random.default_rng(3).standard_normal((3, 5, 6))
         before = operators_module.fft2_count
-        spectra = op.spectra(stack)
+        spectra = operators_module._rfft2(stack)
         assert operators_module.fft2_count - before == 3
-        bands = [np.fft.rfft2(band) for band in stack.reshape(3, 5, 6)]
+        bands = [np.fft.rfft2(band) for band in stack]
         assert spectra.tobytes() == np.stack(bands).tobytes()
-        assert np.allclose(op.images(spectra), stack, atol=1e-12)
+        # The inverse is irfft2's two passes, bit for bit, into a given array.
+        want = np.fft.irfft2(spectra, s=(5, 6))
+        images = np.empty_like(stack)
+        assert operators_module._irfft2(spectra, images) is images
+        assert images.tobytes() == want.tobytes()
+        assert np.allclose(images, stack, atol=1e-12)
         assert operators_module.fft2_count - before == 6
 
     @pytest.mark.parametrize("complex_gains", [False, True])
@@ -317,12 +323,14 @@ class TestFourierMultiplier:
         gains = rng.standard_normal((3, 5, 4))
         if complex_gains:
             gains = gains + 1j * rng.standard_normal((3, 5, 4))
-        op = FourierMultiplier(gains, 5, 6, spectral_bound=1.0)
         spectra = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
         combined = np.zeros((5, 4), dtype=complex)
         for g, spec in zip(gains, spectra):
             combined += g.conj() * spec
-        assert op.combine(spectra, conj=True).tobytes() == combined.tobytes()
+        out, tmp = np.empty((5, 4), dtype=complex), np.empty((5, 4), dtype=complex)
+        summed = operators_module._band_sum(gains, spectra, out, tmp, conj=True)
+        assert summed is out and out.tobytes() == combined.tobytes()
+        assert out.tobytes() == np.sum(gains.conj() * spectra, axis=0).tobytes()
 
     def test_gain_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
@@ -330,8 +338,8 @@ class TestFourierMultiplier:
 
 
 class TestSharedStack:
-    """apply_each and adjoint_sum, which the primal-dual solver runs on its
-    maps: multipliers on one grid share their input's spectra and sum their
+    """MapStack, which runs the primal-dual solver's maps into one stack:
+    multipliers on one grid share their input's spectra and sum their
     adjoints in the spectrum."""
 
     def _maps(self, fourier):
@@ -342,16 +350,21 @@ class TestSharedStack:
             maps = [fourier_form(op, 8, 8) for op in maps]
         return maps
 
+    def _run(self, maps, x, us):
+        """Each map's output and the adjoint sum, and the 2-D FFTs spent."""
+        stack = MapStack(maps)
+        before = operators_module.fft2_count
+        each = stack.split(stack.apply(x))
+        back = stack.adjoint(np.concatenate(us))
+        return each, back, operators_module.fft2_count - before
+
     @pytest.mark.parametrize("fourier", [False, True])
     def test_match_the_ops_one_by_one(self, fourier):
         maps = self._maps(fourier)
         rng = np.random.default_rng(6)
         x = rng.standard_normal(maps[0].in_dim)
         us = [rng.standard_normal(64), rng.standard_normal(64)]
-        before = operators_module.fft2_count
-        each = operators_module.apply_each(maps, x)
-        back = operators_module.adjoint_sum(maps, us)
-        spent = operators_module.fft2_count - before
+        each, back, spent = self._run(maps, x, us)
         for got, op in zip(each, maps):
             assert got.tobytes() == op.apply(x).tobytes()
         want = maps[0].adjoint(us[0]) + maps[1].adjoint(us[1])
@@ -369,10 +382,7 @@ class TestSharedStack:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(64)
         us = [rng.standard_normal(64), rng.standard_normal(192)]
-        before = operators_module.fft2_count
-        each = operators_module.apply_each(maps, x)
-        back = operators_module.adjoint_sum(maps, us)
-        spent = operators_module.fft2_count - before
+        each, back, spent = self._run(maps, x, us)
         for got, op in zip(each, maps):
             assert got.tobytes() == op.apply(x).tobytes()
         want = maps[0].adjoint(us[0]) + maps[1].adjoint(us[1])
@@ -380,3 +390,19 @@ class TestSharedStack:
         # Shared: 1 image forward and 1 + 3 back, then 1 + 3 forward and 1
         # image back; one by one, 2 + 4 each way.
         assert spent == (10 if fourier else 12)
+
+    @pytest.mark.parametrize("fourier", [False, True])
+    def test_writes_only_into_the_given_arrays(self, fourier):
+        # A solve reuses the stack's scratch spectra on every call.
+        stack = MapStack(self._maps(fourier))
+        rng = np.random.default_rng(8)
+        x, u = rng.standard_normal(stack.in_dim), rng.standard_normal(128)
+        x_copy, u_copy = x.copy(), u.copy()
+        out, back = np.empty(stack.out_dim), np.empty(stack.in_dim)
+        for _ in range(2):
+            assert stack.apply(x, out=out) is out
+            assert stack.adjoint(u, out=back) is back
+            assert out.tobytes() == stack.apply(x).tobytes()
+            assert back.tobytes() == stack.adjoint(u).tobytes()
+        assert x.tobytes() == x_copy.tobytes()
+        assert u.tobytes() == u_copy.tobytes()

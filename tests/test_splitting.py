@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from proxdeconv import (ProxTerm, SplittingConfig, diagonal_operator,
-                        identity_operator, project_positive, relative_change,
-                        soft_threshold, solve)
+from proxdeconv import (LinearOperator, ProxTerm, SplittingConfig,
+                        diagonal_operator, identity_operator, project_positive,
+                        relative_change, soft_threshold, solve)
 from proxdeconv.errors import DimensionMismatchError, NonFiniteIterateError
 from proxdeconv.splitting import objective_value
 
@@ -272,6 +272,39 @@ class TestPrimalDual:
             np.array([2.0, -1.0]))
         assert np.allclose(got, x, atol=1e-12)
         assert np.allclose(state.aux[0], u, atol=1e-12)
+
+    def _run(self, prox=None, position=0, op=None):
+        """20 over-relaxed iterations from (0.1, 1.7), the quad term traced;
+        ``prox`` replaces the prox of term ``position`` and ``op`` both
+        maps."""
+        b = np.array([2.0, -1.0])
+        terms = self._terms(b)
+        terms[0] = replace(terms[0], value=lambda v: float(np.sum((v - b) ** 2)))
+        if prox is not None:
+            terms[position] = replace(terms[position], prox=prox)
+        if op is not None:
+            terms[0], terms[2] = replace(terms[0], op=op), replace(terms[2], op=op)
+        x, state = solve(terms, SplittingConfig(theta=1.5, max_outer=20,
+                                                tol=0.0), np.array([0.1, 1.7]))
+        return [a.tobytes() for a in (x, *state.aux)], state.objectives
+
+    # The loop writes into arrays it allocated itself, never into what a
+    # prox or a map hands back.
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_a_prox_may_return_its_input(self, position):
+        assert self._run(lambda v, s: v, position) == \
+            self._run(lambda v, s: v.copy(), position)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_a_prox_may_return_an_array_it_keeps(self, position):
+        kept = np.array([0.3, -0.7])
+        got = self._run(lambda v, s: kept, position)
+        assert kept.tolist() == [0.3, -0.7]
+        assert got == self._run(lambda v, s: kept.copy(), position)
+
+    def test_a_map_may_return_its_input(self):
+        passthrough = LinearOperator(2, 2, lambda x: x, lambda u: u, 1.0)
+        assert self._run(op=passthrough) == self._run(op=identity_operator(2))
 
     @pytest.mark.parametrize("free", [0, 2])
     def test_needs_exactly_one_term_without_a_map(self, free):
