@@ -154,11 +154,11 @@ class LinearOperator:
 
     def apply(self, x) -> Array:
         x = _flat64(x, self.in_dim, "LinearOperator.apply")
-        return np.asarray(self._apply(x), dtype=np.float64).ravel()
+        return _flat64(self._apply(x), self.out_dim, "LinearOperator.apply output")
 
     def adjoint(self, u) -> Array:
         u = _flat64(u, self.out_dim, "LinearOperator.adjoint")
-        return np.asarray(self._adjoint(u), dtype=np.float64).ravel()
+        return _flat64(self._adjoint(u), self.in_dim, "LinearOperator.adjoint output")
 
     @property
     def T(self) -> LinearOperator:
@@ -301,25 +301,27 @@ class MapStack:
 
     ``apply`` writes each K_i x into its slice (``slices[i]``) of a stack and
     ``adjoint`` writes sum_i K_i^T u_i, into a given array or a new one and
-    never into their input. Multipliers on one grid share their input's
-    spectra: one forward and one inverse transform per apply or adjoint,
-    for all maps and bands, in half spectra allocated once per stack. A merging map sums its bands in the spectrum, a splitting one
-    multiplies by each gain, and adjoints reverse this through the
-    conjugate gains, summed in ``np.sum``'s band order and from the first
-    map's part, so one map gives the same bits alone as in a stack. Other
-    maps apply one by one.
+    never into their input; no maps make an empty stack, whose adjoint is 0.
+    Multipliers on one grid share their input's spectra: one forward and
+    one inverse transform per apply or adjoint, for all maps and bands, in
+    half spectra allocated once per stack. A merging map sums its bands in
+    the spectrum, a splitting one multiplies by each gain, and adjoints
+    reverse this through the conjugate gains, summed in ``np.sum``'s band
+    order and from the first map's part, so one map gives the same bits
+    alone as in a stack. Other maps apply one by one.
     """
 
     __slots__ = ("ops", "slices", "in_dim", "out_dim", "_spectra")
 
     def __init__(self, ops: list[LinearOperator]):
         self.ops = list(ops)
-        ends = list(itertools.accumulate(op.out_dim for op in self.ops))
-        self.slices = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
-        self.in_dim = self.ops[0].in_dim
+        ends = list(itertools.accumulate((op.out_dim for op in self.ops),
+                                         initial=0))
+        self.slices = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+        self.in_dim = self.ops[0].in_dim if self.ops else None
         self.out_dim = ends[-1]
         self._spectra = None
-        if _one_grid(self.ops):
+        if self.ops and _one_grid(self.ops):
             op = self.ops[0]
             n, half = op.height * op.width, (op.height, op.width // 2 + 1)
             # The input's bands, the stack's bands and two band temporaries;
@@ -333,12 +335,12 @@ class MapStack:
         return [stack[s] for s in self.slices]
 
     def apply(self, x, out: Array | None = None) -> Array:
-        x = _flat64(x, self.in_dim, "MapStack.apply")
         out = np.empty(self.out_dim) if out is None else out
-        if self._spectra is None:
+        if self._spectra is None:  # each op checks x
             for op, s in zip(self.ops, self.slices):
                 out[s] = op.apply(x)
             return out
+        x = _flat64(x, self.in_dim, "MapStack.apply")
         inner, outer, tmp = self._spectra
         h, w = self.ops[0].height, self.ops[0].width
         _rfft2(x.reshape(-1, h, w), out=inner)

@@ -1,30 +1,12 @@
-"""Splitting solvers for sums of proximable terms.
+"""Splitting solver for sums of proximable terms.
 
 Minimizes f_1(K_1 x) + ... + f_K(K_K x), where each term gives the prox of
-its f_i and, optionally, a linear map K_i (the identity when absent) and
-the value of f_i for the objective trace.
+its f_i and, optionally, a linear map K_i and the value of f_i for the
+objective trace.
 
-``deconvolve`` runs the primal-dual iteration below for both priors; the
-Douglas-Rachford path serves callers whose terms carry no maps.
-
-Without maps, Douglas-Rachford splitting on the product space: every term
-keeps its own copy p_i of the variable, proxes are taken at scale
-mu / omega_i, and the copies are averaged and reflected,
-
-    xi_{t,i} = prox_{(mu / omega_i) f_i}(p_{t,i})
-    xi_t     = sum_i omega_i xi_{t,i}
-    p_{t+1,i} = p_{t,i} + theta (2 xi_t - x_t - xi_{t,i})
-    x_{t+1}   = x_t + theta (xi_t - x_t)
-
-with equal weights omega_i = 1/K over the K terms and a constant relaxation
-theta in (0, 2). Under a standard relative-interior qualification on the
-domains, x_t converges to a minimizer for every mu > 0; truncated inner
-proxes are tolerated as summable errors. Iteration stops when the relative
-change ||x_{t+1} - x_t|| / ||x_t|| drops to ``tol``.
-
-With maps, and exactly one term g without one, the relaxed primal-dual
-iteration of Condat (JOTA 2013; Chambolle & Pock 2011 at theta = 1), one
-dual u_i per mapped term,
+One loop serves every term list: with exactly one term g without a map,
+the relaxed primal-dual iteration of Condat (JOTA 2013; Chambolle & Pock
+2011 at theta = 1), one dual u_i per mapped term,
 
     x~  = prox_{tau g}(x_t - tau sum_i K_i^T u_{t,i})
     u~_i = prox_{sigma f_i^*}(u_{t,i} + sigma K_i (2 x~ - x_t))
@@ -39,6 +21,10 @@ the primal step, tau ||sum_i K_i^T (u_{t+1,i} - u_{t,i})||, relative to
 max(||x_t||, ||x_{t+1}||): finite from zero duals, and +inf while the duals
 move an iterate that sits at zero, so such an iterate never stops the run.
 
+A list without maps makes its first term g and puts the others behind the
+identity. A lone term has no duals, and the loop is the proximal-point step
+x_{t+1} = x_t + theta (prox_{tau g}(x_t) - x_t).
+
 The duals are one flat stack, u_i a slice of it, as are the K_i x_bar
 (``MapStack``): each linear step on them is one numpy call over the whole
 stack, and only the proxes run term by term. The loop allocates its arrays
@@ -51,14 +37,15 @@ K_i x_bar the duals need. The last entry is recomputed from x exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteIterateError
 from .operators import (LinearOperator, MapStack, _check_count,
-                        _check_nonnegative, _check_positive, _flat64)
+                        _check_nonnegative, _check_positive, _flat64,
+                        identity_operator)
 
 Array = np.ndarray
 
@@ -94,8 +81,8 @@ class SplittingConfig:
 
 @dataclass
 class SplittingState:
-    """Final iterate, per-term copies (DR) or duals (primal-dual), and the
-    per-iteration trace."""
+    """Final iterate, the duals (one per mapped term) and the per-iteration
+    trace."""
 
     x: Array
     aux: list[Array]
@@ -148,24 +135,25 @@ def objective_value(terms: Sequence[ProxTerm], x: Array,
 
 def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
           ) -> tuple[Array, SplittingState]:
-    """Run the splitting iteration until tolerance or max_outer.
+    """Run the primal-dual iteration from ``init`` and zero duals until
+    tolerance or max_outer.
 
-    Douglas-Rachford when no term has a map, with every term copy starting
-    at ``init``; primal-dual otherwise, from ``init`` and zero duals. When
-    a term has a value, ``objective_value`` at each new iterate is recorded
-    in the trace, which is otherwise empty. Term ordering does not affect
-    the result beyond float round-off.
+    When no term has a map, the first term is the one without and the
+    others sit behind identity maps. When a term has a value,
+    ``objective_value`` at each new iterate is recorded in the trace, which
+    is otherwise empty. Term order changes the path, not the minimizer.
     """
     terms = list(terms)
     if not terms:
         raise ValueError("need at least one prox term")
     x = np.asarray(init, dtype=np.float64).ravel().copy()
-    run = _primal_dual if any(term.op is not None for term in terms) \
-        else _douglas_rachford
+    if all(term.op is None for term in terms):
+        eye = identity_operator(x.size)
+        terms[1:] = [replace(term, op=eye) for term in terms[1:]]
     traced = any(term.value is not None for term in terms)
     rel_trace: list[float] = []
     obj_trace: list[float] = []
-    for x, aux, rel, images in run(terms, cfg, x):
+    for x, aux, rel, images in _primal_dual(terms, cfg, x):
         rel_trace.append(rel)
         if traced:
             obj_trace.append(objective_value(terms, x, images))
@@ -177,31 +165,6 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     return x, SplittingState(x=x, aux=aux, iterations=len(rel_trace),
                              converged=rel <= cfg.tol,
                              relative_changes=rel_trace, objectives=obj_trace)
-
-
-def _douglas_rachford(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
-    """The product-space loop of the module docstring; yields each iterate
-    with the term copies, its relative change and no carried images."""
-    w = 1.0 / len(terms)
-    dim = x.size
-    copies = [x.copy() for _ in terms]
-    for t in range(cfg.max_outer):
-        proxed = [_checked(term, term.prox(p, cfg.mu / w), dim, t)
-                  for term, p in zip(terms, copies)]
-        xi_bar = np.zeros(dim)
-        for xi in proxed:
-            xi_bar += w * xi
-        for p, xi in zip(copies, proxed):
-            p += cfg.theta * (2.0 * xi_bar - x - xi)
-        # Free spent outputs before relative_change allocates. Freeing xi (the
-        # last) too let glibc trim and refault the heap top every iteration.
-        del proxed
-        x_next = x + cfg.theta * (xi_bar - x)
-        if not np.all(np.isfinite(x_next)):
-            raise NonFiniteIterateError(iteration=t, label="<average>")
-        rel = relative_change(x_next, x)
-        x = x_next
-        yield x, copies, rel, None
 
 
 def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
@@ -220,10 +183,11 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
                          f"map, got {len(free)}")
     g = free[0]
     norm2 = sum(term.op.spectral_bound ** 2 for term in mapped)
-    if norm2 == 0.0:
+    if mapped and norm2 == 0.0:
         raise ValueError("every map has spectral bound 0")
     tau, theta = cfg.mu, cfg.theta
-    sigma = 0.99 / (tau * norm2)
+    # A lone term has no duals, so sigma steps nothing.
+    sigma = 0.99 / (tau * norm2) if mapped else 0.0
     maps = MapStack([term.op for term in mapped])
     parts = list(zip(mapped, maps.slices))
     duals = np.zeros(maps.out_dim)

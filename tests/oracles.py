@@ -190,3 +190,24 @@ def scene32() -> np.ndarray:
     img[6:11, 18:28] += 0.35
     img += 0.8 * np.exp(-(((yy - 26.0) ** 2 + (xx - 25.0) ** 2) / 2.6 ** 2))
     return img
+
+
+def douglas_rachford(proxes, mu: float, theta: float, iters: int, init):
+    """The paper's outer loop: product-space Douglas-Rachford over K proxes.
+
+    ``prox(point, scale)`` returns prox_{scale f_i}(point). Every term keeps
+    its own copy of the variable, proxed at scale K mu (equal weights 1/K);
+    the prox outputs are averaged, each copy moves by theta times the
+    reflected average less its own output, and the iterate moves by theta
+    towards the average. Returns the iterate after ``iters`` steps.
+    """
+    k = len(proxes)
+    x = np.asarray(init, dtype=np.float64).copy()
+    copies = [x.copy() for _ in proxes]
+    for _ in range(iters):
+        xi = [prox(c, k * mu) for prox, c in zip(proxes, copies)]
+        xi_bar = sum(xi) / k
+        copies = [c + theta * (2.0 * xi_bar - x - z)
+                  for c, z in zip(copies, xi)]
+        x = x + theta * (xi_bar - x)
+    return x

@@ -134,6 +134,20 @@ class TestApplyAdjoint:
         with pytest.raises(DimensionMismatchError):
             op.adjoint([1.0, 2.0])
 
+    def test_output_size_checked(self):
+        # A length-1 result used to broadcast into a stack slice unnoticed.
+        total = lambda v: np.array([v.sum()])
+        op = LinearOperator(3, 3, total, lambda u: u.copy(), 1.0)
+        with pytest.raises(DimensionMismatchError):
+            op.apply([1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatchError):
+            op.T.adjoint([1.0, 2.0, 3.0])
+        op = LinearOperator(3, 2, lambda x: x[:2].copy(), lambda u: u.copy(), 1.0)
+        with pytest.raises(DimensionMismatchError):
+            op.adjoint([1.0, 2.0])
+        with pytest.raises(DimensionMismatchError):
+            MapStack([op]).adjoint([1.0, 2.0], out=np.empty(3))
+
     @pytest.mark.parametrize("make", [
         lambda: LinearOperator(0, 2, None, None, 1.0),
         lambda: LinearOperator(2, 0, None, None, 1.0),

@@ -10,7 +10,7 @@ from proxdeconv import (LinearOperator, ProxTerm, SplittingConfig,
 from proxdeconv.errors import DimensionMismatchError, NonFiniteIterateError
 from proxdeconv.splitting import objective_value
 
-from oracles import grid_minimize
+from oracles import douglas_rachford, grid_minimize
 
 
 def _quad_prox(a):
@@ -118,33 +118,59 @@ class TestThreeTerms:
 
 
 class TestAlgorithmMechanics:
-    def test_update_recurrence_matches_a_hand_rollout(self):
-        # Mechanical replication of the iteration: same proxes, same theta,
-        # tracked copy by copy. Guards the reflection and averaging lines.
-        prox1 = lambda v, s: v / (1.0 + s)
-        prox2 = lambda v, s: v - s
-        terms = [ProxTerm(prox=prox1, label="a"),
-                 ProxTerm(prox=prox2, label="b")]
-        theta, iters = 1.3, 7
-        mu = 0.8
-        init = np.array([2.0, -1.0, 0.5])
+    def test_reaches_the_minimizer_of_the_reference_douglas_rachford(self):
+        # The paper's outer loop, kept as an oracle, on criterion 5's three
+        # analytic problems and on TestThreeTerms.
+        a, b = np.array([2.0, -1.0, 3.0]), np.array([2.0, -1.0])
+        l1 = lambda v, s: soft_threshold(v, s)
+        problems = [
+            ([_quad_prox(a)], np.zeros(3)),
+            ([_quad_prox([-3.0]), _positive_prox], np.array([5.0])),
+            ([_quad_prox(b), l1, _positive_prox], np.zeros(2)),
+            ([term.prox for term in TestThreeTerms()._instance()[0]],
+             np.zeros(2)),
+        ]
+        for proxes, init in problems:
+            terms = [ProxTerm(prox=p) for p in proxes]
+            x, state = solve(terms, SplittingConfig(max_outer=2000, tol=1e-13),
+                             init)
+            assert state.converged
+            want = douglas_rachford(proxes, mu=1.0, theta=1.0, iters=2000,
+                                    init=init)
+            assert np.max(np.abs(x - want)) <= 1e-9
 
-        x = init.copy()
-        copies = [init.copy(), init.copy()]
-        proxes = [prox1, prox2]
-        for _ in range(iters):
-            # Equal weights 1/2: each term is proxed at mu / (1/2).
-            xi = [p(c, 2.0 * mu) for p, c in zip(proxes, copies)]
-            xi_bar = 0.5 * xi[0] + 0.5 * xi[1]
-            copies = [c + theta * (2.0 * xi_bar - x - z)
-                      for c, z in zip(copies, xi)]
-            x = x + theta * (xi_bar - x)
+    def test_no_maps_run_as_identity_maps_behind_the_first_term(self):
+        b = np.array([2.0, -1.0])
+        terms = _terms(("quad", _quad_prox(b)),
+                       ("l1", lambda v, s: soft_threshold(v, s)),
+                       ("positive", _positive_prox))
+        terms[0] = replace(terms[0], value=lambda v: float(np.sum((v - b) ** 2)))
+        terms[1] = replace(terms[1], value=lambda v: float(np.sum(np.abs(v))))
+        eye = identity_operator(2)
+        mapped = terms[:1] + [replace(term, op=eye) for term in terms[1:]]
+        cfg = SplittingConfig(theta=1.5, max_outer=40, tol=0.0)
+        runs = []
+        for listed in (terms, mapped):
+            x, state = solve(listed, cfg, np.array([0.1, 1.7]))
+            runs.append(([a.tobytes() for a in (x, *state.aux)],
+                         state.relative_changes, state.objectives))
+        assert len(runs[0][0]) == 3
+        assert runs[0] == runs[1]
 
-        got, state = solve(terms, SplittingConfig(
-            mu=mu, theta=theta, max_outer=iters, tol=0.0), init)
-        assert np.allclose(got, x, atol=1e-12)
-        for ours, theirs in zip(state.aux, copies):
-            assert np.allclose(ours, theirs, atol=1e-12)
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 1.7])
+    def test_a_lone_term_takes_proximal_point_steps(self, theta):
+        # x <- x + theta (prox_{mu f}(x) - x), bit for bit, to the same stop.
+        prox = _quad_prox([2.0, -1.0, 3.0])
+        cfg = SplittingConfig(mu=0.8, theta=theta, max_outer=2000, tol=1e-12)
+        got, state = solve([ProxTerm(prox=prox)], cfg, np.array([1.0, 1.0, 1.0]))
+        x, changes = np.array([1.0, 1.0, 1.0]), []
+        while not changes or changes[-1] > cfg.tol:
+            x_next = x + theta * (prox(x, cfg.mu) - x)
+            changes.append(relative_change(x_next, x))
+            x = x_next
+        assert state.relative_changes == changes
+        assert got.tobytes() == x.tobytes()
+        assert state.aux == []
 
     def test_term_order_does_not_matter(self):
         b = np.array([2.0, -1.0])
@@ -315,6 +341,16 @@ class TestPrimalDual:
             terms[2] = ProxTerm(prox=_positive_prox, label="positive")
         with pytest.raises(ValueError, match="exactly one term without"):
             solve(terms, SplittingConfig(), np.zeros(2))
+
+    def test_a_map_output_of_the_wrong_size_is_rejected(self):
+        # It used to broadcast into its slice: iterates of 2.3e43 at 50.
+        total = LinearOperator(3, 3, lambda x: np.array([x.sum()]),
+                               lambda u: u.copy(), 1.0)
+        terms = [ProxTerm(prox=_quad_prox([1.0, 2.0, 3.0]), label="quad",
+                          op=total),
+                 ProxTerm(prox=_positive_prox, label="positive")]
+        with pytest.raises(DimensionMismatchError):
+            solve(terms, SplittingConfig(max_outer=50, tol=0.0), np.ones(3))
 
     def test_map_must_take_the_variable(self):
         terms = self._terms(np.array([2.0, -1.0]))
