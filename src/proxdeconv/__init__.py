@@ -10,8 +10,7 @@ from .prox_core import (eval_poisson, grad_poisson, project_positive,
                         prox_poisson, soft_threshold)
 from .prox_compose import (FBDiagnostics, default_tau, prox_affine_fb,
                            prox_affine_tight, verify_tight_frame)
-from .splitting import (ProxTerm, SplittingConfig, SplittingState,
-                        relative_change, solve)
+from .splitting import ProxTerm, SplittingConfig, SplittingState, solve
 from .deconv import (DeconvProblem, DeconvResult, deconvolve, gcv_score, mae,
                      objective, relative_mae, result_metrics, richardson_lucy,
                      scale_to_peak, select_gamma_gcv, simulate)
@@ -29,8 +28,7 @@ __all__ = [
     "soft_threshold",
     "FBDiagnostics", "default_tau", "prox_affine_fb", "prox_affine_tight",
     "verify_tight_frame",
-    "ProxTerm", "SplittingConfig", "SplittingState", "relative_change",
-    "solve",
+    "ProxTerm", "SplittingConfig", "SplittingState", "solve",
     "DeconvProblem", "DeconvResult", "deconvolve", "gcv_score", "mae",
     "objective", "relative_mae", "result_metrics", "richardson_lucy",
     "scale_to_peak", "select_gamma_gcv", "simulate",

@@ -11,10 +11,13 @@ and one inverse transform of a whole stack: the bands are one array axis.
 place that recovers a multiplier from any operator that has that form (a
 product of a blur and the starlet, say). A ``MapStack`` runs the maps of
 the primal-dual solver into one flat stack of their outputs: multipliers
-on one grid share the forward spectra of their input and sum their
-adjoints in the spectrum, whether they merge a band stack (H Phi and Phi)
-or split an image into one (H and Phi^T), in spectra it allocates once.
-``fft2_count`` counts the 2-D FFTs this module computes, one per image.
+on one grid share the forward spectra of their input, in spectra it
+allocates once. One rule serves every such map: at each frequency it is a
+gain matrix, one row per output band and one column per input band, so a
+map that merges a band stack (H Phi and Phi) is one row and a map that
+splits an image (H and Phi^T) is one column; the adjoint multiplies by the
+conjugate transpose. ``fft2_count`` counts the 2-D FFTs this module
+computes, one per image.
 """
 
 from __future__ import annotations
@@ -233,16 +236,6 @@ def _product(gain: Array, spectrum: Array, out: Array,
     return np.multiply(gain, spectrum, out=out)
 
 
-def _band_sum(gains: Array, spectra: Array, out: Array, tmp: Array,
-              conj: bool = False) -> Array:
-    """``sum_j gains[j] * spectra[j]`` into ``out``, added in band order as
-    ``np.sum(..., axis=0)`` adds them; ``tmp`` holds one band's product."""
-    _product(gains[0], spectra[0], out, conj)
-    for gain, spectrum in zip(gains[1:], spectra[1:]):
-        out += _product(gain, spectrum, tmp, conj)
-    return out
-
-
 class FourierMultiplier(LinearOperator):
     """Shift-invariant map between one image and a stack of bands.
 
@@ -255,8 +248,8 @@ class FourierMultiplier(LinearOperator):
     convolution either way. Apply and adjoint cost bands + 1 real FFTs, in
     one forward and one inverse transform: the band axis is an array axis,
     so all of a stack's half spectra are held at once, a complex array
-    about as large as the stack itself. ``apply`` and ``adjoint`` are the one-map case of
-    ``MapStack``, which holds the orientation rule.
+    about as large as the stack itself. ``apply`` and ``adjoint`` are the
+    one-map case of ``MapStack``, which reads the gains as a gain matrix.
     """
 
     __slots__ = ("height", "width", "gains", "merge")
@@ -304,14 +297,16 @@ class MapStack:
     never into their input; no maps make an empty stack, whose adjoint is 0.
     Multipliers on one grid share their input's spectra: one forward and
     one inverse transform per apply or adjoint, for all maps and bands, in
-    half spectra allocated once per stack. A merging map sums its bands in
-    the spectrum, a splitting one multiplies by each gain, and adjoints
-    reverse this through the conjugate gains, summed in ``np.sum``'s band
-    order and from the first map's part, so one map gives the same bits
-    alone as in a stack. Other maps apply one by one.
+    half spectra allocated once per stack. Each multiplier is read as a
+    per-frequency gain matrix, one row per output band and one column per
+    input band: a merging map is one row, a splitting map one column.
+    ``apply`` sums each row over the columns and ``adjoint`` each column
+    over the rows through the conjugate gains, in ``np.sum``'s band order
+    and from the first map's part, so one map gives the same bits alone as
+    in a stack. Other maps apply one by one.
     """
 
-    __slots__ = ("ops", "slices", "in_dim", "out_dim", "_spectra")
+    __slots__ = ("ops", "slices", "in_dim", "out_dim", "_spectra", "_gains")
 
     def __init__(self, ops: list[LinearOperator]):
         self.ops = list(ops)
@@ -320,7 +315,7 @@ class MapStack:
         self.slices = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
         self.in_dim = self.ops[0].in_dim if self.ops else None
         self.out_dim = ends[-1]
-        self._spectra = None
+        self._spectra = self._gains = None
         if self.ops and _one_grid(self.ops):
             op = self.ops[0]
             n, half = op.height * op.width, (op.height, op.width // 2 + 1)
@@ -329,6 +324,9 @@ class MapStack:
             self._spectra = tuple(np.empty((bands, *half), dtype=complex)
                                   for bands in (self.in_dim // n,
                                                 self.out_dim // n, 2))
+            # Each map's gains as (rows, columns, *half): out bands by in bands.
+            self._gains = [op.gains[None] if op.merge else op.gains[:, None]
+                           for op in self.ops]
 
     def split(self, stack: Array) -> list[Array]:
         """The maps' parts of a stack, as views."""
@@ -345,14 +343,11 @@ class MapStack:
         h, w = self.ops[0].height, self.ops[0].width
         _rfft2(x.reshape(-1, h, w), out=inner)
         k = 0
-        for op in self.ops:
-            if op.merge:  # the input's bands, merged into one output band
-                _band_sum(op.gains, inner, outer[k], tmp[0])
-                k += 1
-            else:  # the one input band, split into the output's bands
-                bands = len(op.gains)
-                np.multiply(op.gains, inner, out=outer[k:k + bands])
-                k += bands
+        for gains in self._gains:
+            rows = np.multiply(gains[:, 0], inner[0], out=outer[k:k + len(gains)])
+            for j in range(1, gains.shape[1]):
+                rows += np.multiply(gains[:, j], inner[j], out=tmp[:len(gains)])
+            k += len(gains)
         _irfft2(outer, out.reshape(-1, h, w))
         return out
 
@@ -368,23 +363,19 @@ class MapStack:
         h, w = self.ops[0].height, self.ops[0].width
         _rfft2(u.reshape(-1, h, w), out=outer)
         # Each map's part is added to the first map's, never to 0: 0 + (-0.0)
-        # would flip a sign.
+        # would flip a sign. Row products go to tmp[0] and a later map's sum
+        # of rows to tmp[1], so a one-row map never touches tmp[1]'s pages.
         k = 0
-        for i, op in enumerate(self.ops):
-            if op.merge:  # one dual band, split into the input's bands
-                for band, gain in zip(inner, op.gains):
-                    if i == 0:
-                        _product(gain, outer[k], band, conj=True)
-                    else:
-                        band += _product(gain, outer[k], tmp[0], conj=True)
-                k += 1
-            else:  # the dual's bands, merged into the one input band
-                bands = len(op.gains)
-                part = _band_sum(op.gains, outer[k:k + bands],
-                                 tmp[1] if i else inner[0], tmp[0], conj=True)
+        for i, gains in enumerate(self._gains):
+            for j in range(gains.shape[1]):
+                part = inner[j] if i == 0 else tmp[1 if len(gains) > 1 else 0]
+                _product(gains[0, j], outer[k], part, conj=True)
+                for row in range(1, len(gains)):
+                    part += _product(gains[row, j], outer[k + row], tmp[0],
+                                     conj=True)
                 if i:
-                    inner[0] += part
-                k += bands
+                    inner[j] += part
+            k += len(gains)
         _irfft2(inner, out.reshape(-1, h, w))
         return out
 

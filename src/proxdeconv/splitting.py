@@ -99,13 +99,6 @@ def _ratio(num: float, denom: float) -> float:
     return num / denom
 
 
-def relative_change(new, old) -> float:
-    """||new - old|| / ||old||; 0 when both are zero, +inf when only old is."""
-    new = np.asarray(new, dtype=np.float64).ravel()
-    old = _flat64(old, new.size, "relative_change")
-    return _ratio(float(np.linalg.norm(new - old)), float(np.linalg.norm(old)))
-
-
 def _checked(term: ProxTerm, out, dim: int, iteration: int) -> Array:
     """A term's prox output as a flat float64 array; it must be finite."""
     out = _flat64(out, dim, f"prox output of term {term.label!r}")

@@ -211,3 +211,18 @@ def douglas_rachford(proxes, mu: float, theta: float, iters: int, init):
                   for c, z in zip(copies, xi)]
         x = x + theta * (xi_bar - x)
     return x
+
+
+def relative_change(new, old) -> float:
+    """||new - old|| / ||old||; 0 when both are zero, +inf when only old is.
+
+    The primal change the solver's stopping rule reads, for hand rollouts.
+    """
+    new = np.asarray(new, dtype=np.float64).ravel()
+    old = np.asarray(old, dtype=np.float64).ravel()
+    if new.size != old.size:
+        raise ValueError(f"sizes differ: {new.size} and {old.size}")
+    num, denom = float(np.linalg.norm(new - old)), float(np.linalg.norm(old))
+    if denom == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return num / denom

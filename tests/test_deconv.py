@@ -15,13 +15,12 @@ from proxdeconv import (DeconvProblem, DeconvResult, FourierMultiplier,
                         SplittingState, deconvolve, gcv_score,
                         make_circular_convolution, make_dirac, make_haar_dwt,
                         make_starlet, make_union, mae, objective,
-                        parse_dictionary_spec,
-                        relative_change, relative_mae, result_metrics,
+                        parse_dictionary_spec, relative_mae, result_metrics,
                         richardson_lucy, scale_to_peak, select_gamma_gcv,
                         simulate, solve)
 from proxdeconv.errors import DimensionMismatchError
 
-from oracles import grid_minimize, scene32, scene64
+from oracles import grid_minimize, relative_change, scene32, scene64
 from test_dictionary import _diag_pseudo_dictionary
 
 MA3 = Image.from_2d(np.full((3, 3), 1.0 / 9.0))

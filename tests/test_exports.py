@@ -47,7 +47,6 @@ EXPORTS = [
     "prox_affine_tight",
     "prox_poisson",
     "read_raster",
-    "relative_change",
     "relative_mae",
     "result_metrics",
     "richardson_lucy",
@@ -113,7 +112,6 @@ SIGNATURES = [
     "prox_affine_tight(prox_f, frame, c, x, scale=1.0)",
     "prox_poisson(x, beta, counts, check=True)",
     "read_raster(path)",
-    "relative_change(new, old)",
     "relative_mae(estimate, truth)",
     "result_metrics(result, include_timing=True)",
     "richardson_lucy(counts, blur, iters)",

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from proxdeconv import (FourierMultiplier, Image, LinearOperator, compose,
 from proxdeconv.errors import DimensionMismatchError
 
 from oracles import b3_band_gains, circ_conv_direct
+from test_deconv import SKEWED
 from test_dictionary import _diag_pseudo_dictionary
 
 
@@ -332,23 +335,56 @@ class TestFourierMultiplier:
         assert operators_module.fft2_count - before == 6
 
     @pytest.mark.parametrize("complex_gains", [False, True])
-    def test_power_and_combine_match_a_band_loop(self, complex_gains):
+    def test_band_sums_match_np_sum(self, complex_gains):
+        # Both maps that sum bands do so in the spectrum, in np.sum's order.
         rng = np.random.default_rng(5)
-        gains = rng.standard_normal((3, 5, 4))
+        h, w = 5, 6
+        gains = rng.standard_normal((3, h, w // 2 + 1))
         if complex_gains:
-            gains = gains + 1j * rng.standard_normal((3, 5, 4))
-        spectra = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
-        combined = np.zeros((5, 4), dtype=complex)
-        for g, spec in zip(gains, spectra):
-            combined += g.conj() * spec
-        out, tmp = np.empty((5, 4), dtype=complex), np.empty((5, 4), dtype=complex)
-        summed = operators_module._band_sum(gains, spectra, out, tmp, conj=True)
-        assert summed is out and out.tobytes() == combined.tobytes()
-        assert out.tobytes() == np.sum(gains.conj() * spectra, axis=0).tobytes()
+            gains = gains + 1j * rng.standard_normal((3, h, w // 2 + 1))
+        u, c = rng.standard_normal((3, h, w)), rng.standard_normal((3, h, w))
+        split = FourierMultiplier(gains, h, w, spectral_bound=10.0)
+        merge = FourierMultiplier(gains, h, w, spectral_bound=10.0, merge=True)
+        want = np.fft.irfft2(np.sum(gains.conj() * np.fft.rfft2(u), axis=0), s=(h, w))
+        assert split.adjoint(u).tobytes() == want.tobytes()
+        want = np.fft.irfft2(np.sum(gains * np.fft.rfft2(c), axis=0), s=(h, w))
+        assert merge.apply(c).tobytes() == want.tobytes()
+
+    def test_deleted_operators_free_their_gains(self):
+        # No operator may reference itself: with the cyclic collector off, a
+        # deleted operator must free its gains at once.
+        gc.disable()
+        try:
+            blur = make_circular_convolution(_ma_psf(3), 8, 8)
+            d = make_starlet(8, 8, 2)
+            bands = d._adjoint.__self__  # the starlet's own multiplier
+            stack = MapStack([blur, bands])
+            stack.adjoint(stack.apply(np.ones(64)))
+            refs = [weakref.ref(blur.gains), weakref.ref(bands.gains)]
+            del blur, d, bands, stack
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_gain_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
             FourierMultiplier(np.ones((4, 4)), 4, 4, spectral_bound=1.0)
+
+
+def _spectral_adjoint(maps, us):
+    """sum_i K_i^T u_i of multipliers on one grid, by numpy alone: each map's
+    conjugate gain matrix times its duals' spectra, summed over its output
+    bands, the maps' parts added in order, then one inverse transform."""
+    h, w = maps[0].height, maps[0].width
+    total = None
+    for op, u in zip(maps, us):
+        spectra = np.fft.rfft2(u.reshape(-1, h, w))
+        if op.merge:  # one output band, which feeds every input band
+            part = op.gains.conj() * spectra
+        else:  # one input band, fed by every output band
+            part = np.sum(op.gains.conj() * spectra, axis=0, keepdims=True)
+        total = part if total is None else total + part
+    return np.fft.irfft2(total, s=(h, w)).ravel()
 
 
 class TestSharedStack:
@@ -420,3 +456,37 @@ class TestSharedStack:
             assert back.tobytes() == stack.adjoint(u).tobytes()
         assert x.tobytes() == x_copy.tobytes()
         assert u.tobytes() == u_copy.tobytes()
+
+    def _check_bits(self, maps, seed):
+        """The stack gives each map's apply as alone, and the one rule's
+        adjoint sum, bit for bit; so does each map alone."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(maps[0].in_dim)
+        us = [rng.standard_normal(op.out_dim) for op in maps]
+        each, back, spent = self._run(maps, x, us)
+        for got, op, u in zip(each, maps, us):
+            assert got.tobytes() == op.apply(x).tobytes()
+            assert op.adjoint(u).tobytes() == _spectral_adjoint([op], [u]).tobytes()
+        assert back.tobytes() == _spectral_adjoint(maps, us).tobytes()
+        return spent
+
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_complex_gains_of_a_skewed_kernel(self, prior):
+        blur = make_circular_convolution(SKEWED, 8, 8)
+        d = make_starlet(8, 8, 2)
+        pair = [compose(blur, d), d] if prior == "synthesis" else [blur, d.T]
+        maps = [fourier_form(op, 8, 8) for op in pair]
+        assert np.iscomplexobj(maps[0].gains) and not np.iscomplexobj(maps[1].gains)
+        assert self._check_bits(maps, seed=10) == 10
+
+    @pytest.mark.parametrize("merging_first", [True, False])
+    def test_a_merging_map_beside_the_starlet_analysis(self, merging_first):
+        # One input image: a one-band merging map is one row and one column,
+        # the starlet analysis one column of three rows.
+        blur = make_circular_convolution(SKEWED, 8, 8)
+        merging = FourierMultiplier(blur.gains, 8, 8, blur.spectral_bound,
+                                    merge=True)
+        analysis = fourier_form(make_starlet(8, 8, 2).T, 8, 8)
+        maps = [merging, analysis] if merging_first else [analysis, merging]
+        assert merging.in_dim == analysis.in_dim == 64
+        assert self._check_bits(maps, seed=11) == 10

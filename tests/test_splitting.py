@@ -6,11 +6,11 @@ import pytest
 
 from proxdeconv import (LinearOperator, ProxTerm, SplittingConfig,
                         diagonal_operator, identity_operator, project_positive,
-                        relative_change, soft_threshold, solve)
+                        soft_threshold, solve)
 from proxdeconv.errors import DimensionMismatchError, NonFiniteIterateError
 from proxdeconv.splitting import objective_value
 
-from oracles import douglas_rachford, grid_minimize
+from oracles import douglas_rachford, grid_minimize, relative_change
 
 
 def _quad_prox(a):
@@ -28,6 +28,8 @@ def _terms(*pairs):
 
 
 class TestRelativeChange:
+    """The reference ``relative_change`` the hand rollouts compare against."""
+
     def test_no_change(self):
         assert relative_change([1.0, 2.0], [1.0, 2.0]) == 0.0
 
