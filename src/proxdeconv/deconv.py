@@ -18,7 +18,8 @@ through their own transforms.
 
 Both priors run the primal-dual iteration: the l1 term (synthesis) or the
 positivity (analysis) is the primal prox, the other two terms carry their
-maps (H o Phi and Phi, or H and Phi^T), and every prox is elementwise, so
+maps (H o Phi and Phi, or H and Phi^T) and take their dual steps through
+their conjugates' proxes in closed form, and every prox is elementwise, so
 an iteration has no inner loop. The solver traces the objective from the
 terms' values, as ``objective`` evaluates it. The primal step grows with
 the counts: tau = 2 mean(y) for the synthesis prior and mean(y) / 2 for
@@ -40,7 +41,8 @@ from .errors import DimensionMismatchError
 from .operators import (FourierMultiplier, Image, LinearOperator, _check_count,
                         _check_counts, _check_grid, _check_positive, _flat64,
                         compose, fourier_form, identity_operator)
-from .prox_core import eval_poisson, project_positive, prox_poisson, soft_threshold
+from .prox_core import (_conj_poisson, eval_poisson, project_positive,
+                        prox_poisson, soft_threshold)
 from .splitting import (ProxTerm, SplittingConfig, SplittingState,
                         objective_value, solve)
 
@@ -109,8 +111,12 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
     image (the dictionary, or the identity under the analysis prior; its
     adjoint takes the counts to the start point), and the coefficients from
     v and the clipped image. The maps are probed for their Fourier form, so
-    wrapped or user-built operators take the same path as shipped ones. The
-    prox families look the elementwise proxes up by name on each call.
+    wrapped or user-built operators take the same path as shipped ones.
+    Every term carries its conjugate step in closed form, in place. The
+    proxes and steps look the elementwise proxes up by name on each call,
+    and the positivity calls ``project_positive(x)`` once per iteration
+    under either prior; the l1 prox writes into one coefficient array
+    kept for the solve.
     """
     def fourier(op: LinearOperator) -> LinearOperator:
         form = fourier_form(op, p.counts.height, p.counts.width)
@@ -124,12 +130,19 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
                            & (eta >= -_ROUNDOFF * np.max(np.abs(eta))), 0.0, eta)
         return eval_poisson(eta, y, check=False)
 
+    def positive_conj(v: Array, sigma: float) -> None:
+        # prox_{sigma f*} of the positivity is min(v, 0).
+        v -= project_positive(v)
+
     y, gamma, d = p.counts.data, p.gamma, p.dictionary
     # DeconvProblem validated the counts once.
     poisson = lambda v, s: prox_poisson(v, s, y, check=False)
-    sparsity = lambda v, s: soft_threshold(v, s * gamma)
+    shrunk = np.empty(d.coeff_dim)  # the l1 prox's output, kept per solve
+    sparsity = lambda v, s: soft_threshold(v, s * gamma, out=shrunk)
     positive = lambda v, s: project_positive(v)
     l1 = lambda c: gamma * float(np.sum(np.abs(c)))
+    # prox_{sigma f*} of gamma ||.||_1 is the clip to [-gamma, gamma].
+    sparsity_conj = lambda v, s: np.clip(v, -gamma, gamma, out=v)
     h = fourier(p.blur)
     if p.prior == "analysis":
         maps, factor = (h, fourier(d.T), None), 0.5
@@ -137,9 +150,9 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
     else:
         maps, factor = (fourier(compose(h, d)), None, fourier(d)), 2.0
         image, coefficients = d, lambda v, x: v
-    terms = [ProxTerm(poisson, "data-fidelity", maps[0], fit),
-             ProxTerm(sparsity, "sparsity", maps[1], l1),
-             ProxTerm(positive, "positivity", maps[2])]
+    terms = [ProxTerm(poisson, "data-fidelity", maps[0], fit, _conj_poisson(y)),
+             ProxTerm(sparsity, "sparsity", maps[1], l1, sparsity_conj),
+             ProxTerm(positive, "positivity", maps[2], conj=positive_conj)]
     # The primal step grows with the counts, or is 1 when every count is 0
     # (the minimizer is then 0 at any step).
     mean = float(np.mean(y))

@@ -7,13 +7,15 @@ The Poisson anti-log-likelihood of intensities eta against counts y is
 
 and +inf as soon as any component leaves its domain (0 log 0 = 0 by the
 0! = 1 convention). Its scaled prox has the closed form of a per-pixel
-quadratic root. The l1 penalty's prox is soft-thresholding and the
-positivity indicator's is the projection onto the non-negative orthant.
+quadratic root, and so has the prox of its conjugate. The l1 penalty's
+prox is soft-thresholding and the positivity indicator's is the
+projection onto the non-negative orthant.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -41,11 +43,12 @@ def eval_poisson(eta, counts, check: bool = True) -> float:
     if check:
         _check_counts(y, "eval_poisson")
     pos = y > 0.0
-    if np.any(eta[pos] <= 0.0) or np.any(eta[~pos] < 0.0):
+    ep = eta[pos]
+    # A negative intensity on a positive count already fails ep <= 0.
+    if np.any(ep <= 0.0) or np.any(eta < 0.0):
         total = math.inf
     else:
         total = float(np.sum(eta))
-        ep = eta[pos]
         if ep.size:
             total -= float(np.sum(y[pos] * np.log(ep)))
     # An infinite intensity gives inf - inf = NaN; only this rare branch
@@ -103,16 +106,59 @@ def prox_poisson(x, beta: float, counts, check: bool = True) -> Array:
     return p
 
 
-def soft_threshold(values, threshold: float) -> Array:
-    """prox of threshold * ||.||_1: shrink each component toward zero."""
+def _conj_poisson(counts: Array) -> Callable[[Array, float], None]:
+    """The conjugate step of the Poisson fidelity against ``counts``:
+    ``step(a, sigma)`` overwrites a with prox_{sigma f*}(a), elementwise
+
+        (a - sigma y) / (max(a, 1) + sigma y / (rho + h)),
+        h = |a - 1| / 2,  rho = sqrt(h^2 + sigma y),
+
+    which is min(a, 1) where y = 0 and below 1 where y > 0. By Moreau's
+    identity it is a - sigma prox_{f / sigma}(a / sigma), the textbook
+    (a + 1 - 2 rho) / 2, or 2 (a - sigma y) / (a + 1 + 2 rho). The first
+    cancels where a >> 1, the second's denominator where a << -1; here
+    that denominator is 2 max(a, 1) + 2 sigma y / (rho + h), a sum of
+    non-negative terms. The step keeps three count-sized temporaries and
+    does not check the counts.
+    """
+    sy, h, rho = np.empty((3, counts.size))
+
+    def step(a: Array, sigma: float) -> None:
+        np.multiply(counts, sigma, out=sy)
+        np.subtract(a, 1.0, out=h)
+        np.abs(h, out=h)
+        np.multiply(h, 0.5, out=h)
+        np.multiply(h, h, out=rho)
+        np.add(rho, sy, out=rho)
+        np.sqrt(rho, out=rho)
+        np.add(rho, h, out=rho)
+        # rho + h is 0 only where a = 1 and y = 0, whose quotient is then 0.
+        np.maximum(rho, _TINY, out=rho)
+        np.divide(sy, rho, out=rho)
+        np.maximum(a, 1.0, out=h)
+        np.add(rho, h, out=rho)
+        a -= sy
+        a /= rho
+    return step
+
+
+def soft_threshold(values, threshold: float, out: Array | None = None
+                   ) -> Array:
+    """prox of threshold * ||.||_1: shrink each component toward zero.
+
+    ``out``, a float64 array of the values' shape (the values themselves
+    too), receives the result when given.
+    """
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     v = np.asarray(values, dtype=np.float64)
-    # sign(v) * max(|v| - t, 0) bit for bit, in place in one array for |v|.
-    out = np.abs(v, out=np.empty_like(v))
+    # sign(v) * max(|v| - t, 0) bit for bit. np.copysign would need no
+    # sign array, but gives -0.0 where v is -0.0 and sign(v) is +0.
+    sign = np.sign(v)
+    out = np.abs(v, out=out)
     out -= threshold
     np.maximum(out, 0.0, out=out)
-    out *= np.sign(v)
+    out *= sign
     return out
 
 

@@ -12,8 +12,10 @@ the relaxed primal-dual iteration of Condat (JOTA 2013; Chambolle & Pock
     u~_i = prox_{sigma f_i^*}(u_{t,i} + sigma K_i (2 x~ - x_t))
     (x_{t+1}, u_{t+1}) = (x_t, u_t) + theta ((x~, u~) - (x_t, u_t))
 
-with tau = mu, sigma = 0.99 / (tau sum_i ||K_i||^2) from the maps' declared
-spectral bounds, and the dual prox taken by Moreau's identity,
+with tau = mu and sigma = 0.99 / (tau sum_i ||K_i||^2) from the maps'
+declared spectral bounds. A term's ``conj`` writes its dual prox
+prox_{sigma f_i^*} into the term's part of the dual stack; a term without
+one gets Moreau's identity from its own prox,
 prox_{sigma f^*}(v) = v - sigma prox_{f / sigma}(v / sigma). No prox has an
 inner loop. Iteration stops when both the primal relative change and the
 duals' change drop to ``tol``. The duals' change is the shift they make in
@@ -28,7 +30,8 @@ x_{t+1} = x_t + theta (prox_{tau g}(x_t) - x_t).
 The duals are one flat stack, u_i a slice of it, as are the K_i x_bar
 (``MapStack``): each linear step on them is one numpy call over the whole
 stack, and only the proxes run term by term. The loop allocates its arrays
-once per solve and then only writes into them.
+once per solve and then only writes into them, and one finite check over
+the updated dual stack covers every dual prox.
 
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
 with x_bar = 2 x~ - x_t, so the loop carries K_i x by linearity from the
@@ -55,12 +58,19 @@ class ProxTerm:
     """One summand f(op v), or f(v) without ``op``: ``prox(point, scale)``
     must return prox_{scale * f}(point), the prox of f itself, and
     ``value(point)`` f(point). An indicator leaves ``value`` None and counts
-    0 in the objective trace."""
+    0 in the objective trace.
+
+    ``conj(v, sigma)``, read only for a term with a map, must overwrite v,
+    the term's part of the dual stack, with prox_{sigma f*}(v), the prox of
+    f's conjugate. Without it the solver takes Moreau's identity,
+    v - sigma prox_{f / sigma}(v / sigma), from ``prox``.
+    """
 
     prox: Callable[[Array, float], Array]
     label: str = ""
     op: LinearOperator | None = None
     value: Callable[[Array], float] | None = None
+    conj: Callable[[Array, float], None] | None = None
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,15 @@ def _checked(term: ProxTerm, out, dim: int, iteration: int) -> Array:
     if not np.all(np.isfinite(out)):
         raise NonFiniteIterateError(iteration=iteration, label=term.label)
     return out
+
+
+def _moreau(term: ProxTerm) -> Callable[[Array, float], None]:
+    """The term's conj by Moreau's identity from its prox."""
+    def conj(v: Array, sigma: float) -> None:
+        proxed = _flat64(term.prox(v / sigma, 1.0 / sigma), v.size,
+                         f"prox output of term {term.label!r}")
+        v -= proxed * sigma
+    return conj
 
 
 def _images(ops: list[LinearOperator], x: Array) -> list[Array]:
@@ -164,10 +183,11 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
     """The relaxed primal-dual loop of the module docstring; yields each
     iterate with the duals, its change and the carried K_i x.
 
-    Every array it writes is allocated here, once per solve: x and x_next
-    take turns in two buffers, and x_bar's buffer takes turns with the
-    dual sum's. Maps and proxes may hand back their input or an array they
-    keep, so their outputs are read or copied, never updated.
+    Every array it writes is allocated here, once per solve, or is a
+    term's part of the dual stack, which its conj step overwrites: x and
+    x_next take turns in two buffers, and x_bar's buffer takes turns with
+    the dual sum's. Maps and proxes may hand back their input or an array
+    they keep, so their outputs are read or copied, never updated.
     """
     free = [term for term in terms if term.op is None]
     mapped = [term for term in terms if term.op is not None]
@@ -183,15 +203,16 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
     sigma = 0.99 / (tau * norm2) if mapped else 0.0
     maps = MapStack([term.op for term in mapped])
     parts = list(zip(mapped, maps.slices))
+    conjs = [(term.conj or _moreau(term), s) for term, s in parts]
     duals = np.zeros(maps.out_dim)
     duals_each = maps.split(duals)
-    v = np.empty(maps.out_dim)       # K x_bar, then the dual step v
-    scaled = np.empty(maps.out_dim)  # v / sigma, then the proxes' outputs
+    v = np.empty(maps.out_dim)  # K x_bar, then the dual step v
     back = np.zeros(x.size)  # sum_i K_i^T u_i, carried between iterations
     x_next, x_bar = np.empty(x.size), np.empty(x.size)
     # The trace carries K_i x of the terms with a value, by linearity.
     carried = [s for term, s in parts if term.value is not None]
     kx = _images([term.op for term in mapped if term.value is not None], x)
+    scratch = np.empty(max((k.size for k in kx), default=0))
     norm = float(np.linalg.norm(x))
     for t in range(cfg.max_outer):
         np.multiply(back, tau, out=x_next)
@@ -209,18 +230,18 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
         for s, k in zip(carried, kx):
             # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
             # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t).
-            step = np.subtract(v[s], k, out=scaled[s])
+            step = np.subtract(v[s], k, out=scratch[:k.size])
             step *= 0.5 * theta
             k += step
         v *= sigma
         v += duals
-        # Moreau: u~ = prox_{sigma f*}(v) = v - sigma prox_{f/sigma}(v/sigma).
-        np.divide(v, sigma, out=scaled)
-        for term, s in parts:
-            scaled[s] = _checked(term, term.prox(scaled[s], 1.0 / sigma),
-                                 s.stop - s.start, t)
-        scaled *= sigma
-        v -= scaled
+        # u~_i = prox_{sigma f_i*}(v_i), each in its part of the stack.
+        for conj, s in conjs:
+            conj(v[s], sigma)
+        if not np.all(np.isfinite(v)):
+            first = int(np.argmin(np.isfinite(v)))
+            raise NonFiniteIterateError(iteration=t, label=next(
+                term.label for term, s in parts if first < s.stop))
         # u_{t+1} = u_t + theta (u~ - u_t)
         v -= duals
         v *= theta

@@ -1,3 +1,4 @@
+import decimal
 import functools
 import json
 import math
@@ -635,15 +636,18 @@ class TestAnalysisFeasibility:
 class TestNameLookup:
     """The solver looks its elementwise proxes up by module name on every
     call, so a function rebound there (as a tracing wrapper is) sees every
-    call. Both priors' primal-dual iteration calls each prox once per outer
-    iteration and never calls the dual FB solve, which a tracer rebinds too.
+    call. Both priors' primal-dual iteration calls the positivity's
+    projection and the primal prox once per outer iteration, takes the
+    mapped terms' dual steps in closed form, without ``prox_poisson`` or
+    ``soft_threshold``, and never calls the dual FB solve, which a tracer
+    rebinds too.
     """
 
     PER_ITERATION = {
         "synthesis": {"project_positive": 1, "prox_affine_fb": 0,
-                      "prox_poisson": 1, "soft_threshold": 1},
+                      "prox_poisson": 0, "soft_threshold": 1},
         "analysis": {"project_positive": 1, "prox_affine_fb": 0,
-                     "prox_poisson": 1, "soft_threshold": 1},
+                     "prox_poisson": 0, "soft_threshold": 0},
     }
 
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
@@ -669,7 +673,8 @@ class TestNameLookup:
     def test_one_solve_with_one_positivity_call_per_iteration(self, prior,
                                                               monkeypatch):
         # A tracer sums outer iterations from what deconv.solve returns and
-        # ticks its clock on deconv.project_positive.
+        # ticks its clock on deconv.project_positive, which it rebinds as
+        # project_positive(x): a call with another signature fails here.
         solves, positives = [], []
         original_solve = deconv_module.solve
         original_positive = deconv_module.project_positive
@@ -680,9 +685,9 @@ class TestNameLookup:
             solves.append((result[1].iterations, len(positives) - before))
             return result
 
-        def positive(*args, **kwargs):
+        def positive(x):
             positives.append(None)
-            return original_positive(*args, **kwargs)
+            return original_positive(x)
         monkeypatch.setattr(deconv_module, "solve", solve)
         monkeypatch.setattr(deconv_module, "project_positive", positive)
         res = deconvolve(_counts_problem(prior, max_outer=5))
@@ -715,10 +720,11 @@ def _counts_problem(prior, levels=2, max_outer=3, spec=None, wrap=False,
 
 def _unbuffered_rollout(problem):
     """``deconvolve``'s primal-dual recurrence with every iterate, dual and
-    map output a new array: multipliers on one grid share their input's
-    half spectra, taken by plain numpy FFTs, and sum their adjoints in the
-    spectrum (``np.sum`` over bands, then over maps from the first); other
-    maps apply one by one. Returns the restored image, the objective and
+    map output a new array, each dual step the term's conjugate (or
+    Moreau's identity) applied to a fresh array: multipliers on one grid
+    share their input's half spectra, taken by plain numpy FFTs, and sum
+    their adjoints in the spectrum (``np.sum`` over bands, then over maps
+    from the first); other maps apply one by one. Returns the restored image, the objective and
     relative-change traces and the duals."""
     terms, cfg, image, _ = deconv_module._terms(problem)
     g = next(term for term in terms if term.op is None)
@@ -778,7 +784,10 @@ def _unbuffered_rollout(problem):
         for i, (term, u, k_bar) in enumerate(zip(mapped, duals,
                                                  apply_each(ops, x_bar))):
             v = u + sigma * k_bar
-            v -= sigma * term.prox(v / sigma, 1.0 / sigma)
+            if term.conj is None:
+                v -= sigma * term.prox(v / sigma, 1.0 / sigma)
+            else:
+                term.conj(v, sigma)
             duals[i] = u + theta * (v - u)
             if i in kx:
                 kx[i] += (0.5 * theta) * (k_bar - kx[i])
@@ -913,6 +922,86 @@ class TestFourierPath:
                             lambda y: scans.append(y.size) or True)
         deconvolve(problem)
         assert scans == []
+
+
+def _poisson_conj_reference(a, sigma, y):
+    """(a + 1 - sqrt((a - 1)^2 + 4 sigma y)) / 2 in 60-digit decimals, from
+    the floats' exact values, rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a, sy = decimal.Decimal(a), decimal.Decimal(sigma) * decimal.Decimal(y)
+        root = ((a - 1) ** 2 + 4 * sy).sqrt()
+        return float((a + 1 - root) / 2)
+
+
+class TestConjugateSteps:
+    """The dual steps prox_{sigma f*} that deconvolve's terms carry in
+    closed form, written into their argument."""
+
+    def _terms(self, counts):
+        n = len(counts)
+        problem = DeconvProblem(counts=Image.from_2d([counts]),
+                                blur=identity_blur(n, 1),
+                                dictionary=make_dirac(n, 1), gamma=0.5)
+        return deconv_module._terms(problem)[0]
+
+    @pytest.mark.parametrize("sigma", [2.0 ** -10, 0.25, 4.0])
+    def test_poisson_step_at_the_domain_edge(self, sigma):
+        # sigma is a power of 2, so sigma y and a - sigma y are exact, and
+        # the step holds a few ulps where the textbook (a + 1 - root) / 2
+        # cancels (a >> 1, and a next to sigma y) and where the denominator
+        # of 2 (a - sigma y) / (a + 1 + root) does (a << -1).
+        pairs = []
+        for y in (1.0, 6.0, 1000.0):
+            sy = sigma * y
+            near = [sy + k * np.spacing(sy) for k in (-100, -3, -1, 0, 1, 3, 100)]
+            pairs += [(a, y) for a in (-1e8, -1e4, -1.0, 0.0, 0.5, 1.0, 2.0,
+                                       1e4, 1e8, *near)]
+        zero = (-1e8, -3.0, -0.0, 0.0, 0.5, 1.0, 1.0 + 2.0 ** -52, 2.0, 1e8)
+        pairs += [(a, 0.0) for a in zero]
+        a, y = (np.array(column) for column in zip(*pairs))
+        fidelity = self._terms(list(y))[0]
+        got = a.copy()
+        fidelity.conj(got, sigma)
+        want = np.array([_poisson_conj_reference(ai, sigma, yi)
+                         for ai, yi in pairs])
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
+        assert np.all(got[y > 0.0] < 1.0)
+        assert np.array_equal(got[y == 0.0], np.minimum(a[y == 0.0], 1.0))
+
+    def test_l1_and_positivity_steps(self):
+        _, sparsity, positivity = self._terms([1.0, 2.0, 0.0, 4.0])
+        v = np.array([-3.0, -0.5, 0.25, 0.75])
+        clipped, nonpositive = v.copy(), v.copy()
+        sparsity.conj(clipped, 7.0)
+        positivity.conj(nonpositive, 7.0)
+        assert clipped.tolist() == [-0.5, -0.5, 0.25, 0.5]
+        assert nonpositive.tolist() == [-3.0, -0.5, 0.0, 0.0]
+
+    @pytest.mark.parametrize("spec, psf", [
+        ("starlet:levels=2", MA3), ("starlet:levels=2", SKEWED),
+        ("union(starlet:levels=2,dirac)", MA3), ("haar:levels=2", MA3),
+        ("dirac", MA3)], ids=["starlet", "starlet-skewed", "union", "haar",
+                              "dirac"])
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_closed_forms_match_moreau(self, prior, spec, psf, monkeypatch):
+        problem = _counts_problem(prior, spec=spec, psf=psf)
+        # Each case converges, after 22 to 1 621 iterations.
+        problem = replace(problem, splitting=SplittingConfig(
+            max_outer=3000, tol=3e-4))
+        closed = deconvolve(problem)
+        terms_of = deconv_module._terms
+
+        def moreau_terms(p):
+            terms, *rest = terms_of(p)
+            return [replace(term, conj=None) for term in terms], *rest
+        monkeypatch.setattr(deconv_module, "_terms", moreau_terms)
+        moreau = deconvolve(problem)
+        assert closed.converged and moreau.converged
+        assert closed.state.iterations == moreau.state.iterations
+        peak = float(np.max(moreau.restored.data))
+        assert np.max(np.abs(closed.restored.data - moreau.restored.data)) \
+            <= 1e-12 * peak
 
 
 def _same_result(a, b):

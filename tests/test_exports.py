@@ -84,7 +84,7 @@ SIGNATURES = [
     "tight)",
     "Image(width, height, data)",
     "LinearOperator(in_dim, out_dim, apply, adjoint, spectral_bound)",
-    "ProxTerm(prox, label='', op=None, value=None)",
+    "ProxTerm(prox, label='', op=None, value=None, conj=None)",
     "SplittingConfig(mu=1.0, theta=1.0, max_outer=300, tol=1e-05)",
     "SplittingState(x, aux, iterations, converged, relative_changes, "
     "objectives)",
@@ -118,7 +118,7 @@ SIGNATURES = [
     "scale_to_peak(truth, peak)",
     "select_gamma_gcv(grid, problem, truth=None)",
     "simulate(truth, blur, peak, seed)",
-    "soft_threshold(values, threshold)",
+    "soft_threshold(values, threshold, out=None)",
     "solve(terms, cfg, init)",
     "verify_tight_frame(frame, c)",
     "write_raster(path, image)",

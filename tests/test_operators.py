@@ -441,6 +441,18 @@ class TestSharedStack:
         # image back; one by one, 2 + 4 each way.
         assert spent == (10 if fourier else 12)
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_parts_add_to_the_first_part_not_to_zero(self, zero):
+        # Zero duals make exact zero parts, some of them -0.0 (a zero times
+        # a negative gain), and the sum keeps their sign only if it starts
+        # from the first map's part: 0 + (-0.0) would read +0.0.
+        maps = self._maps(fourier=True)
+        stack = MapStack(maps)
+        u = np.full(stack.out_dim, zero)
+        back = stack.adjoint(u)
+        assert np.any(np.signbit(back))
+        assert back.tobytes() == _spectral_adjoint(maps, stack.split(u)).tobytes()
+
     @pytest.mark.parametrize("fourier", [False, True])
     def test_writes_only_into_the_given_arrays(self, fourier):
         # A solve reuses the stack's scratch spectra on every call.

@@ -160,6 +160,18 @@ class TestProxPenalty:
         assert soft_threshold(v, threshold).tobytes() == want.tobytes()
         assert v.tobytes() == before.tobytes()
 
+    def test_out_receives_the_same_bits(self):
+        # Into a kept array, or over the values themselves.
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal(1_000)
+        v[::3], v[1::7] = -0.0, 0.0
+        want = soft_threshold(v, 0.5)
+        kept = np.empty_like(v)
+        assert soft_threshold(v, 0.5, out=kept) is kept
+        assert kept.tobytes() == want.tobytes()
+        assert soft_threshold(v, 0.5, out=v) is v
+        assert v.tobytes() == want.tobytes()
+
     def test_negative_threshold_rejected(self):
         for threshold in (-0.1, math.nan):
             with pytest.raises(ValueError, match="threshold"):

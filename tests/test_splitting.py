@@ -361,6 +361,42 @@ class TestPrimalDual:
         with pytest.raises(DimensionMismatchError):
             solve(terms, SplittingConfig(), np.zeros(2))
 
+    def test_a_conj_step_stands_in_for_moreau(self):
+        # f = ||. - b||^2 / 2 has prox_{s f*}(v) = (v - s b) / (1 + s), and
+        # the positivity prox_{s f*}(v) = min(v, 0).
+        b = np.array([2.0, -1.0])
+
+        def quad_conj(v, s):
+            v -= s * b
+            v /= 1.0 + s
+        conj = [quad_conj, None,
+                lambda v, s: np.minimum(v, 0.0, out=v)]
+        runs = []
+        for given in (conj, [None] * 3):
+            terms = [replace(term, conj=c)
+                     for term, c in zip(self._terms(b), given)]
+            runs.append(solve(terms, SplittingConfig(theta=1.5, max_outer=300,
+                                                     tol=1e-12), np.zeros(2)))
+        (x, state), (x_moreau, state_moreau) = runs
+        assert state.iterations == state_moreau.iterations < 300
+        assert np.allclose(x, x_moreau, rtol=0.0, atol=1e-12)
+        assert np.allclose(np.concatenate(state.aux),
+                           np.concatenate(state_moreau.aux), rtol=0.0,
+                           atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [[0], [2], [0, 2]])
+    def test_a_non_finite_dual_step_names_the_first_term(self, bad):
+        # One check over the updated dual stack names the first term, in
+        # term order, whose part is not finite.
+        terms = self._terms(np.array([2.0, -1.0]))
+        for i in bad:
+            terms[i] = replace(terms[i], label=f"bad{i}",
+                               conj=lambda v, s: v.fill(np.inf))
+        with pytest.raises(NonFiniteIterateError) as err:
+            solve(terms, SplittingConfig(), np.zeros(2))
+        assert err.value.label == f"bad{bad[0]}"
+        assert err.value.iteration == 0
+
     def test_non_finite_prox_output_identifies_the_term(self):
         terms = self._terms(np.array([2.0, -1.0]))
         terms[2] = ProxTerm(prox=lambda v, s: np.full_like(v, np.nan),
