@@ -127,7 +127,7 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
             # FFT round-off leaves about -1e-16 of the peak where the image
             # is 0: the round-off band that simulate clamps reads as 0.
             eta = np.where((eta < 0.0)
-                           & (eta >= -_ROUNDOFF * np.max(np.abs(eta))), 0.0, eta)
+                           & (eta >= -_ROUNDOFF * np.abs(eta).max()), 0.0, eta)
         return eval_poisson(eta, y, check=False)
 
     def positive_conj(v: Array, sigma: float) -> None:
@@ -140,9 +140,9 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
     shrunk = np.empty(d.coeff_dim)  # the l1 prox's output, kept per solve
     sparsity = lambda v, s: soft_threshold(v, s * gamma, out=shrunk)
     positive = lambda v, s: project_positive(v)
-    l1 = lambda c: gamma * float(np.sum(np.abs(c)))
+    l1 = lambda c: gamma * float(np.abs(c).sum())
     # prox_{sigma f*} of gamma ||.||_1 is the clip to [-gamma, gamma].
-    sparsity_conj = lambda v, s: np.clip(v, -gamma, gamma, out=v)
+    sparsity_conj = lambda v, s: v.clip(-gamma, gamma, out=v)
     h = fourier(p.blur)
     if p.prior == "analysis":
         maps, factor = (h, fourier(d.T), None), 0.5

@@ -17,7 +17,10 @@ gain matrix, one row per output band and one column per input band, so a
 map that merges a band stack (H Phi and Phi) is one row and a map that
 splits an image (H and Phi^T) is one column; the adjoint multiplies by the
 conjugate transpose. ``fft2_count`` counts the 2-D FFTs this module
-computes, one per image.
+computes, one per image. On the hot path, ``MapStack.apply`` and
+``adjoint``, each step is one ufunc or 1-D FFT pass into a buffer, never a
+dispatch wrapper such as ``rfft2``: whether a gain is complex is decided
+once per stack.
 """
 
 from __future__ import annotations
@@ -212,10 +215,12 @@ per image, also when one call transforms a stack."""
 
 
 def _rfft2(images: Array, out: Array | None = None) -> Array:
-    """Half spectra of a stack of images, into ``out`` when given."""
+    """Half spectra of a stack of images, into ``out`` when given: the two
+    1-D passes ``rfft2`` makes, bit for bit, without its argument handling."""
     global fft2_count
     fft2_count += images.size // (images.shape[-2] * images.shape[-1])
-    return np.fft.rfft2(images, out=out)
+    out = np.fft.rfft(images, axis=-1, out=out)
+    return np.fft.fft(out, axis=-2, out=out)
 
 
 def _irfft2(spectra: Array, out: Array) -> Array:
@@ -226,14 +231,6 @@ def _irfft2(spectra: Array, out: Array) -> Array:
     fft2_count += spectra.size // (spectra.shape[-2] * spectra.shape[-1])
     np.fft.ifft(spectra, axis=-2, out=spectra)
     return np.fft.irfft(spectra, n=out.shape[-1], axis=-1, out=out)
-
-
-def _product(gain: Array, spectrum: Array, out: Array,
-             conj: bool = False) -> Array:
-    """``gain * spectrum`` into ``out``, with the conjugate gain if ``conj``."""
-    if conj and np.iscomplexobj(gain):
-        gain = np.conjugate(gain, out=out)
-    return np.multiply(gain, spectrum, out=out)
 
 
 class FourierMultiplier(LinearOperator):
@@ -306,7 +303,8 @@ class MapStack:
     in a stack. Other maps apply one by one.
     """
 
-    __slots__ = ("ops", "slices", "in_dim", "out_dim", "_spectra", "_gains")
+    __slots__ = ("ops", "slices", "in_dim", "out_dim", "_spectra", "_gains",
+                 "_complex")
 
     def __init__(self, ops: list[LinearOperator]):
         self.ops = list(ops)
@@ -315,7 +313,7 @@ class MapStack:
         self.slices = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
         self.in_dim = self.ops[0].in_dim if self.ops else None
         self.out_dim = ends[-1]
-        self._spectra = self._gains = None
+        self._spectra = self._gains = self._complex = None
         if self.ops and _one_grid(self.ops):
             op = self.ops[0]
             n, half = op.height * op.width, (op.height, op.width // 2 + 1)
@@ -327,6 +325,8 @@ class MapStack:
             # Each map's gains as (rows, columns, *half): out bands by in bands.
             self._gains = [op.gains[None] if op.merge else op.gains[:, None]
                            for op in self.ops]
+            # Real gains are their own conjugates.
+            self._complex = [np.iscomplexobj(op.gains) for op in self.ops]
 
     def split(self, stack: Array) -> list[Array]:
         """The maps' parts of a stack, as views."""
@@ -366,13 +366,16 @@ class MapStack:
         # would flip a sign. Row products go to tmp[0] and a later map's sum
         # of rows to tmp[1], so a one-row map never touches tmp[1]'s pages.
         k = 0
-        for i, gains in enumerate(self._gains):
+        for i, (gains, conj) in enumerate(zip(self._gains, self._complex)):
             for j in range(gains.shape[1]):
                 part = inner[j] if i == 0 else tmp[1 if len(gains) > 1 else 0]
-                _product(gains[0, j], outer[k], part, conj=True)
-                for row in range(1, len(gains)):
-                    part += _product(gains[row, j], outer[k + row], tmp[0],
-                                     conj=True)
+                for row, gain in enumerate(gains[:, j]):
+                    product = tmp[0] if row else part
+                    if conj:
+                        gain = np.conjugate(gain, out=product)
+                    np.multiply(gain, outer[k + row], out=product)
+                    if row:
+                        part += product
                 if i:
                     inner[j] += part
             k += len(gains)

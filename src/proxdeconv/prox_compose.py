@@ -59,13 +59,13 @@ def default_tau(c2: float, c1: float | None = None) -> float:
 
 def verify_tight_frame(frame: LinearOperator, c: float) -> None:
     """Check F F^T = c I on 4 seeded random probes, to 1e-8 relative;
-    raises TightFrameError if it fails."""
+    raises TightFrameError if it fails, a NaN round trip included."""
     _check_positive(c, "tight frame constant")
     rng = np.random.default_rng(0)
     for _ in range(4):
         u = rng.standard_normal(frame.out_dim)
         residual = frame.apply(frame.adjoint(u)) - c * u
-        if np.linalg.norm(residual) > 1e-8 * c * np.linalg.norm(u):
+        if not np.linalg.norm(residual) <= 1e-8 * c * np.linalg.norm(u):
             raise TightFrameError(
                 f"operator is not a tight frame with c={c}; "
                 "use prox_affine_fb for general operators"

@@ -45,16 +45,14 @@ def eval_poisson(eta, counts, check: bool = True) -> float:
     pos = y > 0.0
     ep = eta[pos]
     # A negative intensity on a positive count already fails ep <= 0.
-    if np.any(ep <= 0.0) or np.any(eta < 0.0):
+    if (ep <= 0.0).any() or (eta < 0.0).any():
         total = math.inf
     else:
-        total = float(np.sum(eta))
-        if ep.size:
-            total -= float(np.sum(y[pos] * np.log(ep)))
+        total = float(eta.sum()) - float((y[pos] * np.log(ep)).sum())
     # An infinite intensity gives inf - inf = NaN; only this rare branch
     # pays for the scan that tells it from a NaN intensity.
     if not total < math.inf:
-        if np.any(np.isnan(eta)):
+        if np.isnan(eta).any():
             raise ValueError("eval_poisson: intensity holds NaN")
         return math.inf
     return total

@@ -31,7 +31,9 @@ The duals are one flat stack, u_i a slice of it, as are the K_i x_bar
 (``MapStack``): each linear step on them is one numpy call over the whole
 stack, and only the proxes run term by term. The loop allocates its arrays
 once per solve and then only writes into them, and one finite check over
-the updated dual stack covers every dual prox.
+the updated dual stack covers every dual prox. Each step is one ufunc, FFT
+pass or array method, never a dispatch wrapper such as ``np.linalg.norm``
+(a norm is ``math.sqrt(a.dot(a))``, its arithmetic) or ``np.all``.
 
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
 with x_bar = 2 x~ - x_t, so the loop carries K_i x by linearity from the
@@ -40,6 +42,7 @@ K_i x_bar the duals need. The last entry is recomputed from x exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -109,14 +112,6 @@ def _ratio(num: float, denom: float) -> float:
     return num / denom
 
 
-def _checked(term: ProxTerm, out, dim: int, iteration: int) -> Array:
-    """A term's prox output as a flat float64 array; it must be finite."""
-    out = _flat64(out, dim, f"prox output of term {term.label!r}")
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteIterateError(iteration=iteration, label=term.label)
-    return out
-
-
 def _moreau(term: ProxTerm) -> Callable[[Array, float], None]:
     """The term's conj by Moreau's identity from its prox."""
     def conj(v: Array, sigma: float) -> None:
@@ -128,8 +123,6 @@ def _moreau(term: ProxTerm) -> Callable[[Array, float], None]:
 
 def _images(ops: list[LinearOperator], x: Array) -> list[Array]:
     """The op(x), as views of one new stack."""
-    if not ops:
-        return []
     maps = MapStack(ops)
     return maps.split(maps.apply(x))
 
@@ -195,6 +188,7 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
         raise ValueError(f"terms with maps need exactly one term without a "
                          f"map, got {len(free)}")
     g = free[0]
+    context = f"prox output of term {g.label!r}"
     norm2 = sum(term.op.spectral_bound ** 2 for term in mapped)
     if mapped and norm2 == 0.0:
         raise ValueError("every map has spectral bound 0")
@@ -213,13 +207,15 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
     carried = [s for term, s in parts if term.value is not None]
     kx = _images([term.op for term in mapped if term.value is not None], x)
     scratch = np.empty(max((k.size for k in kx), default=0))
-    norm = float(np.linalg.norm(x))
+    norm = math.sqrt(x.dot(x))
     for t in range(cfg.max_outer):
         np.multiply(back, tau, out=x_next)
         np.subtract(x, x_next, out=x_next)
         # x_new lives until the next prox has returned: freeing it sooner
         # let the allocator trim and refault the heap top every iteration.
-        x_new = _checked(g, g.prox(x_next, tau), x.size, t)
+        x_new = _flat64(g.prox(x_next, tau), x.size, context)
+        if not np.isfinite(x_new).all():
+            raise NonFiniteIterateError(iteration=t, label=g.label)
         np.multiply(x_new, 2.0, out=x_bar)
         x_bar -= x
         # x_next = x + theta (x_new - x), also when x_new is x_next.
@@ -238,7 +234,7 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
         # u~_i = prox_{sigma f_i*}(v_i), each in its part of the stack.
         for conj, s in conjs:
             conj(v[s], sigma)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             first = int(np.argmin(np.isfinite(v)))
             raise NonFiniteIterateError(iteration=t, label=next(
                 term.label for term, s in parts if first < s.stop))
@@ -251,10 +247,11 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
         # spent, so the new sum goes there and the two swap.
         maps.adjoint(duals, out=x_bar)
         np.subtract(x_bar, back, out=back)
-        shift = tau * float(np.linalg.norm(back))
+        shift = tau * math.sqrt(back.dot(back))
         back, x_bar = x_bar, back
-        change = float(np.linalg.norm(np.subtract(x_next, x, out=x_bar)))
-        norm_next = float(np.linalg.norm(x_next))
+        np.subtract(x_next, x, out=x_bar)
+        change = math.sqrt(x_bar.dot(x_bar))
+        norm_next = math.sqrt(x_next.dot(x_next))
         rel = max(_ratio(change, norm), _ratio(shift, max(norm, norm_next)))
         x, x_next, norm = x_next, x, norm_next
         yield x, duals_each, rel, kx

@@ -640,7 +640,8 @@ class TestNameLookup:
     projection and the primal prox once per outer iteration, takes the
     mapped terms' dual steps in closed form, without ``prox_poisson`` or
     ``soft_threshold``, and never calls the dual FB solve, which a tracer
-    rebinds too.
+    rebinds too. The objective trace calls ``eval_poisson`` once per
+    iteration and once more for its exact last entry.
     """
 
     PER_ITERATION = {
@@ -662,12 +663,13 @@ class TestNameLookup:
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
 
-        for name in ("project_positive", "prox_poisson", "soft_threshold"):
+        for name in ("project_positive", "prox_poisson", "soft_threshold",
+                     "eval_poisson"):
             counting(deconv_module, name)
         counting(prox_compose_module, "prox_affine_fb")
         assert deconvolve(_counts_problem(prior)).state.iterations == 3
-        assert calls == {name: 3 * n
-                         for name, n in self.PER_ITERATION[prior].items() if n}
+        assert calls == {"eval_poisson": 3 + 1} | {
+            name: 3 * n for name, n in self.PER_ITERATION[prior].items() if n}
 
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
     def test_one_solve_with_one_positivity_call_per_iteration(self, prior,
@@ -811,12 +813,13 @@ class TestFourierPath:
     # The objective trace is carried from the maps' outputs and costs none.
     # The maps' outputs and the duals are one stack, and a stack transforms
     # all its bands in one numpy call, so the calls per iteration do not
-    # grow with the levels: one rfft2 of the primal point, one inverse
-    # (ifft, then irfft) into every map's output, one rfft2 of the duals
-    # and one inverse of their adjoint sum.
+    # grow with the levels: one forward transform (rfft, then fft) of the
+    # primal point, one inverse (ifft, then irfft) into every map's output,
+    # one forward transform of the duals and one inverse of their adjoint
+    # sum, each as its two 1-D passes.
     FFT2_PER_ITERATION = {("synthesis", 2): 10, ("analysis", 2): 10,
                           ("synthesis", 3): 12, ("analysis", 3): 12}
-    NUMPY_FFT_CALLS_PER_ITERATION = {"synthesis": 6, "analysis": 6}
+    NUMPY_FFT_CALLS_PER_ITERATION = {"synthesis": 8, "analysis": 8}
 
     @pytest.mark.parametrize("prior, levels", sorted(FFT2_PER_ITERATION))
     def test_fft2_per_outer_iteration(self, prior, levels, monkeypatch):
@@ -839,6 +842,30 @@ class TestFourierPath:
             self.FFT2_PER_ITERATION[(prior, levels)]
         assert (called[1] - called[0]) / 2 == \
             self.NUMPY_FFT_CALLS_PER_ITERATION[prior]
+
+    # numpy's dispatch wrappers: at 64 x 64 their argument handling costs as
+    # much as the arithmetic, so the loop uses array methods and 1-D passes.
+    WRAPPERS = [(np, "all"), (np, "any"), (np, "sum"), (np, "max"),
+                (np, "min"), (np, "clip"), (np.linalg, "norm"),
+                (np.fft, "rfft2")]
+
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_no_dispatch_wrapper_per_iteration(self, prior, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args, **kw: calls.append(name) or fn(*args, **kw)
+        for module, name in self.WRAPPERS:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        spent = []
+        for max_outer in (3, 6):
+            before = len(calls)
+            deconvolve(_counts_problem(prior, max_outer=max_outer))
+            spent.append(sorted(calls[before:]))
+        # Set-up calls some (the count scan, the Fourier-form probes), and
+        # as many for any iteration count.
+        assert "min" in spent[0] and "norm" in spent[0]
+        assert spent[1] == spent[0]
 
     @pytest.mark.parametrize("spec", ["starlet:levels=2",
                                       "union(starlet:levels=2,dirac)",

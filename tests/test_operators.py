@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -334,6 +335,17 @@ class TestFourierMultiplier:
         assert np.allclose(images, stack, atol=1e-12)
         assert operators_module.fft2_count - before == 6
 
+    @pytest.mark.parametrize("shape", [(5, 6), (63, 63), (64, 64)])
+    def test_forward_passes_are_rfft2(self, shape):
+        # rfft along rows, then an in-place fft down the columns: rfft2's
+        # own passes, at even and odd widths, into the given array.
+        rng = np.random.default_rng(12)
+        for bands in range(1, 8):
+            stack = rng.standard_normal((bands, *shape))
+            out = np.empty((bands, shape[0], shape[1] // 2 + 1), dtype=complex)
+            assert operators_module._rfft2(stack, out=out) is out
+            assert out.tobytes() == np.fft.rfft2(stack).tobytes()
+
     @pytest.mark.parametrize("complex_gains", [False, True])
     def test_band_sums_match_np_sum(self, complex_gains):
         # Both maps that sum bands do so in the spectrum, in np.sum's order.
@@ -482,14 +494,47 @@ class TestSharedStack:
         assert back.tobytes() == _spectral_adjoint(maps, us).tobytes()
         return spent
 
+    @staticmethod
+    def _skewed(prior, h, w):
+        """The prior's two maps under the skewed kernel: complex gains, then
+        the starlet's real ones."""
+        blur = make_circular_convolution(SKEWED, w, h)
+        d = make_starlet(w, h, 2)
+        pair = [compose(blur, d), d] if prior == "synthesis" else [blur, d.T]
+        maps = [fourier_form(op, h, w) for op in pair]
+        assert np.iscomplexobj(maps[0].gains) and not np.iscomplexobj(maps[1].gains)
+        return maps
+
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
     def test_complex_gains_of_a_skewed_kernel(self, prior):
-        blur = make_circular_convolution(SKEWED, 8, 8)
-        d = make_starlet(8, 8, 2)
-        pair = [compose(blur, d), d] if prior == "synthesis" else [blur, d.T]
-        maps = [fourier_form(op, 8, 8) for op in pair]
-        assert np.iscomplexobj(maps[0].gains) and not np.iscomplexobj(maps[1].gains)
-        assert self._check_bits(maps, seed=10) == 10
+        assert self._check_bits(self._skewed(prior, 8, 8), seed=10) == 10
+
+    @pytest.mark.parametrize("shape", [(5, 6), (63, 63), (64, 64)])
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_complex_gains_at_odd_and_even_widths(self, prior, shape):
+        # Complex gains are conjugated into the product's buffer on each
+        # call: the bits of conj(gains) * spectra at any width.
+        assert self._check_bits(self._skewed(prior, *shape), seed=10) == 10
+
+    @pytest.mark.parametrize("psf", ["box", "skewed"])
+    def test_holds_no_copy_of_the_gains(self, psf):
+        # A stack allocates its spectra and reads each map's gains in place,
+        # real or complex: no conjugate or reshaped copy is kept.
+        blur = make_circular_convolution(SKEWED if psf == "skewed" else _ma_psf(3),
+                                         64, 64)
+        d = make_starlet(64, 64, 3)
+        maps = [fourier_form(compose(blur, d), 64, 64), fourier_form(d, 64, 64)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stack = MapStack(maps)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        spectra = sum(a.nbytes for a in stack._spectra)
+        assert spectra <= grown < spectra + min(op.gains.nbytes for op in maps) // 4
+        for op, gains in zip(maps, stack._gains):
+            assert gains.dtype == op.gains.dtype and np.shares_memory(gains, op.gains)
 
     @pytest.mark.parametrize("merging_first", [True, False])
     def test_a_merging_map_beside_the_starlet_analysis(self, merging_first):

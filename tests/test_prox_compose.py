@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from proxdeconv import (default_tau, diagonal_operator, identity_operator,
-                        make_starlet, matrix_operator, prox_affine_fb,
-                        prox_affine_tight, prox_poisson, verify_tight_frame)
+from proxdeconv import (LinearOperator, default_tau, diagonal_operator,
+                        identity_operator, make_starlet, matrix_operator,
+                        prox_affine_fb, prox_affine_tight, prox_poisson,
+                        verify_tight_frame)
 from proxdeconv.errors import TightFrameError
 
 from oracles import max_vi_violation
@@ -87,6 +88,16 @@ class TestVerifyTightFrame:
     def test_rejects_wrong_constant(self):
         with pytest.raises(TightFrameError):
             verify_tight_frame(identity_operator(3), 2.0)
+
+    def test_rejects_a_nan_round_trip(self):
+        # NaN > bound is False, so only "not <= bound" fails such a frame;
+        # certified, it made prox_affine_tight return all NaN.
+        nan = lambda v: np.full(4, math.nan)
+        frame = LinearOperator(4, 4, nan, nan, 1.0)
+        with pytest.raises(TightFrameError):
+            verify_tight_frame(frame, 1.0)
+        with pytest.raises(TightFrameError):
+            prox_affine_tight(_positive_prox, frame, 1.0, np.ones(4))
 
 
 class TestProxAffineTight:
