@@ -10,11 +10,10 @@ splitting the objective into three proximable terms:
 
 The dictionary Phi is a ``LinearOperator`` whose adjoint is the analysis
 Phi^T; the two priors differ only in where it sits. Each solve first
-probes its maps, H o Phi and Phi or H and Phi^T, for their Fourier form
-(``fourier_form``): the circular blur, Dirac, the starlet, their unions and
-products are diagonal in the 2-D DFT and run as ``FourierMultiplier``
-objects, while Haar and other operators that are not shift-invariant run
-through their own transforms.
+probes H and Phi for their Fourier form (``fourier_form``): the circular
+blur, Dirac, the starlet and their unions run as ``FourierMultiplier``
+objects, H o Phi as their product and Phi^T as Phi's transpose, unprobed;
+Haar and other operators that are not shift-invariant run as they are.
 
 Both priors run the primal-dual iteration: the l1 term (synthesis) or the
 positivity (analysis) is the primal prox, the other two terms carry their
@@ -110,8 +109,8 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
     0), the solver's settings, the map from the solver's variable v to the
     image (the dictionary, or the identity under the analysis prior; its
     adjoint takes the counts to the start point), and the coefficients from
-    v and the clipped image. The maps are probed for their Fourier form, so
-    wrapped or user-built operators take the same path as shipped ones.
+    v and the clipped image. H and Phi are probed for their Fourier form, so
+    wrapped or user-built operators give the same bits as shipped ones.
     Every term carries its conjugate step in closed form, in place. The
     proxes and steps look the elementwise proxes up by name on each call,
     and the positivity calls ``project_positive(x)`` once per iteration
@@ -143,12 +142,14 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
     l1 = lambda c: gamma * float(np.abs(c).sum())
     # prox_{sigma f*} of gamma ||.||_1 is the clip to [-gamma, gamma].
     sparsity_conj = lambda v, s: v.clip(-gamma, gamma, out=v)
-    h = fourier(p.blur)
+    h, phi = fourier(p.blur), fourier(d)
     if p.prior == "analysis":
-        maps, factor = (h, fourier(d.T), None), 0.5
+        maps, factor = (h, phi.T, None), 0.5
         image, coefficients = identity_operator(y.size), lambda v, x: d.analysis(x)
     else:
-        maps, factor = (fourier(compose(h, d)), None, fourier(d)), 2.0
+        hd = compose(h, phi)  # the probed factors, or probed whole (Haar)
+        maps, factor = (hd if isinstance(hd, FourierMultiplier) else fourier(hd),
+                        None, phi), 2.0
         image, coefficients = d, lambda v, x: v
     terms = [ProxTerm(poisson, "data-fidelity", maps[0], fit, _conj_poisson(y)),
              ProxTerm(sparsity, "sparsity", maps[1], l1, sparsity_conj),

@@ -3,24 +3,15 @@
 Images are stored row-major as flat float64 arrays; operators declare their
 dimensions and a spectral bound so downstream solvers can pick step sizes
 without probing. Shift-invariant operators (circular convolution, the
-starlet bands) are ``FourierMultiplier`` objects: diagonal in the 2-D
-real DFT, with one transfer function per band, so an apply or adjoint
-costs bands + 1 real FFTs (two for a convolution), taken as one forward
-and one inverse transform of a whole stack: the bands are one array axis.
-``compose`` and ``T`` build plain operators; ``fourier_form`` is the one
-place that recovers a multiplier from any operator that has that form (a
-product of a blur and the starlet, say). A ``MapStack`` runs the maps of
-the primal-dual solver into one flat stack of their outputs: multipliers
-on one grid share the forward spectra of their input, in spectra it
-allocates once. One rule serves every such map: at each frequency it is a
-gain matrix, one row per output band and one column per input band, so a
-map that merges a band stack (H Phi and Phi) is one row and a map that
-splits an image (H and Phi^T) is one column; the adjoint multiplies by the
-conjugate transpose. ``fft2_count`` counts the 2-D FFTs this module
-computes, one per image. On the hot path, ``MapStack.apply`` and
-``adjoint``, each step is one ufunc or 1-D FFT pass into a buffer, never a
-dispatch wrapper such as ``rfft2``: whether a gain is complex is decided
-once per stack.
+starlet bands) are ``FourierMultiplier`` objects, diagonal in the 2-D real
+DFT with one transfer function per band; ``compose`` keeps both factors of
+a blur after a merging multiplier, and ``fourier_form`` recovers a
+multiplier from any operator that has that form. A ``MapStack`` runs the
+primal-dual solver's maps into one flat stack, every multiplier by one
+rank-1 rule, and ``fft2_count`` counts the 2-D FFTs this module computes,
+one per image. On the hot path, ``MapStack.apply`` and ``adjoint``, each
+step is one ufunc, reduction or 1-D FFT pass into a buffer, never a
+dispatch wrapper such as ``rfft2``.
 """
 
 from __future__ import annotations
@@ -194,19 +185,22 @@ def matrix_operator(mat) -> LinearOperator:
 
 
 def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
-    """Plain operator for ``outer(inner(x))``; bounds multiply.
-
-    ``fourier_form`` recovers the gains of a product of multipliers.
-    """
+    """``outer(inner(x))``; bounds multiply. A one-band multiplier after one
+    into one image on its grid keeps both factors (``after``, ``gains``)."""
     if outer.in_dim != inner.out_dim:
         raise DimensionMismatchError(expected=outer.in_dim, actual=inner.out_dim,
                                      context="compose")
+    bound = outer.spectral_bound * inner.spectral_bound
+    if isinstance(outer, FourierMultiplier) and isinstance(inner, FourierMultiplier) \
+            and outer.in_dim == outer.out_dim and outer.after is inner.after is None \
+            and (outer.height, outer.width) == (inner.height, inner.width):
+        product = FourierMultiplier(inner.gains, inner.height, inner.width, bound, True)
+        product.after = outer.gains
+        return product
     return LinearOperator(
         inner.in_dim, outer.out_dim,
         lambda x: outer.apply(inner.apply(x)),
-        lambda u: inner.adjoint(outer.adjoint(u)),
-        outer.spectral_bound * inner.spectral_bound,
-    )
+        lambda u: inner.adjoint(outer.adjoint(u)), bound)
 
 
 fft2_count = 0
@@ -242,14 +236,14 @@ class FourierMultiplier(LinearOperator):
     ``apply`` splits an image into the stack and ``adjoint`` merges a stack
     back through the conjugate gains; ``merge=True`` swaps the two, so that
     ``apply`` sums the filtered bands into one image. One band is a circular
-    convolution either way. Apply and adjoint cost bands + 1 real FFTs, in
-    one forward and one inverse transform: the band axis is an array axis,
-    so all of a stack's half spectra are held at once, a complex array
-    about as large as the stack itself. ``apply`` and ``adjoint`` are the
-    one-map case of ``MapStack``, which reads the gains as a gain matrix.
+    convolution either way. ``after`` (None unless ``compose`` made this a
+    product) is one band of gains that filters the merged image again.
+    Apply and adjoint cost bands + 1 real FFTs (two for a convolution), in
+    one forward and one inverse transform: they are the one-map case of
+    ``MapStack``, whose bands are one array axis.
     """
 
-    __slots__ = ("height", "width", "gains", "merge")
+    __slots__ = ("height", "width", "gains", "merge", "after")
 
     def __init__(self, gains, height: int, width: int, spectral_bound: float,
                  merge: bool = False):
@@ -271,6 +265,7 @@ class FourierMultiplier(LinearOperator):
         self.width = int(width)
         self.gains = g
         self.merge = bool(merge)
+        self.after = None
 
     def apply(self, x) -> Array:
         return MapStack([self]).apply(x)
@@ -278,12 +273,13 @@ class FourierMultiplier(LinearOperator):
     def adjoint(self, u) -> Array:
         return MapStack([self]).adjoint(u)
 
-
-def _one_grid(ops: list[LinearOperator]) -> bool:
-    """True when every op is a multiplier on one grid with one input size."""
-    return all(isinstance(op, FourierMultiplier)
-               and (op.height, op.width, op.in_dim)
-               == (ops[0].height, ops[0].width, ops[0].in_dim) for op in ops)
+    @property
+    def T(self) -> LinearOperator:
+        """The conjugate gains with ``merge`` swapped; plain for a product."""
+        if self.after is not None:
+            return LinearOperator.T.fget(self)
+        return FourierMultiplier(self.gains.conj(), self.height, self.width,
+                                 self.spectral_bound, not self.merge)
 
 
 class MapStack:
@@ -292,19 +288,20 @@ class MapStack:
     ``apply`` writes each K_i x into its slice (``slices[i]``) of a stack and
     ``adjoint`` writes sum_i K_i^T u_i, into a given array or a new one and
     never into their input; no maps make an empty stack, whose adjoint is 0.
-    Multipliers on one grid share their input's spectra: one forward and
-    one inverse transform per apply or adjoint, for all maps and bands, in
-    half spectra allocated once per stack. Each multiplier is read as a
-    per-frequency gain matrix, one row per output band and one column per
-    input band: a merging map is one row, a splitting map one column.
-    ``apply`` sums each row over the columns and ``adjoint`` each column
-    over the rows through the conjugate gains, in ``np.sum``'s band order
-    and from the first map's part, so one map gives the same bits alone as
-    in a stack. Other maps apply one by one.
+    Multipliers on one grid that share their input gains share one forward
+    and one inverse transform per call, in half spectra allocated once.
+    Each is rank 1, output gains times input gains, either side None: a
+    product has both, a merge of bands input gains, any other multiplier
+    output gains (a band equal to the shared input gains reads as those).
+    ``apply`` multiplies the input's bands by the input gains in place and
+    sums them in order (``np.add.reduce``), then the output gains filter
+    that merge into each map's bands; ``adjoint`` runs the conjugates back,
+    summing all bands in order. One map gives the same bits alone as in a
+    stack. Other maps, and stacks with two merges, apply one by one.
     """
 
-    __slots__ = ("ops", "slices", "in_dim", "out_dim", "_spectra", "_gains",
-                 "_complex")
+    __slots__ = ("ops", "slices", "in_dim", "out_dim", "_spectra", "_merge",
+                 "_outputs")
 
     def __init__(self, ops: list[LinearOperator]):
         self.ops = list(ops)
@@ -313,20 +310,33 @@ class MapStack:
         self.slices = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
         self.in_dim = self.ops[0].in_dim if self.ops else None
         self.out_dim = ends[-1]
-        self._spectra = self._gains = self._complex = None
-        if self.ops and _one_grid(self.ops):
-            op = self.ops[0]
-            n, half = op.height * op.width, (op.height, op.width // 2 + 1)
-            # The input's bands, the stack's bands and two band temporaries;
-            # untouched pages cost no memory.
-            self._spectra = tuple(np.empty((bands, *half), dtype=complex)
-                                  for bands in (self.in_dim // n,
-                                                self.out_dim // n, 2))
-            # Each map's gains as (rows, columns, *half): out bands by in bands.
-            self._gains = [op.gains[None] if op.merge else op.gains[:, None]
-                           for op in self.ops]
-            # Real gains are their own conjugates.
-            self._complex = [np.iscomplexobj(op.gains) for op in self.ops]
+        self._spectra = self._merge = self._outputs = None
+        op = self.ops[0] if self.ops else None
+        if op is None or not all(isinstance(o, FourierMultiplier) and (
+                o.height, o.width, o.in_dim) == (op.height, op.width, op.in_dim)
+                for o in self.ops):
+            return
+        pairs = [(o.after, o.gains) if o.after is not None or o.in_dim > o.out_dim
+                 else (o.gains, None) for o in self.ops]
+        merge = next((gains for _, gains in pairs if gains is not None), None)
+        pairs = [(None, merge) if out is merge else (out, gains)
+                 for out, gains in pairs]
+        n = op.height * op.width
+        bands = [slice(s.start // n, s.stop // n) for s in self.slices]
+        alone = [b.start for b, (out, _) in zip(bands, pairs) if out is None]
+        if len(alone) > 1 or any(gains is not merge for _, gains in pairs):
+            return
+        # The input's bands, the stack's bands and a scratch band (untouched
+        # pages cost no memory), into which the merge goes unless a map has
+        # no output gains; complex gains are conjugated for the adjoint.
+        inner, outer, band = self._spectra = tuple(
+            np.empty((k, op.height, op.width // 2 + 1), dtype=complex)
+            for k in (self.in_dim // n, self.out_dim // n, 1))
+        self._outputs = [(out, np.iscomplexobj(out), b)
+                         for b, (out, _) in zip(bands, pairs) if out is not None]
+        if merge is not None:
+            self._merge = (merge, np.iscomplexobj(merge),
+                           outer[alone[0]] if alone else band[0])
 
     def split(self, stack: Array) -> list[Array]:
         """The maps' parts of a stack, as views."""
@@ -339,15 +349,15 @@ class MapStack:
                 out[s] = op.apply(x)
             return out
         x = _flat64(x, self.in_dim, "MapStack.apply")
-        inner, outer, tmp = self._spectra
+        inner, outer, _ = self._spectra
         h, w = self.ops[0].height, self.ops[0].width
-        _rfft2(x.reshape(-1, h, w), out=inner)
-        k = 0
-        for gains in self._gains:
-            rows = np.multiply(gains[:, 0], inner[0], out=outer[k:k + len(gains)])
-            for j in range(1, gains.shape[1]):
-                rows += np.multiply(gains[:, j], inner[j], out=tmp[:len(gains)])
-            k += len(gains)
+        merged = _rfft2(x.reshape(-1, h, w), out=inner)[0]
+        if self._merge is not None:
+            gains, _, into = self._merge
+            np.multiply(gains, inner, out=inner)
+            merged = np.add.reduce(inner, axis=0, out=into)
+        for gains, _, b in self._outputs:
+            np.multiply(gains, merged, out=outer[b])
         _irfft2(outer, out.reshape(-1, h, w))
         return out
 
@@ -359,26 +369,19 @@ class MapStack:
             out[...] = sum(op.adjoint(u[s])
                            for op, s in zip(self.ops, self.slices))
             return out
-        inner, outer, tmp = self._spectra
+        inner, outer, band = self._spectra
         h, w = self.ops[0].height, self.ops[0].width
         _rfft2(u.reshape(-1, h, w), out=outer)
-        # Each map's part is added to the first map's, never to 0: 0 + (-0.0)
-        # would flip a sign. Row products go to tmp[0] and a later map's sum
-        # of rows to tmp[1], so a one-row map never touches tmp[1]'s pages.
-        k = 0
-        for i, (gains, conj) in enumerate(zip(self._gains, self._complex)):
-            for j in range(gains.shape[1]):
-                part = inner[j] if i == 0 else tmp[1 if len(gains) > 1 else 0]
-                for row, gain in enumerate(gains[:, j]):
-                    product = tmp[0] if row else part
-                    if conj:
-                        gain = np.conjugate(gain, out=product)
-                    np.multiply(gain, outer[k + row], out=product)
-                    if row:
-                        part += product
-                if i:
-                    inner[j] += part
-            k += len(gains)
+        for gains, conj, b in self._outputs:
+            for gain, spectrum in zip(gains, outer[b]) if conj else [(gains, outer[b])]:
+                np.multiply(np.conjugate(gain, out=band[0]) if conj else gain,
+                            spectrum, out=spectrum)
+        summed = np.add.reduce(outer, axis=0, out=band[0] if self._merge else inner[0])
+        if self._merge is not None:
+            gains, conj, _ = self._merge
+            for gain, spectrum in zip(gains, inner) if conj else [(gains, inner)]:
+                np.multiply(np.conjugate(gain, out=spectrum) if conj else gain,
+                            summed, out=spectrum)
         _irfft2(inner, out.reshape(-1, h, w))
         return out
 
@@ -387,32 +390,28 @@ def fourier_form(op: LinearOperator, height: int,
                  width: int) -> FourierMultiplier | None:
     """``op`` as a Fourier multiplier on a ``height x width`` grid, or None.
 
-    The gains are read off the impulse response at pixel 0: through
-    ``apply`` when op maps one image to a stack of bands, through
-    ``adjoint`` when it maps a stack to one image. They are kept only if
-    the multiplier reproduces ``op.apply`` and ``op.adjoint`` on a seeded
-    random probe each, to 1e-10 relative, so an operator that is not
-    shift-invariant (Haar, a general matrix, a varying diagonal) gives None.
-    The multiplier keeps op's declared spectral bound.
+    The gains of an op from one image to a stack of bands are read off its
+    impulse response at pixel 0; an op from a stack to one image is the
+    transpose of the form of ``op.T``. They are kept only if the multiplier
+    reproduces ``op.apply`` and ``op.adjoint`` on a seeded random probe
+    each, to 1e-10 relative, so an operator that is not shift-invariant
+    (Haar, a general matrix, a varying diagonal) gives None. The multiplier
+    keeps op's declared spectral bound.
     """
     n = height * width
+    if op.in_dim > n and op.out_dim == n:
+        form = fourier_form(op.T, height, width)
+        return None if form is None else form.T
+    if op.in_dim != n or op.out_dim % n:
+        return None
     delta = np.zeros(n)
     delta[0] = 1.0
-    if op.in_dim == n and op.out_dim % n == 0:
-        merge, response = False, op.apply(delta)
-    elif op.out_dim == n and op.in_dim % n == 0:
-        merge, response = True, op.adjoint(delta)
-    else:
-        return None
-    gains = _rfft2(response.reshape(-1, height, width))
-    del response  # the probes below need its memory
-    if merge:
-        np.conjugate(gains, out=gains)
+    gains = _rfft2(op.apply(delta).reshape(-1, height, width))
     if np.max(np.abs(gains.imag)) <= 1e-13 * np.max(np.abs(gains.real)):
         # Even impulse responses (a centred symmetric kernel, the starlet)
         # have real gains; storing them real halves their memory.
         gains = gains.real.copy()
-    form = FourierMultiplier(gains, height, width, op.spectral_bound, merge)
+    form = FourierMultiplier(gains, height, width, op.spectral_bound)
     rng = np.random.default_rng(0)
     for mine, theirs, dim in ((form.apply, op.apply, op.in_dim),
                               (form.adjoint, op.adjoint, op.out_dim)):

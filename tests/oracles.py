@@ -226,3 +226,114 @@ def relative_change(new, old) -> float:
     if denom == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / denom
+
+
+def rank_one_factors(ops):
+    """Each map's (output gains, input gains) as ``MapStack`` reads them,
+    None for a side without; or None unless every map is a multiplier on
+    one grid with one input size, all share one input gains array (or
+    none), and at most one has no output gains. A product (``after``) has
+    both sides, a merge of bands input gains, and any other multiplier
+    output gains, unless it is one band whose gains are the shared input
+    gains."""
+    if not ops or not all(hasattr(op, "gains") and (op.height, op.width, op.in_dim)
+                          == (ops[0].height, ops[0].width, ops[0].in_dim)
+                          for op in ops):
+        return None
+    pairs = [(op.after, op.gains) if op.after is not None or op.in_dim > op.out_dim
+             else (op.gains, None) for op in ops]
+    shared = next((gains for _, gains in pairs if gains is not None), None)
+    pairs = [(None, shared) if out is shared else (out, gains) for out, gains in pairs]
+    if any(gains is not shared for _, gains in pairs) \
+            or sum(out is None for out, _ in pairs) > 1:
+        return None
+    return pairs
+
+
+def rank_one_apply(ops, x):
+    """Each map's output, by numpy alone in the rank-1 order: the input's
+    spectra times the shared input gains, summed over bands in order, then
+    times each map's output gains, one inverse transform per map. Maps that
+    ``rank_one_factors`` cannot read apply one by one."""
+    pairs = rank_one_factors(ops)
+    if pairs is None:
+        return [op.apply(x) for op in ops]
+    shape = (ops[0].height, ops[0].width)
+    spectra = np.fft.rfft2(np.asarray(x).reshape(-1, *shape))
+    shared = pairs[0][1]
+    merged = spectra[0] if shared is None else np.add.reduce(shared * spectra, axis=0)
+    return [np.fft.irfft2(merged if out is None else out * merged, s=shape).ravel()
+            for out, _ in pairs]
+
+
+def rank_one_adjoint(ops, us):
+    """sum_i K_i^T u_i by numpy alone in the rank-1 order: every band of the
+    duals' spectra times its map's conjugate output gains, all bands summed
+    in order, then times the conjugate shared input gains, one inverse
+    transform. Maps that ``rank_one_factors`` cannot read add their
+    adjoints one by one."""
+    pairs = rank_one_factors(ops)
+    if pairs is None:
+        return sum(op.adjoint(u) for op, u in zip(ops, us))
+    shape = (ops[0].height, ops[0].width)
+    bands = [np.fft.rfft2(np.asarray(u).reshape(-1, *shape)) for u in us]
+    bands = [b if out is None else out.conj() * b for (out, _), b in zip(pairs, bands)]
+    total = np.add.reduce(np.concatenate(bands), axis=0)
+    shared = pairs[0][1]
+    if shared is not None:
+        total = shared.conj() * total
+    return np.fft.irfft2(total, s=shape).ravel()
+
+
+class GainMatrixStack:
+    """The solver's earlier map rule, the oracle for the rank-1 one, with
+    ``MapStack``'s interface so that a solve can run through it.
+
+    Multipliers on one grid with one input size share one forward transform
+    of the input, and each is a gain matrix per frequency: a merging map one
+    row, a splitting map one column. The adjoint adds every map's conjugate
+    transposed gain matrix times its duals' spectra, from the first map's
+    part, before one inverse transform. Other maps, products with ``after``
+    among them, apply one by one.
+    """
+
+    def __init__(self, ops):
+        self.ops = list(ops)
+        ends = np.cumsum([0] + [op.out_dim for op in self.ops])
+        self.slices = [slice(int(lo), int(hi)) for lo, hi in zip(ends, ends[1:])]
+        self.in_dim = self.ops[0].in_dim if self.ops else None
+        self.out_dim = int(ends[-1])
+        first = self.ops[0] if self.ops else None
+        self.shape = (first.height, first.width) if self.ops and all(
+            hasattr(op, "gains") and op.after is None
+            and (op.height, op.width, op.in_dim)
+            == (first.height, first.width, first.in_dim) for op in self.ops) else None
+
+    def split(self, stack):
+        return [stack[s] for s in self.slices]
+
+    def apply(self, x, out=None):
+        out = np.empty(self.out_dim) if out is None else out
+        if self.shape is None:
+            for op, s in zip(self.ops, self.slices):
+                out[s] = op.apply(x)
+            return out
+        spectra = np.fft.rfft2(np.asarray(x).reshape(-1, *self.shape))
+        for op, s in zip(self.ops, self.slices):
+            rows = np.sum(op.gains * spectra, axis=0) if op.merge else op.gains * spectra
+            out[s] = np.fft.irfft2(rows, s=self.shape).ravel()
+        return out
+
+    def adjoint(self, u, out=None):
+        out = np.empty(self.in_dim) if out is None else out
+        if self.shape is None:
+            out[...] = sum(op.adjoint(u[s]) for op, s in zip(self.ops, self.slices))
+            return out
+        total = None
+        for op, s in zip(self.ops, self.slices):
+            part = op.gains.conj() * np.fft.rfft2(u[s].reshape(-1, *self.shape))
+            if not op.merge:
+                part = np.sum(part, axis=0, keepdims=True)
+            total = part if total is None else total + part
+        out[...] = np.fft.irfft2(total, s=self.shape).ravel()
+        return out

@@ -1,5 +1,4 @@
 import decimal
-import functools
 import json
 import math
 from dataclasses import replace
@@ -21,7 +20,8 @@ from proxdeconv import (DeconvProblem, DeconvResult, FourierMultiplier,
                         simulate, solve)
 from proxdeconv.errors import DimensionMismatchError
 
-from oracles import grid_minimize, relative_change, scene32, scene64
+from oracles import (GainMatrixStack, grid_minimize, rank_one_adjoint,
+                     rank_one_apply, relative_change, scene32, scene64)
 from test_dictionary import _diag_pseudo_dictionary
 
 MA3 = Image.from_2d(np.full((3, 3), 1.0 / 9.0))
@@ -724,45 +724,19 @@ def _unbuffered_rollout(problem):
     """``deconvolve``'s primal-dual recurrence with every iterate, dual and
     map output a new array, each dual step the term's conjugate (or
     Moreau's identity) applied to a fresh array: multipliers on one grid
-    share their input's half spectra, taken by plain numpy FFTs, and sum
-    their adjoints in the spectrum (``np.sum`` over bands, then over maps
-    from the first); other maps apply one by one. Returns the restored image, the objective and
+    that share their input gains run by plain numpy FFTs in the rank-1
+    order (``oracles.rank_one_apply`` and ``rank_one_adjoint``); other maps
+    apply one by one. Returns the restored image, the objective and
     relative-change traces and the duals."""
     terms, cfg, image, _ = deconv_module._terms(problem)
     g = next(term for term in terms if term.op is None)
     mapped = [term for term in terms if term.op is not None]
     ops = [term.op for term in mapped]
 
-    def spectral(ops):
-        return all(isinstance(op, FourierMultiplier)
-                   and (op.height, op.width, op.in_dim)
-                   == (ops[0].height, ops[0].width, ops[0].in_dim)
-                   for op in ops)
-
-    def apply_each(ops, x):
-        if not spectral(ops):
-            return [op.apply(x) for op in ops]
-        shape = (ops[0].height, ops[0].width)
-        spectra = np.fft.rfft2(x.reshape(-1, *shape))
-        return [np.fft.irfft2(np.sum(op.gains * spectra, axis=0) if op.merge
-                              else op.gains * spectra, s=shape).ravel()
-                for op in ops]
-
-    def adjoint_sum(ops, us):
-        if not spectral(ops):
-            return sum(op.adjoint(u) for op, u in zip(ops, us))
-        shape = (ops[0].height, ops[0].width)
-        parts = []
-        for op, u in zip(ops, us):
-            spectra = np.fft.rfft2(u.reshape(-1, *shape))
-            product = op.gains.conj() * spectra
-            parts.append(product if op.merge else np.sum(product, axis=0))
-        return np.fft.irfft2(functools.reduce(np.add, parts), s=shape).ravel()
-
     def value(x, images=None):
         valued = [term for term in terms if term.value is not None]
         if images is None:
-            images = apply_each([t.op for t in valued if t.op is not None], x)
+            images = rank_one_apply([t.op for t in valued if t.op is not None], x)
         images = iter(images)
         return sum(float(term.value(x if term.op is None else next(images)))
                    for term in valued)
@@ -777,14 +751,14 @@ def _unbuffered_rollout(problem):
     back = np.zeros(x.size)
     carried = [i for i, term in enumerate(mapped) if term.value is not None]
     kx = {i: k.copy() for i, k in
-          zip(carried, apply_each([ops[i] for i in carried], x))}
+          zip(carried, rank_one_apply([ops[i] for i in carried], x))}
     objectives, changes = [], []
     for _ in range(cfg.max_outer):
         x_new = g.prox(x - tau * back, tau)
         x_bar = 2.0 * x_new
         x_bar -= x
         for i, (term, u, k_bar) in enumerate(zip(mapped, duals,
-                                                 apply_each(ops, x_bar))):
+                                                 rank_one_apply(ops, x_bar))):
             v = u + sigma * k_bar
             if term.conj is None:
                 v -= sigma * term.prox(v / sigma, 1.0 / sigma)
@@ -793,7 +767,7 @@ def _unbuffered_rollout(problem):
             duals[i] = u + theta * (v - u)
             if i in kx:
                 kx[i] += (0.5 * theta) * (k_bar - kx[i])
-        back_next = adjoint_sum(ops, duals)
+        back_next = rank_one_adjoint(ops, duals)
         x_next = x + theta * (x_new - x)
         shift = tau * float(np.linalg.norm(back_next - back))
         reach = max(float(np.linalg.norm(x)), float(np.linalg.norm(x_next)))
@@ -843,6 +817,35 @@ class TestFourierPath:
         assert (called[1] - called[0]) / 2 == \
             self.NUMPY_FFT_CALLS_PER_ITERATION[prior]
 
+    # 2-D FFTs outside the iterations at starlet:levels=2 (3 bands): probing
+    # H (11: its impulse response 2, its transform 1, two probes through
+    # each form 8) and Phi (23: 4 + 3 + 16), then the maps' images. Under
+    # the synthesis prior those are the start point Phi^T y, the carried
+    # H Phi x, the exact last objective and the restored image Phi x, 4
+    # each; under the analysis prior the carried H x and Phi^T x and the
+    # exact last objective, 5 each, and the coefficients Phi^T x, 4. H Phi
+    # is the product of the probed H and Phi and costs no probe, where
+    # probing it whole would cost 30 more. ``objective`` probes as a solve
+    # does, then computes the image (4, synthesis) and the valued maps'
+    # images.
+    SETUP_FFT2 = {"synthesis": 34 + 4 * 4, "analysis": 34 + 2 * 5 + 4}
+    OBJECTIVE_FFT2 = {"synthesis": 34 + 4 + 4, "analysis": 34 + 5}
+
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_fft2_outside_the_iterations(self, prior):
+        spent = []
+        for max_outer in (1, 3):
+            problem = _counts_problem(prior, max_outer=max_outer)
+            before = operators_module.fft2_count
+            res = deconvolve(problem)
+            spent.append(operators_module.fft2_count - before)
+        per_iteration = self.FFT2_PER_ITERATION[(prior, 2)]
+        assert spent[1] - spent[0] == 2 * per_iteration
+        assert spent[0] - per_iteration == self.SETUP_FFT2[prior]
+        before = operators_module.fft2_count
+        objective(problem, res.state.x)
+        assert operators_module.fft2_count - before == self.OBJECTIVE_FFT2[prior]
+
     # numpy's dispatch wrappers: at 64 x 64 their argument handling costs as
     # much as the arithmetic, so the loop uses array methods and 1-D passes.
     WRAPPERS = [(np, "all"), (np, "any"), (np, "sum"), (np, "max"),
@@ -867,13 +870,18 @@ class TestFourierPath:
         assert "min" in spent[0] and "norm" in spent[0]
         assert spent[1] == spent[0]
 
-    @pytest.mark.parametrize("spec", ["starlet:levels=2",
-                                      "union(starlet:levels=2,dirac)",
-                                      "haar:levels=2"])
+    @pytest.mark.parametrize("spec, psf", [
+        ("starlet:levels=2", MA3), ("union(starlet:levels=2,dirac)", MA3),
+        ("haar:levels=2", MA3), ("starlet:levels=2", SKEWED), ("dirac", MA3)],
+        ids=["starlet:levels=2", "union(starlet:levels=2,dirac)",
+             "haar:levels=2", "starlet-skewed", "dirac"])
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
-    def test_wrapped_operators_give_identical_results(self, prior, spec):
-        plain = deconvolve(_counts_problem(prior, spec=spec))
-        wrapped = deconvolve(_counts_problem(prior, spec=spec, wrap=True))
+    def test_wrapped_operators_give_identical_results(self, prior, spec, psf):
+        # Shipped operators and the same ones rebuilt from their callables
+        # (as a tracer rebuilds them) are probed alike, so they give the
+        # same gains and the same bits.
+        plain = deconvolve(_counts_problem(prior, spec=spec, psf=psf))
+        wrapped = deconvolve(_counts_problem(prior, spec=spec, wrap=True, psf=psf))
         assert plain.restored.data.tobytes() == wrapped.restored.data.tobytes()
         assert result_metrics(plain, include_timing=False) == \
             result_metrics(wrapped, include_timing=False)
@@ -937,6 +945,36 @@ class TestFourierPath:
             np.array(changes).tobytes()
         assert [u.tobytes() for u in res.state.aux] == \
             [u.tobytes() for u in duals]
+
+    @pytest.mark.parametrize("spec, psf", [
+        ("starlet:levels=2", MA3), ("starlet:levels=2", SKEWED),
+        ("union(starlet:levels=2,dirac)", MA3), ("haar:levels=2", MA3),
+        ("dirac", MA3)], ids=["starlet", "starlet-skewed", "union", "haar",
+                              "dirac"])
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_rank_one_maps_match_the_probed_composition(self, prior, spec, psf,
+                                                        monkeypatch):
+        # The solver's maps as they were: H Phi probed as one operator and
+        # every multiplier read as a gain matrix (oracles.GainMatrixStack).
+        problem = _counts_problem(prior, spec=spec, psf=psf)
+        # Each case converges, after 22 to 1 621 iterations.
+        problem = replace(problem, splitting=SplittingConfig(
+            max_outer=3000, tol=3e-4))
+        factored = deconvolve(problem)
+
+        def plain(outer, inner):
+            return LinearOperator(inner.in_dim, outer.out_dim,
+                                  lambda x: outer.apply(inner.apply(x)),
+                                  lambda u: inner.adjoint(outer.adjoint(u)),
+                                  outer.spectral_bound * inner.spectral_bound)
+        monkeypatch.setattr(deconv_module, "compose", plain)
+        monkeypatch.setattr(splitting_module, "MapStack", GainMatrixStack)
+        probed = deconvolve(problem)
+        assert factored.converged and probed.converged
+        assert factored.state.iterations == probed.state.iterations
+        peak = float(np.max(probed.restored.data))
+        assert np.max(np.abs(factored.restored.data - probed.restored.data)) \
+            <= 1e-12 * peak
 
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
     def test_solver_skips_the_per_call_count_scan(self, prior, monkeypatch):

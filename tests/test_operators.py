@@ -15,7 +15,7 @@ from proxdeconv import (FourierMultiplier, Image, LinearOperator, compose,
                         make_union, make_dirac, matrix_operator)
 from proxdeconv.errors import DimensionMismatchError
 
-from oracles import b3_band_gains, circ_conv_direct
+from oracles import b3_band_gains, circ_conv_direct, rank_one_adjoint
 from test_deconv import SKEWED
 from test_dictionary import _diag_pseudo_dictionary
 
@@ -303,6 +303,53 @@ class TestFourierMultiplier:
         c, u = rng.standard_normal(both.in_dim), rng.standard_normal(64)
         assert np.allclose(both.apply(c), plain.apply(c), atol=1e-12)
         assert np.allclose(both.adjoint(u), plain.adjoint(u), atol=1e-12)
+        # Two multipliers compose into one that keeps both factors.
+        factored = compose(blur, phi)
+        assert isinstance(factored, FourierMultiplier) and factored.merge
+        assert factored.after is blur.gains and factored.gains is phi.gains
+        assert factored.spectral_bound == both.spectral_bound
+        assert np.allclose(factored.apply(c), both.apply(c), atol=1e-12)
+        assert np.allclose(factored.adjoint(u), both.adjoint(u), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5, 6), (63, 63), (64, 64)])
+    @pytest.mark.parametrize("psf", ["box", "skewed"])
+    def test_product_matches_the_composition(self, psf, shape):
+        # The factored product against applying one factor after the other.
+        h, w = shape
+        blur = fourier_form(make_circular_convolution(
+            SKEWED if psf == "skewed" else _ma_psf(3), w, h), h, w)
+        phi = fourier_form(make_starlet(w, h, 2), h, w)
+        product = compose(blur, phi)
+        assert isinstance(product, FourierMultiplier)
+        assert np.iscomplexobj(product.after) == (psf == "skewed")
+        plain = LinearOperator(phi.in_dim, h * w,
+                               lambda c: blur.apply(phi.apply(c)),
+                               lambda u: phi.adjoint(blur.adjoint(u)),
+                               blur.spectral_bound * phi.spectral_bound)
+        rng = np.random.default_rng(13)
+        c, u = rng.standard_normal(product.in_dim), rng.standard_normal(h * w)
+        for mine, theirs, v in ((product.apply, plain.apply, c),
+                                (product.adjoint, plain.adjoint, u)):
+            want = theirs(v)
+            assert np.linalg.norm(mine(v) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_transpose_is_a_multiplier(self):
+        # Phi^T is Phi's multiplier through the conjugate gains, split, not
+        # merged; a product's transpose is a plain operator.
+        blur = make_circular_convolution(SKEWED, 8, 8)
+        for op in (blur, fourier_form(make_starlet(8, 8, 2), 8, 8)):
+            t = op.T
+            assert isinstance(t, FourierMultiplier) and t.merge != op.merge
+            assert (t.in_dim, t.out_dim) == (op.out_dim, op.in_dim)
+            assert t.gains.tobytes() == op.gains.conj().tobytes()
+            rng = np.random.default_rng(14)
+            x, u = rng.standard_normal(t.in_dim), rng.standard_normal(t.out_dim)
+            assert t.apply(x).tobytes() == op.adjoint(x).tobytes()
+            assert t.adjoint(u).tobytes() == op.apply(u).tobytes()
+        product = compose(blur, op)
+        assert not isinstance(product.T, FourierMultiplier)
+        u = rng.standard_normal(64)
+        assert product.T.apply(u).tobytes() == product.adjoint(u).tobytes()
 
     @pytest.mark.parametrize("merge", [False, True])
     def test_adjoint_and_parseval_norm(self, merge):
@@ -372,8 +419,12 @@ class TestFourierMultiplier:
             bands = d._adjoint.__self__  # the starlet's own multiplier
             stack = MapStack([blur, bands])
             stack.adjoint(stack.apply(np.ones(64)))
+            # A product and its stack hold the factors' gains, no cycle.
+            product = compose(blur, bands.T)
+            factored = MapStack([product, bands.T])
+            factored.adjoint(factored.apply(np.ones(192)))
             refs = [weakref.ref(blur.gains), weakref.ref(bands.gains)]
-            del blur, d, bands, stack
+            del blur, d, bands, stack, product, factored
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
@@ -383,34 +434,19 @@ class TestFourierMultiplier:
             FourierMultiplier(np.ones((4, 4)), 4, 4, spectral_bound=1.0)
 
 
-def _spectral_adjoint(maps, us):
-    """sum_i K_i^T u_i of multipliers on one grid, by numpy alone: each map's
-    conjugate gain matrix times its duals' spectra, summed over its output
-    bands, the maps' parts added in order, then one inverse transform."""
-    h, w = maps[0].height, maps[0].width
-    total = None
-    for op, u in zip(maps, us):
-        spectra = np.fft.rfft2(u.reshape(-1, h, w))
-        if op.merge:  # one output band, which feeds every input band
-            part = op.gains.conj() * spectra
-        else:  # one input band, fed by every output band
-            part = np.sum(op.gains.conj() * spectra, axis=0, keepdims=True)
-        total = part if total is None else total + part
-    return np.fft.irfft2(total, s=(h, w)).ravel()
-
-
 class TestSharedStack:
     """MapStack, which runs the primal-dual solver's maps into one stack:
     multipliers on one grid share their input's spectra and sum their
     adjoints in the spectrum."""
 
     def _maps(self, fourier):
+        """H Phi and Phi; as the solver builds them when ``fourier``: Phi
+        probed, and H Phi the product of the two multipliers."""
         blur = make_circular_convolution(_ma_psf(3), 8, 8)
         d = make_starlet(8, 8, 2)
-        maps = [compose(blur, d), d]
         if fourier:
-            maps = [fourier_form(op, 8, 8) for op in maps]
-        return maps
+            d = fourier_form(d, 8, 8)
+        return [compose(blur, d), d]
 
     def _run(self, maps, x, us):
         """Each map's output and the adjoint sum, and the 2-D FFTs spent."""
@@ -457,13 +493,14 @@ class TestSharedStack:
     def test_parts_add_to_the_first_part_not_to_zero(self, zero):
         # Zero duals make exact zero parts, some of them -0.0 (a zero times
         # a negative gain), and the sum keeps their sign only if it starts
-        # from the first map's part: 0 + (-0.0) would read +0.0.
+        # from the first band, as np.add.reduce does: 0 + (-0.0) would read
+        # +0.0.
         maps = self._maps(fourier=True)
         stack = MapStack(maps)
         u = np.full(stack.out_dim, zero)
         back = stack.adjoint(u)
         assert np.any(np.signbit(back))
-        assert back.tobytes() == _spectral_adjoint(maps, stack.split(u)).tobytes()
+        assert back.tobytes() == rank_one_adjoint(maps, stack.split(u)).tobytes()
 
     @pytest.mark.parametrize("fourier", [False, True])
     def test_writes_only_into_the_given_arrays(self, fourier):
@@ -482,7 +519,7 @@ class TestSharedStack:
         assert u.tobytes() == u_copy.tobytes()
 
     def _check_bits(self, maps, seed):
-        """The stack gives each map's apply as alone, and the one rule's
+        """The stack gives each map's apply as alone, and the rank-1 rule's
         adjoint sum, bit for bit; so does each map alone."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(maps[0].in_dim)
@@ -490,19 +527,20 @@ class TestSharedStack:
         each, back, spent = self._run(maps, x, us)
         for got, op, u in zip(each, maps, us):
             assert got.tobytes() == op.apply(x).tobytes()
-            assert op.adjoint(u).tobytes() == _spectral_adjoint([op], [u]).tobytes()
-        assert back.tobytes() == _spectral_adjoint(maps, us).tobytes()
+            assert op.adjoint(u).tobytes() == rank_one_adjoint([op], [u]).tobytes()
+        assert back.tobytes() == rank_one_adjoint(maps, us).tobytes()
         return spent
 
     @staticmethod
     def _skewed(prior, h, w):
-        """The prior's two maps under the skewed kernel: complex gains, then
-        the starlet's real ones."""
-        blur = make_circular_convolution(SKEWED, w, h)
-        d = make_starlet(w, h, 2)
-        pair = [compose(blur, d), d] if prior == "synthesis" else [blur, d.T]
-        maps = [fourier_form(op, h, w) for op in pair]
-        assert np.iscomplexobj(maps[0].gains) and not np.iscomplexobj(maps[1].gains)
+        """The prior's two maps under the skewed kernel, as the solver builds
+        them: the blur's complex gains (after the merge, in H Phi), then the
+        starlet's real ones."""
+        blur = fourier_form(make_circular_convolution(SKEWED, w, h), h, w)
+        phi = fourier_form(make_starlet(w, h, 2), h, w)
+        maps = [compose(blur, phi), phi] if prior == "synthesis" else [blur, phi.T]
+        first = maps[0].after if prior == "synthesis" else maps[0].gains
+        assert np.iscomplexobj(first) and not np.iscomplexobj(maps[1].gains)
         return maps
 
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
@@ -519,11 +557,13 @@ class TestSharedStack:
     @pytest.mark.parametrize("psf", ["box", "skewed"])
     def test_holds_no_copy_of_the_gains(self, psf):
         # A stack allocates its spectra and reads each map's gains in place,
-        # real or complex: no conjugate or reshaped copy is kept.
-        blur = make_circular_convolution(SKEWED if psf == "skewed" else _ma_psf(3),
-                                         64, 64)
-        d = make_starlet(64, 64, 3)
-        maps = [fourier_form(compose(blur, d), 64, 64), fourier_form(d, 64, 64)]
+        # real or complex: no conjugate, reshaped or product copy is kept,
+        # and H Phi holds the two factors, not their product.
+        blur = fourier_form(make_circular_convolution(
+            SKEWED if psf == "skewed" else _ma_psf(3), 64, 64), 64, 64)
+        phi = fourier_form(make_starlet(64, 64, 3), 64, 64)
+        maps = [compose(blur, phi), phi]
+        assert maps[0].after is blur.gains and maps[0].gains is phi.gains
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -532,9 +572,11 @@ class TestSharedStack:
         finally:
             tracemalloc.stop()
         spectra = sum(a.nbytes for a in stack._spectra)
-        assert spectra <= grown < spectra + min(op.gains.nbytes for op in maps) // 4
-        for op, gains in zip(maps, stack._gains):
-            assert gains.dtype == op.gains.dtype and np.shares_memory(gains, op.gains)
+        assert spectra <= grown < spectra + blur.gains.nbytes // 4
+        (after, conj, _), = stack._outputs
+        assert after is blur.gains and conj == (psf == "skewed")
+        merge, conj, _ = stack._merge
+        assert merge is phi.gains and not conj
 
     @pytest.mark.parametrize("merging_first", [True, False])
     def test_a_merging_map_beside_the_starlet_analysis(self, merging_first):
