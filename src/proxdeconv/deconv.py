@@ -12,8 +12,8 @@ The dictionary Phi is a ``LinearOperator`` whose adjoint is the analysis
 Phi^T; the two priors differ only in where it sits. Each solve first
 probes H and Phi for their Fourier form (``fourier_form``): the circular
 blur, Dirac, the starlet and their unions run as ``FourierMultiplier``
-objects, H o Phi as their product and Phi^T as Phi's transpose, unprobed;
-Haar and other operators that are not shift-invariant run as they are.
+objects, H o Phi as one holding both factors and Phi^T as Phi's transpose,
+unprobed; other operators (Haar) and H o Phi then run as they are.
 
 Both priors run the primal-dual iteration: the l1 term (synthesis) or the
 positivity (analysis) is the primal prox, the other two terms carry their
@@ -147,9 +147,7 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
         maps, factor = (h, phi.T, None), 0.5
         image, coefficients = identity_operator(y.size), lambda v, x: d.analysis(x)
     else:
-        hd = compose(h, phi)  # the probed factors, or probed whole (Haar)
-        maps, factor = (hd if isinstance(hd, FourierMultiplier) else fourier(hd),
-                        None, phi), 2.0
+        maps, factor = (compose(h, phi), None, phi), 2.0
         image, coefficients = d, lambda v, x: v
     terms = [ProxTerm(poisson, "data-fidelity", maps[0], fit, _conj_poisson(y)),
              ProxTerm(sparsity, "sparsity", maps[1], l1, sparsity_conj),

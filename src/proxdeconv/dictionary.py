@@ -174,7 +174,7 @@ def make_starlet(width: int, height: int, levels: int) -> FrameDictionary:
     gains[levels] = smooth
 
     gains /= np.sqrt(sum(g * g for g in gains))
-    bands = FourierMultiplier(gains, height, width, spectral_bound=1.0)
+    bands = FourierMultiplier(height, width, 1.0, outputs=gains)
     return FrameDictionary(width, height, bands.out_dim, bands.adjoint,
                            bands.apply, c1=1.0, c2=1.0, tight=True)
 

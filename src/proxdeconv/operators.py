@@ -4,8 +4,8 @@ Images are stored row-major as flat float64 arrays; operators declare their
 dimensions and a spectral bound so downstream solvers can pick step sizes
 without probing. Shift-invariant operators (circular convolution, the
 starlet bands) are ``FourierMultiplier`` objects, diagonal in the 2-D real
-DFT with one transfer function per band; ``compose`` keeps both factors of
-a blur after a merging multiplier, and ``fourier_form`` recovers a
+DFT and stored as output gains times input gains; ``compose`` keeps both
+factors of a blur after a merging multiplier, and ``fourier_form`` recovers a
 multiplier from any operator that has that form. A ``MapStack`` runs the
 primal-dual solver's maps into one flat stack, every multiplier by one
 rank-1 rule, and ``fft2_count`` counts the 2-D FFTs this module computes,
@@ -185,18 +185,17 @@ def matrix_operator(mat) -> LinearOperator:
 
 
 def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
-    """``outer(inner(x))``; bounds multiply. A one-band multiplier after one
-    into one image on its grid keeps both factors (``after``, ``gains``)."""
+    """``outer(inner(x))``; bounds multiply. A multiplier without input gains
+    after a one-sided one on its grid is one multiplier with both sides."""
     if outer.in_dim != inner.out_dim:
         raise DimensionMismatchError(expected=outer.in_dim, actual=inner.out_dim,
                                      context="compose")
     bound = outer.spectral_bound * inner.spectral_bound
     if isinstance(outer, FourierMultiplier) and isinstance(inner, FourierMultiplier) \
-            and outer.in_dim == outer.out_dim and outer.after is inner.after is None \
+            and outer.inputs is None and (inner.outputs is None or inner.inputs is None) \
             and (outer.height, outer.width) == (inner.height, inner.width):
-        product = FourierMultiplier(inner.gains, inner.height, inner.width, bound, True)
-        product.after = outer.gains
-        return product
+        return FourierMultiplier(inner.height, inner.width, bound, outer.outputs,
+                                 inner.outputs if inner.inputs is None else inner.inputs)
     return LinearOperator(
         inner.in_dim, outer.out_dim,
         lambda x: outer.apply(inner.apply(x)),
@@ -228,44 +227,45 @@ def _irfft2(spectra: Array, out: Array) -> Array:
 
 
 class FourierMultiplier(LinearOperator):
-    """Shift-invariant map between one image and a stack of bands.
+    """Shift-invariant map, at each frequency output gains times input gains.
 
-    ``gains[j]`` is the transfer function of band j, a half spectrum of
-    shape ``(height, width // 2 + 1)`` as ``np.fft.rfft2`` lays it out:
-    band j of the stack is the image filtered by ``gains[j]``. By default
-    ``apply`` splits an image into the stack and ``adjoint`` merges a stack
-    back through the conjugate gains; ``merge=True`` swaps the two, so that
-    ``apply`` sums the filtered bands into one image. One band is a circular
-    convolution either way. ``after`` (None unless ``compose`` made this a
-    product) is one band of gains that filters the merged image again.
-    Apply and adjoint cost bands + 1 real FFTs (two for a convolution), in
+    ``outputs`` and ``inputs`` are stacks of half spectra of shape
+    ``(bands, height, width // 2 + 1)`` as ``np.fft.rfft2`` lays them out,
+    or None for one band passed through. ``apply`` filters band j of its
+    input by ``inputs[j]`` and sums the bands into one image, then filters
+    that image by each ``outputs[j]`` into band j of its output. So output
+    gains alone split an image into bands (one band is a circular
+    convolution), input gains alone merge bands into an image, and both make
+    a product (``compose``). A one-band side given as ``inputs`` alone is
+    stored as ``outputs``, the same convolution; at least one side must be
+    given. Apply and adjoint cost one real FFT per input and output band, in
     one forward and one inverse transform: they are the one-map case of
     ``MapStack``, whose bands are one array axis.
     """
 
-    __slots__ = ("height", "width", "gains", "merge", "after")
+    __slots__ = ("height", "width", "outputs", "inputs")
 
-    def __init__(self, gains, height: int, width: int, spectral_bound: float,
-                 merge: bool = False):
-        g = np.asarray(gains)
-        if g.ndim == 2:
-            g = g[None]
-        if g.ndim != 3 or g.shape[1:] != (height, width // 2 + 1):
-            raise DimensionMismatchError(
-                expected=f"(bands, {height}, {width // 2 + 1})",
-                actual=str(g.shape), context="FourierMultiplier gains")
+    def __init__(self, height: int, width: int, spectral_bound: float,
+                 outputs=None, inputs=None):
+        if outputs is None and inputs is None:
+            raise ValueError("a FourierMultiplier needs output or input gains")
+        if outputs is None and len(inputs) == 1:
+            outputs, inputs = inputs, None
+        sides = [None if g is None else np.asarray(g) for g in (outputs, inputs)]
+        for g in sides:
+            if g is not None and (g.ndim != 3 or g.shape[1:] != (height, width // 2 + 1)):
+                raise DimensionMismatchError(
+                    expected=f"(bands, {height}, {width // 2 + 1})",
+                    actual=str(g.shape), context="FourierMultiplier gains")
         n = height * width
-        stack = g.shape[0] * n
         # apply and adjoint are overridden below. Handing bound methods to
         # the base class would make each operator a reference cycle that
         # keeps its gains alive until the cyclic collector runs.
-        super().__init__(stack if merge else n, n if merge else stack,
+        super().__init__(*(n if g is None else len(g) * n for g in sides[::-1]),
                          None, None, spectral_bound)
         self.height = int(height)
         self.width = int(width)
-        self.gains = g
-        self.merge = bool(merge)
-        self.after = None
+        self.outputs, self.inputs = sides
 
     def apply(self, x) -> Array:
         return MapStack([self]).apply(x)
@@ -274,12 +274,11 @@ class FourierMultiplier(LinearOperator):
         return MapStack([self]).adjoint(u)
 
     @property
-    def T(self) -> LinearOperator:
-        """The conjugate gains with ``merge`` swapped; plain for a product."""
-        if self.after is not None:
-            return LinearOperator.T.fget(self)
-        return FourierMultiplier(self.gains.conj(), self.height, self.width,
-                                 self.spectral_bound, not self.merge)
+    def T(self) -> FourierMultiplier:
+        """The conjugate gains, sides swapped."""
+        return FourierMultiplier(self.height, self.width, self.spectral_bound,
+                                 *(None if g is None else g.conj()
+                                   for g in (self.inputs, self.outputs)))
 
 
 class MapStack:
@@ -290,9 +289,8 @@ class MapStack:
     never into their input; no maps make an empty stack, whose adjoint is 0.
     Multipliers on one grid that share their input gains share one forward
     and one inverse transform per call, in half spectra allocated once.
-    Each is rank 1, output gains times input gains, either side None: a
-    product has both, a merge of bands input gains, any other multiplier
-    output gains (a band equal to the shared input gains reads as those).
+    Each is rank 1, its output gains times its input gains, either side
+    None (a map whose output gains are the shared input gains reads as them).
     ``apply`` multiplies the input's bands by the input gains in place and
     sums them in order (``np.add.reduce``), then the output gains filter
     that merge into each map's bands; ``adjoint`` runs the conjugates back,
@@ -316,11 +314,9 @@ class MapStack:
                 o.height, o.width, o.in_dim) == (op.height, op.width, op.in_dim)
                 for o in self.ops):
             return
-        pairs = [(o.after, o.gains) if o.after is not None or o.in_dim > o.out_dim
-                 else (o.gains, None) for o in self.ops]
-        merge = next((gains for _, gains in pairs if gains is not None), None)
-        pairs = [(None, merge) if out is merge else (out, gains)
-                 for out, gains in pairs]
+        merge = next((o.inputs for o in self.ops if o.inputs is not None), None)
+        pairs = [(None, merge) if o.inputs is None and o.outputs is merge
+                 else (o.outputs, o.inputs) for o in self.ops]
         n = op.height * op.width
         bands = [slice(s.start // n, s.stop // n) for s in self.slices]
         alone = [b.start for b, (out, _) in zip(bands, pairs) if out is None]
@@ -411,7 +407,7 @@ def fourier_form(op: LinearOperator, height: int,
         # Even impulse responses (a centred symmetric kernel, the starlet)
         # have real gains; storing them real halves their memory.
         gains = gains.real.copy()
-    form = FourierMultiplier(gains, height, width, op.spectral_bound)
+    form = FourierMultiplier(height, width, op.spectral_bound, gains)
     rng = np.random.default_rng(0)
     for mine, theirs, dim in ((form.apply, op.apply, op.in_dim),
                               (form.adjoint, op.adjoint, op.out_dim)):
@@ -461,6 +457,6 @@ def make_circular_convolution(psf: Image, width: int, height: int,
     padded = np.zeros((height, width), dtype=np.float64)
     padded[: psf.height, : psf.width] = psf.to_2d()
     padded = np.roll(padded, shift=(-oy, -ox), axis=(0, 1))
-    otf = _rfft2(padded)
+    otf = _rfft2(padded[None])
     # Half-spectrum max equals the full-spectrum max by conjugate symmetry.
-    return FourierMultiplier(otf, height, width, float(np.max(np.abs(otf))))
+    return FourierMultiplier(height, width, float(np.max(np.abs(otf))), otf)

@@ -232,18 +232,15 @@ def rank_one_factors(ops):
     """Each map's (output gains, input gains) as ``MapStack`` reads them,
     None for a side without; or None unless every map is a multiplier on
     one grid with one input size, all share one input gains array (or
-    none), and at most one has no output gains. A product (``after``) has
-    both sides, a merge of bands input gains, and any other multiplier
-    output gains, unless it is one band whose gains are the shared input
-    gains."""
-    if not ops or not all(hasattr(op, "gains") and (op.height, op.width, op.in_dim)
+    none), and at most one has no output gains. A map whose output gains
+    are the shared input gains reads as them."""
+    if not ops or not all(hasattr(op, "outputs") and (op.height, op.width, op.in_dim)
                           == (ops[0].height, ops[0].width, ops[0].in_dim)
                           for op in ops):
         return None
-    pairs = [(op.after, op.gains) if op.after is not None or op.in_dim > op.out_dim
-             else (op.gains, None) for op in ops]
-    shared = next((gains for _, gains in pairs if gains is not None), None)
-    pairs = [(None, shared) if out is shared else (out, gains) for out, gains in pairs]
+    shared = next((op.inputs for op in ops if op.inputs is not None), None)
+    pairs = [(None, shared) if op.inputs is None and op.outputs is shared
+             else (op.outputs, op.inputs) for op in ops]
     if any(gains is not shared for _, gains in pairs) \
             or sum(out is None for out, _ in pairs) > 1:
         return None
@@ -293,8 +290,8 @@ class GainMatrixStack:
     of the input, and each is a gain matrix per frequency: a merging map one
     row, a splitting map one column. The adjoint adds every map's conjugate
     transposed gain matrix times its duals' spectra, from the first map's
-    part, before one inverse transform. Other maps, products with ``after``
-    among them, apply one by one.
+    part, before one inverse transform. Other maps, products among them,
+    apply one by one.
     """
 
     def __init__(self, ops):
@@ -305,7 +302,7 @@ class GainMatrixStack:
         self.out_dim = int(ends[-1])
         first = self.ops[0] if self.ops else None
         self.shape = (first.height, first.width) if self.ops and all(
-            hasattr(op, "gains") and op.after is None
+            hasattr(op, "outputs") and (op.outputs is None or op.inputs is None)
             and (op.height, op.width, op.in_dim)
             == (first.height, first.width, first.in_dim) for op in self.ops) else None
 
@@ -320,7 +317,8 @@ class GainMatrixStack:
             return out
         spectra = np.fft.rfft2(np.asarray(x).reshape(-1, *self.shape))
         for op, s in zip(self.ops, self.slices):
-            rows = np.sum(op.gains * spectra, axis=0) if op.merge else op.gains * spectra
+            rows = op.outputs * spectra if op.inputs is None \
+                else np.sum(op.inputs * spectra, axis=0)
             out[s] = np.fft.irfft2(rows, s=self.shape).ravel()
         return out
 
@@ -331,8 +329,9 @@ class GainMatrixStack:
             return out
         total = None
         for op, s in zip(self.ops, self.slices):
-            part = op.gains.conj() * np.fft.rfft2(u[s].reshape(-1, *self.shape))
-            if not op.merge:
+            gains = op.outputs if op.inputs is None else op.inputs
+            part = gains.conj() * np.fft.rfft2(u[s].reshape(-1, *self.shape))
+            if op.inputs is None:
                 part = np.sum(part, axis=0, keepdims=True)
             total = part if total is None else total + part
         out[...] = np.fft.irfft2(total, s=self.shape).ravel()

@@ -2,8 +2,8 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the report lines.
 Criteria 7 and 10 reuse one pipeline fixture (two 4-point GCV restores, one
-solve per grid point, 13 s on a 2-core machine); with criterion 8 (30 s)
-they carry the ``slow`` mark.
+solve per grid point, 5-8 s on a 2-core machine); with criterion 8
+(12-18 s) they carry the ``slow`` mark.
 """
 
 import json

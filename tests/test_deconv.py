@@ -12,7 +12,7 @@ import proxdeconv.prox_compose as prox_compose_module
 import proxdeconv.splitting as splitting_module
 from proxdeconv import (DeconvProblem, DeconvResult, FourierMultiplier,
                         FrameDictionary, Image, LinearOperator, ProxTerm, SplittingConfig,
-                        SplittingState, deconvolve, gcv_score,
+                        SplittingState, deconvolve, fourier_form, gcv_score,
                         make_circular_convolution, make_dirac, make_haar_dwt,
                         make_starlet, make_union, mae, objective,
                         parse_dictionary_spec, relative_mae, result_metrics,
@@ -827,24 +827,32 @@ class TestFourierPath:
     # is the product of the probed H and Phi and costs no probe, where
     # probing it whole would cost 30 more. ``objective`` probes as a solve
     # does, then computes the image (4, synthesis) and the valued maps'
-    # images.
-    SETUP_FFT2 = {"synthesis": 34 + 4 * 4, "analysis": 34 + 2 * 5 + 4}
-    OBJECTIVE_FFT2 = {"synthesis": 34 + 4 + 4, "analysis": 34 + 5}
+    # images. Haar has no Fourier form: its probe stops at the first
+    # mismatch (its transform 1, one probe 2), it computes no FFT itself,
+    # and H Haar is not probed, so both priors spend 11 + 3 on probes and 2
+    # on each blur image: the carried and the exact last H x (or H Phi x).
+    # An iteration then transforms only through H, 2 each way.
+    SETUP_FFT2 = {"synthesis": 34 + 4 * 4, "analysis": 34 + 2 * 5 + 4,
+                  "synthesis-haar": 14 + 2 * 2, "analysis-haar": 14 + 2 * 2}
+    OBJECTIVE_FFT2 = {"synthesis": 34 + 4 + 4, "analysis": 34 + 5,
+                      "synthesis-haar": 14 + 2, "analysis-haar": 14 + 2}
 
-    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
-    def test_fft2_outside_the_iterations(self, prior):
+    @pytest.mark.parametrize("case", sorted(SETUP_FFT2))
+    def test_fft2_outside_the_iterations(self, case):
+        prior, _, haar = case.partition("-")
+        spec = "haar:levels=2" if haar else None
         spent = []
         for max_outer in (1, 3):
-            problem = _counts_problem(prior, max_outer=max_outer)
+            problem = _counts_problem(prior, max_outer=max_outer, spec=spec)
             before = operators_module.fft2_count
             res = deconvolve(problem)
             spent.append(operators_module.fft2_count - before)
-        per_iteration = self.FFT2_PER_ITERATION[(prior, 2)]
+        per_iteration = 4 if haar else self.FFT2_PER_ITERATION[(prior, 2)]
         assert spent[1] - spent[0] == 2 * per_iteration
-        assert spent[0] - per_iteration == self.SETUP_FFT2[prior]
+        assert spent[0] - per_iteration == self.SETUP_FFT2[case]
         before = operators_module.fft2_count
         objective(problem, res.state.x)
-        assert operators_module.fft2_count - before == self.OBJECTIVE_FFT2[prior]
+        assert operators_module.fft2_count - before == self.OBJECTIVE_FFT2[case]
 
     # numpy's dispatch wrappers: at 64 x 64 their argument handling costs as
     # much as the arithmetic, so the loop uses array methods and 1-D passes.
@@ -962,12 +970,14 @@ class TestFourierPath:
             max_outer=3000, tol=3e-4))
         factored = deconvolve(problem)
 
-        def plain(outer, inner):
-            return LinearOperator(inner.in_dim, outer.out_dim,
-                                  lambda x: outer.apply(inner.apply(x)),
-                                  lambda u: inner.adjoint(outer.adjoint(u)),
-                                  outer.spectral_bound * inner.spectral_bound)
-        monkeypatch.setattr(deconv_module, "compose", plain)
+        def probed_whole(outer, inner):
+            plain = LinearOperator(inner.in_dim, outer.out_dim,
+                                   lambda x: outer.apply(inner.apply(x)),
+                                   lambda u: inner.adjoint(outer.adjoint(u)),
+                                   outer.spectral_bound * inner.spectral_bound)
+            form = fourier_form(plain, 16, 16)
+            return plain if form is None else form
+        monkeypatch.setattr(deconv_module, "compose", probed_whole)
         monkeypatch.setattr(splitting_module, "MapStack", GainMatrixStack)
         probed = deconvolve(problem)
         assert factored.converged and probed.converged

@@ -79,7 +79,7 @@ SIGNATURES = [
     "DeconvResult(restored, coefficients, state, gamma_used, wall_time_s, "
     "clip_mass)",
     "FBDiagnostics(residuals, dual)",
-    "FourierMultiplier(gains, height, width, spectral_bound, merge=False)",
+    "FourierMultiplier(height, width, spectral_bound, outputs=None, inputs=None)",
     "FrameDictionary(width, height, coeff_dim, synthesis, analysis, c1, c2, "
     "tight)",
     "Image(width, height, data)",

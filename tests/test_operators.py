@@ -253,8 +253,8 @@ class TestFourierForm:
         padded[:3, :4] = psf
         otf = np.fft.rfft2(np.roll(padded, (-2, -1), axis=(0, 1)))
         form = fourier_form(op, 11, 16)
-        assert isinstance(form, FourierMultiplier) and not form.merge
-        assert np.max(np.abs(form.gains[0] - otf)) <= 1e-12
+        assert isinstance(form, FourierMultiplier) and form.inputs is None
+        assert np.max(np.abs(form.outputs[0] - otf)) <= 1e-12
         assert form.spectral_bound == op.spectral_bound
 
     @pytest.mark.parametrize("union", [False, True])
@@ -267,9 +267,11 @@ class TestFourierForm:
             gains = [g / np.sqrt(2.0) for g in gains + [np.ones_like(gains[0])]]
         for op, merge in ((d.T, False), (d, True)):
             form = fourier_form(op, h, w)
-            assert form.merge == merge and len(form.gains) == len(gains)
+            found, other = (form.inputs, form.outputs) if merge else \
+                (form.outputs, form.inputs)
+            assert other is None and len(found) == len(gains)
             assert max(np.max(np.abs(f - g))
-                       for f, g in zip(form.gains, gains)) <= 1e-12
+                       for f, g in zip(found, gains)) <= 1e-12
 
     @pytest.mark.parametrize("make_op, grid", [
         (lambda: make_haar_dwt(8, 8, 2).T, (8, 8)),
@@ -285,7 +287,7 @@ class TestFourierForm:
 
     def test_a_constant_diagonal_is_a_multiplier(self):
         form = fourier_form(diagonal_operator(np.full(12, 2.5)), 3, 4)
-        assert np.max(np.abs(form.gains - 2.5)) <= 1e-12
+        assert np.max(np.abs(form.outputs - 2.5)) <= 1e-12
 
 
 class TestFourierMultiplier:
@@ -295,9 +297,9 @@ class TestFourierMultiplier:
         plain = compose(blur, d)
         assert not isinstance(plain, FourierMultiplier)
         both = fourier_form(plain, 8, 8)
-        assert isinstance(both, FourierMultiplier) and both.merge
+        assert isinstance(both, FourierMultiplier) and both.outputs is None
         phi = fourier_form(d, 8, 8)
-        assert np.max(np.abs(both.gains - blur.gains * phi.gains)) <= 1e-12
+        assert np.max(np.abs(both.inputs - blur.outputs * phi.inputs)) <= 1e-12
         assert both.spectral_bound == blur.spectral_bound * d.spectral_bound
         rng = np.random.default_rng(4)
         c, u = rng.standard_normal(both.in_dim), rng.standard_normal(64)
@@ -305,8 +307,8 @@ class TestFourierMultiplier:
         assert np.allclose(both.adjoint(u), plain.adjoint(u), atol=1e-12)
         # Two multipliers compose into one that keeps both factors.
         factored = compose(blur, phi)
-        assert isinstance(factored, FourierMultiplier) and factored.merge
-        assert factored.after is blur.gains and factored.gains is phi.gains
+        assert isinstance(factored, FourierMultiplier)
+        assert factored.outputs is blur.outputs and factored.inputs is phi.inputs
         assert factored.spectral_bound == both.spectral_bound
         assert np.allclose(factored.apply(c), both.apply(c), atol=1e-12)
         assert np.allclose(factored.adjoint(u), both.adjoint(u), atol=1e-12)
@@ -314,42 +316,75 @@ class TestFourierMultiplier:
     @pytest.mark.parametrize("shape", [(5, 6), (63, 63), (64, 64)])
     @pytest.mark.parametrize("psf", ["box", "skewed"])
     def test_product_matches_the_composition(self, psf, shape):
-        # The factored product against applying one factor after the other.
+        # The factored product, and its transpose, against applying one
+        # factor after the other.
         h, w = shape
         blur = fourier_form(make_circular_convolution(
             SKEWED if psf == "skewed" else _ma_psf(3), w, h), h, w)
         phi = fourier_form(make_starlet(w, h, 2), h, w)
         product = compose(blur, phi)
         assert isinstance(product, FourierMultiplier)
-        assert np.iscomplexobj(product.after) == (psf == "skewed")
+        assert np.iscomplexobj(product.outputs) == (psf == "skewed")
         plain = LinearOperator(phi.in_dim, h * w,
                                lambda c: blur.apply(phi.apply(c)),
                                lambda u: phi.adjoint(blur.adjoint(u)),
                                blur.spectral_bound * phi.spectral_bound)
+        assert product.T.inputs.tobytes() == blur.outputs.conj().tobytes()
         rng = np.random.default_rng(13)
         c, u = rng.standard_normal(product.in_dim), rng.standard_normal(h * w)
         for mine, theirs, v in ((product.apply, plain.apply, c),
-                                (product.adjoint, plain.adjoint, u)):
+                                (product.adjoint, plain.adjoint, u),
+                                (product.T.apply, plain.T.apply, u),
+                                (product.T.adjoint, plain.T.adjoint, c)):
             want = theirs(v)
             assert np.linalg.norm(mine(v) - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_transpose_is_a_multiplier(self):
-        # Phi^T is Phi's multiplier through the conjugate gains, split, not
-        # merged; a product's transpose is a plain operator.
+        # Phi^T is Phi's multiplier through the conjugate gains, sides
+        # swapped: it splits where Phi merges. So is a product's transpose.
         blur = make_circular_convolution(SKEWED, 8, 8)
-        for op in (blur, fourier_form(make_starlet(8, 8, 2), 8, 8)):
+        phi = fourier_form(make_starlet(8, 8, 2), 8, 8)
+        for op in (blur, phi, compose(blur, phi)):
             t = op.T
-            assert isinstance(t, FourierMultiplier) and t.merge != op.merge
+            assert isinstance(t, FourierMultiplier)
             assert (t.in_dim, t.out_dim) == (op.out_dim, op.in_dim)
-            assert t.gains.tobytes() == op.gains.conj().tobytes()
             rng = np.random.default_rng(14)
             x, u = rng.standard_normal(t.in_dim), rng.standard_normal(t.out_dim)
             assert t.apply(x).tobytes() == op.adjoint(x).tobytes()
             assert t.adjoint(u).tobytes() == op.apply(u).tobytes()
-        product = compose(blur, op)
-        assert not isinstance(product.T, FourierMultiplier)
-        u = rng.standard_normal(64)
-        assert product.T.apply(u).tobytes() == product.adjoint(u).tobytes()
+            assert t.T.apply(u).tobytes() == op.apply(u).tobytes()
+        # The one band of a convolution stays output gains.
+        assert blur.T.outputs.tobytes() == blur.outputs.conj().tobytes()
+        assert phi.T.inputs is None
+        assert phi.T.outputs.tobytes() == phi.inputs.conj().tobytes()
+
+    def test_compose_fuses_exactly_the_rank_one_pairs(self):
+        # A multiplier without input gains after a one-sided one is one
+        # multiplier; a map with input gains after anything, or anything
+        # after a two-sided product, stays a plain composition. Two merges
+        # or two splits of several bands cannot meet in dimension, so a
+        # merge after a split and a split after a product stand for them.
+        # H H holds one array on both sides, which a stack once read as its
+        # own merge alone, applying H once.
+        blur = make_circular_convolution(SKEWED, 8, 8)
+        phi = fourier_form(make_starlet(8, 8, 2), 8, 8)
+        rng = np.random.default_rng(17)
+        fused = {"blur after blur": (blur, blur), "blur after merge": (blur, phi),
+                 "split after blur": (phi.T, blur), "split after merge": (phi.T, phi)}
+        plain = {"merge after split": (phi, phi.T),
+                 "split after product": (phi.T, compose(blur, phi)),
+                 "blur after product": (blur, compose(blur, phi))}
+        for name, (outer, inner) in {**fused, **plain}.items():
+            both = compose(outer, inner)
+            assert isinstance(both, FourierMultiplier) == (name in fused), name
+            x, u = rng.standard_normal(both.in_dim), rng.standard_normal(both.out_dim)
+            for mine, want in ((both.apply(x), outer.apply(inner.apply(x))),
+                               (both.adjoint(u), inner.adjoint(outer.adjoint(u)))):
+                assert np.linalg.norm(mine - want) <= 1e-12 * np.linalg.norm(want), name
+
+    def test_needs_a_side(self):
+        with pytest.raises(ValueError, match="output or input gains"):
+            FourierMultiplier(4, 4, 1.0)
 
     @pytest.mark.parametrize("merge", [False, True])
     def test_adjoint_and_parseval_norm(self, merge):
@@ -359,7 +394,7 @@ class TestFourierMultiplier:
                  + 1j * rng.standard_normal((3, h, w // 2 + 1)))
         # Gains read off a real impulse response are Hermitian-consistent.
         gains = np.fft.rfft2(np.fft.irfft2(gains, s=(h, w)))
-        op = FourierMultiplier(gains, h, w, spectral_bound=10.0, merge=merge)
+        op = FourierMultiplier(h, w, 10.0, **{"inputs" if merge else "outputs": gains})
         x, u = rng.standard_normal(op.in_dim), rng.standard_normal(op.out_dim)
         assert abs(op.apply(x) @ u - x @ op.adjoint(u)) <= 1e-10
         image = rng.standard_normal((1, h, w))
@@ -402,8 +437,8 @@ class TestFourierMultiplier:
         if complex_gains:
             gains = gains + 1j * rng.standard_normal((3, h, w // 2 + 1))
         u, c = rng.standard_normal((3, h, w)), rng.standard_normal((3, h, w))
-        split = FourierMultiplier(gains, h, w, spectral_bound=10.0)
-        merge = FourierMultiplier(gains, h, w, spectral_bound=10.0, merge=True)
+        split = FourierMultiplier(h, w, 10.0, outputs=gains)
+        merge = FourierMultiplier(h, w, 10.0, inputs=gains)
         want = np.fft.irfft2(np.sum(gains.conj() * np.fft.rfft2(u), axis=0), s=(h, w))
         assert split.adjoint(u).tobytes() == want.tobytes()
         want = np.fft.irfft2(np.sum(gains * np.fft.rfft2(c), axis=0), s=(h, w))
@@ -423,7 +458,7 @@ class TestFourierMultiplier:
             product = compose(blur, bands.T)
             factored = MapStack([product, bands.T])
             factored.adjoint(factored.apply(np.ones(192)))
-            refs = [weakref.ref(blur.gains), weakref.ref(bands.gains)]
+            refs = [weakref.ref(blur.outputs), weakref.ref(bands.outputs)]
             del blur, d, bands, stack, product, factored
             assert [ref() for ref in refs] == [None, None]
         finally:
@@ -431,7 +466,7 @@ class TestFourierMultiplier:
 
     def test_gain_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
-            FourierMultiplier(np.ones((4, 4)), 4, 4, spectral_bound=1.0)
+            FourierMultiplier(4, 4, 1.0, np.ones((4, 4)))
 
 
 class TestSharedStack:
@@ -539,8 +574,7 @@ class TestSharedStack:
         blur = fourier_form(make_circular_convolution(SKEWED, w, h), h, w)
         phi = fourier_form(make_starlet(w, h, 2), h, w)
         maps = [compose(blur, phi), phi] if prior == "synthesis" else [blur, phi.T]
-        first = maps[0].after if prior == "synthesis" else maps[0].gains
-        assert np.iscomplexobj(first) and not np.iscomplexobj(maps[1].gains)
+        assert np.iscomplexobj(maps[0].outputs) and not np.iscomplexobj(phi.inputs)
         return maps
 
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
@@ -563,7 +597,7 @@ class TestSharedStack:
             SKEWED if psf == "skewed" else _ma_psf(3), 64, 64), 64, 64)
         phi = fourier_form(make_starlet(64, 64, 3), 64, 64)
         maps = [compose(blur, phi), phi]
-        assert maps[0].after is blur.gains and maps[0].gains is phi.gains
+        assert maps[0].outputs is blur.outputs and maps[0].inputs is phi.inputs
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -572,19 +606,20 @@ class TestSharedStack:
         finally:
             tracemalloc.stop()
         spectra = sum(a.nbytes for a in stack._spectra)
-        assert spectra <= grown < spectra + blur.gains.nbytes // 4
-        (after, conj, _), = stack._outputs
-        assert after is blur.gains and conj == (psf == "skewed")
+        assert spectra <= grown < spectra + blur.outputs.nbytes // 4
+        (outputs, conj, _), = stack._outputs
+        assert outputs is blur.outputs and conj == (psf == "skewed")
         merge, conj, _ = stack._merge
-        assert merge is phi.gains and not conj
+        assert merge is phi.inputs and not conj
 
     @pytest.mark.parametrize("merging_first", [True, False])
     def test_a_merging_map_beside_the_starlet_analysis(self, merging_first):
         # One input image: a one-band merging map is one row and one column,
         # the starlet analysis one column of three rows.
         blur = make_circular_convolution(SKEWED, 8, 8)
-        merging = FourierMultiplier(blur.gains, 8, 8, blur.spectral_bound,
-                                    merge=True)
+        merging = FourierMultiplier(8, 8, blur.spectral_bound, inputs=blur.outputs)
+        # One band given as input gains alone is stored as output gains.
+        assert merging.outputs is blur.outputs and merging.inputs is None
         analysis = fourier_form(make_starlet(8, 8, 2).T, 8, 8)
         maps = [merging, analysis] if merging_first else [analysis, merging]
         assert merging.in_dim == analysis.in_dim == 64
