@@ -29,6 +29,7 @@ simulation, and MAE metrics.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -122,12 +123,14 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
         return op if form is None else form
 
     def fit(eta: Array) -> float:
-        if eta.min() < 0.0:
+        total = eval_poisson(eta, y, check=False)
+        if total == math.inf and eta.min() < 0.0:
             # FFT round-off leaves about -1e-16 of the peak where the image
             # is 0: the round-off band that simulate clamps reads as 0.
             eta = np.where((eta < 0.0)
                            & (eta >= -_ROUNDOFF * np.abs(eta).max()), 0.0, eta)
-        return eval_poisson(eta, y, check=False)
+            total = eval_poisson(eta, y, check=False)
+        return total
 
     def positive_conj(v: Array, sigma: float) -> None:
         # prox_{sigma f*} of the positivity is min(v, 0).

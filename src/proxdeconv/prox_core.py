@@ -36,12 +36,20 @@ def eval_poisson(eta, counts, check: bool = True) -> float:
     """Poisson anti-log-likelihood; +inf outside the domain or at an
     infinite intensity, never NaN: a NaN intensity raises ValueError.
 
+    Where every intensity is positive and their sum finite, the value is
+    sum(eta) - y . log(eta), with no mask or gather of the positive counts;
+    other intensities take the masked form of the module docstring.
     ``check=False`` skips the scan of ``counts``, for callers that have
     validated them once already.
     """
     eta, y = _pair64(eta, counts, "eval_poisson")
     if check:
         _check_counts(y, "eval_poisson")
+    if eta.min(initial=math.inf) > 0.0:
+        # The sum first: an infinite intensity never reaches the log.
+        total = float(eta.sum())
+        if total < math.inf:
+            return total - float(y.dot(np.log(eta)))
     pos = y > 0.0
     ep = eta[pos]
     # A negative intensity on a positive count already fails ep <= 0.
@@ -142,7 +150,9 @@ def _conj_poisson(counts: Array) -> Callable[[Array, float], None]:
 
 def soft_threshold(values, threshold: float, out: Array | None = None
                    ) -> Array:
-    """prox of threshold * ||.||_1: shrink each component toward zero.
+    """prox of threshold * ||.||_1: shrink each component toward zero, as
+    v - clip(v, -threshold, threshold) bit for bit, with no sign array, so
+    every zero it returns is +0.0.
 
     ``out``, a float64 array of the values' shape (the values themselves
     too), receives the result when given.
@@ -150,14 +160,11 @@ def soft_threshold(values, threshold: float, out: Array | None = None
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     v = np.asarray(values, dtype=np.float64)
-    # sign(v) * max(|v| - t, 0) bit for bit. np.copysign would need no
-    # sign array, but gives -0.0 where v is -0.0 and sign(v) is +0.
-    sign = np.sign(v)
-    out = np.abs(v, out=out)
-    out -= threshold
-    np.maximum(out, 0.0, out=out)
-    out *= sign
-    return out
+    # The clip goes into out unless out is v. Minimum first, as np.clip: the
+    # other order gives -0.0 for v = -0.0 at a zero threshold.
+    clipped = np.minimum(v, threshold, out=None if out is v else out)
+    np.maximum(clipped, -threshold, out=clipped)
+    return np.subtract(v, clipped, out=clipped if out is None else out)
 
 
 def project_positive(x) -> Array:

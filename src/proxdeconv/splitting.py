@@ -18,8 +18,10 @@ prox_{sigma f_i^*} into the term's part of the dual stack; a term without
 one gets Moreau's identity from its own prox,
 prox_{sigma f^*}(v) = v - sigma prox_{f / sigma}(v / sigma). No prox has an
 inner loop. Iteration stops when both the primal relative change and the
-duals' change drop to ``tol``. The duals' change is the shift they make in
-the primal step, tau ||sum_i K_i^T (u_{t+1,i} - u_{t,i})||, relative to
+duals' change drop to ``tol``. The primal change is theta ||x~ - x_t||,
+which is ||x_{t+1} - x_t|| up to round-off, relative to ||x_t||. The
+duals' change is the shift they make in the primal step,
+tau ||sum_i K_i^T (u_{t+1,i} - u_{t,i})||, relative to
 max(||x_t||, ||x_{t+1}||): finite from zero duals, and +inf while the duals
 move an iterate that sits at zero, so such an iterate never stops the run.
 
@@ -31,9 +33,12 @@ The duals are one flat stack, u_i a slice of it, as are the K_i x_bar
 (``MapStack``): each linear step on them is one numpy call over the whole
 stack, and only the proxes run term by term. The loop allocates its arrays
 once per solve and then only writes into them, and one finite check over
-the updated dual stack covers every dual prox. Each step is one ufunc, FFT
-pass or array method, never a dispatch wrapper such as ``np.linalg.norm``
-(a norm is ``math.sqrt(a.dot(a))``, its arithmetic) or ``np.all``.
+the updated dual stack covers every dual prox. The primal update reads one
+difference d = x~ - x_t: x_{t+1} = x_t + theta d and x_bar = x_t + 2 d, and
+the change and the primal finite check come from d . d. Each step is one
+ufunc, FFT pass or array method, never a dispatch wrapper such as
+``np.linalg.norm`` (a norm is ``math.sqrt(a.dot(a))``, its arithmetic) or
+``np.all``.
 
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
 with x_bar = 2 x~ - x_t, so the loop carries K_i x by linearity from the
@@ -214,14 +219,22 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
         # x_new lives until the next prox has returned: freeing it sooner
         # let the allocator trim and refault the heap top every iteration.
         x_new = _flat64(g.prox(x_next, tau), x.size, context)
-        if not np.isfinite(x_new).all():
+        # d = x_new - x in the spent x_bar buffer. A finite d . d means a
+        # finite x_new, so only an infinite or NaN one pays for the scan.
+        d = np.subtract(x_new, x, out=x_bar)
+        dd = d.dot(d)
+        if not dd < math.inf and not np.isfinite(x_new).all():
             raise NonFiniteIterateError(iteration=t, label=g.label)
-        np.multiply(x_new, 2.0, out=x_bar)
-        x_bar -= x
-        # x_next = x + theta (x_new - x), also when x_new is x_next.
-        np.subtract(x_new, x, out=x_next)
-        x_next *= theta
-        x_next += x
+        # x_next = x + theta d, also when x_new is x_next; x_bar = x + 2 d.
+        # Multiplying by theta = 1 is exact, here and in the dual update.
+        if theta == 1.0:
+            np.add(x, d, out=x_next)
+        else:
+            np.multiply(d, theta, out=x_next)
+            x_next += x
+        change = theta * math.sqrt(dd)
+        d *= 2.0
+        d += x
         maps.apply(x_bar, out=v)
         for s, k in zip(carried, kx):
             # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
@@ -240,7 +253,8 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
                 term.label for term, s in parts if first < s.stop))
         # u_{t+1} = u_t + theta (u~ - u_t)
         v -= duals
-        v *= theta
+        if theta != 1.0:
+            v *= theta
         duals += v
         # The duals' change as the shift tau K^T (u_next - u) it makes in the
         # primal step, relative to the larger of the two iterates. x_bar is
@@ -249,8 +263,6 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
         np.subtract(x_bar, back, out=back)
         shift = tau * math.sqrt(back.dot(back))
         back, x_bar = x_bar, back
-        np.subtract(x_next, x, out=x_bar)
-        change = math.sqrt(x_bar.dot(x_bar))
         norm_next = math.sqrt(x_next.dot(x_next))
         rel = max(_ratio(change, norm), _ratio(shift, max(norm, norm_next)))
         x, x_next, norm = x_next, x, norm_next

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,24 @@ class TestEvalPoisson:
     def test_zero_count_linear_branch(self):
         assert eval_poisson([2.0], [0.0]) == pytest.approx(2.0, abs=1e-15)
 
+    def test_empty_input_is_zero(self):
+        assert eval_poisson([], []) == 0.0
+
+    def test_zero_intensity_on_a_zero_count_is_finite(self):
+        # The minimum is exactly 0, where the domain allows it.
+        got = eval_poisson([0.0, 2.0], [0.0, 3.0])
+        assert got == pytest.approx(2.0 - 3.0 * math.log(2.0), rel=1e-14)
+
+    def test_matches_an_exactly_rounded_sum(self):
+        # Every intensity positive, with zero and positive counts: the
+        # value without a mask, against fsum of the same terms.
+        rng = np.random.default_rng(7)
+        eta = rng.uniform(0.01, 40.0, size=256 * 256)
+        y = rng.poisson(eta).astype(np.float64)
+        assert np.count_nonzero(y == 0.0) > 100
+        want = math.fsum(np.concatenate([eta, -y * np.log(eta)]))
+        assert eval_poisson(eta, y) == pytest.approx(want, rel=1e-12)
+
     def test_mixed_vector(self):
         # -3 log 2 + 2 for the first pixel, +5 for the second.
         got = eval_poisson([2.0, 5.0], [3.0, 0.0])
@@ -30,6 +49,8 @@ class TestEvalPoisson:
         assert eval_poisson([-0.1], [0.0]) == math.inf
 
     def test_infinite_intensity_is_infinite(self):
+        # Without a RuntimeWarning, which the test configuration makes an
+        # error: +inf on a zero count never reaches the log.
         assert eval_poisson([math.inf], [1.0]) == math.inf
         assert eval_poisson([math.inf, 1.0], [0.0, 2.0]) == math.inf
 
@@ -38,6 +59,8 @@ class TestEvalPoisson:
             eval_poisson([math.nan], [1.0])
         with pytest.raises(ValueError, match="NaN"):
             eval_poisson([1.0, math.nan], [0.0, 0.0])
+        with pytest.raises(ValueError, match="NaN"):
+            eval_poisson([2.0, math.nan], [1.0, 3.0])
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
@@ -150,15 +173,19 @@ class TestProxPenalty:
         assert np.array_equal(soft_threshold(v, 0.8), v - np.clip(v, -0.8, 0.8))
 
     @pytest.mark.parametrize("threshold", [0.0, 0.7, math.inf])
-    def test_bits_match_the_sign_times_shrink_form(self, threshold):
-        # Normal samples with both zeros and ties at the threshold.
+    def test_bits_match_the_clip_form(self, threshold):
+        # Normal samples with both zeros and ties at the threshold. The
+        # sign-times-shrink form has the same values, but -0.0 where
+        # -threshold <= v < 0.
         rng = np.random.default_rng(3)
         v = rng.standard_normal(20_000)
         v[::5], v[1::5], v[2::7], v[3::7] = 0.7, -0.7, 0.0, -0.0
         before = v.copy()
-        want = np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+        want = v - np.clip(v, -threshold, threshold)
         assert soft_threshold(v, threshold).tobytes() == want.tobytes()
         assert v.tobytes() == before.tobytes()
+        assert np.array_equal(
+            want, np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0))
 
     def test_out_receives_the_same_bits(self):
         # Into a kept array, or over the values themselves.
@@ -187,6 +214,37 @@ class TestProxPenalty:
     def test_shape_preserved(self):
         v = np.arange(6.0).reshape(2, 3)
         assert soft_threshold(v, 1.0).shape == (2, 3)
+
+
+def _peak_growth(fn) -> int:
+    """Bytes by which fn's peak of traced memory exceeds its start."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocations:
+    """The solver calls these once per iteration on full-size arrays, where
+    each temporary is one more pass over memory."""
+
+    def test_soft_threshold_into_out_allocates_no_array(self):
+        v = np.random.default_rng(8).standard_normal(65_536)
+        out = np.empty_like(v)
+        assert _peak_growth(lambda: soft_threshold(v, 0.5, out=out)) < v.nbytes
+
+    def test_eval_poisson_in_domain_allocates_one_array(self):
+        # The log of the intensities, which shows that numpy's buffers are
+        # traced, and no mask or gathered copy beside it; a few hundred
+        # bytes go to Python objects.
+        rng = np.random.default_rng(9)
+        eta = rng.uniform(0.5, 40.0, size=65_536)
+        y = rng.poisson(eta).astype(np.float64)
+        grown = _peak_growth(lambda: eval_poisson(eta, y, check=False))
+        assert eta.nbytes <= grown < eta.nbytes + 4096
 
 
 class TestProjectPositive:

@@ -161,15 +161,17 @@ class TestAlgorithmMechanics:
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 1.7])
     def test_a_lone_term_takes_proximal_point_steps(self, theta):
-        # x <- x + theta (prox_{mu f}(x) - x), bit for bit, to the same stop.
+        # x <- x + theta (prox_{mu f}(x) - x), bit for bit, to the same stop;
+        # the change is theta ||prox_{mu f}(x) - x|| / ||x||.
         prox = _quad_prox([2.0, -1.0, 3.0])
         cfg = SplittingConfig(mu=0.8, theta=theta, max_outer=2000, tol=1e-12)
         got, state = solve([ProxTerm(prox=prox)], cfg, np.array([1.0, 1.0, 1.0]))
         x, changes = np.array([1.0, 1.0, 1.0]), []
         while not changes or changes[-1] > cfg.tol:
-            x_next = x + theta * (prox(x, cfg.mu) - x)
-            changes.append(relative_change(x_next, x))
-            x = x_next
+            step = prox(x, cfg.mu) - x
+            changes.append(theta * float(np.linalg.norm(step))
+                           / float(np.linalg.norm(x)))
+            x = x + theta * step
         assert state.relative_changes == changes
         assert got.tobytes() == x.tobytes()
         assert state.aux == []
@@ -405,3 +407,32 @@ class TestPrimalDual:
             solve(terms, SplittingConfig(), np.zeros(2))
         assert err.value.label == "bad"
         assert err.value.iteration == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_primal_step_names_the_term_without_a_map(self, bad):
+        # Its check fires at the iteration whose output is not finite,
+        # before the duals see it.
+        terms = self._terms(np.array([2.0, -1.0]))
+        outputs = []
+
+        def prox(v, s):
+            outputs.append(soft_threshold(v, s))
+            if len(outputs) == 3:
+                outputs[-1][1] = bad
+            return outputs[-1]
+        terms[1] = ProxTerm(prox=prox, label="primal")
+        with pytest.raises(NonFiniteIterateError) as err:
+            solve(terms, SplittingConfig(), np.array([1.0, 1.0]))
+        assert err.value.label == "primal"
+        assert err.value.iteration == 2
+
+    def test_a_step_whose_square_overflows_is_not_non_finite(self):
+        # d . d of a finite step d = x~ - x can overflow; only a scan of x~
+        # tells that from a non-finite step. The norms overflow too, which
+        # numpy warns of.
+        prox = lambda v, s: np.full_like(v, 1e300)
+        with np.errstate(over="ignore"):
+            x, state = solve([ProxTerm(prox=prox)],
+                             SplittingConfig(max_outer=5, tol=0.0), np.zeros(2))
+        assert np.array_equal(x, [1e300, 1e300])
+        assert state.relative_changes == [math.inf, 0.0]
