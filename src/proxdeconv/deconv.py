@@ -9,11 +9,11 @@ splitting the objective into three proximable terms:
       fidelity o H  +  gamma ||Phi^T x||_1  +  positivity
 
 The dictionary Phi is a ``LinearOperator`` whose adjoint is the analysis
-Phi^T; the two priors differ only in where it sits. Each solve first
-probes H and Phi for their Fourier form (``fourier_form``): the circular
-blur, Dirac, the starlet and their unions run as ``FourierMultiplier``
-objects, H o Phi as one holding both factors and Phi^T as Phi's transpose,
-unprobed; other operators (Haar) and H o Phi then run as they are.
+Phi^T; the two priors differ only in where it sits. A solve, or an
+``objective`` call, reads H and Phi only through ``fourier_form``: the
+circular blur, Dirac, the starlet and their unions run as
+``FourierMultiplier`` objects, H o Phi as one holding both factors and
+Phi^T as Phi's transpose, other operators (Haar) as they are.
 
 Both priors run the primal-dual iteration: the l1 term (synthesis) or the
 positivity (analysis) is the primal prox, the other two terms carry their
@@ -104,13 +104,13 @@ class DeconvResult:
 
 def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
                                      LinearOperator, Callable]:
-    """The problem as the solver sees it; the only code that reads the prior.
+    """The problem as the solver sees it, under the problem's prior.
 
     Returns the three prox terms with their values (the positivity counts
     0), the solver's settings, the map from the solver's variable v to the
-    image (the dictionary, or the identity under the analysis prior; its
-    adjoint takes the counts to the start point), and the coefficients from
-    v and the clipped image. H and Phi are probed for their Fourier form, so
+    image (Phi, or the identity under the analysis prior; its adjoint takes
+    the counts to the start point), and the coefficients from v and the
+    clipped image. H and Phi are read only through ``fourier_form``, so
     wrapped or user-built operators give the same bits as shipped ones.
     Every term carries its conjugate step in closed form, in place. The
     proxes and steps look the elementwise proxes up by name on each call,
@@ -118,10 +118,6 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
     under either prior; the l1 prox writes into one coefficient array
     kept for the solve.
     """
-    def fourier(op: LinearOperator) -> LinearOperator:
-        form = fourier_form(op, p.counts.height, p.counts.width)
-        return op if form is None else form
-
     def fit(eta: Array) -> float:
         total = eval_poisson(eta, y, check=False)
         if total == math.inf and eta.min() < 0.0:
@@ -136,22 +132,22 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
         # prox_{sigma f*} of the positivity is min(v, 0).
         v -= project_positive(v)
 
-    y, gamma, d = p.counts.data, p.gamma, p.dictionary
-    # DeconvProblem validated the counts once.
-    poisson = lambda v, s: prox_poisson(v, s, y, check=False)
-    shrunk = np.empty(d.coeff_dim)  # the l1 prox's output, kept per solve
+    y, gamma = p.counts.data, p.gamma
+    h, phi = (fourier_form(op, p.counts.height, p.counts.width) or op
+              for op in (p.blur, p.dictionary))
+    poisson = lambda v, s: prox_poisson(v, s, y)
+    shrunk = np.empty(phi.in_dim)  # the l1 prox's output, kept per solve
     sparsity = lambda v, s: soft_threshold(v, s * gamma, out=shrunk)
     positive = lambda v, s: project_positive(v)
     l1 = lambda c: gamma * float(np.abs(c).sum())
     # prox_{sigma f*} of gamma ||.||_1 is the clip to [-gamma, gamma].
     sparsity_conj = lambda v, s: v.clip(-gamma, gamma, out=v)
-    h, phi = fourier(p.blur), fourier(d)
     if p.prior == "analysis":
         maps, factor = (h, phi.T, None), 0.5
-        image, coefficients = identity_operator(y.size), lambda v, x: d.analysis(x)
+        image, coefficients = identity_operator(y.size), lambda v, x: maps[1].apply(x)
     else:
         maps, factor = (compose(h, phi), None, phi), 2.0
-        image, coefficients = d, lambda v, x: v
+        image, coefficients = phi, lambda v, x: v
     terms = [ProxTerm(poisson, "data-fidelity", maps[0], fit, _conj_poisson(y)),
              ProxTerm(sparsity, "sparsity", maps[1], l1, sparsity_conj),
              ProxTerm(positive, "positivity", maps[2], conj=positive_conj)]
@@ -165,12 +161,13 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
 def objective(p: DeconvProblem, v, feasibility_tol: float = 0.0) -> float:
     """Fidelity plus penalty at the solver's variable v (the coefficients for
     the synthesis prior, the pixels for the analysis prior), as the solver
-    traces it; +inf when the image has a pixel below -feasibility_tol."""
+    traces it; +inf when the image has a pixel below -feasibility_tol (>= 0)."""
+    if not feasibility_tol >= 0.0:
+        raise ValueError(f"feasibility_tol must be >= 0, got {feasibility_tol}")
     terms, _, image, _ = _terms(p)
     v = np.asarray(v, dtype=np.float64).ravel()
-    x = image.apply(v)
-    if x.size and float(np.min(x)) < -feasibility_tol:
-        return float("inf")
+    if float(image.apply(v).min()) < -feasibility_tol:  # images are never empty
+        return math.inf
     return objective_value(terms, v)
 
 

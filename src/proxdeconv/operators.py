@@ -287,28 +287,27 @@ class MapStack:
     ``apply`` writes each K_i x into its slice (``slices[i]``) of a stack and
     ``adjoint`` writes sum_i K_i^T u_i, into a given array or a new one and
     never into their input; no maps make an empty stack, whose adjoint is 0.
-    Multipliers on one grid that share their input gains share one forward
-    and one inverse transform per call, in half spectra allocated once.
-    Each is rank 1, its output gains times its input gains, either side
-    None (a map whose output gains are the shared input gains reads as them).
-    ``apply`` multiplies the input's bands by the input gains in place and
-    sums them in order (``np.add.reduce``), then the output gains filter
-    that merge into each map's bands; ``adjoint`` runs the conjugates back,
-    summing all bands in order. One map gives the same bits alone as in a
-    stack. Other maps, and stacks with two merges, apply one by one.
+    Multipliers on one grid that share their input gains, each rank 1 (output
+    gains times input gains, either side None; output gains that are the
+    shared input gains read as them), share one forward and one inverse
+    transform per call, in half spectra allocated once. Both directions run
+    one rule, planned at construction: filter the transformed bands in place,
+    sum them in order (``np.add.reduce``), and filter the sum into each band
+    of the result (a band without gains takes the sum); ``apply`` by the
+    input, then the output gains, ``adjoint`` by their conjugates the other
+    way round. One map gives the same bits alone as in a stack. Other maps,
+    and stacks with two merges, apply one by one.
     """
 
-    __slots__ = ("ops", "slices", "in_dim", "out_dim", "_spectra", "_merge",
-                 "_outputs")
+    __slots__ = ("ops", "slices", "in_dim", "out_dim", "_plans")
 
     def __init__(self, ops: list[LinearOperator]):
         self.ops = list(ops)
-        ends = list(itertools.accumulate((op.out_dim for op in self.ops),
-                                         initial=0))
+        ends = list(itertools.accumulate((op.out_dim for op in self.ops), initial=0))
         self.slices = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
         self.in_dim = self.ops[0].in_dim if self.ops else None
         self.out_dim = ends[-1]
-        self._spectra = self._merge = self._outputs = None
+        self._plans = None
         op = self.ops[0] if self.ops else None
         if op is None or not all(isinstance(o, FourierMultiplier) and (
                 o.height, o.width, o.in_dim) == (op.height, op.width, op.in_dim)
@@ -323,16 +322,34 @@ class MapStack:
         if len(alone) > 1 or any(gains is not merge for _, gains in pairs):
             return
         # The input's bands, the stack's bands and a scratch band (untouched
-        # pages cost no memory), into which the merge goes unless a map has
-        # no output gains; complex gains are conjugated for the adjoint.
-        inner, outer, band = self._spectra = tuple(
+        # pages cost no memory). A plan is (the bands x goes into, the steps,
+        # the bands transformed back, the images' shape).
+        inner, outer, band = (
             np.empty((k, op.height, op.width // 2 + 1), dtype=complex)
             for k in (self.in_dim // n, self.out_dim // n, 1))
-        self._outputs = [(out, np.iscomplexobj(out), b)
-                         for b, (out, _) in zip(bands, pairs) if out is not None]
-        if merge is not None:
-            self._merge = (merge, np.iscomplexobj(merge),
-                           outer[alone[0]] if alone else band[0])
+        outputs = [(out, outer[b]) for b, (out, _) in zip(bands, pairs)
+                   if out is not None]
+        merges = [] if merge is None else [(merge, inner)]
+
+        def filtered(gains, src, dst, adjoint):
+            # Steps (gains, conj, src, dst): gains * src into dst, the adjoint's
+            # complex gains conjugated band by band into conj (scratch in place).
+            if not (adjoint and np.iscomplexobj(gains)):
+                return [(gains, None, src, dst)]
+            return [(g, band[0], b, b) if src is dst else (g, b, src, b)
+                    for g, b in zip(gains, dst)]
+
+        def plan(source, first, summed, then, target, adjoint):
+            # None gains sum src into dst; x's one band, not merged, is its sum.
+            steps = [s for gains, b in first for s in filtered(gains, b, b, adjoint)]
+            steps += [] if summed.base is source else [(None, None, source, summed)]
+            steps += [s for gains, b in then for s in filtered(gains, summed, b, adjoint)]
+            return source, steps, target, (-1, op.height, op.width)
+        # apply sums into the band without output gains if there is one.
+        into = inner[0] if merge is None else outer[alone[0]] if alone else band[0]
+        total = inner[0] if merge is None else band[0]
+        self._plans = (plan(inner, merges, into, outputs, outer, False),
+                       plan(outer, outputs, total, merges, inner, True))
 
     def split(self, stack: Array) -> list[Array]:
         """The maps' parts of a stack, as views."""
@@ -340,46 +357,34 @@ class MapStack:
 
     def apply(self, x, out: Array | None = None) -> Array:
         out = np.empty(self.out_dim) if out is None else out
-        if self._spectra is None:  # each op checks x
+        if self._plans is None:  # each op checks x
             for op, s in zip(self.ops, self.slices):
                 out[s] = op.apply(x)
             return out
-        x = _flat64(x, self.in_dim, "MapStack.apply")
-        inner, outer, _ = self._spectra
-        h, w = self.ops[0].height, self.ops[0].width
-        merged = _rfft2(x.reshape(-1, h, w), out=inner)[0]
-        if self._merge is not None:
-            gains, _, into = self._merge
-            np.multiply(gains, inner, out=inner)
-            merged = np.add.reduce(inner, axis=0, out=into)
-        for gains, _, b in self._outputs:
-            np.multiply(gains, merged, out=outer[b])
-        _irfft2(outer, out.reshape(-1, h, w))
-        return out
+        return _run(self._plans[0], _flat64(x, self.in_dim, "MapStack.apply"), out)
 
     def adjoint(self, u, out: Array | None = None) -> Array:
         u = _flat64(u, self.out_dim, "MapStack.adjoint")
         out = np.empty(self.in_dim) if out is None else out
-        if self._spectra is None:
+        if self._plans is None:
             # Summed from 0, as sum() does, so -0.0 parts read +0.0.
-            out[...] = sum(op.adjoint(u[s])
-                           for op, s in zip(self.ops, self.slices))
+            out[...] = sum(op.adjoint(u[s]) for op, s in zip(self.ops, self.slices))
             return out
-        inner, outer, band = self._spectra
-        h, w = self.ops[0].height, self.ops[0].width
-        _rfft2(u.reshape(-1, h, w), out=outer)
-        for gains, conj, b in self._outputs:
-            for gain, spectrum in zip(gains, outer[b]) if conj else [(gains, outer[b])]:
-                np.multiply(np.conjugate(gain, out=band[0]) if conj else gain,
-                            spectrum, out=spectrum)
-        summed = np.add.reduce(outer, axis=0, out=band[0] if self._merge else inner[0])
-        if self._merge is not None:
-            gains, conj, _ = self._merge
-            for gain, spectrum in zip(gains, inner) if conj else [(gains, inner)]:
-                np.multiply(np.conjugate(gain, out=spectrum) if conj else gain,
-                            summed, out=spectrum)
-        _irfft2(inner, out.reshape(-1, h, w))
-        return out
+        return _run(self._plans[1], u, out)
+
+
+def _run(plan, x: Array, out: Array) -> Array:
+    """One direction of a ``MapStack``'s rank-1 rule, from x into ``out``."""
+    source, steps, target, shape = plan
+    _rfft2(x.reshape(shape), out=source)
+    for gains, conj, src, dst in steps:
+        if gains is None:
+            np.add.reduce(src, axis=0, out=dst)
+        else:
+            np.multiply(gains if conj is None else np.conjugate(gains, out=conj),
+                        src, out=dst)
+    _irfft2(target, out.reshape(shape))
+    return out
 
 
 def fourier_form(op: LinearOperator, height: int,

@@ -83,19 +83,16 @@ def grad_poisson(eta, counts) -> Array:
     return g
 
 
-def prox_poisson(x, beta: float, counts, check: bool = True) -> Array:
+def prox_poisson(x, beta: float, counts) -> Array:
     """prox of beta * (Poisson fidelity) at x, elementwise.
 
     prox(x)_i = (d_i + sqrt(d_i^2 + 4 beta y_i)) / 2 with d_i = x_i - beta,
     which reduces to max(d_i, 0) on zero-count pixels. Output is always
     inside the domain (non-negative, positive where y_i > 0).
-    ``check=False`` skips the scan of ``counts``, for callers that have
-    validated them once already.
     """
     _check_positive(beta, "prox scale beta")
     x, y = _pair64(x, counts, "prox_poisson")
-    if check:
-        _check_counts(y, "prox_poisson")
+    _check_counts(y, "prox_poisson")
     d = x - beta
     # The same root as max(d, 0) + 2 beta y / (|d| + sqrt(d^2 + 4 beta y)):
     # a sum of non-negative terms, so nothing cancels for d << 0, where the

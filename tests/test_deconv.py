@@ -196,6 +196,26 @@ class TestProblemValidation:
         assert objective(prob, point) == math.inf
         assert math.isfinite(objective(prob, point, feasibility_tol=1.0))
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, -math.inf])
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_objective_rejects_a_nan_or_negative_tolerance(self, prior, tol):
+        # A NaN tolerance used to switch the check off (an analysis image
+        # with a pixel at -3 scored finite), and a negative one to make
+        # feasible points +inf.
+        prob = _counts_problem(prior)
+        point = np.ones(prob.dictionary.coeff_dim if prior == "synthesis"
+                        else prob.counts.n)
+        with pytest.raises(ValueError, match="feasibility_tol"):
+            objective(prob, point, feasibility_tol=tol)
+
+    def test_objective_takes_an_infinite_tolerance(self):
+        # +inf skips the check: the blurred image is still positive.
+        prob = _counts_problem("analysis")
+        point = np.ones(prob.counts.n)
+        point[5] = -3.0
+        assert objective(prob, point) == math.inf
+        assert math.isfinite(objective(prob, point, feasibility_tol=math.inf))
+
 
 class TestPriorEquivalenceOnAnOrthobasis:
     def test_synthesis_and_analysis_agree_for_haar(self):
@@ -893,6 +913,35 @@ class TestFourierPath:
         assert plain.restored.data.tobytes() == wrapped.restored.data.tobytes()
         assert result_metrics(plain, include_timing=False) == \
             result_metrics(wrapped, include_timing=False)
+
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_operators_are_called_only_by_the_probe(self, prior):
+        # fourier_form reads an impulse response and checks one probe each
+        # way; the dictionary, from a stack to an image, is probed through
+        # its transpose. Start point, restored image, coefficients and the
+        # feasibility check then all run through the forms.
+        calls = {}
+
+        def counted(name, fn):
+            def wrapped(x):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(x)
+            return wrapped
+        problem = _counts_problem(prior)
+        h, d = problem.blur, problem.dictionary
+        problem = replace(
+            problem,
+            blur=LinearOperator(h.in_dim, h.out_dim, counted("blur", h.apply),
+                                counted("blur", h.adjoint), h.spectral_bound),
+            dictionary=FrameDictionary(
+                d.width, d.height, d.coeff_dim, counted("synthesis", d.synthesis),
+                counted("analysis", d.analysis), d.c1, d.c2, d.tight))
+        probe = {"blur": 3, "synthesis": 1, "analysis": 2}
+        res = deconvolve(problem)
+        assert calls == probe
+        calls.clear()
+        objective(problem, res.state.x)
+        assert calls == probe
 
     @pytest.mark.parametrize("spec", ["starlet:levels=2", "haar:levels=2",
                                       "union(starlet:levels=2,dirac)",

@@ -110,7 +110,7 @@ SIGNATURES = [
     "project_positive(x)",
     "prox_affine_fb(prox_f, op, c2, x, inner_iters=10, scale=1.0, c1=None)",
     "prox_affine_tight(prox_f, frame, c, x, scale=1.0)",
-    "prox_poisson(x, beta, counts, check=True)",
+    "prox_poisson(x, beta, counts)",
     "read_raster(path)",
     "relative_mae(estimate, truth)",
     "result_metrics(result, include_timing=True)",

@@ -605,12 +605,21 @@ class TestSharedStack:
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        spectra = sum(a.nbytes for a in stack._spectra)
+        # The input's bands, the stack's bands and one scratch band.
+        source, steps, target, _ = stack._plans[0]
+        spectra = source.nbytes + target.nbytes + target[0].nbytes
         assert spectra <= grown < spectra + blur.outputs.nbytes // 4
-        (outputs, conj, _), = stack._outputs
-        assert outputs is blur.outputs and conj == (psf == "skewed")
-        merge, conj, _ = stack._merge
-        assert merge is phi.inputs and not conj
+        # apply: the merge, the sum, the blur's gains, none conjugated.
+        (merge, c1, _, _), (total, c2, _, _), (outputs, c3, _, _) = steps
+        assert merge is phi.inputs and total is None and outputs is blur.outputs
+        assert c1 is c2 is c3 is None
+        # adjoint: the blur's gains, conjugated band by band if complex,
+        # then the sum and the merge's real gains.
+        _, steps, _, _ = stack._plans[1]
+        (outputs, conj, _, _), (total, _, _, _), (merge, merge_conj, _, _) = steps
+        assert (outputs if conj is None else outputs.base) is blur.outputs
+        assert (conj is not None) == (psf == "skewed")
+        assert total is None and merge is phi.inputs and merge_conj is None
 
     @pytest.mark.parametrize("merging_first", [True, False])
     def test_a_merging_map_beside_the_starlet_analysis(self, merging_first):

@@ -1,9 +1,11 @@
-"""Every module-level private name of the package is used somewhere in it.
+"""Every private name of the package is used somewhere in it.
 
 A private helper (``_x``, not a dunder) that lost its last caller, say
 when its rule moved to a shared check, is dead code; this ``ast`` check
-finds it. A name counts as used when any module of the package reads it,
-imports it, or reaches it as an attribute.
+finds it. A module-level name counts as used when any module of the
+package reads it, imports it, or reaches it as an attribute. A private
+``__slots__`` entry counts as used only when some module reads it as an
+attribute: one that is only ever assigned is a leftover field.
 """
 
 import ast
@@ -18,10 +20,14 @@ def _is_private(name: str) -> bool:
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """``module.name`` for each module-level private name no module uses."""
-    defined, used = [], set()
+    """``module.name`` for each module-level private name no module uses,
+    and ``module.Class.name`` for each private slot no module reads."""
+    defined, slots, used, read = [], [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
+        slots += [(module, cls.name, name) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef)
+                  for name in _slots(cls) if _is_private(name)]
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -37,10 +43,23 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(a.name for a in node.names)
-    return sorted(f"{module}.{name}" for module, name in defined
-                  if name not in used)
+    dead = [f"{module}.{name}" for module, name in defined if name not in used]
+    dead += [f"{module}.{cls}.{name}" for module, cls, name in slots
+             if name not in read]
+    return sorted(dead)
+
+
+def _slots(cls: ast.ClassDef) -> list[str]:
+    """The names a class body lists in ``__slots__``."""
+    return [c.value for node in cls.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in node.targets)
+            for c in ast.walk(node.value)
+            if isinstance(c, ast.Constant) and isinstance(c.value, str)]
 
 
 def test_every_private_name_is_used():
@@ -55,5 +74,10 @@ def test_a_dead_helper_is_reported():
               "def _dead(x):\n    return -x\n"
               "def __getattr__(name):\n    raise AttributeError(name)\n"),
         "b": "from .a import _used\ndef check(x):\n    return _used(x)\n",
+        # _left is only ever assigned; _kept is read in another module.
+        "c": ("class Box:\n    __slots__ = ('_kept', '_left', 'size')\n"
+              "    def __init__(self):\n"
+              "        self._kept = self._left = self.size = 0\n"),
+        "d": "def peek(box):\n    return box._kept\n",
     }
-    assert dead_private_names(sources) == ["a._dead"]
+    assert dead_private_names(sources) == ["a._dead", "c.Box._left"]
