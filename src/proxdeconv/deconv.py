@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -40,16 +39,27 @@ from .dictionary import FrameDictionary
 from .errors import DimensionMismatchError
 from .operators import (FourierMultiplier, Image, LinearOperator, _check_count,
                         _check_counts, _check_grid, _check_positive, _flat64,
-                        compose, fourier_form, identity_operator)
+                        compose, fourier_form)
 from .prox_core import (_conj_poisson, eval_poisson, project_positive,
                         prox_poisson, soft_threshold)
-from .splitting import (ProxTerm, SplittingConfig, SplittingState,
+from .splitting import (ProxTerm, SplittingConfig, SplittingState, _images,
                         objective_value, solve)
 
 Array = np.ndarray
 
 PRIORS = ("synthesis", "analysis")
 _ROUNDOFF = 1e-9  # FFT round-off band, relative to the peak, that reads as 0
+_GRIDDED = (FourierMultiplier, FrameDictionary)  # operators that know their grid
+
+
+def _check_blur(image: Image, blur: LinearOperator, context: str) -> None:
+    """Reject a blur whose dimensions are not ``image``'s pixel count, or
+    whose grid, if it has one (``_GRIDDED``), is not ``image``'s."""
+    for dim in (blur.in_dim, blur.out_dim):
+        if dim != image.n:
+            raise DimensionMismatchError(expected=image.n, actual=dim, context=context)
+    if isinstance(blur, _GRIDDED):
+        _check_grid(image, blur, f"{context} grid")
 
 
 @dataclass(frozen=True)
@@ -77,15 +87,10 @@ class DeconvProblem:
             raise ValueError(f"prior must be one of {PRIORS}, got {self.prior!r}")
         _check_positive(self.gamma, "gamma")
         _check_counts(self.counts.data, "DeconvProblem")
-        n = self.counts.n
-        for dim in (self.blur.in_dim, self.blur.out_dim):
-            if dim != n:
-                raise DimensionMismatchError(expected=n, actual=dim,
-                                             context="DeconvProblem blur")
+        _check_blur(self.counts, self.blur, "DeconvProblem blur")
         _check_positive(self.blur.spectral_bound, "DeconvProblem blur spectral bound")
-        for name, op in (("blur", self.blur), ("dictionary", self.dictionary)):
-            if isinstance(op, (FourierMultiplier, FrameDictionary)):
-                _check_grid(self.counts, op, f"DeconvProblem {name} grid")
+        if isinstance(self.dictionary, _GRIDDED):
+            _check_grid(self.counts, self.dictionary, "DeconvProblem dictionary grid")
 
 
 @dataclass(frozen=True)
@@ -102,21 +107,19 @@ class DeconvResult:
         return self.state.converged
 
 
-def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
-                                     LinearOperator, Callable]:
+def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig]:
     """The problem as the solver sees it, under the problem's prior.
 
     Returns the three prox terms with their values (the positivity counts
-    0), the solver's settings, the map from the solver's variable v to the
-    image (Phi, or the identity under the analysis prior; its adjoint takes
-    the counts to the start point), and the coefficients from v and the
-    clipped image. H and Phi are read only through ``fourier_form``, so
-    wrapped or user-built operators give the same bits as shipped ones.
-    Every term carries its conjugate step in closed form, in place. The
-    proxes and steps look the elementwise proxes up by name on each call,
-    and the positivity calls ``project_positive(x)`` once per iteration
-    under either prior; the l1 prox writes into one coefficient array
-    kept for the solve.
+    0) and the solver's settings; the positivity's map takes the solver's
+    variable v to the image (Phi, or none where v is the image). H and Phi
+    are read only through ``fourier_form``, so wrapped or user-built
+    operators give the same bits as shipped ones. Every term carries its
+    conjugate step in closed form, in place. The proxes and steps look the
+    elementwise proxes up by name on each call, and the positivity calls
+    ``project_positive(x)`` once per iteration under either prior. The l1
+    prox writes into one coefficient array kept for the solve, which the
+    l1 value, called between iterations, reuses for |c|.
     """
     def fit(eta: Array) -> float:
         total = eval_poisson(eta, y, check=False)
@@ -139,15 +142,11 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
     shrunk = np.empty(phi.in_dim)  # the l1 prox's output, kept per solve
     sparsity = lambda v, s: soft_threshold(v, s * gamma, out=shrunk)
     positive = lambda v, s: project_positive(v)
-    l1 = lambda c: gamma * float(np.abs(c).sum())
+    l1 = lambda c: gamma * float(np.abs(c, out=shrunk).sum())
     # prox_{sigma f*} of gamma ||.||_1 is the clip to [-gamma, gamma].
     sparsity_conj = lambda v, s: v.clip(-gamma, gamma, out=v)
-    if p.prior == "analysis":
-        maps, factor = (h, phi.T, None), 0.5
-        image, coefficients = identity_operator(y.size), lambda v, x: maps[1].apply(x)
-    else:
-        maps, factor = (compose(h, phi), None, phi), 2.0
-        image, coefficients = phi, lambda v, x: v
+    maps, factor = (((h, phi.T, None), 0.5) if p.prior == "analysis"
+                    else ((compose(h, phi), None, phi), 2.0))
     terms = [ProxTerm(poisson, "data-fidelity", maps[0], fit, _conj_poisson(y)),
              ProxTerm(sparsity, "sparsity", maps[1], l1, sparsity_conj),
              ProxTerm(positive, "positivity", maps[2], conj=positive_conj)]
@@ -155,7 +154,7 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig,
     # (the minimizer is then 0 at any step).
     mean = float(np.mean(y))
     cfg = replace(p.splitting, mu=factor * mean if mean > 0.0 else 1.0)
-    return terms, cfg, image, coefficients
+    return terms, cfg
 
 
 def objective(p: DeconvProblem, v, feasibility_tol: float = 0.0) -> float:
@@ -164,23 +163,27 @@ def objective(p: DeconvProblem, v, feasibility_tol: float = 0.0) -> float:
     traces it; +inf when the image has a pixel below -feasibility_tol (>= 0)."""
     if not feasibility_tol >= 0.0:
         raise ValueError(f"feasibility_tol must be >= 0, got {feasibility_tol}")
-    terms, _, image, _ = _terms(p)
+    terms, _ = _terms(p)
     v = np.asarray(v, dtype=np.float64).ravel()
-    if float(image.apply(v).min()) < -feasibility_tol:  # images are never empty
+    images = _images([term.op for term in terms if term.op is not None], v)
+    image = v if terms[-1].op is None else images[-1]
+    if float(image.min()) < -feasibility_tol:  # images are never empty
         return math.inf
-    return objective_value(terms, v)
+    return objective_value(terms, v, images)
 
 
 def deconvolve(problem: DeconvProblem) -> DeconvResult:
     """Solve one instance with the prior selected in the problem."""
     start = time.perf_counter()
-    terms, cfg, image, coefficients_of = _terms(problem)
-    v, state = solve(terms, cfg, image.adjoint(problem.counts.data))
-    raw = image.apply(v)
+    terms, cfg = _terms(problem)
+    y, image_map, sparsity_map = problem.counts.data, terms[-1].op, terms[1].op
+    v, state = solve(terms, cfg, y if image_map is None else image_map.adjoint(y))
+    raw = v if image_map is None else state.images[-1]
     clip_mass = float(np.sum(np.maximum(-raw, 0.0)))
     restored = Image(problem.counts.width, problem.counts.height,
                      np.maximum(raw, 0.0))
-    coefficients = coefficients_of(v, restored.data)
+    # The analysis coefficients are those of the restored image, not of v.
+    coefficients = v if sparsity_map is None else sparsity_map.apply(restored.data)
     wall = time.perf_counter() - start
     return DeconvResult(restored=restored, coefficients=coefficients,
                         state=state, gamma_used=problem.gamma,
@@ -196,6 +199,7 @@ def richardson_lucy(counts: Image, blur: LinearOperator, iters: int) -> Image:
     """
     _check_count(iters, "iters", least=0)
     _check_counts(counts.data, "richardson_lucy")
+    _check_blur(counts, blur, "richardson_lucy blur")
     y = counts.data
     x = np.full_like(y, max(float(np.mean(y)), 1.0))
     floor = 1e-12
@@ -236,6 +240,7 @@ def gcv_score(gamma: float, counts: Image, blur: LinearOperator,
     score is biased toward over-smoothing, the safe direction for count data.
     """
     _check_positive(gamma, "gamma")
+    _check_blur(counts, blur, "gcv_score blur")
     y = counts.data
     n = y.size
     coeffs = np.asarray(coefficients, dtype=np.float64).ravel()
@@ -309,6 +314,7 @@ def simulate(truth: Image, blur: LinearOperator, peak: float, seed: int) -> Imag
     _check_count(seed, "seed", least=0)
     if not np.all((truth.data >= 0.0) & (truth.data < np.inf)):
         raise ValueError("truth image must be finite and non-negative")
+    _check_blur(truth, blur, "simulate blur")
     scaled = scale_to_peak(truth, peak)
     lam = blur.apply(scaled.data)
     low = float(np.min(lam)) if lam.size else 0.0

@@ -42,7 +42,8 @@ ufunc, FFT pass or array method, never a dispatch wrapper such as
 
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
 with x_bar = 2 x~ - x_t, so the loop carries K_i x by linearity from the
-K_i x_bar the duals need. The last entry is recomputed from x exactly.
+K_i x_bar the duals need. After the loop the solve's one ``MapStack``
+recomputes K_i x exactly, for the last entry and ``SplittingState.images``.
 """
 
 from __future__ import annotations
@@ -99,11 +100,12 @@ class SplittingConfig:
 
 @dataclass
 class SplittingState:
-    """Final iterate, the duals (one per mapped term) and the per-iteration
-    trace."""
+    """Final iterate, the duals and its images K_i x (one each per mapped
+    term, in term order) and the per-iteration trace."""
 
     x: Array
     aux: list[Array]
+    images: list[Array]
     iterations: int
     converged: bool
     relative_changes: list[float]
@@ -135,23 +137,28 @@ def _images(ops: list[LinearOperator], x: Array) -> list[Array]:
 def objective_value(terms: Sequence[ProxTerm], x: Array,
                     images: Sequence[Array] | None = None) -> float:
     """f_1(K_1 x) + ... + f_K(K_K x) over the terms with a value, in term
-    order; ``images``, when given, holds the K_i x of those with a map."""
-    valued = [term for term in terms if term.value is not None]
-    images = iter(images if images is not None else _images(
-        [term.op for term in valued if term.op is not None], x))
-    return sum(float(term.value(x if term.op is None else next(images)))
-               for term in valued)
+    order; ``images``, when given, holds the K_i x of every term with a map,
+    in term order."""
+    images = iter(images if images is not None else
+                  _images([term.op for term in terms if term.op is not None], x))
+    points = [x if term.op is None else next(images) for term in terms]
+    return sum(float(term.value(point)) for term, point in zip(terms, points)
+               if term.value is not None)
 
 
 def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
           ) -> tuple[Array, SplittingState]:
-    """Run the primal-dual iteration from ``init`` and zero duals until
-    tolerance or max_outer.
+    """Run the primal-dual iteration of the module docstring from ``init``
+    and zero duals until tolerance or max_outer. A list without maps puts
+    all but its first term behind identity maps. When a term has a value,
+    the trace records ``objective_value`` at each new iterate. Term order
+    changes the path, not the minimizer.
 
-    When no term has a map, the first term is the one without and the
-    others sit behind identity maps. When a term has a value,
-    ``objective_value`` at each new iterate is recorded in the trace, which
-    is otherwise empty. Term order changes the path, not the minimizer.
+    Every array it writes is allocated here, once per solve, or is a
+    term's part of the dual stack, which its conj step overwrites: x and
+    x_next take turns in two buffers, x_bar's with the dual sum's. Maps and
+    proxes may hand back their input or an array they keep, so their
+    outputs are read or copied, never updated.
     """
     terms = list(terms)
     if not terms:
@@ -160,33 +167,6 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     if all(term.op is None for term in terms):
         eye = identity_operator(x.size)
         terms[1:] = [replace(term, op=eye) for term in terms[1:]]
-    traced = any(term.value is not None for term in terms)
-    rel_trace: list[float] = []
-    obj_trace: list[float] = []
-    for x, aux, rel, images in _primal_dual(terms, cfg, x):
-        rel_trace.append(rel)
-        if traced:
-            obj_trace.append(objective_value(terms, x, images))
-        if rel <= cfg.tol:
-            break
-    if traced:
-        # Carried images drift from K_i x by round-off; the last entry is exact.
-        obj_trace[-1] = objective_value(terms, x)
-    return x, SplittingState(x=x, aux=aux, iterations=len(rel_trace),
-                             converged=rel <= cfg.tol,
-                             relative_changes=rel_trace, objectives=obj_trace)
-
-
-def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
-    """The relaxed primal-dual loop of the module docstring; yields each
-    iterate with the duals, its change and the carried K_i x.
-
-    Every array it writes is allocated here, once per solve, or is a
-    term's part of the dual stack, which its conj step overwrites: x and
-    x_next take turns in two buffers, and x_bar's buffer takes turns with
-    the dual sum's. Maps and proxes may hand back their input or an array
-    they keep, so their outputs are read or copied, never updated.
-    """
     free = [term for term in terms if term.op is None]
     mapped = [term for term in terms if term.op is not None]
     if len(free) != 1:
@@ -204,15 +184,17 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
     parts = list(zip(mapped, maps.slices))
     conjs = [(term.conj or _moreau(term), s) for term, s in parts]
     duals = np.zeros(maps.out_dim)
-    duals_each = maps.split(duals)
     v = np.empty(maps.out_dim)  # K x_bar, then the dual step v
     back = np.zeros(x.size)  # sum_i K_i^T u_i, carried between iterations
     x_next, x_bar = np.empty(x.size), np.empty(x.size)
-    # The trace carries K_i x of the terms with a value, by linearity.
-    carried = [s for term, s in parts if term.value is not None]
-    kx = _images([term.op for term in mapped if term.value is not None], x)
-    scratch = np.empty(max((k.size for k in kx), default=0))
+    # The trace carries K x up to the last term with a value, by linearity.
+    traced = any(term.value is not None for term in terms)
+    kx = maps.apply(x)
+    images = maps.split(kx)
+    carried = slice(max([0] + [s.stop for term, s in parts if term.value is not None]))
+    step = np.empty(carried.stop)
     norm = math.sqrt(x.dot(x))
+    rel_trace, obj_trace = [], []
     for t in range(cfg.max_outer):
         np.multiply(back, tau, out=x_next)
         np.subtract(x, x_next, out=x_next)
@@ -236,12 +218,11 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
         d *= 2.0
         d += x
         maps.apply(x_bar, out=v)
-        for s, k in zip(carried, kx):
-            # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
-            # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t).
-            step = np.subtract(v[s], k, out=scratch[:k.size])
-            step *= 0.5 * theta
-            k += step
+        # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
+        # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t).
+        np.subtract(v[carried], kx[carried], out=step)
+        step *= 0.5 * theta
+        kx[carried] += step
         v *= sigma
         v += duals
         # u~_i = prox_{sigma f_i*}(v_i), each in its part of the stack.
@@ -266,4 +247,16 @@ def _primal_dual(terms: list[ProxTerm], cfg: SplittingConfig, x: Array):
         norm_next = math.sqrt(x_next.dot(x_next))
         rel = max(_ratio(change, norm), _ratio(shift, max(norm, norm_next)))
         x, x_next, norm = x_next, x, norm_next
-        yield x, duals_each, rel, kx
+        rel_trace.append(rel)
+        if traced:
+            obj_trace.append(objective_value(terms, x, images))
+        if rel <= cfg.tol:
+            break
+    # Carried images drift from K_i x by round-off; the last ones are exact.
+    maps.apply(x, out=kx)
+    if traced:
+        obj_trace[-1] = objective_value(terms, x, images)
+    return x, SplittingState(x=x, aux=maps.split(duals), images=images,
+                             iterations=len(rel_trace),
+                             converged=rel <= cfg.tol,
+                             relative_changes=rel_trace, objectives=obj_trace)

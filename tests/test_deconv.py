@@ -19,10 +19,12 @@ from proxdeconv import (DeconvProblem, DeconvResult, FourierMultiplier,
                         richardson_lucy, scale_to_peak, select_gamma_gcv,
                         simulate, solve)
 from proxdeconv.errors import DimensionMismatchError
+from proxdeconv.operators import MapStack
 
 from oracles import (GainMatrixStack, grid_minimize, rank_one_adjoint,
                      rank_one_apply, relative_change, scene32, scene64)
 from test_dictionary import _diag_pseudo_dictionary
+from test_prox_core import _peak_growth
 
 MA3 = Image.from_2d(np.full((3, 3), 1.0 / 9.0))
 
@@ -371,7 +373,7 @@ class TestSelectGammaGcv:
         prob = self._noiseless_problem()
         canned = DeconvResult(
             restored=Image(6, 6, np.zeros(36)), coefficients=np.zeros(36),
-            state=SplittingState(x=np.zeros(36), aux=[], iterations=1,
+            state=SplittingState(x=np.zeros(36), aux=[], images=[], iterations=1,
                                  converged=True, relative_changes=[0.0],
                                  objectives=[]),
             gamma_used=1.0, wall_time_s=0.0, clip_mass=0.0)
@@ -501,6 +503,41 @@ class TestSimulate:
                               simulate(truth, blur, 10.0, 3).data)
 
 
+class TestBlurGrid:
+    """``simulate``, ``richardson_lucy`` and ``gcv_score`` take the blurs
+    that ``DeconvProblem`` takes: a Fourier multiplier must lie on the
+    image's grid, any other blur needs its pixel count."""
+
+    NAMES = ["simulate", "richardson_lucy", "gcv_score"]
+
+    def _call(self, name, blur):
+        image = Image(4, 8, np.arange(32.0))  # 4 wide and 8 high
+        if name == "simulate":
+            return simulate(image, blur, 10.0, 0)
+        if name == "richardson_lucy":
+            return richardson_lucy(image, blur, 1)
+        return gcv_score(0.5, image, blur, image, np.zeros(32))
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_a_multiplier_on_the_transposed_grid_is_rejected(self, name):
+        # 8 wide and 4 high: the image's pixel count on another grid.
+        blur = make_circular_convolution(MA3, 8, 4)
+        with pytest.raises(DimensionMismatchError,
+                           match=f"{name} blur grid: expected \\(8, 4\\), "
+                                 "got \\(4, 8\\)"):
+            self._call(name, blur)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_a_generic_blur_is_checked_by_pixel_count(self, name):
+        blur = make_circular_convolution(MA3, 8, 4)
+        self._call(name, LinearOperator(32, 32, blur.apply, blur.adjoint, 1.0))
+        for in_dim, out_dim in [(36, 32), (32, 36)]:
+            wrong = LinearOperator(in_dim, out_dim, None, None, 1.0)
+            with pytest.raises(DimensionMismatchError,
+                               match=f"{name} blur: expected 32, got 36"):
+                self._call(name, wrong)
+
+
 class TestErrorMetrics:
     def test_mae_basics(self):
         a = Image.from_2d([[1.0, 2.0], [3.0, 4.0]])
@@ -559,7 +596,7 @@ class TestResultMetrics:
     def test_non_finite_trace_entries_are_null(self):
         # A step away from a zero iterate has relative change +inf; strict
         # JSON has no infinity.
-        state = SplittingState(x=np.ones(4), aux=[], iterations=2,
+        state = SplittingState(x=np.ones(4), aux=[], images=[], iterations=2,
                                converged=False,
                                relative_changes=[math.inf, 0.5],
                                objectives=[math.inf, 1.5])
@@ -748,7 +785,8 @@ def _unbuffered_rollout(problem):
     order (``oracles.rank_one_apply`` and ``rank_one_adjoint``); other maps
     apply one by one. Returns the restored image, the objective and
     relative-change traces and the duals."""
-    terms, cfg, image, _ = deconv_module._terms(problem)
+    terms, cfg = deconv_module._terms(problem)
+    image = terms[-1].op  # Phi, or None where the solver's variable is the image
     g = next(term for term in terms if term.op is None)
     mapped = [term for term in terms if term.op is not None]
     ops = [term.op for term in mapped]
@@ -766,7 +804,8 @@ def _unbuffered_rollout(problem):
 
     tau, theta = cfg.mu, cfg.theta
     sigma = 0.99 / (tau * sum(op.spectral_bound ** 2 for op in ops))
-    x = np.array(image.adjoint(problem.counts.data), dtype=np.float64)
+    y = problem.counts.data
+    x = np.array(y if image is None else image.adjoint(y), dtype=np.float64)
     duals = [np.zeros(op.out_dim) for op in ops]
     back = np.zeros(x.size)
     carried = [i for i, term in enumerate(mapped) if term.value is not None]
@@ -795,7 +834,8 @@ def _unbuffered_rollout(problem):
         x, back = x_next, back_next
         objectives.append(value(x, kx.values()))
     objectives[-1] = value(x)
-    return np.maximum(image.apply(x), 0.0), objectives, changes, duals
+    raw = x if image is None else image.apply(x)
+    return np.maximum(raw, 0.0), objectives, changes, duals
 
 
 class TestFourierPath:
@@ -839,22 +879,23 @@ class TestFourierPath:
 
     # 2-D FFTs outside the iterations at starlet:levels=2 (3 bands): probing
     # H (11: its impulse response 2, its transform 1, two probes through
-    # each form 8) and Phi (23: 4 + 3 + 16), then the maps' images. Under
-    # the synthesis prior those are the start point Phi^T y, the carried
-    # H Phi x, the exact last objective and the restored image Phi x, 4
-    # each; under the analysis prior the carried H x and Phi^T x and the
-    # exact last objective, 5 each, and the coefficients Phi^T x, 4. H Phi
-    # is the product of the probed H and Phi and costs no probe, where
-    # probing it whole would cost 30 more. ``objective`` probes as a solve
-    # does, then computes the image (4, synthesis) and the valued maps'
-    # images. Haar has no Fourier form: its probe stops at the first
-    # mismatch (its transform 1, one probe 2), it computes no FFT itself,
-    # and H Haar is not probed, so both priors spend 11 + 3 on probes and 2
-    # on each blur image: the carried and the exact last H x (or H Phi x).
-    # An iteration then transforms only through H, 2 each way.
-    SETUP_FFT2 = {"synthesis": 34 + 4 * 4, "analysis": 34 + 2 * 5 + 4,
+    # each form 8) and Phi (23: 4 + 3 + 16), then the maps' images. Both
+    # priors apply the solve's one map stack twice, to the start point and
+    # to the last iterate: under the synthesis prior H Phi x and the
+    # restored image Phi x share one forward transform of the 3 bands and
+    # take 2 inverse ones, 5, after the start point Phi^T y, 4; under the
+    # analysis prior H x and Phi^T x take 1 + 4, 5, and the coefficients
+    # Phi^T x 4. H Phi is the product of the probed H and Phi and costs no
+    # probe, where probing it whole would cost 30 more. ``objective``
+    # probes as a solve does, then applies the same stack once (5). Haar
+    # has no Fourier form: its probe stops at the first mismatch (its
+    # transform 1, one probe 2), it computes no FFT itself, and H Haar is
+    # not probed, so both priors spend 11 + 3 on probes and 2 on each blur
+    # image: the start and the last H x (or H Phi x). An iteration then
+    # transforms only through H, 2 each way.
+    SETUP_FFT2 = {"synthesis": 34 + 4 + 2 * 5, "analysis": 34 + 2 * 5 + 4,
                   "synthesis-haar": 14 + 2 * 2, "analysis-haar": 14 + 2 * 2}
-    OBJECTIVE_FFT2 = {"synthesis": 34 + 4 + 4, "analysis": 34 + 5,
+    OBJECTIVE_FFT2 = {"synthesis": 34 + 5, "analysis": 34 + 5,
                       "synthesis-haar": 14 + 2, "analysis-haar": 14 + 2}
 
     @pytest.mark.parametrize("case", sorted(SETUP_FFT2))
@@ -963,25 +1004,26 @@ class TestFourierPath:
                                                   monkeypatch):
         # The solver carries K x by linearity from the K x_bar it computes
         # for the duals; every entry is scored against the exact value at
-        # the same iterate, recomputed from x through the maps.
+        # the same iterate, recomputed from x through the maps. After the
+        # loop the solver recomputes K x itself and scores the last entry
+        # again from those images.
         pairs = []
         exact = splitting_module.objective_value
 
         def scored(terms, x, images=None):
             value = exact(terms, x, images)
-            if images is not None:
-                pairs.append((value, exact(terms, x)))
+            pairs.append((value, exact(terms, x)))
             return value
         monkeypatch.setattr(splitting_module, "objective_value", scored)
         res = deconvolve(_counts_problem(prior, max_outer=200, spec=spec))
         carried, want = np.array(pairs).T
-        assert carried.size == res.state.iterations == 200
+        assert carried.size == res.state.iterations + 1 == 201
         assert np.array_equal(np.isfinite(carried), np.isfinite(want))
         finite = np.isfinite(want)
         assert np.all(np.abs(carried[finite] - want[finite])
                       <= 1e-14 * np.abs(want[finite]))
-        assert res.state.objectives[:-1] == list(carried[:-1])
-        assert res.state.objectives[-1] == want[-1]
+        assert res.state.objectives[:-1] == list(carried[:-2])
+        assert res.state.objectives[-1] == carried[-1] == want[-1] == want[-2]
 
     @pytest.mark.parametrize("spec, psf", [
         ("starlet:levels=2", MA3), ("starlet:levels=2", SKEWED),
@@ -1046,6 +1088,56 @@ class TestFourierPath:
                             lambda y: scans.append(y.size) or True)
         deconvolve(problem)
         assert scans == []
+
+
+class TestOneMapStack:
+    """A solve applies its maps through one ``MapStack``, and returns their
+    images at the last iterate as ``state.images``."""
+
+    SPECS = ["starlet:levels=2", "haar:levels=2",
+             "union(starlet:levels=2,dirac)"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_images_are_the_maps_at_the_last_iterate(self, prior, spec):
+        problem = _counts_problem(prior, max_outer=20, spec=spec)
+        res = deconvolve(problem)
+        terms, _ = deconv_module._terms(problem)
+        maps = MapStack([term.op for term in terms if term.op is not None])
+        want = maps.split(maps.apply(res.state.x))
+        assert [k.tobytes() for k in res.state.images] == \
+            [k.tobytes() for k in want]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_the_synthesis_image_is_the_positivity_map_image(self, spec):
+        res = deconvolve(_counts_problem("synthesis", max_outer=20, spec=spec))
+        assert res.restored.data.tobytes() == \
+            np.maximum(res.state.images[-1], 0.0).tobytes()
+
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_one_stack_per_solve(self, prior, monkeypatch):
+        built = []
+
+        class Counted(MapStack):
+            def __init__(self, ops):
+                built.append(len(ops))
+                super().__init__(ops)
+        monkeypatch.setattr(splitting_module, "MapStack", Counted)
+        deconvolve(_counts_problem(prior, max_outer=3))
+        assert built == [2]
+
+
+class TestTermValues:
+    def test_l1_value_allocates_no_coefficient_array(self):
+        # |c| goes into the l1 prox's output array, free between iterations.
+        problem = DeconvProblem(counts=Image(64, 64, np.ones(4096)),
+                                blur=identity_blur(64, 64),
+                                dictionary=make_starlet(64, 64, levels=3),
+                                gamma=0.5)
+        sparsity = deconv_module._terms(problem)[0][1]
+        c = np.random.default_rng(3).standard_normal(problem.dictionary.coeff_dim)
+        assert _peak_growth(lambda: sparsity.value(c)) < c.nbytes
+        assert sparsity.value(c) == 0.5 * float(np.abs(c).sum())
 
 
 def _poisson_conj_reference(a, sigma, y):

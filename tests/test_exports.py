@@ -86,8 +86,8 @@ SIGNATURES = [
     "LinearOperator(in_dim, out_dim, apply, adjoint, spectral_bound)",
     "ProxTerm(prox, label='', op=None, value=None, conj=None)",
     "SplittingConfig(mu=1.0, theta=1.0, max_outer=300, tol=1e-05)",
-    "SplittingState(x, aux, iterations, converged, relative_changes, "
-    "objectives)",
+    "SplittingState(x, aux, images, iterations, converged, "
+    "relative_changes, objectives)",
     "compose(outer, inner)",
     "deconvolve(problem)",
     "default_tau(c2, c1=None)",
