@@ -236,11 +236,13 @@ def gcv_score(gamma: float, counts: Image, blur: LinearOperator,
     score = || 2 sqrt(y + 3/8) - 2 sqrt(H x + 3/8) ||^2 / (n - df)^2 with
     df = #{ |coeff_i| >= gamma } as the active-coefficient proxy for the
     degrees of freedom; +inf when df >= n, the limit of the score as df -> n.
-    gamma must be finite and > 0. Scans break ties toward larger gamma; the
-    score is biased toward over-smoothing, the safe direction for count data.
+    gamma must be finite and > 0, and the restored raster on the counts'
+    grid. Scans break ties toward larger gamma; the score is biased toward
+    over-smoothing, the safe direction for count data.
     """
     _check_positive(gamma, "gamma")
     _check_blur(counts, blur, "gcv_score blur")
+    _check_grid(counts, restored, "gcv_score restored")
     y = counts.data
     n = y.size
     coeffs = np.asarray(coefficients, dtype=np.float64).ravel()

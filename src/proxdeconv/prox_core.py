@@ -113,31 +113,40 @@ def _conj_poisson(counts: Array) -> Callable[[Array, float], None]:
     """The conjugate step of the Poisson fidelity against ``counts``:
     ``step(a, sigma)`` overwrites a with prox_{sigma f*}(a), elementwise
 
-        (a - sigma y) / (max(a, 1) + sigma y / (rho + h)),
-        h = |a - 1| / 2,  rho = sqrt(h^2 + sigma y),
+        (a - sigma y) / (max(a, 1) + 2 sigma y / (rho + h)),
+        h = |a - 1|,  rho = sqrt(h^2 + 4 sigma y),
 
     which is min(a, 1) where y = 0 and below 1 where y > 0. By Moreau's
     identity it is a - sigma prox_{f / sigma}(a / sigma), the textbook
-    (a + 1 - 2 rho) / 2, or 2 (a - sigma y) / (a + 1 + 2 rho). The first
+    (a + 1 - rho) / 2, or 2 (a - sigma y) / (a + 1 + rho). The first
     cancels where a >> 1, the second's denominator where a << -1; here
-    that denominator is 2 max(a, 1) + 2 sigma y / (rho + h), a sum of
-    non-negative terms. The step keeps three count-sized temporaries and
-    does not check the counts.
+    that denominator is 2 max(a, 1) + 4 sigma y / (rho + h), a sum of
+    non-negative terms. Its quotient is sigma y / (rho / 2 + h / 2) bit for
+    bit, the factors being powers of 2, unless h^2 overflows or underflows;
+    the full-scale h and rho save the pass that halves h. The step keeps
+    five count-sized arrays: sigma y, 2 sigma y and 4 sigma y, recomputed
+    only when sigma changes, and two temporaries. It does not check the
+    counts.
     """
-    sy, h, rho = np.empty((3, counts.size))
+    sy, sy2, sy4, h, rho = np.empty((5, counts.size))
+    scaled = math.nan  # the sigma that sy, sy2 and sy4 hold
 
     def step(a: Array, sigma: float) -> None:
-        np.multiply(counts, sigma, out=sy)
+        nonlocal scaled
+        if sigma != scaled:
+            np.multiply(counts, sigma, out=sy)
+            np.multiply(sy, 2.0, out=sy2)
+            np.multiply(sy, 4.0, out=sy4)
+            scaled = sigma
         np.subtract(a, 1.0, out=h)
         np.abs(h, out=h)
-        np.multiply(h, 0.5, out=h)
         np.multiply(h, h, out=rho)
-        np.add(rho, sy, out=rho)
+        np.add(rho, sy4, out=rho)
         np.sqrt(rho, out=rho)
         np.add(rho, h, out=rho)
         # rho + h is 0 only where a = 1 and y = 0, whose quotient is then 0.
         np.maximum(rho, _TINY, out=rho)
-        np.divide(sy, rho, out=rho)
+        np.divide(sy2, rho, out=rho)
         np.maximum(a, 1.0, out=h)
         np.add(rho, h, out=rho)
         a -= sy
@@ -148,7 +157,7 @@ def _conj_poisson(counts: Array) -> Callable[[Array, float], None]:
 def soft_threshold(values, threshold: float, out: Array | None = None
                    ) -> Array:
     """prox of threshold * ||.||_1: shrink each component toward zero, as
-    v - clip(v, -threshold, threshold) bit for bit, with no sign array, so
+    v - v.clip(-threshold, threshold), two passes with no sign array, so
     every zero it returns is +0.0.
 
     ``out``, a float64 array of the values' shape (the values themselves
@@ -157,10 +166,8 @@ def soft_threshold(values, threshold: float, out: Array | None = None
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     v = np.asarray(values, dtype=np.float64)
-    # The clip goes into out unless out is v. Minimum first, as np.clip: the
-    # other order gives -0.0 for v = -0.0 at a zero threshold.
-    clipped = np.minimum(v, threshold, out=None if out is v else out)
-    np.maximum(clipped, -threshold, out=clipped)
+    # The clip goes into out unless out is v.
+    clipped = v.clip(-threshold, threshold, out=None if out is v else out)
     return np.subtract(v, clipped, out=clipped if out is None else out)
 
 

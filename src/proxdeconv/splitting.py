@@ -12,15 +12,16 @@ the relaxed primal-dual iteration of Condat (JOTA 2013; Chambolle & Pock
     u~_i = prox_{sigma f_i^*}(u_{t,i} + sigma K_i (2 x~ - x_t))
     (x_{t+1}, u_{t+1}) = (x_t, u_t) + theta ((x~, u~) - (x_t, u_t))
 
-with tau = mu and sigma = 0.99 / (tau sum_i ||K_i||^2) from the maps'
+which at theta = 1 is (x~, u~) itself, taken so with no relaxation pass.
+Here tau = mu and sigma = 0.99 / (tau sum_i ||K_i||^2) from the maps'
 declared spectral bounds. A term's ``conj`` writes its dual prox
 prox_{sigma f_i^*} into the term's part of the dual stack; a term without
 one gets Moreau's identity from its own prox,
 prox_{sigma f^*}(v) = v - sigma prox_{f / sigma}(v / sigma). No prox has an
 inner loop. Iteration stops when both the primal relative change and the
 duals' change drop to ``tol``. The primal change is theta ||x~ - x_t||,
-which is ||x_{t+1} - x_t|| up to round-off, relative to ||x_t||. The
-duals' change is the shift they make in the primal step,
+which is ||x_{t+1} - x_t|| (up to round-off at theta != 1), relative to
+||x_t||. The duals' change is the shift they make in the primal step,
 tau ||sum_i K_i^T (u_{t+1,i} - u_{t,i})||, relative to
 max(||x_t||, ||x_{t+1}||): finite from zero duals, and +inf while the duals
 move an iterate that sits at zero, so such an iterate never stops the run.
@@ -33,17 +34,21 @@ The duals are one flat stack, u_i a slice of it, as are the K_i x_bar
 (``MapStack``): each linear step on them is one numpy call over the whole
 stack, and only the proxes run term by term. The loop allocates its arrays
 once per solve and then only writes into them, and one finite check over
-the updated dual stack covers every dual prox. The primal update reads one
-difference d = x~ - x_t: x_{t+1} = x_t + theta d and x_bar = x_t + 2 d, and
-the change and the primal finite check come from d . d. Each step is one
-ufunc, FFT pass or array method, never a dispatch wrapper such as
+the updated dual stack covers every dual prox: its sum, with a scan only
+when that is not finite. The primal update reads one difference
+d = x~ - x_t, and the change and the primal finite check come from d . d.
+At theta = 1, x_{t+1} is a copy of x~, x_bar = x~ + d and u_{t+1} = u~ by
+a swap of the dual stack's two buffers; otherwise x_{t+1} = x_t + theta d,
+x_bar = x_t + 2 d and u_{t+1} = u_t + theta (u~ - u_t) in place. Each step
+is one ufunc, FFT pass or array method, never a dispatch wrapper such as
 ``np.linalg.norm`` (a norm is ``math.sqrt(a.dot(a))``, its arithmetic) or
 ``np.all``.
 
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
-with x_bar = 2 x~ - x_t, so the loop carries K_i x by linearity from the
-K_i x_bar the duals need. After the loop the solve's one ``MapStack``
-recomputes K_i x exactly, for the last entry and ``SplittingState.images``.
+with x_bar = 2 x~ - x_t, or (x_bar + x_t) / 2 at theta = 1, so the loop
+carries K_i x by linearity from the K_i x_bar the duals need. After the
+loop the solve's one ``MapStack`` recomputes K_i x exactly, for the last
+entry and ``SplittingState.images``.
 """
 
 from __future__ import annotations
@@ -156,9 +161,10 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
 
     Every array it writes is allocated here, once per solve, or is a
     term's part of the dual stack, which its conj step overwrites: x and
-    x_next take turns in two buffers, x_bar's with the dual sum's. Maps and
-    proxes may hand back their input or an array they keep, so their
-    outputs are read or copied, never updated.
+    x_next take turns in two buffers, x_bar's with the dual sum's, and at
+    theta = 1 the duals' with the dual step's. Maps and proxes may hand
+    back their input or an array they keep, so their outputs are read or
+    copied, never updated.
     """
     terms = list(terms)
     if not terms:
@@ -178,6 +184,7 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     if mapped and norm2 == 0.0:
         raise ValueError("every map has spectral bound 0")
     tau, theta = cfg.mu, cfg.theta
+    unrelaxed = theta == 1.0  # the new iterates are x~ and u~ themselves
     # A lone term has no duals, so sigma steps nothing.
     sigma = 0.99 / (tau * norm2) if mapped else 0.0
     maps = MapStack([term.op for term in mapped])
@@ -192,7 +199,7 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     kx = maps.apply(x)
     images = maps.split(kx)
     carried = slice(max([0] + [s.stop for term, s in parts if term.value is not None]))
-    step = np.empty(carried.stop)
+    kc, step = kx[carried], None if unrelaxed else np.empty(carried.stop)
     norm = math.sqrt(x.dot(x))
     rel_trace, obj_trace = [], []
     for t in range(cfg.max_outer):
@@ -207,36 +214,47 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
         dd = d.dot(d)
         if not dd < math.inf and not np.isfinite(x_new).all():
             raise NonFiniteIterateError(iteration=t, label=g.label)
-        # x_next = x + theta d, also when x_new is x_next; x_bar = x + 2 d.
-        # Multiplying by theta = 1 is exact, here and in the dual update.
-        if theta == 1.0:
-            np.add(x, d, out=x_next)
+        # At theta = 1, x_next = x~ and x_bar = x~ + d; otherwise x_next =
+        # x + theta d and x_bar = x + 2 d. Either holds when x_new is x_next.
+        if unrelaxed:
+            np.copyto(x_next, x_new)
+            np.add(x_new, d, out=d)
         else:
             np.multiply(d, theta, out=x_next)
             x_next += x
+            d *= 2.0
+            d += x
         change = theta * math.sqrt(dd)
-        d *= 2.0
-        d += x
         maps.apply(x_bar, out=v)
         # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
-        # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t).
-        np.subtract(v[carried], kx[carried], out=step)
-        step *= 0.5 * theta
-        kx[carried] += step
+        # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t), which at
+        # theta = 1 is (K x_bar + K x_t) / 2.
+        if unrelaxed:
+            np.add(v[carried], kc, out=kc)
+            kc *= 0.5
+        else:
+            np.subtract(v[carried], kc, out=step)
+            step *= 0.5 * theta
+            kc += step
         v *= sigma
         v += duals
         # u~_i = prox_{sigma f_i*}(v_i), each in its part of the stack.
         for conj, s in conjs:
             conj(v[s], sigma)
-        if not np.isfinite(v).all():
+        # A finite sum means a finite stack; only a non-finite one (or a
+        # finite stack whose sum overflows) pays for the scan.
+        if not math.isfinite(v.sum()) and not np.isfinite(v).all():
             first = int(np.argmin(np.isfinite(v)))
             raise NonFiniteIterateError(iteration=t, label=next(
                 term.label for term, s in parts if first < s.stop))
-        # u_{t+1} = u_t + theta (u~ - u_t)
-        v -= duals
-        if theta != 1.0:
+        # u_{t+1} = u_t + theta (u~ - u_t): u~ itself at theta = 1, where
+        # the two buffers swap.
+        if unrelaxed:
+            duals, v = v, duals
+        else:
+            v -= duals
             v *= theta
-        duals += v
+            duals += v
         # The duals' change as the shift tau K^T (u_next - u) it makes in the
         # primal step, relative to the larger of the two iterates. x_bar is
         # spent, so the new sum goes there and the two swap.

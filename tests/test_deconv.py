@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from proxdeconv.errors import DimensionMismatchError
 from proxdeconv.operators import MapStack
 
 from oracles import (GainMatrixStack, grid_minimize, rank_one_adjoint,
-                     rank_one_apply, relative_change, scene32, scene64)
+                     rank_one_apply, scene32, scene64)
 from test_dictionary import _diag_pseudo_dictionary
 from test_prox_core import _peak_growth
 
@@ -325,6 +326,17 @@ class TestGcvScore:
         counts, blur, restored = self._flat_instance()
         with pytest.raises(ValueError):
             gcv_score(0.0, counts, blur, restored, np.zeros(4))
+
+    def test_restored_raster_on_another_grid_is_rejected(self):
+        # Counts 4 wide and 8 high; a restoration 8 wide and 4 high has
+        # their pixel count on another grid.
+        counts = Image(4, 8, np.arange(32.0))
+        blur, data = identity_blur(4, 8), np.linspace(0.0, 40.0, 32)
+        gcv_score(0.5, counts, blur, Image(4, 8, data), np.zeros(32))
+        with pytest.raises(DimensionMismatchError,
+                           match="gcv_score restored: expected \\(8, 4\\), "
+                                 "got \\(4, 8\\)"):
+            gcv_score(0.5, counts, blur, Image(8, 4, data), np.zeros(32))
 
     def test_infinite_gamma_rejected(self):
         # Every coefficient lies below an infinite gamma, so df = 0 would
@@ -756,10 +768,15 @@ class TestNameLookup:
 
 # A kernel that is not symmetric about its centre has complex gains.
 SKEWED = Image.from_2d([[0.1, 0.3, 0.05], [0.2, 0.1, 0.0], [0.15, 0.05, 0.05]])
+# Dictionaries and blurs that the rollout and solver comparisons run.
+MAPS = pytest.mark.parametrize("spec, psf", [
+    ("starlet:levels=2", MA3), ("starlet:levels=2", SKEWED),
+    ("union(starlet:levels=2,dirac)", MA3), ("haar:levels=2", MA3),
+    ("dirac", MA3)], ids=["starlet", "starlet-skewed", "union", "haar", "dirac"])
 
 
 def _counts_problem(prior, levels=2, max_outer=3, spec=None, wrap=False,
-                    psf=MA3):
+                    psf=MA3, theta=1.0):
     """16x16 Poisson counts under a 3x3 blur (a box by default), gamma 0.2,
     mu 20."""
     rng = np.random.default_rng(0)
@@ -774,16 +791,21 @@ def _counts_problem(prior, levels=2, max_outer=3, spec=None, wrap=False,
                             d.analysis, d.c1, d.c2, d.tight)
     return DeconvProblem(
         counts=counts, blur=blur, dictionary=d, gamma=0.2, prior=prior,
-        splitting=SplittingConfig(mu=20.0, max_outer=max_outer, tol=0.0))
+        splitting=SplittingConfig(mu=20.0, theta=theta, max_outer=max_outer,
+                                  tol=0.0))
 
 
-def _unbuffered_rollout(problem):
+def _unbuffered_rollout(problem, relaxed=False):
     """``deconvolve``'s primal-dual recurrence with every iterate, dual and
     map output a new array, each dual step the term's conjugate (or
     Moreau's identity) applied to a fresh array: multipliers on one grid
     that share their input gains run by plain numpy FFTs in the rank-1
     order (``oracles.rank_one_apply`` and ``rank_one_adjoint``); other maps
-    apply one by one. Returns the restored image, the objective and
+    apply one by one. At theta = 1 the new iterates are x~ and u~
+    themselves, x_bar = x~ + (x~ - x) and K x = (K x_bar + K x) / 2; at any
+    other theta, or with ``relaxed``, they are the relaxed x + theta (x~ -
+    x) and u + theta (u~ - u), x_bar = x + 2 (x~ - x) and K x += (theta / 2)
+    (K x_bar - K x). Returns the restored image, the objective and
     relative-change traces and the duals."""
     terms, cfg = deconv_module._terms(problem)
     image = terms[-1].op  # Phi, or None where the solver's variable is the image
@@ -803,6 +825,7 @@ def _unbuffered_rollout(problem):
         return num / denom if denom else (0.0 if num == 0.0 else math.inf)
 
     tau, theta = cfg.mu, cfg.theta
+    unrelaxed = theta == 1.0 and not relaxed
     sigma = 0.99 / (tau * sum(op.spectral_bound ** 2 for op in ops))
     y = problem.counts.data
     x = np.array(y if image is None else image.adjoint(y), dtype=np.float64)
@@ -813,9 +836,10 @@ def _unbuffered_rollout(problem):
           zip(carried, rank_one_apply([ops[i] for i in carried], x))}
     objectives, changes = [], []
     for _ in range(cfg.max_outer):
-        x_new = g.prox(x - tau * back, tau)
-        x_bar = 2.0 * x_new
-        x_bar -= x
+        # A copy: the l1 prox writes into an array it keeps.
+        x_new = g.prox(x - tau * back, tau).copy()
+        d = x_new - x
+        x_bar = x_new + d if unrelaxed else x + 2.0 * d
         for i, (term, u, k_bar) in enumerate(zip(mapped, duals,
                                                  rank_one_apply(ops, x_bar))):
             v = u + sigma * k_bar
@@ -823,16 +847,22 @@ def _unbuffered_rollout(problem):
                 v -= sigma * term.prox(v / sigma, 1.0 / sigma)
             else:
                 term.conj(v, sigma)
-            duals[i] = u + theta * (v - u)
-            if i in kx:
+            duals[i] = v if unrelaxed else u + theta * (v - u)
+            if i in kx and unrelaxed:
+                kx[i] = (k_bar + kx[i]) * 0.5
+            elif i in kx:
                 kx[i] += (0.5 * theta) * (k_bar - kx[i])
         back_next = rank_one_adjoint(ops, duals)
-        x_next = x + theta * (x_new - x)
+        x_next = x_new if unrelaxed else x + theta * d
         shift = tau * float(np.linalg.norm(back_next - back))
         reach = max(float(np.linalg.norm(x)), float(np.linalg.norm(x_next)))
-        changes.append(max(relative_change(x_next, x), ratio(shift, reach)))
+        # The primal change is theta ||x~ - x||, as the solver defines it.
+        change = ratio(theta * float(np.linalg.norm(d)), float(np.linalg.norm(x)))
+        changes.append(max(change, ratio(shift, reach)))
         x, back = x_next, back_next
         objectives.append(value(x, kx.values()))
+        if changes[-1] <= cfg.tol:
+            break
     objectives[-1] = value(x)
     raw = x if image is None else image.apply(x)
     return np.maximum(raw, 0.0), objectives, changes, duals
@@ -1025,16 +1055,23 @@ class TestFourierPath:
         assert res.state.objectives[:-1] == list(carried[:-2])
         assert res.state.objectives[-1] == carried[-1] == want[-1] == want[-2]
 
-    @pytest.mark.parametrize("spec, psf", [
-        ("starlet:levels=2", MA3), ("starlet:levels=2", SKEWED),
-        ("union(starlet:levels=2,dirac)", MA3), ("haar:levels=2", MA3),
-        ("dirac", MA3)], ids=["starlet", "starlet-skewed", "union", "haar",
-                              "dirac"])
+    @MAPS
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
     def test_bits_match_the_unbuffered_recurrence(self, prior, spec, psf):
         # The solver writes into arrays it allocates once per solve; the
         # rollout allocates every array afresh, as the loop once did.
-        problem = _counts_problem(prior, max_outer=4, spec=spec, psf=psf)
+        self._same_bits(_counts_problem(prior, max_outer=4, spec=spec, psf=psf))
+
+    @MAPS
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_relaxed_bits_match_the_unbuffered_recurrence(self, prior, spec,
+                                                          psf):
+        # theta != 1 runs the relaxed update, in the solver and the rollout.
+        self._same_bits(_counts_problem(prior, max_outer=4, spec=spec, psf=psf,
+                                        theta=1.5))
+
+    @staticmethod
+    def _same_bits(problem):
         res = deconvolve(problem)
         restored, objectives, changes, duals = _unbuffered_rollout(problem)
         assert res.restored.data.tobytes() == restored.tobytes()
@@ -1045,11 +1082,21 @@ class TestFourierPath:
         assert [u.tobytes() for u in res.state.aux] == \
             [u.tobytes() for u in duals]
 
-    @pytest.mark.parametrize("spec, psf", [
-        ("starlet:levels=2", MA3), ("starlet:levels=2", SKEWED),
-        ("union(starlet:levels=2,dirac)", MA3), ("haar:levels=2", MA3),
-        ("dirac", MA3)], ids=["starlet", "starlet-skewed", "union", "haar",
-                              "dirac"])
+    @MAPS
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_theta_one_stays_near_the_relaxed_form(self, prior, spec, psf):
+        # At theta = 1 the solver takes x~ and u~ as its new iterates; the
+        # relaxed form x + (x~ - x), u + (u~ - u) differs by round-off.
+        problem = replace(_counts_problem(prior, spec=spec, psf=psf),
+                          splitting=SplittingConfig(max_outer=3000, tol=3e-4))
+        res = deconvolve(problem)
+        restored, _, changes, _ = _unbuffered_rollout(problem, relaxed=True)
+        assert res.converged
+        assert res.state.iterations == len(changes)
+        peak = float(np.max(restored))
+        assert np.max(np.abs(res.restored.data - restored)) <= 1e-12 * peak
+
+    @MAPS
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
     def test_rank_one_maps_match_the_probed_composition(self, prior, spec, psf,
                                                         monkeypatch):
@@ -1140,6 +1187,55 @@ class TestTermValues:
         assert sparsity.value(c) == 0.5 * float(np.abs(c).sum())
 
 
+class TestIterationAllocations:
+    def test_a_synthesis_iteration_allocates_no_primal_sized_array(
+            self, monkeypatch):
+        # Iterations 4 to 6 of a 64x64 starlet:levels=2 solve: the peak of
+        # traced memory above what the loop holds after iteration 3, outside
+        # the map stack's own calls (numpy's FFT passes keep spectral
+        # temporaries). A prox or a check that allocates a coefficient-sized
+        # temporary again reaches one coefficient stack.
+        n = 64
+        problem = DeconvProblem(
+            counts=Image(n, n, np.random.default_rng(0).poisson(
+                20.0, n * n).astype(np.float64)),
+            blur=make_circular_convolution(MA3, n, n),
+            dictionary=make_starlet(n, n, levels=2), gamma=0.2,
+            splitting=SplittingConfig(max_outer=6, tol=0.0))
+        peaks, window = [], []
+
+        def watched(call):
+            def run(self, x, out=None):
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                try:
+                    return call(self, x, out)
+                finally:
+                    tracemalloc.reset_peak()
+            return run
+
+        class Watched(MapStack):
+            apply, adjoint = watched(MapStack.apply), watched(MapStack.adjoint)
+        exact = splitting_module.objective_value
+
+        def scored(terms, x, images=None):
+            value = exact(terms, x, images)
+            window.append(tracemalloc.get_traced_memory())
+            if len(window) == 3:
+                peaks.clear()
+                tracemalloc.reset_peak()
+            return value
+        monkeypatch.setattr(splitting_module, "MapStack", Watched)
+        monkeypatch.setattr(splitting_module, "objective_value", scored)
+        tracemalloc.start()
+        try:
+            deconvolve(problem)
+        finally:
+            tracemalloc.stop()
+        assert len(window) == 7  # six iterations and the exact last entry
+        held, grown = window[2][0], max(peaks[:6] + [window[5][1]])
+        assert grown - held < problem.dictionary.coeff_dim * 8
+
+
 def _poisson_conj_reference(a, sigma, y):
     """(a + 1 - sqrt((a - 1)^2 + 4 sigma y)) / 2 in 60-digit decimals, from
     the floats' exact values, rounded once to a float."""
@@ -1185,6 +1281,25 @@ class TestConjugateSteps:
         assert np.all(got[y > 0.0] < 1.0)
         assert np.array_equal(got[y == 0.0], np.minimum(a[y == 0.0], 1.0))
 
+    def test_poisson_step_follows_a_changing_sigma(self):
+        # The step keeps sigma y and its multiples between calls; each call
+        # must write what a freshly built term writes for its sigma. The a
+        # include |a - 1| next to where its square overflows (about 1.34e154)
+        # or where a itself is subnormal or the largest float.
+        big, top = 1.34e154, np.finfo(np.float64).max
+        edges = [1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52, 5e-324, -5e-324, 2.2e-308,
+                 big, -big, 2.0 * big, -2.0 * big, 1e300, top, -top]
+        a = np.array(edges * 3 + [0.5, 3.0, -7.0])
+        y = np.array([0.0] * len(edges) + [1.0] * len(edges)
+                     + [1000.0] * len(edges) + [2.0, 0.0, 5.0])
+        kept = self._terms(list(y))[0].conj
+        with np.errstate(over="ignore"):
+            for sigma in (2.0 ** -10, 0.25, 4.0, 0.25):
+                got, want = a.copy(), a.copy()
+                kept(got, sigma)
+                self._terms(list(y))[0].conj(want, sigma)
+                assert got.tobytes() == want.tobytes()
+
     def test_l1_and_positivity_steps(self):
         _, sparsity, positivity = self._terms([1.0, 2.0, 0.0, 4.0])
         v = np.array([-3.0, -0.5, 0.25, 0.75])
@@ -1194,11 +1309,7 @@ class TestConjugateSteps:
         assert clipped.tolist() == [-0.5, -0.5, 0.25, 0.5]
         assert nonpositive.tolist() == [-3.0, -0.5, 0.0, 0.0]
 
-    @pytest.mark.parametrize("spec, psf", [
-        ("starlet:levels=2", MA3), ("starlet:levels=2", SKEWED),
-        ("union(starlet:levels=2,dirac)", MA3), ("haar:levels=2", MA3),
-        ("dirac", MA3)], ids=["starlet", "starlet-skewed", "union", "haar",
-                              "dirac"])
+    @MAPS
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
     def test_closed_forms_match_moreau(self, prior, spec, psf, monkeypatch):
         problem = _counts_problem(prior, spec=spec, psf=psf)
