@@ -12,8 +12,10 @@ The dictionary Phi is a ``LinearOperator`` whose adjoint is the analysis
 Phi^T; the two priors differ only in where it sits. A solve, or an
 ``objective`` call, reads H and Phi only through ``fourier_form``: the
 circular blur, Dirac, the starlet and their unions run as
-``FourierMultiplier`` objects, H o Phi as one holding both factors and
-Phi^T as Phi's transpose, other operators (Haar) as they are.
+``FourierMultiplier`` objects with complex gains, H o Phi as one holding
+both factors and Phi^T as Phi's transpose, other operators (Haar) as they
+are. The shipped blur and starlet are multipliers by construction and are
+read without random probes.
 
 Both priors run the primal-dual iteration: the l1 term (synthesis) or the
 positivity (analysis) is the primal prox, the other two terms carry their
@@ -69,10 +71,10 @@ class DeconvProblem:
     The solver starts at the analysis coefficients of y (synthesis prior)
     or at y itself (analysis prior). ``splitting.theta``, ``max_outer`` and
     ``tol`` hold for both priors; ``splitting.mu`` is read by neither, whose
-    primal step comes from the counts. The dictionary must lie on the
-    counts' grid, and so must a ``FourierMultiplier`` blur; any other blur
-    only needs the counts' pixel count. Every solve traces the objective
-    per iteration.
+    primal step comes from the counts. The dictionary's images must hold
+    the counts' pixels, and a ``FrameDictionary`` or ``FourierMultiplier``
+    must lie on the counts' grid; any other blur only needs the counts'
+    pixel count. Every solve traces the objective per iteration.
     """
 
     counts: Image
@@ -89,6 +91,10 @@ class DeconvProblem:
         _check_counts(self.counts.data, "DeconvProblem")
         _check_blur(self.counts, self.blur, "DeconvProblem blur")
         _check_positive(self.blur.spectral_bound, "DeconvProblem blur spectral bound")
+        if self.dictionary.out_dim != self.counts.n:
+            raise DimensionMismatchError(expected=self.counts.n,
+                                         actual=self.dictionary.out_dim,
+                                         context="DeconvProblem dictionary")
         if isinstance(self.dictionary, _GRIDDED):
             _check_grid(self.counts, self.dictionary, "DeconvProblem dictionary grid")
 
@@ -282,9 +288,9 @@ def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
     """
     grid = _check_gamma_grid(grid)
     d, n = problem.dictionary, problem.counts.n
-    if problem.prior == "analysis" and d.coeff_dim > n:
+    if problem.prior == "analysis" and d.in_dim > n:
         raise ValueError(f"analysis-prior GCV needs a dictionary with at most "
-                         f"as many coefficients as pixels, got {d.coeff_dim} "
+                         f"as many coefficients as pixels, got {d.in_dim} "
                          f"coefficients for {n} pixels")
     if truth is not None:
         _check_grid(problem.counts, truth, "select_gamma_gcv truth")

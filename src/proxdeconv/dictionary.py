@@ -32,10 +32,12 @@ class FrameDictionary(LinearOperator):
 
     ``apply`` (alias ``synthesis``) maps ``coeff_dim`` coefficients to the
     ``n`` pixels and ``adjoint`` (alias ``analysis``) maps back; the
-    spectral bound is sqrt(c2).
+    spectral bound is sqrt(c2). ``multiplier`` is None, or the synthesis
+    as the ``FourierMultiplier`` it runs through (``make_starlet``), which
+    ``fourier_form`` reads without probing.
     """
 
-    __slots__ = ("width", "height", "c1", "c2", "tight")
+    __slots__ = ("width", "height", "c1", "c2", "tight", "multiplier")
 
     def __init__(self, width: int, height: int, coeff_dim: int,
                  synthesis: Callable[[Array], Array],
@@ -54,6 +56,7 @@ class FrameDictionary(LinearOperator):
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.tight = bool(tight)
+        self.multiplier = None
 
     synthesis = LinearOperator.apply
     analysis = LinearOperator.adjoint
@@ -175,8 +178,10 @@ def make_starlet(width: int, height: int, levels: int) -> FrameDictionary:
 
     gains /= np.sqrt(sum(g * g for g in gains))
     bands = FourierMultiplier(height, width, 1.0, outputs=gains)
-    return FrameDictionary(width, height, bands.out_dim, bands.adjoint,
-                           bands.apply, c1=1.0, c2=1.0, tight=True)
+    d = FrameDictionary(width, height, bands.out_dim, bands.adjoint,
+                        bands.apply, c1=1.0, c2=1.0, tight=True)
+    d.multiplier = bands.T
+    return d
 
 
 def make_union(members: Sequence[FrameDictionary]) -> FrameDictionary:

@@ -226,6 +226,11 @@ def _irfft2(spectra: Array, out: Array) -> Array:
     return np.fft.irfft(spectra, n=out.shape[-1], axis=-1, out=out)
 
 
+def _real_valued(gains: Array) -> bool:
+    """True when ``gains`` are real, or complex with every imaginary part 0."""
+    return not (np.iscomplexobj(gains) and gains.imag.any())
+
+
 class FourierMultiplier(LinearOperator):
     """Shift-invariant map, at each frequency output gains times input gains.
 
@@ -240,7 +245,9 @@ class FourierMultiplier(LinearOperator):
     stored as ``outputs``, the same convolution; at least one side must be
     given. Apply and adjoint cost one real FFT per input and output band, in
     one forward and one inverse transform: they are the one-map case of
-    ``MapStack``, whose bands are one array axis.
+    ``MapStack``, whose bands are one array axis. Gains may be real or
+    complex; complex gains whose imaginary parts are +0.0 give the bits of
+    real ones, without numpy's casting buffer.
     """
 
     __slots__ = ("height", "width", "outputs", "inputs")
@@ -275,10 +282,12 @@ class FourierMultiplier(LinearOperator):
 
     @property
     def T(self) -> FourierMultiplier:
-        """The conjugate gains, sides swapped."""
+        """The conjugate gains, sides swapped. Real-valued gains are their
+        own conjugate and are shared: a conjugate copy would turn their +0.0
+        imaginary parts into -0.0."""
         return FourierMultiplier(self.height, self.width, self.spectral_bound,
-                                 *(None if g is None else g.conj()
-                                   for g in (self.inputs, self.outputs)))
+                                 *(None if g is None else g if _real_valued(g)
+                                   else g.conj() for g in (self.inputs, self.outputs)))
 
 
 class MapStack:
@@ -293,10 +302,13 @@ class MapStack:
     transform per call, in half spectra allocated once. Both directions run
     one rule, planned at construction: filter the transformed bands in place,
     sum them in order (``np.add.reduce``), and filter the sum into each band
-    of the result (a band without gains takes the sum); ``apply`` by the
-    input, then the output gains, ``adjoint`` by their conjugates the other
-    way round. One map gives the same bits alone as in a stack. Other maps,
-    and stacks with two merges, apply one by one.
+    of the result, band by band (a band without gains takes the sum);
+    ``apply`` by the input, then the output gains, ``adjoint`` by their
+    conjugates the other way round, where they have a nonzero imaginary
+    part (conjugating +0.0 imaginary parts would change the bits). With
+    complex gains, as ``fourier_form`` gives them, no step allocates. One
+    map gives the same bits alone as in a stack. Other maps, and stacks with
+    two merges, apply one by one.
     """
 
     __slots__ = ("ops", "slices", "in_dim", "out_dim", "_plans")
@@ -332,12 +344,15 @@ class MapStack:
         merges = [] if merge is None else [(merge, inner)]
 
         def filtered(gains, src, dst, adjoint):
-            # Steps (gains, conj, src, dst): gains * src into dst, the adjoint's
-            # complex gains conjugated band by band into conj (scratch in place).
-            if not (adjoint and np.iscomplexobj(gains)):
+            # Steps (gains, conj, src, dst): gains * src into dst. One band
+            # filtered into a stack runs band by band, as numpy would buffer
+            # the broadcast; so do the adjoint's gains with an imaginary
+            # part, conjugated into conj (dst's band, in place the scratch).
+            conj = adjoint and not _real_valued(gains)
+            if src is dst and not conj:
                 return [(gains, None, src, dst)]
-            return [(g, band[0], b, b) if src is dst else (g, b, src, b)
-                    for g, b in zip(gains, dst)]
+            return [(g, None if not conj else band[0] if src is dst else b,
+                     b if src is dst else src, b) for g, b in zip(gains, dst)]
 
         def plan(source, first, summed, then, target, adjoint):
             # None gains sum src into dst; x's one band, not merged, is its sum.
@@ -392,16 +407,22 @@ def fourier_form(op: LinearOperator, height: int,
     """``op`` as a Fourier multiplier on a ``height x width`` grid, or None.
 
     The gains of an op from one image to a stack of bands are read off its
-    impulse response at pixel 0; an op from a stack to one image is the
-    transpose of the form of ``op.T``. They are kept only if the multiplier
-    reproduces ``op.apply`` and ``op.adjoint`` on a seeded random probe
-    each, to 1e-10 relative, so an operator that is not shift-invariant
-    (Haar, a general matrix, a varying diagonal) gives None. The multiplier
-    keeps op's declared spectral bound.
+    impulse response at pixel 0, complex, with imaginary parts that are
+    round-off set to +0.0; an op from a stack to one image is the transpose
+    of the form of ``op.T``. A multiplier by construction on this grid (a
+    ``FourierMultiplier``, or a dictionary that records one as its
+    ``multiplier``) is read so too, with no probe. Any other op keeps its
+    gains only if the multiplier reproduces ``op.apply`` and ``op.adjoint``
+    on a seeded random probe each, to 1e-10 relative, so an operator that
+    is not shift-invariant (Haar, a general matrix, a varying diagonal)
+    gives None. The multiplier keeps op's declared spectral bound.
     """
     n = height * width
+    known = op if isinstance(op, FourierMultiplier) else getattr(op, "multiplier", None)
+    if known is not None and (known.height, known.width) != (height, width):
+        known = None
     if op.in_dim > n and op.out_dim == n:
-        form = fourier_form(op.T, height, width)
+        form = fourier_form(op.T if known is None else known.T, height, width)
         return None if form is None else form.T
     if op.in_dim != n or op.out_dim % n:
         return None
@@ -410,9 +431,12 @@ def fourier_form(op: LinearOperator, height: int,
     gains = _rfft2(op.apply(delta).reshape(-1, height, width))
     if np.max(np.abs(gains.imag)) <= 1e-13 * np.max(np.abs(gains.real)):
         # Even impulse responses (a centred symmetric kernel, the starlet)
-        # have real gains; storing them real halves their memory.
-        gains = gains.real.copy()
+        # have real gains. Kept complex, they multiply complex spectra
+        # without numpy's casting buffer, with the bits of real gains.
+        gains.imag[...] = 0.0
     form = FourierMultiplier(height, width, op.spectral_bound, gains)
+    if known is not None:
+        return form
     rng = np.random.default_rng(0)
     for mine, theirs, dim in ((form.apply, op.apply, op.in_dim),
                               (form.adjoint, op.adjoint, op.out_dim)):

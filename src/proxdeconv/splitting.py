@@ -170,6 +170,7 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     if not terms:
         raise ValueError("need at least one prox term")
     x = np.asarray(init, dtype=np.float64).ravel().copy()
+    del init  # a caller's temporary start need not live through the loop
     if all(term.op is None for term in terms):
         eye = identity_operator(x.size)
         terms[1:] = [replace(term, op=eye) for term in terms[1:]]

@@ -263,22 +263,29 @@ def rank_one_apply(ops, x):
             for out, _ in pairs]
 
 
+def _conj(gains):
+    """The conjugate gains; gains without a nonzero imaginary part as they
+    are, whose +0.0 imaginary parts a conjugate would make -0.0."""
+    return gains.conj() if np.iscomplexobj(gains) and gains.imag.any() else gains
+
+
 def rank_one_adjoint(ops, us):
     """sum_i K_i^T u_i by numpy alone in the rank-1 order: every band of the
     duals' spectra times its map's conjugate output gains, all bands summed
     in order, then times the conjugate shared input gains, one inverse
-    transform. Maps that ``rank_one_factors`` cannot read add their
-    adjoints one by one."""
+    transform; gains with no nonzero imaginary part are not conjugated.
+    Maps that ``rank_one_factors`` cannot read add their adjoints one by
+    one."""
     pairs = rank_one_factors(ops)
     if pairs is None:
         return sum(op.adjoint(u) for op, u in zip(ops, us))
     shape = (ops[0].height, ops[0].width)
     bands = [np.fft.rfft2(np.asarray(u).reshape(-1, *shape)) for u in us]
-    bands = [b if out is None else out.conj() * b for (out, _), b in zip(pairs, bands)]
+    bands = [b if out is None else _conj(out) * b for (out, _), b in zip(pairs, bands)]
     total = np.add.reduce(np.concatenate(bands), axis=0)
     shared = pairs[0][1]
     if shared is not None:
-        total = shared.conj() * total
+        total = _conj(shared) * total
     return np.fft.irfft2(total, s=shape).ravel()
 
 

@@ -131,6 +131,20 @@ class TestStarlet:
         with pytest.raises(ValueError):
             make_starlet(4, 4, levels=3)
 
+    def test_records_the_multiplier_it_runs_through(self):
+        # The synthesis as a FourierMultiplier, bit for bit both ways; the
+        # other shipped dictionaries record none, nor does a rebuilt one.
+        d = make_starlet(16, 8, levels=2)
+        rng = np.random.default_rng(6)
+        c, x = rng.standard_normal(d.coeff_dim), rng.standard_normal(d.n)
+        assert d.multiplier.apply(c).tobytes() == d.synthesis(c).tobytes()
+        assert d.multiplier.adjoint(x).tobytes() == d.analysis(x).tobytes()
+        rebuilt = FrameDictionary(16, 8, d.coeff_dim, d.synthesis, d.analysis,
+                                  d.c1, d.c2, d.tight)
+        assert rebuilt.multiplier is None
+        assert [make().multiplier for name, make in ALL_DICTS
+                if name != "starlet"] == [None] * 3
+
 
 @pytest.mark.parametrize("maker", [make_haar_dwt, make_starlet])
 @pytest.mark.parametrize("levels", [True, 0, 2.5, "2"])

@@ -9,8 +9,8 @@ import pytest
 import proxdeconv.operators as operators_module
 from proxdeconv.operators import MapStack
 
-from proxdeconv import (FourierMultiplier, Image, LinearOperator, compose,
-                        diagonal_operator, fourier_form, identity_operator,
+from proxdeconv import (FourierMultiplier, FrameDictionary, Image, LinearOperator,
+                        compose, diagonal_operator, fourier_form, identity_operator,
                         make_circular_convolution, make_haar_dwt, make_starlet,
                         make_union, make_dirac, matrix_operator)
 from proxdeconv.errors import DimensionMismatchError
@@ -285,6 +285,41 @@ class TestFourierForm:
     def test_none_without_a_fourier_form(self, make_op, grid):
         assert fourier_form(make_op(), *grid) is None
 
+    def test_multipliers_by_construction_are_not_probed(self):
+        # A FourierMultiplier, or a dictionary that records one (the
+        # starlet), is read off its impulse response alone: the gains the
+        # probed path reads off the same maps rebuilt from callables, bit
+        # for bit, at a third of the FFTs.
+        h, w = 8, 16
+        blur = make_circular_convolution(_ma_psf(3), w, h)
+        d = make_starlet(w, h, 2)
+        rebuilt = {
+            "blur": (blur, LinearOperator(blur.in_dim, blur.out_dim, blur.apply,
+                                          blur.adjoint, blur.spectral_bound)),
+            "starlet": (d, FrameDictionary(w, h, d.coeff_dim, d.synthesis,
+                                           d.analysis, d.c1, d.c2, d.tight))}
+        # Impulse response and its transform, plus two probes each way.
+        spent = {"blur": (3, 3 + 8), "starlet": (4 + 3, 4 + 3 + 16)}
+        for name, ops in rebuilt.items():
+            forms, counts = [], []
+            for op in ops:
+                before = operators_module.fft2_count
+                forms.append(fourier_form(op, h, w))
+                counts.append(operators_module.fft2_count - before)
+            assert tuple(counts) == spent[name]
+            shipped, probed = forms
+            gains = shipped.outputs if shipped.inputs is None else shipped.inputs
+            assert gains.dtype == complex and not gains.imag.any()
+            assert not np.signbit(gains.imag).any()
+            for mine, theirs in ((shipped.outputs, probed.outputs),
+                                 (shipped.inputs, probed.inputs)):
+                assert (mine is None and theirs is None) or \
+                    mine.tobytes() == theirs.tobytes()
+        # On another grid of the same pixel count the probe still decides.
+        skewed = make_circular_convolution(SKEWED, w, h)
+        assert fourier_form(skewed, w, h) is None
+        assert fourier_form(skewed, h, w) is not None
+
     def test_a_constant_diagonal_is_a_multiplier(self):
         form = fourier_form(diagonal_operator(np.full(12, 2.5)), 3, 4)
         assert np.max(np.abs(form.outputs - 2.5)) <= 1e-12
@@ -324,12 +359,13 @@ class TestFourierMultiplier:
         phi = fourier_form(make_starlet(w, h, 2), h, w)
         product = compose(blur, phi)
         assert isinstance(product, FourierMultiplier)
-        assert np.iscomplexobj(product.outputs) == (psf == "skewed")
+        assert product.outputs.imag.any() == (psf == "skewed")
         plain = LinearOperator(phi.in_dim, h * w,
                                lambda c: blur.apply(phi.apply(c)),
                                lambda u: phi.adjoint(blur.adjoint(u)),
                                blur.spectral_bound * phi.spectral_bound)
-        assert product.T.inputs.tobytes() == blur.outputs.conj().tobytes()
+        assert product.T.inputs.tobytes() == (
+            blur.outputs.conj() if psf == "skewed" else blur.outputs).tobytes()
         rng = np.random.default_rng(13)
         c, u = rng.standard_normal(product.in_dim), rng.standard_normal(h * w)
         for mine, theirs, v in ((product.apply, plain.apply, c),
@@ -353,10 +389,10 @@ class TestFourierMultiplier:
             assert t.apply(x).tobytes() == op.adjoint(x).tobytes()
             assert t.adjoint(u).tobytes() == op.apply(u).tobytes()
             assert t.T.apply(u).tobytes() == op.apply(u).tobytes()
-        # The one band of a convolution stays output gains.
+        # The one band of a convolution stays output gains. Phi's gains are
+        # real-valued, their own conjugate, and shared.
         assert blur.T.outputs.tobytes() == blur.outputs.conj().tobytes()
-        assert phi.T.inputs is None
-        assert phi.T.outputs.tobytes() == phi.inputs.conj().tobytes()
+        assert phi.T.inputs is None and phi.T.outputs is phi.inputs
 
     def test_compose_fuses_exactly_the_rank_one_pairs(self):
         # A multiplier without input gains after a one-sided one is one
@@ -570,11 +606,11 @@ class TestSharedStack:
     def _skewed(prior, h, w):
         """The prior's two maps under the skewed kernel, as the solver builds
         them: the blur's complex gains (after the merge, in H Phi), then the
-        starlet's real ones."""
+        starlet's real-valued ones."""
         blur = fourier_form(make_circular_convolution(SKEWED, w, h), h, w)
         phi = fourier_form(make_starlet(w, h, 2), h, w)
         maps = [compose(blur, phi), phi] if prior == "synthesis" else [blur, phi.T]
-        assert np.iscomplexobj(maps[0].outputs) and not np.iscomplexobj(phi.inputs)
+        assert maps[0].outputs.imag.any() and not phi.inputs.imag.any()
         return maps
 
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
@@ -609,17 +645,20 @@ class TestSharedStack:
         source, steps, target, _ = stack._plans[0]
         spectra = source.nbytes + target.nbytes + target[0].nbytes
         assert spectra <= grown < spectra + blur.outputs.nbytes // 4
-        # apply: the merge, the sum, the blur's gains, none conjugated.
+        # apply: the merge in place, the sum, then the sum filtered into
+        # the blur's one band, none conjugated.
         (merge, c1, _, _), (total, c2, _, _), (outputs, c3, _, _) = steps
-        assert merge is phi.inputs and total is None and outputs is blur.outputs
+        assert merge is phi.inputs and total is None and outputs.base is blur.outputs
         assert c1 is c2 is c3 is None
-        # adjoint: the blur's gains, conjugated band by band if complex,
-        # then the sum and the merge's real gains.
+        # adjoint: the blur's gains in place, conjugated band by band if
+        # they have an imaginary part, then the sum, filtered into each of
+        # the 4 bands by the merge's real-valued gains, not conjugated.
         _, steps, _, _ = stack._plans[1]
-        (outputs, conj, _, _), (total, _, _, _), (merge, merge_conj, _, _) = steps
+        (outputs, conj, _, _), (total, _, _, _), *merges = steps
         assert (outputs if conj is None else outputs.base) is blur.outputs
         assert (conj is not None) == (psf == "skewed")
-        assert total is None and merge is phi.inputs and merge_conj is None
+        assert total is None and len(merges) == 4
+        assert all(g.base is phi.inputs and c is None for g, c, _, _ in merges)
 
     @pytest.mark.parametrize("merging_first", [True, False])
     def test_a_merging_map_beside_the_starlet_analysis(self, merging_first):

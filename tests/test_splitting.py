@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -436,3 +438,32 @@ class TestPrimalDual:
                              SplittingConfig(max_outer=5, tol=0.0), np.zeros(2))
         assert np.array_equal(x, [1e300, 1e300])
         assert state.relative_changes == [math.inf, 0.0]
+
+    # CPython 3.11 hands a call's arguments over to the callee's frame;
+    # earlier versions keep them on the caller's stack until it returns.
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="the caller holds its arguments during a call")
+    def test_the_start_point_is_freed_once_copied(self):
+        # A caller's temporary start (deconvolve's Phi^T y) must not live
+        # through the loop beside the solver's own iterates. A start that
+        # the caller keeps was allocated before tracing began, so the
+        # traced memory inside the loop differs by the start only if the
+        # solver holds it.
+        n = 1 << 14
+        kept = np.ones(n)
+        terms = [ProxTerm(prox=lambda v, s: v.clip(0.0, 1.0)),
+                 ProxTerm(prox=_positive_prox, op=identity_operator(n))]
+
+        def traced_in_the_loop(start):
+            seen = []
+            terms[0] = replace(terms[0], value=lambda x: seen.append(
+                tracemalloc.get_traced_memory()[0]) or 0.0)
+            tracemalloc.start()
+            try:
+                solve(terms, SplittingConfig(max_outer=2, tol=0.0), start())
+            finally:
+                tracemalloc.stop()
+            return seen[0]
+        held = traced_in_the_loop(lambda: kept)
+        freed = traced_in_the_loop(lambda: np.ones(n))
+        assert freed - held < kept.nbytes // 2
