@@ -347,10 +347,12 @@ def scale_to_peak(truth: Image, peak: float) -> Image:
 def result_metrics(result: DeconvResult, include_timing: bool = True) -> dict:
     """JSON-ready metrics document for one deconvolution result.
 
-    ``wall_time_s`` is 0.0 unless ``include_timing``. The objective is +inf
-    at iterates outside the Poisson domain (a pixel slightly below zero is
-    enough), and the relative change is +inf for a step away from a zero
-    iterate; strict JSON has no infinity, so those trace entries are null.
+    ``wall_time_s`` is 0.0 unless ``include_timing``. The relative change
+    is the larger of the primal and the duals' change, each traced too. The
+    objective is +inf at iterates outside the Poisson domain (a pixel
+    slightly below zero is enough), and a change is +inf for a step away
+    from a zero iterate; strict JSON has no infinity, so those trace
+    entries are null.
     """
     strict = lambda trace: [float(v) if np.isfinite(v) else None for v in trace]
     return {
@@ -358,6 +360,8 @@ def result_metrics(result: DeconvResult, include_timing: bool = True) -> dict:
         "iterations": int(result.state.iterations),
         "converged": bool(result.state.converged),
         "relative_change_trace": strict(result.state.relative_changes),
+        "primal_change_trace": strict(result.state.primal_changes),
+        "dual_change_trace": strict(result.state.dual_changes),
         "objective_trace": strict(result.state.objectives),
         "wall_time_s": float(result.wall_time_s) if include_timing else 0.0,
         "clip_mass": float(result.clip_mass),

@@ -8,10 +8,11 @@ DFT and stored as output gains times input gains; ``compose`` keeps both
 factors of a blur after a merging multiplier, and ``fourier_form`` recovers a
 multiplier from any operator that has that form. A ``MapStack`` runs the
 primal-dual solver's maps into one flat stack, every multiplier by one
-rank-1 rule, and ``fft2_count`` counts the 2-D FFTs this module computes,
-one per image. On the hot path, ``MapStack.apply`` and ``adjoint``, each
-step is one ufunc, reduction or 1-D FFT pass into a buffer, never a
-dispatch wrapper such as ``rfft2``.
+rank-1 rule, its variable's bands in blocks that fit ``BLOCK_BYTES``, with
+a hook per block for the solver's elementwise steps; ``fft2_count`` counts
+the 2-D FFTs this module computes, one per image. On the hot path,
+``MapStack.apply`` and ``adjoint``, each step is one ufunc, reduction or
+1-D FFT pass into a buffer, never a dispatch wrapper such as ``rfft2``.
 """
 
 from __future__ import annotations
@@ -290,28 +291,46 @@ class FourierMultiplier(LinearOperator):
                                    else g.conj() for g in (self.inputs, self.outputs)))
 
 
+BLOCK_BYTES = 512 * 1024
+"""The float64 image bytes of the variable's bands that one block of a
+``MapStack`` holds (at least one band): one 256 x 256 band, so that a
+block's arrays stay in a 2 MiB per-core L2 cache from one step to the
+next."""
+
+
 class MapStack:
     """Maps K_1, ..., K_m of one variable, their outputs one flat stack.
 
     ``apply`` writes each K_i x into its slice (``slices[i]``) of a stack and
     ``adjoint`` writes sum_i K_i^T u_i, into a given array or a new one and
-    never into their input; no maps make an empty stack, whose adjoint is 0.
+    never into their input. No maps make an empty stack, whose adjoint is 0
+    into a given ``out``: it does not know its variable's size.
     Multipliers on one grid that share their input gains, each rank 1 (output
     gains times input gains, either side None; output gains that are the
     shared input gains read as them), share one forward and one inverse
     transform per call, in half spectra allocated once. Both directions run
     one rule, planned at construction: filter the transformed bands in place,
-    sum them in order (``np.add.reduce``), and filter the sum into each band
-    of the result, band by band (a band without gains takes the sum);
-    ``apply`` by the input, then the output gains, ``adjoint`` by their
-    conjugates the other way round, where they have a nonzero imaginary
-    part (conjugating +0.0 imaginary parts would change the bits). With
-    complex gains, as ``fourier_form`` gives them, no step allocates. One
-    map gives the same bits alone as in a stack. Other maps, and stacks with
-    two merges, apply one by one.
+    sum them in band order (``np.add.reduce``, from its identity +0.0), and
+    filter the sum into each band of the result, band by band (a band
+    without gains takes the sum); ``apply`` by the input, then the output
+    gains, ``adjoint`` by their conjugates the other way round, where they
+    have a nonzero imaginary part (conjugating +0.0 imaginary parts would
+    change the bits). With complex gains, as ``fourier_form`` gives them, no
+    step allocates. One map gives the same bits alone as in a stack. Other
+    maps, and stacks with two merges, apply one by one.
+
+    The variable's bands run in ``blocks``, slices of it of whole bands
+    whose images fit in ``BLOCK_BYTES``: ``apply`` transforms, filters and
+    adds one block at a time into the sum, and ``adjoint`` filters the sum
+    into one block at a time and transforms it back, so the input's spectra
+    are one block long. ``apply(x, out, fill)`` calls ``fill(block)`` before
+    it reads that block of x, which fill may write (x is then a flat
+    float64 array); ``adjoint(u, out, drain)`` calls ``drain(block)`` once
+    that block of ``out`` is written. The bits do not depend on the blocks.
+    A stack without this rule is one block.
     """
 
-    __slots__ = ("ops", "slices", "in_dim", "out_dim", "_plans")
+    __slots__ = ("ops", "slices", "in_dim", "out_dim", "blocks", "_plans")
 
     def __init__(self, ops: list[LinearOperator]):
         self.ops = list(ops)
@@ -319,6 +338,7 @@ class MapStack:
         self.slices = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
         self.in_dim = self.ops[0].in_dim if self.ops else None
         self.out_dim = ends[-1]
+        self.blocks = [slice(0, self.in_dim)]
         self._plans = None
         op = self.ops[0] if self.ops else None
         if op is None or not all(isinstance(o, FourierMultiplier) and (
@@ -333,72 +353,111 @@ class MapStack:
         alone = [b.start for b, (out, _) in zip(bands, pairs) if out is None]
         if len(alone) > 1 or any(gains is not merge for _, gains in pairs):
             return
-        # The input's bands, the stack's bands and a scratch band (untouched
-        # pages cost no memory). A plan is (the bands x goes into, the steps,
-        # the bands transformed back, the images' shape).
+        k = self.in_dim // n
+        per = max(1, BLOCK_BYTES // (8 * n))
+        runs = [slice(lo, min(lo + per, k)) for lo in range(0, k, per)]
+        self.blocks = [slice(r.start * n, r.stop * n) for r in runs]
+        # One block of the input's bands, the stack's bands and a scratch
+        # band (untouched pages cost no memory).
         inner, outer, band = (
-            np.empty((k, op.height, op.width // 2 + 1), dtype=complex)
-            for k in (self.in_dim // n, self.out_dim // n, 1))
+            np.empty((j, op.height, op.width // 2 + 1), dtype=complex)
+            for j in (min(per, k), self.out_dim // n, 1))
         outputs = [(out, outer[b]) for b, (out, _) in zip(bands, pairs)
                    if out is not None]
-        merges = [] if merge is None else [(merge, inner)]
 
         def filtered(gains, src, dst, adjoint):
-            # Steps (gains, conj, src, dst): gains * src into dst. One band
-            # filtered into a stack runs band by band, as numpy would buffer
-            # the broadcast; so do the adjoint's gains with an imaginary
-            # part, conjugated into conj (dst's band, in place the scratch).
+            # Steps (call, arguments, output): gains * src into dst. One
+            # band filtered into a stack runs band by band, as numpy would
+            # buffer the broadcast; so do the adjoint's gains with an
+            # imaginary part, conjugated into dst's band (in place, into
+            # the scratch band) first.
             conj = adjoint and not _real_valued(gains)
             if src is dst and not conj:
-                return [(gains, None, src, dst)]
-            return [(g, None if not conj else band[0] if src is dst else b,
-                     b if src is dst else src, b) for g, b in zip(gains, dst)]
+                return [(np.multiply, (gains, src), dst)]
+            steps = []
+            for g, b in zip(gains, dst):
+                c = band[0] if src is dst else b
+                steps += [(np.conjugate, (g,), c)] if conj else []
+                steps += [(np.multiply, (c if conj else g, b if src is dst else src), b)]
+            return steps
 
-        def plan(source, first, summed, then, target, adjoint):
-            # None gains sum src into dst; x's one band, not merged, is its sum.
-            steps = [s for gains, b in first for s in filtered(gains, b, b, adjoint)]
-            steps += [] if summed.base is source else [(None, None, source, summed)]
-            steps += [s for gains, b in then for s in filtered(gains, summed, b, adjoint)]
-            return source, steps, target, (-1, op.height, op.width)
-        # apply sums into the band without output gains if there is one.
+        def summed(src, dst, first):
+            # The sum in band order: the first block reduced (from +0.0, as
+            # numpy reduces), each later band added to it.
+            if first:
+                return [(np.add.reduce, (src, 0), dst)]
+            return [(np.add, (dst, b), dst) for b in src]
+        # apply sums into the band without output gains if there is one; x's
+        # one band, not merged, is its own sum.
         into = inner[0] if merge is None else outer[alone[0]] if alone else band[0]
         total = inner[0] if merge is None else band[0]
-        self._plans = (plan(inner, merges, into, outputs, outer, False),
-                       plan(outer, outputs, total, merges, inner, True))
+        # A direction is (source blocks, target blocks, the images' shape),
+        # a block (its slice, its spectra, the steps after its forward or
+        # before its inverse transform). The input's blocks share one
+        # block of spectra.
+        blocks = [(s, inner[:r.stop - r.start], r) for r, s in zip(runs, self.blocks)]
+        forward = [(s, spectra, [] if merge is None else
+                    filtered(merge[r], spectra, spectra, False)
+                    + summed(spectra, into, r.start == 0)) for s, spectra, r in blocks]
+        forward[-1][2].extend(
+            s for gains, b in outputs for s in filtered(gains, into, b, False))
+        back = [s for gains, b in outputs for s in filtered(gains, b, b, True)]
+        back += summed(outer, total, True)
+        backward = [(s, spectra, [] if merge is None else
+                     filtered(merge[r], total, spectra, True)) for s, spectra, r in blocks]
+        whole, shape = slice(0, self.out_dim), (-1, op.height, op.width)
+        self._plans = ((forward, [(whole, outer, [])], shape),
+                       ([(whole, outer, back)], backward, shape))
 
     def split(self, stack: Array) -> list[Array]:
         """The maps' parts of a stack, as views."""
         return [stack[s] for s in self.slices]
 
-    def apply(self, x, out: Array | None = None) -> Array:
+    def apply(self, x, out: Array | None = None,
+              fill: Callable[[slice], None] | None = None) -> Array:
         out = np.empty(self.out_dim) if out is None else out
         if self._plans is None:  # each op checks x
+            if fill is not None:
+                fill(self.blocks[0])
             for op, s in zip(self.ops, self.slices):
                 out[s] = op.apply(x)
             return out
-        return _run(self._plans[0], _flat64(x, self.in_dim, "MapStack.apply"), out)
+        return _run(self._plans[0], _flat64(x, self.in_dim, "MapStack.apply"), out,
+                    fill, None)
 
-    def adjoint(self, u, out: Array | None = None) -> Array:
+    def adjoint(self, u, out: Array | None = None,
+                drain: Callable[[slice], None] | None = None) -> Array:
         u = _flat64(u, self.out_dim, "MapStack.adjoint")
+        if out is None and not self.ops:
+            raise ValueError("an empty MapStack's adjoint needs out: the stack "
+                             "does not know its variable's size")
         out = np.empty(self.in_dim) if out is None else out
         if self._plans is None:
             # Summed from 0, as sum() does, so -0.0 parts read +0.0.
             out[...] = sum(op.adjoint(u[s]) for op, s in zip(self.ops, self.slices))
+            if drain is not None:
+                drain(self.blocks[0])
             return out
-        return _run(self._plans[1], u, out)
+        return _run(self._plans[1], u, out, None, drain)
 
 
-def _run(plan, x: Array, out: Array) -> Array:
-    """One direction of a ``MapStack``'s rank-1 rule, from x into ``out``."""
-    source, steps, target, shape = plan
-    _rfft2(x.reshape(shape), out=source)
-    for gains, conj, src, dst in steps:
-        if gains is None:
-            np.add.reduce(src, axis=0, out=dst)
-        else:
-            np.multiply(gains if conj is None else np.conjugate(gains, out=conj),
-                        src, out=dst)
-    _irfft2(target, out.reshape(shape))
+def _run(plan, x: Array, out: Array, fill, drain) -> Array:
+    """One direction of a ``MapStack``'s rank-1 rule, from x into ``out``:
+    each source block transformed and its steps run, then each target
+    block's steps run and the block transformed back."""
+    sources, targets, shape = plan
+    for s, spectra, steps in sources:
+        if fill is not None:
+            fill(s)
+        _rfft2(x[s].reshape(shape), out=spectra)
+        for call, args, dst in steps:
+            call(*args, out=dst)
+    for s, spectra, steps in targets:
+        for call, args, dst in steps:
+            call(*args, out=dst)
+        _irfft2(spectra, out[s].reshape(shape))
+        if drain is not None:
+            drain(s)
     return out
 
 

@@ -44,6 +44,20 @@ is one ufunc, FFT pass or array method, never a dispatch wrapper such as
 ``np.linalg.norm`` (a norm is ``math.sqrt(a.dot(a))``, its arithmetic) or
 ``np.all``.
 
+The primal steps run one block of the variable's bands at a time
+(``MapStack.blocks``) inside the stack's two calls, so that a block's
+arrays are still in cache for the next step. An iteration runs: the prox
+of g, once on the whole vector; then ``apply``, whose fill takes, per
+block and before its forward transform, d, its square and the finite
+check, x_{t+1}, x_bar and ||x_{t+1}||^2; the dual steps; then
+``adjoint``, whose drain takes, per block after its inverse transform,
+the block's part of the duals' shift and the next iteration's gradient
+step x_{t+1} - tau sum_i K_i^T u_{t+1,i}, into the spent x_t buffer. The
+first gradient step is taken before the loop, the last iteration takes
+none, and one that the stopping rule ends discards it. The iterates do
+not depend on the blocks; the three norms sum their dots block by block,
+so the change traces round by them.
+
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
 with x_bar = 2 x~ - x_t, or (x_bar + x_t) / 2 at theta = 1, so the loop
 carries K_i x by linearity from the K_i x_bar the duals need. After the
@@ -54,7 +68,7 @@ entry and ``SplittingState.images``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,7 +120,9 @@ class SplittingConfig:
 @dataclass
 class SplittingState:
     """Final iterate, the duals and its images K_i x (one each per mapped
-    term, in term order) and the per-iteration trace."""
+    term, in term order) and the per-iteration traces: the primal and the
+    duals' relative change (empty in a state not made by ``solve``), their
+    maximum, which the stopping rule reads, and the objective."""
 
     x: Array
     aux: list[Array]
@@ -115,6 +131,8 @@ class SplittingState:
     converged: bool
     relative_changes: list[float]
     objectives: list[float]
+    primal_changes: list[float] = field(default_factory=list)
+    dual_changes: list[float] = field(default_factory=list)
 
 
 def _ratio(num: float, denom: float) -> float:
@@ -161,10 +179,12 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
 
     Every array it writes is allocated here, once per solve, or is a
     term's part of the dual stack, which its conj step overwrites: x and
-    x_next take turns in two buffers, x_bar's with the dual sum's, and at
-    theta = 1 the duals' with the dual step's. Maps and proxes may hand
-    back their input or an array they keep, so their outputs are read or
-    copied, never updated.
+    x_next take turns in two buffers (x_next holds the gradient step until
+    the prox has read it), x_bar's with the dual sum's, and at theta = 1
+    the duals' with the dual step's. Maps and proxes may hand back their
+    input or an array they keep, so their outputs are read or copied,
+    never updated. The state traces the primal change, the duals' change
+    and their maximum, which the stopping rule reads.
     """
     terms = list(terms)
     if not terms:
@@ -202,31 +222,53 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     carried = slice(max([0] + [s.stop for term, s in parts if term.value is not None]))
     kc, step = kx[carried], None if unrelaxed else np.empty(carried.stop)
     norm = math.sqrt(x.dot(x))
-    rel_trace, obj_trace = [], []
-    for t in range(cfg.max_outer):
-        np.multiply(back, tau, out=x_next)
-        np.subtract(x, x_next, out=x_next)
-        # x_new lives until the next prox has returned: freeing it sooner
-        # let the allocator trim and refault the heap top every iteration.
-        x_new = _flat64(g.prox(x_next, tau), x.size, context)
+    rel_trace, primal_trace, dual_trace, obj_trace = [], [], [], []
+
+    def fill(b: slice) -> None:
         # d = x_new - x in the spent x_bar buffer. A finite d . d means a
         # finite x_new, so only an infinite or NaN one pays for the scan.
-        d = np.subtract(x_new, x, out=x_bar)
-        dd = d.dot(d)
-        if not dd < math.inf and not np.isfinite(x_new).all():
+        nonlocal dd, nn
+        new, old, nxt = x_new[b], x[b], x_next[b]
+        d = np.subtract(new, old, out=x_bar[b])
+        part = d.dot(d)
+        if not part < math.inf and not np.isfinite(new).all():
             raise NonFiniteIterateError(iteration=t, label=g.label)
+        dd += part
         # At theta = 1, x_next = x~ and x_bar = x~ + d; otherwise x_next =
         # x + theta d and x_bar = x + 2 d. Either holds when x_new is x_next.
         if unrelaxed:
-            np.copyto(x_next, x_new)
-            np.add(x_new, d, out=d)
+            np.copyto(nxt, new)
+            np.add(new, d, out=d)
         else:
-            np.multiply(d, theta, out=x_next)
-            x_next += x
+            np.multiply(d, theta, out=nxt)
+            np.add(nxt, old, out=nxt)
             d *= 2.0
-            d += x
+            d += old
+        nn += nxt.dot(nxt)
+
+    def drain(b: slice) -> None:
+        # The duals' shift K^T (u_next - u) in the spent back buffer; x is
+        # spent too, so the next gradient step x_next - tau K^T u_next goes
+        # there, unless no iteration follows.
+        nonlocal ss
+        summed, shift = x_bar[b], back[b]
+        np.subtract(summed, shift, out=shift)
+        ss += shift.dot(shift)
+        if t + 1 < cfg.max_outer:
+            grad = x[b]
+            np.multiply(summed, tau, out=grad)
+            np.subtract(x_next[b], grad, out=grad)
+    # The first gradient step, from zero duals; drain takes the others.
+    np.multiply(back, tau, out=x_next)
+    np.subtract(x, x_next, out=x_next)
+    for t in range(cfg.max_outer):
+        # x_new lives until the next prox has returned: freeing it sooner
+        # let the allocator trim and refault the heap top every iteration.
+        x_new = _flat64(g.prox(x_next, tau), x.size, context)
+        dd = nn = ss = 0.0  # d . d, ||x_next||^2 and the shift's square
+        # fill writes x_bar, K's input, one block before K transforms it.
+        maps.apply(x_bar, out=v, fill=fill)
         change = theta * math.sqrt(dd)
-        maps.apply(x_bar, out=v)
         # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
         # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t), which at
         # theta = 1 is (K x_bar + K x_t) / 2.
@@ -259,14 +301,16 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
         # The duals' change as the shift tau K^T (u_next - u) it makes in the
         # primal step, relative to the larger of the two iterates. x_bar is
         # spent, so the new sum goes there and the two swap.
-        maps.adjoint(duals, out=x_bar)
-        np.subtract(x_bar, back, out=back)
-        shift = tau * math.sqrt(back.dot(back))
+        maps.adjoint(duals, out=x_bar, drain=drain)
+        shift = tau * math.sqrt(ss)
         back, x_bar = x_bar, back
-        norm_next = math.sqrt(x_next.dot(x_next))
-        rel = max(_ratio(change, norm), _ratio(shift, max(norm, norm_next)))
+        norm_next = math.sqrt(nn)
+        primal, dual = _ratio(change, norm), _ratio(shift, max(norm, norm_next))
+        rel = max(primal, dual)
         x, x_next, norm = x_next, x, norm_next
         rel_trace.append(rel)
+        primal_trace.append(primal)
+        dual_trace.append(dual)
         if traced:
             obj_trace.append(objective_value(terms, x, images))
         if rel <= cfg.tol:
@@ -278,4 +322,5 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     return x, SplittingState(x=x, aux=maps.split(duals), images=images,
                              iterations=len(rel_trace),
                              converged=rel <= cfg.tol,
-                             relative_changes=rel_trace, objectives=obj_trace)
+                             relative_changes=rel_trace, objectives=obj_trace,
+                             primal_changes=primal_trace, dual_changes=dual_trace)

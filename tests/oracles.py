@@ -298,7 +298,7 @@ class GainMatrixStack:
     row, a splitting map one column. The adjoint adds every map's conjugate
     transposed gain matrix times its duals' spectra, from the first map's
     part, before one inverse transform. Other maps, products among them,
-    apply one by one.
+    apply one by one. ``fill`` and ``drain`` see the variable as one block.
     """
 
     def __init__(self, ops):
@@ -316,7 +316,9 @@ class GainMatrixStack:
     def split(self, stack):
         return [stack[s] for s in self.slices]
 
-    def apply(self, x, out=None):
+    def apply(self, x, out=None, fill=None):
+        if fill is not None:
+            fill(slice(0, self.in_dim))
         out = np.empty(self.out_dim) if out is None else out
         if self.shape is None:
             for op, s in zip(self.ops, self.slices):
@@ -329,11 +331,18 @@ class GainMatrixStack:
             out[s] = np.fft.irfft2(rows, s=self.shape).ravel()
         return out
 
-    def adjoint(self, u, out=None):
+    def adjoint(self, u, out=None, drain=None):
         out = np.empty(self.in_dim) if out is None else out
         if self.shape is None:
             out[...] = sum(op.adjoint(u[s]) for op, s in zip(self.ops, self.slices))
-            return out
+        else:
+            out[...] = self._merged(u)
+        if drain is not None:
+            drain(slice(0, self.in_dim))
+        return out
+
+    def _merged(self, u):
+        """sum_i K_i^T u_i of multipliers, by their gain matrices."""
         total = None
         for op, s in zip(self.ops, self.slices):
             gains = op.outputs if op.inputs is None else op.inputs
@@ -341,5 +350,4 @@ class GainMatrixStack:
             if op.inputs is None:
                 part = np.sum(part, axis=0, keepdims=True)
             total = part if total is None else total + part
-        out[...] = np.fft.irfft2(total, s=self.shape).ravel()
-        return out
+        return np.fft.irfft2(total, s=self.shape).ravel()

@@ -19,7 +19,7 @@ from proxdeconv import (DeconvProblem, DeconvResult, FourierMultiplier,
                         parse_dictionary_spec, relative_mae, result_metrics,
                         richardson_lucy, scale_to_peak, select_gamma_gcv,
                         simulate, solve)
-from proxdeconv.errors import DimensionMismatchError
+from proxdeconv.errors import DimensionMismatchError, NonFiniteIterateError
 from proxdeconv.operators import MapStack
 
 from oracles import (GainMatrixStack, grid_minimize, rank_one_adjoint,
@@ -609,12 +609,17 @@ class TestResultMetrics:
         res = deconvolve(ring_problem("synthesis"))
         doc = result_metrics(res)
         expected_keys = {"gamma", "iterations", "converged",
-                         "relative_change_trace", "objective_trace",
+                         "relative_change_trace", "primal_change_trace",
+                         "dual_change_trace", "objective_trace",
                          "wall_time_s", "clip_mass"}
         assert set(doc) == expected_keys
         assert doc["gamma"] == 0.1
         assert doc["converged"] is True
         assert len(doc["relative_change_trace"]) == doc["iterations"]
+        # The stopping rule reads the larger of the two changes.
+        assert doc["relative_change_trace"] == [
+            max(p, d) for p, d in zip(doc["primal_change_trace"],
+                                      doc["dual_change_trace"])]
         assert doc["wall_time_s"] > 0.0
 
     def test_timing_can_be_suppressed(self):
@@ -639,12 +644,16 @@ class TestResultMetrics:
         state = SplittingState(x=np.ones(4), aux=[], images=[], iterations=2,
                                converged=False,
                                relative_changes=[math.inf, 0.5],
-                               objectives=[math.inf, 1.5])
+                               objectives=[math.inf, 1.5],
+                               primal_changes=[0.25, 0.5],
+                               dual_changes=[math.inf, 0.125])
         res = DeconvResult(restored=Image(2, 2, np.ones(4)),
                            coefficients=np.ones(4), state=state,
                            gamma_used=0.1, wall_time_s=0.0, clip_mass=0.0)
         doc = result_metrics(res)
         assert doc["relative_change_trace"] == [None, 0.5]
+        assert doc["primal_change_trace"] == [0.25, 0.5]
+        assert doc["dual_change_trace"] == [None, 0.125]
         assert doc["objective_trace"] == [None, 1.5]
         json.dumps(doc, allow_nan=False)
 
@@ -1203,6 +1212,92 @@ class TestOneMapStack:
         assert built == [2]
 
 
+class TestBlockedSolve:
+    """A synthesis solve whose coefficients run in blocks of one band
+    (``operators.BLOCK_BYTES`` patched to one 16 x 16 band) against the
+    same solve in one block: the iterates' bits do not depend on the
+    blocks, and only the change traces, whose dots are summed block by
+    block, may round differently."""
+
+    @staticmethod
+    def _solve(problem, monkeypatch, blocked):
+        built = []
+
+        class Recorded(MapStack):
+            def __init__(self, ops):
+                super().__init__(ops)
+                built.append(len(self.blocks))
+        with monkeypatch.context() as patched:
+            patched.setattr(splitting_module, "MapStack", Recorded)
+            if blocked:
+                patched.setattr(operators_module, "BLOCK_BYTES", 256 * 8)
+            res = deconvolve(problem)
+        return res, built
+
+    @pytest.mark.parametrize("theta", [1.0, 1.5])
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_blocked_iterates_are_the_one_block_bits(self, levels, theta,
+                                                     monkeypatch):
+        problem = _counts_problem("synthesis", levels=levels, max_outer=40,
+                                  theta=theta)
+        whole, one = self._solve(problem, monkeypatch, blocked=False)
+        blocked, bands = self._solve(problem, monkeypatch, blocked=True)
+        assert one == [1] and bands == [levels + 1]
+        assert blocked.restored.data.tobytes() == whole.restored.data.tobytes()
+        assert blocked.coefficients.tobytes() == whole.coefficients.tobytes()
+        for got, want in ((blocked.state.aux, whole.state.aux),
+                          (blocked.state.images, whole.state.images)):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert np.array(blocked.state.objectives).tobytes() == \
+            np.array(whole.state.objectives).tobytes()
+        assert blocked.state.iterations == whole.state.iterations == 40
+        for trace in ("relative_changes", "primal_changes", "dual_changes"):
+            got = np.array(getattr(blocked.state, trace))
+            want = np.array(getattr(whole.state, trace))
+            assert got.shape == want.shape == (40,)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), trace
+
+    @pytest.mark.parametrize("theta", [1.0, 1.5])
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_a_run_stopped_by_tol_returns_its_iterate(self, levels, theta,
+                                                      monkeypatch):
+        # The last iteration's adjoint already took the next gradient step
+        # into a spent buffer; the run must return the iterate it stopped
+        # at, as a run capped at that iteration does.
+        problem = _counts_problem("synthesis", levels=levels, theta=theta)
+        stopped, _ = self._solve(replace(problem, splitting=replace(
+            problem.splitting, max_outer=3000, tol=1e-3)), monkeypatch, blocked=True)
+        assert stopped.converged and stopped.state.iterations < 3000
+        capped, _ = self._solve(replace(problem, splitting=replace(
+            problem.splitting, max_outer=stopped.state.iterations)),
+            monkeypatch, blocked=True)
+        assert stopped.state.x.tobytes() == capped.state.x.tobytes()
+        assert stopped.restored.data.tobytes() == capped.restored.data.tobytes()
+        assert [a.tobytes() for a in stopped.state.aux] == \
+            [a.tobytes() for a in capped.state.aux]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("band", [0, 1, 2])
+    def test_a_non_finite_block_stops_before_its_transform(self, band, bad,
+                                                           monkeypatch):
+        # Past its block's transform an infinite coefficient makes invalid
+        # values, which numpy warns of, and warnings are errors here: each
+        # block's check must come before its forward transform.
+        problem = _counts_problem("synthesis", max_outer=5)
+        threshold, calls = deconv_module.soft_threshold, []
+
+        def poisoned(v, t, out=None):
+            result = threshold(v, t, out=out)
+            calls.append(None)
+            if len(calls) == 3:
+                result[band * 256 + 7] = bad
+            return result
+        monkeypatch.setattr(deconv_module, "soft_threshold", poisoned)
+        with pytest.raises(NonFiniteIterateError) as err:
+            self._solve(problem, monkeypatch, blocked=True)
+        assert err.value.label == "sparsity" and err.value.iteration == 2
+
+
 class TestTermValues:
     def test_l1_value_allocates_no_coefficient_array(self):
         # |c| goes into the l1 prox's output array, free between iterations.
@@ -1229,14 +1324,22 @@ class TestIterationAllocations:
     temporary again reaches another image."""
 
     @staticmethod
-    def _growth(prior, monkeypatch):
+    def _problem(prior):
         n = 64
-        problem = DeconvProblem(
+        return DeconvProblem(
             counts=Image(n, n, np.random.default_rng(0).poisson(
                 20.0, n * n).astype(np.float64)),
             blur=make_circular_convolution(MA3, n, n),
             dictionary=make_starlet(n, n, levels=2), gamma=0.2, prior=prior,
             splitting=SplittingConfig(max_outer=6, tol=0.0))
+
+    @staticmethod
+    def _growth(prior, monkeypatch, budget=None):
+        """The growth, and the image's bytes; a ``budget`` patched into
+        ``operators.BLOCK_BYTES`` before the solve plans its blocks."""
+        if budget is not None:
+            monkeypatch.setattr(operators_module, "BLOCK_BYTES", budget)
+        problem, n = TestIterationAllocations._problem(prior), 64
         window = []
         exact = splitting_module.objective_value
 
@@ -1259,6 +1362,41 @@ class TestIterationAllocations:
             self, monkeypatch):
         grown, image = self._growth("synthesis", monkeypatch)
         assert grown < image + image // 4
+
+    def test_a_blocked_synthesis_iteration_allocates_no_band_sized_array(
+            self, monkeypatch):
+        # One band per block, so a band is an image here: the three bands
+        # run through one band of spectra. The iteration keeps the bound
+        # above, and the stack's calls that run the loop's primal steps
+        # block by block (fill and drain) allocate less than a quarter band
+        # each once warm.
+        grown, image = self._growth("synthesis", monkeypatch, budget=64 * 64 * 8)
+        assert grown < image + image // 4
+        peaks = []
+
+        def measured(call, *args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return result
+
+        class Measured(MapStack):
+            def apply(self, x, out=None, fill=None):
+                return measured(super().apply, x, out, fill)
+
+            def adjoint(self, u, out=None, drain=None):
+                return measured(super().adjoint, u, out, drain)
+        monkeypatch.setattr(splitting_module, "MapStack", Measured)
+        tracemalloc.start()
+        try:
+            deconvolve(self._problem("synthesis"))
+        finally:
+            tracemalloc.stop()
+        # The first apply, an apply and an adjoint per iteration, the last
+        # apply; the first iteration warms the FFT passes.
+        assert len(peaks) == 14
+        assert max(peaks[3:]) < image // 4
 
     def test_an_analysis_iteration_allocates_only_the_positivity_image(
             self, monkeypatch):

@@ -87,7 +87,8 @@ SIGNATURES = [
     "ProxTerm(prox, label='', op=None, value=None, conj=None)",
     "SplittingConfig(mu=1.0, theta=1.0, max_outer=300, tol=1e-05)",
     "SplittingState(x, aux, images, iterations, converged, "
-    "relative_changes, objectives)",
+    "relative_changes, objectives, primal_changes=<factory>, "
+    "dual_changes=<factory>)",
     "compose(outer, inner)",
     "deconvolve(problem)",
     "default_tau(c2, c1=None)",

@@ -15,7 +15,8 @@ from proxdeconv import (FourierMultiplier, FrameDictionary, Image, LinearOperato
                         make_union, make_dirac, matrix_operator)
 from proxdeconv.errors import DimensionMismatchError
 
-from oracles import b3_band_gains, circ_conv_direct, rank_one_adjoint
+from oracles import (b3_band_gains, circ_conv_direct, rank_one_adjoint,
+                     rank_one_apply)
 from test_deconv import SKEWED
 from test_dictionary import _diag_pseudo_dictionary
 
@@ -563,9 +564,9 @@ class TestSharedStack:
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_parts_add_to_the_first_part_not_to_zero(self, zero):
         # Zero duals make exact zero parts, some of them -0.0 (a zero times
-        # a negative gain), and the sum keeps their sign only if it starts
-        # from the first band, as np.add.reduce does: 0 + (-0.0) would read
-        # +0.0.
+        # a negative gain). np.add.reduce sums them from its identity +0.0
+        # (numpy 2.4 reduces [-0.0] to +0.0), so the stack must sum as it
+        # does to give the oracle's bits.
         maps = self._maps(fourier=True)
         stack = MapStack(maps)
         u = np.full(stack.out_dim, zero)
@@ -641,24 +642,29 @@ class TestSharedStack:
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # The input's bands, the stack's bands and one scratch band.
-        source, steps, target, _ = stack._plans[0]
+        # One block of the input's bands (all 4 at 64 x 64), the stack's
+        # bands and one scratch band.
+        [(_, source, steps)], [(_, target, _)], _ = stack._plans[0]
+        assert len(source) == 4
         spectra = source.nbytes + target.nbytes + target[0].nbytes
         assert spectra <= grown < spectra + blur.outputs.nbytes // 4
         # apply: the merge in place, the sum, then the sum filtered into
         # the blur's one band, none conjugated.
-        (merge, c1, _, _), (total, c2, _, _), (outputs, c3, _, _) = steps
-        assert merge is phi.inputs and total is None and outputs.base is blur.outputs
-        assert c1 is c2 is c3 is None
+        (f1, (merge, _), _), (f2, _, _), (f3, (outputs, _), _) = steps
+        assert (f1, f2, f3) == (np.multiply, np.add.reduce, np.multiply)
+        assert merge.base is phi.inputs and outputs.base is blur.outputs
         # adjoint: the blur's gains in place, conjugated band by band if
         # they have an imaginary part, then the sum, filtered into each of
         # the 4 bands by the merge's real-valued gains, not conjugated.
-        _, steps, _, _ = stack._plans[1]
-        (outputs, conj, _, _), (total, _, _, _), *merges = steps
-        assert (outputs if conj is None else outputs.base) is blur.outputs
-        assert (conj is not None) == (psf == "skewed")
-        assert total is None and len(merges) == 4
-        assert all(g.base is phi.inputs and c is None for g, c, _, _ in merges)
+        [(_, _, steps)], [(_, _, merges)], _ = stack._plans[1]
+        conj = psf == "skewed"
+        *outputs, (total, _, _) = steps
+        assert total == np.add.reduce and len(outputs) == (2 if conj else 1)
+        if conj:
+            assert outputs[0][0] is np.conjugate
+        assert outputs[0][1][0] is blur.outputs or outputs[0][1][0].base is blur.outputs
+        assert len(merges) == 4
+        assert all(f is np.multiply and g.base is phi.inputs for f, (g, _), _ in merges)
 
     @pytest.mark.parametrize("merging_first", [True, False])
     def test_a_merging_map_beside_the_starlet_analysis(self, merging_first):
@@ -672,3 +678,124 @@ class TestSharedStack:
         maps = [merging, analysis] if merging_first else [analysis, merging]
         assert merging.in_dim == analysis.in_dim == 64
         assert self._check_bits(maps, seed=11) == 10
+
+
+class TestBlocks:
+    """A stack runs its variable's bands in blocks of whole bands that fit
+    ``BLOCK_BYTES``; the bits do not depend on the blocks."""
+
+    @staticmethod
+    def _stack(maps, budget, monkeypatch):
+        """The stack of ``maps`` planned with a block budget of ``budget``
+        bytes."""
+        with monkeypatch.context() as patched:
+            patched.setattr(operators_module, "BLOCK_BYTES", budget)
+            return MapStack(maps)
+
+    @staticmethod
+    def _synthesis(psf, h, w, levels=2):
+        blur = fourier_form(make_circular_convolution(psf, w, h), h, w)
+        phi = fourier_form(make_starlet(w, h, levels), h, w)
+        return [compose(blur, phi), phi], blur, phi
+
+    @pytest.mark.parametrize("size, blocks", [(64, 1), (256, 4)])
+    def test_starlet_layout(self, size, blocks):
+        # One 256 x 256 band is 512 KiB: 4 bands of 32 KiB are one block
+        # at 64 x 64, and at 256 x 256 each band is its own block.
+        maps, _, _ = self._synthesis(_ma_psf(3), size, size, levels=3)
+        stack = MapStack(maps)
+        n = size * size
+        step = 4 * n // blocks
+        assert stack.blocks == [slice(lo, lo + step) for lo in range(0, 4 * n, step)]
+        # Both directions run the input's bands through one block of
+        # spectra.
+        forward, _, _ = stack._plans[0]
+        _, backward, _ = stack._plans[1]
+        assert [s for s, _, _ in forward] == [s for s, _, _ in backward] == stack.blocks
+        assert len({id(spectra.base) for _, spectra, _ in forward + backward}) == 1
+        assert {len(spectra) for _, spectra, _ in forward} == {4 // blocks}
+
+    def test_one_block_without_a_rank_one_plan(self):
+        _, blur, phi = self._synthesis(_ma_psf(3), 256, 256, levels=3)
+        # The analysis prior's variable is one image.
+        assert MapStack([blur, phi.T]).blocks == [slice(0, 256 * 256)]
+        haar = make_haar_dwt(16, 16, 2)
+        assert MapStack([haar.T, haar.T]).blocks == [slice(0, 256)]
+        assert MapStack([]).blocks == [slice(0, None)]
+
+    @pytest.mark.parametrize("per, sizes", [(1, [256] * 4), (2, [512, 512]),
+                                            (3, [768, 256])])
+    @pytest.mark.parametrize("psf", ["box", "skewed"])
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_blocked_bits_are_the_one_block_bits(self, prior, psf, per, sizes,
+                                                 monkeypatch):
+        # 4 bands at 16 x 16 in blocks of 1 to 3 bands, every later band
+        # added to the sum on its own; the skewed kernel's gains are
+        # complex.
+        maps, blur, phi = self._synthesis(SKEWED if psf == "skewed" else _ma_psf(3),
+                                          16, 16, levels=3)
+        if prior == "analysis":
+            maps = [blur, phi.T]
+        whole = MapStack(maps)
+        blocked = self._stack(maps, per * 256 * 8, monkeypatch)
+        if prior == "synthesis":
+            assert [b.stop - b.start for b in blocked.blocks] == sizes
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(whole.in_dim)
+        u = rng.standard_normal(whole.out_dim)
+        assert blocked.apply(x).tobytes() == whole.apply(x).tobytes()
+        assert blocked.adjoint(u).tobytes() == whole.adjoint(u).tobytes()
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_blocked_sums_keep_the_sign_of_zero(self, zero, monkeypatch):
+        # Zero coefficients times the starlet's negative gains make -0.0
+        # parts in every band at some frequencies. np.add.reduce sums from
+        # its identity +0.0, so a blocked sum that started from a copy of
+        # the first band would keep -0.0 there and change the bits.
+        maps, _, _ = self._synthesis(_ma_psf(3), 8, 8)
+        whole = MapStack(maps)
+        blocked = self._stack(maps, 64 * 8, monkeypatch)
+        assert len(blocked.blocks) == 3
+        x, u = np.full(whole.in_dim, zero), np.full(whole.out_dim, zero)
+        for stack in (whole, blocked):
+            assert [k.tobytes() for k in stack.split(stack.apply(x))] == \
+                [k.tobytes() for k in rank_one_apply(maps, x)]
+            assert stack.adjoint(u).tobytes() == \
+                rank_one_adjoint(maps, stack.split(u)).tobytes()
+
+    def test_fill_writes_each_block_before_it_is_read(self, monkeypatch):
+        maps, _, _ = self._synthesis(SKEWED, 8, 8)
+        stack = self._stack(maps, 64 * 8, monkeypatch)
+        rng = np.random.default_rng(13)
+        want, u = rng.standard_normal(stack.in_dim), rng.standard_normal(stack.out_dim)
+        x, seen = np.full(stack.in_dim, np.nan), []
+
+        def fill(block):
+            seen.append(block)
+            x[block] = want[block]
+        assert stack.apply(x, fill=fill).tobytes() == stack.apply(want).tobytes()
+        assert seen == stack.blocks
+        # drain sees each block of out once it is final.
+        out, drained = np.empty(stack.in_dim), []
+        stack.adjoint(u, out=out, drain=lambda b: drained.append((b, out[b].copy())))
+        assert [b for b, _ in drained] == stack.blocks
+        assert b"".join(part.tobytes() for _, part in drained) == out.tobytes()
+
+    @pytest.mark.parametrize("maps", ["haar", "empty"])
+    def test_fill_and_drain_see_one_block_without_a_plan(self, maps):
+        haar = make_haar_dwt(4, 4, 1)
+        stack = MapStack([haar.T] if maps == "haar" else [])
+        x, out, calls = np.ones(16), np.empty(16), []
+        stack.apply(x, fill=calls.append)
+        stack.adjoint(np.ones(stack.out_dim), out=out, drain=calls.append)
+        assert calls == stack.blocks * 2
+
+    def test_an_empty_stack_needs_out_for_its_adjoint(self):
+        # It does not know its variable's size: numpy used to raise a
+        # TypeError about shape arguments.
+        stack = MapStack([])
+        with pytest.raises(ValueError, match="needs out"):
+            stack.adjoint(np.empty(0))
+        out = np.full(3, 7.0)
+        assert stack.adjoint(np.empty(0), out=out) is out
+        assert out.tobytes() == np.zeros(3).tobytes()
