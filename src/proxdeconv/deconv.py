@@ -123,9 +123,12 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig]:
     operators give the same bits as shipped ones. Every term carries its
     conjugate step in closed form, in place. The proxes and steps look the
     elementwise proxes up by name on each call, and the positivity calls
-    ``project_positive(x)`` once per iteration under either prior. The l1
-    prox writes into one coefficient array kept for the solve, which the
-    l1 value, called between iterations, reuses for |c|.
+    ``project_positive(x)`` once per iteration under either prior: its
+    variable is one block under the analysis prior. The l1 term and the
+    positivity are separable, so the synthesis prior's solve calls the l1
+    prox and value once per block. The l1 prox writes into the block it is
+    given and clips into one coefficient array kept for the solve, whose
+    head the l1 value reuses for |c|; neither allocates.
     """
     def fit(eta: Array) -> float:
         total = eval_poisson(eta, y, check=False)
@@ -145,17 +148,20 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig]:
     h, phi = (fourier_form(op, p.counts.height, p.counts.width) or op
               for op in (p.blur, p.dictionary))
     poisson = lambda v, s: prox_poisson(v, s, y)
-    shrunk = np.empty(phi.in_dim)  # the l1 prox's output, kept per solve
-    sparsity = lambda v, s: soft_threshold(v, s * gamma, out=shrunk)
+    kept = np.empty(phi.in_dim)  # the l1 prox's clip and |c|, per solve
+    sparsity = lambda v, s: soft_threshold(v, s * gamma, out=v,
+                                           scratch=kept[:v.size])
     positive = lambda v, s: project_positive(v)
-    l1 = lambda c: gamma * float(np.abs(c, out=shrunk).sum())
+    l1 = lambda c: gamma * float(np.abs(c, out=kept[:c.size]).sum())
     # prox_{sigma f*} of gamma ||.||_1 is the clip to [-gamma, gamma].
     sparsity_conj = lambda v, s: v.clip(-gamma, gamma, out=v)
     maps, factor = (((h, phi.T, None), 0.5) if p.prior == "analysis"
                     else ((compose(h, phi), None, phi), 2.0))
     terms = [ProxTerm(poisson, "data-fidelity", maps[0], fit, _conj_poisson(y)),
-             ProxTerm(sparsity, "sparsity", maps[1], l1, sparsity_conj),
-             ProxTerm(positive, "positivity", maps[2], conj=positive_conj)]
+             ProxTerm(sparsity, "sparsity", maps[1], l1, sparsity_conj,
+                      separable=True),
+             ProxTerm(positive, "positivity", maps[2], conj=positive_conj,
+                      separable=True)]
     # The primal step grows with the counts, or is 1 when every count is 0
     # (the minimizer is then 0 at any step).
     mean = float(np.mean(y))

@@ -154,20 +154,21 @@ def _conj_poisson(counts: Array) -> Callable[[Array, float], None]:
     return step
 
 
-def soft_threshold(values, threshold: float, out: Array | None = None
-                   ) -> Array:
+def soft_threshold(values, threshold: float, out: Array | None = None,
+                   scratch: Array | None = None) -> Array:
     """prox of threshold * ||.||_1: shrink each component toward zero, as
     v - v.clip(-threshold, threshold), two passes with no sign array, so
     every zero it returns is +0.0.
 
     ``out``, a float64 array of the values' shape (the values themselves
-    too), receives the result when given.
+    too), receives the result when given. The clip goes into out, unless
+    out is the values: then into ``scratch``, a float64 array of their
+    shape, or else a new array.
     """
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     v = np.asarray(values, dtype=np.float64)
-    # The clip goes into out unless out is v.
-    clipped = v.clip(-threshold, threshold, out=None if out is v else out)
+    clipped = v.clip(-threshold, threshold, out=scratch if out is v else out)
     return np.subtract(v, clipped, out=clipped if out is None else out)
 
 

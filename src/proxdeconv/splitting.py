@@ -46,17 +46,21 @@ is one ufunc, FFT pass or array method, never a dispatch wrapper such as
 
 The primal steps run one block of the variable's bands at a time
 (``MapStack.blocks``) inside the stack's two calls, so that a block's
-arrays are still in cache for the next step. An iteration runs: the prox
-of g, once on the whole vector; then ``apply``, whose fill takes, per
-block and before its forward transform, d, its square and the finite
-check, x_{t+1}, x_bar and ||x_{t+1}||^2; the dual steps; then
-``adjoint``, whose drain takes, per block after its inverse transform,
-the block's part of the duals' shift and the next iteration's gradient
-step x_{t+1} - tau sum_i K_i^T u_{t+1,i}, into the spent x_t buffer. The
+arrays are still in cache for the next step. An iteration runs
+``apply``, whose fill takes, per block and before its forward transform,
+the prox of g, d, its square and the finite check, x_{t+1}, x_bar,
+||x_{t+1}||^2 and g's value; the dual steps; then ``adjoint``, whose
+drain takes, per block after its inverse transform, the block's part of
+the duals' shift and the next iteration's gradient step
+x_{t+1} - tau sum_i K_i^T u_{t+1,i}, into the spent x_t buffer. The
 first gradient step is taken before the loop, the last iteration takes
-none, and one that the stopping rule ends discards it. The iterates do
-not depend on the blocks; the three norms sum their dots block by block,
-so the change traces round by them.
+none, and one that the stopping rule ends discards it. A separable g
+(``ProxTerm.separable``) takes its prox and value per block, into the
+block of x_{t+1} when its prox writes there; any other g takes its prox
+once, on the whole vector at the first block, and its value in the
+objective trace. The iterates do not depend on the blocks; the three
+norms and a separable g's value sum their block parts, so the change
+traces and the objective trace round by them.
 
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
 with x_bar = 2 x~ - x_t, or (x_bar + x_t) / 2 at theta = 1, so the loop
@@ -92,6 +96,11 @@ class ProxTerm:
     the term's part of the dual stack, with prox_{sigma f*}(v), the prox of
     f's conjugate. Without it the solver takes Moreau's identity,
     v - sigma prox_{f / sigma}(v / sigma), from ``prox``.
+
+    ``separable`` declares that f acts entry by entry: ``prox`` of a slice
+    of a point is that slice of the point's prox, and ``value`` of a point
+    the sum of its slices' values. The prox of a separable term may then
+    write its output into the point it is given and return it.
     """
 
     prox: Callable[[Array, float], Array]
@@ -99,6 +108,7 @@ class ProxTerm:
     op: LinearOperator | None = None
     value: Callable[[Array], float] | None = None
     conj: Callable[[Array, float], None] | None = None
+    separable: bool = False
 
 
 @dataclass(frozen=True)
@@ -180,11 +190,12 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     Every array it writes is allocated here, once per solve, or is a
     term's part of the dual stack, which its conj step overwrites: x and
     x_next take turns in two buffers (x_next holds the gradient step until
-    the prox has read it), x_bar's with the dual sum's, and at theta = 1
-    the duals' with the dual step's. Maps and proxes may hand back their
-    input or an array they keep, so their outputs are read or copied,
-    never updated. The state traces the primal change, the duals' change
-    and their maximum, which the stopping rule reads.
+    the prox has read it, or a separable prox has written its output over
+    it), x_bar's with the dual sum's, and at theta = 1 the duals' with the
+    dual step's. Maps and proxes may hand back their input or an array
+    they keep, so their outputs are read or copied, never updated. The
+    state traces the primal change, the duals' change and their maximum,
+    which the stopping rule reads.
     """
     terms = list(terms)
     if not terms:
@@ -223,21 +234,40 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     kc, step = kx[carried], None if unrelaxed else np.empty(carried.stop)
     norm = math.sqrt(x.dot(x))
     rel_trace, primal_trace, dual_trace, obj_trace = [], [], [], []
+    # A separable g's value is summed from its blocks into gv, which the
+    # trace reads in its place.
+    blockwise = g.separable and g.value is not None
+    scored = [replace(term, value=lambda point: gv) if blockwise and term is g
+              else term for term in terms]
+    # x_new, the prox's output, lives until the next prox has returned:
+    # freeing it sooner let the allocator trim and refault the heap top
+    # every iteration.
+    x_new = None
 
     def fill(b: slice) -> None:
-        # d = x_new - x in the spent x_bar buffer. A finite d . d means a
-        # finite x_new, so only an infinite or NaN one pays for the scan.
-        nonlocal dd, nn
-        new, old, nxt = x_new[b], x[b], x_next[b]
+        # The prox of g, per block if g is separable, else at the first
+        # block on the whole vector; then d = x~ - x in the spent x_bar
+        # buffer. A finite d . d means a finite x~, so only an infinite or
+        # NaN one pays for the scan.
+        nonlocal dd, nn, gv, x_new
+        old, nxt = x[b], x_next[b]
+        if g.separable:
+            x_new = g.prox(nxt, tau)
+            new = x_new if x_new is nxt else _flat64(x_new, nxt.size, context)
+        else:
+            if b.start == 0:
+                x_new = _flat64(g.prox(x_next, tau), x.size, context)
+            new = x_new[b]
         d = np.subtract(new, old, out=x_bar[b])
         part = d.dot(d)
         if not part < math.inf and not np.isfinite(new).all():
             raise NonFiniteIterateError(iteration=t, label=g.label)
         dd += part
         # At theta = 1, x_next = x~ and x_bar = x~ + d; otherwise x_next =
-        # x + theta d and x_bar = x + 2 d. Either holds when x_new is x_next.
+        # x + theta d and x_bar = x + 2 d. Either holds when x~ is x_next.
         if unrelaxed:
-            np.copyto(nxt, new)
+            if new is not nxt:
+                np.copyto(nxt, new)
             np.add(new, d, out=d)
         else:
             np.multiply(d, theta, out=nxt)
@@ -245,6 +275,8 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
             d *= 2.0
             d += old
         nn += nxt.dot(nxt)
+        if blockwise:
+            gv += g.value(nxt)
 
     def drain(b: slice) -> None:
         # The duals' shift K^T (u_next - u) in the spent back buffer; x is
@@ -262,11 +294,10 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     np.multiply(back, tau, out=x_next)
     np.subtract(x, x_next, out=x_next)
     for t in range(cfg.max_outer):
-        # x_new lives until the next prox has returned: freeing it sooner
-        # let the allocator trim and refault the heap top every iteration.
-        x_new = _flat64(g.prox(x_next, tau), x.size, context)
-        dd = nn = ss = 0.0  # d . d, ||x_next||^2 and the shift's square
-        # fill writes x_bar, K's input, one block before K transforms it.
+        # d . d, ||x_next||^2, the shift's square and g's value at x_next
+        dd = nn = ss = gv = 0.0
+        # fill takes the prox and writes x_bar, K's input, one block
+        # before K transforms it.
         maps.apply(x_bar, out=v, fill=fill)
         change = theta * math.sqrt(dd)
         # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
@@ -312,7 +343,7 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
         primal_trace.append(primal)
         dual_trace.append(dual)
         if traced:
-            obj_trace.append(objective_value(terms, x, images))
+            obj_trace.append(objective_value(scored, x, images))
         if rel <= cfg.tol:
             break
     # Carried images drift from K_i x by round-off; the last ones are exact.

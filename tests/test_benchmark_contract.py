@@ -61,11 +61,12 @@ def test_traced_synthesis_repetition_gives_the_untraced_bytes(
         perfbench, tmp_path, monkeypatch):
     # The synthesis prior, which the CLI runs: the soft threshold is the
     # primal prox, looked up by the name the tracer rebinds, once per
-    # iteration of either repetition.
+    # block of either repetition's iterations (256^2 starlet:levels=3 runs
+    # four blocks of one band).
     calls = []
     shrink = deconv_module.soft_threshold
     monkeypatch.setattr(deconv_module, "soft_threshold",
                         lambda *a, **k: calls.append(None) or shrink(*a, **k))
     w = _traced_and_untraced(perfbench, tmp_path, "synth_starlet_256")
     assert w.max_outer == 100
-    assert len(calls) == 2 * 100
+    assert len(calls) == 2 * 100 * 4

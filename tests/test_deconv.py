@@ -18,7 +18,7 @@ from proxdeconv import (DeconvProblem, DeconvResult, FourierMultiplier,
                         make_starlet, make_union, mae, objective,
                         parse_dictionary_spec, relative_mae, result_metrics,
                         richardson_lucy, scale_to_peak, select_gamma_gcv,
-                        simulate, solve)
+                        simulate, soft_threshold, solve)
 from proxdeconv.errors import DimensionMismatchError, NonFiniteIterateError
 from proxdeconv.operators import MapStack
 
@@ -743,7 +743,8 @@ class TestNameLookup:
     """The solver looks its elementwise proxes up by module name on every
     call, so a function rebound there (as a tracing wrapper is) sees every
     call. Both priors' primal-dual iteration calls the positivity's
-    projection and the primal prox once per outer iteration, takes the
+    projection once per outer iteration, the primal prox once per block of
+    the variable (the analysis prior's one image is one block), takes the
     mapped terms' dual steps in closed form, without ``prox_poisson`` or
     ``soft_threshold``, and never calls the dual FB solve, which a tracer
     rebinds too. The objective trace calls ``eval_poisson`` once per
@@ -776,6 +777,29 @@ class TestNameLookup:
         assert deconvolve(_counts_problem(prior)).state.iterations == 3
         assert calls == {"eval_poisson": 3 + 1} | {
             name: 3 * n for name, n in self.PER_ITERATION[prior].items() if n}
+
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_the_primal_prox_runs_once_per_block(self, prior, monkeypatch):
+        # One 16 x 16 band per block: the synthesis prior's three bands are
+        # three blocks, each thresholded alone, while the positivity's
+        # projection stays once per iteration under either prior.
+        calls = {}
+
+        def counting(name):
+            original = getattr(deconv_module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(deconv_module, name, counted)
+
+        for name in ("project_positive", "soft_threshold"):
+            counting(name)
+        monkeypatch.setattr(operators_module, "BLOCK_BYTES", 256 * 8)
+        assert deconvolve(_counts_problem(prior)).state.iterations == 3
+        blocks = {"synthesis": 3, "analysis": 0}[prior]
+        assert calls == {"project_positive": 3} | (
+            {"soft_threshold": 3 * blocks} if blocks else {})
 
     @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
     def test_one_solve_with_one_positivity_call_per_iteration(self, prior,
@@ -1213,14 +1237,18 @@ class TestOneMapStack:
 
 
 class TestBlockedSolve:
-    """A synthesis solve whose coefficients run in blocks of one band
-    (``operators.BLOCK_BYTES`` patched to one 16 x 16 band) against the
+    """A synthesis solve whose coefficients run in blocks of whole bands
+    (``operators.BLOCK_BYTES`` patched to some 16 x 16 bands) against the
     same solve in one block: the iterates' bits do not depend on the
-    blocks, and only the change traces, whose dots are summed block by
-    block, may round differently."""
+    blocks. Only the traces whose sums run block by block may round
+    differently: the change traces' dots, and the objective trace's l1
+    value, summed from the blocks the l1 prox runs in, except for its last
+    entry, which is computed on the whole vector."""
 
     @staticmethod
-    def _solve(problem, monkeypatch, blocked):
+    def _solve(problem, monkeypatch, bands=None):
+        """The result and the stack's block counts, with ``bands`` 16 x 16
+        bands per block, or the default budget."""
         built = []
 
         class Recorded(MapStack):
@@ -1229,10 +1257,29 @@ class TestBlockedSolve:
                 built.append(len(self.blocks))
         with monkeypatch.context() as patched:
             patched.setattr(splitting_module, "MapStack", Recorded)
-            if blocked:
-                patched.setattr(operators_module, "BLOCK_BYTES", 256 * 8)
+            if bands:
+                patched.setattr(operators_module, "BLOCK_BYTES", 256 * 8 * bands)
             res = deconvolve(problem)
         return res, built
+
+    @staticmethod
+    def _assert_same_run(blocked, whole, iterations):
+        assert blocked.restored.data.tobytes() == whole.restored.data.tobytes()
+        assert blocked.coefficients.tobytes() == whole.coefficients.tobytes()
+        for got, want in ((blocked.state.aux, whole.state.aux),
+                          (blocked.state.images, whole.state.images)):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert blocked.state.iterations == whole.state.iterations == iterations
+        got = np.array(blocked.state.objectives)
+        want = np.array(whole.state.objectives)
+        assert got.shape == want.shape == (iterations,)
+        assert got[-1].tobytes() == want[-1].tobytes()
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+        for trace in ("relative_changes", "primal_changes", "dual_changes"):
+            got = np.array(getattr(blocked.state, trace))
+            want = np.array(getattr(whole.state, trace))
+            assert got.shape == want.shape == (iterations,)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), trace
 
     @pytest.mark.parametrize("theta", [1.0, 1.5])
     @pytest.mark.parametrize("levels", [2, 3])
@@ -1240,22 +1287,56 @@ class TestBlockedSolve:
                                                      monkeypatch):
         problem = _counts_problem("synthesis", levels=levels, max_outer=40,
                                   theta=theta)
-        whole, one = self._solve(problem, monkeypatch, blocked=False)
-        blocked, bands = self._solve(problem, monkeypatch, blocked=True)
+        whole, one = self._solve(problem, monkeypatch)
+        blocked, bands = self._solve(problem, monkeypatch, bands=1)
         assert one == [1] and bands == [levels + 1]
-        assert blocked.restored.data.tobytes() == whole.restored.data.tobytes()
-        assert blocked.coefficients.tobytes() == whole.coefficients.tobytes()
-        for got, want in ((blocked.state.aux, whole.state.aux),
-                          (blocked.state.images, whole.state.images)):
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        assert np.array(blocked.state.objectives).tobytes() == \
-            np.array(whole.state.objectives).tobytes()
-        assert blocked.state.iterations == whole.state.iterations == 40
-        for trace in ("relative_changes", "primal_changes", "dual_changes"):
-            got = np.array(getattr(blocked.state, trace))
-            want = np.array(getattr(whole.state, trace))
-            assert got.shape == want.shape == (40,)
-            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), trace
+        self._assert_same_run(blocked, whole, 40)
+
+    @pytest.mark.parametrize("theta", [1.0, 1.5])
+    @pytest.mark.parametrize("bands", [1, 2, 3])
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_blocks_of_one_to_three_bands_give_the_one_block_bits(
+            self, prior, bands, theta, monkeypatch):
+        # starlet:levels=3 has four bands: blocks of 1, 1, 1, 1 or 2, 2 or
+        # 3, 1 under the synthesis prior, whose l1 prox and value run per
+        # block. The analysis prior's variable, one image, is one block
+        # whatever the budget, so every bit holds there.
+        problem = _counts_problem(prior, levels=3, max_outer=30, theta=theta)
+        whole, one = self._solve(problem, monkeypatch)
+        blocked, built = self._solve(problem, monkeypatch, bands=bands)
+        assert one == [1]
+        assert built == [{1: 4, 2: 2, 3: 2}[bands] if prior == "synthesis" else 1]
+        self._assert_same_run(blocked, whole, 30)
+        if prior == "analysis":
+            assert blocked.state.objectives == whole.state.objectives
+            assert blocked.state.relative_changes == whole.state.relative_changes
+
+    @pytest.mark.parametrize("theta", [1.0, 1.5])
+    def test_a_non_separable_primal_prox_gets_the_whole_vector(self, theta,
+                                                               monkeypatch):
+        # The same l1 term, not declared separable: its prox runs once per
+        # iteration on the whole coefficient vector, at the first block,
+        # and its value in the objective trace; the iterates keep their
+        # bits.
+        problem = _counts_problem("synthesis", levels=3, max_outer=20,
+                                  theta=theta)
+        separable, _ = self._solve(problem, monkeypatch, bands=1)
+        sizes, terms_of = [], deconv_module._terms
+
+        def whole_terms(p):
+            terms, cfg = terms_of(p)
+            prox = terms[1].prox
+
+            def recorded(v, s):
+                sizes.append(v.size)
+                return prox(v, s)
+            terms[1] = replace(terms[1], prox=recorded, separable=False)
+            return terms, cfg
+        monkeypatch.setattr(deconv_module, "_terms", whole_terms)
+        whole, built = self._solve(problem, monkeypatch, bands=1)
+        assert built == [4]
+        assert sizes == [4 * 256] * 20
+        self._assert_same_run(separable, whole, 20)
 
     @pytest.mark.parametrize("theta", [1.0, 1.5])
     @pytest.mark.parametrize("levels", [2, 3])
@@ -1266,11 +1347,11 @@ class TestBlockedSolve:
         # at, as a run capped at that iteration does.
         problem = _counts_problem("synthesis", levels=levels, theta=theta)
         stopped, _ = self._solve(replace(problem, splitting=replace(
-            problem.splitting, max_outer=3000, tol=1e-3)), monkeypatch, blocked=True)
+            problem.splitting, max_outer=3000, tol=1e-3)), monkeypatch, bands=1)
         assert stopped.converged and stopped.state.iterations < 3000
         capped, _ = self._solve(replace(problem, splitting=replace(
             problem.splitting, max_outer=stopped.state.iterations)),
-            monkeypatch, blocked=True)
+            monkeypatch, bands=1)
         assert stopped.state.x.tobytes() == capped.state.x.tobytes()
         assert stopped.restored.data.tobytes() == capped.restored.data.tobytes()
         assert [a.tobytes() for a in stopped.state.aux] == \
@@ -1282,20 +1363,30 @@ class TestBlockedSolve:
                                                            monkeypatch):
         # Past its block's transform an infinite coefficient makes invalid
         # values, which numpy warns of, and warnings are errors here: each
-        # block's check must come before its forward transform.
+        # block's check must come before its forward transform. The l1
+        # prox runs per block, three per iteration; the third iteration's
+        # call on ``band`` is poisoned, and no transform follows it.
         problem = _counts_problem("synthesis", max_outer=5)
         threshold, calls = deconv_module.soft_threshold, []
+        transform, transforms, poisoned_at = operators_module._rfft2, [], []
 
-        def poisoned(v, t, out=None):
-            result = threshold(v, t, out=out)
+        def poisoned(v, t, **kwargs):
+            result = threshold(v, t, **kwargs)
             calls.append(None)
-            if len(calls) == 3:
-                result[band * 256 + 7] = bad
+            if len(calls) == 2 * 3 + band + 1:
+                result[7] = bad
+                poisoned_at.append(len(transforms))
             return result
+
+        def counted(*args, **kwargs):
+            transforms.append(None)
+            return transform(*args, **kwargs)
         monkeypatch.setattr(deconv_module, "soft_threshold", poisoned)
+        monkeypatch.setattr(operators_module, "_rfft2", counted)
         with pytest.raises(NonFiniteIterateError) as err:
-            self._solve(problem, monkeypatch, blocked=True)
+            self._solve(problem, monkeypatch, bands=1)
         assert err.value.label == "sparsity" and err.value.iteration == 2
+        assert poisoned_at == [len(transforms)]
 
 
 class TestTermValues:
@@ -1310,18 +1401,44 @@ class TestTermValues:
         assert _peak_growth(lambda: sparsity.value(c)) < c.nbytes
         assert sparsity.value(c) == 0.5 * float(np.abs(c).sum())
 
+    def test_l1_prox_and_value_on_a_block_allocate_nothing(self):
+        # The solver hands the separable l1 term one block of bands at a
+        # time: its prox thresholds the block in place, clipping into the
+        # head of the term's kept array, and its value sums |block| there.
+        problem = DeconvProblem(counts=Image(64, 64, np.ones(4096)),
+                                blur=identity_blur(64, 64),
+                                dictionary=make_starlet(64, 64, levels=3),
+                                gamma=0.5)
+        sparsity = deconv_module._terms(problem)[0][1]
+        assert sparsity.separable
+        c = np.random.default_rng(3).standard_normal(problem.dictionary.coeff_dim)
+        want = soft_threshold(c, 2.0 * 0.5)
+        block = c[4096:8192]
+        returned = []
+        grown = _peak_growth(lambda: returned.append(sparsity.prox(block, 2.0)))
+        assert grown < block.nbytes // 4
+        assert returned[0] is block
+        assert c[4096:8192].tobytes() == want[4096:8192].tobytes()
+        assert _peak_growth(lambda: sparsity.value(block)) < block.nbytes // 4
+        assert sparsity.value(block) == 0.5 * float(np.abs(block).sum())
+
 
 class TestIterationAllocations:
     """Iterations 4 to 6 of a 64x64 starlet:levels=2 solve: the peak of
     traced memory above what the loop holds after iteration 3, the map
-    stack's own calls included. The positivity step allocates one image
-    per iteration (``project_positive``, which a benchmark hook rebinds;
-    ROADMAP item 13). Everything else stays below a quarter image: numpy's
-    FFT passes keep about 1.4 KB once warm, and the map stack's gains are
-    complex and filter one band at a time, which needs neither numpy's
-    casting buffer nor its broadcast buffer, each about product-sized (a
-    3-band product is 101 KB here). A prox or a check that allocates a
-    temporary again reaches another image."""
+    stack's own calls included. Two steps allocate one image per
+    iteration each, and their images never live at once: the positivity
+    step (``project_positive``, which a benchmark hook rebinds; ROADMAP
+    item 13) and the objective trace's fit, whose ``eval_poisson`` takes
+    ``np.log(eta)`` into a new array. A log buffer kept per solve measured
+    no faster (89-94 us per call against 85-91 us with the temporary at
+    256^2, 6.9 against 6.5 us at 64^2), so the fit keeps its temporary.
+    Everything else stays below a quarter image: numpy's FFT passes keep
+    about 1.4 KB once warm, and the map stack's gains are complex and
+    filter one band at a time, which needs neither numpy's casting buffer
+    nor its broadcast buffer, each about product-sized (a 3-band product is
+    101 KB here). A prox or a check that allocates a temporary again
+    reaches another image."""
 
     @staticmethod
     def _problem(prior):

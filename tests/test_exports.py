@@ -84,7 +84,7 @@ SIGNATURES = [
     "tight)",
     "Image(width, height, data)",
     "LinearOperator(in_dim, out_dim, apply, adjoint, spectral_bound)",
-    "ProxTerm(prox, label='', op=None, value=None, conj=None)",
+    "ProxTerm(prox, label='', op=None, value=None, conj=None, separable=False)",
     "SplittingConfig(mu=1.0, theta=1.0, max_outer=300, tol=1e-05)",
     "SplittingState(x, aux, images, iterations, converged, "
     "relative_changes, objectives, primal_changes=<factory>, "
@@ -119,7 +119,7 @@ SIGNATURES = [
     "scale_to_peak(truth, peak)",
     "select_gamma_gcv(grid, problem, truth=None)",
     "simulate(truth, blur, peak, seed)",
-    "soft_threshold(values, threshold, out=None)",
+    "soft_threshold(values, threshold, out=None, scratch=None)",
     "solve(terms, cfg, init)",
     "verify_tight_frame(frame, c)",
     "write_raster(path, image)",

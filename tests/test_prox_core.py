@@ -236,6 +236,20 @@ class TestAllocations:
         out = np.empty_like(v)
         assert _peak_growth(lambda: soft_threshold(v, 0.5, out=out)) < v.nbytes
 
+    def test_soft_threshold_in_place_clips_into_scratch(self):
+        # Into the values themselves, the clip needs an array of their
+        # size: the scratch when given, else a new one. Either way the
+        # result has the bits of a threshold into another array.
+        v = np.random.default_rng(8).standard_normal(65_536)
+        v[:3] = [-0.0, 0.5, -0.5]
+        want = soft_threshold(v, 0.5)
+        for scratch in (np.empty_like(v), None):
+            got, returned = v.copy(), []
+            grown = _peak_growth(lambda: returned.append(
+                soft_threshold(got, 0.5, out=got, scratch=scratch)))
+            assert returned[0] is got and got.tobytes() == want.tobytes()
+            assert (grown < v.nbytes) == (scratch is not None)
+
     def test_eval_poisson_in_domain_allocates_one_array(self):
         # The log of the intensities, which shows that numpy's buffers are
         # traced, and no mask or gathered copy beside it; a few hundred
