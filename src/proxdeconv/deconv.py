@@ -124,11 +124,12 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig]:
     conjugate step in closed form, in place. The proxes and steps look the
     elementwise proxes up by name on each call, and the positivity calls
     ``project_positive(x)`` once per iteration under either prior: its
-    variable is one block under the analysis prior. The l1 term and the
-    positivity are separable, so the synthesis prior's solve calls the l1
-    prox and value once per block. The l1 prox writes into the block it is
-    given and clips into one coefficient array kept for the solve, whose
-    head the l1 value reuses for |c|; neither allocates.
+    variable is one block under the analysis prior. The l1 term is
+    separable, so the synthesis prior's solve calls the l1 prox and value
+    once per block. The l1 prox writes its output over the point it is
+    given (a caller that needs the point keeps a copy) and clips into one
+    coefficient array kept for the solve, whose head the l1 value reuses
+    for |c|; neither allocates.
     """
     def fit(eta: Array) -> float:
         total = eval_poisson(eta, y, check=False)
@@ -160,8 +161,7 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig]:
     terms = [ProxTerm(poisson, "data-fidelity", maps[0], fit, _conj_poisson(y)),
              ProxTerm(sparsity, "sparsity", maps[1], l1, sparsity_conj,
                       separable=True),
-             ProxTerm(positive, "positivity", maps[2], conj=positive_conj,
-                      separable=True)]
+             ProxTerm(positive, "positivity", maps[2], conj=positive_conj)]
     # The primal step grows with the counts, or is 1 when every count is 0
     # (the minimizer is then 0 at any step).
     mean = float(np.mean(y))

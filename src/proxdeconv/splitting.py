@@ -99,8 +99,10 @@ class ProxTerm:
 
     ``separable`` declares that f acts entry by entry: ``prox`` of a slice
     of a point is that slice of the point's prox, and ``value`` of a point
-    the sum of its slices' values. The prox of a separable term may then
-    write its output into the point it is given and return it.
+    the sum of its slices' values.
+
+    The solver hands a prox only points it owns, so any prox may write its
+    output over the point it is given and return it.
     """
 
     prox: Callable[[Array, float], Array]
@@ -190,8 +192,8 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     Every array it writes is allocated here, once per solve, or is a
     term's part of the dual stack, which its conj step overwrites: x and
     x_next take turns in two buffers (x_next holds the gradient step until
-    the prox has read it, or a separable prox has written its output over
-    it), x_bar's with the dual sum's, and at theta = 1 the duals' with the
+    the prox has read it, or the prox has written its output over it),
+    x_bar's with the dual sum's, and at theta = 1 the duals' with the
     dual step's. Maps and proxes may hand back their input or an array
     they keep, so their outputs are read or copied, never updated. The
     state traces the primal change, the duals' change and their maximum,

@@ -1317,26 +1317,29 @@ class TestBlockedSolve:
         # The same l1 term, not declared separable: its prox runs once per
         # iteration on the whole coefficient vector, at the first block,
         # and its value in the objective trace; the iterates keep their
-        # bits.
+        # bits, whether the prox returns a new array, as a user term's
+        # would, or writes over the point it is given.
         problem = _counts_problem("synthesis", levels=3, max_outer=20,
                                   theta=theta)
         separable, _ = self._solve(problem, monkeypatch, bands=1)
-        sizes, terms_of = [], deconv_module._terms
+        terms_of = deconv_module._terms
+        for in_place in (False, True):
+            sizes = []
 
-        def whole_terms(p):
-            terms, cfg = terms_of(p)
-            prox = terms[1].prox
+            def whole_terms(p):
+                terms, cfg = terms_of(p)
+                prox = terms[1].prox
 
-            def recorded(v, s):
-                sizes.append(v.size)
-                return prox(v, s)
-            terms[1] = replace(terms[1], prox=recorded, separable=False)
-            return terms, cfg
-        monkeypatch.setattr(deconv_module, "_terms", whole_terms)
-        whole, built = self._solve(problem, monkeypatch, bands=1)
-        assert built == [4]
-        assert sizes == [4 * 256] * 20
-        self._assert_same_run(separable, whole, 20)
+                def recorded(v, s):
+                    sizes.append(v.size)
+                    return prox(v if in_place else v.copy(), s)
+                terms[1] = replace(terms[1], prox=recorded, separable=False)
+                return terms, cfg
+            monkeypatch.setattr(deconv_module, "_terms", whole_terms)
+            whole, built = self._solve(problem, monkeypatch, bands=1)
+            assert built == [4]
+            assert sizes == [4 * 256] * 20
+            self._assert_same_run(separable, whole, 20)
 
     @pytest.mark.parametrize("theta", [1.0, 1.5])
     @pytest.mark.parametrize("levels", [2, 3])
