@@ -9,15 +9,25 @@ factors of a blur after a merging multiplier, and ``fourier_form`` recovers a
 multiplier from any operator that has that form. A ``MapStack`` runs the
 primal-dual solver's maps into one flat stack, every multiplier by one
 rank-1 rule, its variable's bands in blocks that fit ``BLOCK_BYTES``, with
-a hook per block for the solver's elementwise steps; ``fft2_count`` counts
-the 2-D FFTs this module computes, one per image. On the hot path,
+a hook per block for the solver's elementwise steps. Inside its
+``threads`` block, a stack of large bands (``THREAD_PIXELS``) runs the
+upper half of its blocks and of its images on a second thread, which the
+block starts and joins, and keeps the one-thread bits: the bands' sum
+stays on the calling thread, in band order. ``fft2_count`` counts the 2-D
+FFTs this module computes, one per image. On the hot path,
 ``MapStack.apply`` and ``adjoint``, each step is one ufunc, reduction or
 1-D FFT pass into a buffer, never a dispatch wrapper such as ``rfft2``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 import itertools
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -206,13 +216,15 @@ def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
 fft2_count = 0
 """Real 2-D FFTs, forward and inverse, computed by this module so far: one
 per image, also when one call transforms a stack."""
+_counting = threading.Lock()  # a solve's two threads both count
 
 
 def _rfft2(images: Array, out: Array | None = None) -> Array:
     """Half spectra of a stack of images, into ``out`` when given: the two
     1-D passes ``rfft2`` makes, bit for bit, without its argument handling."""
     global fft2_count
-    fft2_count += images.size // (images.shape[-2] * images.shape[-1])
+    with _counting:
+        fft2_count += images.size // (images.shape[-2] * images.shape[-1])
     out = np.fft.rfft(images, axis=-1, out=out)
     return np.fft.fft(out, axis=-2, out=out)
 
@@ -222,7 +234,8 @@ def _irfft2(spectra: Array, out: Array) -> Array:
     ``spectra`` is overwritten. These are the two 1-D passes ``irfft2``
     makes, bit for bit: numpy 2.4's ``irfft2`` ignores its ``out``."""
     global fft2_count
-    fft2_count += spectra.size // (spectra.shape[-2] * spectra.shape[-1])
+    with _counting:
+        fft2_count += spectra.size // (spectra.shape[-2] * spectra.shape[-1])
     np.fft.ifft(spectra, axis=-2, out=spectra)
     return np.fft.irfft(spectra, n=out.shape[-1], axis=-1, out=out)
 
@@ -297,6 +310,60 @@ BLOCK_BYTES = 512 * 1024
 block's arrays stay in a 2 MiB per-core L2 cache from one step to the
 next."""
 
+THREAD_PIXELS = 256 * 256
+"""The least band size, in pixels, at which a ``MapStack`` of more than one
+block hands the upper half of its blocks to a second thread: a 256 x 256
+band's block takes about 1 ms per step, against 20-60 us to hand it over."""
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Worker:
+    """A second thread for a ``MapStack``'s calls, parked between jobs.
+
+    ``split(theirs, mine)`` hands ``theirs`` to the thread, which runs it
+    in a copy of the caller's ``contextvars`` context (numpy's ``errstate``
+    lives there), runs ``mine`` on the calling thread and returns once
+    both are done. An error of ``mine`` is raised once the thread is parked
+    again; otherwise an error of ``theirs`` is raised on the calling
+    thread. ``close`` ends the thread and joins it.
+    """
+
+    __slots__ = ("_jobs", "_done", "_thread")
+
+    def __init__(self):
+        self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, daemon=True,
+                                        name="proxdeconv-worker")
+        self._thread.start()
+
+    def _serve(self) -> None:
+        for job in iter(self._jobs.get, None):
+            try:
+                job()
+            except BaseException as error:  # raised again on the caller's thread
+                self._done.put(error)
+            else:
+                self._done.put(None)
+
+    def split(self, theirs: Callable[[], None], mine: Callable[[], None]) -> None:
+        self._jobs.put(functools.partial(contextvars.copy_context().run, theirs))
+        try:
+            mine()
+        finally:
+            error = self._done.get()
+        if error is not None:
+            raise error
+
+    def close(self) -> None:
+        self._jobs.put(None)
+        self._thread.join()
+
 
 class MapStack:
     """Maps K_1, ..., K_m of one variable, their outputs one flat stack.
@@ -328,9 +395,24 @@ class MapStack:
     float64 array); ``adjoint(u, out, drain)`` calls ``drain(block)`` once
     that block of ``out`` is written. The bits do not depend on the blocks.
     A stack without this rule is one block.
+
+    Inside ``with stack.threads():`` a stack of more than one block whose
+    bands have at least ``THREAD_PIXELS`` pixels, on a host that lets the
+    process run on two CPUs, runs each call on two threads. A worker thread
+    runs ``handed``, the upper half of the blocks (fill, forward transform
+    and input gains; input gains, inverse transform and drain), and the
+    upper half of the maps' images (their inverse transforms; their
+    forward transforms and output gains); the calling thread runs the rest
+    and the steps in between. The worker's blocks keep their own spectra,
+    whose bands the calling thread adds to the sum after its own blocks',
+    in band order, so the bits do not depend on the threads either. fill
+    and drain then run on both threads at once, each for its own blocks.
+    Any other stack, or a call outside the block, runs on the calling
+    thread, and ``handed`` is empty.
     """
 
-    __slots__ = ("ops", "slices", "in_dim", "out_dim", "blocks", "_plans")
+    __slots__ = ("ops", "slices", "in_dim", "out_dim", "blocks", "handed",
+                 "_plans", "_threaded", "_worker")
 
     def __init__(self, ops: list[LinearOperator]):
         self.ops = list(ops)
@@ -339,7 +421,8 @@ class MapStack:
         self.in_dim = self.ops[0].in_dim if self.ops else None
         self.out_dim = ends[-1]
         self.blocks = [slice(0, self.in_dim)]
-        self._plans = None
+        self.handed = []
+        self._plans = self._threaded = self._worker = None
         op = self.ops[0] if self.ops else None
         if op is None or not all(isinstance(o, FourierMultiplier) and (
                 o.height, o.width, o.in_dim) == (op.height, op.width, op.in_dim)
@@ -357,15 +440,21 @@ class MapStack:
         per = max(1, BLOCK_BYTES // (8 * n))
         runs = [slice(lo, min(lo + per, k)) for lo in range(0, k, per)]
         self.blocks = [slice(r.start * n, r.stop * n) for r in runs]
-        # One block of the input's bands, the stack's bands and a scratch
-        # band (untouched pages cost no memory).
-        inner, outer, band = (
+        # The blocks from cut on go to a worker where a band pays for the
+        # handover.
+        cut = len(runs) - len(runs) // 2 if n >= THREAD_PIXELS and _cpus() >= 2 \
+            else len(runs)
+        self.handed = self.blocks[cut:]
+        # One block of the input's bands, the stack's bands, a scratch band
+        # and the worker's blocks' bands (untouched pages cost no memory).
+        inner, outer, band, spare = (
             np.empty((j, op.height, op.width // 2 + 1), dtype=complex)
-            for j in (min(per, k), self.out_dim // n, 1))
-        outputs = [(out, outer[b]) for b, (out, _) in zip(bands, pairs)
+            for j in (min(per, k), self.out_dim // n, 1, k - runs[cut - 1].stop))
+        images = [outer[b] for b in bands]  # each map's bands
+        outputs = [(out, image) for image, (out, _) in zip(images, pairs)
                    if out is not None]
 
-        def filtered(gains, src, dst, adjoint):
+        def filtered(gains, src, dst, adjoint, scratch=band[0]):
             # Steps (call, arguments, output): gains * src into dst. One
             # band filtered into a stack runs band by band, as numpy would
             # buffer the broadcast; so do the adjoint's gains with an
@@ -376,7 +465,7 @@ class MapStack:
                 return [(np.multiply, (gains, src), dst)]
             steps = []
             for g, b in zip(gains, dst):
-                c = band[0] if src is dst else b
+                c = scratch if src is dst else b
                 steps += [(np.conjugate, (g,), c)] if conj else []
                 steps += [(np.multiply, (c if conj else g, b if src is dst else src), b)]
             return steps
@@ -399,8 +488,8 @@ class MapStack:
         forward = [(s, spectra, [] if merge is None else
                     filtered(merge[r], spectra, spectra, False)
                     + summed(spectra, into, r.start == 0)) for s, spectra, r in blocks]
-        forward[-1][2].extend(
-            s for gains, b in outputs for s in filtered(gains, into, b, False))
+        gained = [s for gains, b in outputs for s in filtered(gains, into, b, False)]
+        forward[-1][2].extend(gained)
         back = [s for gains, b in outputs for s in filtered(gains, b, b, True)]
         back += summed(outer, total, True)
         backward = [(s, spectra, [] if merge is None else
@@ -408,10 +497,47 @@ class MapStack:
         whole, shape = slice(0, self.out_dim), (-1, op.height, op.width)
         self._plans = ((forward, [(whole, outer, [])], shape),
                        ([(whole, outer, back)], backward, shape))
+        if not self.handed:
+            return
+        # On two threads a direction's sources and targets are each (the
+        # calling thread's part, the worker's), and the sources come with
+        # the steps that join them: apply's add the worker's bands to the
+        # sum and filter it by the output gains, adjoint's sum the images.
+        # The worker's blocks have their own spectra, which apply keeps
+        # until they are added, and the worker's images a scratch band.
+        theirs = [(s, spare[r.start - runs[cut].start:r.stop - runs[cut].start], r)
+                  for r, s in zip(runs[cut:], self.handed)]
+        joined = [s for _, spectra, _ in theirs for s in summed(spectra, into, False)]
+        half = len(images) - len(images) // 2
+        mapped = [(s, image, []) for s, image in zip(self.slices, images)]
+        conj = [(s, image, [] if out is None else
+                 filtered(out, image, image, True, band[0] if i < half else spare[0]))
+                for i, (s, image, (out, _)) in enumerate(zip(self.slices, images, pairs))]
+        self._threaded = (
+            ((forward[:cut], [(s, spectra, filtered(merge[r], spectra, spectra, False))
+                              for s, spectra, r in theirs], joined + gained),
+             (mapped[:half], mapped[half:]), shape),
+            ((conj[:half], conj[half:], summed(outer, total, True)),
+             (backward[:cut], [(s, spectra, filtered(merge[r], total, spectra, True))
+                               for s, spectra, r in theirs]), shape))
 
     def split(self, stack: Array) -> list[Array]:
         """The maps' parts of a stack, as views."""
         return [stack[s] for s in self.slices]
+
+    @contextlib.contextmanager
+    def threads(self):
+        """Run this stack's calls on two threads until the block ends, if
+        ``handed`` is not empty: one worker thread, joined on the way out."""
+        if not self.handed:
+            yield
+            return
+        self._worker = _Worker()
+        try:
+            yield
+        finally:
+            self._worker.close()
+            self._worker = None
 
     def apply(self, x, out: Array | None = None,
               fill: Callable[[slice], None] | None = None) -> Array:
@@ -422,8 +548,9 @@ class MapStack:
             for op, s in zip(self.ops, self.slices):
                 out[s] = op.apply(x)
             return out
-        return _run(self._plans[0], _flat64(x, self.in_dim, "MapStack.apply"), out,
-                    fill, None)
+        return _run(self._plans[0] if self._worker is None else self._threaded[0],
+                    _flat64(x, self.in_dim, "MapStack.apply"), out, fill, None,
+                    self._worker)
 
     def adjoint(self, u, out: Array | None = None,
                 drain: Callable[[slice], None] | None = None) -> Array:
@@ -438,26 +565,48 @@ class MapStack:
             if drain is not None:
                 drain(self.blocks[0])
             return out
-        return _run(self._plans[1], u, out, None, drain)
+        return _run(self._plans[1] if self._worker is None else self._threaded[1],
+                    u, out, None, drain, self._worker)
 
 
-def _run(plan, x: Array, out: Array, fill, drain) -> Array:
-    """One direction of a ``MapStack``'s rank-1 rule, from x into ``out``:
-    each source block transformed and its steps run, then each target
-    block's steps run and the block transformed back."""
-    sources, targets, shape = plan
-    for s, spectra, steps in sources:
+def _forward(units, x: Array, shape, fill) -> None:
+    for s, spectra, steps in units:
         if fill is not None:
             fill(s)
         _rfft2(x[s].reshape(shape), out=spectra)
         for call, args, dst in steps:
             call(*args, out=dst)
-    for s, spectra, steps in targets:
+
+
+def _backward(units, out: Array, shape, drain) -> None:
+    for s, spectra, steps in units:
         for call, args, dst in steps:
             call(*args, out=dst)
         _irfft2(spectra, out[s].reshape(shape))
         if drain is not None:
             drain(s)
+
+
+def _run(plan, x: Array, out: Array, fill, drain, worker: _Worker | None) -> Array:
+    """One direction of a ``MapStack``'s rank-1 rule, from x into ``out``:
+    each source block transformed and its steps run, then each target
+    block's steps run and the block transformed back. With a worker the
+    sources and the targets are each split between the two threads, and
+    the steps that join the sources run in between, on the calling
+    thread."""
+    sources, targets, shape = plan
+    if worker is None:
+        _forward(sources, x, shape, fill)
+        _backward(targets, out, shape, drain)
+        return out
+    mine, theirs, joined = sources
+    worker.split(functools.partial(_forward, theirs, x, shape, fill),
+                 functools.partial(_forward, mine, x, shape, fill))
+    for call, args, dst in joined:
+        call(*args, out=dst)
+    mine, theirs = targets
+    worker.split(functools.partial(_backward, theirs, out, shape, drain),
+                 functools.partial(_backward, mine, out, shape, drain))
     return out
 
 

@@ -57,10 +57,23 @@ first gradient step is taken before the loop, the last iteration takes
 none, and one that the stopping rule ends discards it. A separable g
 (``ProxTerm.separable``) takes its prox and value per block, into the
 block of x_{t+1} when its prox writes there; any other g takes its prox
-once, on the whole vector at the first block, and its value in the
-objective trace. The iterates do not depend on the blocks; the three
-norms and a separable g's value sum their block parts, so the change
-traces and the objective trace round by them.
+once per iteration on the whole vector, before ``apply``, and its value
+in the objective trace. The iterates do not depend on the blocks; the
+three norms and a separable g's value sum their block parts, in block
+order, so the change traces and the objective trace round by them.
+
+Where the stack hands blocks to a worker thread (``MapStack.handed``, a
+256 x 256 synthesis solve on two CPUs), the loop runs inside
+``MapStack.threads``: each iteration takes a separable g's prox of the
+handed blocks on the solve's thread first, then ``apply`` runs fill for
+those blocks on the worker while this thread takes its own, and
+``adjoint`` runs their drain there too. Each block writes its own parts
+of the sums, which this thread adds in block order, so the iterates and
+every trace keep their one-thread bits. The proxes, the dual steps and
+the objective trace, and so every function the terms look up by name,
+run on the solve's thread while the worker is parked; a block's finite
+check raises there too, naming the same term and iteration. The worker
+is joined when the solve returns or raises.
 
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
 with x_bar = 2 x~ - x_t, or (x_bar + x_t) / 2 at theta = 1, so the loop
@@ -102,7 +115,10 @@ class ProxTerm:
     the sum of its slices' values.
 
     The solver hands a prox only points it owns, so any prox may write its
-    output over the point it is given and return it.
+    output over the point it is given and return it. It calls every prox
+    on the solve's thread, but a separable g's ``value`` of a block may run
+    on the worker thread of a two-thread solve (``MapStack.threads``), at
+    the same time as this thread's steps on other blocks.
     """
 
     prox: Callable[[Array, float], Array]
@@ -152,6 +168,15 @@ def _ratio(num: float, denom: float) -> float:
     if denom == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return num / denom
+
+
+def _in_order(parts: dict) -> float:
+    """The values summed from 0.0 in the keys' order, as a running += sums
+    them (``sum`` compensates its float sums from Python 3.12 on)."""
+    total = 0.0
+    for part in parts.values():
+        total += part
+    return total
 
 
 def _moreau(term: ProxTerm) -> Callable[[Array, float], None]:
@@ -241,30 +266,42 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     blockwise = g.separable and g.value is not None
     scored = [replace(term, value=lambda point: gv) if blockwise and term is g
               else term for term in terms]
-    # x_new, the prox's output, lives until the next prox has returned:
+    # Each block's parts of d . d, ||x_next||^2 and g's value, then of the
+    # shift's square, keyed in block order and summed so, whichever thread
+    # wrote them.
+    dds, nns, gvs, sss = (dict.fromkeys((b.start for b in maps.blocks), 0.0)
+                          for _ in range(4))
+    # A separable g's prox output per block (with x_next's block), taken in
+    # fill, but for the blocks a worker thread runs (maps.handed), whose
+    # proxes run on this thread before they are handed out, as any hook
+    # they carry expects; any other g's prox of the whole vector, taken
+    # before the map call. Each lives until the next prox has returned:
     # freeing it sooner let the allocator trim and refault the heap top
     # every iteration.
-    x_new = None
+    news, whole = {}, None
+    ahead = {b.start for b in maps.handed}
+
+    def prox(b: slice) -> None:
+        nxt = x_next[b]
+        new = g.prox(nxt, tau)
+        news[b.start] = nxt, new if new is nxt else _flat64(new, nxt.size, context)
 
     def fill(b: slice) -> None:
-        # The prox of g, per block if g is separable, else at the first
-        # block on the whole vector; then d = x~ - x in the spent x_bar
+        # x~'s block, unless taken; then d = x~ - x in the spent x_bar
         # buffer. A finite d . d means a finite x~, so only an infinite or
         # NaN one pays for the scan.
-        nonlocal dd, nn, gv, x_new
-        old, nxt = x[b], x_next[b]
-        if g.separable:
-            x_new = g.prox(nxt, tau)
-            new = x_new if x_new is nxt else _flat64(x_new, nxt.size, context)
+        if not g.separable:
+            nxt, new = x_next[b], whole[b]
         else:
-            if b.start == 0:
-                x_new = _flat64(g.prox(x_next, tau), x.size, context)
-            new = x_new[b]
+            if b.start not in ahead:
+                prox(b)
+            nxt, new = news[b.start]
+        old = x[b]
         d = np.subtract(new, old, out=x_bar[b])
         part = d.dot(d)
         if not part < math.inf and not np.isfinite(new).all():
             raise NonFiniteIterateError(iteration=t, label=g.label)
-        dd += part
+        dds[b.start] = part
         # At theta = 1, x_next = x~ and x_bar = x~ + d; otherwise x_next =
         # x + theta d and x_bar = x + 2 d. Either holds when x~ is x_next.
         if unrelaxed:
@@ -276,18 +313,17 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
             np.add(nxt, old, out=nxt)
             d *= 2.0
             d += old
-        nn += nxt.dot(nxt)
+        nns[b.start] = nxt.dot(nxt)
         if blockwise:
-            gv += g.value(nxt)
+            gvs[b.start] = g.value(nxt)
 
     def drain(b: slice) -> None:
         # The duals' shift K^T (u_next - u) in the spent back buffer; x is
         # spent too, so the next gradient step x_next - tau K^T u_next goes
         # there, unless no iteration follows.
-        nonlocal ss
         summed, shift = x_bar[b], back[b]
         np.subtract(summed, shift, out=shift)
-        ss += shift.dot(shift)
+        sss[b.start] = shift.dot(shift)
         if t + 1 < cfg.max_outer:
             grad = x[b]
             np.multiply(summed, tau, out=grad)
@@ -295,61 +331,67 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     # The first gradient step, from zero duals; drain takes the others.
     np.multiply(back, tau, out=x_next)
     np.subtract(x, x_next, out=x_next)
-    for t in range(cfg.max_outer):
-        # d . d, ||x_next||^2, the shift's square and g's value at x_next
-        dd = nn = ss = gv = 0.0
-        # fill takes the prox and writes x_bar, K's input, one block
-        # before K transforms it.
-        maps.apply(x_bar, out=v, fill=fill)
-        change = theta * math.sqrt(dd)
-        # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
-        # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t), which at
-        # theta = 1 is (K x_bar + K x_t) / 2.
-        if unrelaxed:
-            np.add(v[carried], kc, out=kc)
-            kc *= 0.5
-        else:
-            np.subtract(v[carried], kc, out=step)
-            step *= 0.5 * theta
-            kc += step
-        v *= sigma
-        v += duals
-        # u~_i = prox_{sigma f_i*}(v_i), each in its part of the stack.
-        for conj, s in conjs:
-            conj(v[s], sigma)
-        # A finite sum means a finite stack; only a non-finite one (or a
-        # finite stack whose sum overflows) pays for the scan.
-        if not math.isfinite(v.sum()) and not np.isfinite(v).all():
-            first = int(np.argmin(np.isfinite(v)))
-            raise NonFiniteIterateError(iteration=t, label=next(
-                term.label for term, s in parts if first < s.stop))
-        # u_{t+1} = u_t + theta (u~ - u_t): u~ itself at theta = 1, where
-        # the two buffers swap.
-        if unrelaxed:
-            duals, v = v, duals
-        else:
-            v -= duals
-            v *= theta
-            duals += v
-        # The duals' change as the shift tau K^T (u_next - u) it makes in the
-        # primal step, relative to the larger of the two iterates. x_bar is
-        # spent, so the new sum goes there and the two swap.
-        maps.adjoint(duals, out=x_bar, drain=drain)
-        shift = tau * math.sqrt(ss)
-        back, x_bar = x_bar, back
-        norm_next = math.sqrt(nn)
-        primal, dual = _ratio(change, norm), _ratio(shift, max(norm, norm_next))
-        rel = max(primal, dual)
-        x, x_next, norm = x_next, x, norm_next
-        rel_trace.append(rel)
-        primal_trace.append(primal)
-        dual_trace.append(dual)
-        if traced:
-            obj_trace.append(objective_value(scored, x, images))
-        if rel <= cfg.tol:
-            break
-    # Carried images drift from K_i x by round-off; the last ones are exact.
-    maps.apply(x, out=kx)
+    with maps.threads():
+        for t in range(cfg.max_outer):
+            if not g.separable:
+                whole = _flat64(g.prox(x_next, tau), x.size, context)
+            else:
+                for b in maps.handed:
+                    prox(b)
+            # fill takes the prox and writes x_bar, K's input, one block
+            # before K transforms it.
+            maps.apply(x_bar, out=v, fill=fill)
+            dd, nn, gv = _in_order(dds), _in_order(nns), _in_order(gvs)
+            change = theta * math.sqrt(dd)
+            # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
+            # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t), which at
+            # theta = 1 is (K x_bar + K x_t) / 2.
+            if unrelaxed:
+                np.add(v[carried], kc, out=kc)
+                kc *= 0.5
+            else:
+                np.subtract(v[carried], kc, out=step)
+                step *= 0.5 * theta
+                kc += step
+            v *= sigma
+            v += duals
+            # u~_i = prox_{sigma f_i*}(v_i), each in its part of the stack.
+            for conj, s in conjs:
+                conj(v[s], sigma)
+            # A finite sum means a finite stack; only a non-finite one (or a
+            # finite stack whose sum overflows) pays for the scan.
+            if not math.isfinite(v.sum()) and not np.isfinite(v).all():
+                first = int(np.argmin(np.isfinite(v)))
+                raise NonFiniteIterateError(iteration=t, label=next(
+                    term.label for term, s in parts if first < s.stop))
+            # u_{t+1} = u_t + theta (u~ - u_t): u~ itself at theta = 1, where
+            # the two buffers swap.
+            if unrelaxed:
+                duals, v = v, duals
+            else:
+                v -= duals
+                v *= theta
+                duals += v
+            # The duals' change as the shift tau K^T (u_next - u) it makes in
+            # the primal step, relative to the larger of the two iterates.
+            # x_bar is spent, so the new sum goes there and the two swap.
+            maps.adjoint(duals, out=x_bar, drain=drain)
+            shift = tau * math.sqrt(_in_order(sss))
+            back, x_bar = x_bar, back
+            norm_next = math.sqrt(nn)
+            primal, dual = _ratio(change, norm), _ratio(shift, max(norm, norm_next))
+            rel = max(primal, dual)
+            x, x_next, norm = x_next, x, norm_next
+            rel_trace.append(rel)
+            primal_trace.append(primal)
+            dual_trace.append(dual)
+            if traced:
+                obj_trace.append(objective_value(scored, x, images))
+            if rel <= cfg.tol:
+                break
+        # Carried images drift from K_i x by round-off; the last ones are
+        # exact.
+        maps.apply(x, out=kx)
     if traced:
         obj_trace[-1] = objective_value(terms, x, images)
     return x, SplittingState(x=x, aux=maps.split(duals), images=images,

@@ -8,6 +8,7 @@ agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -298,14 +299,18 @@ class GainMatrixStack:
     row, a splitting map one column. The adjoint adds every map's conjugate
     transposed gain matrix times its duals' spectra, from the first map's
     part, before one inverse transform. Other maps, products among them,
-    apply one by one. ``fill`` and ``drain`` see the variable as one block.
+    apply one by one. ``fill`` and ``drain`` see the variable as one block,
+    on one thread.
     """
+
+    handed = []
 
     def __init__(self, ops):
         self.ops = list(ops)
         ends = np.cumsum([0] + [op.out_dim for op in self.ops])
         self.slices = [slice(int(lo), int(hi)) for lo, hi in zip(ends, ends[1:])]
         self.in_dim = self.ops[0].in_dim if self.ops else None
+        self.blocks = [slice(0, self.in_dim)]
         self.out_dim = int(ends[-1])
         first = self.ops[0] if self.ops else None
         self.shape = (first.height, first.width) if self.ops and all(
@@ -316,9 +321,12 @@ class GainMatrixStack:
     def split(self, stack):
         return [stack[s] for s in self.slices]
 
+    def threads(self):
+        return contextlib.nullcontext()
+
     def apply(self, x, out=None, fill=None):
         if fill is not None:
-            fill(slice(0, self.in_dim))
+            fill(self.blocks[0])
         out = np.empty(self.out_dim) if out is None else out
         if self.shape is None:
             for op, s in zip(self.ops, self.slices):
@@ -338,7 +346,7 @@ class GainMatrixStack:
         else:
             out[...] = self._merged(u)
         if drain is not None:
-            drain(slice(0, self.in_dim))
+            drain(self.blocks[0])
         return out
 
     def _merged(self, u):

@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -1390,6 +1391,142 @@ class TestBlockedSolve:
             self._solve(problem, monkeypatch, bands=1)
         assert err.value.label == "sparsity" and err.value.iteration == 2
         assert poisoned_at == [len(transforms)]
+
+
+class TestThreadedSolve:
+    """A synthesis solve whose map stack runs its upper blocks on a worker
+    thread (``operators.THREAD_PIXELS`` patched to a 16 x 16 band, and two
+    CPUs) against the same blocks on one thread: every bit, trace and
+    metric is the same, the hooks run on the caller's thread only, and no
+    thread outlives the solve."""
+
+    @staticmethod
+    def _solve(problem, monkeypatch, bands=None, threaded=True):
+        """The result and the threads that ran forward transforms, with
+        ``bands`` 16 x 16 bands per block (or the default budget), on two
+        threads or on one."""
+        transform, seen = operators_module._rfft2, set()
+
+        def recorded(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return transform(*args, **kwargs)
+        with monkeypatch.context() as patched:
+            patched.setattr(operators_module, "_rfft2", recorded)
+            patched.setattr(operators_module, "_cpus", lambda: 2 if threaded else 1)
+            if bands:
+                patched.setattr(operators_module, "BLOCK_BYTES", 256 * 8 * bands)
+                patched.setattr(operators_module, "THREAD_PIXELS", 256)
+            before = threading.active_count()
+            try:
+                res = deconvolve(problem)
+            finally:
+                assert threading.active_count() == before
+        return res, len(seen)
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        for a, b in ((got.restored.data, want.restored.data),
+                     (got.coefficients, want.coefficients), (got.state.x, want.state.x)):
+            assert a.tobytes() == b.tobytes()
+        for a, b in ((got.state.aux, want.state.aux),
+                     (got.state.images, want.state.images)):
+            assert [p.tobytes() for p in a] == [p.tobytes() for p in b]
+        for trace in ("relative_changes", "primal_changes", "dual_changes",
+                      "objectives"):
+            assert np.array(getattr(got.state, trace)).tobytes() == \
+                np.array(getattr(want.state, trace)).tobytes(), trace
+        text = [json.dumps(result_metrics(r, include_timing=False), sort_keys=True)
+                for r in (got, want)]
+        assert text[0] == text[1]
+        assert got.clip_mass == want.clip_mass
+
+    @pytest.mark.parametrize("theta", [1.0, 1.5])
+    @pytest.mark.parametrize("psf", ["box", "skewed"])
+    @pytest.mark.parametrize("levels, bands", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_two_threads_give_the_one_thread_bits(self, levels, bands, psf, theta,
+                                                  monkeypatch):
+        # starlet:levels=2 has 3 bands (blocks of 1, 1, 1 or 2, 1) and
+        # levels=3 has 4 (1, 1, 1, 1 or 2, 2 or 3, 1); the skewed kernel's
+        # gains are complex, so the adjoint's output gains are conjugated.
+        problem = _counts_problem("synthesis", levels=levels, max_outer=30,
+                                  theta=theta, psf=SKEWED if psf == "skewed" else MA3)
+        serial, one = self._solve(problem, monkeypatch, bands, threaded=False)
+        threaded, two = self._solve(problem, monkeypatch, bands)
+        assert (one, two) == (1, 2)
+        assert threaded.state.iterations == 30
+        self._assert_same_bits(threaded, serial)
+
+    def test_a_256_solve_runs_on_two_threads_with_the_one_thread_bits(
+            self, monkeypatch):
+        # The shipped constants: 256 x 256 bands, one per block.
+        n = 256
+        problem = DeconvProblem(
+            counts=Image(n, n, np.random.default_rng(1).poisson(
+                20.0, n * n).astype(np.float64)),
+            blur=make_circular_convolution(MA3, n, n),
+            dictionary=make_starlet(n, n, levels=3), gamma=0.2,
+            splitting=SplittingConfig(max_outer=3, tol=0.0))
+        serial, one = self._solve(problem, monkeypatch, threaded=False)
+        threaded, two = self._solve(problem, monkeypatch)
+        assert (one, two) == (1, 2)
+        self._assert_same_bits(threaded, serial)
+
+    def test_the_hooks_run_on_the_callers_thread(self, monkeypatch):
+        problem = _counts_problem("synthesis", levels=3, max_outer=5)
+        callers = []
+        for name in ("soft_threshold", "project_positive", "eval_poisson"):
+            def hooked(*args, _original=getattr(deconv_module, name), **kwargs):
+                callers.append(threading.get_ident())
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(deconv_module, name, hooked)
+        _, two = self._solve(problem, monkeypatch, bands=1)
+        assert two == 2
+        # Four blocks' proxes, one positivity step and one fit per
+        # iteration, and the exact last objective entry's fit.
+        assert len(callers) == 5 * (4 + 1 + 1) + 1
+        assert set(callers) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("band", [0, 1, 2, 3])
+    def test_a_non_finite_block_on_either_thread_stops_before_its_transform(
+            self, band, bad, monkeypatch):
+        # Four blocks of one band: 0 and 1 run on the calling thread, 2 and
+        # 3 on the worker. The third iteration's l1 prox of ``band`` is
+        # poisoned; the error names the term and that iteration, and no
+        # transform reads a non-finite image.
+        problem = _counts_problem("synthesis", levels=3, max_outer=5)
+        threshold, calls = deconv_module.soft_threshold, []
+        transform, finite = operators_module._rfft2, []
+
+        def poisoned(v, t, **kwargs):
+            result = threshold(v, t, **kwargs)
+            block = (v.ctypes.data - v.base.ctypes.data) // v.nbytes
+            calls.append(block)
+            if block == band and calls.count(block) == 3:
+                result[7] = bad
+            return result
+
+        def checked(images, *args, **kwargs):
+            finite.append(bool(np.isfinite(images).all()))
+            return transform(images, *args, **kwargs)
+        monkeypatch.setattr(deconv_module, "soft_threshold", poisoned)
+        monkeypatch.setattr(operators_module, "_rfft2", checked)
+        with pytest.raises(NonFiniteIterateError) as err:
+            self._solve(problem, monkeypatch, bands=1)
+        assert err.value.label == "sparsity" and err.value.iteration == 2
+        assert calls.count(band) == 3
+        assert finite and all(finite)
+
+    def test_a_solve_that_raises_joins_its_thread(self, monkeypatch):
+        # An error on the solve's own thread, in the dual step between the
+        # two map calls: the worker is parked then, and is joined.
+        problem = _counts_problem("synthesis", levels=3, max_outer=5)
+
+        def interrupted(x):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(deconv_module, "project_positive", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self._solve(problem, monkeypatch, bands=1)
 
 
 class TestTermValues:

@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -799,3 +801,155 @@ class TestBlocks:
         out = np.full(3, 7.0)
         assert stack.adjoint(np.empty(0), out=out) is out
         assert out.tobytes() == np.zeros(3).tobytes()
+
+
+class TestThreads:
+    """Inside ``MapStack.threads`` a stack of more than one block whose bands
+    reach ``THREAD_PIXELS`` runs its upper blocks and images on a worker
+    thread, with the one-thread bits."""
+
+    @staticmethod
+    def _stack(maps, per, monkeypatch, cpus=2):
+        """The stack of ``maps`` in blocks of ``per`` 16 x 16 bands, planned
+        for two threads on ``cpus`` CPUs."""
+        with monkeypatch.context() as patched:
+            patched.setattr(operators_module, "BLOCK_BYTES", per * 256 * 8)
+            patched.setattr(operators_module, "THREAD_PIXELS", 256)
+            patched.setattr(operators_module, "_cpus", lambda: cpus)
+            return MapStack(maps)
+
+    @pytest.mark.parametrize("per", [1, 2, 3])
+    @pytest.mark.parametrize("psf", ["box", "skewed"])
+    def test_two_threads_give_the_one_thread_bits(self, psf, per, monkeypatch):
+        maps, _, _ = TestBlocks._synthesis(SKEWED if psf == "skewed" else _ma_psf(3),
+                                           16, 16, levels=3)
+        serial = TestBlocks._stack(maps, per * 256 * 8, monkeypatch)
+        stack = self._stack(maps, per, monkeypatch)
+        assert serial.handed == []
+        assert stack.handed == stack.blocks[len(stack.blocks) - len(stack.blocks) // 2:]
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal(stack.in_dim)
+        u = rng.standard_normal(stack.out_dim)
+        filled, drained = [], []
+        with stack.threads():
+            got = [stack.apply(x, fill=lambda b: filled.append(
+                       (b, threading.get_ident()))).tobytes(),
+                   stack.adjoint(u, drain=lambda b: drained.append(
+                       (b, threading.get_ident()))).tobytes()]
+        assert got == [serial.apply(x).tobytes(), serial.adjoint(u).tobytes()]
+        # fill and drain see each block once, the worker's on the worker.
+        here = threading.get_ident()
+        for calls in (filled, drained):
+            worker, = {ident for _, ident in calls} - {here}
+            assert sorted(calls, key=lambda c: c[0].start) == [
+                (b, worker if b in stack.handed else here) for b in stack.blocks]
+
+    def test_only_a_stack_of_large_multi_block_bands_on_two_cpus_splits(
+            self, monkeypatch):
+        maps, blur, phi = TestBlocks._synthesis(_ma_psf(3), 16, 16, levels=3)
+        assert self._stack(maps, 1, monkeypatch, cpus=1).handed == []
+        assert self._stack(maps, 4, monkeypatch).handed == []  # one block
+        assert self._stack([blur, phi.T], 1, monkeypatch).handed == []
+        # The shipped bar: a 256 x 256 band and more than one block.
+        maps, _, _ = TestBlocks._synthesis(_ma_psf(3), 64, 64, levels=3)
+        with monkeypatch.context() as patched:
+            patched.setattr(operators_module, "BLOCK_BYTES", 64 * 64 * 8)
+            patched.setattr(operators_module, "_cpus", lambda: 2)
+            assert len(MapStack(maps).blocks) == 4 and MapStack(maps).handed == []
+
+    def test_direct_multiplier_calls_and_calls_outside_the_block_stay_on_one_thread(
+            self, monkeypatch):
+        maps, _, phi = TestBlocks._synthesis(_ma_psf(3), 16, 16, levels=3)
+        stack = self._stack(maps, 1, monkeypatch)
+        transform, seen = operators_module._rfft2, set()
+
+        def recorded(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return transform(*args, **kwargs)
+        monkeypatch.setattr(operators_module, "_rfft2", recorded)
+        monkeypatch.setattr(operators_module, "THREAD_PIXELS", 256)
+        monkeypatch.setattr(operators_module, "_cpus", lambda: 2)
+        monkeypatch.setattr(operators_module, "BLOCK_BYTES", 256 * 8)
+        x = np.ones(stack.in_dim)
+        before = threading.active_count()
+        stack.apply(x)
+        phi.apply(x)
+        phi.T.apply(np.ones(256))
+        assert seen == {threading.get_ident()}
+        assert threading.active_count() == before
+
+    def test_the_fft_count_loses_no_update_across_threads(self):
+        # The count is a read-modify-write of a module global: four threads
+        # that transform at once, switched every microsecond, add up.
+        images, before = np.ones((2, 4, 4)), operators_module.fft2_count
+
+        def transform():
+            for _ in range(500):
+                operators_module._rfft2(images)
+        threads = [threading.Thread(target=transform) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert operators_module.fft2_count - before == 4 * 500 * 2
+
+    @staticmethod
+    def _worker():
+        worker = operators_module._Worker()
+        return worker, worker._thread
+
+    def test_a_job_runs_in_the_callers_errstate(self):
+        # numpy keeps errstate in a context variable, which a plain thread
+        # does not inherit: there the job would see the default "warn" and,
+        # warnings being errors here, raise.
+        worker, thread = self._worker()
+        seen = []
+        try:
+            with np.errstate(divide="ignore"):
+                worker.split(lambda: seen.append((np.geterr()["divide"],
+                                                  np.log(np.zeros(1))[0])),
+                             lambda: None)
+        finally:
+            worker.close()
+        assert seen == [("ignore", -np.inf)]
+        assert not thread.is_alive()
+
+    def test_errors_are_raised_on_the_callers_thread_the_callers_first(self):
+        worker, thread = self._worker()
+
+        def fails(error):
+            def job():
+                raise error
+            return job
+        try:
+            with pytest.raises(KeyError):
+                worker.split(fails(KeyError()), lambda: None)
+            with pytest.raises(IndexError):
+                worker.split(fails(KeyError()), fails(IndexError()))
+            # A numpy warning, an error under this suite's filters.
+            with pytest.raises(RuntimeWarning):
+                worker.split(lambda: np.log(np.zeros(1)), lambda: None)
+            seen = []
+            worker.split(lambda: seen.append(threading.get_ident()), lambda: None)
+            assert seen == [thread.ident] != [threading.get_ident()]
+        finally:
+            worker.close()
+        assert not thread.is_alive()
+
+    def test_the_worker_is_joined_when_the_block_is_left_by_an_error(self):
+        maps, _, _ = TestBlocks._synthesis(_ma_psf(3), 16, 16, levels=3)
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as patched:
+            stack = self._stack(maps, 1, patched)
+        with pytest.raises(KeyboardInterrupt):
+            with stack.threads():
+                assert threading.active_count() == before + 1
+                raise KeyboardInterrupt
+        assert threading.active_count() == before
+        assert stack._worker is None
