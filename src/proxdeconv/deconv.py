@@ -32,7 +32,6 @@ simulation, and MAE metrics.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -130,8 +129,7 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig]:
     once per block. The l1 prox writes its output over the point it is
     given (a caller that needs the point keeps a copy) and clips into one
     coefficient array kept for the solve, whose head the l1 value reuses
-    for |c|; neither allocates. A block's l1 value that a two-thread solve
-    takes on its worker thread uses the array's tail instead.
+    for |c|; neither allocates.
     """
     def fit(eta: Array) -> float:
         total = eval_poisson(eta, y, check=False)
@@ -152,16 +150,10 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig]:
               for op in (p.blur, p.dictionary))
     poisson = lambda v, s: prox_poisson(v, s, y)
     kept = np.empty(phi.in_dim)  # the l1 prox's clip and |c|, per solve
-    owner = threading.get_ident()
-
-    def part(c: Array) -> Array:
-        # The head of kept on this thread, the tail on a solve's worker
-        # thread: two blocks are at most the whole vector.
-        return kept[:c.size] if threading.get_ident() == owner \
-            else kept[kept.size - c.size:]
-    sparsity = lambda v, s: soft_threshold(v, s * gamma, out=v, scratch=part(v))
+    sparsity = lambda v, s: soft_threshold(v, s * gamma, out=v,
+                                           scratch=kept[:v.size])
     positive = lambda v, s: project_positive(v)
-    l1 = lambda c: gamma * float(np.abs(c, out=part(c)).sum())
+    l1 = lambda c: gamma * float(np.abs(c, out=kept[:c.size]).sum())
     # prox_{sigma f*} of gamma ||.||_1 is the clip to [-gamma, gamma].
     sparsity_conj = lambda v, s: v.clip(-gamma, gamma, out=v)
     maps, factor = (((h, phi.T, None), 0.5) if p.prior == "analysis"

@@ -310,10 +310,16 @@ BLOCK_BYTES = 512 * 1024
 block's arrays stay in a 2 MiB per-core L2 cache from one step to the
 next."""
 
-THREAD_PIXELS = 256 * 256
+THREAD_PIXELS = 128 * 128
 """The least band size, in pixels, at which a ``MapStack`` of more than one
-block hands the upper half of its blocks to a second thread: a 256 x 256
-band's block takes about 1 ms per step, against 20-60 us to hand it over."""
+block hands the upper half of its blocks to a second thread. Each call
+also hands over one image's transform, one band's worth of work, which
+must outweigh the 20-60 us a handover takes. Measured on 2 cores with one
+BLAS thread (synthesis solves of 100 iterations, median of 5 per side,
+10 alternating pairs): 128 x 128 bands (``starlet:levels=5``, blocks of 4
+and 2 bands) took 4.63 -> 3.97 ms per iteration on two threads, faster in
+9 of 10 pairs; 64 x 64 bands (a union of five ``starlet:levels=3``, blocks
+of 16 and 4 bands) took 3.20 -> 3.46 ms, slower in 9 of 10."""
 
 
 def _cpus() -> int:

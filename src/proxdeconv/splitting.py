@@ -57,23 +57,24 @@ first gradient step is taken before the loop, the last iteration takes
 none, and one that the stopping rule ends discards it. A separable g
 (``ProxTerm.separable``) takes its prox and value per block, into the
 block of x_{t+1} when its prox writes there; any other g takes its prox
-once per iteration on the whole vector, before ``apply``, and its value
-in the objective trace. The iterates do not depend on the blocks; the
-three norms and a separable g's value sum their block parts, in block
-order, so the change traces and the objective trace round by them.
+once, on the whole vector at the first block, and its value in the
+objective trace. The iterates do not depend on the blocks; the three
+norms and a separable g's value sum their block parts, in block order,
+so the change traces and the objective trace round by them.
 
 Where the stack hands blocks to a worker thread (``MapStack.handed``, a
-256 x 256 synthesis solve on two CPUs), the loop runs inside
-``MapStack.threads``: each iteration takes a separable g's prox of the
-handed blocks on the solve's thread first, then ``apply`` runs fill for
-those blocks on the worker while this thread takes its own, and
-``adjoint`` runs their drain there too. Each block writes its own parts
-of the sums, which this thread adds in block order, so the iterates and
-every trace keep their one-thread bits. The proxes, the dual steps and
-the objective trace, and so every function the terms look up by name,
-run on the solve's thread while the worker is parked; a block's finite
-check raises there too, naming the same term and iteration. The worker
-is joined when the solve returns or raises.
+stack of more than one block on two CPUs), the loop runs inside
+``MapStack.threads`` and each iteration first takes g's prox of the
+handed blocks (or of the whole vector) on the solve's thread. ``apply``
+then runs the rest of fill for those blocks on the worker while this
+thread takes its own, and ``adjoint`` runs their drain there too. The
+worker's blocks keep their parts of the three norms, which this thread
+adds to its own running sums after each call, in block order, and takes
+g's value of those blocks after ``apply``; so the iterates and every
+trace keep their one-thread bits. Every term's callback, and so every
+function a term looks up by name, runs on the solve's thread; a block's
+finite check raises there too, naming the same term and iteration. The
+worker is joined when the solve returns or raises.
 
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
 with x_bar = 2 x~ - x_t, or (x_bar + x_t) / 2 at theta = 1, so the loop
@@ -115,10 +116,8 @@ class ProxTerm:
     the sum of its slices' values.
 
     The solver hands a prox only points it owns, so any prox may write its
-    output over the point it is given and return it. It calls every prox
-    on the solve's thread, but a separable g's ``value`` of a block may run
-    on the worker thread of a two-thread solve (``MapStack.threads``), at
-    the same time as this thread's steps on other blocks.
+    output over the point it is given and return it. It calls every
+    callback on the thread that called ``solve``.
     """
 
     prox: Callable[[Array, float], Array]
@@ -168,15 +167,6 @@ def _ratio(num: float, denom: float) -> float:
     if denom == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return num / denom
-
-
-def _in_order(parts: dict) -> float:
-    """The values summed from 0.0 in the keys' order, as a running += sums
-    them (``sum`` compensates its float sums from Python 3.12 on)."""
-    total = 0.0
-    for part in parts.values():
-        total += part
-    return total
 
 
 def _moreau(term: ProxTerm) -> Callable[[Array, float], None]:
@@ -266,42 +256,38 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     blockwise = g.separable and g.value is not None
     scored = [replace(term, value=lambda point: gv) if blockwise and term is g
               else term for term in terms]
-    # Each block's parts of d . d, ||x_next||^2 and g's value, then of the
-    # shift's square, keyed in block order and summed so, whichever thread
-    # wrote them.
-    dds, nns, gvs, sss = (dict.fromkeys((b.start for b in maps.blocks), 0.0)
-                          for _ in range(4))
-    # A separable g's prox output per block (with x_next's block), taken in
-    # fill, but for the blocks a worker thread runs (maps.handed), whose
-    # proxes run on this thread before they are handed out, as any hook
-    # they carry expects; any other g's prox of the whole vector, taken
-    # before the map call. Each lives until the next prox has returned:
+    # x_new, the prox's output, lives until the next prox has returned:
     # freeing it sooner let the allocator trim and refault the heap top
     # every iteration.
-    news, whole = {}, None
-    ahead = {b.start for b in maps.handed}
-
-    def prox(b: slice) -> None:
-        nxt = x_next[b]
-        new = g.prox(nxt, tau)
-        news[b.start] = nxt, new if new is nxt else _flat64(new, nxt.size, context)
+    x_new = None
+    # The blocks a worker thread fills and drains (maps.handed, from edge
+    # on): a separable g's prox outputs, taken on this thread before apply
+    # hands them out, and their parts of d . d, ||x_next||^2 and the
+    # shift's square, which this thread adds to its own blocks' sums after
+    # each call, in block order.
+    edge = maps.handed[0].start if maps.handed else x.size
+    taken, dds, nns, sss = ({b.start: None for b in maps.handed} for _ in range(4))
 
     def fill(b: slice) -> None:
-        # x~'s block, unless taken; then d = x~ - x in the spent x_bar
-        # buffer. A finite d . d means a finite x~, so only an infinite or
-        # NaN one pays for the scan.
+        # The prox of g, per block if g is separable, else at the first
+        # block on the whole vector, unless taken; then d = x~ - x in the
+        # spent x_bar buffer. A finite d . d means a finite x~, so only an
+        # infinite or NaN one pays for the scan.
+        nonlocal dd, nn, gv, x_new
+        old, nxt, mine = x[b], x_next[b], b.start < edge
         if not g.separable:
-            nxt, new = x_next[b], whole[b]
+            if b.start == 0 and not taken:
+                x_new = _flat64(g.prox(x_next, tau), x.size, context)
+            new = x_new[b]
+        elif mine:
+            x_new = g.prox(nxt, tau)
+            new = x_new if x_new is nxt else _flat64(x_new, nxt.size, context)
         else:
-            if b.start not in ahead:
-                prox(b)
-            nxt, new = news[b.start]
-        old = x[b]
+            new = taken[b.start]
         d = np.subtract(new, old, out=x_bar[b])
         part = d.dot(d)
         if not part < math.inf and not np.isfinite(new).all():
             raise NonFiniteIterateError(iteration=t, label=g.label)
-        dds[b.start] = part
         # At theta = 1, x_next = x~ and x_bar = x~ + d; otherwise x_next =
         # x + theta d and x_bar = x + 2 d. Either holds when x~ is x_next.
         if unrelaxed:
@@ -313,17 +299,25 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
             np.add(nxt, old, out=nxt)
             d *= 2.0
             d += old
-        nns[b.start] = nxt.dot(nxt)
-        if blockwise:
-            gvs[b.start] = g.value(nxt)
+        if mine:
+            dd += part
+            nn += nxt.dot(nxt)
+            if blockwise:
+                gv += g.value(nxt)
+        else:
+            dds[b.start], nns[b.start] = part, nxt.dot(nxt)
 
     def drain(b: slice) -> None:
         # The duals' shift K^T (u_next - u) in the spent back buffer; x is
         # spent too, so the next gradient step x_next - tau K^T u_next goes
         # there, unless no iteration follows.
+        nonlocal ss
         summed, shift = x_bar[b], back[b]
         np.subtract(summed, shift, out=shift)
-        sss[b.start] = shift.dot(shift)
+        if b.start < edge:
+            ss += shift.dot(shift)
+        else:
+            sss[b.start] = shift.dot(shift)
         if t + 1 < cfg.max_outer:
             grad = x[b]
             np.multiply(summed, tau, out=grad)
@@ -333,15 +327,25 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     np.subtract(x, x_next, out=x_next)
     with maps.threads():
         for t in range(cfg.max_outer):
-            if not g.separable:
-                whole = _flat64(g.prox(x_next, tau), x.size, context)
-            else:
+            # d . d, ||x_next||^2, the shift's square and g's value at x_next
+            dd = nn = ss = gv = 0.0
+            # The worker's blocks' proxes, or the whole vector's, before
+            # apply hands those blocks out.
+            if taken and g.separable:
                 for b in maps.handed:
-                    prox(b)
+                    nxt = x_next[b]
+                    new = g.prox(nxt, tau)
+                    taken[b.start] = new if new is nxt else _flat64(new, nxt.size, context)
+            elif taken:
+                x_new = _flat64(g.prox(x_next, tau), x.size, context)
             # fill takes the prox and writes x_bar, K's input, one block
             # before K transforms it.
             maps.apply(x_bar, out=v, fill=fill)
-            dd, nn, gv = _in_order(dds), _in_order(nns), _in_order(gvs)
+            for b in maps.handed:
+                dd += dds[b.start]
+                nn += nns[b.start]
+                if blockwise:
+                    gv += g.value(x_next[b])
             change = theta * math.sqrt(dd)
             # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
             # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t), which at
@@ -376,7 +380,9 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
             # the primal step, relative to the larger of the two iterates.
             # x_bar is spent, so the new sum goes there and the two swap.
             maps.adjoint(duals, out=x_bar, drain=drain)
-            shift = tau * math.sqrt(_in_order(sss))
+            for b in maps.handed:
+                ss += sss[b.start]
+            shift = tau * math.sqrt(ss)
             back, x_bar = x_bar, back
             norm_next = math.sqrt(nn)
             primal, dual = _ratio(change, norm), _ratio(shift, max(norm, norm_next))

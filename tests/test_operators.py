@@ -850,12 +850,18 @@ class TestThreads:
         assert self._stack(maps, 1, monkeypatch, cpus=1).handed == []
         assert self._stack(maps, 4, monkeypatch).handed == []  # one block
         assert self._stack([blur, phi.T], 1, monkeypatch).handed == []
-        # The shipped bar: a 256 x 256 band and more than one block.
+        # The shipped bar: a 128 x 128 band and more than one block.
         maps, _, _ = TestBlocks._synthesis(_ma_psf(3), 64, 64, levels=3)
         with monkeypatch.context() as patched:
             patched.setattr(operators_module, "BLOCK_BYTES", 64 * 64 * 8)
             patched.setattr(operators_module, "_cpus", lambda: 2)
             assert len(MapStack(maps).blocks) == 4 and MapStack(maps).handed == []
+        maps, _, _ = TestBlocks._synthesis(_ma_psf(3), 128, 128, levels=5)
+        with monkeypatch.context() as patched:
+            patched.setattr(operators_module, "_cpus", lambda: 2)
+            stack = MapStack(maps)  # the shipped budget: 4 bands a block
+            assert stack.blocks == [slice(0, 4 * 128 * 128), slice(4 * 128 * 128, 6 * 128 * 128)]
+            assert stack.handed == stack.blocks[1:]
 
     def test_direct_multiplier_calls_and_calls_outside_the_block_stay_on_one_thread(
             self, monkeypatch):
