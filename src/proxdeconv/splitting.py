@@ -63,15 +63,15 @@ norms and a separable g's value sum their block parts, in block order,
 so the change traces and the objective trace round by them.
 
 Where the stack hands blocks to a worker thread (``MapStack.handed``, a
-stack of more than one block on two CPUs), the loop runs inside
-``MapStack.threads`` and each iteration first takes g's prox of the
-handed blocks (or of the whole vector) on the solve's thread. ``apply``
-then runs the rest of fill for those blocks on the worker while this
-thread takes its own, and ``adjoint`` runs their drain there too. The
-worker's blocks keep their parts of the three norms, which this thread
-adds to its own running sums after each call, in block order, and takes
-g's value of those blocks after ``apply``; so the iterates and every
-trace keep their one-thread bits. Every term's callback, and so every
+stack of more than one block of large bands on two CPUs), the loop runs
+inside ``MapStack.threads`` and each iteration first takes g's prox of
+the handed blocks (or of the whole vector) on the solve's thread.
+``apply`` then runs the rest of fill for those blocks on the worker
+while this thread takes its own, and ``adjoint`` runs their drain there
+too. The worker's blocks keep their parts of the three norms, which this
+thread adds to its own running sums after each call, in block order, and
+takes g's value of those blocks after ``apply``; so the iterates and
+every trace keep their one-thread bits. Every term's callback, and so every
 function a term looks up by name, runs on the solve's thread; a block's
 finite check raises there too, naming the same term and iteration. The
 worker is joined when the solve returns or raises.

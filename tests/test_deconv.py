@@ -1486,6 +1486,31 @@ class TestThreadedSolve:
         assert len(callers) == 5 * (4 + 1 + 1) + 1
         assert set(callers) == {threading.get_ident()}
 
+    def test_every_term_callback_runs_on_the_callers_thread(self, monkeypatch):
+        # The ProxTerm contract: prox, value and conj of every term, the
+        # separable l1 term's on the worker's blocks too.
+        problem = _counts_problem("synthesis", levels=3, max_outer=5)
+        terms_of, called = deconv_module._terms, []
+
+        def recorded(name, call):
+            def wrapped(*args):
+                called.append((name, threading.get_ident()))
+                return call(*args)
+            return wrapped
+
+        def wrapped_terms(p):
+            terms, cfg = terms_of(p)
+            return [replace(term, **{name: recorded((term.label, name), call)
+                                     for name in ("prox", "value", "conj")
+                                     if (call := getattr(term, name)) is not None})
+                    for term in terms], cfg
+        monkeypatch.setattr(deconv_module, "_terms", wrapped_terms)
+        _, two = self._solve(problem, monkeypatch, bands=1)
+        assert two == 2
+        names = {name for name, _ in called}
+        assert ("sparsity", "prox") in names and ("sparsity", "value") in names
+        assert {ident for _, ident in called} == {threading.get_ident()}
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("band", [0, 1, 2, 3])
     def test_a_non_finite_block_on_either_thread_stops_before_its_transform(
