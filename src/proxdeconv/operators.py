@@ -579,44 +579,36 @@ class MapStack:
                     u, out, None, drain, self._worker)
 
 
-def _forward(units, x: Array, shape, fill) -> None:
-    for s, spectra, steps in units:
+def _run(plan, x: Array, out: Array, fill, drain, worker: _Worker | None = None) -> Array:
+    """One direction of a ``MapStack``'s rank-1 rule, from x into ``out``:
+    each source block transformed and its steps run, then each target
+    block's steps run and the block transformed back. With a worker the
+    sources and the targets are each split between the two threads, each
+    half run as a plan of its own, and the steps that join the sources
+    run in between, on the calling thread."""
+    sources, targets, shape = plan
+    if worker is not None:
+        mine, theirs, joined = sources
+        worker.split(functools.partial(_run, (theirs, (), shape), x, out, fill, None),
+                     functools.partial(_run, (mine, (), shape), x, out, fill, None))
+        for call, args, dst in joined:
+            call(*args, out=dst)
+        mine, theirs = targets
+        worker.split(functools.partial(_run, ((), theirs, shape), x, out, None, drain),
+                     functools.partial(_run, ((), mine, shape), x, out, None, drain))
+        return out
+    for s, spectra, steps in sources:
         if fill is not None:
             fill(s)
         _rfft2(x[s].reshape(shape), out=spectra)
         for call, args, dst in steps:
             call(*args, out=dst)
-
-
-def _backward(units, out: Array, shape, drain) -> None:
-    for s, spectra, steps in units:
+    for s, spectra, steps in targets:
         for call, args, dst in steps:
             call(*args, out=dst)
         _irfft2(spectra, out[s].reshape(shape))
         if drain is not None:
             drain(s)
-
-
-def _run(plan, x: Array, out: Array, fill, drain, worker: _Worker | None) -> Array:
-    """One direction of a ``MapStack``'s rank-1 rule, from x into ``out``:
-    each source block transformed and its steps run, then each target
-    block's steps run and the block transformed back. With a worker the
-    sources and the targets are each split between the two threads, and
-    the steps that join the sources run in between, on the calling
-    thread."""
-    sources, targets, shape = plan
-    if worker is None:
-        _forward(sources, x, shape, fill)
-        _backward(targets, out, shape, drain)
-        return out
-    mine, theirs, joined = sources
-    worker.split(functools.partial(_forward, theirs, x, shape, fill),
-                 functools.partial(_forward, mine, x, shape, fill))
-    for call, args, dst in joined:
-        call(*args, out=dst)
-    mine, theirs = targets
-    worker.split(functools.partial(_backward, theirs, out, shape, drain),
-                 functools.partial(_backward, mine, out, shape, drain))
     return out
 
 
