@@ -312,18 +312,17 @@ next."""
 
 THREAD_PIXELS = 128 * 128
 """The least band size, in pixels, at which a ``MapStack`` of more than one
-block hands the upper half of its blocks to a second thread. Each call
-also hands over one image's transform, one band's worth of work, which
-must outweigh the 20-60 us a handover takes. Measured on 2 cores with one
-BLAS thread (synthesis solves of 100 iterations, median of 5 per side,
-10 alternating pairs, ``BENCH_34.json`` ``band_size_bar``): 128 x 128
-bands (``starlet:levels=5``, blocks of 4 and 2 bands) took 4.63 -> 3.97
-ms per iteration on two threads, faster in 9 of 10 pairs; 64 x 64 bands
-(a union of five ``starlet:levels=3``, blocks of 16 and 4 bands) took
-3.20 -> 3.46 ms, slower in 9 of 10. With even blocks, on a busier host,
-a union of eight at 64 x 64 (16 and 16 bands) read +19% in the median
-and a union of two at 128 x 128 (4 and 4) +1%, so a 64 x 64 band stays
-on one thread."""
+block hands the upper half of its blocks to a second thread; tests patch
+it to run that path at 16 x 16 while other blocked tests stay on one
+thread. Measured on 2 cores with one BLAS thread (synthesis solves of 100
+iterations, median of 5 per side, 10 alternating in-process pairs,
+``BENCH_34.json`` ``band_size_bar``), two threads against one: 128 x 128
+bands were faster in 9 and 10 of 10 pairs (``starlet:levels=5``, blocks of
+4 and 2 bands, -6%; a union of two ``starlet:levels=3``, 4 and 4, -14%);
+64 x 64 bands were slower in 10 of 10 in uneven blocks (a union of five,
+16 and 4 bands, +9%) but faster in 9 of 10 in even ones (a union of
+eight, 16 and 16, -12%). The bar keeps every 64 x 64 stack on one
+thread, the gaining even ones too."""
 
 
 def _cpus() -> int:
