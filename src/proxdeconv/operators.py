@@ -9,12 +9,12 @@ factors of a blur after a merging multiplier, and ``fourier_form`` recovers a
 multiplier from any operator that has that form. A ``MapStack`` runs the
 primal-dual solver's maps into one flat stack, every multiplier by one
 rank-1 rule, its variable's bands in blocks that fit ``BLOCK_BYTES``, with
-a hook per block for the solver's elementwise steps. Inside its
-``threads`` block, a stack of large bands (``THREAD_PIXELS``) runs the
-upper half of its blocks and of its images on a second thread, which the
-block starts and joins, and keeps the one-thread bits: the bands' sum
-stays on the calling thread, in band order. ``fft2_count`` counts the 2-D
-FFTs this module computes, one per image. On the hot path,
+hooks per block and per image for the solver's elementwise steps.
+Inside its ``threads`` block, a stack of large bands (``THREAD_PIXELS``)
+runs the upper half of its blocks, and most image transforms, on a
+second thread, which the block starts and joins, and keeps the
+one-thread bits: the bands' sum keeps its band order. ``fft2_count``
+counts the 2-D FFTs this module computes, one per image. On the hot path,
 ``MapStack.apply`` and ``adjoint``, each step is one ufunc, reduction or
 1-D FFT pass into a buffer, never a dispatch wrapper such as ``rfft2``.
 """
@@ -335,18 +335,21 @@ def _cpus() -> int:
 class _Worker:
     """A second thread for a ``MapStack``'s calls, parked between jobs.
 
-    ``split(theirs, mine)`` hands ``theirs`` to the thread, which runs it
-    in a copy of the caller's ``contextvars`` context (numpy's ``errstate``
-    lives there), runs ``mine`` on the calling thread and returns once
-    both are done. An error of ``mine`` is raised once the thread is parked
-    again; otherwise an error of ``theirs`` is raised on the calling
-    thread. ``close`` ends the thread and joins it.
+    ``put(job)`` queues a job for the thread, which runs it in a copy of the
+    caller's ``contextvars`` context (numpy's ``errstate`` lives there);
+    several jobs may be in flight. ``run(mine)`` runs ``mine`` on the
+    calling thread and returns once every job put so far has run, so the
+    thread is parked again. An error of ``mine`` is raised then; otherwise
+    the first error of the jobs is raised on the calling thread, and the
+    others are dropped. ``split(theirs, mine)`` puts ``theirs`` and runs
+    ``mine``. ``close`` ends the thread and joins it.
     """
 
-    __slots__ = ("_jobs", "_done", "_thread")
+    __slots__ = ("_jobs", "_done", "_thread", "_pending")
 
     def __init__(self):
         self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._pending = 0
         self._thread = threading.Thread(target=self._serve, daemon=True,
                                         name="proxdeconv-worker")
         self._thread.start()
@@ -360,14 +363,23 @@ class _Worker:
             else:
                 self._done.put(None)
 
-    def split(self, theirs: Callable[[], None], mine: Callable[[], None]) -> None:
-        self._jobs.put(functools.partial(contextvars.copy_context().run, theirs))
+    def put(self, job: Callable[[], None]) -> None:
+        self._jobs.put(functools.partial(contextvars.copy_context().run, job))
+        self._pending += 1
+
+    def run(self, mine: Callable[[], None]) -> None:
         try:
             mine()
         finally:
-            error = self._done.get()
+            errors = [self._done.get() for _ in range(self._pending)]
+            self._pending = 0
+        error = next((error for error in errors if error is not None), None)
         if error is not None:
             raise error
+
+    def split(self, theirs: Callable[[], None], mine: Callable[[], None]) -> None:
+        self.put(theirs)
+        self.run(mine)
 
     def close(self) -> None:
         self._jobs.put(None)
@@ -399,25 +411,37 @@ class MapStack:
     whose images fit in ``BLOCK_BYTES``: ``apply`` transforms, filters and
     adds one block at a time into the sum, and ``adjoint`` filters the sum
     into one block at a time and transforms it back, so the input's spectra
-    are one block long. ``apply(x, out, fill)`` calls ``fill(block)`` before
-    it reads that block of x, which fill may write (x is then a flat
-    float64 array); ``adjoint(u, out, drain)`` calls ``drain(block)`` once
-    that block of ``out`` is written. The bits do not depend on the blocks.
-    A stack without this rule is one block.
+    are one block long. Each call takes hooks on the parts of its input
+    and its output: ``fill(part)`` runs before the call reads that part of
+    its input, which fill may write (the input is then a flat float64
+    array), and ``drain(part)`` once that part of ``out`` is written. On
+    one thread apply's input parts are the blocks and its output is one
+    part, the whole stack; adjoint's input is one part, the whole stack,
+    and its output parts are the blocks. ``adjoint(..., meanwhile)`` calls
+    ``meanwhile()`` once, after the last drain. The bits do not depend on
+    the blocks. A stack without this rule is one block.
 
     Inside ``with stack.threads():`` a stack of more than one block whose
     bands have at least ``THREAD_PIXELS`` pixels, on a host that lets the
-    process run on two CPUs, runs each call on two threads. A worker thread
-    runs ``handed``, the upper half of the blocks (fill, forward transform
-    and input gains; input gains, inverse transform and drain), and the
-    upper half of the maps' images (their inverse transforms; their
-    forward transforms and output gains); the calling thread runs the rest
-    and the steps in between. The worker's blocks keep their own spectra,
-    whose bands the calling thread adds to the sum after its own blocks',
-    in band order, so the bits do not depend on the threads either. fill
-    and drain then run on both threads at once, each for its own blocks.
-    Any other stack, or a call outside the block, runs on the calling
-    thread, and ``handed`` is empty.
+    process run on two CPUs, runs each call on two threads, and the
+    stack's parts are then each map's image. A worker thread runs
+    ``handed``, the upper half of the blocks (fill, forward transform and
+    input gains; input gains, inverse transform and drain), the upper half
+    of apply's images (inverse transform and drain), adjoint's forward
+    transforms of every image with their output gains, and half the rows
+    of the elementwise steps that join the two threads' spectra. The
+    calling thread runs the rest and every other hook.
+    ``apply(..., hand)`` calls ``hand(block)`` before it hands out each of
+    the worker's blocks, in block order and before its own. adjoint calls
+    ``fill`` on each image from the last to the first and hands the image
+    to the worker once its fill returns, so the first fill runs with the
+    worker parked; then it calls ``meanwhile()`` while the worker
+    transforms. The worker's blocks keep their own spectra, whose bands
+    are added to the sum after the calling thread's own blocks', in band
+    order, so the bits do not depend on the threads either. Any other
+    stack, or a call outside the block, runs on the calling thread and
+    never calls ``hand``; its ``handed`` is empty. A block inside another
+    on the same stack shares the running worker.
     """
 
     __slots__ = ("ops", "slices", "in_dim", "out_dim", "blocks", "handed",
@@ -508,25 +532,26 @@ class MapStack:
                        ([(whole, outer, back)], backward, shape))
         if not self.handed:
             return
-        # On two threads a direction's sources and targets are each (the
-        # calling thread's part, the worker's), and the sources come with
-        # the steps that join them: apply's add the worker's bands to the
-        # sum and filter it by the output gains, adjoint's sum the images.
-        # The worker's blocks have their own spectra, which apply keeps
-        # until they are added, and the worker's images a scratch band.
+        # On two threads a direction is (the sources handed to the worker,
+        # the calling thread's sources, the steps that join them split by
+        # rows for each thread, the targets of each thread, the images'
+        # shape). apply hands the worker its blocks, which keep their own
+        # spectra until they are added to the sum, and adjoint hands it
+        # every image, from the last; the join is apply's addition of the
+        # worker's bands and filter by the output gains, adjoint's sum of
+        # the images.
         theirs = [(s, spare[r.start - runs[cut].start:r.stop - runs[cut].start], r)
                   for r, s in zip(runs[cut:], self.handed)]
         joined = [s for _, spectra, _ in theirs for s in summed(spectra, into, False)]
-        half = len(images) - len(images) // 2
+        half, rows = len(images) - len(images) // 2, op.height - op.height // 2
         mapped = [(s, image, []) for s, image in zip(self.slices, images)]
-        conj = [(s, image, [] if out is None else
-                 filtered(out, image, image, True, band[0] if i < half else spare[0]))
-                for i, (s, image, (out, _)) in enumerate(zip(self.slices, images, pairs))]
+        conj = [(s, image, [] if out is None else filtered(out, image, image, True))
+                for s, image, (out, _) in zip(self.slices, images, pairs)]
         self._threaded = (
-            ((forward[:cut], [(s, spectra, filtered(merge[r], spectra, spectra, False))
-                              for s, spectra, r in theirs], joined + gained),
-             (mapped[:half], mapped[half:]), shape),
-            ((conj[:half], conj[half:], summed(outer, total, True)),
+            ([(s, spectra, filtered(merge[r], spectra, spectra, False))
+              for s, spectra, r in theirs], forward[:cut],
+             _rows(joined + gained, rows), (mapped[:half], mapped[half:]), shape),
+            (conj[::-1], [], _rows(summed(outer, total, True), rows),
              (backward[:cut], [(s, spectra, filtered(merge[r], total, spectra, True))
                                for s, spectra, r in theirs]), shape))
 
@@ -537,8 +562,9 @@ class MapStack:
     @contextlib.contextmanager
     def threads(self):
         """Run this stack's calls on two threads until the block ends, if
-        ``handed`` is not empty: one worker thread, joined on the way out."""
-        if not self.handed:
+        ``handed`` is not empty: one worker thread, joined on the way out.
+        A block inside another on the same stack shares the outer worker."""
+        if not self.handed or self._worker is not None:
             yield
             return
         self._worker = _Worker()
@@ -549,53 +575,69 @@ class MapStack:
             self._worker = None
 
     def apply(self, x, out: Array | None = None,
-              fill: Callable[[slice], None] | None = None) -> Array:
+              fill: Callable[[slice], None] | None = None,
+              drain: Callable[[slice], None] | None = None,
+              hand: Callable[[slice], None] | None = None) -> Array:
         out = np.empty(self.out_dim) if out is None else out
         if self._plans is None:  # each op checks x
             if fill is not None:
                 fill(self.blocks[0])
             for op, s in zip(self.ops, self.slices):
                 out[s] = op.apply(x)
+            if drain is not None:
+                drain(slice(0, self.out_dim))
             return out
-        return _run(self._plans[0] if self._worker is None else self._threaded[0],
-                    _flat64(x, self.in_dim, "MapStack.apply"), out, fill, None,
-                    self._worker)
+        x = _flat64(x, self.in_dim, "MapStack.apply")
+        if self._worker is None:
+            return _run(self._plans[0], x, out, fill, drain)
+        return _split(self._threaded[0], x, out, self._worker, fill, drain, hand)
 
     def adjoint(self, u, out: Array | None = None,
-                drain: Callable[[slice], None] | None = None) -> Array:
+                drain: Callable[[slice], None] | None = None,
+                fill: Callable[[slice], None] | None = None,
+                meanwhile: Callable[[], None] | None = None) -> Array:
         u = _flat64(u, self.out_dim, "MapStack.adjoint")
         if out is None and not self.ops:
             raise ValueError("an empty MapStack's adjoint needs out: the stack "
                              "does not know its variable's size")
         out = np.empty(self.in_dim) if out is None else out
         if self._plans is None:
+            if fill is not None:
+                fill(slice(0, self.out_dim))
             # Summed from 0, as sum() does, so -0.0 parts read +0.0.
             out[...] = sum(op.adjoint(u[s]) for op, s in zip(self.ops, self.slices))
             if drain is not None:
                 drain(self.blocks[0])
-            return out
-        return _run(self._plans[1] if self._worker is None else self._threaded[1],
-                    u, out, None, drain, self._worker)
-
-
-def _run(plan, x: Array, out: Array, fill, drain, worker: _Worker | None = None) -> Array:
-    """One direction of a ``MapStack``'s rank-1 rule, from x into ``out``:
-    each source block transformed and its steps run, then each target
-    block's steps run and the block transformed back. With a worker the
-    sources and the targets are each split between the two threads, each
-    half run as a plan of its own, and the steps that join the sources
-    run in between, on the calling thread."""
-    sources, targets, shape = plan
-    if worker is not None:
-        mine, theirs, joined = sources
-        worker.split(functools.partial(_run, (theirs, (), shape), x, out, fill, None),
-                     functools.partial(_run, (mine, (), shape), x, out, fill, None))
-        for call, args, dst in joined:
-            call(*args, out=dst)
-        mine, theirs = targets
-        worker.split(functools.partial(_run, ((), theirs, shape), x, out, None, drain),
-                     functools.partial(_run, ((), mine, shape), x, out, None, drain))
+        elif self._worker is None:
+            _run(self._plans[1], u, out, fill, drain)
+        else:  # each image's fill runs here, as a block's hand does in apply
+            return _split(self._threaded[1], u, out, self._worker, None, drain, fill,
+                          meanwhile)
+        if meanwhile is not None:
+            meanwhile()
         return out
+
+
+def _rows(steps, rows: int) -> tuple[list, list]:
+    """Elementwise steps on spectra, as the steps on their first ``rows``
+    rows and the steps on the others."""
+    def cut(arg, part):
+        return arg[..., part, :] if isinstance(arg, np.ndarray) else arg
+    return tuple([(call, tuple(cut(arg, part) for arg in args), cut(dst, part))
+                  for call, args, dst in steps]
+                 for part in (slice(0, rows), slice(rows, None)))
+
+
+def _steps(steps) -> None:
+    for call, args, dst in steps:
+        call(*args, out=dst)
+
+
+def _run(plan, x: Array, out: Array, fill, drain) -> Array:
+    """One direction of a ``MapStack``'s rank-1 rule on one thread, from x
+    into ``out``: each source block transformed and its steps run, then
+    each target block's steps run and the block transformed back."""
+    sources, targets, shape = plan
     for s, spectra, steps in sources:
         if fill is not None:
             fill(s)
@@ -608,6 +650,29 @@ def _run(plan, x: Array, out: Array, fill, drain, worker: _Worker | None = None)
         _irfft2(spectra, out[s].reshape(shape))
         if drain is not None:
             drain(s)
+    return out
+
+
+def _split(plan, x: Array, out: Array, worker: _Worker, fill, drain, hand,
+           meanwhile=None) -> Array:
+    """One direction of a ``MapStack``'s rank-1 rule on two threads. The
+    calling thread calls ``hand`` of each handed source and puts the
+    source on the worker, runs its own sources and then ``meanwhile``;
+    each thread then runs its rows of the joining steps, and its targets."""
+    handed, sources, (upper, lower), (mine, theirs), shape = plan
+
+    def first_half():
+        for source in handed:
+            if hand is not None:
+                hand(source[0])
+            worker.put(functools.partial(_run, ([source], (), shape), x, out, fill, None))
+        _run((sources, (), shape), x, out, fill, None)
+        if meanwhile is not None:
+            meanwhile()
+    worker.run(first_half)
+    worker.split(functools.partial(_steps, lower), functools.partial(_steps, upper))
+    worker.split(functools.partial(_run, ((), theirs, shape), x, out, None, drain),
+                 functools.partial(_run, ((), mine, shape), x, out, None, drain))
     return out
 
 

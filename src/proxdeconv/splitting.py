@@ -31,12 +31,13 @@ identity. A lone term has no duals, and the loop is the proximal-point step
 x_{t+1} = x_t + theta (prox_{tau g}(x_t) - x_t).
 
 The duals are one flat stack, u_i a slice of it, as are the K_i x_bar
-(``MapStack``): each linear step on them is one numpy call over the whole
-stack, and only the proxes run term by term. The loop allocates its arrays
-once per solve and then only writes into them, and one finite check over
-the updated dual stack covers every dual prox: its sum, with a scan only
-when that is not finite. The primal update reads one difference
-d = x~ - x_t, and the change and the primal finite check come from d . d.
+(``MapStack``): each linear step on them is one numpy call over a part
+of the stack (on one thread the whole stack), and only the proxes run
+term by term. The loop allocates its arrays once per solve and then only
+writes into them, and one finite check over each updated part of the
+dual stack covers its dual proxes: its sum, with a scan only when that is
+not finite. The primal update reads one difference d = x~ - x_t, and the
+change and the primal finite check come from d . d.
 At theta = 1, x_{t+1} is a copy of x~, x_bar = x~ + d and u_{t+1} = u~ by
 a swap of the dual stack's two buffers; otherwise x_{t+1} = x_t + theta d,
 x_bar = x_t + 2 d and u_{t+1} = u_t + theta (u~ - u_t) in place. Each step
@@ -46,13 +47,18 @@ is one ufunc, FFT pass or array method, never a dispatch wrapper such as
 
 The primal steps run one block of the variable's bands at a time
 (``MapStack.blocks``) inside the stack's two calls, so that a block's
-arrays are still in cache for the next step. An iteration runs
-``apply``, whose fill takes, per block and before its forward transform,
-the prox of g, d, its square and the finite check, x_{t+1}, x_bar,
-||x_{t+1}||^2 and g's value; the dual steps; then ``adjoint``, whose
-drain takes, per block after its inverse transform, the block's part of
-the duals' shift and the next iteration's gradient step
-x_{t+1} - tau sum_i K_i^T u_{t+1,i}, into the spent x_t buffer. The
+arrays are still in cache for the next step, and the dual steps run in
+the same calls, on parts of the dual stack. An iteration runs ``apply``,
+whose fill takes, per block and before its forward transform, the prox
+of g, d, its square and the finite check, x_{t+1}, x_bar, ||x_{t+1}||^2
+and g's value, and whose drain takes, per part once it is written, the
+carried K x (see below) and v = sigma K x_bar + u_t; then ``adjoint``,
+whose fill takes, per part, the duals' proxes, their finite check and
+u_{t+1}, whose drain takes, per block after its inverse transform, the
+block's part of the duals' shift and the next iteration's gradient step
+x_{t+1} - tau sum_i K_i^T u_{t+1,i}, into the spent x_t buffer, and
+whose meanwhile takes the objective trace. On one thread the dual stack
+is one part, and the steps run in the order of the equations above. The
 first gradient step is taken before the loop, the last iteration takes
 none, and one that the stopping rule ends discards it. A separable g
 (``ProxTerm.separable``) takes its prox and value per block, into the
@@ -64,17 +70,24 @@ so the change traces and the objective trace round by them.
 
 Where the stack hands blocks to a worker thread (``MapStack.handed``, a
 stack of more than one block of large bands on two CPUs), the loop runs
-inside ``MapStack.threads`` and each iteration first takes g's prox of
-the handed blocks (or of the whole vector) on the solve's thread.
-``apply`` then runs the rest of fill for those blocks on the worker
-while this thread takes its own, and ``adjoint`` runs their drain there
-too. The worker's blocks keep their parts of the three norms, which this
-thread adds to its own running sums after each call, in block order, and
-takes g's value of those blocks after ``apply``; so the iterates and
-every trace keep their one-thread bits. Every term's callback, and so every
-function a term looks up by name, runs on the solve's thread; a block's
-finite check raises there too, naming the same term and iteration. The
-worker is joined when the solve returns or raises.
+inside ``MapStack.threads``, and each part of the dual stack is one
+map's image. ``apply`` calls ``hand`` on the solve's thread for each
+handed block, which takes g's prox of that block (or of the whole
+vector, at the first), and hands the block to the worker as soon as it
+returns; the worker runs the rest of fill for its blocks while this
+thread takes its own, and each thread then drains its own images.
+``adjoint`` takes the dual steps image by image on this thread, the last
+term's first while the worker is parked (the positivity's, in a solve of
+``deconvolve``), and the worker transforms each image once its step is
+done, while this thread takes the next one, g's value of the handed
+blocks and the objective trace; then each thread drains its own blocks.
+The worker's blocks keep their parts of the three norms, which this
+thread adds to its own running sums after each call, in block order, so
+the iterates and every trace keep their one-thread bits. Every term's
+callback, and so every function a term looks up by name, runs on the
+solve's thread; a block's or an image's finite check raises there too,
+naming the same term and iteration (the first image checked, if two are
+not finite). The worker is joined when the solve returns or raises.
 
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
 with x_bar = 2 x~ - x_t, or (x_bar + x_t) / 2 at theta = 1, so the loop
@@ -248,7 +261,7 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     kx = maps.apply(x)
     images = maps.split(kx)
     carried = slice(max([0] + [s.stop for term, s in parts if term.value is not None]))
-    kc, step = kx[carried], None if unrelaxed else np.empty(carried.stop)
+    step = None if unrelaxed else np.empty(carried.stop)
     norm = math.sqrt(x.dot(x))
     rel_trace, primal_trace, dual_trace, obj_trace = [], [], [], []
     # A separable g's value is summed from its blocks into gv, which the
@@ -261,12 +274,23 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     # every iteration.
     x_new = None
     # The blocks a worker thread fills and drains (maps.handed, from edge
-    # on): a separable g's prox outputs, taken on this thread before apply
-    # hands them out, and their parts of d . d, ||x_next||^2 and the
+    # on): a separable g's prox outputs, taken on this thread as apply
+    # hands the blocks out, and their parts of d . d, ||x_next||^2 and the
     # shift's square, which this thread adds to its own blocks' sums after
     # each call, in block order.
     edge = maps.handed[0].start if maps.handed else x.size
     taken, dds, nns, sss = ({b.start: None for b in maps.handed} for _ in range(4))
+
+    def hand(b: slice) -> None:
+        # g's prox of a block apply hands to the worker, or at the first
+        # such block of the whole vector.
+        nonlocal x_new
+        if g.separable:
+            nxt = x_next[b]
+            new = g.prox(nxt, tau)
+            taken[b.start] = new if new is nxt else _flat64(new, nxt.size, context)
+        elif b.start == edge:
+            x_new = _flat64(g.prox(x_next, tau), x.size, context)
 
     def fill(b: slice) -> None:
         # The prox of g, per block if g is separable, else at the first
@@ -307,6 +331,54 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
         else:
             dds[b.start], nns[b.start] = part, nxt.dot(nxt)
 
+    def scale(s: slice) -> None:
+        # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
+        # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t), which at
+        # theta = 1 is (K x_bar + K x_t) / 2; then v = sigma K x_bar + u.
+        top = min(s.stop, carried.stop)
+        if s.start < top:
+            kc, kv = kx[s.start:top], v[s.start:top]
+            if unrelaxed:
+                np.add(kv, kc, out=kc)
+                kc *= 0.5
+            else:
+                part = step[s.start:top]
+                np.subtract(kv, kc, out=part)
+                part *= 0.5 * theta
+                kc += part
+        part = v[s]
+        part *= sigma
+        part += duals[s]
+
+    def dual_step(s: slice) -> None:
+        # u~_i = prox_{sigma f_i*}(v_i), each in its part of the stack. A
+        # finite sum means a finite part; only a non-finite one (or a
+        # finite part whose sum overflows) pays for the scan. Then u_{t+1}
+        # = u_t + theta (u~ - u_t), u~ itself at theta = 1, where the two
+        # buffers swap after the adjoint.
+        for conj, c in conjs:
+            if s.start <= c.start and c.stop <= s.stop:
+                conj(v[c], sigma)
+        part = v[s]
+        if not math.isfinite(part.sum()) and not np.isfinite(part).all():
+            first = s.start + int(np.argmin(np.isfinite(part)))
+            raise NonFiniteIterateError(iteration=t, label=next(
+                term.label for term, c in parts if first < c.stop))
+        if not unrelaxed:
+            part -= duals[s]
+            part *= theta
+            new = duals[s]
+            new += part
+
+    def trace() -> None:
+        # g's value of the worker's blocks, then the objective at x_{t+1}.
+        nonlocal gv
+        if blockwise:
+            for b in maps.handed:
+                gv += g.value(x_next[b])
+        if traced:
+            obj_trace.append(objective_value(scored, x_next, images))
+
     def drain(b: slice) -> None:
         # The duals' shift K^T (u_next - u) in the spent back buffer; x is
         # spent too, so the next gradient step x_next - tau K^T u_next goes
@@ -329,57 +401,23 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
         for t in range(cfg.max_outer):
             # d . d, ||x_next||^2, the shift's square and g's value at x_next
             dd = nn = ss = gv = 0.0
-            # The worker's blocks' proxes, or the whole vector's, before
-            # apply hands those blocks out.
-            if taken and g.separable:
-                for b in maps.handed:
-                    nxt = x_next[b]
-                    new = g.prox(nxt, tau)
-                    taken[b.start] = new if new is nxt else _flat64(new, nxt.size, context)
-            elif taken:
-                x_new = _flat64(g.prox(x_next, tau), x.size, context)
             # fill takes the prox and writes x_bar, K's input, one block
-            # before K transforms it.
-            maps.apply(x_bar, out=v, fill=fill)
+            # before K transforms it; scale carries K x and steps v.
+            maps.apply(x_bar, out=v, fill=fill, drain=scale, hand=hand)
             for b in maps.handed:
                 dd += dds[b.start]
                 nn += nns[b.start]
-                if blockwise:
-                    gv += g.value(x_next[b])
             change = theta * math.sqrt(dd)
-            # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
-            # K x_{t+1} = K x_t + (theta / 2) (K x_bar - K x_t), which at
-            # theta = 1 is (K x_bar + K x_t) / 2.
-            if unrelaxed:
-                np.add(v[carried], kc, out=kc)
-                kc *= 0.5
-            else:
-                np.subtract(v[carried], kc, out=step)
-                step *= 0.5 * theta
-                kc += step
-            v *= sigma
-            v += duals
-            # u~_i = prox_{sigma f_i*}(v_i), each in its part of the stack.
-            for conj, s in conjs:
-                conj(v[s], sigma)
-            # A finite sum means a finite stack; only a non-finite one (or a
-            # finite stack whose sum overflows) pays for the scan.
-            if not math.isfinite(v.sum()) and not np.isfinite(v).all():
-                first = int(np.argmin(np.isfinite(v)))
-                raise NonFiniteIterateError(iteration=t, label=next(
-                    term.label for term, s in parts if first < s.stop))
-            # u_{t+1} = u_t + theta (u~ - u_t): u~ itself at theta = 1, where
-            # the two buffers swap.
+            # dual_step takes u_{t+1} one part before K^T reads it, in v at
+            # theta = 1 (the two buffers swap after) and in duals otherwise;
+            # trace takes the objective at x_next. The duals' change is the
+            # shift tau K^T (u_next - u) they make in the primal step,
+            # relative to the larger of the two iterates. x_bar is spent, so
+            # the new sum goes there and the two swap.
+            maps.adjoint(v if unrelaxed else duals, out=x_bar, drain=drain,
+                         fill=dual_step, meanwhile=trace)
             if unrelaxed:
                 duals, v = v, duals
-            else:
-                v -= duals
-                v *= theta
-                duals += v
-            # The duals' change as the shift tau K^T (u_next - u) it makes in
-            # the primal step, relative to the larger of the two iterates.
-            # x_bar is spent, so the new sum goes there and the two swap.
-            maps.adjoint(duals, out=x_bar, drain=drain)
             for b in maps.handed:
                 ss += sss[b.start]
             shift = tau * math.sqrt(ss)
@@ -391,8 +429,6 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
             rel_trace.append(rel)
             primal_trace.append(primal)
             dual_trace.append(dual)
-            if traced:
-                obj_trace.append(objective_value(scored, x, images))
             if rel <= cfg.tol:
                 break
         # Carried images drift from K_i x by round-off; the last ones are

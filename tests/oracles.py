@@ -299,8 +299,8 @@ class GainMatrixStack:
     row, a splitting map one column. The adjoint adds every map's conjugate
     transposed gain matrix times its duals' spectra, from the first map's
     part, before one inverse transform. Other maps, products among them,
-    apply one by one. ``fill`` and ``drain`` see the variable as one block,
-    on one thread.
+    apply one by one. ``fill`` and ``drain`` see the variable as one block
+    and the stack as one part, on one thread, and ``meanwhile`` runs last.
     """
 
     handed = []
@@ -324,22 +324,26 @@ class GainMatrixStack:
     def threads(self):
         return contextlib.nullcontext()
 
-    def apply(self, x, out=None, fill=None):
+    def apply(self, x, out=None, fill=None, drain=None, hand=None):
         if fill is not None:
             fill(self.blocks[0])
         out = np.empty(self.out_dim) if out is None else out
         if self.shape is None:
             for op, s in zip(self.ops, self.slices):
                 out[s] = op.apply(x)
-            return out
-        spectra = np.fft.rfft2(np.asarray(x).reshape(-1, *self.shape))
-        for op, s in zip(self.ops, self.slices):
-            rows = op.outputs * spectra if op.inputs is None \
-                else np.sum(op.inputs * spectra, axis=0)
-            out[s] = np.fft.irfft2(rows, s=self.shape).ravel()
+        else:
+            spectra = np.fft.rfft2(np.asarray(x).reshape(-1, *self.shape))
+            for op, s in zip(self.ops, self.slices):
+                rows = op.outputs * spectra if op.inputs is None \
+                    else np.sum(op.inputs * spectra, axis=0)
+                out[s] = np.fft.irfft2(rows, s=self.shape).ravel()
+        if drain is not None:
+            drain(slice(0, self.out_dim))
         return out
 
-    def adjoint(self, u, out=None, drain=None):
+    def adjoint(self, u, out=None, drain=None, fill=None, meanwhile=None):
+        if fill is not None:
+            fill(slice(0, self.out_dim))
         out = np.empty(self.in_dim) if out is None else out
         if self.shape is None:
             out[...] = sum(op.adjoint(u[s]) for op, s in zip(self.ops, self.slices))
@@ -347,6 +351,8 @@ class GainMatrixStack:
             out[...] = self._merged(u)
         if drain is not None:
             drain(self.blocks[0])
+        if meanwhile is not None:
+            meanwhile()
         return out
 
     def _merged(self, u):

@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -1542,6 +1543,81 @@ class TestThreadedSolve:
         assert calls.count(band) == 3
         assert finite and all(finite)
 
+    @pytest.mark.parametrize("term", ["data-fidelity", "positivity"])
+    def test_a_non_finite_dual_image_on_either_thread_stops_before_its_transform(
+            self, term, monkeypatch):
+        # Each dual image goes to the worker once its step has returned on
+        # the calling thread, the positivity's (the second image) first.
+        # The third iteration's step of ``term`` is poisoned: the error
+        # names the term and that iteration, as on one thread, and no
+        # transform reads a non-finite image.
+        problem = _counts_problem("synthesis", levels=3, max_outer=5)
+        conj_poisson, positive = deconv_module._conj_poisson, deconv_module.project_positive
+        forward, inverse = operators_module._rfft2, operators_module._irfft2
+        calls, finite = [], []
+
+        def poisoned(result):
+            calls.append(None)
+            if len(calls) == 3:
+                result[7] = math.nan
+            return result
+
+        def poisoned_conj(y):
+            step = conj_poisson(y)
+            return lambda a, sigma: poisoned(step(a, sigma) or a)
+
+        def checked(transform):
+            def call(images, *args, **kwargs):
+                finite.append(bool(np.isfinite(images).all()))
+                return transform(images, *args, **kwargs)
+            return call
+        if term == "data-fidelity":
+            monkeypatch.setattr(deconv_module, "_conj_poisson", poisoned_conj)
+        else:
+            monkeypatch.setattr(deconv_module, "project_positive",
+                                lambda x: poisoned(positive(x)))
+        monkeypatch.setattr(operators_module, "_rfft2", checked(forward))
+        monkeypatch.setattr(operators_module, "_irfft2", checked(inverse))
+        raised = []
+        for threaded in (False, True):
+            calls.clear()
+            with pytest.raises(NonFiniteIterateError) as err:
+                self._solve(problem, monkeypatch, bands=1, threaded=threaded)
+            raised.append((err.value.label, err.value.iteration))
+        assert raised == [(term, 2)] * 2
+        assert finite and all(finite)
+
+    def test_no_worker_job_runs_during_the_positivity_step(self, monkeypatch):
+        # The benchmark times its reference tick inside project_positive:
+        # worker work that overlapped it would slow the tick, and the
+        # tick's time is subtracted from the solve's. The step here sleeps
+        # a millisecond, releasing the GIL as the tick's FFTs do, so that a
+        # queued job would run then.
+        problem = _counts_problem("synthesis", levels=3, max_outer=5)
+        put, positive = operators_module._Worker.put, deconv_module.project_positive
+        jobs, steps = [], []
+
+        def timed(call, intervals, pause=0.0):
+            def run(*args):
+                start = time.perf_counter()
+                try:
+                    time.sleep(pause)
+                    return call(*args)
+                finally:
+                    intervals.append((start, time.perf_counter(), threading.get_ident()))
+            return run
+        monkeypatch.setattr(operators_module._Worker, "put",
+                            lambda worker, job: put(worker, timed(job, jobs)))
+        monkeypatch.setattr(deconv_module, "project_positive",
+                            timed(positive, steps, 1e-3))
+        _, two = self._solve(problem, monkeypatch, bands=1)
+        assert two == 2
+        here = threading.get_ident()
+        assert len(steps) == 5 and {ident for *_, ident in steps} == {here}
+        assert jobs and here not in {ident for *_, ident in jobs}
+        for lo, hi, _ in steps:
+            assert all(end <= lo or hi <= start for start, end, _ in jobs)
+
     def test_a_solve_that_raises_joins_its_thread(self, monkeypatch):
         # An error on the solve's own thread, in the dual step between the
         # two map calls: the worker is parked then, and is joined.
@@ -1651,7 +1727,10 @@ class TestIterationAllocations:
         # run through one band of spectra. The iteration keeps the bound
         # above, and the stack's calls that run the loop's primal steps
         # block by block (fill and drain) allocate less than a quarter band
-        # each once warm.
+        # each once warm. The adjoint's dual steps and trace (its fill and
+        # meanwhile), which allocate the positivity's and the fit's images,
+        # run outside the measured call, where the one-thread adjoint runs
+        # them.
         grown, image = self._growth("synthesis", monkeypatch, budget=64 * 64 * 8)
         assert grown < image + image // 4
         peaks = []
@@ -1664,11 +1743,14 @@ class TestIterationAllocations:
             return result
 
         class Measured(MapStack):
-            def apply(self, x, out=None, fill=None):
-                return measured(super().apply, x, out, fill)
+            def apply(self, x, out=None, fill=None, drain=None, hand=None):
+                return measured(super().apply, x, out, fill, drain, hand)
 
-            def adjoint(self, u, out=None, drain=None):
-                return measured(super().adjoint, u, out, drain)
+            def adjoint(self, u, out=None, drain=None, fill=None, meanwhile=None):
+                fill(slice(0, self.out_dim))
+                result = measured(super().adjoint, u, out, drain)
+                meanwhile()
+                return result
         monkeypatch.setattr(splitting_module, "MapStack", Measured)
         tracemalloc.start()
         try:

@@ -2,6 +2,7 @@ import gc
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -844,6 +845,45 @@ class TestThreads:
             assert sorted(calls, key=lambda c: c[0].start) == [
                 (b, worker if b in stack.handed else here) for b in stack.blocks]
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_hook_sees_its_parts_in_order_on_its_thread(self, cpus, monkeypatch):
+        # One thread: apply's output and adjoint's input are one part, the
+        # whole stack. Two: they are the images; the caller hands out the
+        # worker's blocks first and fills adjoint's images last first, the
+        # worker fills and drains its blocks and drains apply's second
+        # image, and meanwhile runs on the caller before its drains.
+        maps, _, _ = TestBlocks._synthesis(_ma_psf(3), 16, 16, levels=3)
+        stack = self._stack(maps, 1, monkeypatch, cpus)
+        here, seen = threading.get_ident(), {}
+
+        def hook(call, name):
+            return lambda *part: seen.setdefault(
+                (call, threading.get_ident() == here), []).append((name, *part))
+        rng = np.random.default_rng(16)
+        x, u = rng.standard_normal(stack.in_dim), rng.standard_normal(stack.out_dim)
+        with stack.threads():
+            stack.apply(x, fill=hook("apply", "fill"), drain=hook("apply", "drain"),
+                        hand=hook("apply", "hand"))
+            stack.adjoint(u, fill=hook("adjoint", "fill"), drain=hook("adjoint", "drain"),
+                          meanwhile=hook("adjoint", "meanwhile"))
+        blocks, images = stack.blocks, stack.slices
+        if cpus == 1:
+            whole = slice(0, stack.out_dim)
+            assert seen == {
+                ("apply", True): [("fill", b) for b in blocks] + [("drain", whole)],
+                ("adjoint", True): [("fill", whole)] + [("drain", b) for b in blocks]
+                + [("meanwhile",)]}
+            return
+        mine, theirs = blocks[:2], blocks[2:]
+        assert stack.handed == theirs
+        assert seen == {
+            ("apply", True): [("hand", b) for b in theirs] + [("fill", b) for b in mine]
+            + [("drain", images[0])],
+            ("apply", False): [("fill", b) for b in theirs] + [("drain", images[1])],
+            ("adjoint", True): [("fill", images[1]), ("fill", images[0]), ("meanwhile",)]
+            + [("drain", b) for b in mine],
+            ("adjoint", False): [("drain", b) for b in theirs]}
+
     def test_only_a_stack_of_large_multi_block_bands_on_two_cpus_splits(
             self, monkeypatch):
         maps, blur, phi = TestBlocks._synthesis(_ma_psf(3), 16, 16, levels=3)
@@ -944,6 +984,64 @@ class TestThreads:
             seen = []
             worker.split(lambda: seen.append(threading.get_ident()), lambda: None)
             assert seen == [thread.ident] != [threading.get_ident()]
+        finally:
+            worker.close()
+        assert not thread.is_alive()
+
+    def test_a_nested_block_shares_the_running_worker(self):
+        # An inner block used to start a second worker and, on leaving,
+        # close the outer one's, so the outer exit raised AttributeError
+        # and a parked worker outlived both blocks.
+        maps, _, _ = TestBlocks._synthesis(_ma_psf(3), 16, 16, levels=3)
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as patched:
+            stack = self._stack(maps, 1, patched)
+        x = np.random.default_rng(15).standard_normal(stack.in_dim)
+        want = stack.apply(x).tobytes()
+        with stack.threads():
+            worker = stack._worker
+            with stack.threads():
+                assert stack._worker is worker
+                assert threading.active_count() == before + 1
+                assert stack.apply(x).tobytes() == want
+            assert stack._worker is worker
+            assert stack.apply(x).tobytes() == want
+        assert threading.active_count() == before
+        assert stack._worker is None
+
+    def test_with_jobs_in_flight_one_error_is_raised_once_they_have_run(self):
+        # Three jobs queued, the second failing, and the caller's own step
+        # failing too: the caller's error alone is raised, after the last
+        # job has run, and the job's error is not raised later.
+        worker, thread = self._worker()
+        release, ran = threading.Event(), []
+
+        def job(name, error=None, pause=0.0):
+            def run():
+                release.wait(timeout=60)
+                time.sleep(pause)
+                ran.append(name)
+                if error is not None:
+                    raise error
+            return run
+
+        def mine():
+            release.set()
+            raise IndexError
+        try:
+            for args in (("a",), ("b", KeyError()), ("c", None, 0.05)):
+                worker.put(job(*args))
+            with pytest.raises(IndexError):
+                worker.run(mine)
+            assert ran == ["a", "b", "c"]
+            worker.run(lambda: None)
+            # Without an error of its own the caller gets the first job's.
+            for args in (("d", KeyError()), ("e", ValueError())):
+                worker.put(job(*args))
+            with pytest.raises(KeyError):
+                worker.run(lambda: None)
+            assert ran[3:] == ["d", "e"]
+            worker.run(lambda: None)
         finally:
             worker.close()
         assert not thread.is_alive()
