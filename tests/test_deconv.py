@@ -1564,7 +1564,11 @@ class TestThreadedSolve:
 
         def poisoned_conj(y):
             step = conj_poisson(y)
-            return lambda a, sigma: poisoned(step(a, sigma) or a)
+
+            def poisoned_step(a, sigma):
+                step(a, sigma)
+                poisoned(a)
+            return poisoned_step
 
         def checked(transform):
             def call(images, *args, **kwargs):
