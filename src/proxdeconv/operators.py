@@ -414,8 +414,9 @@ class MapStack:
     are one block long. Each call takes hooks on the parts of its input
     and its output: ``fill(part)`` runs before the call reads that part of
     its input, which fill may write (the input is then a flat float64
-    array), and ``drain(part)`` once that part of ``out`` is written. On
-    one thread apply's input parts are the blocks and its output is one
+    array), and ``drain(part)`` once that part of ``out`` is written;
+    ``apply(..., hand)`` calls ``hand(block)`` just before a block's fill.
+    On one thread apply's input parts are the blocks and its output is one
     part, the whole stack; adjoint's input is one part, the whole stack,
     and its output parts are the blocks. ``adjoint(..., meanwhile)`` calls
     ``meanwhile()`` once, after the last drain. The bits do not depend on
@@ -430,18 +431,18 @@ class MapStack:
     of apply's images (inverse transform and drain), adjoint's forward
     transforms of every image with their output gains, and half the rows
     of the elementwise steps that join the two threads' spectra. The
-    calling thread runs the rest and every other hook.
-    ``apply(..., hand)`` calls ``hand(block)`` before it hands out each of
-    the worker's blocks, in block order and before its own. adjoint calls
-    ``fill`` on each image from the last to the first and hands the image
-    to the worker once its fill returns, so the first fill runs with the
-    worker parked; then it calls ``meanwhile()`` while the worker
-    transforms. The worker's blocks keep their own spectra, whose bands
-    are added to the sum after the calling thread's own blocks', in band
-    order, so the bits do not depend on the threads either. Any other
-    stack, or a call outside the block, runs on the calling thread and
-    never calls ``hand``; its ``handed`` is empty. A block inside another
-    on the same stack shares the running worker.
+    calling thread runs the rest and every other hook. apply calls
+    ``hand`` of the worker's blocks first, in block order, each block
+    handed out once its hand returns, then its own blocks' hand and fill.
+    adjoint calls ``fill`` on each image from the last to the first and
+    hands the image to the worker once its fill returns, so the first fill
+    runs with the worker parked; then it calls ``meanwhile()`` while the
+    worker transforms. The worker's blocks keep their own spectra, whose
+    bands are added to the sum after the calling thread's own blocks', in
+    band order, so the bits do not depend on the threads either. Any other
+    stack, or a call outside the block, runs on the calling thread; its
+    ``handed`` is empty. A block inside another on the same stack shares
+    the running worker.
     """
 
     __slots__ = ("ops", "slices", "in_dim", "out_dim", "blocks", "handed",
@@ -580,6 +581,8 @@ class MapStack:
               hand: Callable[[slice], None] | None = None) -> Array:
         out = np.empty(self.out_dim) if out is None else out
         if self._plans is None:  # each op checks x
+            if hand is not None:
+                hand(self.blocks[0])
             if fill is not None:
                 fill(self.blocks[0])
             for op, s in zip(self.ops, self.slices):
@@ -589,7 +592,7 @@ class MapStack:
             return out
         x = _flat64(x, self.in_dim, "MapStack.apply")
         if self._worker is None:
-            return _run(self._plans[0], x, out, fill, drain)
+            return _run(self._plans[0], x, out, fill, drain, hand)
         return _split(self._threaded[0], x, out, self._worker, fill, drain, hand)
 
     def adjoint(self, u, out: Array | None = None,
@@ -633,12 +636,14 @@ def _steps(steps) -> None:
         call(*args, out=dst)
 
 
-def _run(plan, x: Array, out: Array, fill, drain) -> Array:
+def _run(plan, x: Array, out: Array, fill, drain, hand=None) -> Array:
     """One direction of a ``MapStack``'s rank-1 rule on one thread, from x
-    into ``out``: each source block transformed and its steps run, then
-    each target block's steps run and the block transformed back."""
+    into ``out``: each source block hooked, transformed and its steps run,
+    then each target block's steps run and the block transformed back."""
     sources, targets, shape = plan
     for s, spectra, steps in sources:
+        if hand is not None:
+            hand(s)
         if fill is not None:
             fill(s)
         _rfft2(x[s].reshape(shape), out=spectra)
@@ -666,7 +671,7 @@ def _split(plan, x: Array, out: Array, worker: _Worker, fill, drain, hand,
             if hand is not None:
                 hand(source[0])
             worker.put(functools.partial(_run, ([source], (), shape), x, out, fill, None))
-        _run((sources, (), shape), x, out, fill, None)
+        _run((sources, (), shape), x, out, fill, None, hand)
         if meanwhile is not None:
             meanwhile()
     worker.run(first_half)

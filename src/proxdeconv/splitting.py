@@ -49,45 +49,40 @@ The primal steps run one block of the variable's bands at a time
 (``MapStack.blocks``) inside the stack's two calls, so that a block's
 arrays are still in cache for the next step, and the dual steps run in
 the same calls, on parts of the dual stack. An iteration runs ``apply``,
-whose fill takes, per block and before its forward transform, the prox
-of g, d, its square and the finite check, x_{t+1}, x_bar, ||x_{t+1}||^2
-and g's value, and whose drain takes, per part once it is written, the
-carried K x (see below) and v = sigma K x_bar + u_t; then ``adjoint``,
-whose fill takes, per part, the duals' proxes, their finite check and
-u_{t+1}, whose drain takes, per block after its inverse transform, the
-block's part of the duals' shift and the next iteration's gradient step
-x_{t+1} - tau sum_i K_i^T u_{t+1,i}, into the spent x_t buffer, and
-whose meanwhile takes the objective trace. On one thread the dual stack
-is one part, and the steps run in the order of the equations above. The
-first gradient step is taken before the loop, the last iteration takes
-none, and one that the stopping rule ends discards it. A separable g
-(``ProxTerm.separable``) takes its prox and value per block, into the
-block of x_{t+1} when its prox writes there; any other g takes its prox
-once, on the whole vector at the first block, and its value in the
-objective trace. The iterates do not depend on the blocks; the three
-norms and a separable g's value sum their block parts, in block order,
-so the change traces and the objective trace round by them.
+whose hand takes, per block and before its fill, a separable g's prox
+(``ProxTerm.separable``) into that block of x_{t+1}'s buffer, any other g
+taking its prox once, on the whole vector, before the call; whose fill
+then takes, per block and before its forward transform, d, its square and
+the finite check, x_{t+1}, x_bar and ||x_{t+1}||^2; and whose drain takes,
+per part once it is written, the carried K x (see below) and v = sigma K
+x_bar + u_t; then ``adjoint``, whose fill takes, per part, the duals'
+proxes, their finite check and u_{t+1}, whose drain takes, per block
+after its inverse transform, the block's part of the duals' shift and
+the next iteration's gradient step x_{t+1} - tau sum_i K_i^T u_{t+1,i},
+into the spent x_t buffer, and whose meanwhile takes a separable g's
+value, block by block, and the objective trace. On one thread the dual
+stack is one part, and the steps run in the order of the equations
+above. The first gradient step is taken before the loop, the last
+iteration takes none, and one that the stopping rule ends discards it.
+The iterates do not depend on the blocks. fill and drain keep each
+block's parts of the three norms, which the loop sums after each call,
+in block order, as it sums a separable g's value, so the change traces
+and the objective trace round by the blocks.
 
-Where the stack hands blocks to a worker thread (``MapStack.handed``, a
-stack of more than one block of large bands on two CPUs), the loop runs
-inside ``MapStack.threads``, and each part of the dual stack is one
-map's image. ``apply`` calls ``hand`` on the solve's thread for each
-handed block, which takes g's prox of that block (or of the whole
-vector, at the first), and hands the block to the worker as soon as it
-returns; the worker runs the rest of fill for its blocks while this
-thread takes its own, and each thread then drains its own images.
+Where the stack runs its calls on two threads (a stack of more than one
+block of large bands on two CPUs, see ``MapStack``), the loop runs inside
+``MapStack.threads``, each part of the dual stack is one map's image,
+and a worker thread fills and drains some blocks and drains some images.
+The loop does not ask which: a block's hooks write only that block's
+parts, so the iterates and every trace keep their one-thread bits.
 ``adjoint`` takes the dual steps image by image on this thread, the last
 term's first while the worker is parked (the positivity's, in a solve of
 ``deconvolve``), and the worker transforms each image once its step is
-done, while this thread takes the next one, g's value of the handed
-blocks and the objective trace; then each thread drains its own blocks.
-The worker's blocks keep their parts of the three norms, which this
-thread adds to its own running sums after each call, in block order, so
-the iterates and every trace keep their one-thread bits. Every term's
-callback, and so every function a term looks up by name, runs on the
-solve's thread; a block's or an image's finite check raises there too,
-naming the same term and iteration (the first image checked, if two are
-not finite). The worker is joined when the solve returns or raises.
+done. Every term's callback, and so every function a term looks up by
+name, runs in hand, adjoint's fill or meanwhile, on the solve's thread; a
+block's or an image's finite check raises there too, naming the same
+term and iteration (the first image checked, if two are not finite). The
+worker is joined when the solve returns or raises.
 
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
 with x_bar = 2 x~ - x_t, or (x_bar + x_t) / 2 at theta = 1, so the loop
@@ -182,6 +177,14 @@ def _ratio(num: float, denom: float) -> float:
     return num / denom
 
 
+def _total(parts) -> float:
+    """The parts' sum from 0.0, added in their order."""
+    total = 0.0
+    for part in parts:
+        total += part
+    return total
+
+
 def _moreau(term: ProxTerm) -> Callable[[Array, float], None]:
     """The term's conj by Moreau's identity from its prox."""
     def conj(v: Array, sigma: float) -> None:
@@ -264,50 +267,33 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     step = None if unrelaxed else np.empty(carried.stop)
     norm = math.sqrt(x.dot(x))
     rel_trace, primal_trace, dual_trace, obj_trace = [], [], [], []
-    # A separable g's value is summed from its blocks into gv, which the
-    # trace reads in its place.
-    blockwise = g.separable and g.value is not None
+    # A separable g takes its prox block by block, in hand, and its value
+    # from the blocks into gv, which the trace reads in its place; any
+    # other g takes its prox on the whole vector before apply.
+    blockwise, gv = g.separable and g.value is not None, 0.0
     scored = [replace(term, value=lambda point: gv) if blockwise and term is g
               else term for term in terms]
-    # x_new, the prox's output, lives until the next prox has returned:
-    # freeing it sooner let the allocator trim and refault the heap top
-    # every iteration.
+    # x_new, a non-separable g's prox output, lives until the next prox
+    # has returned: freeing it sooner let the allocator trim and refault
+    # the heap top every iteration.
     x_new = None
-    # The blocks a worker thread fills and drains (maps.handed, from edge
-    # on): a separable g's prox outputs, taken on this thread as apply
-    # hands the blocks out, and their parts of d . d, ||x_next||^2 and the
-    # shift's square, which this thread adds to its own blocks' sums after
-    # each call, in block order.
-    edge = maps.handed[0].start if maps.handed else x.size
-    taken, dds, nns, sss = ({b.start: None for b in maps.handed} for _ in range(4))
+    # Each block's parts of d . d, ||x_next||^2 and the shift's square,
+    # from whichever thread ran its hook; the loop sums them after each
+    # call, in block order.
+    dds, nns, sss = ({b.start: 0.0 for b in maps.blocks} for _ in range(3))
 
     def hand(b: slice) -> None:
-        # g's prox of a block apply hands to the worker, or at the first
-        # such block of the whole vector.
-        nonlocal x_new
-        if g.separable:
-            nxt = x_next[b]
-            new = g.prox(nxt, tau)
-            taken[b.start] = new if new is nxt else _flat64(new, nxt.size, context)
-        elif b.start == edge:
-            x_new = _flat64(g.prox(x_next, tau), x.size, context)
+        # A separable g's prox of a block, on this thread, into x_next.
+        nxt = x_next[b]
+        new = g.prox(nxt, tau)
+        if new is not nxt:
+            np.copyto(nxt, _flat64(new, nxt.size, context))
 
     def fill(b: slice) -> None:
-        # The prox of g, per block if g is separable, else at the first
-        # block on the whole vector, unless taken; then d = x~ - x in the
-        # spent x_bar buffer. A finite d . d means a finite x~, so only an
-        # infinite or NaN one pays for the scan.
-        nonlocal dd, nn, gv, x_new
-        old, nxt, mine = x[b], x_next[b], b.start < edge
-        if not g.separable:
-            if b.start == 0 and not taken:
-                x_new = _flat64(g.prox(x_next, tau), x.size, context)
-            new = x_new[b]
-        elif mine:
-            x_new = g.prox(nxt, tau)
-            new = x_new if x_new is nxt else _flat64(x_new, nxt.size, context)
-        else:
-            new = taken[b.start]
+        # d = x~ - x in the spent x_bar buffer. A finite d . d means a
+        # finite x~, so only an infinite or NaN one pays for the scan.
+        old, nxt = x[b], x_next[b]
+        new = nxt if g.separable else x_new[b]
         d = np.subtract(new, old, out=x_bar[b])
         part = d.dot(d)
         if not part < math.inf and not np.isfinite(new).all():
@@ -323,13 +309,7 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
             np.add(nxt, old, out=nxt)
             d *= 2.0
             d += old
-        if mine:
-            dd += part
-            nn += nxt.dot(nxt)
-            if blockwise:
-                gv += g.value(nxt)
-        else:
-            dds[b.start], nns[b.start] = part, nxt.dot(nxt)
+        dds[b.start], nns[b.start] = part, nxt.dot(nxt)
 
     def scale(s: slice) -> None:
         # x_{t+1} = x_t + (theta / 2) (x_bar - x_t), so by linearity
@@ -371,11 +351,10 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
             new += part
 
     def trace() -> None:
-        # g's value of the worker's blocks, then the objective at x_{t+1}.
+        # g's value of every block, then the objective at x_{t+1}.
         nonlocal gv
         if blockwise:
-            for b in maps.handed:
-                gv += g.value(x_next[b])
+            gv = _total(g.value(x_next[b]) for b in maps.blocks)
         if traced:
             obj_trace.append(objective_value(scored, x_next, images))
 
@@ -383,13 +362,9 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
         # The duals' shift K^T (u_next - u) in the spent back buffer; x is
         # spent too, so the next gradient step x_next - tau K^T u_next goes
         # there, unless no iteration follows.
-        nonlocal ss
         summed, shift = x_bar[b], back[b]
         np.subtract(summed, shift, out=shift)
-        if b.start < edge:
-            ss += shift.dot(shift)
-        else:
-            sss[b.start] = shift.dot(shift)
+        sss[b.start] = shift.dot(shift)
         if t + 1 < cfg.max_outer:
             grad = x[b]
             np.multiply(summed, tau, out=grad)
@@ -399,15 +374,13 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     np.subtract(x, x_next, out=x_next)
     with maps.threads():
         for t in range(cfg.max_outer):
-            # d . d, ||x_next||^2, the shift's square and g's value at x_next
-            dd = nn = ss = gv = 0.0
-            # fill takes the prox and writes x_bar, K's input, one block
-            # before K transforms it; scale carries K x and steps v.
-            maps.apply(x_bar, out=v, fill=fill, drain=scale, hand=hand)
-            for b in maps.handed:
-                dd += dds[b.start]
-                nn += nns[b.start]
-            change = theta * math.sqrt(dd)
+            if not g.separable:
+                x_new = _flat64(g.prox(x_next, tau), x.size, context)
+            # hand takes the prox and fill writes x_bar, K's input, one
+            # block before K transforms it; scale carries K x and steps v.
+            maps.apply(x_bar, out=v, fill=fill, drain=scale,
+                       hand=hand if g.separable else None)
+            change = theta * math.sqrt(_total(dds.values()))
             # dual_step takes u_{t+1} one part before K^T reads it, in v at
             # theta = 1 (the two buffers swap after) and in duals otherwise;
             # trace takes the objective at x_next. The duals' change is the
@@ -418,11 +391,9 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
                          fill=dual_step, meanwhile=trace)
             if unrelaxed:
                 duals, v = v, duals
-            for b in maps.handed:
-                ss += sss[b.start]
-            shift = tau * math.sqrt(ss)
+            shift = tau * math.sqrt(_total(sss.values()))
             back, x_bar = x_bar, back
-            norm_next = math.sqrt(nn)
+            norm_next = math.sqrt(_total(nns.values()))
             primal, dual = _ratio(change, norm), _ratio(shift, max(norm, norm_next))
             rel = max(primal, dual)
             x, x_next, norm = x_next, x, norm_next

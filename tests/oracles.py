@@ -299,11 +299,10 @@ class GainMatrixStack:
     row, a splitting map one column. The adjoint adds every map's conjugate
     transposed gain matrix times its duals' spectra, from the first map's
     part, before one inverse transform. Other maps, products among them,
-    apply one by one. ``fill`` and ``drain`` see the variable as one block
-    and the stack as one part, on one thread, and ``meanwhile`` runs last.
+    apply one by one. ``hand`` (before ``fill``), ``fill`` and ``drain`` see
+    the variable as one block and the stack as one part, on one thread, and
+    ``meanwhile`` runs last.
     """
-
-    handed = []
 
     def __init__(self, ops):
         self.ops = list(ops)
@@ -325,6 +324,8 @@ class GainMatrixStack:
         return contextlib.nullcontext()
 
     def apply(self, x, out=None, fill=None, drain=None, hand=None):
+        if hand is not None:
+            hand(self.blocks[0])
         if fill is not None:
             fill(self.blocks[0])
         out = np.empty(self.out_dim) if out is None else out

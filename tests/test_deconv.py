@@ -1317,10 +1317,12 @@ class TestBlockedSolve:
     def test_a_non_separable_primal_prox_gets_the_whole_vector(self, theta,
                                                                monkeypatch):
         # The same l1 term, not declared separable: its prox runs once per
-        # iteration on the whole coefficient vector, at the first block,
-        # and its value in the objective trace; the iterates keep their
-        # bits, whether the prox returns a new array, as a user term's
-        # would, or writes over the point it is given.
+        # iteration on the whole coefficient vector, before apply, and its
+        # value in the objective trace; the iterates keep their bits,
+        # whether the prox returns a new array, as a user term's would, or
+        # writes over the point it is given. On two threads (blocks 2 and 3
+        # on the worker) the prox runs as often and every bit is the one
+        # thread's.
         problem = _counts_problem("synthesis", levels=3, max_outer=20,
                                   theta=theta)
         separable, _ = self._solve(problem, monkeypatch, bands=1)
@@ -1342,6 +1344,10 @@ class TestBlockedSolve:
             assert built == [4]
             assert sizes == [4 * 256] * 20
             self._assert_same_run(separable, whole, 20)
+            sizes.clear()
+            split, two = TestThreadedSolve._solve(problem, monkeypatch, bands=1)
+            assert two == 2 and sizes == [4 * 256] * 20
+            TestThreadedSolve._assert_same_bits(split, whole)
 
     @pytest.mark.parametrize("theta", [1.0, 1.5])
     @pytest.mark.parametrize("levels", [2, 3])

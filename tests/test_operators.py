@@ -847,7 +847,8 @@ class TestThreads:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_each_hook_sees_its_parts_in_order_on_its_thread(self, cpus, monkeypatch):
-        # One thread: apply's output and adjoint's input are one part, the
+        # hand runs on the caller, just before each block's fill. One
+        # thread: apply's output and adjoint's input are one part, the
         # whole stack. Two: they are the images; the caller hands out the
         # worker's blocks first and fills adjoint's images last first, the
         # worker fills and drains its blocks and drains apply's second
@@ -870,15 +871,16 @@ class TestThreads:
         if cpus == 1:
             whole = slice(0, stack.out_dim)
             assert seen == {
-                ("apply", True): [("fill", b) for b in blocks] + [("drain", whole)],
+                ("apply", True): [(name, b) for b in blocks for name in ("hand", "fill")]
+                + [("drain", whole)],
                 ("adjoint", True): [("fill", whole)] + [("drain", b) for b in blocks]
                 + [("meanwhile",)]}
             return
         mine, theirs = blocks[:2], blocks[2:]
         assert stack.handed == theirs
         assert seen == {
-            ("apply", True): [("hand", b) for b in theirs] + [("fill", b) for b in mine]
-            + [("drain", images[0])],
+            ("apply", True): [("hand", b) for b in theirs]
+            + [(name, b) for b in mine for name in ("hand", "fill")] + [("drain", images[0])],
             ("apply", False): [("fill", b) for b in theirs] + [("drain", images[1])],
             ("adjoint", True): [("fill", images[1]), ("fill", images[0]), ("meanwhile",)]
             + [("drain", b) for b in mine],
