@@ -125,10 +125,11 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig]:
     elementwise proxes up by name on each call, and the positivity calls
     ``project_positive(x)`` once per iteration under either prior: its
     variable is one block under the analysis prior. The l1 term is
-    separable, so the synthesis prior's solve calls the l1 prox and value
-    once per block. The l1 prox writes its output over the point it is
-    given (a caller that needs the point keeps a copy) and clips into one
-    coefficient array kept for the solve, whose head the l1 value reuses
+    separable, so the synthesis prior's solve calls the l1 prox once per
+    block, and the l1 value, as every value, once per iteration on the
+    whole point. The l1 prox writes its output over the point it is given
+    (a caller that needs the point keeps a copy) and clips into the head
+    of one coefficient array kept for the solve, which the l1 value reuses
     for |c|; neither allocates.
     """
     def fit(eta: Array) -> float:
@@ -267,12 +268,12 @@ def gcv_score(gamma: float, counts: Image, blur: LinearOperator,
 
 
 def _check_gamma_grid(grid) -> list[float]:
-    """The grid as floats, if it is non-empty, finite and strictly increasing."""
+    """The grid as floats, if it is non-empty, finite, > 0 and strictly increasing."""
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("gamma grid must be non-empty")
-    if not all(np.isfinite(grid)):
-        raise ValueError(f"gamma grid must be finite, got {grid}")
+    for point in grid:
+        _check_positive(point, "gamma grid point")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"gamma grid must be strictly increasing, got {grid}")
     return grid
@@ -287,7 +288,7 @@ def select_gamma_gcv(grid, problem: DeconvProblem, truth: Image | None = None
     (gamma, gcv, mae-or-None) row per grid point. A point whose active
     count reaches the pixel count scores +inf (``gcv_score``) and is never
     selected; a grid where every point does raises.
-    The grid must be non-empty, finite and strictly increasing, and a truth
+    The grid must be non-empty, finite, > 0 and strictly increasing, and a truth
     must lie on the counts' grid. Under the analysis prior the dictionary
     must have no more coefficients than pixels: the active count of a
     redundant analysis is no estimate of the degrees of freedom.

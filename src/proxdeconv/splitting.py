@@ -48,26 +48,25 @@ is one ufunc, FFT pass or array method, never a dispatch wrapper such as
 The primal steps run one block of the variable's bands at a time
 (``MapStack.blocks``) inside the stack's two calls, so that a block's
 arrays are still in cache for the next step, and the dual steps run in
-the same calls, on parts of the dual stack. An iteration runs ``apply``,
-whose hand takes, per block and before its fill, a separable g's prox
-(``ProxTerm.separable``) into that block of x_{t+1}'s buffer, any other g
-taking its prox once, on the whole vector, before the call; whose fill
-then takes, per block and before its forward transform, d, its square and
-the finite check, x_{t+1}, x_bar and ||x_{t+1}||^2; and whose drain takes,
-per part once it is written, the carried K x (see below) and v = sigma K
-x_bar + u_t; then ``adjoint``, whose fill takes, per part, the duals'
-proxes, their finite check and u_{t+1}, whose drain takes, per block
-after its inverse transform, the block's part of the duals' shift and
-the next iteration's gradient step x_{t+1} - tau sum_i K_i^T u_{t+1,i},
-into the spent x_t buffer, and whose meanwhile takes a separable g's
-value, block by block, and the objective trace. On one thread the dual
-stack is one part, and the steps run in the order of the equations
-above. The first gradient step is taken before the loop, the last
-iteration takes none, and one that the stopping rule ends discards it.
-The iterates do not depend on the blocks. fill and drain keep each
-block's parts of the three norms, which the loop sums after each call,
-in block order, as it sums a separable g's value, so the change traces
-and the objective trace round by the blocks.
+the same calls, on parts of the dual stack. g's prox always lands in
+x_{t+1}'s buffer: a separable g's (``ProxTerm.separable``) block by
+block, in ``apply``'s hand, each just before the block's fill; any other
+g's once, on the whole vector, before the call. apply's fill then takes,
+per block and before its forward transform, d, its square and the finite
+check, x_{t+1}, x_bar and ||x_{t+1}||^2, and its drain, per part once it
+is written, the carried K x (see below) and v = sigma K x_bar + u_t; then
+``adjoint``, whose fill takes, per part, the duals' proxes, their finite
+check and u_{t+1}, whose drain takes, per block after its inverse
+transform, the block's part of the duals' shift and the next iteration's
+gradient step x_{t+1} - tau sum_i K_i^T u_{t+1,i}, into the spent x_t
+buffer, and whose meanwhile takes the objective trace, every term's value
+on the whole iterate. On one thread the dual stack is one part, and the
+steps run in the order of the equations above. The first gradient step is
+taken before the loop, the last iteration takes none, and one that the
+stopping rule ends discards it. The iterates and the objective trace do
+not depend on the blocks. fill and drain keep each block's parts of the
+three norms, which the loop sums after each call, in block order, so the
+change traces round by the blocks.
 
 Where the stack runs its calls on two threads (a stack of more than one
 block of large bands on two CPUs, see ``MapStack``), the loop runs inside
@@ -119,9 +118,9 @@ class ProxTerm:
     f's conjugate. Without it the solver takes Moreau's identity,
     v - sigma prox_{f / sigma}(v / sigma), from ``prox``.
 
-    ``separable`` declares that f acts entry by entry: ``prox`` of a slice
-    of a point is that slice of the point's prox, and ``value`` of a point
-    the sum of its slices' values.
+    ``separable`` declares that ``prox`` acts entry by entry: its output on
+    a slice of a point is that slice of the point's prox, so the solver may
+    take it block by block. ``value`` is always taken on a whole point.
 
     The solver hands a prox only points it owns, so any prox may write its
     output over the point it is given and return it. It calls every
@@ -208,8 +207,8 @@ def objective_value(terms: Sequence[ProxTerm], x: Array,
     images = iter(images if images is not None else
                   _images([term.op for term in terms if term.op is not None], x))
     points = [x if term.op is None else next(images) for term in terms]
-    return sum(float(term.value(point)) for term, point in zip(terms, points)
-               if term.value is not None)
+    return _total(float(term.value(point)) for term, point in zip(terms, points)
+                  if term.value is not None)
 
 
 def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
@@ -245,7 +244,7 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
                          f"map, got {len(free)}")
     g = free[0]
     context = f"prox output of term {g.label!r}"
-    norm2 = sum(term.op.spectral_bound ** 2 for term in mapped)
+    norm2 = _total(term.op.spectral_bound ** 2 for term in mapped)
     if mapped and norm2 == 0.0:
         raise ValueError("every map has spectral bound 0")
     tau, theta = cfg.mu, cfg.theta
@@ -267,43 +266,35 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     step = None if unrelaxed else np.empty(carried.stop)
     norm = math.sqrt(x.dot(x))
     rel_trace, primal_trace, dual_trace, obj_trace = [], [], [], []
-    # A separable g takes its prox block by block, in hand, and its value
-    # from the blocks into gv, which the trace reads in its place; any
-    # other g takes its prox on the whole vector before apply.
-    blockwise, gv = g.separable and g.value is not None, 0.0
-    scored = [replace(term, value=lambda point: gv) if blockwise and term is g
-              else term for term in terms]
-    # x_new, a non-separable g's prox output, lives until the next prox
-    # has returned: freeing it sooner let the allocator trim and refault
-    # the heap top every iteration.
-    x_new = None
+    # g's prox output lives until the next prox has returned: freeing a
+    # new array sooner let the allocator trim and refault the heap top
+    # every iteration.
+    proxed = None
     # Each block's parts of d . d, ||x_next||^2 and the shift's square,
     # from whichever thread ran its hook; the loop sums them after each
     # call, in block order.
     dds, nns, sss = ({b.start: 0.0 for b in maps.blocks} for _ in range(3))
 
     def hand(b: slice) -> None:
-        # A separable g's prox of a block, on this thread, into x_next.
+        # g's prox of a part of x_next, on this thread, into that part.
+        nonlocal proxed
         nxt = x_next[b]
-        new = g.prox(nxt, tau)
-        if new is not nxt:
-            np.copyto(nxt, _flat64(new, nxt.size, context))
+        proxed = g.prox(nxt, tau)
+        if proxed is not nxt:
+            np.copyto(nxt, _flat64(proxed, nxt.size, context))
 
     def fill(b: slice) -> None:
         # d = x~ - x in the spent x_bar buffer. A finite d . d means a
         # finite x~, so only an infinite or NaN one pays for the scan.
         old, nxt = x[b], x_next[b]
-        new = nxt if g.separable else x_new[b]
-        d = np.subtract(new, old, out=x_bar[b])
+        d = np.subtract(nxt, old, out=x_bar[b])
         part = d.dot(d)
-        if not part < math.inf and not np.isfinite(new).all():
+        if not part < math.inf and not np.isfinite(nxt).all():
             raise NonFiniteIterateError(iteration=t, label=g.label)
         # At theta = 1, x_next = x~ and x_bar = x~ + d; otherwise x_next =
-        # x + theta d and x_bar = x + 2 d. Either holds when x~ is x_next.
+        # x + theta d and x_bar = x + 2 d.
         if unrelaxed:
-            if new is not nxt:
-                np.copyto(nxt, new)
-            np.add(new, d, out=d)
+            np.add(nxt, d, out=d)
         else:
             np.multiply(d, theta, out=nxt)
             np.add(nxt, old, out=nxt)
@@ -351,12 +342,9 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
             new += part
 
     def trace() -> None:
-        # g's value of every block, then the objective at x_{t+1}.
-        nonlocal gv
-        if blockwise:
-            gv = _total(g.value(x_next[b]) for b in maps.blocks)
+        # The objective at x_{t+1}.
         if traced:
-            obj_trace.append(objective_value(scored, x_next, images))
+            obj_trace.append(objective_value(terms, x_next, images))
 
     def drain(b: slice) -> None:
         # The duals' shift K^T (u_next - u) in the spent back buffer; x is
@@ -375,9 +363,10 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
     with maps.threads():
         for t in range(cfg.max_outer):
             if not g.separable:
-                x_new = _flat64(g.prox(x_next, tau), x.size, context)
-            # hand takes the prox and fill writes x_bar, K's input, one
-            # block before K transforms it; scale carries K x and steps v.
+                hand(slice(None))
+            # hand takes a separable g's prox and fill writes x_bar, K's
+            # input, one block before K transforms it; scale carries K x
+            # and steps v.
             maps.apply(x_bar, out=v, fill=fill, drain=scale,
                        hand=hand if g.separable else None)
             change = theta * math.sqrt(_total(dds.values()))

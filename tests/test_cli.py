@@ -540,7 +540,7 @@ class TestNonFiniteFlags:
         ("--mu", "inf"), ("--tol", "inf"), ("--gamma", "inf"),
         ("--gamma-grid", "0.1,inf"), ("--gamma-grid", "0.1,nan"),
         ("--gamma-grid", "0.1,abc"), ("--gamma-grid", ","),
-        ("--theta", "2.0"), ("--theta", "nan"),
+        ("--gamma-grid", "0,0.5"), ("--theta", "2.0"), ("--theta", "nan"),
     ])
     def test_deconvolve(self, workspace, capsys, no_reads, flag, value):
         code, out = _run_flag(workspace, flag, value)
@@ -580,9 +580,9 @@ class TestGammaGridRule:
     under the flag's name."""
 
     @pytest.mark.parametrize("grid", [[], [0.1, math.inf], [0.1, math.nan],
-                                      [0.5, 0.1], [0.2, 0.2]],
+                                      [0.5, 0.1], [0.2, 0.2], [0.0, 0.5]],
                              ids=["empty", "inf", "nan", "decreasing",
-                                  "repeated"])
+                                  "repeated", "zero"])
     def test_cli_reports_the_library_message(self, workspace, capsys, grid):
         problem = _problem(workspace)
         with pytest.raises(ValueError) as library:
@@ -594,6 +594,18 @@ class TestGammaGridRule:
         assert code == 1
         err = capsys.readouterr().err
         assert str(library.value) in err and "--gamma-grid" in err
+        assert not os.path.exists(out)
+
+    def test_a_negative_grid_point_fails_before_any_read(self, workspace, capsys,
+                                                         no_reads):
+        # Joined to its flag, so argparse does not read "-1,0.5" as a flag.
+        out = str(workspace["dir"] / "scan.csv")
+        code = main(["gcv-scan", "--counts", workspace["counts"], "--psf",
+                     workspace["psf"], "--dict", "dirac", "--out", out,
+                     "--gamma-grid=-1,0.5"])
+        assert code == 1
+        assert ("argument --gamma-grid: gamma grid point must be finite and > 0, "
+                "got -1.0") in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flag, value", [

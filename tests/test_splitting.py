@@ -9,6 +9,7 @@ import pytest
 from proxdeconv import (LinearOperator, ProxTerm, SplittingConfig,
                         diagonal_operator, identity_operator, project_positive,
                         soft_threshold, solve)
+import proxdeconv.splitting as splitting_module
 from proxdeconv.errors import DimensionMismatchError, NonFiniteIterateError
 from proxdeconv.splitting import objective_value
 
@@ -207,6 +208,14 @@ class TestStoppingAndTrace:
                          np.array([100.0]))
         assert not state.converged
         assert state.iterations == 3
+
+    def test_the_objective_sums_the_same_on_every_interpreter(self, monkeypatch):
+        # From Python 3.12 on, builtin sum() is compensated, as fsum is, and
+        # gives 2.0 here; a running sum from 0.0 gives 1.0 on any version.
+        monkeypatch.setattr(splitting_module, "sum", math.fsum, raising=False)
+        terms = [ProxTerm(prox=_quad_prox([0.0]), value=lambda v, c=c: c)
+                 for c in (1e16, 1.0, -1e16, 1.0)]
+        assert objective_value(terms, np.zeros(1), images=[]) == 1.0
 
 
 class TestValidation:
