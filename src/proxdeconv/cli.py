@@ -7,10 +7,7 @@ success (deconvolve: stopping rule met), 2 when the iteration cap stopped
 the solver first, 1 on usage or runtime errors. Numeric flags are checked
 while parsing by the library's rule for the value they set, so a bad one
 exits 1 with ``argument --flag: <the library's message>`` before any file
-is read; ``--mu``, which reaches no solve, only has to be finite. A value
-that starts with ``-`` in exponent notation must be written
-``--flag=value`` (``--tol=-1e-5``): after a space, argparse reads it as an
-option and reports "expected one argument".
+is read; ``--mu``, which reaches no solve, only has to be finite.
 """
 
 from __future__ import annotations
@@ -20,6 +17,7 @@ import glob as globmod
 import hashlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -39,7 +37,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures raise instead of exiting 2."""
+    """argparse variant whose usage failures raise instead of exiting 2, and
+    that reads ``-`` and a digit, or ``-.`` and a digit, as the start of a
+    value (``--tol -1e-5``), not of a flag: no flag starts so."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise UsageError(message)

@@ -122,15 +122,15 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig]:
     are read only through ``fourier_form``, so wrapped or user-built
     operators give the same bits as shipped ones. Every term carries its
     conjugate step in closed form, in place. The proxes and steps look the
-    elementwise proxes up by name on each call, and the positivity calls
-    ``project_positive(x)`` once per iteration under either prior: its
-    variable is one block under the analysis prior. The l1 term is
-    separable, so the synthesis prior's solve calls the l1 prox once per
-    block, and the l1 value, as every value, once per iteration on the
-    whole point. The l1 prox writes its output over the point it is given
-    (a caller that needs the point keeps a copy) and clips into the head
-    of one coefficient array kept for the solve, which the l1 value reuses
-    for |c|; neither allocates.
+    elementwise proxes up by name on each call. The l1 term and the
+    positivity are separable, so the solve calls the primal prox (the l1
+    term's or, under the analysis prior, the positivity's) once per block,
+    and every value once per iteration on the whole point; the analysis
+    prior's variable is one block, so ``project_positive(x)`` runs once
+    per iteration under either prior. The l1 prox writes its output over
+    the point it is given (a caller that needs the point keeps a copy) and
+    clips into the head of one coefficient array kept for the solve, which
+    the l1 value reuses for |c|; neither allocates.
     """
     def fit(eta: Array) -> float:
         total = eval_poisson(eta, y, check=False)
@@ -162,7 +162,8 @@ def _terms(p: DeconvProblem) -> tuple[list[ProxTerm], SplittingConfig]:
     terms = [ProxTerm(poisson, "data-fidelity", maps[0], fit, _conj_poisson(y)),
              ProxTerm(sparsity, "sparsity", maps[1], l1, sparsity_conj,
                       separable=True),
-             ProxTerm(positive, "positivity", maps[2], conj=positive_conj)]
+             ProxTerm(positive, "positivity", maps[2], conj=positive_conj,
+                      separable=True)]
     # The primal step grows with the counts, or is 1 when every count is 0
     # (the minimizer is then 0 at any step).
     mean = float(np.mean(y))

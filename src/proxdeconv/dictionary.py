@@ -257,7 +257,7 @@ def frame_bounds(d: FrameDictionary) -> tuple[float, float]:
     return lam_min, lam_max
 
 
-def _split_top_level(text: str) -> list[str]:
+def _split_top_level(text: str, spec: str) -> list[str]:
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         depth += (ch == "(") - (ch == ")")
@@ -267,7 +267,7 @@ def _split_top_level(text: str) -> list[str]:
             parts.append(text[start:i])
             start = i + 1
     if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
+        raise ValueError(f"unbalanced parentheses in {spec!r}")
     parts.append(text[start:])
     return parts
 
@@ -286,7 +286,7 @@ def parse_dictionary_spec(spec: str, width: int, height: int) -> FrameDictionary
     if text.startswith("union(") and text.endswith(")"):
         inner = text[len("union("):-1]
         members = [parse_dictionary_spec(part, width, height)
-                   for part in _split_top_level(inner)]
+                   for part in _split_top_level(inner, spec)]
         return make_union(members)
     name, _, params = text.partition(":")
     makers = {"haar": make_haar_dwt, "starlet": make_starlet}

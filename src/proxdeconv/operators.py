@@ -314,15 +314,9 @@ THREAD_PIXELS = 128 * 128
 """The least band size, in pixels, at which a ``MapStack`` of more than one
 block hands the upper half of its blocks to a second thread; tests patch
 it to run that path at 16 x 16 while other blocked tests stay on one
-thread. Measured on 2 cores with one BLAS thread (synthesis solves of 100
-iterations, median of 5 per side, 10 alternating in-process pairs,
-``BENCH_34.json`` ``band_size_bar``), two threads against one: 128 x 128
-bands were faster in 9 and 10 of 10 pairs (``starlet:levels=5``, blocks of
-4 and 2 bands, -6%; a union of two ``starlet:levels=3``, 4 and 4, -14%);
-64 x 64 bands were slower in 10 of 10 in uneven blocks (a union of five,
-16 and 4 bands, +9%) but faster in 9 of 10 in even ones (a union of
-eight, 16 and 16, -12%). The bar keeps every 64 x 64 stack on one
-thread, the gaining even ones too."""
+thread. On 2 cores with one BLAS thread, two threads beat one in 6-8 of
+10 pairs on stacks of 128 x 128 bands and in 2-4 of 10 on 64 x 64 bands
+(``BENCH_38.json`` ``band_size_bar``)."""
 
 
 def _cpus() -> int:
@@ -411,16 +405,19 @@ class MapStack:
     whose images fit in ``BLOCK_BYTES``: ``apply`` transforms, filters and
     adds one block at a time into the sum, and ``adjoint`` filters the sum
     into one block at a time and transforms it back, so the input's spectra
-    are one block long. Each call takes hooks on the parts of its input
-    and its output: ``fill(part)`` runs before the call reads that part of
-    its input, which fill may write (the input is then a flat float64
-    array), and ``drain(part)`` once that part of ``out`` is written;
-    ``apply(..., hand)`` calls ``hand(block)`` just before a block's fill.
-    On one thread apply's input parts are the blocks and its output is one
-    part, the whole stack; adjoint's input is one part, the whole stack,
-    and its output parts are the blocks. ``adjoint(..., meanwhile)`` calls
-    ``meanwhile()`` once, after the last drain. The bits do not depend on
-    the blocks. A stack without this rule is one block.
+    are one block long. The bits do not depend on the blocks. A stack
+    without this rule is one block.
+
+    Both calls take hooks on parts of their input and output, by one rule:
+    ``hand(part)`` runs on the calling thread just before a part of the
+    input is transformed, on that thread or the worker (below);
+    ``fill(part)``, apply's only, just before that part is read, on the
+    thread that transforms it, and may write it (x is then a flat float64
+    array); ``meanwhile()``, adjoint's only, once on the calling thread,
+    after the last hand and before the first drain; ``drain(part)`` once
+    that part of ``out`` is written. On one thread apply's input parts are
+    the blocks and its output is one part, the whole stack; adjoint's input
+    is one part, the whole stack, and its output parts are the blocks.
 
     Inside ``with stack.threads():`` a stack of more than one block whose
     bands have at least ``THREAD_PIXELS`` pixels, on a host that lets the
@@ -431,18 +428,15 @@ class MapStack:
     of apply's images (inverse transform and drain), adjoint's forward
     transforms of every image with their output gains, and half the rows
     of the elementwise steps that join the two threads' spectra. The
-    calling thread runs the rest and every other hook. apply calls
-    ``hand`` of the worker's blocks first, in block order, each block
-    handed out once its hand returns, then its own blocks' hand and fill.
-    adjoint calls ``fill`` on each image from the last to the first and
-    hands the image to the worker once its fill returns, so the first fill
-    runs with the worker parked; then it calls ``meanwhile()`` while the
-    worker transforms. The worker's blocks keep their own spectra, whose
-    bands are added to the sum after the calling thread's own blocks', in
-    band order, so the bits do not depend on the threads either. Any other
-    stack, or a call outside the block, runs on the calling thread; its
-    ``handed`` is empty. A block inside another on the same stack shares
-    the running worker.
+    calling thread runs the rest. Each call hands the worker its parts
+    first, each once its hand returns: apply its blocks in block order,
+    then it runs its own; adjoint every image from the last, so its first
+    hand runs with the worker parked. The worker's blocks keep their own
+    spectra, whose bands are added to the sum after the calling thread's
+    own blocks', in band order, so the bits do not depend on the threads
+    either. Any other stack, or a call outside the block, runs on the
+    calling thread; its ``handed`` is empty. A block inside another on the
+    same stack shares the running worker.
     """
 
     __slots__ = ("ops", "slices", "in_dim", "out_dim", "blocks", "handed",
@@ -597,7 +591,7 @@ class MapStack:
 
     def adjoint(self, u, out: Array | None = None,
                 drain: Callable[[slice], None] | None = None,
-                fill: Callable[[slice], None] | None = None,
+                hand: Callable[[slice], None] | None = None,
                 meanwhile: Callable[[], None] | None = None) -> Array:
         u = _flat64(u, self.out_dim, "MapStack.adjoint")
         if out is None and not self.ops:
@@ -605,20 +599,19 @@ class MapStack:
                              "does not know its variable's size")
         out = np.empty(self.in_dim) if out is None else out
         if self._plans is None:
-            if fill is not None:
-                fill(slice(0, self.out_dim))
+            if hand is not None:
+                hand(slice(0, self.out_dim))
+            if meanwhile is not None:
+                meanwhile()
             # Summed from 0, as sum() does, so -0.0 parts read +0.0.
             out[...] = sum(op.adjoint(u[s]) for op, s in zip(self.ops, self.slices))
             if drain is not None:
                 drain(self.blocks[0])
-        elif self._worker is None:
-            _run(self._plans[1], u, out, fill, drain)
-        else:  # each image's fill runs here, as a block's hand does in apply
-            return _split(self._threaded[1], u, out, self._worker, None, drain, fill,
-                          meanwhile)
-        if meanwhile is not None:
-            meanwhile()
-        return out
+            return out
+        if self._worker is None:
+            return _run(self._plans[1], u, out, None, drain, hand, meanwhile)
+        return _split(self._threaded[1], u, out, self._worker, None, drain, hand,
+                      meanwhile)
 
 
 def _rows(steps, rows: int) -> tuple[list, list]:
@@ -636,10 +629,12 @@ def _steps(steps) -> None:
         call(*args, out=dst)
 
 
-def _run(plan, x: Array, out: Array, fill, drain, hand=None) -> Array:
+def _run(plan, x: Array, out: Array, fill, drain, hand=None,
+         meanwhile=None) -> Array:
     """One direction of a ``MapStack``'s rank-1 rule on one thread, from x
     into ``out``: each source block hooked, transformed and its steps run,
-    then each target block's steps run and the block transformed back."""
+    then ``meanwhile``, then each target block's steps run, the block
+    transformed back and drained."""
     sources, targets, shape = plan
     for s, spectra, steps in sources:
         if hand is not None:
@@ -647,11 +642,11 @@ def _run(plan, x: Array, out: Array, fill, drain, hand=None) -> Array:
         if fill is not None:
             fill(s)
         _rfft2(x[s].reshape(shape), out=spectra)
-        for call, args, dst in steps:
-            call(*args, out=dst)
+        _steps(steps)
+    if meanwhile is not None:
+        meanwhile()
     for s, spectra, steps in targets:
-        for call, args, dst in steps:
-            call(*args, out=dst)
+        _steps(steps)
         _irfft2(spectra, out[s].reshape(shape))
         if drain is not None:
             drain(s)
@@ -660,10 +655,11 @@ def _run(plan, x: Array, out: Array, fill, drain, hand=None) -> Array:
 
 def _split(plan, x: Array, out: Array, worker: _Worker, fill, drain, hand,
            meanwhile=None) -> Array:
-    """One direction of a ``MapStack``'s rank-1 rule on two threads. The
-    calling thread calls ``hand`` of each handed source and puts the
-    source on the worker, runs its own sources and then ``meanwhile``;
-    each thread then runs its rows of the joining steps, and its targets."""
+    """One direction of a ``MapStack``'s rank-1 rule on two threads, with
+    ``_run``'s hooks. The calling thread calls ``hand`` of each handed
+    source and puts the source on the worker, then runs its own sources and
+    ``meanwhile``; each thread then runs its rows of the joining steps, and
+    its targets."""
     handed, sources, (upper, lower), (mine, theirs), shape = plan
 
     def first_half():
@@ -671,9 +667,7 @@ def _split(plan, x: Array, out: Array, worker: _Worker, fill, drain, hand,
             if hand is not None:
                 hand(source[0])
             worker.put(functools.partial(_run, ([source], (), shape), x, out, fill, None))
-        _run((sources, (), shape), x, out, fill, None, hand)
-        if meanwhile is not None:
-            meanwhile()
+        _run((sources, (), shape), x, out, fill, None, hand, meanwhile)
     worker.run(first_half)
     worker.split(functools.partial(_steps, lower), functools.partial(_steps, upper))
     worker.split(functools.partial(_run, ((), theirs, shape), x, out, None, drain),

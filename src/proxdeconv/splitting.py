@@ -48,25 +48,25 @@ is one ufunc, FFT pass or array method, never a dispatch wrapper such as
 The primal steps run one block of the variable's bands at a time
 (``MapStack.blocks``) inside the stack's two calls, so that a block's
 arrays are still in cache for the next step, and the dual steps run in
-the same calls, on parts of the dual stack. g's prox always lands in
-x_{t+1}'s buffer: a separable g's (``ProxTerm.separable``) block by
-block, in ``apply``'s hand, each just before the block's fill; any other
-g's once, on the whole vector, before the call. apply's fill then takes,
-per block and before its forward transform, d, its square and the finite
-check, x_{t+1}, x_bar and ||x_{t+1}||^2, and its drain, per part once it
-is written, the carried K x (see below) and v = sigma K x_bar + u_t; then
-``adjoint``, whose fill takes, per part, the duals' proxes, their finite
-check and u_{t+1}, whose drain takes, per block after its inverse
-transform, the block's part of the duals' shift and the next iteration's
-gradient step x_{t+1} - tau sum_i K_i^T u_{t+1,i}, into the spent x_t
-buffer, and whose meanwhile takes the objective trace, every term's value
-on the whole iterate. On one thread the dual stack is one part, and the
-steps run in the order of the equations above. The first gradient step is
-taken before the loop, the last iteration takes none, and one that the
-stopping rule ends discards it. The iterates and the objective trace do
-not depend on the blocks. fill and drain keep each block's parts of the
-three norms, which the loop sums after each call, in block order, so the
-change traces round by the blocks.
+the same calls, on parts of the dual stack, by the stack's hook rule.
+g's prox always lands in x_{t+1}'s buffer: a separable g's
+(``ProxTerm.separable``; both priors of ``deconvolve`` declare theirs)
+block by block in apply's hand, any other g's once on the whole vector
+before the call. apply's fill then takes, per block and before its
+forward transform, d, its square and the finite check, x_{t+1}, x_bar and
+||x_{t+1}||^2, and its drain, per part once it is written, the carried
+K x (see below) and v = sigma K x_bar + u_t. adjoint's hand takes, per
+part, the duals' proxes, their finite check and u_{t+1}; its meanwhile
+the objective trace, every term's value on the whole iterate; its drain,
+per block after its inverse transform, the block's part of the duals'
+shift and the next gradient step x_{t+1} - tau sum_i K_i^T u_{t+1,i},
+into the spent x_t buffer. On one thread the dual stack is one part, and
+the steps run in the order of the equations above. The first gradient
+step is taken before the loop, the last iteration takes none, and one
+that the stopping rule ends discards it. The iterates and the objective
+trace do not depend on the blocks. fill and drain keep each block's parts
+of the three norms, which the loop sums after each call, in block order,
+so the change traces round by the blocks.
 
 Where the stack runs its calls on two threads (a stack of more than one
 block of large bands on two CPUs, see ``MapStack``), the loop runs inside
@@ -74,14 +74,14 @@ block of large bands on two CPUs, see ``MapStack``), the loop runs inside
 and a worker thread fills and drains some blocks and drains some images.
 The loop does not ask which: a block's hooks write only that block's
 parts, so the iterates and every trace keep their one-thread bits.
-``adjoint`` takes the dual steps image by image on this thread, the last
-term's first while the worker is parked (the positivity's, in a solve of
+adjoint's hand takes the dual steps image by image, the last term's first
+while the worker is parked (the positivity's, in a synthesis solve of
 ``deconvolve``), and the worker transforms each image once its step is
 done. Every term's callback, and so every function a term looks up by
-name, runs in hand, adjoint's fill or meanwhile, on the solve's thread; a
-block's or an image's finite check raises there too, naming the same
-term and iteration (the first image checked, if two are not finite). The
-worker is joined when the solve returns or raises.
+name, runs in a hand or in meanwhile, on the solve's thread; a block's
+or an image's finite check raises there too, naming the same term and
+iteration (the first image checked, if two are not finite). The worker
+is joined when the solve returns or raises.
 
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
 with x_bar = 2 x~ - x_t, or (x_bar + x_t) / 2 at theta = 1, so the loop
@@ -370,14 +370,14 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
             maps.apply(x_bar, out=v, fill=fill, drain=scale,
                        hand=hand if g.separable else None)
             change = theta * math.sqrt(_total(dds.values()))
-            # dual_step takes u_{t+1} one part before K^T reads it, in v at
-            # theta = 1 (the two buffers swap after) and in duals otherwise;
-            # trace takes the objective at x_next. The duals' change is the
-            # shift tau K^T (u_next - u) they make in the primal step,
-            # relative to the larger of the two iterates. x_bar is spent, so
-            # the new sum goes there and the two swap.
+            # dual_step takes u_{t+1} one part before K^T transforms it, in
+            # v at theta = 1 (the two buffers swap after) and in duals
+            # otherwise; trace takes the objective at x_next. The duals'
+            # change is the shift tau K^T (u_next - u) they make in the
+            # primal step, relative to the larger of the two iterates. x_bar
+            # is spent, so the new sum goes there and the two swap.
             maps.adjoint(v if unrelaxed else duals, out=x_bar, drain=drain,
-                         fill=dual_step, meanwhile=trace)
+                         hand=dual_step, meanwhile=trace)
             if unrelaxed:
                 duals, v = v, duals
             shift = tau * math.sqrt(_total(sss.values()))

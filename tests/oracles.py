@@ -299,9 +299,10 @@ class GainMatrixStack:
     row, a splitting map one column. The adjoint adds every map's conjugate
     transposed gain matrix times its duals' spectra, from the first map's
     part, before one inverse transform. Other maps, products among them,
-    apply one by one. ``hand`` (before ``fill``), ``fill`` and ``drain`` see
-    the variable as one block and the stack as one part, on one thread, and
-    ``meanwhile`` runs last.
+    apply one by one. The hooks keep ``MapStack``'s rule, on one thread,
+    with the variable as one block and the stack as one part: ``hand``,
+    then ``fill`` (apply) or ``meanwhile`` (adjoint), then the map, then
+    ``drain``.
     """
 
     def __init__(self, ops):
@@ -342,9 +343,11 @@ class GainMatrixStack:
             drain(slice(0, self.out_dim))
         return out
 
-    def adjoint(self, u, out=None, drain=None, fill=None, meanwhile=None):
-        if fill is not None:
-            fill(slice(0, self.out_dim))
+    def adjoint(self, u, out=None, drain=None, hand=None, meanwhile=None):
+        if hand is not None:
+            hand(slice(0, self.out_dim))
+        if meanwhile is not None:
+            meanwhile()
         out = np.empty(self.in_dim) if out is None else out
         if self.shape is None:
             out[...] = sum(op.adjoint(u[s]) for op, s in zip(self.ops, self.slices))
@@ -352,8 +355,6 @@ class GainMatrixStack:
             out[...] = self._merged(u)
         if drain is not None:
             drain(self.blocks[0])
-        if meanwhile is not None:
-            meanwhile()
         return out
 
     def _merged(self, u):

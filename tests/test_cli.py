@@ -596,13 +596,15 @@ class TestGammaGridRule:
         assert str(library.value) in err and "--gamma-grid" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("grid", [["--gamma-grid=-1,0.5"],
+                                      ["--gamma-grid", "-1,0.5"]],
+                             ids=["joined", "spaced"])
     def test_a_negative_grid_point_fails_before_any_read(self, workspace, capsys,
-                                                         no_reads):
-        # Joined to its flag, so argparse does not read "-1,0.5" as a flag.
+                                                         no_reads, grid):
+        # Joined to its flag or after a space, "-1,0.5" is the flag's value.
         out = str(workspace["dir"] / "scan.csv")
         code = main(["gcv-scan", "--counts", workspace["counts"], "--psf",
-                     workspace["psf"], "--dict", "dirac", "--out", out,
-                     "--gamma-grid=-1,0.5"])
+                     workspace["psf"], "--dict", "dirac", "--out", out] + grid)
         assert code == 1
         assert ("argument --gamma-grid: gamma grid point must be finite and > 0, "
                 "got -1.0") in capsys.readouterr().err
@@ -634,28 +636,42 @@ class TestGammaGridRule:
         assert f"argument {flag}: {library.value}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_a_negative_exponent_value_is_joined_to_its_flag(
-            self, workspace, capsys):
-        # After a space, argparse takes "-1e-5" for an option.
-        code, out = _run_flag(workspace, "--tol", "-1e-5")
-        assert code == 1
-        assert "argument --tol: expected one argument" in \
-            capsys.readouterr().err
+    @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+    def test_a_negative_exponent_value_reports_the_library_message(
+            self, workspace, capsys, joined):
+        # "-1e-5" after a space is a value, as it is joined to its flag.
         with pytest.raises(ValueError) as library:
             SplittingConfig(tol=-1e-5)
         assert "tol must be finite and >= 0" in str(library.value)
+        out = str(workspace["dir"] / "x.f64")
         argv = ["deconvolve", "--counts", workspace["counts"], "--psf",
-                workspace["psf"], "--dict", "dirac", "--out", out,
-                "--gamma", "0.5", "--tol=-1e-5"]
-        assert main(argv) == 1
+                workspace["psf"], "--dict", "dirac", "--out", out, "--gamma", "0.5"]
+        assert main(argv + (["--tol=-1e-5"] if joined else ["--tol", "-1e-5"])) == 1
         assert f"argument --tol: {library.value}" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value", ["-1e3", "-.5"])
+    def test_a_negative_mu_after_a_space_parses(self, workspace, capsys, value):
+        # --mu only has to be finite, and no solve reads it.
+        code, out = _run_flag(workspace, "--mu", value)
+        assert code in (0, 2) and os.path.exists(out)
+        assert "error" not in capsys.readouterr().err
 
 
 class TestParsing:
     def test_unknown_command_is_a_usage_error(self, capsys):
         assert main(["restore"]) == 1
         capsys.readouterr()
+
+    def test_unbalanced_parentheses_in_dict_name_the_spec(self, workspace, capsys):
+        out = str(workspace["dir"] / "x.f64")
+        code = main(["deconvolve", "--counts", workspace["counts"], "--psf",
+                     workspace["psf"], "--dict", "union(dirac,dirac))",
+                     "--gamma", "0.5", "--out", out])
+        assert code == 1
+        assert "unbalanced parentheses in 'union(dirac,dirac))'" in \
+            capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_bad_gamma_grid_ordering(self, workspace, capsys):
         code = main(["deconvolve", "--counts", workspace["counts"], "--psf",

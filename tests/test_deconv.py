@@ -1237,6 +1237,26 @@ class TestOneMapStack:
         deconvolve(_counts_problem(prior, max_outer=3))
         assert built == [2]
 
+    @pytest.mark.parametrize("prior", ["synthesis", "analysis"])
+    def test_both_priors_take_the_primal_prox_in_applys_hand(self, prior,
+                                                             monkeypatch):
+        # The primal prox, the l1 term's or the positivity's, acts entry by
+        # entry, so each iteration's apply takes it in its hand. The first
+        # and the last apply, which compute K x, take no hooks.
+        problem = _counts_problem(prior, max_outer=3)
+        terms, _ = deconv_module._terms(problem)
+        assert all(term.separable for term in terms[1:])
+        hands = []
+
+        class Recorded(MapStack):
+            def apply(self, x, out=None, fill=None, drain=None, hand=None):
+                hands.append(hand)
+                return super().apply(x, out, fill, drain, hand)
+        monkeypatch.setattr(splitting_module, "MapStack", Recorded)
+        assert deconvolve(problem).state.iterations == 3
+        assert len(hands) == 5 and hands[0] is hands[-1] is None
+        assert all(callable(hand) for hand in hands[1:-1])
+
 
 class TestBlockedSolve:
     """A synthesis solve whose coefficients run in blocks of whole bands
@@ -1750,7 +1770,7 @@ class TestIterationAllocations:
         # run through one band of spectra. The iteration keeps the bound
         # above, and the stack's calls that run the loop's primal steps
         # block by block (fill and drain) allocate less than a quarter band
-        # each once warm. The adjoint's dual steps and trace (its fill and
+        # each once warm. The adjoint's dual steps and trace (its hand and
         # meanwhile), which allocate the positivity's and the fit's images,
         # run outside the measured call, where the one-thread adjoint runs
         # them.
@@ -1769,11 +1789,10 @@ class TestIterationAllocations:
             def apply(self, x, out=None, fill=None, drain=None, hand=None):
                 return measured(super().apply, x, out, fill, drain, hand)
 
-            def adjoint(self, u, out=None, drain=None, fill=None, meanwhile=None):
-                fill(slice(0, self.out_dim))
-                result = measured(super().adjoint, u, out, drain)
+            def adjoint(self, u, out=None, drain=None, hand=None, meanwhile=None):
+                hand(slice(0, self.out_dim))
                 meanwhile()
-                return result
+                return measured(super().adjoint, u, out, drain)
         monkeypatch.setattr(splitting_module, "MapStack", Measured)
         tracemalloc.start()
         try:

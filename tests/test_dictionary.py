@@ -77,6 +77,10 @@ class TestHaar:
         with pytest.raises(ValueError):
             make_haar_dwt(6, 8, levels=2)
 
+    def test_a_one_pixel_raster_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one non-trivial axis"):
+            make_haar_dwt(1, 1, levels=1)
+
     def test_one_dimensional_rasters_supported(self):
         d = make_haar_dwt(8, 1, levels=3)
         x = np.random.default_rng(3).standard_normal(8)
@@ -284,6 +288,13 @@ class TestSpecStrings:
         d = parse_dictionary_spec("union(dirac,starlet:levels=2)", 8, 8)
         assert d.coeff_dim == 64 + 3 * 64
         assert d.tight
+
+    @pytest.mark.parametrize("spec", ["union(dirac,dirac))", "union(dirac),(dirac)",
+                                      "union(union(dirac,dirac),dirac))"])
+    def test_unbalanced_parentheses_name_the_spec(self, spec):
+        with pytest.raises(ValueError) as err:
+            parse_dictionary_spec(spec, 8, 8)
+        assert str(err.value) == f"unbalanced parentheses in {spec!r}"
 
     @pytest.mark.parametrize("bad", [
         "", "fourier", "haar", "haar:depth=2", "starlet:levels=x",

@@ -726,6 +726,23 @@ class TestBlocks:
         assert MapStack([haar.T, haar.T]).blocks == [slice(0, 256)]
         assert MapStack([]).blocks == [slice(0, None)]
 
+    @pytest.mark.parametrize("merges", ["two bare", "two input gains"])
+    def test_multipliers_that_merge_twice_apply_one_by_one(self, merges):
+        # Two merging maps share no plan when both are bare (no output
+        # gains) or their input gains differ: each map gives its own bits.
+        _, blur, phi = self._synthesis(SKEWED, 8, 8)
+        other = phi if merges == "two bare" else FourierMultiplier(
+            8, 8, phi.spectral_bound, blur.outputs, 0.5 * phi.inputs)
+        maps = [phi, other]
+        stack = MapStack(maps)
+        assert stack._plans is None and stack.blocks == [slice(0, stack.in_dim)]
+        rng = np.random.default_rng(17)
+        x, u = rng.standard_normal(stack.in_dim), rng.standard_normal(stack.out_dim)
+        assert [k.tobytes() for k in stack.split(stack.apply(x))] == \
+            [op.apply(x).tobytes() for op in maps]
+        want = sum(op.adjoint(part) for op, part in zip(maps, stack.split(u)))
+        assert stack.adjoint(u).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("per, sizes", [(1, [256] * 4), (2, [512, 512]),
                                             (3, [768, 256])])
     @pytest.mark.parametrize("psf", ["box", "skewed"])
@@ -846,15 +863,24 @@ class TestThreads:
                 (b, worker if b in stack.handed else here) for b in stack.blocks]
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_each_hook_sees_its_parts_in_order_on_its_thread(self, cpus, monkeypatch):
-        # hand runs on the caller, just before each block's fill. One
-        # thread: apply's output and adjoint's input are one part, the
-        # whole stack. Two: they are the images; the caller hands out the
-        # worker's blocks first and fills adjoint's images last first, the
-        # worker fills and drains its blocks and drains apply's second
-        # image, and meanwhile runs on the caller before its drains.
-        maps, _, _ = TestBlocks._synthesis(_ma_psf(3), 16, 16, levels=3)
+    @pytest.mark.parametrize("planned", [True, False])
+    def test_each_hook_sees_its_parts_in_order_on_its_thread(self, planned, cpus,
+                                                             monkeypatch):
+        # One rule for both calls: hand runs on the caller just before a
+        # part of the input is transformed, fill just before that part is
+        # read, on the thread that transforms it, meanwhile on the caller
+        # after the last hand and before the first drain, and drain once a
+        # part of the output is written. On one thread, a stack without a
+        # plan on any host among them, apply's output and adjoint's input
+        # are one part, the whole stack. On two they are the images: the
+        # caller hands out the worker's blocks first and adjoint's images
+        # last first, and the worker fills and drains its blocks and drains
+        # apply's second image.
+        maps, blur, _ = TestBlocks._synthesis(_ma_psf(3), 16, 16, levels=3)
+        if not planned:
+            maps = [blur, make_haar_dwt(16, 16, 1).T]
         stack = self._stack(maps, 1, monkeypatch, cpus)
+        assert (stack._plans is not None) == planned
         here, seen = threading.get_ident(), {}
 
         def hook(call, name):
@@ -865,16 +891,16 @@ class TestThreads:
         with stack.threads():
             stack.apply(x, fill=hook("apply", "fill"), drain=hook("apply", "drain"),
                         hand=hook("apply", "hand"))
-            stack.adjoint(u, fill=hook("adjoint", "fill"), drain=hook("adjoint", "drain"),
+            stack.adjoint(u, hand=hook("adjoint", "hand"), drain=hook("adjoint", "drain"),
                           meanwhile=hook("adjoint", "meanwhile"))
         blocks, images = stack.blocks, stack.slices
-        if cpus == 1:
+        if cpus == 1 or not planned:
             whole = slice(0, stack.out_dim)
             assert seen == {
                 ("apply", True): [(name, b) for b in blocks for name in ("hand", "fill")]
                 + [("drain", whole)],
-                ("adjoint", True): [("fill", whole)] + [("drain", b) for b in blocks]
-                + [("meanwhile",)]}
+                ("adjoint", True): [("hand", whole), ("meanwhile",)]
+                + [("drain", b) for b in blocks]}
             return
         mine, theirs = blocks[:2], blocks[2:]
         assert stack.handed == theirs
@@ -882,7 +908,7 @@ class TestThreads:
             ("apply", True): [("hand", b) for b in theirs]
             + [(name, b) for b in mine for name in ("hand", "fill")] + [("drain", images[0])],
             ("apply", False): [("fill", b) for b in theirs] + [("drain", images[1])],
-            ("adjoint", True): [("fill", images[1]), ("fill", images[0]), ("meanwhile",)]
+            ("adjoint", True): [("hand", images[1]), ("hand", images[0]), ("meanwhile",)]
             + [("drain", b) for b in mine],
             ("adjoint", False): [("drain", b) for b in theirs]}
 

@@ -252,6 +252,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             SplittingConfig(**setting)
 
+    def test_maps_that_all_have_spectral_bound_zero_are_rejected(self):
+        # The dual step sigma would divide by zero.
+        zero = diagonal_operator(np.zeros(2))
+        terms = [ProxTerm(prox=_quad_prox([0.0, 0.0]), label="g"),
+                 ProxTerm(prox=_quad_prox([1.0, 1.0]), label="f", op=zero)]
+        with pytest.raises(ValueError, match="every map has spectral bound 0"):
+            solve(terms, SplittingConfig(), np.zeros(2))
+
     def test_non_finite_prox_output_identifies_the_term(self):
         nan_prox = lambda v, s: np.full_like(v, np.nan)
         terms = _terms(("good", _quad_prox([0.0])), ("bad", nan_prox))
