@@ -335,8 +335,7 @@ class _Worker:
     calling thread and returns once every job put so far has run, so the
     thread is parked again. An error of ``mine`` is raised then; otherwise
     the first error of the jobs is raised on the calling thread, and the
-    others are dropped. ``split(theirs, mine)`` puts ``theirs`` and runs
-    ``mine``. ``close`` ends the thread and joins it.
+    others are dropped. ``close`` ends the thread and joins it.
     """
 
     __slots__ = ("_jobs", "_done", "_thread", "_pending")
@@ -370,10 +369,6 @@ class _Worker:
         error = next((error for error in errors if error is not None), None)
         if error is not None:
             raise error
-
-    def split(self, theirs: Callable[[], None], mine: Callable[[], None]) -> None:
-        self.put(theirs)
-        self.run(mine)
 
     def close(self) -> None:
         self._jobs.put(None)
@@ -415,32 +410,38 @@ class MapStack:
     thread that transforms it, and may write it (x is then a flat float64
     array); ``meanwhile()``, adjoint's only, once on the calling thread,
     after the last hand and before the first drain; ``drain(part)`` once
-    that part of ``out`` is written. On one thread apply's input parts are
-    the blocks and its output is one part, the whole stack; adjoint's input
-    is one part, the whole stack, and its output parts are the blocks.
+    that part of ``out`` is written.
 
-    Inside ``with stack.threads():`` a stack of more than one block whose
-    bands have at least ``THREAD_PIXELS`` pixels, on a host that lets the
-    process run on two CPUs, runs each call on two threads, and the
-    stack's parts are then each map's image. A worker thread runs
-    ``handed``, the upper half of the blocks (fill, forward transform and
-    input gains; input gains, inverse transform and drain), the upper half
-    of apply's images (inverse transform and drain), adjoint's forward
-    transforms of every image with their output gains, and half the rows
-    of the elementwise steps that join the two threads' spectra. The
-    calling thread runs the rest. Each call hands the worker its parts
-    first, each once its hand returns: apply its blocks in block order,
-    then it runs its own; adjoint every image from the last, so its first
-    hand runs with the worker parked. The worker's blocks keep their own
-    spectra, whose bands are added to the sum after the calling thread's
-    own blocks', in band order, so the bits do not depend on the threads
-    either. Any other stack, or a call outside the block, runs on the
-    calling thread; its ``handed`` is empty. A block inside another on the
-    same stack shares the running worker.
+    Each call runs one plan, made at construction, in four phases: its
+    sources, each transformed and filtered; ``meanwhile``; the join; its
+    targets, each filtered and transformed back. apply's sources are the
+    blocks and its targets the stack's parts; adjoint's sources are the
+    stack's parts, from the last, and its targets the blocks. apply's join
+    adds the handed blocks' bands (below) to the sum, to which the other
+    blocks add theirs as they go, and filters the sum into the stack;
+    adjoint's sums the stack. A stack with handed blocks has each map's
+    image as a part, on one thread or two; any other stack, planned or
+    not, has one part, the whole stack, transformed at once.
+
+    ``handed`` is the upper half of the blocks of a stack of more than one
+    block whose bands have at least ``THREAD_PIXELS`` pixels, on a host
+    that lets the process run on two CPUs, and is empty otherwise. Inside
+    ``with stack.threads():`` such a stack runs each call on two threads:
+    a worker takes the plan's sources and targets from their start
+    indices on, and the second row half of the join; the calling thread
+    runs the rest. That gives the worker apply's handed blocks and the
+    upper half of its images, and adjoint's every image and its handed
+    blocks. A call first hands the worker its sources, each once its hand
+    returns, then runs its own; so adjoint's first hand, of the last
+    image, runs with the worker parked. The handed blocks keep their own
+    spectra, whose bands the join adds to the sum after the other blocks',
+    in band order, so a call gives the same bits on one thread or two.
+    Any other call runs the whole plan on the calling thread. A block
+    inside another on the same stack shares the running worker.
     """
 
     __slots__ = ("ops", "slices", "in_dim", "out_dim", "blocks", "handed",
-                 "_plans", "_threaded", "_worker")
+                 "_plans", "_worker")
 
     def __init__(self, ops: list[LinearOperator]):
         self.ops = list(ops)
@@ -450,7 +451,7 @@ class MapStack:
         self.out_dim = ends[-1]
         self.blocks = [slice(0, self.in_dim)]
         self.handed = []
-        self._plans = self._threaded = self._worker = None
+        self._plans = self._worker = None
         op = self.ops[0] if self.ops else None
         if op is None or not all(isinstance(o, FourierMultiplier) and (
                 o.height, o.width, o.in_dim) == (op.height, op.width, op.in_dim)
@@ -473,14 +474,13 @@ class MapStack:
         cut = len(runs) - len(runs) // 2 if n >= THREAD_PIXELS and _cpus() >= 2 \
             else len(runs)
         self.handed = self.blocks[cut:]
+        edge = runs[cut - 1].stop  # the handed blocks' first band
         # One block of the input's bands, the stack's bands, a scratch band
-        # and the worker's blocks' bands (untouched pages cost no memory).
+        # and the handed blocks' bands (untouched pages cost no memory).
         inner, outer, band, spare = (
             np.empty((j, op.height, op.width // 2 + 1), dtype=complex)
-            for j in (min(per, k), self.out_dim // n, 1, k - runs[cut - 1].stop))
+            for j in (min(per, k), self.out_dim // n, 1, k - edge))
         images = [outer[b] for b in bands]  # each map's bands
-        outputs = [(out, image) for image, (out, _) in zip(images, pairs)
-                   if out is not None]
 
         def filtered(gains, src, dst, adjoint, scratch=band[0]):
             # Steps (call, arguments, output): gains * src into dst. One
@@ -508,47 +508,38 @@ class MapStack:
         # one band, not merged, is its own sum.
         into = inner[0] if merge is None else outer[alone[0]] if alone else band[0]
         total = inner[0] if merge is None else band[0]
-        # A direction is (source blocks, target blocks, the images' shape),
-        # a block (its slice, its spectra, the steps after its forward or
-        # before its inverse transform). The input's blocks share one
-        # block of spectra.
-        blocks = [(s, inner[:r.stop - r.start], r) for r, s in zip(runs, self.blocks)]
+        # A part is (its slice, its spectra, the steps after its forward or
+        # before its inverse transform). The calling thread's blocks share
+        # one block of spectra and add it to the sum; the handed blocks keep
+        # their own, which apply's join adds to the sum.
+        blocks = [(s, inner[:r.stop - r.start] if r.stop <= edge
+                   else spare[r.start - edge:r.stop - edge], r)
+                  for r, s in zip(runs, self.blocks)]
         forward = [(s, spectra, [] if merge is None else
                     filtered(merge[r], spectra, spectra, False)
-                    + summed(spectra, into, r.start == 0)) for s, spectra, r in blocks]
-        gained = [s for gains, b in outputs for s in filtered(gains, into, b, False)]
-        forward[-1][2].extend(gained)
-        back = [s for gains, b in outputs for s in filtered(gains, b, b, True)]
-        back += summed(outer, total, True)
+                    + (summed(spectra, into, r.start == 0) if r.stop <= edge else []))
+                   for s, spectra, r in blocks]
         backward = [(s, spectra, [] if merge is None else
                      filtered(merge[r], total, spectra, True)) for s, spectra, r in blocks]
-        whole, shape = slice(0, self.out_dim), (-1, op.height, op.width)
-        self._plans = ((forward, [(whole, outer, [])], shape),
-                       ([(whole, outer, back)], backward, shape))
+        # The stack's parts: each map's image where a worker takes some of
+        # them, or else the whole stack, transformed at once.
+        parts = [(s, image, [] if out is None else filtered(out, image, image, True))
+                 for s, image, (out, _) in zip(self.slices, images, pairs)]
         if not self.handed:
-            return
-        # On two threads a direction is (the sources handed to the worker,
-        # the calling thread's sources, the steps that join them split by
-        # rows for each thread, the targets of each thread, the images'
-        # shape). apply hands the worker its blocks, which keep their own
-        # spectra until they are added to the sum, and adjoint hands it
-        # every image, from the last; the join is apply's addition of the
-        # worker's bands and filter by the output gains, adjoint's sum of
-        # the images.
-        theirs = [(s, spare[r.start - runs[cut].start:r.stop - runs[cut].start], r)
-                  for r, s in zip(runs[cut:], self.handed)]
-        joined = [s for _, spectra, _ in theirs for s in summed(spectra, into, False)]
-        half, rows = len(images) - len(images) // 2, op.height - op.height // 2
-        mapped = [(s, image, []) for s, image in zip(self.slices, images)]
-        conj = [(s, image, [] if out is None else filtered(out, image, image, True))
-                for s, image, (out, _) in zip(self.slices, images, pairs)]
-        self._threaded = (
-            ([(s, spectra, filtered(merge[r], spectra, spectra, False))
-              for s, spectra, r in theirs], forward[:cut],
-             _rows(joined + gained, rows), (mapped[:half], mapped[half:]), shape),
-            (conj[::-1], [], _rows(summed(outer, total, True), rows),
-             (backward[:cut], [(s, spectra, filtered(merge[r], total, spectra, True))
-                               for s, spectra, r in theirs]), shape))
+            parts = [(slice(0, self.out_dim), outer, [s for *_, steps in parts for s in steps])]
+        # apply's join adds the handed blocks' bands to the sum and filters
+        # it into the stack; adjoint's sums the stack.
+        joins = ([s for _, spectra, r in blocks if r.start >= edge
+                  for s in summed(spectra, into, False)]
+                 + [s for image, (out, _) in zip(images, pairs) if out is not None
+                    for s in filtered(out, into, image, False)],
+                 summed(outer, total, True))
+        halves = [_rows(steps, op.height - op.height // 2) if self.handed
+                  else (steps, []) for steps in joins]
+        shape, half = (-1, op.height, op.width), len(parts) - len(parts) // 2
+        self._plans = ((forward, halves[0], [(s, image, []) for s, image, _ in parts],
+                        shape, (cut, half)),
+                       (parts[::-1], halves[1], backward, shape, (0, cut)))
 
     def split(self, stack: Array) -> list[Array]:
         """The maps' parts of a stack, as views."""
@@ -587,7 +578,7 @@ class MapStack:
         x = _flat64(x, self.in_dim, "MapStack.apply")
         if self._worker is None:
             return _run(self._plans[0], x, out, fill, drain, hand)
-        return _split(self._threaded[0], x, out, self._worker, fill, drain, hand)
+        return _split(self._plans[0], x, out, self._worker, fill, drain, hand)
 
     def adjoint(self, u, out: Array | None = None,
                 drain: Callable[[slice], None] | None = None,
@@ -610,7 +601,7 @@ class MapStack:
             return out
         if self._worker is None:
             return _run(self._plans[1], u, out, None, drain, hand, meanwhile)
-        return _split(self._threaded[1], u, out, self._worker, None, drain, hand,
+        return _split(self._plans[1], u, out, self._worker, None, drain, hand,
                       meanwhile)
 
 
@@ -629,13 +620,7 @@ def _steps(steps) -> None:
         call(*args, out=dst)
 
 
-def _run(plan, x: Array, out: Array, fill, drain, hand=None,
-         meanwhile=None) -> Array:
-    """One direction of a ``MapStack``'s rank-1 rule on one thread, from x
-    into ``out``: each source block hooked, transformed and its steps run,
-    then ``meanwhile``, then each target block's steps run, the block
-    transformed back and drained."""
-    sources, targets, shape = plan
+def _forward(sources, shape, x: Array, fill, hand=None) -> None:
     for s, spectra, steps in sources:
         if hand is not None:
             hand(s)
@@ -643,35 +628,50 @@ def _run(plan, x: Array, out: Array, fill, drain, hand=None,
             fill(s)
         _rfft2(x[s].reshape(shape), out=spectra)
         _steps(steps)
-    if meanwhile is not None:
-        meanwhile()
+
+
+def _back(targets, shape, out: Array, drain) -> None:
     for s, spectra, steps in targets:
         _steps(steps)
         _irfft2(spectra, out[s].reshape(shape))
         if drain is not None:
             drain(s)
+
+
+def _run(plan, x: Array, out: Array, fill, drain, hand=None,
+         meanwhile=None) -> Array:
+    """One ``MapStack`` call from x into ``out``: its plan's four phases on
+    the calling thread (see ``MapStack``)."""
+    sources, (upper, lower), targets, shape, _ = plan
+    _forward(sources, shape, x, fill, hand)
+    if meanwhile is not None:
+        meanwhile()
+    _steps(upper)
+    _steps(lower)
+    _back(targets, shape, out, drain)
     return out
 
 
 def _split(plan, x: Array, out: Array, worker: _Worker, fill, drain, hand,
            meanwhile=None) -> Array:
-    """One direction of a ``MapStack``'s rank-1 rule on two threads, with
-    ``_run``'s hooks. The calling thread calls ``hand`` of each handed
-    source and puts the source on the worker, then runs its own sources and
-    ``meanwhile``; each thread then runs its rows of the joining steps, and
-    its targets."""
-    handed, sources, (upper, lower), (mine, theirs), shape = plan
+    """``_run`` on two threads: the worker takes the plan's sources and
+    targets from their start indices on and the join's second row half,
+    the calling thread the rest (see ``MapStack``)."""
+    sources, (upper, lower), targets, shape, (first, second) = plan
 
-    def first_half():
-        for source in handed:
+    def mine():
+        for source in sources[first:]:
             if hand is not None:
                 hand(source[0])
-            worker.put(functools.partial(_run, ([source], (), shape), x, out, fill, None))
-        _run((sources, (), shape), x, out, fill, None, hand, meanwhile)
-    worker.run(first_half)
-    worker.split(functools.partial(_steps, lower), functools.partial(_steps, upper))
-    worker.split(functools.partial(_run, ((), theirs, shape), x, out, None, drain),
-                 functools.partial(_run, ((), mine, shape), x, out, None, drain))
+            worker.put(functools.partial(_forward, [source], shape, x, fill))
+        _forward(sources[:first], shape, x, fill, hand)
+        if meanwhile is not None:
+            meanwhile()
+    worker.run(mine)
+    worker.put(functools.partial(_steps, lower))
+    worker.run(functools.partial(_steps, upper))
+    worker.put(functools.partial(_back, targets[second:], shape, out, drain))
+    worker.run(functools.partial(_back, targets[:second], shape, out, drain))
     return out
 
 

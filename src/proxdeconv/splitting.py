@@ -60,28 +60,33 @@ part, the duals' proxes, their finite check and u_{t+1}; its meanwhile
 the objective trace, every term's value on the whole iterate; its drain,
 per block after its inverse transform, the block's part of the duals'
 shift and the next gradient step x_{t+1} - tau sum_i K_i^T u_{t+1,i},
-into the spent x_t buffer. On one thread the dual stack is one part, and
-the steps run in the order of the equations above. The first gradient
-step is taken before the loop, the last iteration takes none, and one
-that the stopping rule ends discards it. The iterates and the objective
+into the spent x_t buffer. The stack's plan rule (``MapStack``) sets the
+parts: on one thread the dual stack is one part, and the steps run in
+the order of the equations above. The first gradient step is taken
+before the loop, the last iteration takes none, and one that the
+stopping rule ends discards it. The iterates and the objective
 trace do not depend on the blocks. fill and drain keep each block's parts
 of the three norms, which the loop sums after each call, in block order,
 so the change traces round by the blocks.
 
-Where the stack runs its calls on two threads (a stack of more than one
-block of large bands on two CPUs, see ``MapStack``), the loop runs inside
-``MapStack.threads``, each part of the dual stack is one map's image,
-and a worker thread fills and drains some blocks and drains some images.
-The loop does not ask which: a block's hooks write only that block's
-parts, so the iterates and every trace keep their one-thread bits.
+Where the stack hands blocks to a worker (a stack of more than one block
+of large bands on two CPUs; ``MapStack`` states which parts the worker
+takes), the loop runs inside ``MapStack.threads``, each part of the dual
+stack is one map's image, and the worker fills and drains some blocks
+and drains some images. The loop does not ask which: a block's hooks
+write only that block's parts, so the iterates and every trace keep
+their one-thread bits.
 adjoint's hand takes the dual steps image by image, the last term's first
 while the worker is parked (the positivity's, in a synthesis solve of
 ``deconvolve``), and the worker transforms each image once its step is
 done. Every term's callback, and so every function a term looks up by
 name, runs in a hand or in meanwhile, on the solve's thread; a block's
-or an image's finite check raises there too, naming the same term and
-iteration (the first image checked, if two are not finite). The worker
-is joined when the solve returns or raises.
+or an image's finite check raises there too, naming the term and the
+iteration. Only when two dual images turn non-finite in one iteration
+does the term depend on the threads: one thread names the first term in
+term order (the data fidelity), two threads the first image checked,
+the last term's (the positivity). The worker is joined when the solve
+returns or raises.
 
 The objective trace costs no map: x_{t+1} = x_t + (theta / 2)(x_bar - x_t)
 with x_bar = 2 x~ - x_t, or (x_bar + x_t) / 2 at theta = 1, so the loop

@@ -1582,20 +1582,23 @@ class TestThreadedSolve:
         assert calls.count(band) == 3
         assert finite and all(finite)
 
-    @pytest.mark.parametrize("term", ["data-fidelity", "positivity"])
+    @pytest.mark.parametrize("term", ["data-fidelity", "positivity", "both"])
     def test_a_non_finite_dual_image_on_either_thread_stops_before_its_transform(
             self, term, monkeypatch):
         # Each dual image goes to the worker once its step has returned on
         # the calling thread, the positivity's (the second image) first.
         # The third iteration's step of ``term`` is poisoned: the error
         # names the term and that iteration, as on one thread, and no
-        # transform reads a non-finite image.
+        # transform reads a non-finite image. With both steps poisoned, one
+        # thread checks the whole dual stack and names the first term,
+        # two threads check the positivity's image first and name it.
         problem = _counts_problem("synthesis", levels=3, max_outer=5)
         conj_poisson, positive = deconv_module._conj_poisson, deconv_module.project_positive
         forward, inverse = operators_module._rfft2, operators_module._irfft2
-        calls, finite = [], []
+        counts, finite = {"data-fidelity": [], "positivity": []}, []
 
-        def poisoned(result):
+        def poisoned(result, label):
+            calls = counts[label]
             calls.append(None)
             if len(calls) == 3:
                 result[7] = math.nan
@@ -1606,7 +1609,7 @@ class TestThreadedSolve:
 
             def poisoned_step(a, sigma):
                 step(a, sigma)
-                poisoned(a)
+                poisoned(a, "data-fidelity")
             return poisoned_step
 
         def checked(transform):
@@ -1614,20 +1617,22 @@ class TestThreadedSolve:
                 finite.append(bool(np.isfinite(images).all()))
                 return transform(images, *args, **kwargs)
             return call
-        if term == "data-fidelity":
+        if term != "positivity":
             monkeypatch.setattr(deconv_module, "_conj_poisson", poisoned_conj)
-        else:
+        if term != "data-fidelity":
             monkeypatch.setattr(deconv_module, "project_positive",
-                                lambda x: poisoned(positive(x)))
+                                lambda x: poisoned(positive(x), "positivity"))
         monkeypatch.setattr(operators_module, "_rfft2", checked(forward))
         monkeypatch.setattr(operators_module, "_irfft2", checked(inverse))
         raised = []
         for threaded in (False, True):
-            calls.clear()
+            for calls in counts.values():
+                calls.clear()
             with pytest.raises(NonFiniteIterateError) as err:
                 self._solve(problem, monkeypatch, bands=1, threaded=threaded)
             raised.append((err.value.label, err.value.iteration))
-        assert raised == [(term, 2)] * 2
+        assert raised == ([("data-fidelity", 2), ("positivity", 2)] if term == "both"
+                          else [(term, 2)] * 2)
         assert finite and all(finite)
 
     def test_no_worker_job_runs_during_the_positivity_step(self, monkeypatch):

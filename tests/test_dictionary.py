@@ -236,6 +236,33 @@ class TestFrameBounds:
         assert lo == pytest.approx(1.0, rel=0.01)
         assert hi == pytest.approx(9.0, rel=0.01)
 
+    def test_a_zero_gram_has_bounds_zero(self):
+        # The power step meets a zero vector and returns 0 at once.
+        zero = FrameDictionary(width=2, height=1, coeff_dim=2,
+                               synthesis=lambda c: np.zeros(2),
+                               analysis=lambda x: np.zeros(2),
+                               c1=1.0, c2=1.0, tight=False)
+        lo, hi = frame_bounds(zero)
+        assert hi == 0.0 and lo == pytest.approx(0.0, abs=1e-15)
+
+    def test_a_slow_top_eigenvalue_stops_at_the_step_cap(self):
+        # Gram diag(1, 0.97, 0.5): the top estimate's error shrinks by about
+        # 0.97^2 a step, so 200 steps leave it 1.8e-7 short, its steps far
+        # above the 1e-13 stopping rule; the reflected run for the bottom
+        # converges.
+        gains, grams = np.sqrt([1.0, 0.97, 0.5]), []
+
+        def analysis(x):
+            grams.append(None)
+            return gains * x
+        slow = FrameDictionary(width=3, height=1, coeff_dim=3,
+                               synthesis=lambda c: gains * c, analysis=analysis,
+                               c1=0.5, c2=1.0, tight=False)
+        lo, hi = frame_bounds(slow)
+        assert hi == pytest.approx(0.99999982, abs=1e-8)
+        assert lo == pytest.approx(0.5, abs=1e-12)
+        assert 200 < len(grams) < 400
+
 
 class TestSharedInvariants:
     @pytest.mark.parametrize("name,maker", ALL_DICTS)

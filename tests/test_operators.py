@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import sys
@@ -646,22 +647,26 @@ class TestSharedStack:
         finally:
             tracemalloc.stop()
         # One block of the input's bands (all 4 at 64 x 64), the stack's
-        # bands and one scratch band.
-        [(_, source, steps)], [(_, target, _)], _ = stack._plans[0]
+        # bands and one scratch band. A plan is (sources, join in two row
+        # halves, targets, shape, the worker's start indices); one block of
+        # 64 x 64 bands hands nothing, so the join is one half.
+        [(_, source, steps)], (join, []), [(_, target, _)], _, _ = stack._plans[0]
         assert len(source) == 4
         spectra = source.nbytes + target.nbytes + target[0].nbytes
         assert spectra <= grown < spectra + blur.outputs.nbytes // 4
-        # apply: the merge in place, the sum, then the sum filtered into
-        # the blur's one band, none conjugated.
-        (f1, (merge, _), _), (f2, _, _), (f3, (outputs, _), _) = steps
+        # apply: the merge in place and the sum, then the join filters the
+        # sum into the blur's one band, none conjugated.
+        (f1, (merge, _), _), (f2, _, _) = steps
+        [(f3, (outputs, _), _)] = join
         assert (f1, f2, f3) == (np.multiply, np.add.reduce, np.multiply)
         assert merge.base is phi.inputs and outputs.base is blur.outputs
         # adjoint: the blur's gains in place, conjugated band by band if
-        # they have an imaginary part, then the sum, filtered into each of
-        # the 4 bands by the merge's real-valued gains, not conjugated.
-        [(_, _, steps)], [(_, _, merges)], _ = stack._plans[1]
+        # they have an imaginary part, then the join's sum, filtered into
+        # each of the 4 bands by the merge's real-valued gains, not
+        # conjugated.
+        [(_, _, outputs)], ([(total, _, _)], []), [(_, _, merges)], _, _ = \
+            stack._plans[1]
         conj = psf == "skewed"
-        *outputs, (total, _, _) = steps
         assert total == np.add.reduce and len(outputs) == (2 if conj else 1)
         if conj:
             assert outputs[0][0] is np.conjugate
@@ -711,11 +716,14 @@ class TestBlocks:
         step = 4 * n // blocks
         assert stack.blocks == [slice(lo, lo + step) for lo in range(0, 4 * n, step)]
         # Both directions run the input's bands through one block of
-        # spectra.
-        forward, _, _ = stack._plans[0]
-        _, backward, _ = stack._plans[1]
+        # spectra, apart from the blocks handed to a worker (at 256 x 256
+        # on two CPUs), which share the bands of their own.
+        forward, backward = stack._plans[0][0], stack._plans[1][2]
         assert [s for s, _, _ in forward] == [s for s, _, _ in backward] == stack.blocks
-        assert len({id(spectra.base) for _, spectra, _ in forward + backward}) == 1
+        bases = [{id(spectra.base) for s, spectra, _ in forward + backward
+                  if (s in stack.handed) == handed} for handed in (False, True)]
+        assert len(bases[0]) == 1 and len(bases[1]) == (1 if stack.handed else 0)
+        assert not bases[0] & bases[1]
         assert {len(spectra) for _, spectra, _ in forward} == {4 // blocks}
 
     def test_one_block_without_a_rank_one_plan(self):
@@ -862,19 +870,23 @@ class TestThreads:
             assert sorted(calls, key=lambda c: c[0].start) == [
                 (b, worker if b in stack.handed else here) for b in stack.blocks]
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("planned", [True, False])
+    @pytest.mark.parametrize("planned, cpus, inside", [
+        pytest.param(*case, id=name) for name, case in [
+            ("True-1", (True, 1, True)), ("True-2", (True, 2, True)),
+            ("False-1", (False, 1, True)), ("False-2", (False, 2, True)),
+            ("True-2-outside", (True, 2, False))]])
     def test_each_hook_sees_its_parts_in_order_on_its_thread(self, planned, cpus,
-                                                             monkeypatch):
+                                                             inside, monkeypatch):
         # One rule for both calls: hand runs on the caller just before a
         # part of the input is transformed, fill just before that part is
         # read, on the thread that transforms it, meanwhile on the caller
         # after the last hand and before the first drain, and drain once a
-        # part of the output is written. On one thread, a stack without a
-        # plan on any host among them, apply's output and adjoint's input
-        # are one part, the whole stack. On two they are the images: the
-        # caller hands out the worker's blocks first and adjoint's images
-        # last first, and the worker fills and drains its blocks and drains
+        # part of the output is written. A stack that hands blocks to a
+        # worker has the images as its parts, apply's output and adjoint's
+        # input, also on one thread outside its block; any other stack, on
+        # any host, one part, the whole stack. On two threads the caller
+        # hands out the worker's blocks first and adjoint's images last
+        # first, and the worker fills and drains its blocks and drains
         # apply's second image.
         maps, blur, _ = TestBlocks._synthesis(_ma_psf(3), 16, 16, levels=3)
         if not planned:
@@ -888,12 +900,22 @@ class TestThreads:
                 (call, threading.get_ident() == here), []).append((name, *part))
         rng = np.random.default_rng(16)
         x, u = rng.standard_normal(stack.in_dim), rng.standard_normal(stack.out_dim)
-        with stack.threads():
-            stack.apply(x, fill=hook("apply", "fill"), drain=hook("apply", "drain"),
-                        hand=hook("apply", "hand"))
-            stack.adjoint(u, hand=hook("adjoint", "hand"), drain=hook("adjoint", "drain"),
-                          meanwhile=hook("adjoint", "meanwhile"))
+        with stack.threads() if inside else contextlib.nullcontext():
+            got = [stack.apply(x, fill=hook("apply", "fill"), drain=hook("apply", "drain"),
+                               hand=hook("apply", "hand")).tobytes(),
+                   stack.adjoint(u, hand=hook("adjoint", "hand"),
+                                 drain=hook("adjoint", "drain"),
+                                 meanwhile=hook("adjoint", "meanwhile")).tobytes()]
         blocks, images = stack.blocks, stack.slices
+        if not inside:
+            with stack.threads():
+                assert got == [stack.apply(x).tobytes(), stack.adjoint(u).tobytes()]
+            assert seen == {
+                ("apply", True): [(name, b) for b in blocks for name in ("hand", "fill")]
+                + [("drain", image) for image in images],
+                ("adjoint", True): [("hand", images[1]), ("hand", images[0]),
+                                    ("meanwhile",)] + [("drain", b) for b in blocks]}
+            return
         if cpus == 1 or not planned:
             whole = slice(0, stack.out_dim)
             assert seen == {
@@ -952,6 +974,15 @@ class TestThreads:
         assert seen == {threading.get_ident()}
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+    def test_cpus_without_affinity_are_the_cpu_count(self, count, cpus,
+                                                     monkeypatch):
+        # Hosts without sched_getaffinity (macOS, Windows) count every CPU,
+        # and one if the count is unknown.
+        monkeypatch.delattr(operators_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(operators_module.os, "cpu_count", lambda: count)
+        assert operators_module._cpus() == cpus
+
     def test_the_fft_count_loses_no_update_across_threads(self):
         # The count is a read-modify-write of a module global: four threads
         # that transform at once, switched every microsecond, add up.
@@ -986,9 +1017,9 @@ class TestThreads:
         seen = []
         try:
             with np.errstate(divide="ignore"):
-                worker.split(lambda: seen.append((np.geterr()["divide"],
-                                                  np.log(np.zeros(1))[0])),
-                             lambda: None)
+                worker.put(lambda: seen.append((np.geterr()["divide"],
+                                                np.log(np.zeros(1))[0])))
+                worker.run(lambda: None)
         finally:
             worker.close()
         assert seen == [("ignore", -np.inf)]
@@ -1003,14 +1034,18 @@ class TestThreads:
             return job
         try:
             with pytest.raises(KeyError):
-                worker.split(fails(KeyError()), lambda: None)
+                worker.put(fails(KeyError()))
+                worker.run(lambda: None)
             with pytest.raises(IndexError):
-                worker.split(fails(KeyError()), fails(IndexError()))
+                worker.put(fails(KeyError()))
+                worker.run(fails(IndexError()))
             # A numpy warning, an error under this suite's filters.
             with pytest.raises(RuntimeWarning):
-                worker.split(lambda: np.log(np.zeros(1)), lambda: None)
+                worker.put(lambda: np.log(np.zeros(1)))
+                worker.run(lambda: None)
             seen = []
-            worker.split(lambda: seen.append(threading.get_ident()), lambda: None)
+            worker.put(lambda: seen.append(threading.get_ident()))
+            worker.run(lambda: None)
             assert seen == [thread.ident] != [threading.get_ident()]
         finally:
             worker.close()
