@@ -8,6 +8,8 @@ the solver first, 1 on usage or runtime errors. Numeric flags are checked
 while parsing by the library's rule for the value they set, so a bad one
 exits 1 with ``argument --flag: <the library's message>`` before any file
 is read; ``--mu``, which reaches no solve, only has to be finite.
+``deconvolve --out`` is checked so too: a restoration is real-valued, so a
+PGM name, which holds only integer counts, fails before any solve.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .dictionary import parse_dictionary_spec
 from .errors import ProxDeconvError
 from .operators import (Image, _check_count, _check_grid, _check_positive,
                         make_circular_convolution)
-from .rasters import read_raster, write_raster
+from .rasters import _is_pgm, read_raster, write_raster
 from .splitting import SplittingConfig
 
 
@@ -70,6 +72,13 @@ def _any_finite(value: float) -> None:
     """--mu's own rule: the flag reaches no solve."""
     if not np.isfinite(value):
         raise ValueError(f"mu must be finite, got {value}")
+
+
+def _real_raster(path: str) -> None:
+    """deconvolve --out's rule: a name ``write_raster`` writes as f64."""
+    if _is_pgm(path):
+        raise ValueError(f"{path}: a restoration is real-valued and PGM holds only "
+                         "integer counts; write it to an f64 raster")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -121,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--gamma-grid", type=_flag(_floats, _check_gamma_grid),
                        help="comma-separated increasing grid; gamma picked by GCV")
     _add_solver_flags(dec)
-    dec.add_argument("--out", required=True, help="restored raster")
+    dec.add_argument("--out", required=True, type=_flag(str, _real_raster),
+                     help="restored raster (f64; a .pgm name is refused)")
     dec.add_argument("--metrics", help="metrics JSON path (default OUT.metrics.json)")
     dec.add_argument("--no-timing", action="store_true",
                      help="report wall_time_s as 0.0 for byte-reproducible metrics")

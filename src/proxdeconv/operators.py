@@ -326,6 +326,10 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _skip(*part) -> None:
+    """A ``MapStack`` hook that does nothing: every hook's default."""
+
+
 class _Worker:
     """A second thread for a ``MapStack``'s calls, parked between jobs.
 
@@ -404,8 +408,9 @@ class MapStack:
     without this rule is one block.
 
     Both calls take hooks on parts of their input and output, by one rule:
-    ``hand(part)`` runs on the calling thread just before a part of the
-    input is transformed, on that thread or the worker (below);
+    every call runs every hook, in the plan's order, and a hook the caller
+    leaves out does nothing. ``hand(part)`` runs on the calling thread just
+    before a part of the input is transformed, on that thread or the worker;
     ``fill(part)``, apply's only, just before that part is read, on the
     thread that transforms it, and may write it (x is then a flat float64
     array); ``meanwhile()``, adjoint's only, once on the calling thread,
@@ -561,48 +566,41 @@ class MapStack:
             self._worker = None
 
     def apply(self, x, out: Array | None = None,
-              fill: Callable[[slice], None] | None = None,
-              drain: Callable[[slice], None] | None = None,
-              hand: Callable[[slice], None] | None = None) -> Array:
+              fill: Callable[[slice], None] = _skip,
+              drain: Callable[[slice], None] = _skip,
+              hand: Callable[[slice], None] = _skip) -> Array:
         out = np.empty(self.out_dim) if out is None else out
         if self._plans is None:  # each op checks x
-            if hand is not None:
-                hand(self.blocks[0])
-            if fill is not None:
-                fill(self.blocks[0])
+            hand(self.blocks[0])
+            fill(self.blocks[0])
             for op, s in zip(self.ops, self.slices):
                 out[s] = op.apply(x)
-            if drain is not None:
-                drain(slice(0, self.out_dim))
+            drain(slice(0, self.out_dim))
             return out
         x = _flat64(x, self.in_dim, "MapStack.apply")
         if self._worker is None:
-            return _run(self._plans[0], x, out, fill, drain, hand)
-        return _split(self._plans[0], x, out, self._worker, fill, drain, hand)
+            return _run(self._plans[0], x, out, fill, drain, hand, _skip)
+        return _split(self._plans[0], x, out, self._worker, fill, drain, hand, _skip)
 
     def adjoint(self, u, out: Array | None = None,
-                drain: Callable[[slice], None] | None = None,
-                hand: Callable[[slice], None] | None = None,
-                meanwhile: Callable[[], None] | None = None) -> Array:
+                drain: Callable[[slice], None] = _skip,
+                hand: Callable[[slice], None] = _skip,
+                meanwhile: Callable[[], None] = _skip) -> Array:
         u = _flat64(u, self.out_dim, "MapStack.adjoint")
         if out is None and not self.ops:
             raise ValueError("an empty MapStack's adjoint needs out: the stack "
                              "does not know its variable's size")
         out = np.empty(self.in_dim) if out is None else out
         if self._plans is None:
-            if hand is not None:
-                hand(slice(0, self.out_dim))
-            if meanwhile is not None:
-                meanwhile()
+            hand(slice(0, self.out_dim))
+            meanwhile()
             # Summed from 0, as sum() does, so -0.0 parts read +0.0.
             out[...] = sum(op.adjoint(u[s]) for op, s in zip(self.ops, self.slices))
-            if drain is not None:
-                drain(self.blocks[0])
+            drain(self.blocks[0])
             return out
         if self._worker is None:
-            return _run(self._plans[1], u, out, None, drain, hand, meanwhile)
-        return _split(self._plans[1], u, out, self._worker, None, drain, hand,
-                      meanwhile)
+            return _run(self._plans[1], u, out, _skip, drain, hand, meanwhile)
+        return _split(self._plans[1], u, out, self._worker, _skip, drain, hand, meanwhile)
 
 
 def _rows(steps, rows: int) -> tuple[list, list]:
@@ -620,12 +618,10 @@ def _steps(steps) -> None:
         call(*args, out=dst)
 
 
-def _forward(sources, shape, x: Array, fill, hand=None) -> None:
+def _forward(sources, shape, x: Array, fill, hand) -> None:
     for s, spectra, steps in sources:
-        if hand is not None:
-            hand(s)
-        if fill is not None:
-            fill(s)
+        hand(s)
+        fill(s)
         _rfft2(x[s].reshape(shape), out=spectra)
         _steps(steps)
 
@@ -634,18 +630,15 @@ def _back(targets, shape, out: Array, drain) -> None:
     for s, spectra, steps in targets:
         _steps(steps)
         _irfft2(spectra, out[s].reshape(shape))
-        if drain is not None:
-            drain(s)
+        drain(s)
 
 
-def _run(plan, x: Array, out: Array, fill, drain, hand=None,
-         meanwhile=None) -> Array:
+def _run(plan, x: Array, out: Array, fill, drain, hand, meanwhile) -> Array:
     """One ``MapStack`` call from x into ``out``: its plan's four phases on
     the calling thread (see ``MapStack``)."""
     sources, (upper, lower), targets, shape, _ = plan
     _forward(sources, shape, x, fill, hand)
-    if meanwhile is not None:
-        meanwhile()
+    meanwhile()
     _steps(upper)
     _steps(lower)
     _back(targets, shape, out, drain)
@@ -653,7 +646,7 @@ def _run(plan, x: Array, out: Array, fill, drain, hand=None,
 
 
 def _split(plan, x: Array, out: Array, worker: _Worker, fill, drain, hand,
-           meanwhile=None) -> Array:
+           meanwhile) -> Array:
     """``_run`` on two threads: the worker takes the plan's sources and
     targets from their start indices on and the join's second row half,
     the calling thread the rest (see ``MapStack``)."""
@@ -661,12 +654,10 @@ def _split(plan, x: Array, out: Array, worker: _Worker, fill, drain, hand,
 
     def mine():
         for source in sources[first:]:
-            if hand is not None:
-                hand(source[0])
-            worker.put(functools.partial(_forward, [source], shape, x, fill))
+            hand(source[0])
+            worker.put(functools.partial(_forward, [source], shape, x, fill, _skip))
         _forward(sources[:first], shape, x, fill, hand)
-        if meanwhile is not None:
-            meanwhile()
+        meanwhile()
     worker.run(mine)
     worker.put(functools.partial(_steps, lower))
     worker.run(functools.partial(_steps, upper))

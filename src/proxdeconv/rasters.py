@@ -131,14 +131,19 @@ def read_pgm(path: str) -> Image:
     return Image(width=width, height=height, data=data)
 
 
+def _is_pgm(path: str) -> bool:
+    """The format dispatch: a ``.pgm`` name, in any case, is PGM."""
+    return path.lower().endswith(".pgm")
+
+
 def read_raster(path: str) -> Image:
-    if path.lower().endswith(".pgm"):
+    if _is_pgm(path):
         return read_pgm(path)
     return read_f64(path)
 
 
 def write_raster(path: str, image: Image) -> None:
-    if path.lower().endswith(".pgm"):
+    if _is_pgm(path):
         write_pgm(path, image)
     else:
         write_f64(path, image)

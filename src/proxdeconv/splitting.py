@@ -105,7 +105,7 @@ import numpy as np
 
 from .errors import NonFiniteIterateError
 from .operators import (LinearOperator, MapStack, _check_count,
-                        _check_nonnegative, _check_positive, _flat64,
+                        _check_nonnegative, _check_positive, _flat64, _skip,
                         identity_operator)
 
 Array = np.ndarray
@@ -373,7 +373,7 @@ def solve(terms: Sequence[ProxTerm], cfg: SplittingConfig, init
             # input, one block before K transforms it; scale carries K x
             # and steps v.
             maps.apply(x_bar, out=v, fill=fill, drain=scale,
-                       hand=hand if g.separable else None)
+                       hand=hand if g.separable else _skip)
             change = theta * math.sqrt(_total(dds.values()))
             # dual_step takes u_{t+1} one part before K^T transforms it, in
             # v at theta = 1 (the two buffers swap after) and in duals

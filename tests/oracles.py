@@ -290,6 +290,10 @@ def rank_one_adjoint(ops, us):
     return np.fft.irfft2(total, s=shape).ravel()
 
 
+def _nothing(*part):
+    """A hook that does nothing: ``GainMatrixStack``'s default hook."""
+
+
 class GainMatrixStack:
     """The solver's earlier map rule, the oracle for the rank-1 one, with
     ``MapStack``'s interface so that a solve can run through it.
@@ -324,11 +328,9 @@ class GainMatrixStack:
     def threads(self):
         return contextlib.nullcontext()
 
-    def apply(self, x, out=None, fill=None, drain=None, hand=None):
-        if hand is not None:
-            hand(self.blocks[0])
-        if fill is not None:
-            fill(self.blocks[0])
+    def apply(self, x, out=None, fill=_nothing, drain=_nothing, hand=_nothing):
+        hand(self.blocks[0])
+        fill(self.blocks[0])
         out = np.empty(self.out_dim) if out is None else out
         if self.shape is None:
             for op, s in zip(self.ops, self.slices):
@@ -339,22 +341,18 @@ class GainMatrixStack:
                 rows = op.outputs * spectra if op.inputs is None \
                     else np.sum(op.inputs * spectra, axis=0)
                 out[s] = np.fft.irfft2(rows, s=self.shape).ravel()
-        if drain is not None:
-            drain(slice(0, self.out_dim))
+        drain(slice(0, self.out_dim))
         return out
 
-    def adjoint(self, u, out=None, drain=None, hand=None, meanwhile=None):
-        if hand is not None:
-            hand(slice(0, self.out_dim))
-        if meanwhile is not None:
-            meanwhile()
+    def adjoint(self, u, out=None, drain=_nothing, hand=_nothing, meanwhile=_nothing):
+        hand(slice(0, self.out_dim))
+        meanwhile()
         out = np.empty(self.in_dim) if out is None else out
         if self.shape is None:
             out[...] = sum(op.adjoint(u[s]) for op, s in zip(self.ops, self.slices))
         else:
             out[...] = self._merged(u)
-        if drain is not None:
-            drain(self.blocks[0])
+        drain(self.blocks[0])
         return out
 
     def _merged(self, u):

@@ -574,6 +574,34 @@ class TestNonFiniteFlags:
         assert not os.path.exists(out)
 
 
+class TestRestorationPath:
+    """A restoration is real-valued and PGM holds integer counts, so
+    deconvolve's ``--out`` refuses a PGM name, in any case, as the raster
+    writer dispatches, while parsing: before any raster is read or solved."""
+
+    @staticmethod
+    def _deconvolve(workspace, name):
+        out = str(workspace["dir"] / name)
+        return main(["deconvolve", "--counts", workspace["counts"], "--psf",
+                     workspace["psf"], "--dict", "dirac", "--gamma", "0.5",
+                     "--out", out]), out
+
+    @pytest.mark.parametrize("name", ["r.pgm", "r.PGM"])
+    def test_a_pgm_name_fails_before_any_read(self, workspace, capsys, no_reads,
+                                              name):
+        code, out = self._deconvolve(workspace, name)
+        assert code == 1
+        assert "argument --out: " in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".metrics.json")
+
+    def test_an_f64_name_is_written(self, workspace):
+        code, out = self._deconvolve(workspace, "r.f64")
+        assert code in (0, 2)
+        assert read_raster(out).data.shape == (36,)
+        assert os.path.exists(out + ".metrics.json")
+
+
 class TestGammaGridRule:
     """The library states the gamma-grid rule and every other numeric rule;
     the CLI applies each while parsing and reports the library's message

@@ -1246,16 +1246,16 @@ class TestOneMapStack:
         problem = _counts_problem(prior, max_outer=3)
         terms, _ = deconv_module._terms(problem)
         assert all(term.separable for term in terms[1:])
-        hands = []
+        hands, skip = [], operators_module._skip
 
         class Recorded(MapStack):
-            def apply(self, x, out=None, fill=None, drain=None, hand=None):
+            def apply(self, x, out=None, fill=skip, drain=skip, hand=skip):
                 hands.append(hand)
                 return super().apply(x, out, fill, drain, hand)
         monkeypatch.setattr(splitting_module, "MapStack", Recorded)
         assert deconvolve(problem).state.iterations == 3
-        assert len(hands) == 5 and hands[0] is hands[-1] is None
-        assert all(callable(hand) for hand in hands[1:-1])
+        assert len(hands) == 5 and hands[0] is hands[-1] is skip
+        assert all(callable(hand) and hand is not skip for hand in hands[1:-1])
 
 
 class TestBlockedSolve:
@@ -1781,7 +1781,7 @@ class TestIterationAllocations:
         # them.
         grown, image = self._growth("synthesis", monkeypatch, budget=64 * 64 * 8)
         assert grown < image + image // 4
-        peaks = []
+        peaks, skip = [], operators_module._skip
 
         def measured(call, *args):
             before = tracemalloc.get_traced_memory()[0]
@@ -1791,10 +1791,10 @@ class TestIterationAllocations:
             return result
 
         class Measured(MapStack):
-            def apply(self, x, out=None, fill=None, drain=None, hand=None):
+            def apply(self, x, out=None, fill=skip, drain=skip, hand=skip):
                 return measured(super().apply, x, out, fill, drain, hand)
 
-            def adjoint(self, u, out=None, drain=None, hand=None, meanwhile=None):
+            def adjoint(self, u, out=None, drain=skip, hand=skip, meanwhile=skip):
                 hand(slice(0, self.out_dim))
                 meanwhile()
                 return measured(super().adjoint, u, out, drain)

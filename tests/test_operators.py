@@ -791,6 +791,30 @@ class TestBlocks:
             assert stack.adjoint(u).tobytes() == \
                 rank_one_adjoint(maps, stack.split(u)).tobytes()
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_two_threaded_sums_keep_the_sign_of_zero(self, zero, monkeypatch):
+        # The same zeros through a stack that hands its last block to the
+        # worker (8 x 8 bands, patched as TestThreads._stack does): the
+        # handed block keeps its own spectra, whose bands apply's join adds
+        # to the sum after the calling thread's blocks.
+        maps, _, _ = self._synthesis(_ma_psf(3), 8, 8)
+        with monkeypatch.context() as patched:
+            patched.setattr(operators_module, "BLOCK_BYTES", 64 * 8)
+            patched.setattr(operators_module, "THREAD_PIXELS", 64)
+            patched.setattr(operators_module, "_cpus", lambda: 2)
+            stack = MapStack(maps)
+        assert len(stack.blocks) == 3 and stack.handed == stack.blocks[2:]
+        x, u = np.full(stack.in_dim, zero), np.full(stack.out_dim, zero)
+        threads = set()
+        with stack.threads():
+            images = stack.split(stack.apply(
+                x, fill=lambda b: threads.add(threading.get_ident())))
+            summed = stack.adjoint(u)
+        assert len(threads) == 2
+        assert [k.tobytes() for k in images] == \
+            [k.tobytes() for k in rank_one_apply(maps, x)]
+        assert summed.tobytes() == rank_one_adjoint(maps, stack.split(u)).tobytes()
+
     def test_fill_writes_each_block_before_it_is_read(self, monkeypatch):
         maps, _, _ = self._synthesis(SKEWED, 8, 8)
         stack = self._stack(maps, 64 * 8, monkeypatch)
